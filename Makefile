@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test chaos replication-chaos shard-chaos shard-replication-chaos serve demo bench bench-json bench-smoke bench-longrange throughput-budget throughput-budget-baseline trace-overhead metrics-smoke lint profile
+.PHONY: test chaos replication-chaos shard-chaos shard-replication-chaos serve demo bench bench-json bench-smoke bench-e2e-smoke bench-longrange throughput-budget throughput-budget-baseline trace-overhead metrics-smoke lint profile
 
 # Where `make bench-json` writes its machine-readable metrics.
 BENCH_OUT ?= BENCH_local.json
@@ -66,6 +66,13 @@ bench-smoke:
 	$(PYTHON) benchmarks/check_regression.py \
 		--baseline $(BENCH_BASELINE) --candidate BENCH_pr.json \
 		--max-regression $(BENCH_MAX_REGRESSION)
+
+# The repo benchmark's own smoke test (benchmarks/e2e, BENCHMARK.json):
+# every workload once at a small scale through the real TCP door, traced
+# and untraced.  Catches a renamed entry point that spans.py wraps from
+# outside, or a broken separation check, before the benchmark driver does.
+bench-e2e-smoke:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/e2e -q
 
 # Exp 14: the hierarchical aggregate tree vs the bin path on a 30-day
 # epoch — asserts ≥50× fewer rows/query and ≥10× wall-clock on the

@@ -12,7 +12,8 @@ leakage experiments analyse.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import chain
 
 from repro import telemetry
 from repro.exceptions import (
@@ -25,6 +26,14 @@ from repro.faults.injector import FaultInjector, NULL_INJECTOR
 from repro.storage.btree import BPlusTree
 from repro.storage.pager import AccessKind, AccessLog, Pager
 from repro.storage.table import Row, Table
+
+
+def _count_rows_read(rows: int) -> None:
+    telemetry.counter(
+        "concealer_storage_rows_read_total",
+        "rows read from storage, as the host observes them",
+        secrecy=telemetry.PUBLIC_SIZE,
+    ).inc(rows)
 
 
 class StorageEngine:
@@ -220,33 +229,12 @@ class StorageEngine:
 
     def fetch_row(self, table: str, row_id: int) -> Row:
         """Read one row by physical id (logged as the adversary sees it)."""
-        if self.fault_injector.fire("storage.read.transient") is not None:
-            raise TransientStorageError(
-                f"transient read failure on {table!r} row {row_id} (injected)"
-            )
-        tbl = self._table(table)
-        row = tbl.fetch(row_id)
-        self.access_log.record(AccessKind.ROW_READ, table, row_id)
-        self.access_log.record(
-            AccessKind.PAGE_READ, table, self._pagers[table].page_of(row_id)
-        )
-        telemetry.counter(
-            "concealer_storage_rows_read_total",
-            "rows read from storage, as the host observes them",
-            secrecy=telemetry.PUBLIC_SIZE,
-        ).inc()
-        return row
+        return self._read(table, None, (None,), lambda _: (row_id,))[0]
 
     def lookup(self, table: str, column: str, key) -> list[Row]:
         """Index point lookup: all rows whose ``column`` equals ``key``."""
         tree = self._index(table, column)
-        self.access_log.record(AccessKind.INDEX_LOOKUP, table, key)
-        telemetry.counter(
-            "concealer_index_lookups_total",
-            "B+-tree point lookups submitted to storage",
-            secrecy=telemetry.PUBLIC_SIZE,
-        ).inc()
-        return [self.fetch_row(table, row_id) for row_id in tree.get(key)]
+        return self._read(table, AccessKind.INDEX_LOOKUP, (key,), tree.get)
 
     def lookup_many(self, table: str, column: str, keys: Sequence) -> list[Row]:
         """Batched point lookups — how the enclave submits trapdoors.
@@ -257,10 +245,63 @@ class StorageEngine:
         hash-chain tags detect.
         """
         with telemetry.span("storage.lookup", table=table, keys=len(keys)):
-            rows: list[Row] = []
-            for key in keys:
-                rows.extend(self.lookup(table, column, key))
-            return self._tamper(rows)
+            if not keys:  # nothing is looked up, so nothing is resolved either
+                return []
+            tree = self._index(table, column)
+            return self._tamper(
+                self._read(table, AccessKind.INDEX_LOOKUP, tuple(keys), tree.get)
+            )
+
+    def _read(
+        self,
+        table: str,
+        head_kind: AccessKind | None,
+        heads: Sequence,
+        resolve: Callable[[object], Iterable[int]],
+    ) -> list[Row]:
+        """Serve one batched read: for each head, the rows ``resolve`` names.
+
+        Rows are read one at a time, the way the host serves them — each
+        consults ``storage.read.transient`` first, so a seeded fault
+        schedule draws exactly as it does for single-row reads — but the
+        bookkeeping happens once per call: one access-log run and one
+        increment per counter, covering exactly the heads and rows read
+        so far when a fault (or a missing row) aborts the batch.
+        """
+        tbl = self._table(table)
+        fire = self.fault_injector.fire
+        starts: list[int] = []
+        row_ids: list[int] = []
+        rows: list[Row] = []
+        try:
+            for head in heads:
+                starts.append(len(rows))
+                for row_id in resolve(head):
+                    if fire("storage.read.transient") is not None:
+                        raise TransientStorageError(
+                            f"transient read failure on {table!r} row {row_id} "
+                            "(injected)"
+                        )
+                    rows.append(tbl.fetch(row_id))
+                    row_ids.append(row_id)
+        finally:
+            self.access_log.record_run(
+                table,
+                head_kind,
+                heads,
+                starts,
+                row_ids,
+                self._pagers[table].rows_per_page,
+            )
+            if head_kind is AccessKind.INDEX_LOOKUP:
+                telemetry.counter(
+                    "concealer_index_lookups_total",
+                    "B+-tree point lookups submitted to storage",
+                    secrecy=telemetry.PUBLIC_SIZE,
+                ).inc(len(starts))
+            if row_ids:
+                _count_rows_read(len(row_ids))
+        return rows
 
     # ------------------------------------------------------------ packed bins
 
@@ -290,7 +331,9 @@ class StorageEngine:
         BIN_READ marking the unit), the same rows-read counter, and the
         same malicious-host response channel — armed tamper faults
         corrupt, drop, or duplicate rows in the returned batch while
-        stored bytes stay intact.
+        stored bytes stay intact.  The bookkeeping for that view is one
+        access-log run (pointing at the bin's own ``row_ids``) and one
+        counter increment, whatever the bin size.
         """
         packed = self._table(table).packed_bins
         if packed is None:
@@ -306,14 +349,15 @@ class StorageEngine:
                     f"transient read failure on {table!r} bin {bin_index} "
                     "(injected)"
                 )
-            self.access_log.record_bin_read(
-                table, bin_index, chosen.row_ids, self._pagers[table]
+            self.access_log.record_run(
+                table,
+                AccessKind.BIN_READ,
+                (bin_index,),
+                (0,),
+                chosen.row_ids,
+                self._pagers[table].rows_per_page,
             )
-            telemetry.counter(
-                "concealer_storage_rows_read_total",
-                "rows read from storage, as the host observes them",
-                secrecy=telemetry.PUBLIC_SIZE,
-            ).inc(chosen.row_count)
+            _count_rows_read(chosen.row_count)
             return self._tamper_packed(chosen)
 
     # ---------------------------------------------------------- aggregate tree
@@ -369,11 +413,7 @@ class StorageEngine:
                 tree.node_at(entity, level, index)
                 for entity, level, index in coords
             ]
-            telemetry.counter(
-                "concealer_storage_rows_read_total",
-                "rows read from storage, as the host observes them",
-                secrecy=telemetry.PUBLIC_SIZE,
-            ).inc(len(nodes))
+            _count_rows_read(len(nodes))
             injector = self.fault_injector
             if nodes and injector.fire("storage.tree.corrupt") is not None:
                 victim = injector.choose(len(nodes), "storage.tree.corrupt")
@@ -402,18 +442,25 @@ class StorageEngine:
     def range_lookup(self, table: str, column: str, low, high) -> list[Row]:
         """Index range scan over ``[low, high]``."""
         tree = self._index(table, column)
-        self.access_log.record(AccessKind.INDEX_SCAN, table)
-        rows: list[Row] = []
-        for _, row_ids in tree.range(low, high):
-            rows.extend(self.fetch_row(table, rid) for rid in row_ids)
-        return rows
+        return self._read(
+            table,
+            AccessKind.INDEX_SCAN,
+            (None,),
+            lambda _: chain.from_iterable(ids for _, ids in tree.range(low, high)),
+        )
 
     def scan(self, table: str) -> Iterator[Row]:
         """Full table scan (what the Opaque baseline must do)."""
         tbl = self._table(table)
-        self.access_log.record(AccessKind.TABLE_SCAN, table)
+        # The run stays open while the generator is live: a row joins
+        # the log when it is yielded, so an abandoned scan shows only
+        # the rows it actually read.
+        row_ids: list[int] = []
+        self.access_log.record_run(
+            table, AccessKind.TABLE_SCAN, (None,), (0,), row_ids, None
+        )
         for row in tbl.scan():
-            self.access_log.record(AccessKind.ROW_READ, table, row.row_id)
+            row_ids.append(row.row_id)
             yield row
 
     def snapshot_rows(self, table: str) -> list[Row]:

@@ -6,17 +6,29 @@ security claims are claims *about that stream*: every query fetches the
 same number of rows (output-size hiding) and the server cannot tell
 which fetched rows satisfied the query (partial access-pattern hiding).
 
-:class:`AccessLog` records one :class:`AccessEvent` per operation the
-engine performs.  The leakage analysis (:mod:`repro.analysis`) and the
-security test-suite treat the log as the honest-but-curious service
-provider's complete view of storage.
+:class:`AccessLog` is that stream: one :class:`AccessEvent` per
+operation the engine performs.  The leakage analysis
+(:mod:`repro.analysis`) and the security test-suite treat it as the
+honest-but-curious service provider's complete view of storage.
+
+The stream is stored *run-length*: a single operation is a plain
+``(kind, table, detail, query_id)`` tuple, and a batched read (a whole
+packed bin, a trapdoor batch, a scan) is one :class:`_Run` holding the
+observable arguments — the head events' details and the row ids read
+under each — instead of one object per row.  ``AccessEvent`` objects
+are built only when somebody iterates the log; the volume and
+access-pattern questions the analyses ask are answered from the runs
+directly.  What the host is modelled to see does not change: iterating
+yields exactly the events, in exactly the order, that per-row recording
+produced.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 
 class AccessKind(str, Enum):
@@ -53,6 +65,49 @@ class AccessEvent:
     query_id: int | None = None
 
 
+class _Run(NamedTuple):
+    """One batched read, stored unexpanded.
+
+    It stands for: each head event (``head_kind`` with ``heads[i]`` as
+    its detail), followed by a ``ROW_READ`` — and, when
+    ``rows_per_page`` is set, a ``PAGE_READ`` — for every row read under
+    that head.  Head ``i`` owns ``row_ids[starts[i]:starts[i + 1]]``;
+    the last head owns the rest, so a batch that stops early (a
+    transient fault, a scan its consumer abandons) needs no fix-up.
+    ``heads`` may be longer than ``starts``: only the first
+    ``len(starts)`` heads were observed.
+
+    The sequences are held by reference, never copied: a packed-bin
+    run points at the bin's own ``row_ids`` tuple.
+    """
+
+    table: str
+    query_id: int | None
+    head_kind: AccessKind | None  # None: rows only (a bare row fetch)
+    heads: Sequence
+    starts: Sequence[int]
+    row_ids: Sequence[int]
+    rows_per_page: int | None  # None: no PAGE_READ per row (table scans)
+
+    def event_count(self) -> int:
+        heads = 0 if self.head_kind is None else len(self.starts)
+        per_row = 1 if self.rows_per_page is None else 2
+        return heads + per_row * len(self.row_ids)
+
+    def events(self) -> Iterator[AccessEvent]:
+        table, query_id, head_kind, heads, starts, row_ids, rows_per_page = self
+        stops = (*starts[1:], len(row_ids))
+        for head, start, stop in zip(heads, starts, stops):
+            if head_kind is not None:
+                yield AccessEvent(head_kind, table, head, query_id)
+            for row_id in row_ids[start:stop]:
+                yield AccessEvent(AccessKind.ROW_READ, table, row_id, query_id)
+                if rows_per_page is not None:
+                    yield AccessEvent(
+                        AccessKind.PAGE_READ, table, row_id // rows_per_page, query_id
+                    )
+
+
 class AccessLog:
     """An append-only log of everything the storage engine did.
 
@@ -63,7 +118,12 @@ class AccessLog:
     """
 
     def __init__(self):
-        self._events: list[AccessEvent] = []
+        # Single events as (kind, table, detail, query_id) tuples,
+        # batched reads as _Run; see the module docstring.
+        self._entries: list[tuple] = []
+        # The same entries grouped by query scope, so per-query
+        # questions cost the query's entries, not the whole log.
+        self._by_query: dict[int, list[tuple]] = {}
         self._query_counter = 0
         self._active_query: int | None = None
 
@@ -77,81 +137,102 @@ class AccessLog:
         """Close the current query scope."""
         self._active_query = None
 
+    @property
+    def last_query_id(self) -> int:
+        """The id :meth:`begin_query` handed out most recently (0: none yet)."""
+        return self._query_counter
+
     def record(self, kind: AccessKind, table: str, detail: bytes | int | None = None) -> None:
         """Append one event, tagged with the active query scope if any."""
-        self._events.append(
-            AccessEvent(kind=kind, table=table, detail=detail, query_id=self._active_query)
-        )
+        query_id = self._active_query
+        self._append((kind, table, detail, query_id), query_id)
 
-    def record_bin_read(self, table: str, bin_index: int, row_ids, pager: "Pager") -> None:
-        """Log one packed-bin fetch: a BIN_READ plus the per-row view.
+    def record_run(
+        self,
+        table: str,
+        head_kind: AccessKind | None,
+        heads: Sequence,
+        starts: Sequence[int],
+        row_ids: Sequence[int],
+        rows_per_page: int | None,
+    ) -> None:
+        """Append one batched read (see :class:`_Run`) in a single step.
 
-        Emits exactly the ROW_READ/PAGE_READ stream a scalar whole-bin
-        fetch produces (same row ids, same order), built in bulk so the
-        hot path pays one call instead of ``2·|b|``.
+        The arguments are kept by reference.  A caller may keep
+        appending to ``row_ids`` while its read is still in progress (a
+        streaming scan); nothing else may change afterwards.
         """
         query_id = self._active_query
-        events = self._events
-        events.append(
-            AccessEvent(AccessKind.BIN_READ, table, bin_index, query_id)
+        self._append(
+            _Run(table, query_id, head_kind, heads, starts, row_ids, rows_per_page),
+            query_id,
         )
-        rows_per_page = pager.rows_per_page
-        events.extend(
-            event
-            for row_id in row_ids
-            for event in (
-                AccessEvent(AccessKind.ROW_READ, table, row_id, query_id),
-                AccessEvent(
-                    AccessKind.PAGE_READ, table, row_id // rows_per_page, query_id
-                ),
-            )
-        )
+
+    def _append(self, entry: tuple, query_id: int | None) -> None:
+        self._entries.append(entry)
+        if query_id is not None:
+            self._by_query.setdefault(query_id, []).append(entry)
 
     def events(self, kind: AccessKind | None = None, query_id: int | None = None) -> list[AccessEvent]:
         """Return events, optionally filtered by kind and/or query scope."""
-        selected = self._events
-        if kind is not None:
-            selected = [e for e in selected if e.kind == kind]
-        if query_id is not None:
-            selected = [e for e in selected if e.query_id == query_id]
-        return list(selected)
+        entries = self._entries if query_id is None else self._by_query.get(query_id, ())
+        return [
+            event for event in _expand(entries) if kind is None or event.kind == kind
+        ]
 
     def rows_fetched(self, query_id: int) -> int:
         """The adversary's output-size observation for one query."""
-        return sum(
-            1
-            for e in self._events
-            if e.query_id == query_id and e.kind == AccessKind.ROW_READ
-        )
+        return _rows_read(self._by_query.get(query_id, ()))
 
     def row_ids_fetched(self, query_id: int) -> list[int]:
         """The physical row ids a query touched — the access pattern."""
-        return [
-            e.detail
-            for e in self._events
-            if e.query_id == query_id
-            and e.kind == AccessKind.ROW_READ
-            and isinstance(e.detail, int)
-        ]
+        row_ids: list[int] = []
+        for entry in self._by_query.get(query_id, ()):
+            if type(entry) is _Run:
+                row_ids.extend(entry.row_ids)
+            elif entry[0] == AccessKind.ROW_READ and isinstance(entry[2], int):
+                row_ids.append(entry[2])
+        return row_ids
 
     def per_query_volumes(self) -> dict[int, int]:
         """Map every observed query id to its row-fetch volume."""
         volumes: dict[int, int] = {}
-        for event in self._events:
-            if event.query_id is None or event.kind != AccessKind.ROW_READ:
-                continue
-            volumes[event.query_id] = volumes.get(event.query_id, 0) + 1
+        for query_id, entries in self._by_query.items():
+            volume = _rows_read(entries)
+            if volume:
+                volumes[query_id] = volume
         return volumes
 
     def clear(self) -> None:
         """Drop all recorded events (query counter keeps advancing)."""
-        self._events.clear()
+        self._entries.clear()
+        self._by_query.clear()
 
     def __len__(self) -> int:
-        return len(self._events)
+        return sum(
+            entry.event_count() if type(entry) is _Run else 1
+            for entry in self._entries
+        )
 
     def __iter__(self) -> Iterator[AccessEvent]:
-        return iter(self._events)
+        return _expand(self._entries)
+
+
+def _expand(entries: Iterable[tuple]) -> Iterator[AccessEvent]:
+    """Materialise the events a sequence of log entries stands for."""
+    for entry in entries:
+        if type(entry) is _Run:
+            yield from entry.events()
+        else:
+            yield AccessEvent(*entry)
+
+
+def _rows_read(entries: Iterable[tuple]) -> int:
+    """How many ROW_READ events a sequence of log entries stands for."""
+    return sum(
+        len(entry.row_ids) if type(entry) is _Run else entry[0] == AccessKind.ROW_READ
+        for entry in entries
+    )
 
 
 @dataclass

@@ -132,7 +132,7 @@ class TestSlidingWindowAttack:
             sets = []
             for start, end in windows:
                 service.execute_range(build_q1("ap1", start, end), method=method)
-                sets.append(frozenset(log.row_ids_fetched(log._query_counter)))
+                sets.append(frozenset(log.row_ids_fetched(log.last_query_id)))
             return sets
 
         ebpb_diffs = sliding_window_attack(access_sets("ebpb"))

@@ -80,9 +80,9 @@ class TestVolumeHiding:
         (loc_a, t_a), (loc_b, t_b) = shared[0], shared[1]
 
         service.execute_point(PointQuery(index_values=(loc_a,), timestamp=t_a))
-        q1 = service.engine.access_log._query_counter
+        q1 = service.engine.access_log.last_query_id
         service.execute_point(PointQuery(index_values=(loc_b,), timestamp=t_b))
-        q2 = service.engine.access_log._query_counter
+        q2 = service.engine.access_log.last_query_id
         rows_a = set(service.engine.access_log.row_ids_fetched(q1))
         rows_b = set(service.engine.access_log.row_ids_fetched(q2))
         assert rows_a == rows_b  # partial access-pattern hiding

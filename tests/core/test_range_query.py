@@ -121,9 +121,9 @@ class TestVolumes:
         _, service = stack
         log = service.engine.access_log
         service.execute_range(build_q1("ap1", 0, 200), method="winsecrange")
-        q1 = log._query_counter
+        q1 = log.last_query_id
         service.execute_range(build_q1("ap1", 300, 500), method="winsecrange")
-        q2 = log._query_counter
+        q2 = log.last_query_id
         # both ranges live in subinterval window 0
         assert set(log.row_ids_fetched(q1)) == set(log.row_ids_fetched(q2))
 

@@ -76,10 +76,10 @@ class TestOutputSizeHiding:
             service.execute_point(
                 PointQuery(index_values=(location,), timestamp=timestamp)
             )
-            ids.append(service.engine.access_log._query_counter)
+            ids.append(service.engine.access_log.last_query_id)
         # include queries for values with zero results
         service.execute_point(PointQuery(index_values=("ghost",), timestamp=60))
-        ids.append(service.engine.access_log._query_counter)
+        ids.append(service.engine.access_log.last_query_id)
         profile = profile_queries(service.engine.access_log, ids)
         assert len(profile.distinct_volumes) == 1
         assert profile.volume_spread == 0
@@ -94,7 +94,7 @@ class TestOutputSizeHiding:
                 service.execute_range(
                     build_q1(location, start, start + 1199), method="winsecrange"
                 )
-                ids.append(service.engine.access_log._query_counter)
+                ids.append(service.engine.access_log.last_query_id)
         profile = profile_queries(service.engine.access_log, ids)
         assert len(profile.distinct_volumes) == 1
 
@@ -115,7 +115,7 @@ class TestPartialAccessPatternHiding:
                 PointQuery(index_values=(location,), timestamp=timestamp)
             )
             ids_by_bin.setdefault(bin_index, []).append(
-                service.engine.access_log._query_counter
+                service.engine.access_log.last_query_id
             )
         profile = profile_queries(service.engine.access_log)
         for bin_index, query_ids in ids_by_bin.items():

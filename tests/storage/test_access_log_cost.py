@@ -1,0 +1,147 @@
+"""What the access log costs, and that making it cheap changed nothing.
+
+Two guards around the run-length log:
+
+* the host's view of a fixed scenario — counters, per-query volumes and
+  the event stream itself — equals golden values captured from the
+  per-event log that preceded it;
+* a point query on a sealed packed epoch retains a few KB of heap, not
+  a few hundred bytes per fetched row.
+"""
+
+from __future__ import annotations
+
+import gc
+import hashlib
+import random
+import tracemalloc
+
+import pytest
+
+from repro import (
+    DataProvider,
+    GridSpec,
+    ServiceConfig,
+    ServiceProvider,
+    WIFI_SCHEMA,
+    telemetry,
+)
+from repro.core.queries import Aggregate, PointQuery, RangeQuery
+from tests.conftest import MASTER_KEY, make_stack
+
+GOLDEN_SPEC = GridSpec(dimension_sizes=(4, 10), cell_id_count=16, epoch_duration=600)
+GOLDEN_RECORDS = [
+    (f"ap{(t // 60 + d) % 4}", t, f"dev1-{d}")
+    for t in range(0, 600, 60)
+    for d in range(8)
+]
+# Captured at the parent of the run-length change (per-event AccessLog).
+GOLDEN_VOLUMES = {1: 24, 2: 24, 3: 96, 4: 52}
+GOLDEN = {
+    False: {  # scalar: trapdoor lookups
+        "rows_read": 196,
+        "index_lookups": 196,
+        "events": 684,
+        "stream": "d89d44a2750b2dc21856cf7ffcf605774da81c963a6d126d342623e5066025b1",
+    },
+    True: {  # packed: whole-bin reads
+        "rows_read": 196,
+        "index_lookups": 52,  # the eBPB range stays on trapdoors
+        "events": 546,
+        "stream": "43526d857887d87566c2d5b793cfb37f8174d7786e67df3e4df9cef677d8a506",
+    },
+}
+
+
+class TestHostViewGolden:
+    @pytest.mark.parametrize("packed", [False, True], ids=["scalar", "packed"])
+    def test_counters_volumes_and_stream_unchanged(self, packed):
+        location, timestamp, _ = GOLDEN_RECORDS[0]
+        other = GOLDEN_RECORDS[len(GOLDEN_RECORDS) // 2][0]
+        with telemetry.scoped_registry() as registry:
+            _, service = make_stack(
+                GOLDEN_SPEC, GOLDEN_RECORDS, verify=True, packed_bins=packed
+            )
+            service.execute_point(
+                PointQuery(index_values=(location,), timestamp=timestamp)
+            )
+            service.execute_point(
+                PointQuery(
+                    index_values=(location,),
+                    timestamp=timestamp,
+                    aggregate=Aggregate.DISTINCT_COUNT,
+                    target="observation",
+                )
+            )
+            service.execute_range(
+                RangeQuery(index_values=(other,), time_start=0, time_end=300),
+                method="multipoint",
+            )
+            service.execute_range(
+                RangeQuery(index_values=(other,), time_start=60, time_end=240),
+                method="ebpb",
+            )
+        golden = GOLDEN[packed]
+        log = service.engine.access_log
+        assert registry.value("concealer_storage_rows_read_total") == golden["rows_read"]
+        assert registry.value("concealer_index_lookups_total") == golden["index_lookups"]
+        assert log.per_query_volumes() == GOLDEN_VOLUMES
+        assert len(log) == golden["events"]
+        stream = hashlib.sha256()
+        for event in log:
+            stream.update(
+                repr(
+                    (event.kind.value, event.table, event.detail, event.query_id)
+                ).encode()
+            )
+        assert stream.hexdigest() == golden["stream"]
+
+
+class TestRetainedHeap:
+    BIN_SIZE = 512
+    BUDGET_BYTES = 8 * 1024
+
+    def test_packed_point_query_retains_a_few_kb(self):
+        rng = random.Random(7)
+        records = [
+            (f"ap{rng.randrange(10)}", t, f"dev{d}")
+            for t in range(0, 3600, 60)
+            for d in range(25)
+        ]
+        provider = DataProvider(
+            WIFI_SCHEMA,
+            GridSpec(dimension_sizes=(8, 24), cell_id_count=64, epoch_duration=3600),
+            first_epoch_id=0,
+            master_key=MASTER_KEY,
+            bin_size=self.BIN_SIZE,
+            time_granularity=60,
+            rng=random.Random(1),
+        )
+        service = ServiceProvider(WIFI_SCHEMA, ServiceConfig(verify=True))
+        provider.provision_enclave(service.enclave)
+        service.ingest_epoch(provider.encrypt_epoch(records, epoch_id=0))
+        assert service.engine.has_packed_bins("epoch_0")
+        queries = [
+            PointQuery(index_values=(location,), timestamp=timestamp)
+            for location, timestamp, _ in records[::7]
+        ]
+
+        measured = 30
+        for query in queries[:50]:  # warm-up: caches and ring buffers fill
+            service.execute_point(query)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for query in queries[50 : 50 + measured]:
+                service.execute_point(query)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+        log = service.engine.access_log
+        # Each query read one whole bin, and the host's view says so...
+        assert log.rows_fetched(log.last_query_id) == self.BIN_SIZE
+        # ...yet the log kept a run per query, not 1 + 2·|b| objects.
+        assert retained / measured <= self.BUDGET_BYTES

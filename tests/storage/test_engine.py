@@ -2,9 +2,16 @@
 
 import pytest
 
-from repro.exceptions import IndexNotFoundError, StorageError, TableNotFoundError
+from repro import telemetry
+from repro.exceptions import (
+    IndexNotFoundError,
+    StorageError,
+    TableNotFoundError,
+    TransientStorageError,
+)
+from repro.faults.injector import FaultEvent, FaultInjector
 from repro.storage.engine import StorageEngine
-from repro.storage.pager import AccessKind
+from repro.storage.pager import AccessEvent, AccessKind
 
 
 @pytest.fixture
@@ -140,3 +147,110 @@ class TestAccessLog:
         engine.insert("t", [b"k", 0])
         engine.access_log.clear()
         assert len(engine.access_log) == 0
+
+
+class TestBatchedReadBookkeeping:
+    """Batched reads log and count once per call — with per-row results."""
+
+    ROWS = {b"a": [0, 1], b"b": [2, 3, 4], b"c": [5]}
+
+    def _engine(self, injector=None):
+        engine = StorageEngine(btree_order=8, rows_per_page=4, fault_injector=injector)
+        engine.create_table("t", ["k", "v"])
+        engine.create_index("t", "k")
+        for key, row_ids in self.ROWS.items():
+            for row_id in row_ids:
+                assert engine.insert("t", [key, row_id]) == row_id
+        engine.access_log.clear()
+        return engine
+
+    def _expected(self, rows_read: int) -> tuple[list[AccessEvent], int]:
+        """The per-row stream up to ``rows_read`` rows, and the keys it took."""
+        events, lookups = [], 0
+        for key, row_ids in self.ROWS.items():
+            events.append(AccessEvent(AccessKind.INDEX_LOOKUP, "t", key))
+            lookups += 1
+            for row_id in row_ids:
+                if rows_read == 0:
+                    return events, lookups
+                rows_read -= 1
+                events.append(AccessEvent(AccessKind.ROW_READ, "t", row_id))
+                events.append(AccessEvent(AccessKind.PAGE_READ, "t", row_id // 4))
+        return events, lookups
+
+    def test_lookup_many_is_one_log_entry(self):
+        engine = self._engine()
+        with telemetry.scoped_registry() as registry:
+            rows = engine.lookup_many("t", "k", list(self.ROWS))
+        assert [row.row_id for row in rows] == [0, 1, 2, 3, 4, 5]
+        assert len(engine.access_log._entries) == 1
+        assert list(engine.access_log) == self._expected(6)[0]
+        assert registry.value("concealer_storage_rows_read_total") == 6
+        assert registry.value("concealer_index_lookups_total") == 3
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_transient_fault_on_kth_row_keeps_the_first_k_minus_one(self, k):
+        injector = FaultInjector.from_schedule(
+            [FaultEvent("storage.read.transient", k - 1)]
+        )
+        engine = self._engine(injector)
+        with telemetry.scoped_registry() as registry:
+            with pytest.raises(TransientStorageError):
+                engine.lookup_many("t", "k", list(self.ROWS))
+        events, lookups = self._expected(k - 1)
+        assert list(engine.access_log) == events
+        assert registry.value("concealer_storage_rows_read_total") == k - 1
+        assert registry.value("concealer_index_lookups_total") == lookups
+        # One consultation per row attempted, the aborted one included.
+        assert injector.consultations("storage.read.transient") == k
+
+    def test_single_key_and_single_row_reads_share_the_stream(self):
+        engine = self._engine()
+        engine.lookup("t", "k", b"b")
+        engine.fetch_row("t", 5)
+        assert list(engine.access_log) == [
+            AccessEvent(AccessKind.INDEX_LOOKUP, "t", b"b"),
+            *(
+                AccessEvent(kind, "t", detail)
+                for row_id in (2, 3, 4)
+                for kind, detail in (
+                    (AccessKind.ROW_READ, row_id),
+                    (AccessKind.PAGE_READ, row_id // 4),
+                )
+            ),
+            AccessEvent(AccessKind.ROW_READ, "t", 5),
+            AccessEvent(AccessKind.PAGE_READ, "t", 1),
+        ]
+
+    def test_range_lookup_logs_scan_then_rows_and_pages(self):
+        engine = self._engine()
+        with telemetry.scoped_registry() as registry:
+            rows = engine.range_lookup("t", "k", b"b", b"c")
+        assert [row.row_id for row in rows] == [2, 3, 4, 5]
+        assert len(engine.access_log._entries) == 1
+        assert [(e.kind, e.detail) for e in engine.access_log] == [
+            (AccessKind.INDEX_SCAN, None),
+            *(
+                pair
+                for row_id in (2, 3, 4, 5)
+                for pair in (
+                    (AccessKind.ROW_READ, row_id),
+                    (AccessKind.PAGE_READ, row_id // 4),
+                )
+            ),
+        ]
+        assert registry.value("concealer_storage_rows_read_total") == 4
+
+    def test_abandoned_scan_logs_only_the_rows_it_yielded(self):
+        engine = self._engine()
+        qid = engine.access_log.begin_query()
+        scan = engine.scan("t")
+        assert [next(scan).row_id, next(scan).row_id] == [0, 1]
+        scan.close()
+        engine.access_log.end_query()
+        assert len(engine.access_log._entries) == 1
+        assert [(e.kind, e.detail, e.query_id) for e in engine.access_log] == [
+            (AccessKind.TABLE_SCAN, None, qid),
+            (AccessKind.ROW_READ, 0, qid),
+            (AccessKind.ROW_READ, 1, qid),
+        ]
