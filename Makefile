@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test chaos replication-chaos shard-chaos shard-replication-chaos serve demo bench bench-json bench-smoke bench-e2e-smoke bench-longrange throughput-budget throughput-budget-baseline trace-overhead metrics-smoke lint profile
+.PHONY: test chaos replication-chaos shard-chaos shard-replication-chaos serve demo bench bench-json bench-smoke bench-e2e-smoke bench-longrange throughput-budget throughput-budget-baseline trace-overhead metrics-smoke lint loc profile
 
 # Where `make bench-json` writes its machine-readable metrics.
 BENCH_OUT ?= BENCH_local.json
@@ -117,6 +117,15 @@ profile:
 # Tiny workload → Prometheus export → line-format validation.
 metrics-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/telemetry/test_metrics_smoke.py -q
+
+# ROADMAP aim 2 without running the benchmark: non-blank, non-comment
+# lines of src/repro in total and per package, counted by the repo
+# benchmark's own counter (benchmarks/e2e/metrics.py, imported as is) so
+# the table is exactly its src.lines_total / src.lines.* metrics.
+loc:
+	@PYTHONPATH=$(PYTHONPATH):benchmarks/e2e $(PYTHON) -c "\
+	from pathlib import Path; import metrics; \
+	print('\n'.join(f'{name:<24}{lines:>7}' for name, lines in metrics.code_size(Path('src')).items()))"
 
 # Static checks (config in pyproject.toml).  The runtime toolchain does
 # not require ruff, so skip politely where it is not installed.

@@ -7,14 +7,23 @@ can be reused — within a batch (the :class:`BatchOverlay`) and across
 requests (the :class:`~repro.batching.cache.BinCache`) — without any
 caller-visible change in answers.
 
+A bin comes in two representations — scalar rows fetched by trapdoor,
+or the packed columnar sidecar — and both go through the same three
+steps: :meth:`BinFetcher._fetch_shared` (overlay), ``_fetch_entry``
+(cache, then packed-before-scalar) and ``_fetch_from_storage`` (fence
+stamp → fetch → ensure-verified → cache insert).  The fetcher always
+hands its verifier to :class:`~repro.core.context.EpochContext`, whose
+fetch shell reports whether the engine — a replica group — could run it
+on every replica attempt (DESIGN.md §9, *Verified read*).
+
 Verification invariant: whenever a fetched bin may be *reused* (an
 overlay or cache is active) and the service verifies, the bin's hash
 chains are checked **before** it becomes reusable.  A later consumer
 of the cached rows therefore never needs to re-verify, and a tampered
 batch is rejected before it can poison the cache.  With neither
-overlay nor cache in play the fetcher reproduces the legacy executor
-behaviour byte for byte (end-of-query verification over the combined
-row set).
+overlay nor cache in play, a bin from a plain engine is handed back
+unverified and the executor verifies the combined row set at the end
+of the query.
 """
 
 from __future__ import annotations
@@ -93,8 +102,8 @@ class _CachedTreeNode:
 class BinFetcher:
     """Fetches whole bins for the executors, sharing where it is sound.
 
-    ``cache`` is optional; without it (and without an overlay) this is
-    exactly the legacy per-query fetch.  Oblivious (§4.3) execution
+    ``cache`` is optional; without it (and without an overlay) every
+    fetch goes to storage.  Oblivious (§4.3) execution
     bypasses both overlay and cache: Concealer+'s guarantee is an
     *identical in-enclave event trace* for every query, and serving
     from a cache would make the trace depend on the access history.
@@ -121,23 +130,8 @@ class BinFetcher:
     def fetch_bin(
         self, context, fetch_bin, stats: QueryStats, deadline=None, overlay=None
     ) -> list:
-        """Retrieve one whole bin for an executor, reusing where possible."""
-        key = (context.table_name, fetch_bin.index)
-        if overlay is not None:
-            shared = overlay.get(key)
-            if shared is not None:
-                rows, verified = shared
-                self._count_reuse(stats, rows, verified)
-                # A packed entry unpacks bit-identically for scalar
-                # consumers (the compat shim).
-                return rows.unpack() if _is_packed(rows) else list(rows)
-        reusable = overlay is not None or self._cache_active()
-        rows, verified = self.fetch_bin_entry(
-            context, fetch_bin, stats, deadline=deadline, ensure_verified=reusable
-        )
-        if overlay is not None:
-            overlay.put(key, rows, verified)
-        return list(rows)
+        """Retrieve one whole bin as scalar rows, reusing where possible."""
+        return self._fetch_shared(context, fetch_bin, stats, deadline, overlay, False)
 
     def fetch_bin_any(
         self, context, fetch_bin, stats: QueryStats, deadline=None, overlay=None
@@ -148,45 +142,37 @@ class BinFetcher:
         holds one for this table, otherwise a scalar row list — the
         caller dispatches STEP 4 on the returned kind.
         """
-        if not self.packed:
-            return self.fetch_bin(
-                context, fetch_bin, stats, deadline=deadline, overlay=overlay
-            )
-        key = (context.table_name, fetch_bin.index)
-        if overlay is not None:
-            shared = overlay.get(key)
-            if shared is not None:
-                payload, verified = shared
-                self._count_reuse(stats, payload, verified)
-                return payload if _is_packed(payload) else list(payload)
-        reusable = overlay is not None or self._cache_active()
-        payload, verified = self.fetch_entry_any(
-            context, fetch_bin, stats, deadline=deadline, ensure_verified=reusable
+        return self._fetch_shared(
+            context, fetch_bin, stats, deadline, overlay, self.packed
         )
-        if overlay is not None:
-            overlay.put(key, payload, verified)
-        return payload if _is_packed(payload) else list(payload)
+
+    def _fetch_shared(self, context, fetch_bin, stats, deadline, overlay, packed):
+        """Overlay → cache → storage for one bin; fills the overlay."""
+        key = (context.table_name, fetch_bin.index)
+        shared = overlay.get(key) if overlay is not None else None
+        if shared is not None:
+            payload, verified = shared
+            self._count_reuse(stats, payload, verified)
+        else:
+            reusable = overlay is not None or self._cache_active()
+            payload, verified = self._fetch_entry(
+                context, fetch_bin, stats, deadline, reusable, packed
+            )
+            if overlay is not None:
+                overlay.put(key, payload, verified)
+        if not _is_packed(payload):
+            return list(payload)
+        # A packed entry unpacks bit-identically for scalar consumers.
+        return payload if packed else payload.unpack()
 
     def fetch_bin_entry(
         self, context, fetch_bin, stats: QueryStats, deadline=None,
         ensure_verified=False,
     ) -> tuple[tuple, bool]:
         """Cache-then-storage retrieval; returns ``(rows, verified)``."""
-        if self._cache_active():
-            entry = self.cache.lookup(
-                context.table_name, fetch_bin.index, require_verified=self.verify
-            )
-            if entry is not None:
-                self._count_hit(stats, entry.rows, entry.verified)
-                if _is_packed(entry.rows):
-                    return tuple(entry.rows.unpack()), entry.verified
-                return entry.rows, entry.verified
-            stats.cache_misses += 1
-        rows, verified = self._fetch_from_storage(
-            context, fetch_bin, stats, deadline=deadline,
-            ensure_verified=ensure_verified,
+        return self._fetch_entry(
+            context, fetch_bin, stats, deadline, ensure_verified, False
         )
-        return tuple(rows), verified
 
     def fetch_entry_any(
         self, context, fetch_bin, stats: QueryStats, deadline=None,
@@ -196,32 +182,35 @@ class BinFetcher:
 
         Returns ``(payload, verified)`` where payload is a packed bin
         when available, else a scalar row tuple (the engine had no
-        packed sidecar — post-insert, post-repair, or a legacy engine).
+        packed sidecar — post-insert, post-repair, post-rotation).
         """
-        if not self.packed:
-            return self.fetch_bin_entry(
-                context, fetch_bin, stats, deadline=deadline,
-                ensure_verified=ensure_verified,
-            )
+        return self._fetch_entry(
+            context, fetch_bin, stats, deadline, ensure_verified, self.packed
+        )
+
+    def _fetch_entry(
+        self, context, fetch_bin, stats, deadline, ensure_verified, packed
+    ) -> tuple[object, bool]:
         if self._cache_active():
             entry = self.cache.lookup(
                 context.table_name, fetch_bin.index, require_verified=self.verify
             )
             if entry is not None:
                 self._count_hit(stats, entry.rows, entry.verified)
+                if _is_packed(entry.rows) and not packed:
+                    return tuple(entry.rows.unpack()), entry.verified
                 return entry.rows, entry.verified
             stats.cache_misses += 1
-        packed, verified = self._fetch_packed_from_storage(
-            context, fetch_bin, stats, deadline=deadline,
-            ensure_verified=ensure_verified,
-        )
-        if packed is not None:
-            return packed, verified
-        rows, verified = self._fetch_from_storage(
-            context, fetch_bin, stats, deadline=deadline,
-            ensure_verified=ensure_verified,
-        )
-        return tuple(rows), verified
+        payload = None
+        if packed:
+            payload, verified = self._fetch_from_storage(
+                context, fetch_bin, stats, deadline, ensure_verified, True
+            )
+        if payload is None:
+            payload, verified = self._fetch_from_storage(
+                context, fetch_bin, stats, deadline, ensure_verified, False
+            )
+        return payload, verified
 
     def fetch_tree_nodes(
         self, context, meta, coords, stats: QueryStats, deadline=None
@@ -283,73 +272,56 @@ class BinFetcher:
     # ---------------------------------------------------------- storage path
 
     def _fetch_from_storage(
-        self, context, fetch_bin, stats: QueryStats, deadline=None,
-        ensure_verified=False,
-    ) -> tuple[list, bool]:
+        self, context, fetch_bin, stats: QueryStats, deadline, ensure_verified,
+        packed: bool,
+    ) -> tuple[object, bool]:
+        """Fence-stamp → fetch → ensure-verified → cache-insert, for a
+        bin in either representation; ``(None, False)`` says there is no
+        packed sidecar and the scalar rows are needed."""
         engine = self.engine
         # Fence stamp *before* the read: rows racing a rewrite must not
         # be cached under the post-rewrite generation.
         generation = getattr(engine, "rewrite_generation", 0)
-        replicated = getattr(engine, "supports_replicated_reads", False)
-        verifier = context.verify_rows if (self.verify and replicated) else None
-        if self.oblivious:
-            trapdoors = context.oblivious_trapdoors_for_bin(fetch_bin)
-        else:
-            trapdoors = context.trapdoors_for_bin(fetch_bin)
-        with self._engine_lock:
-            rows = context.fetch(
-                engine,
-                trapdoors,
-                stats,
-                deadline=deadline,
-                verifier=verifier,
-                cells=fetch_bin.cell_ids,
+        # The verifier is always handed down; whether the engine could
+        # run it per replica attempt comes back as ``verified``.
+        if not self.verify:
+            verify = None
+        elif packed:
+            verify = lambda packed_bin, cells: context.verify_packed(
+                [packed_bin], cells
             )
-        verified = verifier is not None
-        if self.verify and ensure_verified and not verified:
+        else:
+            verify = context.verify_rows
+        if packed:
+            with self._engine_lock:
+                payload, verified = context.fetch_packed(
+                    engine, fetch_bin, stats, deadline=deadline, verifier=verify
+                )
+            if payload is None:
+                return None, False
+        else:
+            # Trapdoor derivation stays outside the engine lock.
+            if self.oblivious:
+                trapdoors = context.oblivious_trapdoors_for_bin(fetch_bin)
+            else:
+                trapdoors = context.trapdoors_for_bin(fetch_bin)
+            with self._engine_lock:
+                rows, verified = context.fetch(
+                    engine, trapdoors, stats, deadline=deadline,
+                    verifier=verify, cells=fetch_bin.cell_ids,
+                )
+            payload = tuple(rows)
+        if verify is not None and ensure_verified and not verified:
             # The bin becomes reusable, so it must be checked *now*:
             # a later overlay/cache consumer will trust it as-is.
-            context.verify_rows(rows, fetch_bin.cell_ids)
+            verify(payload, fetch_bin.cell_ids)
             verified = True
             stats.verified = True
         if self._cache_active():
             self.cache.insert(
-                context.table_name,
-                fetch_bin.index,
-                tuple(rows),
-                verified,
-                generation,
+                context.table_name, fetch_bin.index, payload, verified, generation
             )
-        return rows, verified
-
-    def _fetch_packed_from_storage(
-        self, context, fetch_bin, stats: QueryStats, deadline=None,
-        ensure_verified=False,
-    ) -> tuple[object, bool]:
-        """Whole-bin columnar storage fetch; ``(None, False)`` signals
-        the scalar path is needed (no packed sidecar)."""
-        engine = self.engine
-        generation = getattr(engine, "rewrite_generation", 0)
-        replicated = getattr(engine, "supports_replicated_reads", False)
-        verifier = None
-        if self.verify and replicated:
-            verifier = lambda packed, cells: context.verify_packed([packed], cells)
-        with self._engine_lock:
-            packed = context.fetch_packed(
-                engine, fetch_bin, stats, deadline=deadline, verifier=verifier
-            )
-        if packed is None:
-            return None, False
-        verified = verifier is not None
-        if self.verify and ensure_verified and not verified:
-            context.verify_packed([packed], fetch_bin.cell_ids)
-            verified = True
-            stats.verified = True
-        if self._cache_active():
-            self.cache.insert(
-                context.table_name, fetch_bin.index, packed, verified, generation
-            )
-        return packed, verified
+        return payload, verified
 
     # ------------------------------------------------------------ accounting
 
@@ -364,7 +336,4 @@ class BinFetcher:
 
     def _count_reuse(self, stats: QueryStats, rows, verified: bool) -> None:
         _bin_reuses().inc()
-        stats.cache_hits += 1
-        stats.rows_from_cache += len(rows)
-        if self.verify and verified:
-            stats.verified = True
+        self._count_hit(stats, rows, verified)

@@ -18,6 +18,7 @@ The context also provides the building blocks every executor shares:
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from contextlib import contextmanager
 
 from repro import telemetry
 from repro.core.binning import Bin, BinLayout, pack_bins
@@ -325,6 +326,66 @@ class EpochContext:
 
     # ------------------------------------------------------------------ fetch
 
+    def _fetch(
+        self,
+        engine,
+        method: str,
+        args: tuple,
+        stats: QueryStats,
+        deadline,
+        verifier,
+        cells: Sequence[int] | None,
+        epc_bytes: int,
+        stage: str,
+        **span_attrs,
+    ) -> tuple[object, bool]:
+        """STEP 3, once, for every blob kind: ``(answer, verified)``.
+
+        Kill point, deadline gate and the EPC reservation for the blob
+        in transit (so oversized reads feel the budget here rather than
+        succeeding silently) are the same whatever is read;
+        ``engine.<method>(table, *args)`` is the read.
+
+        This is the one place on the read path that asks whether the
+        engine is a replica group.  Callers always hand down their
+        ``verifier(answer, cells)``.  A replica group takes it — bound
+        to the requested ``cells``, so a replica substituting a
+        different (valid) batch fails verification, not just a
+        different chain — and runs it on every replica attempt before
+        acceptance; a plain engine cannot, so the answer comes back
+        ``verified=False`` and the caller's own verification (end of
+        query, or before the bin becomes reusable) still runs.
+
+        ``None`` means the engine holds no such sidecar and the caller
+        falls back; failovers and the degraded flag a replica group
+        absorbed on the way to that ``None`` are folded into ``stats``
+        all the same.
+        """
+        with telemetry.span(
+            "enclave.fetch", stage=stage, epoch=self.epoch_id, **span_attrs
+        ):
+            self.enclave.kill_point("enclave.kill.query")
+            if deadline is not None:
+                deadline.check("enclave.fetch")
+            read = getattr(engine, method)
+            with self.enclave.memory(epc_bytes):
+                if not getattr(engine, "supports_replicated_reads", False):
+                    return read(self.table_name, *args), False
+                check = None
+                if verifier is not None:
+                    expected = list(cells) if cells is not None else None
+                    check = lambda answer: verifier(answer, expected)
+                answer = read(
+                    self.table_name, *args,
+                    verifier=check, deadline=deadline, cells=cells,
+                )
+                stats.failovers += engine.last_read_failovers
+                stats.degraded = stats.degraded or engine.degraded
+                verified = answer is not None and verifier is not None
+                if verified:
+                    stats.verified = True
+                return answer, verified
+
     def fetch(
         self,
         engine: StorageEngine,
@@ -333,56 +394,17 @@ class EpochContext:
         deadline=None,
         verifier=None,
         cells: Sequence[int] | None = None,
-    ) -> list[Row]:
-        """Submit trapdoors to the DBMS and pull the rows.
-
-        Against a replicated engine (``supports_replicated_reads``),
-        the enclave hands its ``verifier`` and the bin's cell-ids down
-        so every replica attempt is verified *before* acceptance and
-        failover happens at bin granularity; ``deadline`` gates the
-        fetch here and every replica attempt below.
-        """
-        with telemetry.span(
-            "enclave.fetch",
-            stage="fetch",
-            epoch=self.epoch_id,
-            trapdoors=len(trapdoors),
-        ):
-            self.enclave.kill_point("enclave.kill.query")
-            if deadline is not None:
-                deadline.check("enclave.fetch")
-            stats.trapdoors_generated += len(trapdoors)
-            # The fetched batch transits the EPC (one row per trapdoor,
-            # ~256 B of ciphertext each); reserve while pulling so oversized
-            # bins feel the budget here rather than succeeding silently.
-            with self.enclave.memory(256 * len(trapdoors)):
-                if getattr(engine, "supports_replicated_reads", False):
-                    # Bind the verifier to the requested cells: a replica
-                    # substituting a different (valid) batch must fail
-                    # verification, not just a different chain.
-                    if verifier is not None and cells is not None:
-                        expected = list(cells)
-                        check = lambda batch: verifier(batch, expected)
-                    else:
-                        check = verifier
-                    rows = engine.lookup_many(
-                        self.table_name,
-                        "index_key",
-                        list(trapdoors),
-                        verifier=check,
-                        deadline=deadline,
-                        cells=cells,
-                    )
-                    stats.failovers += engine.last_read_failovers
-                    stats.degraded = stats.degraded or engine.degraded
-                    if verifier is not None:
-                        stats.verified = True
-                else:
-                    rows = engine.lookup_many(
-                        self.table_name, "index_key", list(trapdoors)
-                    )
-            stats.rows_fetched += len(rows)
-            return rows
+    ) -> tuple[list[Row], bool]:
+        """Submit trapdoors to the DBMS and pull the rows (one row per
+        trapdoor, ~256 B of ciphertext each); ``(rows, verified)``."""
+        stats.trapdoors_generated += len(trapdoors)
+        rows, verified = self._fetch(
+            engine, "lookup_many", ("index_key", list(trapdoors)),
+            stats, deadline, verifier, cells, 256 * len(trapdoors),
+            stage="fetch", trapdoors=len(trapdoors),
+        )
+        stats.rows_fetched += len(rows)
+        return rows, verified
 
     def fetch_packed(
         self,
@@ -391,64 +413,29 @@ class EpochContext:
         stats: QueryStats,
         deadline=None,
         verifier=None,
-    ):
+    ) -> tuple[object, bool]:
         """Whole-bin columnar fetch of ``chosen`` — the vectorized STEP 3.
 
-        Returns the engine's :class:`~repro.core.packed.PackedBin`, or
-        ``None`` when no packed sidecar exists for this table (after a
-        dynamic insert, a repair, or against an engine predating the
-        columnar layout) — the caller then falls back to the scalar
-        trapdoor fetch, which is authoritative for errors.
-
-        ``verifier`` takes ``(packed, expected_cells)``; against a
-        replicated engine it is bound to the bin's cell-ids and run on
-        every replica attempt before acceptance, exactly like the
-        scalar path's row verifier.
+        Returns ``(packed, verified)``; ``packed`` is ``None`` when no
+        packed sidecar exists for this table (after a dynamic insert, a
+        repair or a rotation) — the caller then falls back to the
+        scalar trapdoor fetch, which is authoritative for errors.  The
+        bin transits the enclave whole either way, so the EPC charge is
+        the scalar fetch's.
         """
-        fetch = getattr(engine, "fetch_packed_bin", None)
-        if fetch is None:
-            return None
-        with telemetry.span(
-            "enclave.fetch",
-            stage="fetch",
-            epoch=self.epoch_id,
-            trapdoors=chosen.total_tuples,
-        ):
-            self.enclave.kill_point("enclave.kill.query")
-            if deadline is not None:
-                deadline.check("enclave.fetch")
-            # Same EPC charge as the scalar fetch: the bin transits the
-            # enclave whole either way.
-            with self.enclave.memory(256 * chosen.total_tuples):
-                if getattr(engine, "supports_replicated_reads", False):
-                    check = None
-                    if verifier is not None:
-                        expected = list(chosen.cell_ids)
-                        check = lambda packed: verifier(packed, expected)
-                    packed = engine.fetch_packed_bin(
-                        self.table_name,
-                        chosen.index,
-                        verifier=check,
-                        deadline=deadline,
-                        cells=chosen.cell_ids,
-                    )
-                    if packed is None:
-                        return None
-                    stats.failovers += engine.last_read_failovers
-                    stats.degraded = stats.degraded or engine.degraded
-                    if verifier is not None:
-                        stats.verified = True
-                else:
-                    packed = fetch(self.table_name, chosen.index)
-                    if packed is None:
-                        return None
-            # Stats move only once the fetch is known to have gone the
-            # packed way — a None fallback must leave them untouched for
-            # the scalar path to account.
+        packed, verified = self._fetch(
+            engine, "fetch_packed_bin", (chosen.index,),
+            stats, deadline, verifier, chosen.cell_ids, 256 * chosen.total_tuples,
+            stage="fetch", trapdoors=chosen.total_tuples,
+        )
+        if packed is not None:
+            # Volume counters move only once the fetch is known to have
+            # gone the packed way — a None fallback leaves them for the
+            # scalar path to account.
             stats.trapdoors_generated += chosen.total_tuples
             _count_tuples(chosen.real_tuples, chosen.fake_count)
             stats.rows_fetched += packed.row_count
-            return packed
+        return packed, verified
 
     # -------------------------------------------------------- aggregate tree
 
@@ -468,18 +455,15 @@ class EpochContext:
         like cached bins: a rewrite (key rotation, §6 bin rewrite)
         drops the decrypted state so a stale tree can never answer
         post-rewrite queries.  ``None`` means no sidecar is available
-        (legacy engine, un-sealed epoch, post-mutation) — callers fall
-        back to the bin path.
+        (un-sealed epoch, post-mutation) — callers fall back to the bin
+        path.
         """
-        fetch = getattr(engine, "fetch_agg_tree_meta", None)
-        if fetch is None:
-            return None
         if getattr(engine, "rewrite_in_progress", False):
             return None
         generation = getattr(engine, "rewrite_generation", 0)
         if self._tree_state is not None and self._tree_state[0] == generation:
             return self._tree_state[1]
-        meta = fetch(self.table_name)
+        meta = engine.fetch_agg_tree_meta(self.table_name)
         if meta is None:
             self._tree_state = (generation, None)
             return None
@@ -524,50 +508,25 @@ class EpochContext:
     ):
         """Pull encrypted tree nodes by coordinate; ``None`` = fall back.
 
-        The replicated twin of :meth:`fetch_packed`: against a
-        replicated engine the node verifier (authenticated decode bound
-        to the requested coordinates) runs on every replica attempt
-        before acceptance, so a tampered replica costs a failover, not
-        the query.  Node count rides on the span and the stats — it is
-        a pure function of the public range decomposition.
+        With ``verify`` the node verifier is the authenticated decode
+        bound to the requested coordinates, so against a replica group
+        a tampered replica costs a failover, not the query.  Node count
+        rides on the span and the stats — it is a pure function of the
+        public range decomposition.
         """
-        fetch = getattr(engine, "fetch_tree_nodes", None)
-        if fetch is None:
-            return None
-        with telemetry.span(
-            "enclave.fetch",
-            stage="tree_fetch",
-            epoch=self.epoch_id,
-            nodes=len(coords),
-        ):
-            self.enclave.kill_point("enclave.kill.query")
-            if deadline is not None:
-                deadline.check("enclave.fetch")
-            with self.enclave.memory(meta.node_width * len(coords)):
-                if getattr(engine, "supports_replicated_reads", False):
-                    check = None
-                    if verify:
-                        check = lambda nodes: self.decode_tree_nodes(
-                            meta, coords, nodes
-                        )
-                    nodes = engine.fetch_tree_nodes(
-                        self.table_name,
-                        coords,
-                        verifier=check,
-                        deadline=deadline,
-                    )
-                    if nodes is None:
-                        return None
-                    stats.failovers += engine.last_read_failovers
-                    stats.degraded = stats.degraded or engine.degraded
-                    if verify:
-                        stats.verified = True
-                else:
-                    nodes = fetch(self.table_name, coords)
-                    if nodes is None:
-                        return None
+        verifier = None
+        if verify:
+            verifier = lambda nodes, _cells: self.decode_tree_nodes(
+                meta, coords, nodes
+            )
+        nodes, _ = self._fetch(
+            engine, "fetch_tree_nodes", (coords,),
+            stats, deadline, verifier, None, meta.node_width * len(coords),
+            stage="tree_fetch", nodes=len(coords),
+        )
+        if nodes is not None:
             stats.rows_fetched += len(coords)
-            return nodes
+        return nodes
 
     def decode_tree_nodes(self, meta, coords, nodes):
         """Authenticate and decode fetched tree nodes.
@@ -579,29 +538,8 @@ class EpochContext:
         key) — raises a structured :class:`IntegrityViolation`; the
         tree path never returns silently wrong aggregates.
         """
-        verifications = telemetry.counter(
-            "concealer_hashchain_verifications_total",
-            "hash-chain verifications of fetched row batches, by outcome",
-            labels=("result",),
-        )
-        with telemetry.span(
-            "enclave.verify",
-            stage="tree_verify",
-            epoch=self.epoch_id,
-            nodes=len(coords),
-        ):
-            try:
-                decoded = self._decode_tree_nodes(meta, coords, nodes)
-            except IntegrityViolation as violation:
-                verifications.labels(result="violation").inc()
-                telemetry.counter(
-                    "concealer_integrity_violations_total",
-                    "structured integrity-verification failures, by kind",
-                    labels=("kind",),
-                ).labels(kind=violation.kind).inc()
-                raise
-            verifications.labels(result="ok").inc()
-            return decoded
+        with self._verification("tree_verify", nodes=len(coords)):
+            return self._decode_tree_nodes(meta, coords, nodes)
 
     def _decode_tree_nodes(self, meta, coords, nodes):
         from repro.core.aggtree import decode_node
@@ -647,6 +585,31 @@ class EpochContext:
 
     # ----------------------------------------------------------- verification
 
+    @contextmanager
+    def _verification(self, stage: str, **span_attrs):
+        """The accounting every verification shares: the
+        ``enclave.verify`` span, the ok/violation outcome counter and
+        the per-kind violation counter."""
+        verifications = telemetry.counter(
+            "concealer_hashchain_verifications_total",
+            "hash-chain verifications of fetched row batches, by outcome",
+            labels=("result",),
+        )
+        with telemetry.span(
+            "enclave.verify", stage=stage, epoch=self.epoch_id, **span_attrs
+        ):
+            try:
+                yield
+            except IntegrityViolation as violation:
+                verifications.labels(result="violation").inc()
+                telemetry.counter(
+                    "concealer_integrity_violations_total",
+                    "structured integrity-verification failures, by kind",
+                    labels=("kind",),
+                ).labels(kind=violation.kind).inc()
+                raise
+            verifications.labels(result="ok").inc()
+
     def verify_rows(
         self, rows: Sequence[Row], expected_cells: Sequence[int] | None = None
     ) -> None:
@@ -666,27 +629,10 @@ class EpochContext:
         silently under-counting — per-cell chains prove each present
         cell is whole, not that the right cells are present.
         """
-        verifications = telemetry.counter(
-            "concealer_hashchain_verifications_total",
-            "hash-chain verifications of fetched row batches, by outcome",
-            labels=("result",),
-        )
         # Row count here is the *fetched* volume — public-size by the
         # volume-hiding argument — so it may ride on the span.
-        with telemetry.span(
-            "enclave.verify", stage="verify", epoch=self.epoch_id, rows=len(rows)
-        ):
-            try:
-                self._verify_rows(rows, expected_cells)
-            except IntegrityViolation as violation:
-                verifications.labels(result="violation").inc()
-                telemetry.counter(
-                    "concealer_integrity_violations_total",
-                    "structured integrity-verification failures, by kind",
-                    labels=("kind",),
-                ).labels(kind=violation.kind).inc()
-                raise
-            verifications.labels(result="ok").inc()
+        with self._verification("verify", rows=len(rows)):
+            self._verify_rows(rows, expected_cells)
 
     def _verify_rows(
         self, rows: Sequence[Row], expected_cells: Sequence[int] | None = None
@@ -703,73 +649,22 @@ class EpochContext:
         )
         for row, plaintext in zip(rows, plaintexts):
             if plaintext is None:
-                raise IntegrityViolation(
-                    f"row {row.row_id}: index key fails decryption — the "
-                    "stored ciphertext was tampered with",
-                    epoch_id=self.epoch_id,
-                    table=self.table_name,
-                    kind="undecryptable",
-                )
+                raise self._undecryptable(row.row_id)
             parts = unpad_plaintext(plaintext).split(b"\x1f")
             if parts[0] != b"idx":
                 continue  # fake rows are not covered by per-cid tags
             per_cid.setdefault(int(parts[1]), []).append((int(parts[2]), row))
-
-        if expected_cells is not None:
-            for cid in expected_cells:
-                if self.c_tuple[cid] > 0 and cid not in per_cid:
-                    raise IntegrityViolation(
-                        f"cell {cid}: requested but absent from the response "
-                        "batch (a substituted or replayed answer)",
-                        epoch_id=self.epoch_id,
-                        cell_id=cid,
-                        table=self.table_name,
-                        kind="missing-cell",
-                    )
-
+        cells = {}
         for cid, numbered in per_cid.items():
             numbered.sort(key=lambda pair: pair[0])
-            counters = [c for c, _ in numbered]
-            if counters != list(range(1, self.c_tuple[cid] + 1)):
-                raise IntegrityViolation(
-                    f"cell {cid}: expected counters 1..{self.c_tuple[cid]}, "
-                    f"observed {counters[:5]}... (rows dropped, duplicated, "
-                    "or replayed)",
-                    epoch_id=self.epoch_id,
-                    cell_id=cid,
-                    table=self.table_name,
-                    kind="counter-gap",
-                )
-            # Per-column chains fold in one kernel batch.  Uncounted:
-            # the fold count is the *real*-row volume, which is exactly
-            # what volume hiding keeps from the host.
-            chains = batch_chain_extend(
-                [CHAIN_INIT] * column_count,
+            cells[cid] = (
+                [counter for counter, _ in numbered],
                 [
                     [row[position] for _, row in numbered]
                     for position in range(column_count)
                 ],
-                counted=False,
             )
-            tag = self.package.enc_tags.get(cid)
-            if tag is None:
-                raise IntegrityViolation(
-                    f"cell {cid}: no verifiable tag shipped",
-                    epoch_id=self.epoch_id,
-                    cell_id=cid,
-                    table=self.table_name,
-                    kind="missing-tag",
-                )
-            for position, sealed in enumerate(tag):
-                expected = self.nd.decrypt(sealed)
-                if expected != chains[position]:
-                    raise IntegrityViolation(
-                        f"cell {cid}: column {position} hash chain mismatch",
-                        epoch_id=self.epoch_id,
-                        cell_id=cid,
-                        table=self.table_name,
-                        kind="chain-mismatch",
-                    )
+        self._check_cells(cells, expected_cells)
 
     def verify_packed(
         self,
@@ -777,34 +672,18 @@ class EpochContext:
         expected_cells: Sequence[int] | None = None,
         keep=None,
     ) -> None:
-        """Hash-chain verification of packed bins — the columnar twin of
-        :meth:`verify_rows`, same counters, same violation taxonomy.
+        """Hash-chain verification of packed bins — :meth:`verify_rows`
+        over the columnar representation, same counters, same violation
+        taxonomy.
 
         ``keep`` is an optional boolean mask over the concatenated rows
         (multipoint queries dedup *before* verifying, exactly like the
         scalar path tolerates tamper-duplicates at that stage).
         """
-        verifications = telemetry.counter(
-            "concealer_hashchain_verifications_total",
-            "hash-chain verifications of fetched row batches, by outcome",
-            labels=("result",),
-        )
         total = sum(pb.row_count for pb in packed_bins)
         rows = int(keep.sum()) if keep is not None else total
-        with telemetry.span(
-            "enclave.verify", stage="verify", epoch=self.epoch_id, rows=rows
-        ):
-            try:
-                self._verify_packed(packed_bins, expected_cells, keep)
-            except IntegrityViolation as violation:
-                verifications.labels(result="violation").inc()
-                telemetry.counter(
-                    "concealer_integrity_violations_total",
-                    "structured integrity-verification failures, by kind",
-                    labels=("kind",),
-                ).labels(kind=violation.kind).inc()
-                raise
-            verifications.labels(result="ok").inc()
+        with self._verification("verify", rows=rows):
+            self._verify_packed(packed_bins, expected_cells, keep)
 
     def _verify_packed(
         self,
@@ -832,69 +711,84 @@ class EpochContext:
         per_cid: dict[int, list[tuple[int, object, int]]] = {}
         for (pb, j), plaintext in zip(refs, plaintexts):
             if plaintext is None:
-                raise IntegrityViolation(
-                    f"row {pb.row_ids[j]}: index key fails decryption — the "
-                    "stored ciphertext was tampered with",
-                    epoch_id=self.epoch_id,
-                    table=self.table_name,
-                    kind="undecryptable",
-                )
+                raise self._undecryptable(pb.row_ids[j])
             parts = unpad_plaintext(plaintext).split(b"\x1f")
             if parts[0] != b"idx":
                 continue  # fake rows are not covered by per-cid tags
             per_cid.setdefault(int(parts[1]), []).append((int(parts[2]), pb, j))
-
-        if expected_cells is not None:
-            for cid in expected_cells:
-                if self.c_tuple[cid] > 0 and cid not in per_cid:
-                    raise IntegrityViolation(
-                        f"cell {cid}: requested but absent from the response "
-                        "batch (a substituted or replayed answer)",
-                        epoch_id=self.epoch_id,
-                        cell_id=cid,
-                        table=self.table_name,
-                        kind="missing-cell",
-                    )
-
+        cells = {}
         for cid, numbered in per_cid.items():
             numbered.sort(key=lambda item: item[0])
-            counters = [c for c, _, _ in numbered]
-            if counters != list(range(1, self.c_tuple[cid] + 1)):
-                raise IntegrityViolation(
-                    f"cell {cid}: expected counters 1..{self.c_tuple[cid]}, "
-                    f"observed {counters[:5]}... (rows dropped, duplicated, "
-                    "or replayed)",
-                    epoch_id=self.epoch_id,
-                    cell_id=cid,
-                    table=self.table_name,
-                    kind="counter-gap",
-                )
-            chains = batch_chain_extend(
-                [CHAIN_INIT] * column_count,
+            cells[cid] = (
+                [counter for counter, _, _ in numbered],
                 [
                     [pb.cell(j, position) for _, pb, j in numbered]
                     for position in range(column_count)
                 ],
-                counted=False,
+            )
+        self._check_cells(cells, expected_cells)
+
+    def _undecryptable(self, row_id: int) -> IntegrityViolation:
+        return IntegrityViolation(
+            f"row {row_id}: index key fails decryption — the "
+            "stored ciphertext was tampered with",
+            epoch_id=self.epoch_id,
+            table=self.table_name,
+            kind="undecryptable",
+        )
+
+    def _cell_violation(self, cid: int, kind: str, message: str) -> IntegrityViolation:
+        return IntegrityViolation(
+            f"cell {cid}: {message}",
+            epoch_id=self.epoch_id,
+            cell_id=cid,
+            table=self.table_name,
+            kind=kind,
+        )
+
+    def _check_cells(
+        self,
+        cells: dict[int, tuple[list[int], list[list[bytes]]]],
+        expected_cells: Sequence[int] | None,
+    ) -> None:
+        """Counter sequence, chain fold and tag compare per cell-id.
+
+        ``cells`` maps each real cell-id present in the batch to its
+        counters in ascending order and, per stored column, that cell's
+        ciphertexts in counter order — whichever representation they
+        were sliced from.
+        """
+        for cid in expected_cells or ():
+            if self.c_tuple[cid] > 0 and cid not in cells:
+                raise self._cell_violation(
+                    cid, "missing-cell",
+                    "requested but absent from the response batch "
+                    "(a substituted or replayed answer)",
+                )
+        for cid, (counters, columns) in cells.items():
+            if counters != list(range(1, self.c_tuple[cid] + 1)):
+                raise self._cell_violation(
+                    cid, "counter-gap",
+                    f"expected counters 1..{self.c_tuple[cid]}, "
+                    f"observed {counters[:5]}... (rows dropped, duplicated, "
+                    "or replayed)",
+                )
+            # Per-column chains fold in one kernel batch.  Uncounted:
+            # the fold count is the *real*-row volume, which is exactly
+            # what volume hiding keeps from the host.
+            chains = batch_chain_extend(
+                [CHAIN_INIT] * len(columns), columns, counted=False
             )
             tag = self.package.enc_tags.get(cid)
             if tag is None:
-                raise IntegrityViolation(
-                    f"cell {cid}: no verifiable tag shipped",
-                    epoch_id=self.epoch_id,
-                    cell_id=cid,
-                    table=self.table_name,
-                    kind="missing-tag",
+                raise self._cell_violation(
+                    cid, "missing-tag", "no verifiable tag shipped"
                 )
             for position, sealed in enumerate(tag):
-                expected = self.nd.decrypt(sealed)
-                if expected != chains[position]:
-                    raise IntegrityViolation(
-                        f"cell {cid}: column {position} hash chain mismatch",
-                        epoch_id=self.epoch_id,
-                        cell_id=cid,
-                        table=self.table_name,
-                        kind="chain-mismatch",
+                if self.nd.decrypt(sealed) != chains[position]:
+                    raise self._cell_violation(
+                        cid, "chain-mismatch",
+                        f"column {position} hash chain mismatch",
                     )
 
     def _decode_index_key(self, row: Row) -> tuple[int, int] | None:

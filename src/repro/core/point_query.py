@@ -32,7 +32,6 @@ from repro.core.queries import (
     QueryStats,
 )
 from repro.exceptions import QueryError
-from repro.storage.engine import StorageEngine
 
 
 class BPBExecutor:
@@ -40,14 +39,15 @@ class BPBExecutor:
 
     def __init__(
         self,
-        engine: StorageEngine,
+        fetcher,
         oblivious: bool = False,
         verify: bool = False,
         super_bin_count: int | None = None,
         quarantine=None,
-        fetcher=None,
     ):
-        self.engine = engine
+        # The shared whole-bin fetch path (repro.batching): STEP 3 goes
+        # through its overlay → cache → storage step, always.
+        self.fetcher = fetcher
         self.oblivious = oblivious
         self.verify = verify
         # §8: when set, a query fetches its bin's whole super-bin so
@@ -57,10 +57,6 @@ class BPBExecutor:
         # Optional QuarantineLog: cells with standing integrity
         # violations fail fast instead of serving suspect answers.
         self.quarantine = quarantine
-        # Optional shared whole-bin fetch path (repro.batching): routes
-        # STEP 3 through the overlay/cache; without one, the legacy
-        # inline fetch below runs unchanged.
-        self.fetcher = fetcher
 
     def bins_for(
         self, query: PointQuery, context: EpochContext, cell_id: int | None = None
@@ -82,39 +78,6 @@ class BPBExecutor:
             context.layout.bins[index]
             for index in layout.bins_to_fetch(chosen.index)
         ]
-
-    def _fetch_bin_any(self, context, fetch_bin, stats, deadline, overlay):
-        """Retrieve one whole bin (STEP 3): packed when the shared path
-        holds a columnar sidecar, scalar rows otherwise."""
-        if self.fetcher is not None:
-            return self.fetcher.fetch_bin_any(
-                context, fetch_bin, stats, deadline=deadline, overlay=overlay
-            )
-        return self._fetch_bin(context, fetch_bin, stats, deadline, overlay)
-
-    def _fetch_bin(self, context, fetch_bin, stats, deadline, overlay):
-        """Legacy scalar fetch of one whole bin."""
-        if self.fetcher is not None:
-            return self.fetcher.fetch_bin(
-                context, fetch_bin, stats, deadline=deadline, overlay=overlay
-            )
-        # Against a replicated engine, verification moves *into* the
-        # fetch: each replica's answer is checked before acceptance so
-        # a tampered bin costs a failover, not the query.
-        replicated = getattr(self.engine, "supports_replicated_reads", False)
-        verifier = context.verify_rows if (self.verify and replicated) else None
-        if self.oblivious:
-            trapdoors = context.oblivious_trapdoors_for_bin(fetch_bin)
-        else:
-            trapdoors = context.trapdoors_for_bin(fetch_bin)
-        return context.fetch(
-            self.engine,
-            trapdoors,
-            stats,
-            deadline=deadline,
-            verifier=verifier,
-            cells=fetch_bin.cell_ids,
-        )
 
     def execute(
         self, query: PointQuery, context: EpochContext, deadline=None, overlay=None
@@ -151,7 +114,9 @@ class BPBExecutor:
             # a mixed batch unpacks to the legacy path (bit-identical
             # by the compat shim).
             payloads = [
-                self._fetch_bin_any(context, fetch_bin, stats, deadline, overlay)
+                self.fetcher.fetch_bin_any(
+                    context, fetch_bin, stats, deadline=deadline, overlay=overlay
+                )
                 for fetch_bin in bins
             ]
             packed_bins = [p for p in payloads if hasattr(p, "row_count")]

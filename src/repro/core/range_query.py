@@ -35,7 +35,6 @@ from repro.core.aggregation import evaluate_aggregate, needs_decryption
 from repro.core.context import EpochContext
 from repro.core.queries import Aggregate, Predicate, QueryStats, RangeQuery
 from repro.exceptions import IntegrityViolation, QueryError
-from repro.storage.engine import StorageEngine
 from repro.storage.table import Row
 
 
@@ -77,21 +76,20 @@ class RangeExecutor:
 
     def __init__(
         self,
-        engine: StorageEngine,
+        fetcher,
         oblivious: bool = False,
         verify: bool = False,
         window_subintervals: int = 8,
-        fetcher=None,
     ):
-        self.engine = engine
         self.oblivious = oblivious
         self.verify = verify
         # λ for winSecRange, measured in grid time-subintervals.
         self.window_subintervals = window_subintervals
         self._ebpb_state: dict[int, _EBPBState] = {}
-        # Optional shared whole-bin fetch path (repro.batching), used by
-        # the multipoint method only — eBPB and winSecRange retrieve
-        # padded cell-id sets, not whole bins, so they cannot share.
+        # The shared whole-bin and tree-node fetch path (repro.batching),
+        # used by the multipoint and tree methods — eBPB and winSecRange
+        # retrieve padded cell-id sets, not whole bins, so they cannot
+        # share and read its engine through the context directly.
         self.fetcher = fetcher
 
     # ----------------------------------------------------------- §5.1 trivial
@@ -107,35 +105,6 @@ class RangeExecutor:
                     needed_cids.append(cid)
         return context.layout.bins_of_cell_ids(needed_cids)
 
-    def _fetch_bin_any(self, context, chosen, stats, deadline, overlay):
-        """Retrieve one whole bin: packed when a columnar sidecar
-        exists, scalar rows otherwise."""
-        if self.fetcher is not None:
-            return self.fetcher.fetch_bin_any(
-                context, chosen, stats, deadline=deadline, overlay=overlay
-            )
-        return self._fetch_bin(context, chosen, stats, deadline, overlay)
-
-    def _fetch_bin(self, context, chosen, stats, deadline, overlay):
-        """Legacy scalar fetch of one whole bin."""
-        if self.fetcher is not None:
-            return self.fetcher.fetch_bin(
-                context, chosen, stats, deadline=deadline, overlay=overlay
-            )
-        verifier = self._fetch_verifier(context)
-        if self.oblivious:
-            trapdoors = context.oblivious_trapdoors_for_bin(chosen)
-        else:
-            trapdoors = context.trapdoors_for_bin(chosen)
-        return context.fetch(
-            self.engine,
-            trapdoors,
-            stats,
-            deadline=deadline,
-            verifier=verifier,
-            cells=chosen.cell_ids,
-        )
-
     def execute_multipoint(
         self, query: RangeQuery, context: EpochContext, deadline=None, overlay=None
     ) -> tuple[object, QueryStats]:
@@ -150,7 +119,9 @@ class RangeExecutor:
             bins=len(bins),
         ):
             payloads = [
-                self._fetch_bin_any(context, chosen, stats, deadline, overlay)
+                self.fetcher.fetch_bin_any(
+                    context, chosen, stats, deadline=deadline, overlay=overlay
+                )
                 for chosen in bins
             ]
             expected = [cid for chosen in bins for cid in chosen.cell_ids]
@@ -226,7 +197,7 @@ class RangeExecutor:
                 "query shape is not tree-eligible (aggregate, target, "
                 "wildcard, or predicate rules); use the bin path"
             )
-        state = context.tree_state(self.engine)
+        state = context.tree_state(self.fetcher.engine)
         if state is None:
             return self.execute_multipoint(
                 query, context, deadline=deadline, overlay=overlay
@@ -263,19 +234,13 @@ class RangeExecutor:
         ):
             decoded = []
             if coords:
-                if self.fetcher is not None:
-                    payload = self.fetcher.fetch_tree_nodes(
-                        context, meta, coords, stats, deadline=deadline
-                    )
-                else:
-                    payload = context.fetch_tree_nodes(
-                        self.engine, meta, coords, stats,
-                        deadline=deadline, verify=self.verify,
-                    )
+                payload = self.fetcher.fetch_tree_nodes(
+                    context, meta, coords, stats, deadline=deadline
+                )
                 if payload is None:
                     # Sidecar vanished between the meta read and the
-                    # node read (mutation, legacy replica): the bin
-                    # path is authoritative.
+                    # node read (mutation, sidecar-less replica): the
+                    # bin path is authoritative.
                     return self.execute_multipoint(
                         query, context, deadline=deadline, overlay=overlay
                     )
@@ -403,8 +368,8 @@ class RangeExecutor:
             budget=budget,
         ):
             trapdoors = context.trapdoors_for_cell_ids(needed_cids, fake_ids)
-            rows = context.fetch(
-                self.engine,
+            rows, _ = context.fetch(
+                self.fetcher.engine,
                 trapdoors,
                 stats,
                 deadline=deadline,
@@ -488,16 +453,15 @@ class RangeExecutor:
                 )
                 fake_offset += len(fake_ids)
                 trapdoors = context.trapdoors_for_cell_ids(cids, fake_ids)
-                rows.extend(
-                    context.fetch(
-                        self.engine,
-                        trapdoors,
-                        stats,
-                        deadline=deadline,
-                        verifier=verifier,
-                        cells=cids,
-                    )
+                fetched, _ = context.fetch(
+                    self.fetcher.engine,
+                    trapdoors,
+                    stats,
+                    deadline=deadline,
+                    verifier=verifier,
+                    cells=cids,
                 )
+                rows.extend(fetched)
             stats.bins_fetched = len(windows)
             stats.extra["window_size"] = window_size
             return self._finish(query, context, rows, stats, expected)
@@ -551,17 +515,16 @@ class RangeExecutor:
     # ---------------------------------------------------------------- shared
 
     def _fetch_verifier(self, context: EpochContext):
-        """Per-fetch verifier for replicated engines (else ``None``).
+        """The per-fetch verifier handed to :meth:`EpochContext.fetch`.
 
-        With replication, verification moves into the fetch so each
-        replica's answer is checked before acceptance — a tampered bin
-        costs a failover, not the query.  Each fetch retrieves complete
-        cell-id populations, so per-batch chain verification is sound
-        even before the cross-window de-dup in :meth:`_finish`.
+        A replica group runs it on each replica's answer before
+        acceptance — a tampered bin costs a failover, not the query —
+        and ``stats.verified`` then skips the check in :meth:`_finish`;
+        a plain engine leaves it to :meth:`_finish`.  Each fetch
+        retrieves complete cell-id populations, so per-batch chain
+        verification is sound even before the cross-window de-dup.
         """
-        if self.verify and getattr(self.engine, "supports_replicated_reads", False):
-            return context.verify_rows
-        return None
+        return context.verify_rows if self.verify else None
 
     def _pad_fakes(
         self, context: EpochContext, needed: int, offset: int = 0

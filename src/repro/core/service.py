@@ -317,19 +317,17 @@ class ServiceProvider:
             self._fetcher, workers=self.config.batch_workers
         )
         self._point_executor = BPBExecutor(
-            self.engine,
+            self._fetcher,
             oblivious=self.config.oblivious,
             verify=self.config.verify,
             super_bin_count=self.config.super_bin_count,
             quarantine=self.quarantine,
-            fetcher=self._fetcher,
         )
         self._range_executor = RangeExecutor(
-            self.engine,
+            self._fetcher,
             oblivious=self.config.oblivious,
             verify=self.config.verify,
             window_subintervals=self.config.window_subintervals,
-            fetcher=self._fetcher,
         )
 
     # -------------------------------------------------------------- ingestion
@@ -364,27 +362,23 @@ class ServiceProvider:
             raise
         # Packed sidecar lands *after* the rows: every insert above
         # invalidates it, and a failed landing must not leave one
-        # behind.  Purely derived data — engines without the columnar
-        # layout (or packages without packed bins) just skip it.
-        store = getattr(self.engine, "store_packed_bins", None)
+        # behind.  Purely derived data — packages without packed bins
+        # just skip it.
         if (
             self.config.packed_bins
             and not self.config.oblivious
-            and store is not None
             and package.packed_bins
         ):
-            store(table, package.packed_bins)
+            self.engine.store_packed_bins(table, package.packed_bins)
         # Aggregate-tree sidecar, same contract as the packed bins:
         # derived data, landed after the rows so a failed landing (or
         # any later mutation) can never leave a live tree behind.
-        store_tree = getattr(self.engine, "store_agg_tree", None)
         if (
             self.config.agg_tree
             and not self.config.oblivious
-            and store_tree is not None
             and getattr(package, "agg_tree", None) is not None
         ):
-            store_tree(table, package.agg_tree)
+            self.engine.store_agg_tree(table, package.agg_tree)
         self._packages[package.epoch_id] = package
 
     def ingested_epochs(self) -> list[int]:
@@ -453,8 +447,6 @@ class ServiceProvider:
     def adopt_engine(self, engine: StorageEngine) -> None:
         """Swap in a storage engine restored from a checkpoint."""
         self.engine = engine
-        self._point_executor.engine = engine
-        self._range_executor.engine = engine
         self._fetcher.engine = engine
         if self.bin_cache is not None:
             # Restored storage may not match what was cached; flush.
@@ -774,10 +766,7 @@ class ServiceProvider:
             return False
         if not RangeExecutor.tree_eligible(query, self.schema):
             return False
-        fetch_meta = getattr(self.engine, "fetch_agg_tree_meta", None)
-        if fetch_meta is None:
-            return False
-        meta = fetch_meta(context.table_name)
+        meta = self.engine.fetch_agg_tree_meta(context.table_name)
         if meta is None:
             return False
         from repro.core.aggtree import decompose_range

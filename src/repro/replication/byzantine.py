@@ -15,6 +15,15 @@ must survive:
 - ``replica.slow`` — stall on the injectable clock past the read
   budget (a straggler or resource-exhaustion attack).
 
+Every read kind — trapdoor rows, packed bins, aggregate-tree nodes —
+goes through the one channel, :meth:`ByzantineReplica._respond`, which
+consults the four sites in that fixed order (slow → replay.stale →
+read → tamper → bin.drop; seeded schedules replay only while it holds).
+A kind declares its remember-key and how one of its answers is tampered
+with and shortened; a read method that is *not* declared here would
+fall through ``__getattr__`` to the honest engine and bypass the
+adversary the chaos corpus arms.
+
 Writes and DDL pass through untouched — the Byzantine model here is a
 replica whose *stored* state converges with its peers but whose
 *served* state may lie.  Persistent stored-state corruption (the other
@@ -34,6 +43,17 @@ from repro.storage.table import Row
 SLOW_STALL_SECONDS = 5.0
 
 
+def _fresh(answer):
+    """A copy the caller (or a tamper helper) may mutate: row and node
+    batches are lists, packed bins are immutable."""
+    return list(answer) if isinstance(answer, list) else answer
+
+
+def _without_item(batch: list, victim: int) -> list:
+    del batch[victim]
+    return batch
+
+
 class ByzantineReplica:
     """One replica's engine behind an adversarial response channel."""
 
@@ -50,110 +70,103 @@ class ByzantineReplica:
         self.fault_injector = fault_injector or NULL_INJECTOR
         self.clock = clock if clock is not None else SystemClock()
         self.slow_stall = slow_stall
-        # Last batch served per table — the replay fault's ammunition.
-        self._remembered: dict[str, list[Row]] = {}
-        # Same, for the columnar read path: last packed bin per
-        # (table, bin_index).
-        self._remembered_packed: dict[tuple[str, int], object] = {}
-        # Same, for the aggregate-tree read path: last node batch per
-        # (table, coordinate tuple).
-        self._remembered_tree: dict[tuple[str, tuple], list] = {}
+        # Last unperturbed answer served per remember-key — the replay
+        # fault's ammunition.
+        self._remembered: dict[tuple, object] = {}
         # Tables whose *stored* rows were persistently corrupted.
         self.tampered_tables: set[str] = set()
 
     # ------------------------------------------------------------ read path
 
     def lookup_many(self, table: str, column: str, keys) -> list[Row]:
-        """The adversarial response channel for batched bin fetches."""
+        """Batched bin fetch; the replay remembers one batch per table."""
+        return self._respond(
+            ("rows", table),
+            lambda: self.inner.lookup_many(table, column, keys),
+            self._tamper_row,
+            _without_item,
+        )
+
+    def fetch_packed_bin(self, table: str, bin_index: int):
+        """Whole-bin columnar read; remembered per (table, bin)."""
+        return self._respond(
+            ("packed", table, bin_index),
+            lambda: self.inner.fetch_packed_bin(table, bin_index),
+            self._tamper_packed_cell,
+            lambda packed, victim: packed.without_row(victim),
+        )
+
+    def fetch_tree_nodes(self, table: str, coords):
+        """Aggregate-tree node read; remembered per (table, coordinates).
+
+        A dropped node is a batch-length mismatch to the enclave.
+        """
+        return self._respond(
+            ("tree", table, tuple(coords)),
+            lambda: self.inner.fetch_tree_nodes(table, coords),
+            self._tamper_node,
+            _without_item,
+        )
+
+    def _respond(self, remember_key: tuple, read, tamper, drop):
+        """The adversarial response channel, once, for every read kind.
+
+        ``read()`` asks the wrapped engine (``None`` = no sidecar, which
+        passes through untouched); ``tamper(answer)`` flips bytes of one
+        unit; ``drop(answer, victim)`` removes one.  Both work on a
+        fresh copy, so the remembered answer stays as the engine served
+        it.
+        """
         injector = self.fault_injector
         if injector.fire("replica.slow") is not None:
             # The stall is observable time, not an error: the replicated
             # engine's per-attempt budget is what converts it into a
             # typed ReplicaTimeout.
             self.clock.sleep(self.slow_stall)
-        stale = None
         if injector.fire("replica.replay.stale") is not None:
-            stale = self._remembered.get(table)
-        if stale is not None:
-            return list(stale)
-        rows = self.inner.lookup_many(table, column, keys)
-        self._remembered[table] = list(rows)
-        if rows and injector.fire("replica.tamper") is not None:
-            victim = injector.choose(len(rows), "replica.tamper")
-            row = rows[victim]
-            position = injector.choose(len(row.columns), "replica.tamper")
-            columns = list(row.columns)
-            if isinstance(columns[position], bytes):
-                columns[position] = injector.corrupt_bytes(
-                    columns[position], site="replica.tamper"
-                )
-                rows[victim] = Row(row_id=row.row_id, columns=tuple(columns))
-        if rows and injector.fire("replica.bin.drop") is not None:
-            del rows[injector.choose(len(rows), "replica.bin.drop")]
+            stale = self._remembered.get(remember_key)
+            if stale is not None:
+                return _fresh(stale)
+        answer = read()
+        if answer is None:
+            return None
+        self._remembered[remember_key] = answer
+        answer = _fresh(answer)
+        if len(answer) and injector.fire("replica.tamper") is not None:
+            answer = tamper(answer)
+        if len(answer) and injector.fire("replica.bin.drop") is not None:
+            answer = drop(
+                answer, injector.choose(len(answer), "replica.bin.drop")
+            )
+        return answer
+
+    def _tamper_row(self, rows: list[Row]) -> list[Row]:
+        injector = self.fault_injector
+        victim = injector.choose(len(rows), "replica.tamper")
+        row = rows[victim]
+        position = injector.choose(len(row.columns), "replica.tamper")
+        columns = list(row.columns)
+        if isinstance(columns[position], bytes):
+            columns[position] = injector.corrupt_bytes(
+                columns[position], site="replica.tamper"
+            )
+            rows[victim] = Row(row_id=row.row_id, columns=tuple(columns))
         return rows
 
-    def fetch_packed_bin(self, table: str, bin_index: int):
-        """The same adversarial channel for whole-bin columnar reads.
-
-        Must be intercepted explicitly: without it ``__getattr__`` would
-        delegate straight to the wrapped engine and the packed path
-        would silently bypass the adversary the chaos corpus arms.
-        """
+    def _tamper_packed_cell(self, packed):
         injector = self.fault_injector
-        if injector.fire("replica.slow") is not None:
-            self.clock.sleep(self.slow_stall)
-        stale = None
-        if injector.fire("replica.replay.stale") is not None:
-            stale = self._remembered_packed.get((table, bin_index))
-        if stale is not None:
-            return stale
-        packed = self.inner.fetch_packed_bin(table, bin_index)
-        if packed is None:
-            return None
-        self._remembered_packed[(table, bin_index)] = packed
-        if packed.row_count and injector.fire("replica.tamper") is not None:
-            victim = injector.choose(packed.row_count, "replica.tamper")
-            position = injector.choose(len(packed.columns), "replica.tamper")
-            packed = packed.with_corrupted_cell(
-                victim,
-                position,
-                lambda cell: injector.corrupt_bytes(cell, site="replica.tamper"),
-            )
-        if packed.row_count and injector.fire("replica.bin.drop") is not None:
-            packed = packed.without_row(
-                injector.choose(packed.row_count, "replica.bin.drop")
-            )
-        return packed
+        victim = injector.choose(packed.row_count, "replica.tamper")
+        position = injector.choose(len(packed.columns), "replica.tamper")
+        return packed.with_corrupted_cell(
+            victim,
+            position,
+            lambda cell: injector.corrupt_bytes(cell, site="replica.tamper"),
+        )
 
-    def fetch_tree_nodes(self, table: str, coords):
-        """The same adversarial channel for aggregate-tree node reads.
-
-        Intercepted explicitly for the same reason as
-        :meth:`fetch_packed_bin` — otherwise ``__getattr__`` would hand
-        the tree path an honest engine.  ``replica.tamper`` flips bytes
-        of one returned node ciphertext; ``replica.bin.drop`` drops a
-        node from the batch (the enclave detects the count mismatch).
-        """
+    def _tamper_node(self, nodes: list) -> list:
         injector = self.fault_injector
-        if injector.fire("replica.slow") is not None:
-            self.clock.sleep(self.slow_stall)
-        key = (table, tuple(coords))
-        stale = None
-        if injector.fire("replica.replay.stale") is not None:
-            stale = self._remembered_tree.get(key)
-        if stale is not None:
-            return list(stale)
-        nodes = self.inner.fetch_tree_nodes(table, coords)
-        if nodes is None:
-            return None
-        self._remembered_tree[key] = list(nodes)
-        if nodes and injector.fire("replica.tamper") is not None:
-            victim = injector.choose(len(nodes), "replica.tamper")
-            nodes[victim] = injector.corrupt_bytes(
-                nodes[victim], site="replica.tamper"
-            )
-        if nodes and injector.fire("replica.bin.drop") is not None:
-            del nodes[injector.choose(len(nodes), "replica.bin.drop")]
+        victim = injector.choose(len(nodes), "replica.tamper")
+        nodes[victim] = injector.corrupt_bytes(nodes[victim], site="replica.tamper")
         return nodes
 
     # --------------------------------------------- persistent stored tamper

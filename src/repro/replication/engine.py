@@ -7,24 +7,31 @@ response channels) and presents the same interface the enclave already
 speaks — so the query executors work unchanged against one engine or
 five.
 
-The read path is the point of the layer.  A bin fetch is attempted
-against replicas in health order; each attempt is
+The read path is the point of the layer, and it is one loop:
+:meth:`ReplicatedStorageEngine._verified_read`.  The three blob kinds
+the enclave reads — trapdoor rows (``lookup_many``), packed bins
+(``fetch_packed_bin``) and aggregate-tree nodes (``fetch_tree_nodes``)
+— are declarations of it (replica call, span attributes, verifier,
+exhaustion policy); DESIGN.md §9 "Verified read" has the table.  A read
+is attempted against replicas in health order; each attempt is
 
 1. gated by the replica's circuit breaker and the read's deadline,
 2. timed against the per-attempt budget (a stalling replica becomes a
    typed :class:`~repro.exceptions.ReplicaTimeout`, not a hang), and
 3. *verified before acceptance* when the caller supplies a verifier
-   (the enclave's hash-chain check) — a replica that returns rows
-   failing verification is treated exactly like one that crashed.
+   (the enclave's hash-chain check, or the authenticated node decode)
+   — a replica whose answer fails verification is treated exactly like
+   one that crashed.
 
 A failed attempt quarantines the replica for the affected (table,
 cell-id), records a breaker failure, and fails over to the next
-replica.  Only when every replica is exhausted does the read raise:
+replica.  Only when every replica is exhausted does a row read raise:
 :class:`~repro.exceptions.IntegrityViolation` if *all* answers were
 tampered (loud, permanent), else
 :class:`~repro.exceptions.NoHealthyReplica` (transient — the service's
 retry policy backs off, breakers reach half-open, and the read probes
-again).
+again).  The two sidecar kinds return ``None`` instead, and the caller
+falls back to the rows they were derived from.
 
 Writes fan out to every replica.  Replica-local write failures do not
 fail the operation while at least one replica applied it; divergent
@@ -119,18 +126,7 @@ class ReplicaQuarantine:
         """Quarantine one replica scope and log the structured entry."""
         self._scopes.setdefault((replica_id, table), set()).add(cell_id)
         self.entries.append(QuarantineEntry(replica_id, table, cell_id, kind))
-        telemetry.gauge(
-            "concealer_replica_quarantined_scopes",
-            "quarantined (table, cell) scopes per replica",
-            secrecy=telemetry.PUBLIC_SIZE,
-            labels=("replica",),
-        ).labels(replica=str(replica_id)).set(
-            sum(
-                len(cells)
-                for (rid, _), cells in self._scopes.items()
-                if rid == replica_id
-            )
-        )
+        self._export(replica_id)
 
     def blocks(
         self,
@@ -159,6 +155,9 @@ class ReplicaQuarantine:
     def clear(self, replica_id: int, table: str) -> None:
         """Lift the quarantine for one replica's table (post-repair)."""
         self._scopes.pop((replica_id, table), None)
+        self._export(replica_id)
+
+    def _export(self, replica_id: int) -> None:
         telemetry.gauge(
             "concealer_replica_quarantined_scopes",
             "quarantined (table, cell) scopes per replica",
@@ -327,127 +326,18 @@ class ReplicatedStorageEngine:
         deadline: Deadline | None = None,
         cells: Iterable[int] | None = None,
     ) -> list[Row]:
-        """Batched bin fetch with verify-then-failover semantics.
+        """Batched bin fetch (rows by trapdoor) through :meth:`_verified_read`.
 
         ``verifier`` (the enclave's ``verify_rows``) runs against each
         replica's answer *before* it is accepted; ``cells`` hints which
         cell-ids the trapdoors cover so quarantine can be skipped at
         bin granularity; ``deadline`` is checked before every attempt.
+        Rows are the authoritative kind: an exhausted group raises.
         """
-        self.last_read_failovers = 0
-        candidates = self.candidate_replicas(table, cells)
-        healthy = self.healthy_replica_count()
-        self.degraded = healthy < self.min_healthy
-        if self.degraded:
-            telemetry.counter(
-                "concealer_degraded_reads_total",
-                "reads served below the healthy-replica threshold",
-                secrecy=telemetry.PUBLIC_SIZE,
-            ).inc()
-        if self.policy.hedge and candidates and candidates[0] != min(candidates):
-            telemetry.counter(
-                "concealer_hedged_reads_total",
-                "reads whose replica order was hedged away from a straggler",
-                secrecy=telemetry.PUBLIC_SIZE,
-            ).inc()
-        with telemetry.span(
-            "replication.lookup", table=table, keys=len(keys), candidates=len(candidates)
-        ):
-            last_error: Exception | None = None
-            failures = 0
-            violations = 0
-            # Quarantine and breakers express *preference*, not safety:
-            # every answer is verified against the tag chain before it
-            # is accepted, so when the eligible pool is exhausted the
-            # quarantined replicas are tried as a verified last resort
-            # rather than failing a read whose data may be perfectly
-            # intact (a tampered *response channel* leaves stored rows
-            # untouched).
-            excluded = [
-                rid
-                for rid in range(len(self.replicas))
-                if rid not in set(candidates)
-            ]
-            for last_resort, pool in ((False, candidates), (True, excluded)):
-                for rid in pool:
-                    if deadline is not None:
-                        deadline.check("replication.attempt")
-                    breaker = self.breakers[rid]
-                    if not last_resort and not breaker.allow():
-                        continue
-                    started = self.clock.now()
-                    try:
-                        rows = self.replicas[rid].lookup_many(table, column, keys)
-                        elapsed = self.clock.now() - started
-                        timeout = self.policy.attempt_timeout
-                        if timeout is not None and elapsed > timeout:
-                            raise ReplicaTimeout(
-                                f"replica {rid} answered in {elapsed:.3f}s, "
-                                f"over the {timeout:.3f}s attempt budget"
-                            )
-                        if verifier is not None:
-                            verifier(rows)
-                    except IntegrityViolation as violation:
-                        self._observe_latency(rid, started)
-                        self._record_failure(rid, breaker, "integrity")
-                        self.quarantine.record(
-                            rid, table, violation.cell_id, violation.kind
-                        )
-                        last_error = violation
-                        failures += 1
-                        violations += 1
-                        continue
-                    except ReplicaTimeout as error:
-                        self._observe_latency(rid, started)
-                        self._record_failure(rid, breaker, "timeout")
-                        last_error = error
-                        failures += 1
-                        continue
-                    except TransientStorageError as error:
-                        self._observe_latency(rid, started)
-                        self._record_failure(rid, breaker, "transient")
-                        last_error = error
-                        failures += 1
-                        continue
-                    except StorageError as error:
-                        # Permanent storage failure on this replica — a
-                        # host that lost its disk (missing table, torn
-                        # page).  Fail over like any other replica
-                        # fault, and quarantine the whole table so
-                        # anti-entropy repair re-installs it from a
-                        # healthy peer rather than every future read
-                        # re-discovering the loss.
-                        self._observe_latency(rid, started)
-                        self._record_failure(rid, breaker, "storage-error")
-                        self.quarantine.record(
-                            rid, table, None, f"storage-error:{type(error).__name__}"
-                        )
-                        last_error = error
-                        failures += 1
-                        continue
-                    self._observe_latency(rid, started)
-                    breaker.record_success()
-                    self.last_read_failovers = failures
-                    if last_resort:
-                        telemetry.counter(
-                            "concealer_replica_last_resort_reads_total",
-                            "verified reads served by a quarantined or "
-                            "breaker-open replica after the eligible "
-                            "pool was exhausted",
-                            secrecy=telemetry.PUBLIC_SIZE,
-                        ).inc()
-                    return rows
-            self.last_read_failovers = failures
-            if violations and violations == failures and last_error is not None:
-                # Every replica that answered answered with tampered
-                # rows — surface the integrity violation itself so the
-                # service quarantines the cell and refuses to guess.
-                raise last_error
-            raise NoHealthyReplica(
-                f"no replica could serve {table!r} "
-                f"({len(candidates)} candidates, {failures} failed, "
-                f"{len(self.replicas) - len(candidates)} quarantined/skipped)"
-            ) from last_error
+        return self._verified_read(
+            table, "lookup_many", (table, column, keys), {"keys": len(keys)},
+            verifier, deadline, cells, sidecar=False,
+        )
 
     def store_packed_bins(self, table: str, packed_bins: Sequence) -> None:
         """Install the columnar sidecar on every replica."""
@@ -468,113 +358,15 @@ class ReplicatedStorageEngine:
         deadline: Deadline | None = None,
         cells: Iterable[int] | None = None,
     ):
-        """Whole-bin columnar read with verify-then-failover semantics.
+        """Whole-bin columnar read through :meth:`_verified_read`.
 
-        Mirrors :meth:`lookup_many`: same breaker gating, per-attempt
-        timeout, verification before acceptance, quarantine scoping and
-        failover accounting.  Two deliberate differences keep the scalar
-        path authoritative for rare states: a replica *without* a packed
-        sidecar (post-repair, post-rotation) short-circuits the whole
-        read to ``None``, and an exhausted pool also returns ``None`` —
-        in both cases the caller falls back to the scalar row fetch,
-        which re-runs the failover loop and raises the authoritative
-        error if the table is truly unserveable.
+        A sidecar kind: ``None`` (a replica without the sidecar, or an
+        exhausted group) sends the caller to the scalar row fetch.
         """
-        self.last_read_failovers = 0
-        candidates = self.candidate_replicas(table, cells)
-        healthy = self.healthy_replica_count()
-        self.degraded = healthy < self.min_healthy
-        if self.degraded:
-            telemetry.counter(
-                "concealer_degraded_reads_total",
-                "reads served below the healthy-replica threshold",
-                secrecy=telemetry.PUBLIC_SIZE,
-            ).inc()
-        if self.policy.hedge and candidates and candidates[0] != min(candidates):
-            telemetry.counter(
-                "concealer_hedged_reads_total",
-                "reads whose replica order was hedged away from a straggler",
-                secrecy=telemetry.PUBLIC_SIZE,
-            ).inc()
-        with telemetry.span(
-            "replication.lookup",
-            table=table,
-            bin=bin_index,
-            candidates=len(candidates),
-        ):
-            failures = 0
-            excluded = [
-                rid
-                for rid in range(len(self.replicas))
-                if rid not in set(candidates)
-            ]
-            for last_resort, pool in ((False, candidates), (True, excluded)):
-                for rid in pool:
-                    if deadline is not None:
-                        deadline.check("replication.attempt")
-                    breaker = self.breakers[rid]
-                    if not last_resort and not breaker.allow():
-                        continue
-                    fetch = getattr(self.replicas[rid], "fetch_packed_bin", None)
-                    if fetch is None:
-                        self.last_read_failovers = failures
-                        return None
-                    started = self.clock.now()
-                    try:
-                        packed = fetch(table, bin_index)
-                        elapsed = self.clock.now() - started
-                        timeout = self.policy.attempt_timeout
-                        if timeout is not None and elapsed > timeout:
-                            raise ReplicaTimeout(
-                                f"replica {rid} answered in {elapsed:.3f}s, "
-                                f"over the {timeout:.3f}s attempt budget"
-                            )
-                        if packed is not None and verifier is not None:
-                            verifier(packed)
-                    except IntegrityViolation as violation:
-                        self._observe_latency(rid, started)
-                        self._record_failure(rid, breaker, "integrity")
-                        self.quarantine.record(
-                            rid, table, violation.cell_id, violation.kind
-                        )
-                        failures += 1
-                        continue
-                    except ReplicaTimeout:
-                        self._observe_latency(rid, started)
-                        self._record_failure(rid, breaker, "timeout")
-                        failures += 1
-                        continue
-                    except TransientStorageError:
-                        self._observe_latency(rid, started)
-                        self._record_failure(rid, breaker, "transient")
-                        failures += 1
-                        continue
-                    except StorageError as error:
-                        self._observe_latency(rid, started)
-                        self._record_failure(rid, breaker, "storage-error")
-                        self.quarantine.record(
-                            rid, table, None, f"storage-error:{type(error).__name__}"
-                        )
-                        failures += 1
-                        continue
-                    self._observe_latency(rid, started)
-                    self.last_read_failovers = failures
-                    if packed is None:
-                        # This replica has no packed sidecar — scalar
-                        # fallback, without charging the breaker.
-                        return None
-                    breaker.record_success()
-                    if last_resort:
-                        telemetry.counter(
-                            "concealer_replica_last_resort_reads_total",
-                            "verified reads served by a quarantined or "
-                            "breaker-open replica after the eligible "
-                            "pool was exhausted",
-                            secrecy=telemetry.PUBLIC_SIZE,
-                        ).inc()
-                    return packed
-            self.last_read_failovers = failures
-            return None
+        return self._verified_read(
+            table, "fetch_packed_bin", (table, bin_index), {"bin": bin_index},
+            verifier, deadline, cells, sidecar=True,
+        )
 
     def store_agg_tree(self, table: str, tree) -> None:
         """Install the aggregate-tree sidecar on every replica."""
@@ -603,19 +395,46 @@ class ReplicatedStorageEngine:
         deadline: Deadline | None = None,
         cells: Iterable[int] | None = None,
     ):
-        """Tree-node batch read with verify-then-failover semantics.
+        """Tree-node batch read through :meth:`_verified_read`.
 
-        Mirrors :meth:`fetch_packed_bin`: breaker gating, per-attempt
-        timeout, verification (the enclave's node MAC + position check)
-        before acceptance, quarantine scoping, failover accounting.  A
-        replica without a tree sidecar — or an exhausted pool — returns
-        ``None`` and the caller falls back to the bin path, which is
-        authoritative for errors.
+        A sidecar kind: ``None`` sends the caller to the bin path.  The
+        verifier is the enclave's authenticated node decode, bound to
+        the requested coordinates.
+        """
+        return self._verified_read(
+            table, "fetch_tree_nodes", (table, coords), {"keys": len(coords)},
+            verifier, deadline, cells, sidecar=True,
+        )
+
+    def _verified_read(
+        self,
+        table: str,
+        method: str,
+        args: tuple,
+        span_attrs: dict,
+        verifier: Callable | None,
+        deadline: Deadline | None,
+        cells: Iterable[int] | None,
+        sidecar: bool,
+    ):
+        """The verify-then-failover loop, once, for every blob kind.
+
+        A kind is data: the replica ``method`` to call with ``args``
+        (looked up on the replica at call time), the ``span_attrs`` its
+        ``replication.lookup`` span carries, its ``verifier``, and
+        whether it is a ``sidecar``.  Rows are authoritative — an
+        exhausted group raises.  Sidecar kinds (packed bins, tree
+        nodes) are accelerators over those rows: a replica answering
+        ``None`` has no sidecar (post-repair, post-rotation) and
+        short-circuits the whole read to ``None`` without charging its
+        breaker, and an exhausted group also returns ``None``; the
+        caller then falls back to the row fetch, which re-runs this
+        loop and raises the authoritative error if the table is truly
+        unserveable.
         """
         self.last_read_failovers = 0
         candidates = self.candidate_replicas(table, cells)
-        healthy = self.healthy_replica_count()
-        self.degraded = healthy < self.min_healthy
+        self.degraded = self.healthy_replica_count() < self.min_healthy
         if self.degraded:
             telemetry.counter(
                 "concealer_degraded_reads_total",
@@ -629,16 +448,22 @@ class ReplicatedStorageEngine:
                 secrecy=telemetry.PUBLIC_SIZE,
             ).inc()
         with telemetry.span(
-            "replication.lookup",
-            table=table,
-            keys=len(coords),
+            "replication.lookup", table=table, **span_attrs,
             candidates=len(candidates),
         ):
+            last_error: Exception | None = None
             failures = 0
+            violations = 0
+            # Quarantine and breakers express *preference*, not safety:
+            # every answer is verified against the tag chain before it
+            # is accepted, so when the eligible pool is exhausted the
+            # quarantined replicas are tried as a verified last resort
+            # rather than failing a read whose data may be perfectly
+            # intact (a tampered *response channel* leaves stored rows
+            # untouched).
+            eligible = set(candidates)
             excluded = [
-                rid
-                for rid in range(len(self.replicas))
-                if rid not in set(candidates)
+                rid for rid in range(len(self.replicas)) if rid not in eligible
             ]
             for last_resort, pool in ((False, candidates), (True, excluded)):
                 for rid in pool:
@@ -647,13 +472,9 @@ class ReplicatedStorageEngine:
                     breaker = self.breakers[rid]
                     if not last_resort and not breaker.allow():
                         continue
-                    fetch = getattr(self.replicas[rid], "fetch_tree_nodes", None)
-                    if fetch is None:
-                        self.last_read_failovers = failures
-                        return None
                     started = self.clock.now()
                     try:
-                        nodes = fetch(table, coords)
+                        answer = getattr(self.replicas[rid], method)(*args)
                         elapsed = self.clock.now() - started
                         timeout = self.policy.attempt_timeout
                         if timeout is not None and elapsed > timeout:
@@ -661,39 +482,38 @@ class ReplicatedStorageEngine:
                                 f"replica {rid} answered in {elapsed:.3f}s, "
                                 f"over the {timeout:.3f}s attempt budget"
                             )
-                        if nodes is not None and verifier is not None:
-                            verifier(nodes)
-                    except IntegrityViolation as violation:
+                        if answer is not None and verifier is not None:
+                            verifier(answer)
+                    except (IntegrityViolation, StorageError) as error:
                         self._observe_latency(rid, started)
-                        self._record_failure(rid, breaker, "integrity")
-                        self.quarantine.record(
-                            rid, table, violation.cell_id, violation.kind
-                        )
-                        failures += 1
-                        continue
-                    except ReplicaTimeout:
-                        self._observe_latency(rid, started)
-                        self._record_failure(rid, breaker, "timeout")
-                        failures += 1
-                        continue
-                    except TransientStorageError:
-                        self._observe_latency(rid, started)
-                        self._record_failure(rid, breaker, "transient")
-                        failures += 1
-                        continue
-                    except StorageError as error:
-                        self._observe_latency(rid, started)
-                        self._record_failure(rid, breaker, "storage-error")
-                        self.quarantine.record(
-                            rid, table, None, f"storage-error:{type(error).__name__}"
-                        )
+                        scope = None
+                        if isinstance(error, IntegrityViolation):
+                            reason = "integrity"
+                            scope = (error.cell_id, error.kind)
+                            violations += 1
+                        elif isinstance(error, ReplicaTimeout):
+                            reason = "timeout"
+                        elif isinstance(error, TransientStorageError):
+                            reason = "transient"
+                        else:
+                            # Permanent storage failure on this replica —
+                            # a host that lost its disk (missing table,
+                            # torn page).  Fail over like any other
+                            # replica fault, and quarantine the whole
+                            # table so anti-entropy repair re-installs
+                            # it from a healthy peer rather than every
+                            # future read re-discovering the loss.
+                            reason = "storage-error"
+                            scope = (None, f"storage-error:{type(error).__name__}")
+                        self._record_failure(rid, breaker, reason)
+                        if scope is not None:
+                            self.quarantine.record(rid, table, *scope)
+                        last_error = error
                         failures += 1
                         continue
                     self._observe_latency(rid, started)
                     self.last_read_failovers = failures
-                    if nodes is None:
-                        # This replica has no tree sidecar — bin-path
-                        # fallback, without charging the breaker.
+                    if answer is None:
                         return None
                     breaker.record_success()
                     if last_resort:
@@ -704,9 +524,20 @@ class ReplicatedStorageEngine:
                             "pool was exhausted",
                             secrecy=telemetry.PUBLIC_SIZE,
                         ).inc()
-                    return nodes
+                    return answer
             self.last_read_failovers = failures
-            return None
+            if sidecar:
+                return None
+            if violations and violations == failures and last_error is not None:
+                # Every replica that answered answered with tampered
+                # rows — surface the integrity violation itself so the
+                # service quarantines the cell and refuses to guess.
+                raise last_error
+            raise NoHealthyReplica(
+                f"no replica could serve {table!r} "
+                f"({len(candidates)} candidates, {failures} failed, "
+                f"{len(self.replicas) - len(candidates)} quarantined/skipped)"
+            ) from last_error
 
     def fetch_row(self, table: str, row_id: int) -> Row:
         return self._primary(table).fetch_row(table, row_id)

@@ -91,7 +91,7 @@ class TestRowHandling:
         _, service = stack
         chosen = next(b for b in context.layout.bins if b.fake_count)
         stats = QueryStats()
-        rows = context.fetch(
+        rows, _ = context.fetch(
             service.engine, context.trapdoors_for_bin(chosen), stats
         )
         fakes = sum(1 for row in rows if context.is_fake_row(row))
@@ -101,7 +101,7 @@ class TestRowHandling:
         _, service = stack
         chosen = context.layout.bins[0]
         stats = QueryStats()
-        rows = context.fetch(
+        rows, _ = context.fetch(
             service.engine, context.trapdoors_for_bin(chosen), stats
         )
         real_rows = [row for row in rows if not context.is_fake_row(row)]
@@ -115,7 +115,7 @@ class TestRowHandling:
         cid = context.grid.place_values((location,), timestamp)
         chosen = context.layout.bin_of_cell_id(cid)
         stats = QueryStats()
-        rows = context.fetch(
+        rows, _ = context.fetch(
             service.engine, context.trapdoors_for_bin(chosen), stats
         )
         predicate = Predicate(group=("location",), values=(location,))

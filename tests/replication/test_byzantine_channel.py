@@ -1,0 +1,186 @@
+"""The Byzantine response channel, per read kind × fault site.
+
+``ByzantineReplica`` perturbs trapdoor rows, packed bins and tree nodes
+through one channel.  For every (kind, site) pair the enclave's own
+verifier for that kind must reject the perturbed answer with the
+violation kind it has always reported (``replica.slow`` perturbs time,
+not bytes: the replicated engine's attempt budget turns it into a
+``timeout`` failover).  The last test pins the order in which the
+channel consults its sites: a seeded schedule over a mixed
+rows/packed/tree read sequence must replay to the bytes captured before
+the three hand-copied channels became one.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro import telemetry
+from repro.core.rotation import rotate_service_keys, rotation_token
+from repro.exceptions import IntegrityViolation
+from repro.faults.injector import FaultInjector, FaultSpec
+
+from tests.replication.conftest import (
+    MASTER_KEY,
+    make_replicated_stack,
+    replication_records,
+)
+
+NEW_MASTER = bytes(range(32, 64))
+KINDS = ("rows", "packed", "tree")
+# The violation kind each perturbation has always been rejected with.
+TAMPER_KIND = {
+    "rows": "chain-mismatch", "packed": "chain-mismatch", "tree": "undecryptable"
+}
+DROP_KIND = {"rows": "counter-gap", "packed": "counter-gap", "tree": "missing-node"}
+
+
+class Channel:
+    """Replica 0's armed channel over a sealed epoch, plus what the
+    enclave needs to ask for — and check — one unit of each kind."""
+
+    def __init__(self, *specs, seed=5, replicas=2):
+        self.injector = FaultInjector(seed, list(specs))
+        _, self.service, self.engine, members, self.clock = make_replicated_stack(
+            replication_records(), replicas=replicas, injector=self.injector
+        )
+        self.replica = members[0]
+        self.context = self.service.context_for(0)
+        self.table = self.context.table_name
+        self.meta, _ = self.context.tree_state(self.engine)
+        self.coords = [(0, 0, 0), (0, 0, 1), (0, 1, 0)]
+
+    def full_bin(self, skip=()):
+        """A bin holding real rows (so every check has something to bite)."""
+        return next(
+            b for b in self.context.layout.bins
+            if b.real_tuples and b.index not in skip
+        )
+
+    def read(self, kind, chosen, source=None):
+        source = source or self.replica
+        if kind == "rows":
+            return source.lookup_many(
+                self.table, "index_key", self.context.trapdoors_for_bin(chosen)
+            )
+        if kind == "packed":
+            return source.fetch_packed_bin(self.table, chosen.index)
+        return source.fetch_tree_nodes(self.table, self.coords)
+
+    def verify(self, kind, chosen, answer):
+        """What the enclave runs on an answer of this kind."""
+        context = self.service.context_for(0)
+        if kind == "rows":
+            context.verify_rows(answer, chosen.cell_ids)
+        elif kind == "packed":
+            context.verify_packed([answer], chosen.cell_ids)
+        else:
+            context.decode_tree_nodes(self.meta, self.coords, answer)
+
+
+def always(site):
+    return FaultSpec(site, probability=1.0, max_fires=None)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+class TestEveryKindThroughTheChannel:
+    def test_honest_channel_answers_verify(self, kind):
+        channel = Channel()
+        chosen = channel.full_bin()
+        channel.verify(kind, chosen, channel.read(kind, chosen))
+
+    def test_tamper_is_rejected(self, kind):
+        channel = Channel(always("replica.tamper"))
+        chosen = channel.full_bin()
+        with pytest.raises(IntegrityViolation) as caught:
+            channel.verify(kind, chosen, channel.read(kind, chosen))
+        # With this seed the flipped byte lands in a chained cell of a
+        # bin; every byte of a tree node is authenticated ciphertext.
+        assert caught.value.kind == TAMPER_KIND[kind]
+        assert channel.injector.consultations("replica.tamper") == 1
+
+    def test_dropped_unit_is_rejected(self, kind):
+        channel = Channel(always("replica.bin.drop"))
+        chosen = channel.full_bin()
+        with pytest.raises(IntegrityViolation) as caught:
+            channel.verify(kind, chosen, channel.read(kind, chosen))
+        assert caught.value.kind == DROP_KIND[kind]
+
+    def test_stale_replay_across_a_rotation_is_rejected(self, kind):
+        channel = Channel()
+        chosen = channel.full_bin()
+        honest = channel.read(kind, chosen)
+        rotate_service_keys(
+            channel.service, NEW_MASTER, rotation_token(MASTER_KEY, NEW_MASTER)
+        )
+        channel.injector.arm(always("replica.replay.stale"))
+        replayed = channel.read(kind, chosen)
+        assert replayed == honest  # pre-rotation bytes, engine not asked
+        with pytest.raises(IntegrityViolation) as caught:
+            channel.verify(kind, chosen, replayed)
+        assert caught.value.kind == "undecryptable"
+
+    def test_slow_answer_costs_a_timeout_failover(self, kind):
+        channel = Channel(FaultSpec("replica.slow", probability=1.0, max_fires=1))
+        chosen = channel.full_bin()
+        with telemetry.scoped_registry() as registry:
+            answer = channel.read(kind, chosen, source=channel.engine)
+        channel.verify(kind, chosen, answer)
+        assert channel.engine.last_read_failovers == 1
+        assert registry.value(
+            "concealer_replica_failovers_total", reason="timeout"
+        ) == 1
+
+
+def test_row_replay_of_another_bin_is_rejected_within_an_epoch():
+    """Rows are remembered per table, so a replay can substitute another
+    bin's (internally consistent) batch; the cell binding catches it."""
+    channel = Channel()
+    first = channel.full_bin()
+    second = channel.full_bin(skip={first.index})
+    channel.read("rows", first)
+    channel.injector.arm(always("replica.replay.stale"))
+    with pytest.raises(IntegrityViolation) as caught:
+        channel.verify("rows", second, channel.read("rows", second))
+    assert caught.value.kind == "missing-cell"
+
+
+# Captured at the commit before the three channels were merged (PR 14,
+# 6cddcad): sha256 of ``encode_schedule()``, fired-fault count, sha256 of
+# every answer served, and the virtual seconds stalled.
+GOLDEN_SCHEDULE = "eabdaef20b11e268149f2904c23bbee0000db0784fbfda9498b2ed2cc4cc19f4"
+GOLDEN_FIRED = 38
+GOLDEN_ANSWERS = "9da68d02756e59ffb11c4af31d3640b1292d4796b6e70306e8c55c910dc789b7"
+GOLDEN_STALLED = 25.0
+
+
+def test_seeded_schedule_over_mixed_reads_replays_to_the_golden_bytes():
+    channel = Channel(
+        FaultSpec("replica.slow", 0.2, None),
+        FaultSpec("replica.replay.stale", 0.3, None),
+        FaultSpec("replica.tamper", 0.3, None),
+        FaultSpec("replica.bin.drop", 0.3, None),
+        seed=20260930,
+    )
+    bins = channel.context.layout.bins
+    answers = hashlib.sha256()
+    for step in range(40):
+        chosen = bins[step % len(bins)]
+        kind = KINDS[step % 3]
+        channel.coords = [
+            (step % channel.meta.entity_count, 0, j) for j in range(3)
+        ]
+        answer = channel.read(kind, chosen)
+        if kind == "rows":
+            answers.update(repr([(r.row_id, r.columns) for r in answer]).encode())
+        elif kind == "packed":
+            answers.update(answer.to_bytes())
+        else:
+            answers.update(repr(answer).encode())
+    schedule = channel.injector.encode_schedule()
+    assert len(schedule.splitlines()) == GOLDEN_FIRED
+    assert hashlib.sha256(schedule).hexdigest() == GOLDEN_SCHEDULE
+    assert answers.hexdigest() == GOLDEN_ANSWERS
+    assert channel.clock.now() == GOLDEN_STALLED

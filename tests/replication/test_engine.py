@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro import telemetry
+from repro.core.packed import PackedBin
 from repro.exceptions import (
     DeadlineExceeded,
     IntegrityViolation,
@@ -327,6 +329,232 @@ class TestDegradedMode:
         for _ in range(3):
             engine.breakers[2].record_failure()
         assert engine.healthy_replica_count() == 1
+
+
+# ---------------------------------------------------------------------------
+# The same loop serves three blob kinds.  Everything above drives it through
+# trapdoor rows; the class below drives every behaviour through each kind and
+# asserts the accounting is the same, plus the two rules that differ by kind.
+
+LIE = object()
+
+READS = {
+    "rows": ("lookup_many", ("k", [b"k1"])),
+    "packed": ("fetch_packed_bin", (0,)),
+    "tree": ("fetch_tree_nodes", ([(0, 0, 1), (0, 1, 0)],)),
+}
+
+
+class TinyTree:
+    """The slice of an aggregate tree the storage engine reads."""
+
+    def node_at(self, entity, level, index):
+        return b"node-%d-%d-%d" % (entity, level, index)
+
+
+class PerturbedReplica:
+    """A real engine whose ``method`` read can fail, stall or lie."""
+
+    def __init__(self, method, clock=None):
+        self.inner = StorageEngine()
+        self.method = method
+        self.clock = clock
+        self.fail_reads = 0
+        self.stall = 0.0
+        self.lie = False
+        self.reads = 0
+
+    def __getattr__(self, name):
+        target = getattr(self.inner, name)
+        if name != self.method:
+            return target
+        return lambda *args: self._read(target, args)
+
+    def _read(self, target, args):
+        self.reads += 1
+        if self.stall:
+            self.clock.sleep(self.stall)
+        if self.fail_reads:
+            self.fail_reads -= 1
+            raise TransientStorageError("injected transient read fault")
+        return LIE if self.lie else target(*args)
+
+
+def reject_lies(answer):
+    if answer is LIE:
+        raise IntegrityViolation("poisoned answer", cell_id=7, table=TABLE)
+
+
+def build_kinds(kind, replicas=2, policy=None):
+    """A group of perturbable replicas over one tiny table that carries
+    rows, a packed bin and a tree; returns (engine, clock, members)."""
+    clock = VirtualClock()
+    members = [PerturbedReplica(READS[kind][0], clock) for _ in range(replicas)]
+    engine, _ = build(members, policy=policy, clock=clock)
+    # Sidecars land after the rows: every insert invalidates them.
+    rows = members[0].snapshot_rows(TABLE)
+    engine.store_packed_bins(TABLE, [PackedBin.pack(0, rows)])
+    engine.store_agg_tree(TABLE, TinyTree())
+    return engine, clock, members
+
+
+def read(engine, kind, **kwargs):
+    method, args = READS[kind]
+    return getattr(engine, method)(TABLE, *args, **kwargs)
+
+
+def honest(kind):
+    engine, _, _ = build_kinds(kind, replicas=1)
+    return read(engine, kind)
+
+
+def failovers_by_reason(registry):
+    return {
+        key[0]: value
+        for key, value in registry.label_values(
+            "concealer_replica_failovers_total"
+        ).items()
+    }
+
+
+@pytest.fixture
+def registry():
+    with telemetry.scoped_registry() as scoped:
+        yield scoped
+
+
+@pytest.mark.parametrize("kind", list(READS))
+class TestEveryReadKind:
+    def test_transient_fault_fails_over(self, kind, registry):
+        engine, _, members = build_kinds(kind)
+        members[0].fail_reads = 1
+        assert read(engine, kind) == honest(kind)
+        assert engine.last_read_failovers == 1
+        assert [b.state for b in engine.breakers] == ["closed", "closed"]
+        assert len(engine.quarantine) == 0
+        assert failovers_by_reason(registry) == {"transient": 1}
+
+    def test_tampered_answer_is_quarantined_and_failed_over(self, kind, registry):
+        engine, _, members = build_kinds(kind)
+        members[0].lie = True
+        answer = read(engine, kind, verifier=reject_lies, cells=[7])
+        assert answer == honest(kind)
+        assert engine.last_read_failovers == 1
+        assert engine.quarantine.blocks(0, TABLE, [7])
+        assert not engine.quarantine.blocks(0, TABLE, [8])
+        assert engine.candidate_replicas(TABLE, [7]) == [1]
+        assert failovers_by_reason(registry) == {"integrity": 1}
+
+    def test_slow_replica_times_out_and_fails_over(self, kind, registry):
+        engine, _, members = build_kinds(
+            kind, policy=ReplicationPolicy(attempt_timeout=2.0)
+        )
+        members[0].stall = 5.0
+        assert read(engine, kind) == honest(kind)
+        assert engine.last_read_failovers == 1
+        assert engine._latency[0] >= 5.0
+        assert failovers_by_reason(registry) == {"timeout": 1}
+
+    def test_breaker_opens_then_a_half_open_probe_closes_it(self, kind, registry):
+        policy = ReplicationPolicy(
+            breaker=BreakerConfig(failure_threshold=3, reset_timeout=30.0)
+        )
+        engine, clock, members = build_kinds(kind, replicas=1, policy=policy)
+        members[0].fail_reads = 99
+        for _ in range(3):
+            self.assert_exhausted(engine, kind, NoHealthyReplica)
+        assert engine.breakers[0].state == "open"
+        # Inside the cool-down no attempt reaches the replica at all.
+        asked = members[0].reads
+        self.assert_exhausted(engine, kind, NoHealthyReplica)
+        assert members[0].reads == asked
+        assert engine.last_read_failovers == 0
+        clock.sleep(30.0)
+        members[0].fail_reads = 0
+        assert read(engine, kind) == honest(kind)
+        assert engine.breakers[0].state == "closed"
+        assert failovers_by_reason(registry) == {"transient": 3}
+
+    def test_expired_deadline_raises_before_any_attempt(self, kind, registry):
+        engine, clock, members = build_kinds(kind)
+        deadline = Deadline.after(clock, 1.0)
+        clock.sleep(2.0)
+        with pytest.raises(DeadlineExceeded):
+            read(engine, kind, deadline=deadline)
+        assert members[0].reads == 0
+
+    def test_slow_failovers_burn_the_budget(self, kind, registry):
+        engine, clock, members = build_kinds(
+            kind, policy=ReplicationPolicy(attempt_timeout=2.0)
+        )
+        members[0].stall = members[1].stall = 5.0
+        with pytest.raises(DeadlineExceeded):
+            read(engine, kind, deadline=Deadline.after(clock, 4.0))
+        assert members[1].reads == 0
+
+    def test_hedge_demotes_a_known_straggler(self, kind, registry):
+        policy = ReplicationPolicy(hedge=True, hedge_threshold=0.5)
+        engine, _, members = build_kinds(kind, replicas=3, policy=policy)
+        engine._latency[0] = 2.0
+        assert read(engine, kind) == honest(kind)
+        assert [m.reads for m in members] == [0, 1, 0]
+        assert engine.last_read_failovers == 0
+        assert registry.total("concealer_hedged_reads_total") == 1
+
+    def test_reads_below_min_healthy_are_flagged_degraded(self, kind, registry):
+        engine, _, _ = build_kinds(kind, replicas=3)
+        read(engine, kind)
+        assert not engine.degraded
+        engine.quarantine.record(0, TABLE, None, "test")
+        read(engine, kind)
+        assert engine.degraded
+        assert registry.total("concealer_degraded_reads_total") == 1
+
+    def test_quarantined_replicas_serve_as_a_verified_last_resort(
+        self, kind, registry
+    ):
+        engine, _, members = build_kinds(kind)
+        for rid in (0, 1):
+            engine.quarantine.record(rid, TABLE, None, "test")
+        assert engine.candidate_replicas(TABLE) == []
+        assert read(engine, kind, verifier=reject_lies) == honest(kind)
+        assert [m.reads for m in members] == [1, 0]
+        assert registry.total("concealer_replica_last_resort_reads_total") == 1
+
+    # The two rules that differ by kind.
+
+    def assert_exhausted(self, engine, kind, error, **kwargs):
+        """Rows are authoritative and raise; a sidecar kind answers
+        ``None`` and its caller falls back to the rows."""
+        if kind == "rows":
+            with pytest.raises(error):
+                read(engine, kind, **kwargs)
+        else:
+            assert read(engine, kind, **kwargs) is None
+
+    def test_exhaustion_policy(self, kind, registry):
+        engine, _, members = build_kinds(kind)
+        members[0].lie = members[1].lie = True
+        self.assert_exhausted(
+            engine, kind, IntegrityViolation, verifier=reject_lies, cells=[7]
+        )
+        assert engine.last_read_failovers == 2
+        assert engine.tables_needing_repair() == [(0, TABLE), (1, TABLE)]
+        assert failovers_by_reason(registry) == {"integrity": 2}
+
+
+@pytest.mark.parametrize("kind", ["packed", "tree"])
+def test_a_replica_without_the_sidecar_ends_the_read_uncharged(kind, registry):
+    policy = ReplicationPolicy(breaker=BreakerConfig(failure_threshold=1))
+    engine, _, members = build_kinds(kind, policy=policy)
+    stored = members[0].inner._tables[TABLE]
+    stored.packed_bins = stored.agg_tree = None
+    assert read(engine, kind) is None
+    assert [m.reads for m in members] == [1, 0]
+    assert engine.breakers[0].state == "closed"
+    assert engine.last_read_failovers == 0
+    assert len(engine.quarantine) == 0
+    assert failovers_by_reason(registry) == {}
 
 
 class TestAdmissionControl:

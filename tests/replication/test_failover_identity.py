@@ -104,3 +104,41 @@ def test_failover_into_an_id_diverged_replica_drops_no_rows():
     assert answer == ground_truth_count(
         records, t0=0, t1=EPOCH_DURATION // 2
     )
+
+
+def test_failover_absorbed_by_a_packed_attempt_that_falls_back_is_counted():
+    """A failover spent on a sidecar read survives the scalar fallback.
+
+    Replica 0 serves a packed bin with one tampered cell; replica 1 has
+    no packed sidecar at all, so the packed read ends in ``None`` and
+    the bin is re-read as scalar rows from replica 1.  The query paid
+    one failover on the way and ``QueryStats`` must say so (it said 0
+    while the packed attempt's count was dropped on the fallback).
+    """
+    records = replication_records()
+    provider, service, engine, members, clock = make_replicated_stack(
+        records, replicas=2, config=ServiceConfig(verify=True)
+    )
+    table = service._table_name(0)
+    context = service.context_for(0)
+    chosen = context.layout.bin_of_cell_id(
+        context.grid.place_values(("ap0",), 60)
+    )
+    # Slot 0 of a bin holding real rows is a real row (canonical slot
+    # order puts fakes last): its filter cell is under a hash chain.
+    sidecar = members[0].inner._tables[table].packed_bins
+    sidecar[chosen.index] = sidecar[chosen.index].with_corrupted_cell(
+        0, 0, lambda cell: cell[:-1] + bytes([cell[-1] ^ 0x5A])
+    )
+    members[1].inner._tables[table].packed_bins = None
+
+    answer, stats = service.execute_point(
+        PointQuery(index_values=("ap0",), timestamp=60)
+    )
+
+    assert answer == ground_truth_count(records, location="ap0", t0=60, t1=60)
+    assert stats.verified
+    assert [(e.replica_id, e.kind) for e in engine.quarantine.entries] == [
+        (0, "chain-mismatch")
+    ]
+    assert stats.failovers == 1
