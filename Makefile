@@ -109,8 +109,10 @@ trace-overhead:
 		--baseline TRACE_off.json --candidate TRACE_on.json \
 		--max-regression 0.10
 
-# cProfile the ingest + query hot paths; top-30 cumulative functions
-# land in benchmarks/results/profile.txt (and on stdout).
+# Where an epoch's ingest time goes (ingest_epoch_sharded, 2x3 fleet):
+# wall-clock phase split, the cyclic collector's seconds and collection
+# count, and the cProfile top-30 cumulative functions, all written to
+# benchmarks/results/profile.txt (and stdout).
 profile:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/profile_ingest.py
 

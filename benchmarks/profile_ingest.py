@@ -1,90 +1,199 @@
-"""``make profile`` — cProfile the ingest + query hot paths.
+"""``make profile`` — where an epoch's ingest time goes.
 
-Runs one epoch encryption (kernel path) plus a small verified query mix
-under cProfile and writes the top-30 functions by cumulative time to
-``benchmarks/results/profile.txt``.  Intended as the first stop when
-chasing a throughput regression: compare the table against the one
-committed alongside the offending change.
+Drives the whole write path — ``ingest_epoch_sharded`` on a 2-shard ×
+3-replica fleet over a benchmark-sized epoch — three ways and writes
+all three to ``benchmarks/results/profile.txt``:
+
+* a wall-clock **phase split** (placement, pre-pass + sealing, row
+  encryption, fakes, packed bins, tree, landing), timed with wrappers
+  installed from here around the phases' entry points;
+* the **collector's share**: seconds and collection count from
+  ``gc.callbacks`` — time cProfile attributes to whichever function
+  happened to allocate, so the table below cannot show it;
+* the cProfile top-30 by cumulative time, from a second run (profiling
+  inflates Python frames against native crypto, so the split above
+  comes from the unprofiled run).
+
+First stop when chasing an ingest regression: compare against the file
+the nightly ``profile`` job uploads.
 """
 
 from __future__ import annotations
 
+import contextlib
 import cProfile
+import functools
+import gc
 import io
 import pstats
 import random
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 TOP_N = 30
+SHARDS, REPLICAS = 2, 3
+
+# (phase, module, owner or None for a module-level function, name).
+# Phases nest: a wrapper charges its phase the time not already charged
+# to a phase nested inside it, so the split sums to the ingest's wall
+# clock; what is left of ``encrypt_epoch`` is the (cid, counter)
+# pre-pass, tag sealing, the Line-24 shuffle and the metadata vectors.
+PHASES = [
+    ("placement", "repro.core.provider", "DataProvider", "_partition"),
+    ("pre-pass + sealing", "repro.core.encryptor", "EpochEncryptor", "encrypt_epoch"),
+    ("row encryption", "repro.core.encryptor", None, "_encrypt_partition"),
+    ("fakes", "repro.core.encryptor", "EpochEncryptor", "_make_fake_rows"),
+    ("packed bins", "repro.core.encryptor", "EpochEncryptor", "_build_packed_bins"),
+    ("tree", "repro.core.encryptor", None, "build_agg_tree"),
+    ("landing", "repro.core.service", "ServiceProvider", "ingest_epoch"),
+]
 
 
-def workload():
-    from repro import GridSpec, PointQuery, RangeQuery, WIFI_SCHEMA
-    from repro.core.encryptor import EpochEncryptor
+class PhaseTimer:
+    """Self-time per phase, from wrappers this file installs and removes."""
+
+    def __init__(self):
+        self.seconds: dict[str, float] = {phase: 0.0 for phase, *_ in PHASES}
+        self._nested = [0.0]  # time charged to phases inside the open one
+        self._patched: list[tuple] = []
+
+    def _wrap(self, phase: str, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            self._nested.append(0.0)
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                elapsed = time.perf_counter() - start
+                self.seconds[phase] += elapsed - self._nested.pop()
+                self._nested[-1] += elapsed
+
+        return wrapper
+
+    def __enter__(self):
+        import importlib
+
+        for phase, module, owner, name in PHASES:
+            holder = importlib.import_module(module)
+            if owner is not None:
+                holder = getattr(holder, owner)
+            original = holder.__dict__[name]
+            setattr(holder, name, self._wrap(phase, original))
+            self._patched.append((holder, name, original))
+        return self
+
+    def __exit__(self, *exc):
+        for holder, name, original in self._patched:
+            setattr(holder, name, original)
+
+
+class CollectorClock:
+    """Seconds inside the cyclic collector, and how often it ran."""
+
+    def __init__(self):
+        self.seconds = 0.0
+        self.collections = 0
+        self._started = 0.0
+
+    def _callback(self, phase, info):
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self._started
+            self.collections += 1
+
+    def __enter__(self):
+        gc.callbacks.append(self._callback)
+        return self
+
+    def __exit__(self, *exc):
+        gc.callbacks.remove(self._callback)
+
+
+def fleet_and_records(workdir):
+    """A fresh 2×3 fleet and one benchmark-sized epoch (the e2e "full"
+    shape: 48 APs × 240 minutes, 1,024 cell-ids, |b| pinned at 512)."""
+    from repro import WIFI_SCHEMA, DataProvider, GridSpec
+    from repro.sharding import ShardedConfig, ShardedService
     from repro.workloads import WifiConfig, generate_wifi_epoch
 
-    from harness import (
-        EPOCH,
-        EPOCH_DURATION,
-        MASTER_KEY,
-        TIME_STEP,
-        build_wifi_stack,
-        sample_probes,
-    )
-
-    config = WifiConfig(
-        access_points=24, devices=600, rows_per_hour_offpeak=900, seed=41
-    )
+    epoch, duration = 10 * 3600, 4 * 3600
     records = generate_wifi_epoch(
-        config, EPOCH, EPOCH_DURATION, rng=random.Random(41 ^ EPOCH)
+        WifiConfig(access_points=48, devices=1200, rows_per_hour_offpeak=1200, seed=41),
+        epoch, duration, rng=random.Random(41),
     )
-    spec = GridSpec(
-        dimension_sizes=(24, 120), cell_id_count=256,
-        epoch_duration=EPOCH_DURATION,
-    )
-
-    # Ingest: the batch-kernel Algorithm 1 path.
-    encryptor = EpochEncryptor(
-        WIFI_SCHEMA, spec, MASTER_KEY, time_granularity=TIME_STEP,
+    provider = DataProvider(
+        WIFI_SCHEMA,
+        GridSpec(
+            dimension_sizes=(48, duration // 60), cell_id_count=1024,
+            epoch_duration=duration,
+        ),
+        first_epoch_id=epoch,
+        master_key=bytes.fromhex("3c" * 32),
+        bin_size=512,
+        time_granularity=60,
         rng=random.Random(7),
     )
-    encryptor.encrypt_epoch(records, EPOCH)
-
-    # Query: verified point + range mix over a freshly built stack.
-    _, service = build_wifi_stack(records, spec, verify=True)
-    for location, timestamp in sample_probes(records, 4, seed=11):
-        service.execute_point(
-            PointQuery(index_values=(location,), timestamp=timestamp)
-        )
-    service.execute_range(
-        RangeQuery(
-            index_values=(records[0][0],),
-            time_start=EPOCH + 600,
-            time_end=EPOCH + 1499,
-        ),
-        method="multipoint",
+    fleet = ShardedService.build(
+        provider, ShardedConfig(shards=SHARDS, replicas=REPLICAS), workdir
     )
+    return fleet, records, epoch
+
+
+def ingest(*observers):
+    """One whole ingest on a fresh fleet, inside the given context
+    managers (entered after set-up, so they see the ingest only);
+    returns (real rows, rows stored, wall seconds)."""
+    from repro.sharding import ingest_epoch_sharded
+
+    with tempfile.TemporaryDirectory() as workdir:
+        fleet, records, epoch = fleet_and_records(workdir)
+        gc.collect()
+        with contextlib.ExitStack() as stack:
+            for observer in observers:
+                stack.enter_context(observer)
+            start = time.perf_counter()
+            stored = ingest_epoch_sharded(fleet, records, epoch)
+            wall = time.perf_counter() - start
+    return len(records), sum(stored.values()), wall
 
 
 def main() -> int:
-    profiler = cProfile.Profile()
-    profiler.enable()
-    workload()
-    profiler.disable()
+    out = io.StringIO()
+    phases, collector = PhaseTimer(), CollectorClock()
+    real, stored, wall = ingest(phases, collector)
+    out.write(
+        f"ingest_epoch_sharded, {SHARDS} shards x {REPLICAS} replicas: "
+        f"{real} real rows, {stored} stored, {wall:.3f} s "
+        f"({real / wall:,.0f} real rows/s)\n\nphase split (wall clock, self time)\n"
+    )
+    for phase, seconds in phases.seconds.items():
+        out.write(f"  {phase:<20}{seconds:8.3f} s {100 * seconds / wall:5.1f}%\n")
+    rest = wall - sum(phases.seconds.values())
+    out.write(f"  {'fence + rest':<20}{rest:8.3f} s {100 * rest / wall:5.1f}%\n")
+    out.write(
+        f"\ncyclic collector: {collector.seconds:.3f} s in "
+        f"{collector.collections} collections "
+        f"({100 * collector.seconds / wall:.1f}% of the wall clock, spread over "
+        "the phases above)\n\n"
+    )
 
-    buffer = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buffer)
+    profiler = cProfile.Profile()
+    ingest(profiler)  # a Profile is a context manager: enable … disable
+    stats = pstats.Stats(profiler, stream=out)
     stats.sort_stats("cumulative").print_stats(TOP_N)
 
-    out = Path(__file__).parent / "results" / "profile.txt"
-    out.parent.mkdir(exist_ok=True)
-    out.write_text(buffer.getvalue())
-    print(buffer.getvalue())
-    print(f"wrote {out}")
+    path = Path(__file__).parent / "results" / "profile.txt"
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(out.getvalue())
+    print(out.getvalue())
+    print(f"wrote {path}")
     return 0
 
 

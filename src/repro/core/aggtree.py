@@ -515,8 +515,9 @@ def decode_directory(plaintext: bytes, entity_count: int) -> dict[bytes, int]:
 
 def build_agg_tree(
     records,
+    buckets,
     schema: DatasetSchema,
-    grid,
+    leaf_count: int,
     epoch_key: bytes,
     nd,
     *,
@@ -531,6 +532,8 @@ def build_agg_tree(
     index-value combination whose timestamps are query-visible
     (multiples of the public time granularity, mirroring the bin
     path's filter expansion) and fall in that grid time bucket.
+    ``buckets`` is the epoch placement's per-record time bucket and
+    ``leaf_count`` the grid's bucket count.
 
     Returns ``None`` when no tree can ship: more distinct combinations
     than entity slots, or an aggregate outside the fixed 64-bit node
@@ -539,23 +542,20 @@ def build_agg_tree(
     fixed, single-threaded order, so packages stay bit-identical across
     ``workers`` settings.
     """
-    leaf_count = grid.spec.time_buckets
     targets = tree_targets(schema)
     target_positions = [schema.position(target) for target in targets]
+    index_positions = [schema.position(attr) for attr in schema.index_attributes]
+    time_position = schema.time_position
     enc_key, mac_key = derive_tree_keys(epoch_key)
 
     # Per-combination per-bucket leaf aggregates.
     per_combo: dict[tuple, dict[int, list]] = {}
-    for record in records:
-        timestamp = schema.time_of(record)
-        if timestamp % time_granularity:
+    for record, bucket in zip(records, buckets):
+        if record[time_position] % time_granularity:
             continue  # never query-visible (see EpochContext.query_timestamps)
-        combo = tuple(
-            record[schema.position(attr)] for attr in schema.index_attributes
-        )
-        bucket = grid.time_bucket(timestamp)
-        buckets = per_combo.setdefault(combo, {})
-        leaf = buckets.get(bucket)
+        combo = tuple(record[position] for position in index_positions)
+        leaves_of = per_combo.setdefault(combo, {})
+        leaf = leaves_of.get(bucket)
         values = []
         for position in target_positions:
             value = record[position]
@@ -565,7 +565,7 @@ def build_agg_tree(
                 )
             values.append(value)
         if leaf is None:
-            buckets[bucket] = [1] + [[v, v, v] for v in values]
+            leaves_of[bucket] = [1] + [[v, v, v] for v in values]
         else:
             leaf[0] += 1
             for t, value in enumerate(values):
@@ -591,11 +591,11 @@ def build_agg_tree(
 
     plaintexts: list[bytes] = []
     for entity in range(entity_count):
-        buckets = per_combo.get(ranked[entity]) if entity < len(ranked) else None
+        leaves_of = per_combo.get(ranked[entity]) if entity < len(ranked) else None
         levels: list[list[tuple[int, list[tuple[int, int, int]]]]] = []
         leaves = []
         for bucket in range(leaf_count):
-            leaf = buckets.get(bucket) if buckets else None
+            leaf = leaves_of.get(bucket) if leaves_of else None
             if leaf is None:
                 leaves.append(empty_agg[0])
             else:

@@ -48,6 +48,7 @@ from enum import Enum
 
 from repro.core.aggtree import build_agg_tree, default_entity_count
 from repro.core.binning import pack_bins
+from repro.core.collector import collector_quiet
 from repro.core.epoch import (
     FAKE_CHAIN_LABEL,
     EncryptedRow,
@@ -56,7 +57,7 @@ from repro.core.epoch import (
     fake_index_plaintext,
     index_plaintext,
 )
-from repro.core.grid import Grid, GridSpec, derive_grid_key
+from repro.core.grid import Grid, GridSpec, Placement, derive_grid_key
 from repro.core.schema import DatasetSchema
 from repro.crypto.det import DeterministicCipher
 from repro.crypto.kernels import CHAIN_INIT, DetKernel, NdKernel, record_kernel_ops
@@ -88,82 +89,50 @@ class EncryptionReport:
 def _encrypt_partition(args: tuple) -> tuple[list, dict]:
     """Worker body: Lines 4–11 + 16–21 for one cell-id partition.
 
-    ``jobs`` holds ``(slot, record, cid)`` triples — every job of a
-    given cell-id, in original record order, lives in exactly one
-    partition, so the worker recomputes the per-cell counters and the
-    per-cell chain folds locally and they match the global assignment.
-    Module-level (not a method) so the process pool can pickle it.
+    ``records`` and ``cids`` are parallel; every record of a given
+    cell-id, in original record order, lives in exactly one partition,
+    so the worker recomputes the per-cell counters and chain folds
+    locally and they match the global assignment.  Rows come back in
+    input order.  Module-level so the process pool can pickle it.
     """
-    epoch_key, schema, jobs = args
+    epoch_key, schema, records, cids = args
     det = DetKernel(epoch_key)
     sha = hashlib.sha256
-    filter_groups = schema.filter_groups
-    column_count = len(filter_groups) + 1
-    # Record positions whose values feed each filter column (the group's
-    # attributes plus the folded time attribute) — the memo key below.
-    group_positions: list[tuple[int, ...]] = []
-    for group in filter_groups:
-        positions = [schema.position(attr) for attr in group]
-        if schema.fold_time_into_filters and schema.time_attribute not in group:
-            positions.append(schema.position(schema.time_attribute))
-        group_positions.append(tuple(positions))
+    filter_count = len(schema.filter_groups)
 
     # Phase 1 — collect plaintexts, deduplicated.  DET is deterministic,
-    # so identical plaintexts yield identical ciphertexts: filter
-    # columns repeat across rows (few locations × time buckets), and
-    # each repeat saves a full SIV encryption.  Plaintext *construction*
-    # is memoized too, keyed by the contributing attribute values.
+    # so identical plaintexts yield identical ciphertexts: the
+    # (location, time) filter repeats across rows, and each repeat saves
+    # a full SIV encryption.
     unique: dict[bytes, int] = {}
-    pt_cache: dict[tuple, bytes] = {}
     counters: dict[int, int] = {}
-    row_refs: list[tuple[int, int, list[int]]] = []
-    for slot, record, cid in jobs:
-        counter = counters.get(cid, 0) + 1
-        counters[cid] = counter
-        refs: list[int] = []
-        for gi, positions in enumerate(group_positions):
-            cache_key = (gi, *[record[p] for p in positions])
-            plaintext = pt_cache.get(cache_key)
-            if plaintext is None:
-                plaintext = schema.filter_plaintext(record, filter_groups[gi])
-                pt_cache[cache_key] = plaintext
-            index = unique.get(plaintext)
-            if index is None:
-                index = unique[plaintext] = len(unique)
-            refs.append(index)
-        for plaintext in (
-            schema.payload_plaintext(record),
-            index_plaintext(cid, counter),
-        ):
-            index = unique.get(plaintext)
-            if index is None:
-                index = unique[plaintext] = len(unique)
-            refs.append(index)
-        row_refs.append((slot, cid, refs))
+    refs: list[int] = []
+    for record, cid in zip(records, cids):
+        counter = counters[cid] = counters.get(cid, 0) + 1
+        for plaintext in schema.column_plaintexts(record):
+            refs.append(unique.setdefault(plaintext, len(unique)))
+        refs.append(unique.setdefault(index_plaintext(cid, counter), len(unique)))
 
     # Phase 2 — one batched SIV pass over the distinct plaintexts.
     ciphertexts = det.encrypt_many(list(unique), counted=False)
 
     # Phase 3 — assemble rows and fold the per-cell chains.
     digests: dict[int, list[bytes]] = {}
-    rows: list[tuple[int, EncryptedRow]] = []
-    filter_count = column_count - 1
-    for slot, cid, refs in row_refs:
-        columns = [ciphertexts[index] for index in refs]
+    rows: list[EncryptedRow] = []
+    width = filter_count + 2
+    for number, cid in enumerate(cids):
+        columns = [ciphertexts[i] for i in refs[number * width : (number + 1) * width]]
         rows.append(
-            (
-                slot,
-                EncryptedRow(
-                    filters=tuple(columns[:filter_count]),
-                    payload=columns[filter_count],
-                    index_key=columns[-1],
-                ),
+            EncryptedRow(
+                filters=tuple(columns[:filter_count]),
+                payload=columns[filter_count],
+                index_key=columns[-1],
             )
         )
         chain = digests.get(cid)
         if chain is None:
-            chain = digests[cid] = [CHAIN_INIT] * column_count
-        for position in range(column_count):
+            chain = digests[cid] = [CHAIN_INIT] * (filter_count + 1)
+        for position in range(filter_count + 1):
             chain[position] = sha(columns[position] + chain[position]).digest()
     return rows, digests
 
@@ -226,70 +195,70 @@ class EpochEncryptor:
         self.use_kernels = use_kernels
         self.last_report: EncryptionReport | None = None
 
+    def place(self, records: Sequence[tuple], epoch_id: int) -> Placement:
+        """Validate one epoch's records and place them on its grid — once
+        per epoch: a sharded provider hands each shard a slice of this."""
+        for record in records:
+            self._check_record(record, epoch_id)
+        grid = Grid(
+            self.grid_spec, self.schema, self.master_key, epoch_id,
+            grid_key=derive_grid_key(self.master_key, epoch_id),
+        )
+        return grid.place_records(records)
+
+    @collector_quiet()
     def encrypt_epoch(
         self,
         records: Sequence[tuple],
         epoch_id: int,
         workers: int | None = None,
+        placement: Placement | None = None,
     ) -> EpochPackage:
         """Encrypt one epoch's records into a transmissible package.
 
         ``workers`` overrides the instance default for this call.  The
         produced package bytes depend only on ``(records, epoch_id,
         master_key, rng state)`` — never on ``workers`` or
-        ``use_kernels``.
+        ``use_kernels``.  ``placement``: :meth:`place` of these records.
         """
         workers = self.workers if workers is None else workers
         if workers < 1:
             raise EpochError("workers must be >= 1")
         records = list(records)
+        if placement is None:
+            placement = self.place(records, epoch_id)
+        grid = placement.grid
         epoch_key = derive_epoch_key(self.master_key, epoch_id)
         nd = (
             NdKernel(epoch_key, rng=self._nonce_rng)
             if self.use_kernels
             else RandomizedCipher(epoch_key, rng=self._nonce_rng)
         )
-        grid_key = derive_grid_key(self.master_key, epoch_id)
-        grid = Grid(
-            self.grid_spec, self.schema, self.master_key, epoch_id,
-            grid_key=grid_key,
-        )
 
-        u = self.grid_spec.cell_id_count
-        c_tuple = [0] * u
+        c_tuple = [0] * self.grid_spec.cell_id_count
         cell_counts = [0] * self.grid_spec.total_cells
         column_count = len(self.schema.filter_groups) + 1
 
-        # Serial pre-pass (Lines 4–7): validation, grid placement, and
-        # the (cid, counter) assignment every later stage keys off.
-        assignments: list[tuple[int, int]] = []
-        cid_order: list[int] = []  # first-appearance order, fixes tag order
-        seen_cids: set[int] = set()
-        for record in records:
-            self._check_record(record, epoch_id)
-            flat = grid.flat_index(grid.coords(record))
-            cid = grid.cell_id_of(flat)
+        # Serial pre-pass (Lines 6–7): the (cid, counter) assignment
+        # every later stage keys off.
+        cids = placement.cell_ids
+        counters: list[int] = []
+        for flat, cid in zip(placement.flats, cids):
             cell_counts[flat] += 1
             c_tuple[cid] += 1
-            assignments.append((cid, c_tuple[cid]))
-            if cid not in seen_cids:
-                seen_cids.add(cid)
-                cid_order.append(cid)
+            counters.append(c_tuple[cid])
+        cid_order = list(dict.fromkeys(cids))  # first appearance fixes tag order
 
         # Row encryption + per-cell chain folds (Lines 8–11, 16–21).
         effective = min(workers, max(1, len(records) // self.min_rows_per_worker))
         if not self.use_kernels:
             real_rows, digests = self._encrypt_rows_scalar(
-                records, assignments, epoch_key, column_count
+                records, cids, counters, epoch_key, column_count
             )
         elif effective > 1:
-            real_rows, digests = self._encrypt_rows_parallel(
-                records, assignments, epoch_key, column_count, effective
-            )
+            real_rows, digests = self._encrypt_rows_parallel(records, cids, epoch_key, effective)
         else:
-            real_rows, digests = self._encrypt_rows_kernel(
-                records, assignments, epoch_key, column_count
-            )
+            real_rows, digests = _encrypt_partition((epoch_key, self.schema, records, cids))
         if self.use_kernels and records:
             # Worker-side encryptions are counted here, in the parent,
             # so the public kernel-op count is identical for every
@@ -316,7 +285,7 @@ class EpochEncryptor:
         self._rng.shuffle(all_rows)  # Line 24: mix real and fake tuples
 
         packed_bins = self._build_packed_bins(
-            all_rows, real_rows, fake_rows, assignments, c_tuple
+            all_rows, real_rows, fake_rows, cids, counters, c_tuple
         )
 
         # The aggregate-tree sidecar.  Built in the serial parent with a
@@ -327,8 +296,9 @@ class EpochEncryptor:
         if self.agg_tree and records:
             agg_tree = build_agg_tree(
                 records,
+                placement.buckets,
                 self.schema,
-                grid,
+                grid.spec.time_buckets,
                 epoch_key,
                 nd,
                 fanout=self.agg_tree_fanout,
@@ -355,7 +325,7 @@ class EpochEncryptor:
             fake_count=len(fake_rows),
             bin_size=self.bin_size,
             max_cells_per_bin=self.max_cells_per_bin,
-            enc_grid_key=nd.encrypt(grid_key),
+            enc_grid_key=nd.encrypt(derive_grid_key(self.master_key, epoch_id)),
             packed_bins=packed_bins,
             agg_tree=agg_tree,
         )
@@ -374,7 +344,7 @@ class EpochEncryptor:
     # --------------------------------------------------------- columnar bins
 
     def _build_packed_bins(
-        self, all_rows, real_rows, fake_rows, assignments, c_tuple
+        self, all_rows, real_rows, fake_rows, cids, counters, c_tuple
     ):
         """Columnar form of the shuffled rows, one PackedBin per bin.
 
@@ -402,10 +372,7 @@ class EpochEncryptor:
         if layout.total_fakes > len(fake_rows):
             return None
         position = {id(row): index for index, row in enumerate(all_rows)}
-        slot_rows = {
-            (cid, counter): row
-            for row, (cid, counter) in zip(real_rows, assignments)
-        }
+        slot_rows = dict(zip(zip(cids, counters), real_rows))
         packed = []
         for chosen in layout.bins:
             members = []
@@ -432,7 +399,7 @@ class EpochEncryptor:
     # ------------------------------------------------------------- row paths
 
     def _encrypt_rows_scalar(
-        self, records, assignments, epoch_key: bytes, column_count: int
+        self, records, cids, counters, epoch_key: bytes, column_count: int
     ) -> tuple[list[EncryptedRow], dict[int, list[bytes]]]:
         """The original per-row scalar path (the pre-kernel baseline)."""
         det = DeterministicCipher(epoch_key)
@@ -440,7 +407,7 @@ class EpochEncryptor:
         sha = hashlib.sha256
         rows: list[EncryptedRow] = []
         digests: dict[int, list[bytes]] = {}
-        for record, (cid, counter) in zip(records, assignments):
+        for record, cid, counter in zip(records, cids, counters):
             filters = tuple(
                 det.encrypt(schema.filter_plaintext(record, group))
                 for group in schema.filter_groups
@@ -457,19 +424,8 @@ class EpochEncryptor:
                 chain[position] = sha(ciphertext + chain[position]).digest()
         return rows, digests
 
-    def _encrypt_rows_kernel(
-        self, records, assignments, epoch_key: bytes, column_count: int
-    ) -> tuple[list[EncryptedRow], dict[int, list[bytes]]]:
-        """Serial path through the primed-HMAC DET kernel."""
-        jobs = [
-            (slot, record, cid)
-            for slot, (record, (cid, _)) in enumerate(zip(records, assignments))
-        ]
-        indexed, digests = _encrypt_partition((epoch_key, self.schema, jobs))
-        return [row for _, row in indexed], digests
-
     def _encrypt_rows_parallel(
-        self, records, assignments, epoch_key: bytes, column_count: int, workers: int
+        self, records, cids, epoch_key: bytes, workers: int
     ) -> tuple[list[EncryptedRow], dict[int, list[bytes]]]:
         """Fan Lines 4–21 out over a bounded process pool, by cell-id.
 
@@ -479,23 +435,24 @@ class EpochEncryptor:
         serial path.  Any pool failure falls back to serial kernels.
         """
         by_cid: dict[int, list[int]] = {}
-        for slot, (cid, _) in enumerate(assignments):
+        for slot, cid in enumerate(cids):
             by_cid.setdefault(cid, []).append(slot)
         # Greedy balance: biggest cells first onto the lightest worker.
         buckets: list[list[int]] = [[] for _ in range(workers)]
         loads = [0] * workers
         for cid in sorted(by_cid, key=lambda c: -len(by_cid[c])):
             lightest = loads.index(min(loads))
-            buckets[lightest].append(cid)
+            buckets[lightest].extend(by_cid[cid])
             loads[lightest] += len(by_cid[cid])
+        slot_lists = [slots for slots in buckets if slots]
         tasks = [
             (
                 epoch_key,
                 self.schema,
-                [(slot, records[slot], cid) for cid in bucket for slot in by_cid[cid]],
+                [records[slot] for slot in slots],
+                [cids[slot] for slot in slots],
             )
-            for bucket in buckets
-            if bucket
+            for slots in slot_lists
         ]
         try:
             import concurrent.futures
@@ -506,13 +463,11 @@ class EpochEncryptor:
                 partitions = list(pool.map(_encrypt_partition, tasks))
         except Exception:
             # No fork support / pickling trouble: correctness first.
-            return self._encrypt_rows_kernel(
-                records, assignments, epoch_key, column_count
-            )
+            return _encrypt_partition((epoch_key, self.schema, records, cids))
         rows: list[EncryptedRow | None] = [None] * len(records)
         digests: dict[int, list[bytes]] = {}
-        for indexed, part_digests in partitions:
-            for slot, row in indexed:
+        for slots, (part_rows, part_digests) in zip(slot_lists, partitions):
+            for slot, row in zip(slots, part_rows):
                 rows[slot] = row
             digests.update(part_digests)
         return rows, digests

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.schema import DatasetSchema, encode_value
 from repro.crypto.prf import Prf
@@ -136,6 +137,9 @@ class Grid:
         # cannot grow them without limit (see SECURITY.md on timing).
         self._coord_cache: dict[tuple[int, object], int] = {}
         self._cid_cache: dict[int, int] = {}
+        # The whole allocation once cell_id_vector() derived it (the data
+        # provider's grids; a query-side grid keeps to the bounded memo).
+        self._allocation: list[int] | None = None
 
     _COORD_CACHE_MAX = 4096
 
@@ -205,22 +209,26 @@ class Grid:
         draws pseudo-randomly from its own coordinate's block — so an
         id's tuples never straddle subinterval coordinates.
         """
+        if self._allocation is not None:
+            return self._allocation[flat]
         cid = self._cid_cache.get(flat)
         if cid is not None:
             return cid
-        u = self.spec.cell_id_count
-        if not self.spec.time_local_cell_ids:
-            cid = self._prf.to_int(b"cid-alloc", flat) % u
-        else:
-            y = self.spec.dimension_sizes[-1]
-            time_coord = flat % y
-            base = (time_coord * u) // y
-            span = max(1, ((time_coord + 1) * u) // y - base)
-            cid = base + self._prf.to_int(b"cid-alloc", flat) % span
+        cid = self._allocate(flat)
         if len(self._cid_cache) >= self._COORD_CACHE_MAX:
             self._cid_cache.clear()
         self._cid_cache[flat] = cid
         return cid
+
+    def _allocate(self, flat: int) -> int:
+        u = self.spec.cell_id_count
+        if not self.spec.time_local_cell_ids:
+            return self._prf.to_int(b"cid-alloc", flat) % u
+        y = self.spec.dimension_sizes[-1]
+        time_coord = flat % y
+        base = (time_coord * u) // y
+        span = max(1, ((time_coord + 1) * u) // y - base)
+        return base + self._prf.to_int(b"cid-alloc", flat) % span
 
     def place(self, record: Sequence) -> int:
         """Record → cell-id (Algorithm 1, Cell-Formation)."""
@@ -233,8 +241,34 @@ class Grid:
     # ------------------------------------------------------------- vectors
 
     def cell_id_vector(self) -> list[int]:
-        """The ``cell_id[]`` vector of Algorithm 1 (length x·y)."""
-        return [self.cell_id_of(flat) for flat in range(self.spec.total_cells)]
+        """The ``cell_id[]`` vector of Algorithm 1 (length x·y): derived
+        once — one PRF per cell — and from then on what
+        :meth:`cell_id_of` indexes."""
+        if self._allocation is None:
+            cells = range(self.spec.total_cells)
+            self._allocation = [self._allocate(flat) for flat in cells]
+        return self._allocation
+
+    def place_records(self, records: Sequence[Sequence]) -> "Placement":
+        """Place a whole epoch in one pass (Algorithm 1, Lines 4–5): per
+        record its ``time_bucket``, ``flat_index(coords(record))`` and
+        ``cell_id_of``, for sharding, the pre-pass and the tree to share."""
+        schema = self.schema
+        positions = [schema.position(attr) for attr in schema.index_attributes]
+        time_position = schema.time_position
+        sizes = self.spec.dimension_sizes
+        time_axis = len(sizes) - 1
+        allocation = self.cell_id_vector()
+        buckets: list[int] = []
+        flats: list[int] = []
+        for record in records:
+            bucket = self.time_bucket(record[time_position])
+            flat = 0
+            for axis, position in enumerate(positions):
+                flat = flat * sizes[axis] + self._axis_coord(axis, record[position])
+            buckets.append(bucket)
+            flats.append(flat * sizes[time_axis] + self._axis_coord(time_axis, bucket))
+        return Placement(self, buckets, flats, [allocation[flat] for flat in flats])
 
     # ---------------------------------------------------------- range helpers
 
@@ -276,3 +310,18 @@ class Grid:
     def iter_flat_cells(self) -> Iterator[int]:
         """All flat cell indices (used when building per-cell statistics)."""
         return iter(range(self.spec.total_cells))
+
+
+class Placement(NamedTuple):
+    """Where one epoch's records sit: three lists parallel to them, and
+    the grid (so the cell-id allocation) they were placed on."""
+
+    grid: Grid
+    buckets: list[int]   # pre-hash time subinterval index
+    flats: list[int]     # flat cell index
+    cell_ids: list[int]
+
+    def select(self, slots: Sequence[int]) -> "Placement":
+        """The placement of a sub-sequence of the records (a shard's)."""
+        pick = lambda column: [column[slot] for slot in slots]  # noqa: E731
+        return Placement(self.grid, pick(self.buckets), pick(self.flats), pick(self.cell_ids))

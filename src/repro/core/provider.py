@@ -13,6 +13,7 @@ import os
 import random
 from collections.abc import Sequence
 
+from repro.core.collector import collector_quiet
 from repro.core.encryptor import EpochEncryptor, FakeStrategy
 from repro.core.epoch import EpochPackage
 from repro.core.grid import GridSpec
@@ -133,8 +134,7 @@ class DataProvider:
 
     # ------------------------------------------------------------------ data
 
-    def encrypt_epoch(self, records: Sequence[tuple], epoch_id: int) -> EpochPackage:
-        """Phase 1: run Algorithm 1 over one epoch's readings."""
+    def _check_shippable(self, epoch_id: int) -> None:
         if epoch_id < self.first_epoch_id:
             raise EpochError(
                 f"epoch {epoch_id} precedes first epoch {self.first_epoch_id}"
@@ -146,9 +146,25 @@ class DataProvider:
             )
         if epoch_id in self._shipped_epochs:
             raise EpochError(f"epoch {epoch_id} was already encrypted and shipped")
+
+    def encrypt_epoch(self, records: Sequence[tuple], epoch_id: int) -> EpochPackage:
+        """Phase 1: run Algorithm 1 over one epoch's readings."""
+        self._check_shippable(epoch_id)
         package = self.encryptor.encrypt_epoch(records, epoch_id)
         self._shipped_epochs.add(epoch_id)
         return package
+
+    def _partition(self, records: Sequence[tuple], epoch_id: int, topology):
+        """Per shard, its records and their slice of the one placement."""
+        placement = self.encryptor.place(records, epoch_id)
+        owners: dict[int, int] = {}  # the topology's map hashes per call
+        slots: list[list[int]] = [[] for _ in range(topology.shard_count)]
+        for slot, cid in enumerate(placement.cell_ids):
+            owner = owners.get(cid)
+            if owner is None:
+                owner = owners[cid] = topology.shard_of(cid)
+            slots[owner].append(slot)
+        return [([records[s] for s in owned], placement.select(owned)) for owned in slots]
 
     def partition_records(
         self, records: Sequence[tuple], epoch_id: int, topology
@@ -162,22 +178,9 @@ class DataProvider:
         (counter assignment, and therefore the verifiable tag chains,
         stay deterministic per shard).
         """
-        from repro.core.grid import Grid, derive_grid_key
+        return [part for part, _ in self._partition(records, epoch_id, topology)]
 
-        grid = Grid(
-            self.grid_spec,
-            self.schema,
-            self.master_key,
-            epoch_id,
-            grid_key=derive_grid_key(self.master_key, epoch_id),
-        )
-        partitions: list[list[tuple]] = [
-            [] for _ in range(topology.shard_count)
-        ]
-        for record in records:
-            partitions[topology.shard_of(grid.place(record))].append(record)
-        return partitions
-
+    @collector_quiet()
     def encrypt_epoch_sharded(
         self, records: Sequence[tuple], epoch_id: int, topology
     ) -> list[EpochPackage]:
@@ -188,23 +191,13 @@ class DataProvider:
         chains — so each shard verifies independently and non-owned
         cell-ids still materialise as fake-only bins (queries hashing
         there retrieve only fakes, exactly like empty cells today).
-        The epoch is marked shipped once, for the whole fleet.
+        Records are placed on the grid once, for the whole fleet, and
+        the epoch is marked shipped once.
         """
-        if epoch_id < self.first_epoch_id:
-            raise EpochError(
-                f"epoch {epoch_id} precedes first epoch {self.first_epoch_id}"
-            )
-        if (epoch_id - self.first_epoch_id) % self.grid_spec.epoch_duration:
-            raise EpochError(
-                f"epoch id {epoch_id} is not aligned to the epoch duration "
-                f"{self.grid_spec.epoch_duration}"
-            )
-        if epoch_id in self._shipped_epochs:
-            raise EpochError(f"epoch {epoch_id} was already encrypted and shipped")
-        partitions = self.partition_records(records, epoch_id, topology)
+        self._check_shippable(epoch_id)
         packages = [
-            self.encryptor.encrypt_epoch(partition, epoch_id)
-            for partition in partitions
+            self.encryptor.encrypt_epoch(part, epoch_id, placement=placement)
+            for part, placement in self._partition(records, epoch_id, topology)
         ]
         self._shipped_epochs.add(epoch_id)
         return packages

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.exceptions import QueryError
 
@@ -170,13 +171,37 @@ class DatasetSchema:
         what makes the DET ciphertexts unique; we therefore append the
         time attribute whenever the group does not already include it.
         """
-        columns = list(group)
-        if self.fold_time_into_filters and self.time_attribute not in columns:
-            columns.append(self.time_attribute)
         raw = b"flt" + _SEP + encode_values(
-            [self.value(record, attr) for attr in columns]
+            [self.value(record, attr) for attr in self._filter_columns(group)]
         )
         return pad_plaintext(raw, self.filter_pad_width)
+
+    def _filter_columns(self, group: tuple[str, ...]) -> tuple[str, ...]:
+        if self.fold_time_into_filters and self.time_attribute not in group:
+            return (*group, self.time_attribute)
+        return tuple(group)
+
+    @cached_property
+    def _filter_positions(self) -> list[list[int]]:
+        return [
+            [self.position(attr) for attr in self._filter_columns(group)]
+            for group in self.filter_groups
+        ]
+
+    def column_plaintexts(self, record: Sequence) -> list[bytes]:
+        """One record's plaintexts in column order — ``filter_plaintext``
+        per group, then ``payload_plaintext`` — each value encoded once."""
+        encoded = [encode_value(value) for value in record]
+        plaintexts = [
+            pad_plaintext(
+                b"flt" + _SEP + _SEP.join([encoded[p] for p in positions]),
+                self.filter_pad_width,
+            )
+            for positions in self._filter_positions
+        ]
+        raw = b"row" + _SEP + _SEP.join(encoded)
+        plaintexts.append(pad_plaintext(raw, self.payload_pad_width))
+        return plaintexts
 
     def filter_plaintext_for_values(
         self, group: tuple[str, ...], values: Sequence, time

@@ -27,6 +27,7 @@ from repro.batching.cache import BinCache
 from repro.batching.executor import ParallelFetchExecutor
 from repro.batching.fetcher import BatchOverlay, BinFetcher
 from repro.batching.planner import BatchPlan, QueryBatcher
+from repro.core.collector import collector_quiet
 from repro.core.context import EpochContext
 from repro.core.epoch import EpochPackage
 from repro.core.point_query import BPBExecutor
@@ -183,8 +184,8 @@ class ServiceConfig:
     btree_order: int = 64
     table_prefix: str = ""           # distinguishes co-hosted indexes (§9.1)
     # Retry policy for transient storage faults (capped exponential
-    # backoff; see repro.faults.clock).  Queries and per-row ingestion
-    # inserts are retried; integrity violations and crashes are not.
+    # backoff; see repro.faults.clock).  Queries are retried and an
+    # epoch landing resumes; integrity violations and crashes are not.
     retry_attempts: int = 4
     retry_base_delay: float = 0.01
     retry_max_delay: float = 1.0
@@ -338,8 +339,16 @@ class ServiceProvider:
         cipher = RandomizedCipher(derive_epoch_key(self.enclave.master_key, 0))
         self._registry = Registry.unseal(sealed_registry, cipher)
 
+    @collector_quiet()
     def ingest_epoch(self, package: EpochPackage) -> None:
-        """Phase 1 landing: insert the epoch's rows; DBMS builds the index."""
+        """Phase 1 landing: one bulk landing of rows, index and sidecars.
+
+        A transient write fault stops the engine *between* rows, so the
+        retry resumes from the table's row count — no row lands twice —
+        with a fresh backoff budget per stalled row.  The sidecars go
+        in last (a row write invalidates them); any failure drops the
+        table: a half-landed epoch would silently under-count.
+        """
         if package.schema_name != self.schema.name:
             raise EpochError(
                 f"package schema {package.schema_name!r} does not match "
@@ -347,38 +356,26 @@ class ServiceProvider:
             )
         if package.epoch_id in self._packages:
             raise EpochError(f"epoch {package.epoch_id} already ingested")
+        engine = self.engine
         table = self._table_name(package.epoch_id)
-        self.engine.create_table(table, package.column_names)
-        self.engine.create_index(table, "index_key")
+        engine.create_table(table, package.column_names)
+        engine.create_index(table, "index_key")
         try:
-            for row in package.rows:
-                # Transient write faults raise before applying, so the
-                # per-row retry never double-inserts.
-                self.retry.call(lambda r=row: self.engine.insert(table, r.as_columns()))
+            rows = [row.as_columns() for row in package.rows]
+            self.retry.call(
+                lambda: engine.insert_many(table, rows, engine.row_count(table)),
+                progress=lambda: engine.row_count(table),
+            )
+            # Derived data: a package without them, or a service that
+            # does not read them, skips the install.
+            if not self.config.oblivious:
+                if self.config.packed_bins and package.packed_bins:
+                    engine.store_packed_bins(table, package.packed_bins)
+                if self.config.agg_tree and package.agg_tree is not None:
+                    engine.store_agg_tree(table, package.agg_tree)
         except BaseException:
-            # All-or-nothing landing: a half-ingested epoch must not be
-            # queryable (its bins would silently under-count).
-            self.engine.drop_table(table)
+            engine.drop_table(table)
             raise
-        # Packed sidecar lands *after* the rows: every insert above
-        # invalidates it, and a failed landing must not leave one
-        # behind.  Purely derived data — packages without packed bins
-        # just skip it.
-        if (
-            self.config.packed_bins
-            and not self.config.oblivious
-            and package.packed_bins
-        ):
-            self.engine.store_packed_bins(table, package.packed_bins)
-        # Aggregate-tree sidecar, same contract as the packed bins:
-        # derived data, landed after the rows so a failed landing (or
-        # any later mutation) can never leave a live tree behind.
-        if (
-            self.config.agg_tree
-            and not self.config.oblivious
-            and getattr(package, "agg_tree", None) is not None
-        ):
-            self.engine.store_agg_tree(table, package.agg_tree)
         self._packages[package.epoch_id] = package
 
     def ingested_epochs(self) -> list[int]:

@@ -92,7 +92,7 @@ class RetryPolicy:
             delay *= 1.0 - self.jitter * self.rng.random()
         return delay
 
-    def call(self, fn, deadline=None):
+    def call(self, fn, deadline=None, progress=None):
         """Run ``fn`` under the policy; returns its value or re-raises.
 
         ``deadline`` (anything with ``check(site)``, e.g.
@@ -100,15 +100,21 @@ class RetryPolicy:
         before every retry sleep: a spent budget raises
         :class:`~repro.exceptions.DeadlineExceeded` instead of burning
         backoff time on an answer nobody is waiting for.
+
+        ``progress`` reads how far a *resumable* ``fn`` has got: a
+        failure further along than the last starts a fresh budget, so
+        each stalling point is retried as if it were retried alone.
         """
-        last: BaseException | None = None
-        for attempt in range(self.attempts):
+        reached = progress() if progress is not None else None
+        attempt = 0
+        while True:
             try:
                 return fn()
             except self.retry_on as error:  # type: ignore[misc]
+                if progress is not None and (now := progress()) != reached:
+                    reached, attempt = now, 0
                 # Only the failure path pays for telemetry; the happy
                 # path above is a bare call.
-                last = error
                 telemetry.counter(
                     "concealer_retry_attempts_total",
                     "attempts that failed with a retryable error",
@@ -120,7 +126,7 @@ class RetryPolicy:
                     retry_error=type(error).__name__,
                 )
                 if attempt == self.attempts - 1:
-                    break
+                    raise
                 if deadline is not None:
                     deadline.check("retry.backoff")
                 delay = self._delay(attempt)
@@ -129,5 +135,4 @@ class RetryPolicy:
                     "total backoff slept between retries",
                 ).inc(delay)
                 self.clock.sleep(delay)
-        assert last is not None
-        raise last
+                attempt += 1

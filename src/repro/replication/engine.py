@@ -67,6 +67,10 @@ from repro.storage.table import Row
 _LATENCY_ALPHA = 0.3
 
 
+def _stored_rows(replica, table: str) -> int:
+    return replica.row_count(table) if replica.has_table(table) else 0
+
+
 @dataclass(frozen=True)
 class ReplicationPolicy:
     """Tunables for the replicated read/write paths.
@@ -304,8 +308,37 @@ class ReplicatedStorageEngine:
     def insert(self, table: str, columns: Sequence) -> int:
         return self._fanout("insert", table, lambda r: r.insert(table, columns))
 
-    def insert_many(self, table: str, rows: Sequence[Sequence]) -> list[int]:
-        return [self.insert(table, row) for row in rows]
+    def insert_many(self, table: str, rows: Sequence[Sequence], start: int = 0) -> None:
+        """Land ``rows[start:]`` on every replica: one bulk landing each.
+
+        Row for row the write fan-out's rule: a replica that stops at a
+        row a peer lands has diverged — quarantined, it skips the row
+        and resumes after it, so it is still put every row.  A row *no*
+        replica lands raises the first replica's error; the rows before
+        it are landed, and the caller resumes from it.
+        """
+        position = [start] * len(self.replicas)  # the row each replica is at
+        stalled: dict[int, Exception] = {}       # ...and why it stopped there
+        while True:
+            for rid, replica in enumerate(self.replicas):
+                if rid not in stalled and position[rid] < len(rows):
+                    before = _stored_rows(replica, table)
+                    try:
+                        replica.insert_many(table, rows, position[rid])
+                        position[rid] = len(rows)
+                    except StorageError as error:
+                        position[rid] += _stored_rows(replica, table) - before
+                        stalled[rid] = error
+            frontier = max(position)  # the furthest any replica got
+            behind = [rid for rid in stalled if position[rid] < frontier]
+            if not behind:
+                if stalled:
+                    raise stalled[min(stalled)]
+                return
+            for rid in behind:
+                self._diverged(rid, table, "insert")
+                position[rid] += 1
+                del stalled[rid]
 
     def delete(self, table: str, row_id: int) -> None:
         self._fanout("delete", table, lambda r: r.delete(table, row_id))
@@ -651,10 +684,13 @@ class ReplicatedStorageEngine:
                 succeeded = True
         if not succeeded:
             raise errors[0][1]
-        for rid, error in errors:
-            self._record_failure(rid, self.breakers[rid], "write-divergence")
-            self.quarantine.record(rid, table, None, f"write-divergence:{op}")
+        for rid, _ in errors:
+            self._diverged(rid, table, op)
         return result
+
+    def _diverged(self, rid: int, table: str, op: str) -> None:
+        self._record_failure(rid, self.breakers[rid], "write-divergence")
+        self.quarantine.record(rid, table, None, f"write-divergence:{op}")
 
     def _record_failure(self, rid: int, breaker: CircuitBreaker, reason: str) -> None:
         breaker.record_failure()

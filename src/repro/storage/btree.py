@@ -16,7 +16,7 @@ comparable keys (for Concealer: the ciphertext bytes of
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -174,6 +174,43 @@ class BPlusTree:
             new_root = _InnerNode(keys=[separator], children=[self._root, right])
             self._root = new_root
         self._size += 1
+
+    def bulk_load(self, pairs: Iterable[tuple[Any, Any]]) -> None:
+        """Replace the tree's contents from key-sorted ``(key, value)`` pairs.
+
+        One pass, bottom-up (full leaves, then full inner levels), not a
+        descent per pair.  Equal keys are adjacent; values keep their order.
+        """
+        leaves = [_LeafNode()]
+        size = 0
+        for key, value in pairs:
+            leaf = leaves[-1]
+            if leaf.keys and leaf.keys[-1] == key:
+                leaf.values[-1].append(value)
+            else:
+                if len(leaf.keys) == self._order:
+                    leaves.append(_LeafNode())
+                    leaf.next_leaf = leaves[-1]
+                    leaf = leaves[-1]
+                leaf.keys.append(key)
+                leaf.values.append([value])
+            size += 1
+        # ``lows[i]`` is the smallest key under ``level[i]``: the
+        # separator its parent files it under.
+        level: list = leaves
+        lows = [leaf.keys[0] for leaf in leaves] if size else []
+        fan = self._order + 1
+        while len(level) > 1:
+            starts = list(range(0, len(level), fan))
+            if len(level) - starts[-1] == 1:
+                starts[-1] -= 1  # never a one-child node
+            level = [
+                _InnerNode(keys=lows[start + 1 : stop], children=level[start:stop])
+                for start, stop in zip(starts, [*starts[1:], len(level)])
+            ]
+            lows = [lows[start] for start in starts]
+        self._root = level[0]
+        self._size = size
 
     def _insert_into(self, node, key: Any, value: Any):
         """Recursive insert; returns ``(separator, new_right_node)`` on split."""

@@ -13,7 +13,7 @@ leakage experiments analyse.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import chain
+from itertools import chain, islice
 
 from repro import telemetry
 from repro.exceptions import (
@@ -26,6 +26,14 @@ from repro.faults.injector import FaultInjector, NULL_INJECTOR
 from repro.storage.btree import BPlusTree
 from repro.storage.pager import AccessKind, AccessLog, Pager
 from repro.storage.table import Row, Table
+
+
+def _count_rows_written(rows: int) -> None:
+    telemetry.counter(
+        "concealer_storage_rows_written_total",
+        "rows written to storage (inserts, deletes, overwrites)",
+        secrecy=telemetry.PUBLIC_SIZE,
+    ).inc(rows)
 
 
 def _count_rows_read(rows: int) -> None:
@@ -109,9 +117,18 @@ class StorageEngine:
         if (table, column) in self._indexes:
             raise StorageError(f"index on {table}.{column} already exists")
         tree = BPlusTree(order=self._btree_order)
-        for row in tbl.scan():
-            tree.insert(row[position], row.row_id)
+        self._load_index(tbl, tree, position)
         self._indexes[(table, column)] = tree
+
+    @staticmethod
+    def _load_index(tbl: Table, tree: BPlusTree, position: int) -> None:
+        """Bulk-load ``tree`` from the table's column.  Row ids are sorted
+        by key in place (stably: equal keys keep row-id order, as after
+        sequential inserts) and streamed: no list of pairs per index."""
+        rows = tbl._rows
+        row_ids = sorted(rows)
+        row_ids.sort(key=lambda row_id: rows[row_id].columns[position])
+        tree.bulk_load((rows[row_id].columns[position], row_id) for row_id in row_ids)
 
     def has_table(self, name: str) -> bool:
         """Whether a table with this name exists."""
@@ -156,11 +173,7 @@ class StorageEngine:
         tbl._next_row_id = next_row_id
         for column in indexed_columns:
             self.create_index(name, column)
-        telemetry.counter(
-            "concealer_storage_rows_written_total",
-            "rows written to storage (inserts, deletes, overwrites)",
-            secrecy=telemetry.PUBLIC_SIZE,
-        ).inc(len(tbl))
+        _count_rows_written(len(tbl))
         return len(tbl)
 
     # ------------------------------------------------------------------- DML
@@ -182,16 +195,39 @@ class StorageEngine:
             if tname == table:
                 tree.insert(columns[tbl.column_index(column)], row_id)
         self.access_log.record(AccessKind.ROW_WRITE, table, row_id)
-        telemetry.counter(
-            "concealer_storage_rows_written_total",
-            "rows written to storage (inserts, deletes, overwrites)",
-            secrecy=telemetry.PUBLIC_SIZE,
-        ).inc()
+        _count_rows_written(1)
         return row_id
 
-    def insert_many(self, table: str, rows: Sequence[Sequence]) -> list[int]:
-        """Bulk insert; returns the new row ids."""
-        return [self.insert(table, row) for row in rows]
+    def insert_many(self, table: str, rows: Sequence[Sequence], start: int = 0) -> None:
+        """Land ``rows[start:]`` as one bulk write: rows appended, every
+        index bulk-loaded from its key-sorted column, one ``ROW_WRITE``
+        run and one counter increment.
+
+        The transient write fault is consulted before every row; when it
+        (or a malformed row) stops the landing, the rows before it are
+        landed, indexed and logged, and the caller resumes after them.
+        """
+        tbl = self._table(table)
+        fire = self.fault_injector.fire
+        first = tbl._next_row_id
+        try:
+            for columns in islice(rows, start, None):
+                if fire("storage.write.transient") is not None:
+                    raise TransientStorageError(
+                        f"transient write failure inserting into {table!r} (injected)"
+                    )
+                tbl.insert(columns)
+        finally:
+            landed = range(first, tbl._next_row_id)
+            if landed:
+                self._pagers[table].note_row(landed[-1])
+                for (tname, column), tree in self._indexes.items():
+                    if tname == table:
+                        self._load_index(tbl, tree, tbl.column_index(column))
+                self.access_log.record_run(
+                    table, None, (None,), (0,), landed, None, AccessKind.ROW_WRITE
+                )
+                _count_rows_written(len(landed))
 
     def delete(self, table: str, row_id: int) -> None:
         """Delete a row and its index entries."""
@@ -202,11 +238,7 @@ class StorageEngine:
                 tree.delete(row[tbl.column_index(column)], row_id)
         tbl.delete(row_id)
         self.access_log.record(AccessKind.ROW_WRITE, table, row_id)
-        telemetry.counter(
-            "concealer_storage_rows_written_total",
-            "rows written to storage (inserts, deletes, overwrites)",
-            secrecy=telemetry.PUBLIC_SIZE,
-        ).inc()
+        _count_rows_written(1)
 
     def overwrite(self, table: str, row_id: int, columns: Sequence) -> None:
         """Replace a row in place, keeping indexes consistent."""
@@ -219,11 +251,7 @@ class StorageEngine:
                 tree.insert(columns[position], row_id)
         tbl.overwrite(row_id, columns)
         self.access_log.record(AccessKind.ROW_WRITE, table, row_id)
-        telemetry.counter(
-            "concealer_storage_rows_written_total",
-            "rows written to storage (inserts, deletes, overwrites)",
-            secrecy=telemetry.PUBLIC_SIZE,
-        ).inc()
+        _count_rows_written(1)
 
     # ----------------------------------------------------------------- reads
 

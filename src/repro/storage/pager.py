@@ -13,9 +13,10 @@ honest-but-curious service provider's complete view of storage.
 
 The stream is stored *run-length*: a single operation is a plain
 ``(kind, table, detail, query_id)`` tuple, and a batched read (a whole
-packed bin, a trapdoor batch, a scan) is one :class:`_Run` holding the
-observable arguments — the head events' details and the row ids read
-under each — instead of one object per row.  ``AccessEvent`` objects
+packed bin, a trapdoor batch, a scan) or a bulk landing's writes is one
+:class:`_Run` holding the observable arguments — the head events'
+details and the row ids read (or written) under each — instead of one
+object per row.  ``AccessEvent`` objects
 are built only when somebody iterates the log; the volume and
 access-pattern questions the analyses ask are answered from the runs
 directly.  What the host is modelled to see does not change: iterating
@@ -66,14 +67,15 @@ class AccessEvent:
 
 
 class _Run(NamedTuple):
-    """One batched read, stored unexpanded.
+    """One batched read (or bulk write), stored unexpanded.
 
     It stands for: each head event (``head_kind`` with ``heads[i]`` as
-    its detail), followed by a ``ROW_READ`` — and, when
-    ``rows_per_page`` is set, a ``PAGE_READ`` — for every row read under
-    that head.  Head ``i`` owns ``row_ids[starts[i]:starts[i + 1]]``;
-    the last head owns the rest, so a batch that stops early (a
-    transient fault, a scan its consumer abandons) needs no fix-up.
+    its detail), followed by a ``row_kind`` event (``ROW_READ``, or
+    ``ROW_WRITE`` for a landing) — and, when ``rows_per_page`` is set,
+    a ``PAGE_READ`` — for every row under that head.  Head ``i`` owns
+    ``row_ids[starts[i]:starts[i + 1]]``; the last head owns the rest,
+    so a batch that stops early (a transient fault, a scan its consumer
+    abandons) needs no fix-up.
     ``heads`` may be longer than ``starts``: only the first
     ``len(starts)`` heads were observed.
 
@@ -88,6 +90,7 @@ class _Run(NamedTuple):
     starts: Sequence[int]
     row_ids: Sequence[int]
     rows_per_page: int | None  # None: no PAGE_READ per row (table scans)
+    row_kind: AccessKind = AccessKind.ROW_READ
 
     def event_count(self) -> int:
         heads = 0 if self.head_kind is None else len(self.starts)
@@ -95,13 +98,13 @@ class _Run(NamedTuple):
         return heads + per_row * len(self.row_ids)
 
     def events(self) -> Iterator[AccessEvent]:
-        table, query_id, head_kind, heads, starts, row_ids, rows_per_page = self
+        table, query_id, head_kind, heads, starts, row_ids, rows_per_page, row_kind = self
         stops = (*starts[1:], len(row_ids))
         for head, start, stop in zip(heads, starts, stops):
             if head_kind is not None:
                 yield AccessEvent(head_kind, table, head, query_id)
             for row_id in row_ids[start:stop]:
-                yield AccessEvent(AccessKind.ROW_READ, table, row_id, query_id)
+                yield AccessEvent(row_kind, table, row_id, query_id)
                 if rows_per_page is not None:
                     yield AccessEvent(
                         AccessKind.PAGE_READ, table, row_id // rows_per_page, query_id
@@ -155,8 +158,9 @@ class AccessLog:
         starts: Sequence[int],
         row_ids: Sequence[int],
         rows_per_page: int | None,
+        row_kind: AccessKind = AccessKind.ROW_READ,
     ) -> None:
-        """Append one batched read (see :class:`_Run`) in a single step.
+        """Append one batched read or write (see :class:`_Run`) in a single step.
 
         The arguments are kept by reference.  A caller may keep
         appending to ``row_ids`` while its read is still in progress (a
@@ -164,7 +168,7 @@ class AccessLog:
         """
         query_id = self._active_query
         self._append(
-            _Run(table, query_id, head_kind, heads, starts, row_ids, rows_per_page),
+            _Run(table, query_id, head_kind, heads, starts, row_ids, rows_per_page, row_kind),
             query_id,
         )
 
@@ -189,7 +193,8 @@ class AccessLog:
         row_ids: list[int] = []
         for entry in self._by_query.get(query_id, ()):
             if type(entry) is _Run:
-                row_ids.extend(entry.row_ids)
+                if entry.row_kind is AccessKind.ROW_READ:
+                    row_ids.extend(entry.row_ids)
             elif entry[0] == AccessKind.ROW_READ and isinstance(entry[2], int):
                 row_ids.append(entry[2])
         return row_ids
@@ -230,7 +235,9 @@ def _expand(entries: Iterable[tuple]) -> Iterator[AccessEvent]:
 def _rows_read(entries: Iterable[tuple]) -> int:
     """How many ROW_READ events a sequence of log entries stands for."""
     return sum(
-        len(entry.row_ids) if type(entry) is _Run else entry[0] == AccessKind.ROW_READ
+        len(entry.row_ids) * (entry.row_kind is AccessKind.ROW_READ)
+        if type(entry) is _Run
+        else entry[0] == AccessKind.ROW_READ
         for entry in entries
     )
 

@@ -74,3 +74,78 @@ class TestGridKeySeparation:
     def test_derive_grid_key_deterministic_per_epoch(self):
         assert derive_grid_key(KEY, 0) == derive_grid_key(KEY, 0)
         assert derive_grid_key(KEY, 0) != derive_grid_key(KEY, 3600)
+
+
+class TestSharedAllocation:
+    """The allocation is derived once per (key, epoch) and the whole
+    epoch is placed in one pass that every consumer shares."""
+
+    def _count_allocations(self, monkeypatch):
+        from repro.crypto.prf import Prf
+
+        calls = {"cid-alloc": 0}
+        original = Prf.to_int
+
+        def counting(prf, *parts):
+            if parts[0] == b"cid-alloc":
+                calls["cid-alloc"] += 1
+            return original(prf, *parts)
+
+        monkeypatch.setattr(Prf, "to_int", counting)
+        return calls
+
+    def test_vector_is_derived_once_and_indexed(self, monkeypatch):
+        calls = self._count_allocations(monkeypatch)
+        grid = make_grid(u=24, time_local=True)
+        lazy = [make_grid(u=24, time_local=True).cell_id_of(f) for f in range(72)]
+        calls["cid-alloc"] = 0
+        assert grid.cell_id_vector() == lazy
+        assert grid.cell_id_vector() is grid.cell_id_vector()
+        assert [grid.cell_id_of(flat) for flat in range(72)] == lazy
+        assert calls["cid-alloc"] == 72  # one PRF per cell, however often asked
+
+    def test_sharded_encryption_allocates_each_cell_once(self, monkeypatch):
+        # The benchmark's shape in small: more cells (6,000) than the
+        # lazy memo holds (4,096), so the parent's clear-on-overflow
+        # memo re-derived the allocation ~2.6x for a 2-shard fleet.
+        import random
+
+        from repro import DataProvider
+        from repro.sharding.topology import ShardTopology
+
+        calls = self._count_allocations(monkeypatch)
+        spec = GridSpec(dimension_sizes=(50, 120), cell_id_count=600, epoch_duration=7200)
+        provider = DataProvider(
+            WIFI_SCHEMA, spec, first_epoch_id=0, master_key=KEY,
+            time_granularity=60, rng=random.Random(2),
+        )
+        records = [(f"ap{d % 50}", t, f"dev{d}") for t in range(0, 7200, 60) for d in range(4)]
+        packages = provider.encrypt_epoch_sharded(records, 0, ShardTopology(2))
+        assert len(packages) == 2
+        assert calls["cid-alloc"] == spec.total_cells
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 30), st.integers(0, 3599), st.integers(0, 9)),
+            max_size=60,
+        ),
+        st.booleans(),
+    )
+    def test_place_records_is_the_per_record_placement(self, raw, time_local):
+        records = [(f"ap{a}", t, f"dev{d}") for a, t, d in raw]
+        one_pass = make_grid(u=24, time_local=time_local)
+        per_record = make_grid(u=24, time_local=time_local)
+        placement = one_pass.place_records(records)
+        assert placement.grid is one_pass
+        assert placement.buckets == [per_record.time_bucket(r[1]) for r in records]
+        assert placement.flats == [
+            per_record.flat_index(per_record.coords(r)) for r in records
+        ]
+        assert placement.cell_ids == [per_record.place(r) for r in records]
+        chosen = list(range(0, len(records), 3))
+        part = placement.select(chosen)
+        assert part.grid is one_pass
+        assert part.buckets == [placement.buckets[i] for i in chosen]
+        assert part.flats == [placement.flats[i] for i in chosen]
+        assert part.cell_ids == [placement.cell_ids[i] for i in chosen]

@@ -116,6 +116,33 @@ class TestEncodings:
         )
         assert record_side == query_side
 
+    @pytest.mark.parametrize(
+        "schema, record",
+        [
+            (WIFI_SCHEMA, ("ap1", 77, "d1")),
+            (WIFI_SCHEMA, (b"\x00raw", 0, "")),
+            (TPCH_2D_SCHEMA, (1, 2, 3, 4, 5, 6, 7, 8, "R", 999)),
+            (TPCH_4D_SCHEMA, (1, 2, 3, 4, 5, 6, 7, 8, "R", 999)),
+        ],
+    )
+    def test_column_plaintexts_are_the_per_column_encoders(self, schema, record):
+        # Algorithm 1's row assembly encodes each value once; it must
+        # produce the bytes the per-column encoders (and so the query
+        # side) produce.
+        assert schema.column_plaintexts(record) == [
+            *(schema.filter_plaintext(record, group) for group in schema.filter_groups),
+            schema.payload_plaintext(record),
+        ]
+
+    def test_column_plaintexts_survive_pickling(self):
+        import pickle
+
+        record = ("ap1", 77, "d1")
+        WIFI_SCHEMA.column_plaintexts(record)  # warms the cached positions
+        clone = pickle.loads(pickle.dumps(WIFI_SCHEMA))
+        assert clone == WIFI_SCHEMA and hash(clone) == hash(WIFI_SCHEMA)
+        assert clone.column_plaintexts(record) == WIFI_SCHEMA.column_plaintexts(record)
+
     def test_payload_roundtrip(self):
         record = ("ap1", 77, "d1")
         blob = WIFI_SCHEMA.payload_plaintext(record)

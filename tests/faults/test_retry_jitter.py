@@ -96,3 +96,53 @@ class TestDeadlineInBackoff:
             policy.call(flaky(99), deadline=deadline)
         # The failed attempt never slept: the budget died before backoff.
         assert clock.sleeps == [6.0]
+
+
+class TestResumableBudget:
+    """``progress`` gives each stalling point its own budget."""
+
+    @staticmethod
+    def resumable(fail_at):
+        """An operation over items 0..9 that fails at the scheduled
+        attempts (indices into its sequence of item attempts)."""
+        state = {"done": 0, "attempt": 0}
+
+        def fn():
+            while state["done"] < 10:
+                attempt = state["attempt"]
+                state["attempt"] += 1
+                if attempt in fail_at:
+                    raise TransientStorageError(f"item {state['done']}")
+                state["done"] += 1
+            return "landed"
+
+        return fn, state
+
+    def policy(self, clock):
+        return RetryPolicy(attempts=4, base_delay=0.01, clock=clock)
+
+    def test_each_new_stall_starts_at_the_base_delay(self):
+        clock = VirtualClock()
+        fn, state = self.resumable({2, 6, 7})  # item 2 once, item 5 twice
+        assert self.policy(clock).call(fn, progress=lambda: state["done"]) == "landed"
+        assert clock.sleeps == [0.01, 0.01, 0.02]
+
+    def test_without_progress_the_budget_is_shared(self):
+        clock = VirtualClock()
+        fn, _ = self.resumable({2, 6, 7})
+        assert self.policy(clock).call(fn) == "landed"
+        assert clock.sleeps == [0.01, 0.02, 0.04]
+
+    def test_more_stalls_than_attempts_succeed_when_each_moves_on(self):
+        clock = VirtualClock()
+        fn, state = self.resumable({0, 2, 4, 6, 8, 10})  # six items, once each
+        assert self.policy(clock).call(fn, progress=lambda: state["done"]) == "landed"
+        assert clock.sleeps == [0.01] * 6
+
+    def test_one_point_stalling_four_times_exhausts_the_budget(self):
+        clock = VirtualClock()
+        fn, state = self.resumable({3, 4, 5, 6})
+        with pytest.raises(TransientStorageError, match="item 3"):
+            self.policy(clock).call(fn, progress=lambda: state["done"])
+        assert clock.sleeps == [0.01, 0.02, 0.04]
+        assert state["done"] == 3

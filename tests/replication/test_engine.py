@@ -22,6 +22,7 @@ from repro.exceptions import (
     TransientStorageError,
 )
 from repro.faults.clock import VirtualClock
+from repro.faults.injector import FaultEvent, FaultInjector
 from repro.replication import (
     AdmissionController,
     BreakerConfig,
@@ -147,6 +148,140 @@ class TestWritePath:
             engine.insert(TABLE, [b"payload-9", b"k9"])
         # Nothing changed anywhere: safe to retry, nothing to repair.
         assert len(engine.quarantine) == 0
+
+
+def _landing_group(schedule, replicas=3, rows=0):
+    """A group whose replica 0 carries a scheduled injector (the fleet's
+    wiring: peers stay clean), over an empty indexed table."""
+    injector = FaultInjector.from_schedule(
+        [FaultEvent("storage.write.transient", index) for index in schedule]
+    )
+    members = [
+        StorageEngine(fault_injector=injector if rid == 0 else None)
+        for rid in range(replicas)
+    ]
+    engine, _ = build(members, rows=rows)
+    return engine, injector
+
+
+EPOCH = [[b"payload-%d" % i, b"k%02d" % ((i * 7) % 12)] for i in range(12)]
+
+
+class TestBulkLanding:
+    """``insert_many`` is the per-row write fan-out, one landing per replica."""
+
+    def _fanned_out(self, schedule, replicas=3):
+        """The parent's path: one ``insert`` fan-out per row."""
+        engine, injector = _landing_group(schedule, replicas)
+        for row in EPOCH:
+            engine.insert(TABLE, row)
+        return engine, injector
+
+    @staticmethod
+    def _stored(engine):
+        return [
+            [(row.row_id, row.columns) for row in replica.snapshot_rows(TABLE)]
+            for replica in engine.replicas
+        ]
+
+    def test_clean_landing_is_one_run_per_replica(self):
+        engine, _ = _landing_group([])
+        with telemetry.scoped_registry() as registry:
+            assert engine.insert_many(TABLE, EPOCH) is None
+        assert registry.value("concealer_storage_rows_written_total") == 36
+        for replica in engine.replicas:
+            assert len(replica.access_log._entries) == 1
+            assert replica.row_count(TABLE) == replica.index_size(TABLE, "k") == 12
+        assert len(engine.quarantine) == 0
+
+    @pytest.mark.parametrize("schedule", [[0], [5], [11], [3, 4], [2, 9]])
+    def test_faulting_replica_diverges_and_peers_hold_the_epoch(self, schedule):
+        with telemetry.scoped_registry() as reference:
+            expected, expected_injector = self._fanned_out(schedule)
+        engine, injector = _landing_group(schedule)
+        with telemetry.scoped_registry() as registry:
+            engine.insert_many(TABLE, EPOCH)
+
+        # The injector-carrying replica missed exactly the faulted rows
+        # and is quarantined for the table; its peers hold every row.
+        assert engine.replicas[0].row_count(TABLE) == 12 - len(schedule)
+        assert [r.row_count(TABLE) for r in engine.replicas[1:]] == [12, 12]
+        assert engine.quarantine.blocks(0, TABLE)
+        assert [(e.replica_id, e.kind) for e in engine.quarantine.entries] == [
+            (0, "write-divergence:insert")
+        ] * len(schedule)
+        assert engine.tables_needing_repair() == [(0, TABLE)]
+        assert engine.row_count(TABLE) == 12  # maintenance reads skip replica 0
+
+        # ...which is, byte for byte and count for count, what one
+        # fan-out per row left behind.
+        assert self._stored(engine) == self._stored(expected)
+        assert [list(r.access_log) for r in engine.replicas] == [
+            list(r.access_log) for r in expected.replicas
+        ]
+        assert injector.fired == expected_injector.fired
+        assert injector.consultations(
+            "storage.write.transient"
+        ) == expected_injector.consultations("storage.write.transient") == 12
+        for name in (
+            "concealer_storage_rows_written_total",
+            "concealer_faults_fired_total",
+        ):
+            assert registry.label_values(name) == reference.label_values(name)
+        assert failovers_by_reason(registry) == failovers_by_reason(reference)
+        assert failovers_by_reason(registry) == {"write-divergence": len(schedule)}
+        assert engine.breakers[0].state == expected.breakers[0].state
+
+    @pytest.mark.parametrize("k", [0, 6, 11])
+    def test_row_no_replica_lands_raises_and_resumes(self, k):
+        # A one-replica group cannot absorb the fault: it surfaces, with
+        # the rows before it landed, and the caller resumes from there.
+        engine, injector = _landing_group([k], replicas=1)
+        with pytest.raises(TransientStorageError):
+            engine.insert_many(TABLE, EPOCH)
+        assert engine.row_count(TABLE) == k
+        assert len(engine.quarantine) == 0  # nothing diverged
+        engine.insert_many(TABLE, EPOCH, start=engine.row_count(TABLE))
+        stored = [row.columns for row in engine.snapshot_rows(TABLE)]
+        assert stored == [tuple(row) for row in EPOCH]  # each row exactly once
+        assert injector.consultations("storage.write.transient") == 13
+
+    def test_replicas_stalled_at_different_rows(self):
+        # Replica 0 refuses row 2 and replica 1 row 7; replica 2 lands
+        # everything, so both diverge, each missing only its own row.
+        class RefusesRow:
+            def __init__(self, row):
+                self.inner, self.row = StorageEngine(), row
+
+            def insert_many(self, table, rows, start=0):
+                stop = self.row if start <= self.row else len(rows)
+                self.inner.insert_many(table, rows[:stop], start)
+                if stop < len(rows):
+                    self.row = -1
+                    raise TransientStorageError("refused")
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+        engine, _ = build([RefusesRow(2), RefusesRow(7), StorageEngine()], rows=0)
+        engine.insert_many(TABLE, EPOCH)
+        assert [r.row_count(TABLE) for r in engine.replicas] == [11, 11, 12]
+        assert engine.tables_needing_repair() == [(0, TABLE), (1, TABLE)]
+        keys = [
+            [row.columns[1] for row in replica.snapshot_rows(TABLE)]
+            for replica in engine.replicas
+        ]
+        want = [row[1] for row in EPOCH]
+        assert keys == [want[:2] + want[3:], want[:7] + want[8:], want]
+
+    def test_lost_table_on_one_replica_diverges_at_the_first_row(self):
+        engine, _ = _landing_group([])
+        engine.replicas[2].drop_table(TABLE)
+        engine.insert_many(TABLE, EPOCH)
+        assert [r.row_count(TABLE) for r in engine.replicas[:2]] == [12, 12]
+        assert not engine.replicas[2].has_table(TABLE)
+        assert len(engine.quarantine.entries) == 12  # one per row, as per-row did
+        assert engine.quarantine.blocks(2, TABLE)
 
 
 class TestReadFailover:

@@ -175,3 +175,78 @@ class TestProperties:
         got = [k for k, _ in tree.range(low, high)]
         expected = sorted({k for k in keys if low <= k <= high})
         assert got == expected
+
+
+class TestBulkLoad:
+    """``bulk_load(sorted pairs)`` is the tree sequential inserts build,
+    under every read — and stays one under later mutation (rotation and
+    §6 rewrites insert into and delete from a bulk-loaded index)."""
+
+    @staticmethod
+    def _same(loaded: BPlusTree, grown: BPlusTree, probes) -> None:
+        assert list(loaded.items()) == list(grown.items())
+        assert list(loaded.keys()) == list(grown.keys())
+        assert len(loaded) == len(grown) == loaded.size
+        for key in probes:
+            assert loaded.get(key) == grown.get(key)
+            assert loaded.contains(key) == grown.contains(key)
+        low, high = min(probes, default=0), max(probes, default=0)
+        for bounds in ((low, high), (low + 3, high - 3), (high, low)):
+            assert list(loaded.range(*bounds)) == list(grown.range(*bounds))
+
+    def test_empty_and_single(self):
+        tree = BPlusTree(order=3)
+        tree.bulk_load([])
+        assert len(tree) == 0 and list(tree.items()) == [] and tree.get(1) == []
+        tree.bulk_load([(7, "a")])
+        assert tree.get(7) == ["a"] and tree.height() == 1
+
+    def test_replaces_what_the_tree_held(self):
+        tree = BPlusTree(order=4)
+        for key in range(50):
+            tree.insert(key, key)
+        tree.bulk_load([(100, "x"), (100, "y"), (101, "z")])
+        assert list(tree.items()) == [(100, ["x", "y"]), (101, ["z"])]
+        assert len(tree) == 3 and tree.get(3) == []
+
+    @pytest.mark.parametrize("order", [3, 4, 64])
+    def test_full_leaves_and_no_one_child_node(self, order):
+        # (order + 1) full leaves + 1: the shape whose naive chunking
+        # leaves a one-child inner node at the tail.
+        count = order * (order + 2)
+        tree = BPlusTree(order=order)
+        tree.bulk_load((key, key) for key in range(count))
+        level = [tree._root]
+        while not level[0].is_leaf:
+            assert all(len(node.children) >= 2 for node in level)
+            assert all(len(node.keys) == len(node.children) - 1 for node in level)
+            level = [child for node in level for child in node.children]
+        assert [len(leaf.keys) for leaf in level[:-1]] == [order] * (len(level) - 1)
+        assert tree.height() <= 3
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from([3, 4, 7, 64]),
+        st.lists(st.integers(0, 120), max_size=300),
+        st.lists(
+            st.tuples(st.booleans(), st.integers(-5, 125), st.integers(0, 400)),
+            max_size=60,
+        ),
+    )
+    def test_equals_sequential_inserts_and_stays_equal(self, order, keys, edits):
+        # Duplicate keys on purpose: values keep the order given.
+        pairs = sorted((key, value) for value, key in enumerate(keys))
+        loaded, grown = BPlusTree(order=order), BPlusTree(order=order)
+        loaded.bulk_load(iter(pairs))
+        for key, value in pairs:
+            grown.insert(key, value)
+        probes = range(-6, 127)
+        self._same(loaded, grown, probes)
+        for insert, key, value in edits:
+            if insert:
+                loaded.insert(key, value)
+                grown.insert(key, value)
+            else:
+                chosen = value if value % 3 else None  # one value, or the key
+                assert loaded.delete(key, chosen) == grown.delete(key, chosen)
+        self._same(loaded, grown, probes)

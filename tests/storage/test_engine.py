@@ -254,3 +254,105 @@ class TestBatchedReadBookkeeping:
             (AccessKind.ROW_READ, 0, qid),
             (AccessKind.ROW_READ, 1, qid),
         ]
+
+
+class TestBulkLanding:
+    """``insert_many`` is the per-row loop, observably, and resumable."""
+
+    ROWS = [[b"p%d" % i, b"k%02d" % ((i * 7) % 10)] for i in range(10)]
+
+    def _engine(self, injector=None, order=4):
+        engine = StorageEngine(btree_order=order, fault_injector=injector)
+        engine.create_table("t", ["payload", "k"])
+        engine.create_index("t", "k")
+        return engine
+
+    def _per_row(self, injector=None):
+        """The loop the landing replaced: retry one ``insert`` at a time."""
+        engine = self._engine(injector)
+        for row in self.ROWS:
+            while True:
+                try:
+                    engine.insert("t", row)
+                    break
+                except TransientStorageError:
+                    pass
+        return engine
+
+    @staticmethod
+    def _view(engine):
+        return (
+            list(engine.access_log),
+            [(row.row_id, row.columns) for row in engine.snapshot_rows("t")],
+            list(engine._indexes[("t", "k")].items()),
+            engine.index_size("t", "k"),
+        )
+
+    def test_one_run_one_increment_same_view(self):
+        with telemetry.scoped_registry() as reference:
+            expected = self._per_row()
+        engine = self._engine()
+        with telemetry.scoped_registry() as registry:
+            assert engine.insert_many("t", self.ROWS) is None
+        assert len(engine.access_log._entries) == 1
+        assert self._view(engine) == self._view(expected)
+        assert [e.kind for e in engine.access_log] == [AccessKind.ROW_WRITE] * 10
+        written = "concealer_storage_rows_written_total"
+        assert registry.value(written) == reference.value(written) == 10
+        for key in (b"k00", b"k07", b"k09", b"zz"):
+            assert engine.lookup("t", "k", key) == expected.lookup("t", "k", key)
+
+    @pytest.mark.parametrize("k", [0, 4, 9], ids=["first", "middle", "last"])
+    def test_transient_at_row_k_lands_every_row_exactly_once(self, k):
+        schedule = [FaultEvent("storage.write.transient", k)]
+        reference = FaultInjector.from_schedule(schedule)
+        expected = self._per_row(reference)
+
+        injector = FaultInjector.from_schedule(schedule)
+        engine = self._engine(injector)
+        with telemetry.scoped_registry() as registry:
+            with pytest.raises(TransientStorageError):
+                engine.insert_many("t", self.ROWS)
+            # Rows before the fault are landed, indexed and logged.
+            assert engine.row_count("t") == engine.index_size("t", "k") == k
+            assert len(engine.access_log) == k
+            assert registry.value("concealer_storage_rows_written_total") == k
+            # The resume rule: start where the table stands.
+            engine.insert_many("t", self.ROWS, start=engine.row_count("t"))
+        assert registry.value("concealer_storage_rows_written_total") == 10
+        assert self._view(engine) == self._view(expected)
+        assert injector.fired == reference.fired == schedule
+        assert (
+            injector.consultations("storage.write.transient")
+            == reference.consultations("storage.write.transient")
+            == 11
+        )
+
+    def test_malformed_row_keeps_the_rows_before_it(self):
+        engine = self._engine()
+        with pytest.raises(StorageError):
+            engine.insert_many("t", [*self.ROWS[:3], [b"too-short"], *self.ROWS[3:]])
+        assert engine.row_count("t") == engine.index_size("t", "k") == 3
+        assert len(engine.access_log) == 3
+
+    def test_landing_invalidates_sidecars_and_grows_the_page_count(self):
+        engine = self._engine()
+        engine.store_agg_tree("t", object())
+        engine.insert_many("t", self.ROWS)
+        assert not engine.has_agg_tree("t")
+        assert engine._pagers["t"].page_count == 1
+        engine.insert_many("t", [[b"p", b"k%02d" % i] for i in range(60)])
+        assert engine._pagers["t"].page_count == 2
+        assert engine.index_size("t", "k") == engine.row_count("t") == 70
+
+    def test_create_index_and_rebuild_use_the_same_loader(self):
+        engine = self._engine()
+        engine.insert_many("t", self.ROWS)
+        engine.delete("t", 3)
+        snapshot = engine.snapshot_rows("t")
+        other = StorageEngine(btree_order=4)
+        other.rebuild_table("t", ["payload", "k"], snapshot, ["k"])
+        assert list(other._indexes[("t", "k")].items()) == list(
+            engine._indexes[("t", "k")].items()
+        )
+        assert other.insert("t", [b"new", b"k03"]) == 10  # ids keep advancing

@@ -93,6 +93,21 @@ class TestAccessLog:
         assert log._entries[0].row_ids is row_ids
         assert len(log) == 1 + 2 * 512
 
+    def test_write_run_is_one_entry_of_row_writes_and_no_reads(self):
+        log = AccessLog()
+        qid = log.begin_query()
+        log.record_run("t", None, (None,), (0,), range(5, 9), None, AccessKind.ROW_WRITE)
+        log.end_query()
+        assert len(log._entries) == 1 and len(log) == 4
+        assert [(e.kind, e.detail, e.query_id) for e in log] == [
+            (AccessKind.ROW_WRITE, row_id, qid) for row_id in range(5, 9)
+        ]
+        # Writes are not fetch volume: the leakage analyses never see them.
+        assert log.rows_fetched(qid) == 0
+        assert log.row_ids_fetched(qid) == []
+        assert log.per_query_volumes() == {}
+        assert log.events(AccessKind.ROW_READ) == []
+
     def test_open_scan_run_grows_with_the_scan(self):
         log = AccessLog()
         qid = log.begin_query()
@@ -166,6 +181,9 @@ _OPERATIONS = st.one_of(
     ),
     st.tuples(st.just("scan"), _TABLES, _ROW_IDS),
     st.tuples(st.just("row"), _TABLES, st.integers(0, 500), _ROWS_PER_PAGE),
+    # A bulk landing: the ids of the rows it appended (none, if a fault
+    # stopped it at its first row — then nothing is logged at all).
+    st.tuples(st.just("land"), _TABLES, st.integers(0, 500), st.integers(0, 40)),
 )
 
 
@@ -226,6 +244,15 @@ def _apply(op, log: AccessLog, ref: _ReferenceLog) -> None:
         _, table, row_id, rows_per_page = op
         log.record_run(table, None, (None,), (0,), (row_id,), rows_per_page)
         ref.read_row(table, row_id, rows_per_page)
+    elif name == "land":
+        _, table, first, count = op
+        landed = range(first, first + count)
+        if landed:  # the engine's rule: an empty landing writes no run
+            log.record_run(
+                table, None, (None,), (0,), landed, None, AccessKind.ROW_WRITE
+            )
+        for row_id in landed:
+            ref.record(AccessKind.ROW_WRITE, table, row_id)
 
 
 class TestRunLengthLogMatchesPerEventLog:
