@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test chaos replication-chaos shard-chaos shard-replication-chaos serve demo bench bench-json bench-smoke bench-e2e-smoke bench-longrange throughput-budget throughput-budget-baseline trace-overhead metrics-smoke lint loc profile
+.PHONY: test chaos replication-chaos shard-chaos shard-replication-chaos serve demo bench bench-json bench-smoke bench-e2e-smoke bench-longrange trace-overhead metrics-smoke lint loc profile
 
 # Where `make bench-json` writes its machine-readable metrics.
 BENCH_OUT ?= BENCH_local.json
@@ -80,24 +80,6 @@ bench-e2e-smoke:
 bench-longrange:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest \
 		benchmarks/bench_exp14_longrange.py -q
-
-# The per-stage throughput gate: decompose the query pipeline into
-# fetch/verify/aggregate/decrypt via tracing spans on a packed and a
-# scalar stack, and fail if any packed/scalar speedup ratio slides
-# >25% below the committed budget (absolute rows/s stays
-# informational — shared-runner speed is not a signal).  Regenerate
-# after an intentional change with:
-#   make throughput-budget-baseline
-throughput-budget:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_stage_budget.py \
-		--out STAGE_pr.json
-	$(PYTHON) benchmarks/check_regression.py \
-		--baseline benchmarks/results/stage_budget.json \
-		--candidate STAGE_pr.json --max-regression 0.25
-
-throughput-budget-baseline:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_stage_budget.py \
-		--budget --out benchmarks/results/stage_budget.json
 
 # The tracing-cost gate: the same workload with the tracer off vs on,
 # compared as a drift-cancelling paired ratio; >10% wall-time overhead

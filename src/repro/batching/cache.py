@@ -64,11 +64,11 @@ def _occupancy():
 
 @dataclass(frozen=True)
 class CachedBin:
-    """One resident bin: its verified payload and the fence stamp.
+    """One resident unit: its verified payload and the fence stamp.
 
-    ``rows`` is either a tuple of scalar rows or a
-    :class:`~repro.core.packed.PackedBin` (the columnar layout is cached
-    in packed form — unpacking would forfeit the vectorized hot path).
+    ``rows`` is what the fetcher admitted — a
+    :class:`~repro.core.packed.PackedBin`, whichever fetch kind it came
+    by, or one aggregate-tree node.
     """
 
     rows: tuple | object
@@ -161,9 +161,9 @@ class BinCache:
         if generation != getattr(self.engine, "rewrite_generation", 0):
             return False
         if hasattr(rows, "nbytes"):
-            # Packed bins carry their exact resident size; charging the
-            # per-row estimate would mis-account the EPC (a packed bin
-            # is typically much denser than row_bytes × rows).
+            # Packed bins and tree nodes carry their exact resident
+            # size; charging the per-row estimate would mis-account the
+            # EPC (a packed bin is much denser than row_bytes × rows).
             stored = rows
             charged = int(rows.nbytes)
         else:

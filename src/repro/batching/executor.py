@@ -84,11 +84,13 @@ class ParallelFetchExecutor:
         if not units:
             return stats
         stats.bins_fetched = len(units)
-        # Packed fetches are dominated by batched, GIL-bound kernel
-        # crypto and a storage round-trip serialised by the engine lock,
-        # so worker threads only add contention — run them inline.
-        packed = getattr(self.fetcher, "packed", False)
-        if packed or self.workers == 1 or len(units) == 1:
+        # An epoch landed with its sidecar is read by batched, GIL-bound
+        # kernel calls around a storage round-trip the engine lock
+        # serialises, so worker threads only add contention — run it
+        # inline; the pool is for epochs landed without one, read by
+        # trapdoor, whose derivation it overlaps.
+        sealed = all(context.package.packed_bins for context, _ in units)
+        if sealed or self.workers == 1 or len(units) == 1:
             for context, fetch_bin in units:
                 rows, verified = self.fetcher.fetch_entry_any(
                     context, fetch_bin, stats,

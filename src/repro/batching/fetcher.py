@@ -7,23 +7,31 @@ can be reused — within a batch (the :class:`BatchOverlay`) and across
 requests (the :class:`~repro.batching.cache.BinCache`) — without any
 caller-visible change in answers.
 
-A bin comes in two representations — scalar rows fetched by trapdoor,
-or the packed columnar sidecar — and both go through the same three
-steps: :meth:`BinFetcher._fetch_shared` (overlay), ``_fetch_entry``
-(cache, then packed-before-scalar) and ``_fetch_from_storage`` (fence
-stamp → fetch → ensure-verified → cache insert).  The fetcher always
-hands its verifier to :class:`~repro.core.context.EpochContext`, whose
-fetch shell reports whether the engine — a replica group — could run it
-on every replica attempt (DESIGN.md §9, *Verified read*).
+A bin reaches the enclave by one of two fetch kinds — the engine's
+sealed columnar sidecar read whole, or rows pulled by trapdoor and
+packed at the fetch boundary — and is a
+:class:`~repro.core.packed.PackedBin` from there on, so the overlay and
+the cache hold one form (DESIGN.md §16).  Which kind runs is decided by
+what the engine holds and what the method needs, never by an option:
+the sidecar when there is one, trapdoors when there is not (a rotated,
+§6-rewritten or repaired table, a sidecar-less replica) and always
+under oblivious execution, whose guarantee covers the trapdoor schedule
+only.  Every fetch goes through the same three steps:
+:meth:`BinFetcher.fetch_bin_any` (overlay), ``fetch_entry_any`` (cache)
+and ``_fetch_from_storage`` (fence stamp → fetch → ensure-verified →
+cache insert).  The fetcher always asks
+:class:`~repro.core.context.EpochContext` to verify, whose fetch shell
+reports whether the engine — a replica group — could do so on every
+replica attempt (DESIGN.md §9, *Verified read*).
 
 Verification invariant: whenever a fetched bin may be *reused* (an
 overlay or cache is active) and the service verifies, the bin's hash
 chains are checked **before** it becomes reusable.  A later consumer
-of the cached rows therefore never needs to re-verify, and a tampered
+of the cached bin therefore never needs to re-verify, and a tampered
 batch is rejected before it can poison the cache.  With neither
 overlay nor cache in play, a bin from a plain engine is handed back
-unverified and the executor verifies the combined row set at the end
-of the query.
+unverified and the executor verifies the whole batch at the end of the
+query.
 """
 
 from __future__ import annotations
@@ -42,20 +50,13 @@ def _bin_reuses():
     )
 
 
-def _is_packed(payload) -> bool:
-    """Duck-typed PackedBin check (avoids importing repro.core here)."""
-    return hasattr(payload, "row_count") and hasattr(payload, "unpack")
-
-
 class BatchOverlay:
-    """Per-batch map of already-fetched bins: (table, bin_index) → rows.
+    """Per-batch map of already-fetched bins: (table, bin_index) →
+    (packed bin, verified).
 
-    Entries hold either a tuple of scalar rows or a packed bin (the
-    columnar path shares bins in packed form so reuse keeps the
-    vectorized STEP 4).  Lives only for one ``execute_batch`` call, so
-    it needs no fencing — a rewrite cannot interleave with the
-    read-only batch that owns it.  Thread-safe because the parallel
-    prefetch fills it concurrently.
+    Lives only for one ``execute_batch`` call, so it needs no fencing —
+    a rewrite cannot interleave with the read-only batch that owns it.
+    Thread-safe because the parallel prefetch fills it concurrently.
     """
 
     def __init__(self):
@@ -66,10 +67,9 @@ class BatchOverlay:
         with self._lock:
             return self._entries.get(key)
 
-    def put(self, key: tuple[str, int], rows, verified: bool) -> None:
-        payload = rows if _is_packed(rows) else tuple(rows)
+    def put(self, key: tuple[str, int], packed, verified: bool) -> None:
         with self._lock:
-            self._entries[key] = (payload, verified)
+            self._entries[key] = (packed, verified)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -109,16 +109,11 @@ class BinFetcher:
     from a cache would make the trace depend on the access history.
     """
 
-    def __init__(self, engine, oblivious=False, verify=False, cache=None, packed=True):
+    def __init__(self, engine, oblivious=False, verify=False, cache=None):
         self.engine = engine
         self.oblivious = oblivious
         self.verify = verify
         self.cache = cache
-        # Whole-bin columnar fetches (the vectorized hot path).  Forced
-        # off under oblivious execution: Concealer+'s guarantee is a
-        # per-query-identical in-enclave trace, which only the scalar
-        # trapdoor schedule provides.
-        self.packed = packed and not oblivious
         # Engines (and their access logs / breakers) are not reentrant;
         # concurrent prefetch workers serialise the storage round-trip
         # and parallelise what surrounds it (trapdoor generation,
@@ -127,90 +122,47 @@ class BinFetcher:
 
     # ------------------------------------------------------------ query path
 
-    def fetch_bin(
-        self, context, fetch_bin, stats: QueryStats, deadline=None, overlay=None
-    ) -> list:
-        """Retrieve one whole bin as scalar rows, reusing where possible."""
-        return self._fetch_shared(context, fetch_bin, stats, deadline, overlay, False)
-
     def fetch_bin_any(
         self, context, fetch_bin, stats: QueryStats, deadline=None, overlay=None
     ):
-        """Like :meth:`fetch_bin`, preferring the packed representation.
-
-        Returns a :class:`~repro.core.packed.PackedBin` when the engine
-        holds one for this table, otherwise a scalar row list — the
-        caller dispatches STEP 4 on the returned kind.
-        """
-        return self._fetch_shared(
-            context, fetch_bin, stats, deadline, overlay, self.packed
-        )
-
-    def _fetch_shared(self, context, fetch_bin, stats, deadline, overlay, packed):
-        """Overlay → cache → storage for one bin; fills the overlay."""
+        """Retrieve one whole bin, packed: overlay → cache → storage;
+        fills the overlay."""
         key = (context.table_name, fetch_bin.index)
         shared = overlay.get(key) if overlay is not None else None
         if shared is not None:
-            payload, verified = shared
-            self._count_reuse(stats, payload, verified)
-        else:
-            reusable = overlay is not None or self._cache_active()
-            payload, verified = self._fetch_entry(
-                context, fetch_bin, stats, deadline, reusable, packed
-            )
-            if overlay is not None:
-                overlay.put(key, payload, verified)
-        if not _is_packed(payload):
-            return list(payload)
-        # A packed entry unpacks bit-identically for scalar consumers.
-        return payload if packed else payload.unpack()
-
-    def fetch_bin_entry(
-        self, context, fetch_bin, stats: QueryStats, deadline=None,
-        ensure_verified=False,
-    ) -> tuple[tuple, bool]:
-        """Cache-then-storage retrieval; returns ``(rows, verified)``."""
-        return self._fetch_entry(
-            context, fetch_bin, stats, deadline, ensure_verified, False
+            packed, verified = shared
+            _bin_reuses().inc()
+            self._count_hit(stats, packed, verified)
+            return packed
+        packed, verified = self.fetch_entry_any(
+            context, fetch_bin, stats, deadline,
+            ensure_verified=overlay is not None or self._cache_active(),
         )
+        if overlay is not None:
+            overlay.put(key, packed, verified)
+        return packed
 
     def fetch_entry_any(
         self, context, fetch_bin, stats: QueryStats, deadline=None,
         ensure_verified=False,
     ) -> tuple[object, bool]:
-        """Packed-preferring cache-then-storage retrieval.
-
-        Returns ``(payload, verified)`` where payload is a packed bin
-        when available, else a scalar row tuple (the engine had no
-        packed sidecar — post-insert, post-repair, post-rotation).
-        """
-        return self._fetch_entry(
-            context, fetch_bin, stats, deadline, ensure_verified, self.packed
-        )
-
-    def _fetch_entry(
-        self, context, fetch_bin, stats, deadline, ensure_verified, packed
-    ) -> tuple[object, bool]:
+        """Cache-then-storage retrieval; returns ``(packed, verified)``."""
         if self._cache_active():
             entry = self.cache.lookup(
                 context.table_name, fetch_bin.index, require_verified=self.verify
             )
             if entry is not None:
                 self._count_hit(stats, entry.rows, entry.verified)
-                if _is_packed(entry.rows) and not packed:
-                    return tuple(entry.rows.unpack()), entry.verified
                 return entry.rows, entry.verified
             stats.cache_misses += 1
-        payload = None
-        if packed:
-            payload, verified = self._fetch_from_storage(
-                context, fetch_bin, stats, deadline, ensure_verified, True
-            )
-        if payload is None:
-            payload, verified = self._fetch_from_storage(
-                context, fetch_bin, stats, deadline, ensure_verified, False
-            )
-        return payload, verified
+        return self._fetch_from_storage(
+            context, fetch_bin, stats, deadline, ensure_verified
+        )
+
+    # Caller-less: kept only because the repo benchmark's span table
+    # (benchmarks/e2e/spans.py, ENTRY_POINTS) names them.
+    fetch_bin = fetch_bin_any
+    fetch_bin_entry = fetch_entry_any
 
     def fetch_tree_nodes(
         self, context, meta, coords, stats: QueryStats, deadline=None
@@ -272,56 +224,44 @@ class BinFetcher:
     # ---------------------------------------------------------- storage path
 
     def _fetch_from_storage(
-        self, context, fetch_bin, stats: QueryStats, deadline, ensure_verified,
-        packed: bool,
+        self, context, fetch_bin, stats: QueryStats, deadline, ensure_verified
     ) -> tuple[object, bool]:
-        """Fence-stamp → fetch → ensure-verified → cache-insert, for a
-        bin in either representation; ``(None, False)`` says there is no
-        packed sidecar and the scalar rows are needed."""
+        """Fence-stamp → fetch → ensure-verified → cache-insert for one
+        bin, by whichever fetch kind the engine can serve."""
         engine = self.engine
         # Fence stamp *before* the read: rows racing a rewrite must not
         # be cached under the post-rewrite generation.
         generation = getattr(engine, "rewrite_generation", 0)
-        # The verifier is always handed down; whether the engine could
-        # run it per replica attempt comes back as ``verified``.
-        if not self.verify:
-            verify = None
-        elif packed:
-            verify = lambda packed_bin, cells: context.verify_packed(
-                [packed_bin], cells
-            )
-        else:
-            verify = context.verify_rows
-        if packed:
+        packed = None
+        if not self.oblivious:
             with self._engine_lock:
-                payload, verified = context.fetch_packed(
-                    engine, fetch_bin, stats, deadline=deadline, verifier=verify
+                packed, verified = context.fetch_packed(
+                    engine, fetch_bin, stats, deadline=deadline, verify=self.verify
                 )
-            if payload is None:
-                return None, False
-        else:
-            # Trapdoor derivation stays outside the engine lock.
+        if packed is None:
+            # No sidecar (or the oblivious schedule): the trapdoor
+            # fetch.  Trapdoor derivation stays outside the engine lock.
             if self.oblivious:
                 trapdoors = context.oblivious_trapdoors_for_bin(fetch_bin)
             else:
                 trapdoors = context.trapdoors_for_bin(fetch_bin)
             with self._engine_lock:
-                rows, verified = context.fetch(
+                packed, verified = context.fetch(
                     engine, trapdoors, stats, deadline=deadline,
-                    verifier=verify, cells=fetch_bin.cell_ids,
+                    verify=self.verify, cells=fetch_bin.cell_ids,
+                    bin_index=fetch_bin.index,
                 )
-            payload = tuple(rows)
-        if verify is not None and ensure_verified and not verified:
+        if self.verify and ensure_verified and not verified:
             # The bin becomes reusable, so it must be checked *now*:
             # a later overlay/cache consumer will trust it as-is.
-            verify(payload, fetch_bin.cell_ids)
+            context.verify_packed([packed], fetch_bin.cell_ids)
             verified = True
             stats.verified = True
         if self._cache_active():
             self.cache.insert(
-                context.table_name, fetch_bin.index, payload, verified, generation
+                context.table_name, fetch_bin.index, packed, verified, generation
             )
-        return payload, verified
+        return packed, verified
 
     # ------------------------------------------------------------ accounting
 
@@ -333,7 +273,3 @@ class BinFetcher:
         stats.rows_from_cache += len(rows)
         if self.verify and verified:
             stats.verified = True
-
-    def _count_reuse(self, stats: QueryStats, rows, verified: bool) -> None:
-        _bin_reuses().inc()
-        self._count_hit(stats, rows, verified)

@@ -10,9 +10,12 @@ EPC budget.
 The context also provides the building blocks every executor shares:
 
 - trapdoor generation for a set of cell-ids + fake ids (STEP 3),
+- the two fetch kinds — a sealed bin read whole, or rows pulled by
+  trapdoor and packed at this boundary — both handing back a
+  :class:`~repro.core.packed.PackedBin` (DESIGN.md §16),
 - DET filter generation for predicates over timestamp sets,
-- hash-chain verification of fetched rows against the verifiable tags,
-- plain and oblivious row filtering (STEP 4 and §4.3).
+- hash-chain verification of a fetched batch against the verifiable tags,
+- columnar and (§4.3) oblivious filtering, and payload decryption.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from repro.core.epoch import (
     index_plaintext,
 )
 from repro.core.grid import Grid
+from repro.core.packed import PackedBin
 from repro.core.queries import Predicate, QueryStats
 from repro.core.schema import DatasetSchema
 from repro.crypto.det import DeterministicCipher
@@ -137,6 +141,12 @@ class EpochContext:
             raise
         self.fake_pool_size = package.fake_count
         self._super_layouts: dict[int, object] = {}
+        # What the range executor sizes its fetches by (the eBPB budget
+        # state, the winSecRange window budget per λ): derived from this
+        # epoch's metadata, so it is kept here and nowhere else — a
+        # table on the side, keyed by anything that outlives the
+        # context, hands one epoch's budget to another.
+        self.range_sizing: dict = {}
         # Aggregate-tree state, decrypted lazily on first tree-path
         # query: (engine generation, (meta, directory) | None).
         self._tree_state: tuple[int, object] | None = None
@@ -184,13 +194,14 @@ class EpochContext:
     ) -> list[bytes]:
         """DET filter ciphertexts for (predicate values × timestamps).
 
-        Table 4's "SM using the filters E_k(l|t_1) ... E_k(l|t_x)".
+        Table 4's "SM using the filters E_k(l|t_1) ... E_k(l|t_x)",
+        for every value combination a wildcard predicate names.
         """
+        timestamps = list(timestamps)
         return self.det_kernel.encrypt_many(
             [
-                self.schema.filter_plaintext_for_values(
-                    predicate.group, predicate.values, t
-                )
+                self.schema.filter_plaintext_for_values(predicate.group, values, t)
+                for values in predicate.combinations()
                 for t in timestamps
             ]
         )
@@ -386,25 +397,72 @@ class EpochContext:
                     stats.verified = True
                 return answer, verified
 
+    def pack_rows(self, rows: Sequence[Row], bin_index: int = 0) -> PackedBin:
+        """The pack boundary: fetched rows → the one in-enclave form.
+
+        Rows come from the untrusted host, so a batch that is not a
+        table of fixed-width byte cells is a typed integrity violation
+        here, never a crash further in.  No rows at all pack to a
+        zero-row bin of the table's arity — a fetch may ask for nothing,
+        and whether an empty answer is a violation is the cell
+        binding's call (:meth:`_require_cells`).
+        """
+        if not rows:
+            # Filters, payload, index key; width 1 because numpy has no
+            # zero-width string dtype to view an empty column through.
+            arity = len(self.schema.filter_groups) + 2
+            return PackedBin(bin_index, 0, (1,) * arity, (b"",) * arity, ())
+        try:
+            return PackedBin.pack(bin_index, rows)
+        except ValueError as error:
+            raise IntegrityViolation(
+                f"fetched batch is not a well-formed bin: {error}",
+                epoch_id=self.epoch_id,
+                table=self.table_name,
+                kind="malformed-batch",
+            ) from error
+
     def fetch(
         self,
         engine: StorageEngine,
         trapdoors: Sequence[bytes],
         stats: QueryStats,
         deadline=None,
-        verifier=None,
+        verify: bool = False,
         cells: Sequence[int] | None = None,
-    ) -> tuple[list[Row], bool]:
-        """Submit trapdoors to the DBMS and pull the rows (one row per
-        trapdoor, ~256 B of ciphertext each); ``(rows, verified)``."""
+        bin_index: int = 0,
+    ) -> tuple[PackedBin, bool]:
+        """The trapdoor fetch kind: submit trapdoors to the DBMS, pull
+        the rows (one per trapdoor, ~256 B of ciphertext each) and pack
+        them here, once; ``(packed, verified)``.
+
+        With ``verify`` a replica group packs and verifies each
+        replica's answer before accepting it, so a malformed or
+        tampered batch costs a failover there and not the query.  A
+        fetch retrieves complete cell-id populations, so checking it
+        alone is sound even before a range method de-duplicates across
+        its fetches.
+        """
+        packed = None
+
+        def verifier(rows, expected):
+            nonlocal packed  # the last answer verified is the one accepted
+            packed = self.pack_rows(rows, bin_index)
+            self.verify_packed([packed], expected)
+
         stats.trapdoors_generated += len(trapdoors)
         rows, verified = self._fetch(
             engine, "lookup_many", ("index_key", list(trapdoors)),
-            stats, deadline, verifier, cells, 256 * len(trapdoors),
-            stage="fetch", trapdoors=len(trapdoors),
+            stats, deadline, verifier if verify else None, cells,
+            256 * len(trapdoors), stage="fetch", trapdoors=len(trapdoors),
         )
         stats.rows_fetched += len(rows)
-        return rows, verified
+        if not rows and not verify:
+            # Verification reports an empty answer to a populated
+            # request (and counts it); without it the answer is still
+            # plainly wrong, no key needed to tell.
+            self._require_cells((), cells)
+        return (packed if verified else self.pack_rows(rows, bin_index)), verified
 
     def fetch_packed(
         self,
@@ -412,17 +470,19 @@ class EpochContext:
         chosen: Bin,
         stats: QueryStats,
         deadline=None,
-        verifier=None,
-    ) -> tuple[object, bool]:
-        """Whole-bin columnar fetch of ``chosen`` — the vectorized STEP 3.
+        verify: bool = False,
+    ) -> tuple[PackedBin | None, bool]:
+        """The sidecar fetch kind: one sealed bin, read whole.
 
-        Returns ``(packed, verified)``; ``packed`` is ``None`` when no
-        packed sidecar exists for this table (after a dynamic insert, a
-        repair or a rotation) — the caller then falls back to the
-        scalar trapdoor fetch, which is authoritative for errors.  The
-        bin transits the enclave whole either way, so the EPC charge is
-        the scalar fetch's.
+        Returns ``(packed, verified)``; ``packed`` is ``None`` when the
+        engine holds no sidecar for this table (after a dynamic insert,
+        a repair or a rotation) — the caller then makes the trapdoor
+        fetch, which is authoritative for errors.  The bin transits the
+        enclave whole either way, so the EPC charge is the same.
         """
+        verifier = None
+        if verify:
+            verifier = lambda packed, cells: self.verify_packed([packed], cells)
         packed, verified = self._fetch(
             engine, "fetch_packed_bin", (chosen.index,),
             stats, deadline, verifier, chosen.cell_ids, 256 * chosen.total_tuples,
@@ -430,8 +490,8 @@ class EpochContext:
         )
         if packed is not None:
             # Volume counters move only once the fetch is known to have
-            # gone the packed way — a None fallback leaves them for the
-            # scalar path to account.
+            # gone the sidecar way — a None fallback leaves them for
+            # the trapdoor fetch to account.
             stats.trapdoors_generated += chosen.total_tuples
             _count_tuples(chosen.real_tuples, chosen.fake_count)
             stats.rows_fetched += packed.row_count
@@ -613,7 +673,16 @@ class EpochContext:
     def verify_rows(
         self, rows: Sequence[Row], expected_cells: Sequence[int] | None = None
     ) -> None:
-        """STEP 4 (optional): hash-chain verification of fetched rows.
+        """Row-facing entry of :meth:`verify_packed`: pack, then verify."""
+        self.verify_packed([self.pack_rows(rows)], expected_cells)
+
+    def verify_packed(
+        self,
+        packed_bins: Sequence[PackedBin],
+        expected_cells: Sequence[int] | None = None,
+        keep=None,
+    ) -> None:
+        """STEP 4 (optional): hash-chain verification of a fetched batch.
 
         The enclave decrypts each real row's index key to recover
         ``(cid, counter)``, orders rows per cell-id by counter, rebuilds
@@ -628,69 +697,22 @@ class EpochContext:
         bin's (internally consistent) batch would verify cleanly while
         silently under-counting — per-cell chains prove each present
         cell is whole, not that the right cells are present.
-        """
-        # Row count here is the *fetched* volume — public-size by the
-        # volume-hiding argument — so it may ride on the span.
-        with self._verification("verify", rows=len(rows)):
-            self._verify_rows(rows, expected_cells)
-
-    def _verify_rows(
-        self, rows: Sequence[Row], expected_cells: Sequence[int] | None = None
-    ) -> None:
-        from repro.core.schema import unpad_plaintext
-
-        column_count = len(self.schema.filter_groups) + 1
-        per_cid: dict[int, list[tuple[int, Row]]] = {}
-        # Index keys are decoded in one kernel batch (the count is the
-        # public fetched volume); a None marks a row whose index key did
-        # not authenticate — tampering, reported per offending row.
-        plaintexts = self.det_kernel.decrypt_many(
-            [row[-1] for row in rows], errors="none"
-        )
-        for row, plaintext in zip(rows, plaintexts):
-            if plaintext is None:
-                raise self._undecryptable(row.row_id)
-            parts = unpad_plaintext(plaintext).split(b"\x1f")
-            if parts[0] != b"idx":
-                continue  # fake rows are not covered by per-cid tags
-            per_cid.setdefault(int(parts[1]), []).append((int(parts[2]), row))
-        cells = {}
-        for cid, numbered in per_cid.items():
-            numbered.sort(key=lambda pair: pair[0])
-            cells[cid] = (
-                [counter for counter, _ in numbered],
-                [
-                    [row[position] for _, row in numbered]
-                    for position in range(column_count)
-                ],
-            )
-        self._check_cells(cells, expected_cells)
-
-    def verify_packed(
-        self,
-        packed_bins: Sequence,
-        expected_cells: Sequence[int] | None = None,
-        keep=None,
-    ) -> None:
-        """Hash-chain verification of packed bins — :meth:`verify_rows`
-        over the columnar representation, same counters, same violation
-        taxonomy.
 
         ``keep`` is an optional boolean mask over the concatenated rows
-        (multipoint queries dedup *before* verifying, exactly like the
-        scalar path tolerates tamper-duplicates at that stage).
+        (range queries dedup *before* verifying, so a tamper-duplicate
+        is dropped there and not reported as a counter gap).
         """
         total = sum(pb.row_count for pb in packed_bins)
+        # Row count here is the *fetched* volume — public-size by the
+        # volume-hiding argument — so it may ride on the span.
         rows = int(keep.sum()) if keep is not None else total
         with self._verification("verify", rows=rows):
-            self._verify_packed(packed_bins, expected_cells, keep)
+            self._check_cells(self._group_by_cell(packed_bins, keep), expected_cells)
 
-    def _verify_packed(
-        self,
-        packed_bins: Sequence,
-        expected_cells: Sequence[int] | None = None,
-        keep=None,
-    ) -> None:
+    def _group_by_cell(self, packed_bins: Sequence[PackedBin], keep) -> dict:
+        """The real rows of a batch grouped by cell-id: counters in
+        ascending order and, per stored column, that cell's ciphertexts
+        in counter order."""
         from repro.core.schema import unpad_plaintext
 
         column_count = len(self.schema.filter_groups) + 1
@@ -726,7 +748,7 @@ class EpochContext:
                     for position in range(column_count)
                 ],
             )
-        self._check_cells(cells, expected_cells)
+        return cells
 
     def _undecryptable(self, row_id: int) -> IntegrityViolation:
         return IntegrityViolation(
@@ -746,25 +768,25 @@ class EpochContext:
             kind=kind,
         )
 
-    def _check_cells(
-        self,
-        cells: dict[int, tuple[list[int], list[list[bytes]]]],
-        expected_cells: Sequence[int] | None,
-    ) -> None:
-        """Counter sequence, chain fold and tag compare per cell-id.
-
-        ``cells`` maps each real cell-id present in the batch to its
-        counters in ascending order and, per stored column, that cell's
-        ciphertexts in counter order — whichever representation they
-        were sliced from.
-        """
+    def _require_cells(self, present, expected_cells) -> None:
+        """The binding to the request: a populated cell-id that was
+        asked for and is not among ``present`` is a violation."""
         for cid in expected_cells or ():
-            if self.c_tuple[cid] > 0 and cid not in cells:
+            if self.c_tuple[cid] > 0 and cid not in present:
                 raise self._cell_violation(
                     cid, "missing-cell",
                     "requested but absent from the response batch "
                     "(a substituted or replayed answer)",
                 )
+
+    def _check_cells(
+        self,
+        cells: dict[int, tuple[list[int], list[list[bytes]]]],
+        expected_cells: Sequence[int] | None,
+    ) -> None:
+        """Counter sequence, chain fold and tag compare per cell-id
+        (``cells`` as :meth:`_group_by_cell` returns them)."""
+        self._require_cells(cells, expected_cells)
         for cid, (counters, columns) in cells.items():
             if counters != list(range(1, self.c_tuple[cid] + 1)):
                 raise self._cell_violation(
@@ -814,20 +836,20 @@ class EpochContext:
         group: tuple[str, ...],
         stats: QueryStats,
     ) -> list[Row]:
-        """Plain (Concealer) string-matching of rows against filters."""
-        position = self.filter_group_position(group)
-        filter_set = set(filters)
-        matched = [row for row in rows if row[position] in filter_set]
-        stats.rows_matched += len(matched)
-        return matched
+        """Row-facing entry of :meth:`match_packed`: the matching rows."""
+        mask = self.match_packed([self.pack_rows(rows)], filters, group, stats)
+        return [row for row, hit in zip(rows, mask) if hit]
 
     def packed_dedup_keep(self, packed_bins: Sequence):
         """First-occurrence keep mask over concatenated packed rows.
 
-        Deduplicates by index-key ciphertext — the columnar twin of the
-        multipoint path's pre-verification dedup.  Fixed-width S-dtype
-        equality is exact here: two distinct ``w``-byte strings cannot
-        compare equal under trailing-NUL stripping at width ``w``.
+        Deduplicates by index-key ciphertext, the row's *logical*
+        identity — deterministic encryption of ``cid ‖ counter``
+        (``fake ‖ j`` for fakes), byte-identical on every replica,
+        where physical row ids are replica-local and diverge after a
+        repair.  Fixed-width S-dtype equality is exact here: two
+        distinct ``w``-byte strings cannot compare equal under
+        trailing-NUL stripping at width ``w``.
         """
         import numpy as np
 
@@ -845,9 +867,10 @@ class EpochContext:
         stats: QueryStats,
         keep=None,
     ):
-        """Vectorized STEP 4 over packed bins: one ``np.isin`` instead of
-        a per-row set probe.  Returns the boolean match mask over the
-        concatenated rows (ANDed with ``keep`` when given)."""
+        """Plain (Concealer) string-matching of a batch against the
+        filters: one ``np.isin`` per query.  Returns the boolean match
+        mask over the concatenated rows (ANDed with ``keep`` when
+        given)."""
         import numpy as np
 
         position = self.filter_group_position(group)
@@ -924,13 +947,37 @@ class EpochContext:
 
     # ------------------------------------------------------------ decryption
 
-    def decrypt_record(self, row: Row) -> tuple:
-        """Decrypt one row's payload back into a record tuple."""
-        plaintext = self.det.decrypt(row[len(self.schema.filter_groups)])
-        return self.schema.decode_payload(plaintext)
-
     def decrypt_records(self, rows: Sequence[Row], stats: QueryStats) -> list[tuple]:
-        """Decrypt payloads (skipping any fake rows defensively).
+        """Row-facing entry of :meth:`decrypt_packed_records` (§4.3's
+        oblivious filter hands back rows)."""
+        position = len(self.schema.filter_groups)
+        return self._decrypt_payloads([row[position] for row in rows], stats)
+
+    def decrypt_packed_records(
+        self, packed_bins: Sequence[PackedBin], mask, stats: QueryStats
+    ) -> list[tuple]:
+        """Decrypt the mask-selected payload cells of a batch, in the
+        concatenated bin order (the order the rows were fetched in)."""
+        import numpy as np
+
+        position = len(self.schema.filter_groups)
+        selected = np.nonzero(mask)[0]
+        payloads: list[bytes] = []
+        offset = 0
+        for pb in packed_bins:
+            width = pb.column_widths[position]
+            blob = pb.columns[position]
+            end = offset + pb.row_count
+            local = selected[(selected >= offset) & (selected < end)] - offset
+            payloads.extend(
+                blob[j * width : (j + 1) * width] for j in local.tolist()
+            )
+            offset = end
+        return self._decrypt_payloads(payloads, stats)
+
+    def _decrypt_payloads(self, payloads: list[bytes], stats: QueryStats) -> list[tuple]:
+        """Payload ciphertexts → record tuples (skipping any fake that
+        slipped through matching).
 
         Batched through the DET kernel with ``counted=False``: the
         number of matched-and-decrypted rows is data-dependent, so it
@@ -940,44 +987,6 @@ class EpochContext:
         # volume (data-dependent).  The span itself is fine — every query
         # has exactly one decrypt stage, a public fact.
         with telemetry.span("enclave.decrypt", stage="decrypt", epoch=self.epoch_id):
-            position = len(self.schema.filter_groups)
-            plaintexts = self.det_kernel.decrypt_many(
-                [row[position] for row in rows], errors="none", counted=False
-            )
-            records = [
-                self.schema.decode_payload(plaintext)
-                for plaintext in plaintexts
-                if plaintext is not None  # a fake that slipped through matching
-            ]
-            stats.rows_decrypted += len(records)
-            return records
-
-    def decrypt_packed_records(
-        self, packed_bins: Sequence, mask, stats: QueryStats
-    ) -> list[tuple]:
-        """Decrypt the mask-selected payload cells of packed bins.
-
-        Row order is the concatenated bin order — identical to the
-        scalar path's fetched-row order, so answers stay byte-for-byte
-        comparable.  Same span/stats discipline as
-        :meth:`decrypt_records`.
-        """
-        with telemetry.span("enclave.decrypt", stage="decrypt", epoch=self.epoch_id):
-            import numpy as np
-
-            position = len(self.schema.filter_groups)
-            selected = np.nonzero(mask)[0]
-            payloads: list[bytes] = []
-            offset = 0
-            for pb in packed_bins:
-                width = pb.column_widths[position]
-                blob = pb.columns[position]
-                end = offset + pb.row_count
-                local = selected[(selected >= offset) & (selected < end)] - offset
-                payloads.extend(
-                    blob[j * width : (j + 1) * width] for j in local.tolist()
-                )
-                offset = end
             plaintexts = self.det_kernel.decrypt_many(
                 payloads, errors="none", counted=False
             )
@@ -988,4 +997,3 @@ class EpochContext:
             ]
             stats.rows_decrypted += len(records)
             return records
-

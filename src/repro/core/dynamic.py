@@ -31,7 +31,7 @@ from repro.core.aggregation import evaluate_aggregate
 from repro.core.binning import Bin
 from repro.core.context import EpochContext, _count_tuples
 from repro.core.epoch import EpochPackage, fake_index_plaintext, index_plaintext
-from repro.core.queries import Aggregate, Predicate, QueryStats, RangeQuery
+from repro.core.queries import Aggregate, QueryStats, RangeQuery, resolve_predicate
 from repro.core.service import ServiceProvider
 from repro.crypto.det import DeterministicCipher
 from repro.crypto.keys import derive_rewrite_key
@@ -279,7 +279,7 @@ class DynamicConcealer:
         count = 0
         for context, chosen, rows in matched_bins:
             cipher = self._bin_cipher_before_rewrite(context, chosen)
-            predicate = self._resolve_predicate(query, context)
+            predicate = resolve_predicate(query, context.schema)
             duration = context.grid.spec.epoch_duration
             start = max(query.time_start, context.epoch_id)
             end = min(query.time_end, context.epoch_id + duration - 1)
@@ -290,7 +290,7 @@ class DynamicConcealer:
                         predicate.group, values, t
                     )
                 )
-                for values in self._predicate_combos(predicate)
+                for values in predicate.combinations()
                 for t in timestamps
             }
             position = context.filter_group_position(predicate.group)
@@ -323,26 +323,3 @@ class DynamicConcealer:
                 self.service.enclave.master_key, context.epoch_id, generation
             )
         )
-
-    @staticmethod
-    def _predicate_combos(predicate: Predicate) -> list[tuple]:
-        combos: list[list] = [[]]
-        for value in predicate.values:
-            options = list(value) if isinstance(value, (tuple, list)) else [value]
-            combos = [prefix + [opt] for prefix in combos for opt in options]
-        return [tuple(c) for c in combos]
-
-    @staticmethod
-    def _resolve_predicate(query: RangeQuery, context: EpochContext) -> Predicate:
-        if query.predicate is not None:
-            return query.predicate
-        schema = context.schema
-        for group in schema.filter_groups:
-            if group == schema.index_attributes:
-                return Predicate(group=group, values=tuple(query.index_values))
-        group = schema.filter_groups[0]
-        values = tuple(
-            query.index_values[schema.index_attributes.index(attr)]
-            for attr in group
-        )
-        return Predicate(group=group, values=values)

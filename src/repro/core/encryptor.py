@@ -353,11 +353,11 @@ class EpochEncryptor:
         (per cell-id counters ``1..c_tuple[cid]``, then the bin's fake
         ids ascending).  Row ids are the rows' positions in the shuffled
         package — exactly the physical ids sequential ingest assigns —
-        so the packed bins unpack byte-for-byte to what the scalar
-        trapdoor fetch would return.  Returns ``None`` whenever packing
-        is impossible (no real rows, or an explicit epoch-pad override
-        shipped fewer fakes than the layout needs): consumers fall back
-        to the scalar path.
+        so the packed bins hold byte-for-byte what a trapdoor fetch of
+        the bin would return.  Returns ``None`` whenever packing is
+        impossible (no real rows, or an explicit epoch-pad override
+        shipped fewer fakes than the layout needs): the epoch is then
+        read by trapdoor.
         """
         from repro.core.packed import PackedBin
         from repro.storage.table import Row

@@ -128,8 +128,8 @@ class EpochPackage:
     enc_grid_key: bytes = b""
     # Columnar form of the same rows, one PackedBin per Theorem-4.1 bin
     # in canonical slot order (see repro.core.packed).  ``None`` means
-    # the provider did not (or could not) pack — consumers fall back to
-    # the scalar row path.  Derived data: never part of row accounting.
+    # the provider did not (or could not) pack — the epoch is read by
+    # trapdoor.  Derived data: never part of row accounting.
     packed_bins: "list | None" = None
     # The hierarchical aggregate-tree sidecar (repro.core.aggtree):
     # fixed-shape encrypted aggregates at every power-of-k time

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
+from dataclasses import replace
 
 from repro.core.grid import GridSpec
 from repro.core.provider import DataProvider
@@ -91,14 +92,8 @@ class MultiIndexDeployment:
                 time_granularity=time_granularity,
                 rng=self._rng,
             )
-            per_index = ServiceConfig(
-                oblivious=base_config.oblivious,
-                verify=base_config.verify,
-                window_subintervals=base_config.window_subintervals,
-                super_bin_count=base_config.super_bin_count,
-                btree_order=base_config.btree_order,
-                table_prefix=f"{schema.name}_",
-            )
+            # Every knob reaches every index; only the prefix differs.
+            per_index = replace(base_config, table_prefix=f"{schema.name}_")
             service = ServiceProvider(
                 schema, per_index, engine=self.engine, enclave=self.enclave
             )

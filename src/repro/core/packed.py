@@ -1,19 +1,23 @@
-"""Columnar, bytes-backed bin layout (the vectorized hot-path unit).
+"""Columnar, bytes-backed bin layout: the one in-enclave form of a
+fetched batch.
 
-A :class:`PackedBin` is one Theorem-4.1 bin flattened into contiguous
-per-column byte arrays: for each storage column (filter ciphertexts,
-DET payload, index key) all |b| cells are concatenated into a single
-``bytes`` blob at a fixed per-column width.  The enclave hot path then
-runs verify→filter→decrypt→aggregate as whole-bin batched kernel calls
+A :class:`PackedBin` is a batch of fetched rows flattened into
+contiguous per-column byte arrays: for each storage column (filter
+ciphertexts, DET payload, index key) all cells are concatenated into a
+single ``bytes`` blob at a fixed per-column width.  STEP 4 then runs
+verify→filter→decrypt→aggregate as whole-batch kernel calls
 (``decrypt_many``, ``batch_chain_extend``, ``numpy`` tag compare) with
 no per-row Python objects in the loop.
 
-Rows inside a packed bin sit in *canonical slot order* — for each
-cell-id of the bin, counters ``1..c_tuple[cid]``, then the bin's fake
-ids ascending.  That is exactly the order the scalar trapdoor fetch
-returns, so ``unpack()`` (the compatibility shim) reproduces the legacy
-row list byte-for-byte and packed answers are byte-identical to scalar
-answers.
+A batch gets here one of two ways (DESIGN.md §16).  The data provider
+seals every Theorem-4.1 bin in this form and the engine serves it whole
+(the *sidecar* fetch); or the enclave submits trapdoors, gets rows back
+and packs them at the fetch boundary (the *trapdoor* fetch — eBPB,
+winSecRange, the oblivious schedule, any table whose sidecar a rewrite
+dropped).  Rows inside a sealed bin sit in *canonical slot order* — for
+each cell-id of the bin, counters ``1..c_tuple[cid]``, then the bin's
+fake ids ascending — exactly the order the trapdoor fetch returns, so
+both ways produce the same bytes.
 
 Every cell in a column has the same width (the schema pads plaintexts
 and fakes are sized to match), so a bin's packed size is a public
@@ -71,24 +75,27 @@ class PackedBin:
     def pack(cls, bin_index: int, rows: Sequence[Row]) -> "PackedBin":
         """Pack storage rows (canonical slot order) into columnar form.
 
-        Raises ``ValueError`` when the rows are ragged (unequal column
-        counts or widths) — callers treat that as "this bin cannot be
-        packed" and stay on the scalar path.
+        Raises ``ValueError`` when there are no rows or they are ragged
+        (unequal column counts, a cell of another width, a cell that is
+        not bytes).  Every cell's width is checked, not the column
+        total: one short and one long cell would cancel out there.
         """
         if not rows:
             raise ValueError("cannot pack an empty bin")
-        first = rows[0].columns
-        widths = tuple(len(cell) for cell in first)
-        for row in rows:
-            if len(row.columns) != len(widths):
-                raise ValueError("ragged rows: unequal column counts")
-            for cell, width in zip(row.columns, widths):
-                if not isinstance(cell, (bytes, bytearray)) or len(cell) != width:
-                    raise ValueError("ragged rows: unequal column widths")
-        columns = tuple(
-            b"".join(row.columns[position] for row in rows)
-            for position in range(len(widths))
-        )
+        arity = len(rows[0].columns)
+        if any(len(row.columns) != arity for row in rows):
+            raise ValueError("ragged rows: unequal column counts")
+        by_column = list(zip(*[row.columns for row in rows]))
+        try:
+            widths = tuple(len(cells[0]) for cells in by_column)
+            if any(
+                set(map(len, cells)) != {width}
+                for width, cells in zip(widths, by_column)
+            ):
+                raise ValueError("ragged rows: unequal column widths")
+            columns = tuple(b"".join(cells) for cells in by_column)
+        except TypeError as error:
+            raise ValueError(f"ragged rows: a cell is not bytes ({error})") from error
         return cls(
             bin_index=bin_index,
             row_count=len(rows),
@@ -98,12 +105,24 @@ class PackedBin:
         )
 
     def unpack(self) -> list[Row]:
-        """Compatibility shim: the exact legacy row list, byte-for-byte."""
+        """The row list this bin was packed from, byte-for-byte."""
         per_column = [self.column_cells(i) for i in range(len(self.columns))]
         return [
             Row(self.row_ids[j], tuple(cells[j] for cells in per_column))
             for j in range(self.row_count)
         ]
+
+    def __iter__(self):
+        """Row view, for the one row-at-a-time consumer (§4.3 oblivious
+        filtering) and for tests."""
+        return iter(self.unpack())
+
+    def __getitem__(self, row: int) -> Row:
+        row = range(self.row_count)[row]
+        return Row(
+            self.row_ids[row],
+            tuple(self.cell(row, column) for column in range(len(self.columns))),
+        )
 
     # --------------------------------------------------------------- slicing
 

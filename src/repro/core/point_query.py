@@ -12,7 +12,8 @@ The four steps, run inside the enclave:
   no matter which bin, which is the volume-hiding guarantee;
 - **STEP 4** optionally verify hash chains, string-match the fetched
   rows against the query filters, decrypt only what the aggregate
-  needs, and aggregate.
+  needs, and aggregate — :func:`finish_query`, which §5's range methods
+  end in as well.
 
 ``oblivious=True`` selects the §4.3 Concealer+ variant: trapdoor
 generation and filtering run on the data-independent code paths
@@ -22,16 +23,88 @@ certify produce identical event streams across queries.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro import telemetry
 from repro.core.aggregation import evaluate_aggregate, needs_decryption
 from repro.core.context import EpochContext
+from repro.core.packed import PackedBin
 from repro.core.queries import (
-    Aggregate,
     PointQuery,
     Predicate,
     QueryStats,
+    RangeQuery,
+    resolve_predicate,
 )
-from repro.exceptions import QueryError
+
+
+def finish_query(
+    query: PointQuery | RangeQuery,
+    context: EpochContext,
+    bins: Sequence[PackedBin],
+    expected_cells: Sequence[int],
+    predicate: Predicate,
+    timestamps: Sequence[int],
+    stats: QueryStats,
+    *,
+    verify: bool,
+    oblivious: bool,
+    dedup: bool,
+) -> tuple[object, QueryStats]:
+    """STEP 4, once, for every method: dedup → verify → filter →
+    decrypt → aggregate over the fetched batch.
+
+    ``dedup`` drops all but the first occurrence of a row before
+    anything else looks at it: winSecRange windows (and, with coarse
+    grids, eBPB cell-id unions) can fetch the same row more than once,
+    and matching must not double-count it, so every range method
+    dedups.  A point query names disjoint bins and does not — a
+    duplicated row there is the host's doing and verification reports
+    it as a counter gap.
+
+    Verification is bound to ``expected_cells``, the cell-ids the query
+    *requested*: a per-cell hash chain only proves the cells present in
+    the batch are whole, so a host dropping every row of a population-1
+    cell would otherwise leave no counter gap to find.  A batch a
+    replica group already verified per attempt (``stats.verified``) is
+    not checked twice.
+
+    ``oblivious`` selects §4.3's filter — Concealer+ compares every row
+    against every filter and bitonic-sorts the matches forward, row at
+    a time by construction — over a row view of the same batch.
+    """
+    keep = context.packed_dedup_keep(bins) if dedup else None
+    if verify and not stats.verified:
+        context.verify_packed(bins, expected_cells, keep=keep)
+        stats.verified = True
+    filters = context.filters_for(predicate, timestamps)
+    with telemetry.span(
+        "enclave.aggregate",
+        stage="aggregate",
+        epoch=context.epoch_id,
+        filters=len(filters),
+    ):
+        if oblivious:
+            rows = [row for packed in bins for row in packed]
+            if keep is not None:
+                rows = [row for row, kept in zip(rows, keep) if kept]
+            matched = context.match_rows_oblivious(
+                rows, filters, predicate.group, stats
+            )
+            count = len(matched)
+            decrypt = lambda: context.decrypt_records(matched, stats)
+        else:
+            mask = context.match_packed(
+                bins, filters, predicate.group, stats, keep=keep
+            )
+            count = int(mask.sum())
+            decrypt = lambda: context.decrypt_packed_records(bins, mask, stats)
+        if not needs_decryption(query.aggregate):
+            return count, stats
+        answer = evaluate_aggregate(
+            query.aggregate, decrypt(), context.schema, query.target, query.k
+        )
+        return answer, stats
 
 
 class BPBExecutor:
@@ -91,7 +164,7 @@ class BPBExecutor:
         owning batch already fetched and verified.
         """
         stats = QueryStats(oblivious=self.oblivious)
-        predicate = self._resolve_predicate(query, context)
+        predicate = resolve_predicate(query, context.schema)
 
         with telemetry.span(
             "enclave.point_query", epoch=context.epoch_id
@@ -108,128 +181,17 @@ class BPBExecutor:
             stats.bins_fetched = len(bins)
             query_span.set(bins=len(bins))
 
-            # STEP 3: trapdoor formulation and retrieval.  Each bin
-            # arrives packed (columnar) or scalar; the whole query runs
-            # the vectorized STEP 4 only when every bin came packed —
-            # a mixed batch unpacks to the legacy path (bit-identical
-            # by the compat shim).
-            payloads = [
+            # STEP 3: trapdoor formulation and retrieval; whichever
+            # fetch kind served a bin, it arrives packed.
+            fetched = [
                 self.fetcher.fetch_bin_any(
                     context, fetch_bin, stats, deadline=deadline, overlay=overlay
                 )
                 for fetch_bin in bins
             ]
-            packed_bins = [p for p in payloads if hasattr(p, "row_count")]
-            if packed_bins and len(packed_bins) == len(payloads):
-                return self._finish_packed(
-                    query, context, bins, packed_bins, stats, predicate
-                )
-            rows = []
-            for payload in payloads:
-                rows.extend(
-                    payload.unpack() if hasattr(payload, "row_count") else payload
-                )
-
-            # STEP 4: verification, filtering, aggregation.  The verify
-            # is bound to the *requested* cell-ids: without the binding,
-            # dropping every row of a population-1 cell leaves no
-            # counter gap and would pass (per-cell chains prove each
-            # present cell whole, not that the right cells are present).
-            if self.verify and not stats.verified:
-                expected = [cid for b in bins for cid in b.cell_ids]
-                context.verify_rows(rows, expected)
-                stats.verified = True
-
-            filters = context.filters_for(predicate, [query.timestamp])
-            with telemetry.span(
-                "enclave.aggregate",
-                stage="aggregate",
-                epoch=context.epoch_id,
-                filters=len(filters),
-            ):
-                if self.oblivious:
-                    matched = context.match_rows_oblivious(
-                        rows, filters, predicate.group, stats
-                    )
-                else:
-                    matched = context.match_rows(
-                        rows, filters, predicate.group, stats
-                    )
-
-                if query.aggregate is Aggregate.COUNT:
-                    return len(matched), stats
-                if not needs_decryption(query.aggregate):
-                    raise QueryError(
-                        f"unhandled match-only aggregate {query.aggregate}"
-                    )
-                records = context.decrypt_records(matched, stats)
-                answer = evaluate_aggregate(
-                    query.aggregate,
-                    records,
-                    context.schema,
-                    query.target,
-                    query.k,
-                )
-                return answer, stats
-
-    def _finish_packed(
-        self, query, context, bins, packed_bins, stats, predicate
-    ) -> tuple[object, QueryStats]:
-        """STEP 4 over packed bins: batched verify, vectorized filter.
-
-        Same semantics (and byte-identical answers) as the scalar
-        branch; per-row Python is gone — verification decodes index
-        keys in one kernel batch, filtering is a single ``np.isin``,
-        and only matched payloads hit the DET kernel.
-        """
-        if self.verify and not stats.verified:
-            expected = [cid for b in bins for cid in b.cell_ids]
-            context.verify_packed(packed_bins, expected)
-            stats.verified = True
-        filters = context.filters_for(predicate, [query.timestamp])
-        with telemetry.span(
-            "enclave.aggregate",
-            stage="aggregate",
-            epoch=context.epoch_id,
-            filters=len(filters),
-        ):
-            mask = context.match_packed(
-                packed_bins, filters, predicate.group, stats
+            return finish_query(
+                query, context, fetched,
+                [cid for fetch_bin in bins for cid in fetch_bin.cell_ids],
+                predicate, [query.timestamp], stats,
+                verify=self.verify, oblivious=self.oblivious, dedup=False,
             )
-            if query.aggregate is Aggregate.COUNT:
-                return int(mask.sum()), stats
-            if not needs_decryption(query.aggregate):
-                raise QueryError(
-                    f"unhandled match-only aggregate {query.aggregate}"
-                )
-            records = context.decrypt_packed_records(packed_bins, mask, stats)
-            answer = evaluate_aggregate(
-                query.aggregate,
-                records,
-                context.schema,
-                query.target,
-                query.k,
-            )
-            return answer, stats
-
-    @staticmethod
-    def _resolve_predicate(query: PointQuery, context: EpochContext) -> Predicate:
-        """Default predicate: match the first filter group on index values."""
-        if query.predicate is not None:
-            return query.predicate
-        schema = context.schema
-        for group in schema.filter_groups:
-            if group == schema.index_attributes:
-                return Predicate(group=group, values=tuple(query.index_values))
-        group = schema.filter_groups[0]
-        try:
-            values = tuple(
-                query.index_values[schema.index_attributes.index(attr)]
-                for attr in group
-            )
-        except ValueError:
-            raise QueryError(
-                f"cannot derive a default predicate from group {group}; "
-                "pass one explicitly"
-            ) from None
-        return Predicate(group=group, values=values)

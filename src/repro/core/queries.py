@@ -44,6 +44,16 @@ class Aggregate(str, Enum):
 MATCH_ONLY_AGGREGATES = frozenset({Aggregate.COUNT})
 
 
+def _cross_product(slots) -> list[tuple]:
+    """Every concrete tuple of a slot list whose tuple/list slots are
+    wildcards (sets of candidate values)."""
+    combos: list[list] = [[]]
+    for slot in slots:
+        options = list(slot) if isinstance(slot, (tuple, list)) else [slot]
+        combos = [prefix + [opt] for prefix in combos for opt in options]
+    return [tuple(c) for c in combos]
+
+
 @dataclass(frozen=True)
 class Predicate:
     """A filter-column match: which group, and the non-time values.
@@ -62,6 +72,13 @@ class Predicate:
                 f"predicate on group {self.group} needs {len(self.group)} "
                 f"values, got {len(self.values)}"
             )
+
+    def combinations(self) -> list[tuple]:
+        """The concrete value tuples this predicate matches: wildcard
+        slots (Q2/Q3 "all locations") expand to their cross-product,
+        mirroring Table 4's Q2 filters ``E_k(l_i|t_j)`` over the full
+        location domain."""
+        return _cross_product(self.values)
 
 
 @dataclass(frozen=True)
@@ -110,11 +127,29 @@ class RangeQuery:
 
     def candidate_combinations(self) -> list[tuple]:
         """Expand wildcard slots into the concrete index-value tuples."""
-        combos: list[list] = [[]]
-        for slot in self.index_values:
-            options = list(slot) if isinstance(slot, (tuple, list)) else [slot]
-            combos = [prefix + [opt] for prefix in combos for opt in options]
-        return [tuple(c) for c in combos]
+        return _cross_product(self.index_values)
+
+
+def resolve_predicate(query: "PointQuery | RangeQuery", schema) -> Predicate:
+    """The query's predicate, defaulting to a match of the index values
+    on the filter group that covers them (else the first group)."""
+    if query.predicate is not None:
+        return query.predicate
+    for group in schema.filter_groups:
+        if group == schema.index_attributes:
+            return Predicate(group=group, values=tuple(query.index_values))
+    group = schema.filter_groups[0]
+    try:
+        values = tuple(
+            query.index_values[schema.index_attributes.index(attr)]
+            for attr in group
+        )
+    except ValueError:
+        raise QueryError(
+            f"cannot derive a default predicate from group {group}; "
+            "pass one explicitly"
+        ) from None
+    return Predicate(group=group, values=values)
 
 
 def _check_aggregate(aggregate: Aggregate, target: str | None) -> None:

@@ -31,11 +31,10 @@ import math
 from dataclasses import dataclass, replace
 
 from repro import telemetry
-from repro.core.aggregation import evaluate_aggregate, needs_decryption
 from repro.core.context import EpochContext
-from repro.core.queries import Aggregate, Predicate, QueryStats, RangeQuery
+from repro.core.point_query import finish_query
+from repro.core.queries import Aggregate, QueryStats, RangeQuery, resolve_predicate
 from repro.exceptions import IntegrityViolation, QueryError
-from repro.storage.table import Row
 
 
 @dataclass
@@ -85,12 +84,42 @@ class RangeExecutor:
         self.verify = verify
         # λ for winSecRange, measured in grid time-subintervals.
         self.window_subintervals = window_subintervals
-        self._ebpb_state: dict[int, _EBPBState] = {}
         # The shared whole-bin and tree-node fetch path (repro.batching),
         # used by the multipoint and tree methods — eBPB and winSecRange
         # retrieve padded cell-id sets, not whole bins, so they cannot
         # share and read its engine through the context directly.
         self.fetcher = fetcher
+
+    def execute(
+        self,
+        method: str,
+        query: RangeQuery,
+        context: EpochContext,
+        deadline=None,
+        overlay=None,
+    ) -> tuple[object, QueryStats]:
+        """Run one of the §5 methods by name (the overlay only reaches
+        the methods that fetch whole bins)."""
+        if method == "multipoint":
+            return self.execute_multipoint(
+                query, context, deadline=deadline, overlay=overlay
+            )
+        if method == "tree":
+            return self.execute_tree(
+                query, context, deadline=deadline, overlay=overlay
+            )
+        if method == "ebpb":
+            return self.execute_ebpb(query, context, deadline=deadline)
+        return self.execute_winsecrange(query, context, deadline=deadline)
+
+    def _step4(self, query, context, bins, expected_cells, stats):
+        """Every §5 method ends in Algorithm 2's STEP 4, deduplicated."""
+        return finish_query(
+            query, context, bins, expected_cells,
+            resolve_predicate(query, context.schema),
+            context.query_timestamps(query.time_start, query.time_end),
+            stats, verify=self.verify, oblivious=self.oblivious, dedup=True,
+        )
 
     # ----------------------------------------------------------- §5.1 trivial
 
@@ -118,24 +147,14 @@ class RangeExecutor:
             method="multipoint",
             bins=len(bins),
         ):
-            payloads = [
+            fetched = [
                 self.fetcher.fetch_bin_any(
                     context, chosen, stats, deadline=deadline, overlay=overlay
                 )
                 for chosen in bins
             ]
             expected = [cid for chosen in bins for cid in chosen.cell_ids]
-            packed_bins = [p for p in payloads if hasattr(p, "row_count")]
-            if packed_bins and len(packed_bins) == len(payloads):
-                return self._finish_packed(
-                    query, context, packed_bins, stats, expected
-                )
-            rows: list[Row] = []
-            for payload in payloads:
-                rows.extend(
-                    payload.unpack() if hasattr(payload, "row_count") else payload
-                )
-            return self._finish(query, context, rows, stats, expected)
+            return self._step4(query, context, fetched, expected, stats)
 
     # ------------------------------------------------------ aggregate tree
 
@@ -332,7 +351,6 @@ class RangeExecutor:
     ) -> tuple[object, QueryStats]:
         """Fetch the covering cells' cell-ids, padded to the top-ℓ budget."""
         stats = QueryStats(oblivious=self.oblivious)
-        verifier = self._fetch_verifier(context)
         combos = query.candidate_combinations()
         span = len(
             context.grid.time_buckets_for_range(query.time_start, query.time_end)
@@ -368,15 +386,15 @@ class RangeExecutor:
             budget=budget,
         ):
             trapdoors = context.trapdoors_for_cell_ids(needed_cids, fake_ids)
-            rows, _ = context.fetch(
+            packed, _ = context.fetch(
                 self.fetcher.engine,
                 trapdoors,
                 stats,
                 deadline=deadline,
-                verifier=verifier,
+                verify=self.verify,
                 cells=needed_cids,
             )
-            return self._finish(query, context, rows, stats, needed_cids)
+            return self._step4(query, context, [packed], needed_cids, stats)
 
     def _ebpb_budget(self, context: EpochContext, span: int) -> _EBPBState:
         """STEP 2–3: per-column worst-case volumes for ℓ-window queries.
@@ -392,10 +410,12 @@ class RangeExecutor:
         (Q2–Q4 sweep every location) are budgeted at the sum of the top
         ``m`` columns rather than ``m ×`` the single worst column.
 
-        Cached and grown monotonically: recomputed only when a query
-        spans more cells than any previous one (paper's STEP 3 rule).
+        Cached on the context — so it dies with it, and a context
+        rebuilt for another epoch can never inherit it — and grown
+        monotonically: recomputed only when a query spans more cells
+        than any previous one (paper's STEP 3 rule).
         """
-        state = self._ebpb_state.setdefault(id(context), _EBPBState())
+        state = context.range_sizing.setdefault("ebpb", _EBPBState())
         if state.window_volumes is not None and span <= state.max_span:
             return state
         grid = context.grid
@@ -431,7 +451,6 @@ class RangeExecutor:
     ) -> tuple[object, QueryStats]:
         """Fetch whole fixed-λ time windows covering the range."""
         stats = QueryStats(oblivious=self.oblivious)
-        verifier = self._fetch_verifier(context)
         windows = self._covering_windows(query, context)
         window_size = self._window_budget(context)
 
@@ -441,7 +460,7 @@ class RangeExecutor:
             method="winsecrange",
             windows=len(windows),
         ):
-            rows: list[Row] = []
+            fetched = []
             fake_offset = 0
             expected: list[int] = []
             for window in windows:
@@ -453,18 +472,18 @@ class RangeExecutor:
                 )
                 fake_offset += len(fake_ids)
                 trapdoors = context.trapdoors_for_cell_ids(cids, fake_ids)
-                fetched, _ = context.fetch(
+                packed, _ = context.fetch(
                     self.fetcher.engine,
                     trapdoors,
                     stats,
                     deadline=deadline,
-                    verifier=verifier,
+                    verify=self.verify,
                     cells=cids,
                 )
-                rows.extend(fetched)
+                fetched.append(packed)
             stats.bins_fetched = len(windows)
             stats.extra["window_size"] = window_size
-            return self._finish(query, context, rows, stats, expected)
+            return self._step4(query, context, fetched, expected, stats)
 
     def _covering_windows(self, query: RangeQuery, context: EpochContext) -> list[int]:
         """The λ-window indices intersecting the query's time range."""
@@ -499,32 +518,18 @@ class RangeExecutor:
 
     def _window_budget(self, context: EpochContext) -> int:
         """Bin size = the maximum population over all λ-windows."""
-        cache_key = ("winsec_budget", context.epoch_id, self.window_subintervals)
-        if context.enclave.has_sealed(cache_key):
-            return context.enclave.unseal(cache_key)
-        spec = context.grid.spec
         lam = self.window_subintervals
-        window_count = math.ceil(spec.time_buckets / lam)
-        best = 0
-        for window in range(window_count):
-            cids = self._window_cell_ids(context, window)
-            best = max(best, sum(context.c_tuple[cid] for cid in cids))
-        context.enclave.seal(cache_key, best)
-        return best
+        sizing = context.range_sizing
+        if ("winsec", lam) not in sizing:
+            window_count = math.ceil(context.grid.spec.time_buckets / lam)
+            best = 0
+            for window in range(window_count):
+                cids = self._window_cell_ids(context, window)
+                best = max(best, sum(context.c_tuple[cid] for cid in cids))
+            sizing[("winsec", lam)] = best
+        return sizing[("winsec", lam)]
 
     # ---------------------------------------------------------------- shared
-
-    def _fetch_verifier(self, context: EpochContext):
-        """The per-fetch verifier handed to :meth:`EpochContext.fetch`.
-
-        A replica group runs it on each replica's answer before
-        acceptance — a tampered bin costs a failover, not the query —
-        and ``stats.verified`` then skips the check in :meth:`_finish`;
-        a plain engine leaves it to :meth:`_finish`.  Each fetch
-        retrieves complete cell-id populations, so per-batch chain
-        verification is sound even before the cross-window de-dup.
-        """
-        return context.verify_rows if self.verify else None
 
     def _pad_fakes(
         self, context: EpochContext, needed: int, offset: int = 0
@@ -544,170 +549,3 @@ class RangeExecutor:
         if needed <= 0 or available == 0:
             return []
         return [1 + (offset + i) % available for i in range(needed)]
-
-    def _finish(
-        self,
-        query: RangeQuery,
-        context: EpochContext,
-        rows: list[Row],
-        stats: QueryStats,
-        expected_cells=None,
-    ) -> tuple[object, QueryStats]:
-        """Shared STEP 4: verify, filter, decrypt, aggregate.
-
-        Rows are de-duplicated by their index-key ciphertext first:
-        winSecRange windows (and, with coarse grids, eBPB cell-id
-        unions) can fetch the same row more than once, and matching must
-        not double-count it.  The index key is the *logical* identity —
-        deterministic encryption of ``cid ‖ counter`` (``fake ‖ j`` for
-        fakes), byte-identical on every replica.  Physical row ids are
-        replica-local and diverge after repair or failover, so two rows
-        sharing an id can be *different* logical rows when a window's
-        fetches land on different replicas; deduplicating by id would
-        silently drop real rows there.
-
-        ``expected_cells`` binds verification to the cell-ids the query
-        *requested*: a per-cell hash chain only proves the cells present
-        in the batch are whole, so a host dropping every row of a
-        population-1 cell would otherwise leave no counter gap to find.
-        """
-        seen: set[bytes] = set()
-        unique_rows: list[Row] = []
-        for row in rows:
-            if row[-1] not in seen:
-                seen.add(row[-1])
-                unique_rows.append(row)
-        rows = unique_rows
-        if self.verify and not stats.verified:
-            context.verify_rows(rows, expected_cells)
-            stats.verified = True
-
-        predicate = self._resolve_predicate(query, context)
-        timestamps = context.query_timestamps(query.time_start, query.time_end)
-        filters = self._expand_filters(query, context, predicate, timestamps)
-
-        with telemetry.span(
-            "enclave.aggregate",
-            stage="aggregate",
-            epoch=context.epoch_id,
-            filters=len(filters),
-        ):
-            if self.oblivious:
-                matched = context.match_rows_oblivious(
-                    rows, filters, predicate.group, stats
-                )
-            else:
-                matched = context.match_rows(
-                    rows, filters, predicate.group, stats
-                )
-
-            if query.aggregate is Aggregate.COUNT:
-                return len(matched), stats
-            if not needs_decryption(query.aggregate):
-                raise QueryError(
-                    f"unhandled match-only aggregate {query.aggregate}"
-                )
-            records = context.decrypt_records(matched, stats)
-            answer = evaluate_aggregate(
-                query.aggregate, records, context.schema, query.target, query.k
-            )
-            return answer, stats
-
-    def _finish_packed(
-        self,
-        query: RangeQuery,
-        context: EpochContext,
-        packed_bins: list,
-        stats: QueryStats,
-        expected_cells=None,
-    ) -> tuple[object, QueryStats]:
-        """Columnar STEP 4 — byte-identical to :meth:`_finish`.
-
-        The de-dup becomes a first-occurrence keep mask over the
-        concatenated index-key columns (same pre-verification ordering:
-        tamper-duplicates are dropped before chains are checked), the
-        string match one vectorized ``isin``, and decryption touches
-        only the masked payload cells.
-        """
-        keep = context.packed_dedup_keep(packed_bins)
-        if self.verify and not stats.verified:
-            context.verify_packed(packed_bins, expected_cells, keep=keep)
-            stats.verified = True
-
-        predicate = self._resolve_predicate(query, context)
-        timestamps = context.query_timestamps(query.time_start, query.time_end)
-        filters = self._expand_filters(query, context, predicate, timestamps)
-
-        with telemetry.span(
-            "enclave.aggregate",
-            stage="aggregate",
-            epoch=context.epoch_id,
-            filters=len(filters),
-        ):
-            mask = context.match_packed(
-                packed_bins, filters, predicate.group, stats, keep=keep
-            )
-            if query.aggregate is Aggregate.COUNT:
-                return int(mask.sum()), stats
-            if not needs_decryption(query.aggregate):
-                raise QueryError(
-                    f"unhandled match-only aggregate {query.aggregate}"
-                )
-            records = context.decrypt_packed_records(packed_bins, mask, stats)
-            answer = evaluate_aggregate(
-                query.aggregate, records, context.schema, query.target, query.k
-            )
-            return answer, stats
-
-    def _expand_filters(
-        self,
-        query: RangeQuery,
-        context: EpochContext,
-        predicate: Predicate,
-        timestamps: list[int],
-    ) -> list[bytes]:
-        """Filters for every (candidate predicate values × timestamp).
-
-        When the predicate values contain wildcard tuples (Q2/Q3 "all
-        locations"), the cross-product of candidates is expanded — this
-        mirrors Table 4's Q2 filters ``E_k(l_i|t_j)`` over the full
-        location domain.
-        """
-        value_options: list[list] = []
-        for value in predicate.values:
-            options = list(value) if isinstance(value, (tuple, list)) else [value]
-            value_options.append(options)
-        combos: list[list] = [[]]
-        for options in value_options:
-            combos = [prefix + [opt] for prefix in combos for opt in options]
-        filters: list[bytes] = []
-        for combo in combos:
-            filters.extend(
-                context.filters_for(
-                    Predicate(group=predicate.group, values=tuple(combo)),
-                    timestamps,
-                )
-            )
-        return filters
-
-    @staticmethod
-    def _resolve_predicate(query: RangeQuery, context: EpochContext) -> Predicate:
-        """Default predicate mirrors the point-query rule."""
-        if query.predicate is not None:
-            return query.predicate
-        schema = context.schema
-        for group in schema.filter_groups:
-            if group == schema.index_attributes:
-                return Predicate(group=group, values=tuple(query.index_values))
-        group = schema.filter_groups[0]
-        try:
-            values = tuple(
-                query.index_values[schema.index_attributes.index(attr)]
-                for attr in group
-            )
-        except ValueError:
-            raise QueryError(
-                f"cannot derive a default predicate from group {group}; "
-                "pass one explicitly"
-            ) from None
-        return Predicate(group=group, values=values)

@@ -218,14 +218,6 @@ class ServiceConfig:
     # view is unchanged (see DESIGN.md §12).  Ignored under oblivious
     # execution (§4.3 trace identity forbids memoization).
     trapdoor_table_slots: int = 8192
-    # Columnar whole-bin fetches: ingest stores each epoch's bins as a
-    # packed (contiguous-bytes) sidecar, and point/multipoint queries
-    # consume them whole so verify→filter→decrypt run as batched
-    # kernel calls.  Answers are byte-identical to the scalar path;
-    # the flag exists for A/B benchmarking and as an escape hatch.
-    # Forced off under oblivious execution (trace identity needs the
-    # scalar trapdoor schedule).
-    packed_bins: bool = True
     # Hierarchical aggregate-tree sidecar: ingest stores each epoch's
     # sealed k-ary aggregate tree and the auto planner routes eligible
     # long-window COUNT/SUM/MIN/MAX to it (O(log range) node fetches
@@ -310,7 +302,6 @@ class ServiceProvider:
             oblivious=self.config.oblivious,
             verify=self.config.verify,
             cache=self.bin_cache,
-            packed=self.config.packed_bins,
         )
         # One persistent prefetch pool per service: batches reuse its
         # worker threads instead of paying thread spawn per request.
@@ -369,7 +360,7 @@ class ServiceProvider:
             # Derived data: a package without them, or a service that
             # does not read them, skips the install.
             if not self.config.oblivious:
-                if self.config.packed_bins and package.packed_bins:
+                if package.packed_bins:
                     engine.store_packed_bins(table, package.packed_bins)
                 if self.config.agg_tree and package.agg_tree is not None:
                     engine.store_agg_tree(table, package.agg_tree)
@@ -535,22 +526,9 @@ class ServiceProvider:
             ) as query_span:
                 self.engine.access_log.begin_query()
                 try:
-                    if method == "multipoint":
-                        run = lambda: executor.execute_multipoint(
-                            query, context, deadline=deadline
-                        )
-                    elif method == "ebpb":
-                        run = lambda: executor.execute_ebpb(
-                            query, context, deadline=deadline
-                        )
-                    elif method == "tree":
-                        run = lambda: executor.execute_tree(
-                            query, context, deadline=deadline
-                        )
-                    else:
-                        run = lambda: executor.execute_winsecrange(
-                            query, context, deadline=deadline
-                        )
+                    run = lambda: executor.execute(
+                        method, query, context, deadline=deadline
+                    )
                     answer, stats = self._execute_resilient(run, deadline=deadline)
                 finally:
                     self.engine.access_log.end_query()
@@ -623,30 +601,11 @@ class ServiceProvider:
                         deadline=deadline, overlay=shared_overlay,
                     )
                 )
-            elif item.method == "multipoint":
-                results.append(
-                    self._range_executor.execute_multipoint(
-                        item.query, context,
-                        deadline=deadline, overlay=shared_overlay,
-                    )
-                )
-            elif item.method == "ebpb":
-                results.append(
-                    self._range_executor.execute_ebpb(
-                        item.query, context, deadline=deadline
-                    )
-                )
-            elif item.method == "tree":
-                results.append(
-                    self._range_executor.execute_tree(
-                        item.query, context,
-                        deadline=deadline, overlay=shared_overlay,
-                    )
-                )
             else:
                 results.append(
-                    self._range_executor.execute_winsecrange(
-                        item.query, context, deadline=deadline
+                    self._range_executor.execute(
+                        item.method, item.query, context,
+                        deadline=deadline, overlay=shared_overlay,
                     )
                 )
         return fetch_stats, results

@@ -198,7 +198,9 @@ class IntegrityViolation(IntegrityError, PermanentError):
     cell-id and for an operator to act on the report, instead of a bare
     exception string.  ``kind`` is one of ``"counter-gap"``,
     ``"missing-tag"``, ``"chain-mismatch"``, ``"missing-cell"``,
-    ``"quarantined"``, or ``"undecryptable"``.
+    ``"quarantined"``, ``"undecryptable"``, ``"malformed-batch"`` (the
+    answer is not a table of fixed-width byte cells), or, for
+    aggregate-tree nodes, ``"missing-node"`` / ``"tree-node"``.
     """
 
     def __init__(

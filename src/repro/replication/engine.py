@@ -361,7 +361,7 @@ class ReplicatedStorageEngine:
     ) -> list[Row]:
         """Batched bin fetch (rows by trapdoor) through :meth:`_verified_read`.
 
-        ``verifier`` (the enclave's ``verify_rows``) runs against each
+        ``verifier`` (the enclave's pack-then-verify) runs against each
         replica's answer *before* it is accepted; ``cells`` hints which
         cell-ids the trapdoors cover so quarantine can be skipped at
         bin granularity; ``deadline`` is checked before every attempt.

@@ -338,9 +338,9 @@ class StorageEngine:
 
         Derived data: any later mutation of the table (insert, delete,
         overwrite, rebuild, drop) silently discards it and readers fall
-        back to the scalar row path.  The sidecar lives *on the Table*
+        back to trapdoor lookups.  The sidecar lives *on the Table*
         so even mutations that bypass the engine wrappers (a tampering
-        host writing rows directly) invalidate it — the packed path can
+        host writing rows directly) invalidate it — a sidecar read can
         never serve pre-tamper bytes a verifier would wrongly bless.
         """
         self._table(table).packed_bins = {
@@ -354,7 +354,7 @@ class StorageEngine:
     def fetch_packed_bin(self, table: str, bin_index: int):
         """Read one whole bin in columnar form; ``None`` means fall back.
 
-        The host-observable view is identical to the scalar whole-bin
+        The host-observable view is identical to the trapdoor whole-bin
         fetch: the same physical ROW_READ/PAGE_READ stream (plus one
         BIN_READ marking the unit), the same rows-read counter, and the
         same malicious-host response channel — armed tamper faults

@@ -43,7 +43,7 @@ def _cold_then_warm(records):
 
     def run():
         _, service = make_stack(
-            SPEC, records, verify=True, bin_cache_bins=16, packed_bins=True
+            SPEC, records, verify=True, bin_cache_bins=16
         )
         queries = [
             PointQuery(index_values=("ap0",), timestamp=60),
@@ -80,7 +80,6 @@ class TestColdVersusWarmPackedCache:
                     records,
                     verify=True,
                     bin_cache_bins=cache_bins,
-                    packed_bins=True,
                 )
                 return [
                     service.execute_point(
@@ -116,7 +115,7 @@ class TestPackedVersusScalar:
         def once(packed):
             def run():
                 _, service = make_stack(
-                    SPEC, records, verify=True, packed_bins=packed
+                    SPEC, records, verify=True, sidecar=packed
                 )
                 queries = [
                     PointQuery(index_values=("ap0",), timestamp=60),

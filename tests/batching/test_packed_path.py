@@ -1,14 +1,15 @@
-"""The packed (columnar) hot path: parity, fallback, and caching.
+"""The two fetch kinds: parity, fallback, and caching.
 
 Three contracts:
 
-1. **Bit-identical answers** — packed and scalar stacks built from the
-   same seeded records return byte-identical answers (and identical
-   public stats) for points, multipoint ranges, match-only COUNTs and
-   decrypting DISTINCT_COUNTs, verify on and off.
+1. **Bit-identical answers** — an epoch landed with its packed sidecar
+   ("packed") and the same epoch landed without it, read by trapdoor
+   ("scalar"), return byte-identical answers for points, multipoint
+   ranges, match-only COUNTs and decrypting DISTINCT_COUNTs, verify on
+   and off.
 2. **Fallback is invisible** — any row mutation on the underlying
    table (including tampering that bypasses the engine wrappers)
-   drops the derived packed sidecar, and the scalar fallback still
+   drops the derived packed sidecar, and the trapdoor fetch still
    answers correctly / still detects the tamper.
 3. **The cache holds packed bins** — a warm hit serves the columnar
    form, charged at its actual byte size, with answers unchanged.
@@ -76,8 +77,8 @@ class TestPackedScalarParity:
     def test_answers_identical_across_paths(self, seed, verify):
         records = _records(seed)
         queries = _query_mix(records)
-        _, packed = make_stack(SPEC, records, verify=verify, packed_bins=True)
-        _, scalar = make_stack(SPEC, records, verify=verify, packed_bins=False)
+        _, packed = make_stack(SPEC, records, verify=verify)
+        _, scalar = make_stack(SPEC, records, verify=verify, sidecar=False)
         assert _answers(packed, queries) == _answers(scalar, queries)
 
     def test_batch_answers_identical_across_paths(self):
@@ -86,8 +87,8 @@ class TestPackedScalarParity:
             PointQuery(index_values=(location,), timestamp=timestamp)
             for location, timestamp, _ in records[::7]
         ]
-        _, packed = make_stack(SPEC, records, verify=True, packed_bins=True)
-        _, scalar = make_stack(SPEC, records, verify=True, packed_bins=False)
+        _, packed = make_stack(SPEC, records, verify=True)
+        _, scalar = make_stack(SPEC, records, verify=True, sidecar=False)
         assert packed.execute_batch(queries) == scalar.execute_batch(queries)
 
     def test_packed_stack_actually_serves_packed_bins(self):
@@ -97,11 +98,19 @@ class TestPackedScalarParity:
 
     def test_oblivious_mode_forces_scalar(self):
         # The oblivious schedule is a different security contract; the
-        # packed fast path must never engage under it.
-        _, service = make_stack(
-            SPEC, _records(1), oblivious=True, packed_bins=True
+        # sidecar must never be installed, let alone read, under it.
+        records = _records(1)
+        _, service = make_stack(SPEC, records, oblivious=True)
+        assert not service.engine.has_packed_bins("epoch_0")
+        # ...and even one planted on the engine is passed over.
+        service.engine.store_packed_bins(
+            "epoch_0", service._packages[0].packed_bins
         )
-        assert not service._fetcher.packed
+        service.execute_point(
+            PointQuery(index_values=(records[0][0],), timestamp=records[0][1])
+        )
+        kinds = {event.kind.value for event in service.engine.access_log}
+        assert "index_lookup" in kinds and "bin_read" not in kinds
 
 
 class TestFallback:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -50,6 +51,7 @@ def make_stack(
     fake_strategy: FakeStrategy = FakeStrategy.SIMULATED,
     seed: int = 1,
     engine=None,
+    sidecar: bool = True,
     **config,
 ):
     """Build a provisioned provider/service pair with one ingested epoch.
@@ -57,7 +59,8 @@ def make_stack(
     Extra keyword arguments flow into :class:`ServiceConfig` (e.g.
     ``bin_cache_bins=8`` to enable the batching bin cache).  ``engine``
     lets a test supply its own storage engine (e.g. a replicated or
-    Byzantine-wrapped group).
+    Byzantine-wrapped group).  ``sidecar=False`` lands the package
+    without its packed bins, so every bin is fetched by trapdoor.
     """
     provider = DataProvider(
         WIFI_SCHEMA,
@@ -74,7 +77,10 @@ def make_stack(
         engine=engine,
     )
     provider.provision_enclave(service.enclave)
-    service.ingest_epoch(provider.encrypt_epoch(records, epoch_id=0))
+    package = provider.encrypt_epoch(records, epoch_id=0)
+    if not sidecar:
+        package = dataclasses.replace(package, packed_bins=None)
+    service.ingest_epoch(package)
     return provider, service
 
 

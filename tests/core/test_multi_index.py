@@ -75,6 +75,42 @@ class TestConstruction:
             )
 
 
+    def test_every_service_knob_reaches_every_index(self):
+        import dataclasses
+
+        from repro import ServiceConfig
+
+        changed = {
+            "oblivious": False, "verify": True, "window_subintervals": 4,
+            "super_bin_count": 2, "btree_order": 16, "retry_attempts": 2,
+            "retry_base_delay": 0.5, "retry_max_delay": 2.0, "retry_jitter": 0.25,
+            "deadline_seconds": 30.0, "max_inflight": 3, "admission_queue": 5,
+            "bin_cache_bins": 7, "batch_workers": 1, "trapdoor_table_slots": 11,
+            "agg_tree": False, "agg_tree_min_buckets": 3,
+        }
+        defaults = ServiceConfig()
+        fields = {f.name for f in dataclasses.fields(ServiceConfig)}
+        assert fields - set(changed) == {"table_prefix"}
+        for name, value in changed.items():
+            if name != "oblivious":
+                assert value != getattr(defaults, name), name
+        spec = GridSpec(dimension_sizes=(2, 2), cell_id_count=2,
+                        epoch_duration=EPOCH_DURATION)
+        for oblivious in (False, True):
+            base = ServiceConfig(**{**changed, "oblivious": oblivious})
+            deployment = MultiIndexDeployment(
+                schemas=[WIFI_SCHEMA, WIFI_OBS_SCHEMA],
+                grid_specs=[spec, spec],
+                first_epoch_id=0,
+                master_key=MASTER_KEY,
+                config=base,
+            )
+            for name, service in deployment.services.items():
+                assert service.config == dataclasses.replace(
+                    base, table_prefix=f"{name}_"
+                )
+
+
 class TestRouting:
     def test_exact_match(self, deployment):
         assert deployment.route(("location",)) == "wifi"
@@ -130,6 +166,44 @@ class TestQueries:
         )
         assert answer_obs == answer_loc == expected
         assert stats_obs.rows_fetched < stats_loc.rows_fetched
+
+    def test_winsecrange_window_budget_is_per_index(self, wifi_records):
+        """Regression: the budget was sealed in the shared enclave under
+        (epoch, λ) alone, so the second index to ask got the first's."""
+        def deploy():
+            deployment = MultiIndexDeployment(
+                schemas=[WIFI_SCHEMA, WIFI_OBS_SCHEMA],
+                grid_specs=[
+                    GridSpec(dimension_sizes=(8, 24), cell_id_count=64,
+                             epoch_duration=EPOCH_DURATION),
+                    GridSpec(dimension_sizes=(16, 12), cell_id_count=96,
+                             epoch_duration=EPOCH_DURATION),
+                ],
+                first_epoch_id=0,
+                master_key=MASTER_KEY,
+                time_granularity=60,
+                rng=random.Random(13),
+            )
+            deployment.ingest_epoch(wifi_records, 0)
+            return deployment
+
+        location, _, device = wifi_records[0]
+        queries = {
+            "wifi": RangeQuery(index_values=(location,), time_start=0, time_end=600),
+            "wifi-obs": RangeQuery(index_values=(device,), time_start=0, time_end=600),
+        }
+
+        def window_size(deployment, index):
+            _, stats = deployment.execute_range(
+                index, queries[index], method="winsecrange"
+            )
+            return stats.extra["window_size"]
+
+        alone = {index: window_size(deploy(), index) for index in queries}
+        assert alone["wifi"] != alone["wifi-obs"]
+        for order in (("wifi", "wifi-obs"), ("wifi-obs", "wifi")):
+            shared = deploy()
+            assert {i: window_size(shared, i) for i in order} == alone
 
     def test_unknown_index_rejected(self, deployment):
         with pytest.raises(QueryError):

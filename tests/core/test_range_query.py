@@ -115,6 +115,45 @@ class TestVolumes:
                 volumes.add(stats.rows_fetched)
         assert len(volumes) == 1
 
+    def test_ebpb_budget_never_crosses_epochs_over_context_rebuilds(self):
+        """Regression: the budget was cached under ``id(context)`` and
+        outlived the context, so a context rebuilt for *another* epoch
+        could land on a dead one's address and inherit its budget — a
+        sparse epoch's budget on a dense epoch fetches the real volume,
+        unpadded."""
+        from repro import FakeStrategy, GridSpec
+        from repro.enclave.enclave import Enclave, EnclaveConfig
+
+        spec = GridSpec(dimension_sizes=(4, 10), cell_id_count=16, epoch_duration=600)
+        dense = [
+            (f"ap{(t // 60 + d) % 4}", t, f"dev{d}")
+            for t in range(0, 600, 60)
+            for d in range(12)
+        ]
+        sparse = [(loc, 600 + t, dev) for loc, t, dev in dense[::6]]
+        provider, service = make_stack(
+            spec, dense, fake_strategy=FakeStrategy.EQUAL
+        )
+        service.ingest_epoch(provider.encrypt_epoch(sparse, epoch_id=600))
+        queries = {0: build_q1("ap1", 60, 299), 600: build_q1("ap1", 660, 899)}
+
+        def budgets(order):
+            out = {}
+            for epoch in order:
+                _, stats = service.execute_range(queries[epoch], method="ebpb")
+                assert stats.rows_fetched == stats.extra["ebpb_budget"]
+                out[epoch] = stats.rows_fetched
+            return out
+
+        clean = budgets((0, 600))
+        assert clean[0] > clean[600] > 0
+        for rebuild in range(300):
+            enclave = Enclave(EnclaveConfig())
+            provider.provision_enclave(enclave)
+            service.adopt_enclave(enclave)
+            order = (0, 600) if rebuild % 2 else (600, 0)
+            assert budgets(order) == clean, rebuild
+
     def test_winsecrange_same_window_same_rows(self, stack):
         """Example 5.2.2 defence: sliding inside one window fetches the
         same physical rows."""

@@ -1,0 +1,161 @@
+"""One STEP 4 changed nothing anyone outside the enclave can see.
+
+A fixed scenario drives every fetch situation through the one compute
+path: a sidecar point read, an eBPB and a winSecRange trapdoor fetch
+(packed at the fetch boundary), then — after a row overwrite dropped
+the sidecar — the same point reads over trapdoors.  Answers,
+``QueryStats``, the host's access-log stream and the metrics registry
+(less wall-clock families) must equal what the row-compute twins
+produced at the parent commit (bcb189f), plain and replicated.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+
+import pytest
+
+from repro import GridSpec, telemetry
+from repro.core.queries import Aggregate, PointQuery, RangeQuery
+from tests.conftest import make_stack
+from tests.replication.conftest import make_replicated_stack
+
+SPEC = GridSpec(dimension_sizes=(4, 10), cell_id_count=16, epoch_duration=600)
+RECORDS = [
+    (f"ap{(t // 60 + d) % 4}", t, f"dev{d % 5}")
+    for t in range(0, 600, 60)
+    for d in range(8)
+]
+LOCATIONS = tuple(sorted({record[0] for record in RECORDS}))
+
+# Captured at bcb189f: from a checkout of it,
+# ``PYTHONPATH=src:<this repo> python <this file>`` prints the table.
+_ANSWERS = "748170f02cffcdb070427b192a2d5b38ffca8dc6c5e68175af99df19dc87ea62"
+_STREAM = "f579b105d9213a8d5dfcddfd30435a26547aa36c5e0bafe97292f7aeb073ad70"
+_VERIFIED_STATS = "b20e1477fcd59071a727a5a60f63f28c7e9165e631255a3b7f76328373965331"
+GOLDEN = {
+    ("plain", False): {
+        "answers": _ANSWERS,
+        "stats": "a3905bdaf980a659a78c20fb7710c81b6f86c1dddf655d09d4d592d7b0cdbd1d",
+        "stream": _STREAM,
+        "metrics": "d88014c7fc3bdf60b2bcd595b8af9f02f4cba3f87bee317154514b80cf2d5681",
+    },
+    ("plain", True): {
+        "answers": _ANSWERS,
+        "stats": _VERIFIED_STATS,
+        "stream": _STREAM,
+        "metrics": "cfa3e2e0b774109a31e7d76b4901a38fdca8923f021101435f290e01d2d174a5",
+    },
+    # Replica 0's log: the honest group serves every read from it.
+    ("replicated", True): {
+        "answers": _ANSWERS,
+        "stats": _VERIFIED_STATS,
+        "stream": _STREAM,
+        "metrics": "70a9cb55f6d6a03a502879a3eb0eb61597fc864d99f011c319b0fec7cac3c075",
+    },
+}
+
+
+def _queries():
+    location, timestamp, _ = RECORDS[0]
+    return [
+        ("point", PointQuery(index_values=(location,), timestamp=timestamp)),
+        (
+            "point",
+            PointQuery(
+                index_values=(location,),
+                timestamp=timestamp,
+                aggregate=Aggregate.TOP_K,
+                target="observation",
+                k=2,
+            ),
+        ),
+        ("ebpb", RangeQuery(index_values=("ap1",), time_start=60, time_end=240)),
+        (
+            "ebpb",
+            RangeQuery(
+                index_values=(LOCATIONS,),
+                time_start=0,
+                time_end=300,
+                aggregate=Aggregate.DISTINCT_COUNT,
+                target="observation",
+            ),
+        ),
+        (
+            "winsecrange",
+            RangeQuery(
+                index_values=("ap2",),
+                time_start=0,
+                time_end=599,
+                aggregate=Aggregate.COLLECT,
+            ),
+        ),
+        ("multipoint", RangeQuery(index_values=("ap3",), time_start=0, time_end=300)),
+    ]
+
+
+def _run(service, kind, query):
+    if kind == "point":
+        return service.execute_point(query)
+    return service.execute_range(query, method=kind)
+
+
+def capture(topology: str, verify: bool) -> dict:
+    """Everything observable about the scenario, as digests."""
+    with telemetry.scoped_registry() as registry:
+        if topology == "plain":
+            _, service = make_stack(SPEC, RECORDS, verify=verify)
+            tables = [next(iter(service.engine._tables.values()))]
+        else:
+            _, service, engine, members, _ = make_replicated_stack(
+                RECORDS, replicas=2, verify=verify
+            )
+            tables = [
+                next(iter(member.inner._tables.values())) for member in members
+            ]
+        outcomes = [_run(service, kind, query) for kind, query in _queries()]
+        # A benign rewrite of one row: the sidecar is gone, the bytes are
+        # not, and the same reads now arrive as trapdoor fetches.
+        for table in tables:
+            row = next(iter(table.scan()))
+            table.overwrite(row.row_id, list(row.columns))
+        outcomes += [_run(service, kind, query) for kind, query in _queries()]
+        snapshot = registry.snapshot()
+    stream = hashlib.sha256()
+    for event in service.engine.access_log:
+        stream.update(
+            repr((event.kind.value, event.table, event.detail, event.query_id)).encode()
+        )
+    # Less wall-clock families, and less the tracer's ring-buffer drops
+    # (the buffer is process-wide: they count the tests run before).
+    metrics = {
+        name: family
+        for name, family in snapshot.items()
+        if family["type"] != "histogram"
+        and not name.endswith("_seconds")
+        and not name.startswith("concealer_trace_")
+    }
+    return {
+        "answers": _digest([answer for answer, _ in outcomes]),
+        "stats": _digest([dataclasses.asdict(stats) for _, stats in outcomes]),
+        "stream": stream.hexdigest(),
+        "metrics": _digest(metrics),
+    }
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(
+        json.dumps(value, sort_keys=True, default=repr).encode()
+    ).hexdigest()
+
+
+@pytest.mark.parametrize("topology,verify", sorted(GOLDEN))
+def test_fixed_scenario_matches_the_parent(topology, verify):
+    assert capture(topology, verify) == GOLDEN[(topology, verify)]
+
+
+if __name__ == "__main__":
+    for key in sorted(GOLDEN):
+        print(f"    {key}: {capture(*key)},")

@@ -36,10 +36,10 @@ def _records(prefix):
 
 def _cold_then_warm(records):
     def run():
-        # The trapdoor memo exists on the scalar path only — packed
-        # (columnar) fetches never derive per-row trapdoors, so this
-        # audit pins the path that owns the feature.
-        _, service = make_stack(SPEC, records, verify=True, packed_bins=False)
+        # The trapdoor memo works for the trapdoor fetch only — a
+        # sidecar read derives no per-row trapdoors — so this audit
+        # lands the epoch without its sidecar.
+        _, service = make_stack(SPEC, records, verify=True, sidecar=False)
         queries = [
             PointQuery(index_values=("ap0",), timestamp=60),
             PointQuery(index_values=("ap2",), timestamp=120),
@@ -77,7 +77,7 @@ class TestMemoizedVersusDisabled:
             def run():
                 _, service = make_stack(
                     SPEC, records, verify=True, trapdoor_table_slots=slots,
-                    packed_bins=False,
+                    sidecar=False,
                 )
                 return [
                     service.execute_point(

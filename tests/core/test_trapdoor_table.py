@@ -132,10 +132,9 @@ class TestServiceIntegration:
             for t in range(0, EPOCH_DURATION, 60)
             for d in range(6)
         ]
-        # Scalar path: the trapdoor memo is bypassed by packed
-        # (columnar) fetches, which derive no per-row trapdoors.
-        config.setdefault("packed_bins", False)
-        return make_stack(SPEC, records, verify=True, **config)
+        # Landed without the sidecar: a sidecar read derives no per-row
+        # trapdoors, so only the trapdoor fetch exercises the memo.
+        return make_stack(SPEC, records, verify=True, sidecar=False, **config)
 
     def test_repeat_query_hits_table(self):
         with scoped_registry() as registry:

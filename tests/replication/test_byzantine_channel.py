@@ -5,10 +5,14 @@ through one channel.  For every (kind, site) pair the enclave's own
 verifier for that kind must reject the perturbed answer with the
 violation kind it has always reported (``replica.slow`` perturbs time,
 not bytes: the replicated engine's attempt budget turns it into a
-``timeout`` failover).  The last test pins the order in which the
-channel consults its sites: a seeded schedule over a mixed
-rows/packed/tree read sequence must replay to the bytes captured before
-the three hand-copied channels became one.
+``timeout`` failover).  A further site sits where trapdoor rows are
+packed into the enclave's columnar form: an answer that is not a table
+of fixed-width byte cells must end in a typed violation there — on a
+plain engine with or without verification, and as one failover plus a
+quarantine on a replica group — never in a crash.  The last test pins
+the order in which the channel consults its sites: a seeded schedule
+over a mixed rows/packed/tree read sequence must replay to the bytes
+captured before the three hand-copied channels became one.
 """
 
 from __future__ import annotations
@@ -18,12 +22,16 @@ import hashlib
 import pytest
 
 from repro import telemetry
+from repro.core.queries import Aggregate, PointQuery, RangeQuery
 from repro.core.rotation import rotate_service_keys, rotation_token
 from repro.exceptions import IntegrityViolation
 from repro.faults.injector import FaultInjector, FaultSpec
+from repro.storage.table import Row
 
+from tests.conftest import make_stack
 from tests.replication.conftest import (
     MASTER_KEY,
+    SPEC,
     make_replicated_stack,
     replication_records,
 )
@@ -132,6 +140,89 @@ class TestEveryKindThroughTheChannel:
         assert registry.value(
             "concealer_replica_failovers_total", reason="timeout"
         ) == 1
+
+
+def _with_cell(rows, victim, column, cell):
+    columns = list(rows[victim].columns)
+    columns[column] = cell
+    return rows[:victim] + [Row(rows[victim].row_id, tuple(columns))] + rows[victim + 1:]
+
+
+# What a host can hand back in place of a table of fixed-width byte
+# cells, and the violation kind the pack boundary reports it as.
+MALFORMED = {
+    "ragged-rows": (
+        lambda rows: [Row(rows[0].row_id, rows[0].columns[:-1])] + rows[1:],
+        "malformed-batch",
+    ),
+    "wrong-width-cell": (
+        lambda rows: _with_cell(rows, 0, 0, rows[0][0] + b"\x00"),
+        "malformed-batch",
+    ),
+    # The column's total length is right; only a per-cell check sees it.
+    "one-short-one-long-cell": (
+        lambda rows: _with_cell(
+            _with_cell(rows, 0, 1, rows[0][1][:-1]), 1, 1, rows[1][1] + b"\x00"
+        ),
+        "malformed-batch",
+    ),
+    "non-bytes-cell": (
+        lambda rows: _with_cell(rows, len(rows) - 1, 0, rows[-1][0].decode("latin-1")),
+        "malformed-batch",
+    ),
+    "empty-batch": (lambda rows: [], "missing-cell"),
+}
+LOCATION, TIMESTAMP, _ = replication_records()[0]
+TRAPDOOR_READS = {
+    "point": lambda service: service.execute_point(
+        PointQuery(
+            index_values=(LOCATION,), timestamp=TIMESTAMP,
+            aggregate=Aggregate.COLLECT,
+        )
+    ),
+    "ebpb": lambda service: service.execute_range(
+        RangeQuery(index_values=(LOCATION,), time_start=0, time_end=299),
+        method="ebpb",
+    ),
+}
+
+
+def _malform(source, monkeypatch, shape):
+    """Have ``source`` answer every trapdoor lookup malformed."""
+    honest = source.lookup_many
+    monkeypatch.setattr(
+        source, "lookup_many",
+        lambda *args, **kwargs: MALFORMED[shape][0](honest(*args, **kwargs)),
+    )
+
+
+@pytest.mark.parametrize("read", sorted(TRAPDOOR_READS))
+@pytest.mark.parametrize("shape", sorted(MALFORMED))
+class TestMalformedAnswersAtThePackBoundary:
+    @pytest.mark.parametrize("verify", [False, True], ids=["unverified", "verified"])
+    def test_plain_engine_reports_a_typed_violation(
+        self, monkeypatch, shape, read, verify
+    ):
+        _, service = make_stack(
+            SPEC, replication_records(), verify=verify, sidecar=False
+        )
+        _malform(service.engine, monkeypatch, shape)
+        with pytest.raises(IntegrityViolation) as caught:
+            TRAPDOOR_READS[read](service)
+        assert caught.value.kind == MALFORMED[shape][1]
+
+    def test_replica_group_fails_over_and_quarantines(
+        self, monkeypatch, shape, read
+    ):
+        channel = Channel()
+        for member in channel.engine.replicas:  # no sidecar: read by trapdoor
+            member.inner._tables[channel.table].packed_bins = None
+        honest_answer, _ = TRAPDOOR_READS[read](channel.service)
+        _malform(channel.replica, monkeypatch, shape)
+        answer, stats = TRAPDOOR_READS[read](channel.service)
+        assert answer == honest_answer
+        assert stats.failovers == 1 and stats.verified
+        assert channel.engine.tables_needing_repair() == [(0, channel.table)]
 
 
 def test_row_replay_of_another_bin_is_rejected_within_an_epoch():

@@ -43,13 +43,13 @@ GOLDEN_RECORDS = [
 # Captured at the parent of the run-length change (per-event AccessLog).
 GOLDEN_VOLUMES = {1: 24, 2: 24, 3: 96, 4: 52}
 GOLDEN = {
-    False: {  # scalar: trapdoor lookups
+    False: {  # scalar: landed without the sidecar, trapdoor lookups
         "rows_read": 196,
         "index_lookups": 196,
         "events": 684,
         "stream": "d89d44a2750b2dc21856cf7ffcf605774da81c963a6d126d342623e5066025b1",
     },
-    True: {  # packed: whole-bin reads
+    True: {  # packed: whole-bin sidecar reads
         "rows_read": 196,
         "index_lookups": 52,  # the eBPB range stays on trapdoors
         "events": 546,
@@ -65,7 +65,7 @@ class TestHostViewGolden:
         other = GOLDEN_RECORDS[len(GOLDEN_RECORDS) // 2][0]
         with telemetry.scoped_registry() as registry:
             _, service = make_stack(
-                GOLDEN_SPEC, GOLDEN_RECORDS, verify=True, packed_bins=packed
+                GOLDEN_SPEC, GOLDEN_RECORDS, verify=True, sidecar=packed
             )
             service.execute_point(
                 PointQuery(index_values=(location,), timestamp=timestamp)
