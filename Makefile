@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test chaos replication-chaos shard-chaos shard-replication-chaos serve demo bench bench-json bench-smoke bench-e2e-smoke bench-longrange trace-overhead metrics-smoke lint loc profile
+.PHONY: test chaos replication-chaos shard-chaos shard-replication-chaos serve demo bench bench-json bench-smoke bench-e2e-smoke bench-longrange trace-overhead metrics-smoke lint loc profile profile-read
 
 # Where `make bench-json` writes its machine-readable metrics.
 BENCH_OUT ?= BENCH_local.json
@@ -97,6 +97,13 @@ trace-overhead:
 # benchmarks/results/profile.txt (and stdout).
 profile:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/profile_ingest.py
+
+# The read-side sibling: where a verified point query's time goes on the
+# repo benchmark's `point_bins` fleet shape — STEP 4's verification split
+# into index-key decrypt / grouping / chain fold / counters + tag compare,
+# then the cProfile top-30 — written to benchmarks/results/profile_read.txt.
+profile-read:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/profile_read.py
 
 # Tiny workload → Prometheus export → line-format validation.
 metrics-smoke:

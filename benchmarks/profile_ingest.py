@@ -57,8 +57,9 @@ PHASES = [
 class PhaseTimer:
     """Self-time per phase, from wrappers this file installs and removes."""
 
-    def __init__(self):
-        self.seconds: dict[str, float] = {phase: 0.0 for phase, *_ in PHASES}
+    def __init__(self, phases=PHASES):
+        self.phases = phases
+        self.seconds: dict[str, float] = {phase: 0.0 for phase, *_ in phases}
         self._nested = [0.0]  # time charged to phases inside the open one
         self._patched: list[tuple] = []
 
@@ -79,7 +80,7 @@ class PhaseTimer:
     def __enter__(self):
         import importlib
 
-        for phase, module, owner, name in PHASES:
+        for phase, module, owner, name in self.phases:
             holder = importlib.import_module(module)
             if owner is not None:
                 holder = getattr(holder, owner)
@@ -116,9 +117,10 @@ class CollectorClock:
         gc.callbacks.remove(self._callback)
 
 
-def fleet_and_records(workdir):
-    """A fresh 2×3 fleet and one benchmark-sized epoch (the e2e "full"
-    shape: 48 APs × 240 minutes, 1,024 cell-ids, |b| pinned at 512)."""
+def fleet_and_records(workdir, shards=SHARDS, replicas=REPLICAS):
+    """A fresh fleet (2×3 by default) and one benchmark-sized epoch (the
+    e2e "full" shape: 48 APs × 240 minutes, 1,024 cell-ids, |b| pinned
+    at 512)."""
     from repro import WIFI_SCHEMA, DataProvider, GridSpec
     from repro.sharding import ShardedConfig, ShardedService
     from repro.workloads import WifiConfig, generate_wifi_epoch
@@ -141,7 +143,7 @@ def fleet_and_records(workdir):
         rng=random.Random(7),
     )
     fleet = ShardedService.build(
-        provider, ShardedConfig(shards=SHARDS, replicas=REPLICAS), workdir
+        provider, ShardedConfig(shards=shards, replicas=replicas), workdir
     )
     return fleet, records, epoch
 

@@ -26,6 +26,8 @@ from contextlib import contextmanager
 from repro import telemetry
 from repro.core.binning import Bin, BinLayout, pack_bins
 from repro.core.epoch import (
+    FAKE_CHAIN_LABEL,
+    INDEX_PAD_WIDTH,
     EpochPackage,
     fake_index_plaintext,
     index_plaintext,
@@ -35,7 +37,12 @@ from repro.core.packed import PackedBin
 from repro.core.queries import Predicate, QueryStats
 from repro.core.schema import DatasetSchema
 from repro.crypto.det import DeterministicCipher
-from repro.crypto.kernels import CHAIN_INIT, DetKernel, batch_chain_extend
+from repro.crypto.kernels import (
+    CHAIN_INIT,
+    DET_TAG_BYTES,
+    DetKernel,
+    extend_chain_slices,
+)
 from repro.crypto.keys import derive_epoch_key
 from repro.crypto.nondet import RandomizedCipher
 from repro.enclave.enclave import Enclave
@@ -89,6 +96,7 @@ class EpochContext:
         schema: DatasetSchema,
         table_name: str | None = None,
         trapdoor_table=None,
+        verifies: bool = True,
     ):
         enclave.require_provisioned()
         self.enclave = enclave
@@ -122,9 +130,25 @@ class EpochContext:
             self.cell_id_vector = package.decrypt_cell_id_vector(self.nd)
             self.c_tuple = package.decrypt_c_tuple_vector(self.nd)
             self.cell_counts = package.decrypt_cell_counts(self.nd)
+        # The stored table's shape, a function of the schema alone: what
+        # an answer entering the enclave is held to (:meth:`_admit`).
+        self.column_widths = (DET_TAG_BYTES + schema.filter_pad_width,) * len(
+            schema.filter_groups
+        ) + (DET_TAG_BYTES + schema.payload_pad_width, DET_TAG_BYTES + INDEX_PAD_WIDTH)
+        # Opened verifiable tags, by cell-id (:meth:`_tag_digests`): they
+        # live and die with this context, like ``c_tuple``.
+        self._tag_memo: dict[int, tuple[bytes, ...]] = {}
+        # What the memo holds when full — one digest per chained column
+        # and real cell-id tag shipped, a function of the package's
+        # public sizes; nothing for a service that never verifies.
+        self.tag_memo_bytes = verifies * len(CHAIN_INIT) * (
+            len(self.column_widths) - 1
+        ) * (len(package.enc_tags) - (FAKE_CHAIN_LABEL in package.enc_tags))
         # The §9.1 observation that the vectors are small enough for the
-        # enclave: charge them against the EPC budget (8 bytes/int).
-        self._metadata_charge = 8 * (
+        # enclave: charge them against the EPC budget (8 bytes/int), and
+        # reserve the memo in the same single charge, so that when it
+        # fills says nothing and moves no fault site.
+        self._metadata_charge = self.tag_memo_bytes + 8 * (
             len(self.cell_id_vector) + len(self.c_tuple) + len(self.cell_counts)
         )
         enclave.charge_memory(self._metadata_charge)
@@ -175,8 +199,11 @@ class EpochContext:
         return self._super_layouts[super_bin_count]
 
     def release(self) -> None:
-        """Return this context's EPC charge (drop the cached metadata)."""
-        self.enclave.release_memory(self._metadata_charge)
+        """Return this context's EPC charge (the cached metadata and the
+        tag memo) to the enclave it was charged on; once."""
+        charge, self._metadata_charge = self._metadata_charge, 0
+        if charge:
+            self.enclave.release_memory(charge)
 
     # --------------------------------------------------------------- filters
 
@@ -397,30 +424,40 @@ class EpochContext:
                     stats.verified = True
                 return answer, verified
 
+    def _malformed(self, detail) -> IntegrityViolation:
+        return IntegrityViolation(
+            f"fetched batch is not a well-formed bin: {detail}",
+            epoch_id=self.epoch_id,
+            table=self.table_name,
+            kind="malformed-batch",
+        )
+
+    def _admit(self, packed: PackedBin) -> PackedBin:
+        """The boundary every fetched batch crosses once: a bin without
+        the stored table's columns at the schema's widths is a typed
+        violation here, never an ``IndexError`` or zero-width slice."""
+        if packed.column_widths != self.column_widths:
+            widths = f"{packed.column_widths}, the table's are {self.column_widths}"
+            raise self._malformed(f"column widths {widths}")
+        return packed
+
     def pack_rows(self, rows: Sequence[Row], bin_index: int = 0) -> PackedBin:
         """The pack boundary: fetched rows → the one in-enclave form.
 
         Rows come from the untrusted host, so a batch that is not a
         table of fixed-width byte cells is a typed integrity violation
         here, never a crash further in.  No rows at all pack to a
-        zero-row bin of the table's arity — a fetch may ask for nothing,
+        zero-row bin of the table's shape — a fetch may ask for nothing,
         and whether an empty answer is a violation is the cell
         binding's call (:meth:`_require_cells`).
         """
         if not rows:
-            # Filters, payload, index key; width 1 because numpy has no
-            # zero-width string dtype to view an empty column through.
-            arity = len(self.schema.filter_groups) + 2
-            return PackedBin(bin_index, 0, (1,) * arity, (b"",) * arity, ())
+            empty = (b"",) * len(self.column_widths)
+            return PackedBin(bin_index, 0, self.column_widths, empty, ())
         try:
-            return PackedBin.pack(bin_index, rows)
+            return self._admit(PackedBin.pack(bin_index, rows))
         except ValueError as error:
-            raise IntegrityViolation(
-                f"fetched batch is not a well-formed bin: {error}",
-                epoch_id=self.epoch_id,
-                table=self.table_name,
-                kind="malformed-batch",
-            ) from error
+            raise self._malformed(error) from error
 
     def fetch(
         self,
@@ -482,13 +519,19 @@ class EpochContext:
         """
         verifier = None
         if verify:
-            verifier = lambda packed, cells: self.verify_packed([packed], cells)
+            verifier = lambda packed, cells: self.verify_packed(
+                [self._admit(packed)], cells
+            )
         packed, verified = self._fetch(
             engine, "fetch_packed_bin", (chosen.index,),
             stats, deadline, verifier, chosen.cell_ids, 256 * chosen.total_tuples,
             stage="fetch", trapdoors=chosen.total_tuples,
         )
         if packed is not None:
+            if not verified:
+                self._admit(packed)
+                if not verify and not packed.row_count:
+                    self._require_cells((), chosen.cell_ids)  # as in fetch()
             # Volume counters move only once the fetch is known to have
             # gone the sidecar way — a None fallback leaves them for
             # the trapdoor fetch to account.
@@ -710,44 +753,51 @@ class EpochContext:
             self._check_cells(self._group_by_cell(packed_bins, keep), expected_cells)
 
     def _group_by_cell(self, packed_bins: Sequence[PackedBin], keep) -> dict:
-        """The real rows of a batch grouped by cell-id: counters in
-        ascending order and, per stored column, that cell's ciphertexts
-        in counter order."""
+        """The real rows of a batch grouped by cell-id, as *runs*
+        ``[first counter, start slot, stop slot, bin]``: slots adjacent
+        in one bin whose counters are consecutive.  A sealed bin and a
+        trapdoor answer hold each cell as one run from counter 1
+        (canonical slot order); a permuted, split, thinned or replayed
+        batch just makes more runs for :meth:`_check_cells` to order."""
+        import numpy as np
+
         from repro.core.schema import unpad_plaintext
 
-        column_count = len(self.schema.filter_groups) + 1
-        # One flat batch of (kept) index keys across all bins.  Cells
-        # are materialised by plain slicing, never through numpy element
-        # access (S-dtype strips trailing NULs from ciphertext bytes).
-        refs: list[tuple[object, int]] = []
+        # Every kept row's index key, decrypted in one kernel batch.
+        # Cells are materialised by plain slicing, never through numpy
+        # element access (S-dtype strips trailing NULs from ciphertext).
+        batches: list[tuple[PackedBin, Sequence[int]]] = []
         index_keys: list[bytes] = []
         offset = 0
         for pb in packed_bins:
             keys = pb.column_cells(len(pb.columns) - 1)
-            for j in range(pb.row_count):
-                if keep is None or keep[offset + j]:
-                    refs.append((pb, j))
-                    index_keys.append(keys[j])
+            slots: Sequence[int] = range(pb.row_count)
+            if keep is not None:
+                slots = np.flatnonzero(keep[offset : offset + pb.row_count]).tolist()
+                keys = [keys[j] for j in slots]
             offset += pb.row_count
-        plaintexts = self.det_kernel.decrypt_many(index_keys, errors="none")
-        per_cid: dict[int, list[tuple[int, object, int]]] = {}
-        for (pb, j), plaintext in zip(refs, plaintexts):
-            if plaintext is None:
-                raise self._undecryptable(pb.row_ids[j])
-            parts = unpad_plaintext(plaintext).split(b"\x1f")
-            if parts[0] != b"idx":
-                continue  # fake rows are not covered by per-cid tags
-            per_cid.setdefault(int(parts[1]), []).append((int(parts[2]), pb, j))
-        cells = {}
-        for cid, numbered in per_cid.items():
-            numbered.sort(key=lambda item: item[0])
-            cells[cid] = (
-                [counter for counter, _, _ in numbered],
-                [
-                    [pb.cell(j, position) for _, pb, j in numbered]
-                    for position in range(column_count)
-                ],
-            )
+            batches.append((pb, slots))
+            index_keys += keys
+        plaintexts = iter(self.det_kernel.decrypt_many(index_keys, errors="none"))
+        from_bytes = int.from_bytes
+        cells: dict[int, list[list]] = {}
+        for pb, slots in batches:
+            open_cid = run = None
+            for j, plaintext in zip(slots, plaintexts):
+                if plaintext is None:
+                    raise self._undecryptable(pb.row_ids[j])
+                end = 4 + from_bytes(plaintext[:4], "big")  # unpad_plaintext
+                if end > len(plaintext):
+                    unpad_plaintext(plaintext)  # raises: corrupt padding
+                parts = plaintext[4:end].split(b"\x1f")
+                if parts[0] != b"idx":
+                    continue  # fake rows are not covered by per-cid tags
+                cid, counter = int(parts[1]), int(parts[2])
+                if cid == open_cid and j == run[2] and counter - run[0] == j - run[1]:
+                    run[2] = j + 1
+                else:
+                    open_cid, run = cid, [counter, j, j + 1, pb]
+                    cells.setdefault(cid, []).append(run)
         return cells
 
     def _undecryptable(self, row_id: int) -> IntegrityViolation:
@@ -779,53 +829,65 @@ class EpochContext:
                     "(a substituted or replayed answer)",
                 )
 
+    def _tag_digests(self, cid: int) -> tuple[bytes, ...]:
+        """One cell-id's sealed per-column chain digests, opened once
+        per context (they are constants of the epoch and its key)."""
+        digests = self._tag_memo.get(cid)
+        if digests is None:
+            sealed = self.package.enc_tags.get(cid)
+            if sealed is None:
+                raise self._cell_violation(
+                    cid, "missing-tag", "no verifiable tag shipped"
+                )
+            digests = self._tag_memo[cid] = tuple(map(self.nd.decrypt, sealed))
+        return digests
+
     def _check_cells(
-        self,
-        cells: dict[int, tuple[list[int], list[list[bytes]]]],
-        expected_cells: Sequence[int] | None,
+        self, cells: dict[int, list[list]], expected_cells: Sequence[int] | None
     ) -> None:
         """Counter sequence, chain fold and tag compare per cell-id
         (``cells`` as :meth:`_group_by_cell` returns them)."""
         self._require_cells(cells, expected_cells)
-        for cid, (counters, columns) in cells.items():
-            if counters != list(range(1, self.c_tuple[cid] + 1)):
+        for cid, runs in cells.items():
+            if len(runs) > 1:
+                runs.sort(key=lambda run: run[0])
+            reached = 0  # the runs, in counter order, must count 1..c_tuple
+            for first, start, stop, _ in runs:
+                if first != reached + 1:
+                    reached = -1
+                    break
+                reached += stop - start
+            if reached != self.c_tuple[cid]:
                 raise self._cell_violation(
                     cid, "counter-gap",
-                    f"expected counters 1..{self.c_tuple[cid]}, "
-                    f"observed {counters[:5]}... (rows dropped, duplicated, "
-                    "or replayed)",
+                    f"expected counters 1..{self.c_tuple[cid]}, observed runs "
+                    f"{[(run[0], run[2] - run[1]) for run in runs[:5]]}... "
+                    "(first counter, rows): rows dropped, duplicated or replayed",
                 )
-            # Per-column chains fold in one kernel batch.  Uncounted:
-            # the fold count is the *real*-row volume, which is exactly
-            # what volume hiding keeps from the host.
-            chains = batch_chain_extend(
-                [CHAIN_INIT] * len(columns), columns, counted=False
+            digests = self._tag_digests(cid)
+            # Each column's chain folds over the runs' slices of its
+            # blob.  Uncounted: the fold count is the *real*-row volume,
+            # which is exactly what volume hiding keeps from the host.
+            chains = tuple(
+                extend_chain_slices(CHAIN_INIT, [
+                    (pb.columns[position], pb.column_widths[position], start, stop)
+                    for _, start, stop, pb in runs
+                ])
+                for position in range(len(digests))
             )
-            tag = self.package.enc_tags.get(cid)
-            if tag is None:
+            if chains != digests:
+                position = next(i for i, d in enumerate(digests) if d != chains[i])
                 raise self._cell_violation(
-                    cid, "missing-tag", "no verifiable tag shipped"
+                    cid, "chain-mismatch",
+                    f"column {position} hash chain mismatch",
                 )
-            for position, sealed in enumerate(tag):
-                if self.nd.decrypt(sealed) != chains[position]:
-                    raise self._cell_violation(
-                        cid, "chain-mismatch",
-                        f"column {position} hash chain mismatch",
-                    )
-
-    def _decode_index_key(self, row: Row) -> tuple[int, int] | None:
-        """Recover (cid, counter) from a row's index key; None for fakes."""
-        from repro.core.schema import unpad_plaintext
-
-        plaintext = unpad_plaintext(self.det_kernel.decrypt(row[-1]))
-        parts = plaintext.split(b"\x1f")
-        if parts[0] == b"idx":
-            return int(parts[1]), int(parts[2])
-        return None
 
     def is_fake_row(self, row: Row) -> bool:
         """Whether a fetched row is one of the provider's fakes."""
-        return self._decode_index_key(row) is None
+        from repro.core.schema import unpad_plaintext
+
+        plaintext = unpad_plaintext(self.det_kernel.decrypt(row[-1]))
+        return plaintext.split(b"\x1f")[0] != b"idx"
 
     # ------------------------------------------------------------- filtering
 

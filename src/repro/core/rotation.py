@@ -133,7 +133,7 @@ class RotationJournal:
         self._count_phase("rollback", restored)
         self._intents.clear()
         # Cached contexts may hold ciphers for half-rotated state.
-        service._contexts.clear()
+        service._drop_contexts()
         return restored
 
 
@@ -246,7 +246,7 @@ def commit_rotation(prepared: PreparedRotation) -> int:
             epoch_duration=old_schedule.epoch_duration,
         ),
     )
-    service._contexts.clear()
+    service._drop_contexts()
     table = getattr(service, "trapdoor_table", None)
     if table is not None:
         table.invalidate_all("rotation")

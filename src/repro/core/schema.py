@@ -52,7 +52,8 @@ def pad_plaintext(plaintext: bytes, width: int) -> bytes:
 
 
 def unpad_plaintext(padded: bytes) -> bytes:
-    """Invert :func:`pad_plaintext`."""
+    """Invert :func:`pad_plaintext` (``EpochContext._group_by_cell``
+    inlines this per index key: a format change is made in both)."""
     if len(padded) < 4:
         raise QueryError("padded plaintext too short")
     length = int.from_bytes(padded[:4], "big")

@@ -390,7 +390,7 @@ class ServiceProvider:
             self.engine.drop_table(table)
             evicted = True
         self._packages.pop(epoch_id, None)
-        self._contexts.pop(epoch_id, None)
+        self._drop_contexts(epoch_id)
         if evicted and self.bin_cache is not None:
             self.bin_cache.rebind_engine(self.engine)
         return evicted
@@ -407,8 +407,18 @@ class ServiceProvider:
                 self.enclave, package, self.schema,
                 table_name=self._table_name(epoch_id),
                 trapdoor_table=self.trapdoor_table,
+                verifies=self.config.verify,
             )
         return self._contexts[epoch_id]
+
+    def _drop_contexts(self, epoch_id: int | None = None) -> None:
+        """Forget cached epoch contexts — all, or one epoch's — and hand
+        their EPC charge back to the enclave they were built on.  A
+        killed enclave's ledger died with it; nothing is owed there."""
+        for epoch in list(self._contexts) if epoch_id is None else [epoch_id]:
+            context = self._contexts.pop(epoch, None)
+            if context is not None and not context.enclave.crashed:
+                context.release()
 
     # -------------------------------------------------------------- recovery
 
@@ -423,6 +433,7 @@ class ServiceProvider:
         contexts rebuild lazily from the stored epoch packages.
         """
         self.enclave = enclave
+        # Not _drop_contexts: the instance these were charged on is gone.
         self._contexts.clear()
         self._registry = None
         if self.bin_cache is not None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import telemetry
 from repro.crypto.keys import EpochKeySchedule
@@ -55,7 +55,6 @@ class _SealedState:
 
     master_key: bytes | None = None
     key_schedule: EpochKeySchedule | None = None
-    scratch: dict = field(default_factory=dict)
 
 
 class Enclave:
@@ -297,25 +296,6 @@ class Enclave:
     def reset_epc_stats(self) -> None:
         """Reset the high-water mark to the current usage."""
         self._epc_high_water = self._epc_used
-
-    # ------------------------------------------------------------ scratch RAM
-
-    def seal(self, name: str, value) -> None:
-        """Store a value in sealed scratch memory (e.g. decrypted vectors)."""
-        self._ecall_guard()
-        self._sealed.scratch[name] = value
-
-    def unseal(self, name: str):
-        """Read a sealed scratch value; raises if absent."""
-        self._ecall_guard()
-        try:
-            return self._sealed.scratch[name]
-        except KeyError:
-            raise EnclaveError(f"no sealed value named {name!r}") from None
-
-    def has_sealed(self, name: str) -> bool:
-        """Whether a sealed scratch value exists under this name."""
-        return name in self._sealed.scratch
 
 
 def generate_master_key(rng=None) -> bytes:

@@ -123,6 +123,16 @@ def capture(topology: str, verify: bool) -> dict:
             table.overwrite(row.row_id, list(row.columns))
         outcomes += [_run(service, kind, query) for kind, query in _queries()]
         snapshot = registry.snapshot()
+    # ISSUE 23: a verifying context reserves its tag memo in the EPC with
+    # its metadata.  ``GOLDEN`` stays the bcb189f digests: the two
+    # gauges must read exactly that reservation above the parent's, and
+    # every other family what it read there.
+    memo = service.context_for(0).tag_memo_bytes
+    tagged = sum(cid >= 0 for cid in service._packages[0].enc_tags)
+    assert memo == 32 * 4 * tagged * verify  # a digest per chained column
+    for gauge in ("concealer_epc_used_bytes", "concealer_epc_high_water_bytes"):
+        (sample,) = snapshot[gauge]["samples"]
+        sample["value"] -= memo
     stream = hashlib.sha256()
     for event in service.engine.access_log:
         stream.update(

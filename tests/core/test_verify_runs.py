@@ -1,0 +1,267 @@
+"""Same checks, fewer instructions: the run-based verification against
+the one it replaced.
+
+``reference_verify`` is STEP 4's hash-chain check as it ran before the
+columnar pass (c203b13), kept here as the oracle: a scalar decrypt per
+index key, ``(counter, bin, slot)`` tuples sorted per cell-id, per-cell
+ciphertext lists, and every sealed tag opened again on every call.  The
+differential feeds it and ``EpochContext.verify_packed`` the same
+batches — clean bins, permuted rows, a cell split across two bins,
+dropped / duplicated / corrupted / replayed rows, ``keep`` masks, wrong
+and missing request bindings — and requires the same outcome: both
+accept, or both reject with the same ``(kind, cell_id)``; with the tag
+memo cold and warm.  Two pins ride along: a verified bin still costs
+exactly one authenticated index-key decryption per (kept) row, and
+dropping contexts on a live enclave leaves ``concealer_epc_used_bytes``
+where it was.
+"""
+
+from __future__ import annotations
+
+import random
+
+import numpy as np
+import pytest
+
+from repro import GridSpec, telemetry
+from repro.core.packed import PackedBin
+from repro.core.rotation import rotate_service_keys, rotation_token
+from repro.core.schema import unpad_plaintext
+from repro.crypto.hashchain import chain_digest
+from repro.exceptions import DecryptionError, IntegrityViolation
+
+from tests.conftest import MASTER_KEY, make_stack
+
+SPEC = GridSpec(dimension_sizes=(4, 10), cell_id_count=16, epoch_duration=600)
+RECORDS = [
+    (f"ap{(t // 60 + d) % 4}", t, f"dev{d % 5}")
+    for t in range(0, 600, 60)
+    for d in range(8)
+]
+
+
+def reference_verify(context, packed_bins, expected_cells=None, keep=None):
+    """``None``, or the ``(kind, cell_id)`` the old code raised."""
+    column_count = len(context.schema.filter_groups) + 1
+    per_cid: dict[int, list] = {}
+    offset = 0
+    for pb in packed_bins:
+        for j in range(pb.row_count):
+            if keep is not None and not keep[offset + j]:
+                continue
+            try:
+                plaintext = context.det.decrypt(pb.cell(j, len(pb.columns) - 1))
+            except DecryptionError:
+                return "undecryptable", None
+            parts = unpad_plaintext(plaintext).split(b"\x1f")
+            if parts[0] == b"idx":
+                per_cid.setdefault(int(parts[1]), []).append((int(parts[2]), pb, j))
+        offset += pb.row_count
+    for cid in expected_cells or ():
+        if context.c_tuple[cid] > 0 and cid not in per_cid:
+            return "missing-cell", cid
+    for cid, numbered in per_cid.items():
+        numbered.sort(key=lambda item: item[0])
+        if [c for c, _, _ in numbered] != list(range(1, context.c_tuple[cid] + 1)):
+            return "counter-gap", cid
+        tag = context.package.enc_tags.get(cid)
+        if tag is None:
+            return "missing-tag", cid
+        for position in range(column_count):
+            chain = chain_digest([pb.cell(j, position) for _, pb, j in numbered])
+            if context.nd.decrypt(tag[position]) != chain:
+                return "chain-mismatch", cid
+    return None
+
+
+def outcome(context, packed_bins, expected_cells=None, keep=None):
+    try:
+        context.verify_packed(packed_bins, expected_cells, keep=keep)
+    except IntegrityViolation as violation:
+        return violation.kind, violation.cell_id
+    return None
+
+
+@pytest.fixture(scope="module")
+def sealed():
+    """(service, context, the epoch's sealed bins) of a verifying stack."""
+    _, service = make_stack(SPEC, RECORDS, verify=True)
+    context = service.context_for(0)
+    bins = [
+        service.engine.fetch_packed_bin(context.table_name, chosen.index)
+        for chosen in context.layout.bins
+    ]
+    return service, context, bins
+
+
+def _real_slots(context, pb):
+    return [j for j, row in enumerate(pb) if not context.is_fake_row(row)]
+
+
+def _flip(cell: bytes) -> bytes:
+    return bytes([cell[0] ^ 0x40]) + cell[1:]
+
+
+def _perturb(rng, context, pb):
+    """One random way a host can hand a sealed bin back."""
+    move = rng.choice(
+        ["as-sealed", "permute", "drop", "duplicate", "corrupt-chained", "corrupt-key"]
+    )
+    real = _real_slots(context, pb)
+    if move == "permute":
+        rows = pb.unpack()
+        rng.shuffle(rows)
+        return [PackedBin.pack(pb.bin_index, rows)]
+    if move == "drop" and real:
+        return [pb.without_row(rng.choice(real))]
+    if move == "duplicate" and real:
+        return [pb.with_duplicated_row(rng.choice(real))]
+    if move == "corrupt-chained" and real:
+        column = rng.randrange(len(pb.columns) - 1)
+        return [pb.with_corrupted_cell(rng.choice(real), column, _flip)]
+    if move == "corrupt-key":
+        return [pb.with_corrupted_cell(rng.randrange(pb.row_count), len(pb.columns) - 1, _flip)]
+    return [pb]
+
+
+def _split(rng, pb):
+    """The bin's rows as two bins, cut anywhere (mid-cell included)."""
+    rows = pb.unpack()
+    cut = rng.randrange(1, len(rows))
+    halves = [PackedBin.pack(pb.bin_index, rows[:cut]), PackedBin.pack(pb.bin_index, rows[cut:])]
+    rng.shuffle(halves)
+    return halves
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_run_based_verify_decides_as_the_reference_did(sealed, seed):
+    _, context, bins = sealed
+    rng = random.Random(seed)
+    chosen = rng.sample(range(len(bins)), rng.choice([1, 1, 2, 3]))
+    batch: list[PackedBin] = []
+    for index in chosen:
+        pb = bins[index]
+        batch += _split(rng, pb) if rng.random() < 0.3 else _perturb(rng, context, pb)
+    expected = rng.choice([
+        None,
+        [cid for index in chosen for cid in context.layout.bins[index].cell_ids],
+        list(context.layout.bins[rng.randrange(len(bins))].cell_ids),
+    ])
+    keep = None
+    total = sum(pb.row_count for pb in batch)
+    mask = rng.choice(["none", "dedup", "random"])
+    if mask == "dedup":
+        keep = context.packed_dedup_keep(batch)
+    elif mask == "random":
+        keep = np.array([rng.random() < 0.9 for _ in range(total)])
+    want = reference_verify(context, batch, expected, keep)
+    if seed % 2:
+        context._tag_memo.clear()  # the cold pass decides as the warm one
+    assert outcome(context, batch, expected, keep) == want
+    assert outcome(context, batch, expected, keep) == want  # memo warm now
+
+
+def test_every_sealed_bin_and_the_whole_epoch_verify(sealed):
+    _, context, bins = sealed
+    for chosen, pb in zip(context.layout.bins, bins):
+        assert outcome(context, [pb], chosen.cell_ids) is None
+    everything = [cid for chosen in context.layout.bins for cid in chosen.cell_ids]
+    assert outcome(context, bins, everything) is None
+    assert reference_verify(context, bins, everything) is None
+
+
+def test_the_reservation_is_the_full_memo_and_a_silent_service_makes_none(sealed):
+    """The EPC charge is what the memo holds once every cell-id was
+    verified (the fake chain's tag is never opened, so never counted),
+    and a service that does not verify is charged what it always was."""
+    service, context, bins = sealed
+    context.verify_packed(bins, None)
+    held = sum(len(d) for digests in context._tag_memo.values() for d in digests)
+    assert held == context.tag_memo_bytes > 0
+    _, silent = make_stack(SPEC, RECORDS, verify=False)
+    assert silent.context_for(0).tag_memo_bytes == 0
+    assert service.enclave.epc_used - silent.enclave.epc_used == held
+
+
+def test_each_violation_kind_is_still_reachable(sealed):
+    """The differential above would pass if both sides were blind."""
+    _, context, bins = sealed
+    chosen, pb = next(
+        (c, b) for c, b in zip(context.layout.bins, bins) if c.real_tuples > 1
+    )
+    victim = _real_slots(context, pb)[0]
+    other = next(c for c in context.layout.bins if c.index != chosen.index and c.real_tuples)
+    cases = {
+        "counter-gap": ([pb.without_row(victim)], chosen.cell_ids),
+        "chain-mismatch": ([pb.with_corrupted_cell(victim, 0, _flip)], chosen.cell_ids),
+        "undecryptable": (
+            [pb.with_corrupted_cell(victim, len(pb.columns) - 1, _flip)], chosen.cell_ids,
+        ),
+        "missing-cell": ([pb], other.cell_ids),
+    }
+    for kind, (batch, cells) in cases.items():
+        assert outcome(context, batch, cells)[0] == kind
+        assert reference_verify(context, batch, cells)[0] == kind
+
+
+def test_a_replayed_pre_rotation_bin_is_undecryptable_with_the_memo_warm():
+    _, service = make_stack(SPEC, RECORDS, verify=True)
+    context = service.context_for(0)
+    chosen = next(b for b in context.layout.bins if b.real_tuples)
+    stale = service.engine.fetch_packed_bin(context.table_name, chosen.index)
+    assert outcome(context, [stale], chosen.cell_ids) is None
+    assert context._tag_memo
+    new_master = bytes(range(32, 64))
+    rotate_service_keys(service, new_master, rotation_token(MASTER_KEY, new_master))
+    rebuilt = service.context_for(0)
+    assert rebuilt is not context and not rebuilt._tag_memo
+    assert outcome(rebuilt, [stale], chosen.cell_ids) == ("undecryptable", None)
+    assert reference_verify(rebuilt, [stale], chosen.cell_ids) == ("undecryptable", None)
+
+
+def test_a_verified_bin_costs_one_index_key_decryption_per_kept_row(sealed):
+    """The MAC over every fetched index key is not optional: a later
+    "optimisation" that skips it moves this public counter."""
+    _, context, bins = sealed
+    pb = bins[0]
+    keep = np.ones(pb.row_count, dtype=bool)
+    keep[::3] = False
+    for mask, rows in ((None, pb.row_count), (keep, int(keep.sum()))):
+        for _ in ("cold-or-warm", "warm"):
+            with telemetry.scoped_registry() as registry:
+                try:
+                    context.verify_packed([pb], None, keep=mask)
+                except IntegrityViolation:
+                    pass  # a thinned bin has counter gaps; the count stands
+                assert registry.value(
+                    "concealer_crypto_kernel_ops_total", kernel="det_decrypt"
+                ) == rows
+
+
+def test_epc_in_use_is_flat_over_rotations_and_evictions():
+    _, service = make_stack(SPEC, RECORDS, verify=True)
+    package = service._packages[0]
+
+    def touch():
+        context = service.context_for(0)
+        chosen = next(b for b in context.layout.bins if b.real_tuples)
+        pb = service.engine.fetch_packed_bin(context.table_name, chosen.index)
+        if pb is not None:  # a rotated table has no sidecar
+            context.verify_packed([pb], chosen.cell_ids)
+
+    touch()
+    baseline = service.enclave.epc_used
+    assert baseline > 0
+    masters = [MASTER_KEY] + [bytes([n]) * 32 for n in range(1, 6)]
+    with telemetry.scoped_registry() as registry:
+        for _ in range(5):  # first: rotation rewrites the package in place
+            assert service.evict_epoch(0)
+            assert service.enclave.epc_used == 0
+            service.ingest_epoch(package)
+            touch()
+            assert service.enclave.epc_used == baseline
+        for old, new in zip(masters, masters[1:]):
+            rotate_service_keys(service, new, rotation_token(old, new))
+            touch()
+            assert service.enclave.epc_used == baseline
+        assert registry.value("concealer_epc_used_bytes") == baseline

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.crypto import (
     DeterministicCipher,
@@ -163,6 +164,54 @@ class TestDetKernel:
             kernel.decrypt_many([b"too-short"])
         with pytest.raises(DecryptionError):
             kernel.decrypt(DetKernel(b"\x09" * 32).encrypt(b"x"))
+
+    # One batch item: (how it is made, plaintext length).  Lengths cover
+    # the empty body, one keystream block, its edges and several blocks;
+    # a single length repeated makes the batch of one width the read
+    # path sends.
+    _ITEM = st.tuples(
+        st.sampled_from(["good", "wrong-key", "flipped-body", "flipped-tag", "short"]),
+        st.sampled_from([0, 1, 31, 32, 33, 64, 100]),
+    )
+
+    @given(
+        st.lists(_ITEM, max_size=12),
+        st.one_of(st.none(), st.sampled_from([0, 32, 64])),
+        st.randoms(use_true_random=False),
+    )
+    def test_decrypt_many_is_the_scalar_decrypt_item_by_item(
+        self, items, one_width, rng
+    ):
+        key = rng.randbytes(32)
+        scalar, kernel = DeterministicCipher(key), DetKernel(key)
+        stranger = DeterministicCipher(rng.randbytes(32))
+        batch = []
+        for kind, length in items:
+            plaintext = rng.randbytes(length if one_width is None else one_width)
+            ciphertext = scalar.encrypt(plaintext)
+            if kind == "wrong-key":
+                ciphertext = stranger.encrypt(plaintext)
+            elif kind == "flipped-body" and plaintext:
+                ciphertext = ciphertext[:-1] + bytes([ciphertext[-1] ^ 1])
+            elif kind == "flipped-tag":
+                ciphertext = bytes([ciphertext[0] ^ 1]) + ciphertext[1:]
+            elif kind == "short":
+                ciphertext = ciphertext[: rng.randrange(16)]
+            batch.append(ciphertext)
+        expected, first_error = [], None
+        for ciphertext in batch:
+            try:
+                expected.append(scalar.decrypt(ciphertext))
+            except DecryptionError as error:
+                expected.append(None)
+                first_error = first_error or str(error)
+        assert kernel.decrypt_many(batch, errors="none", counted=False) == expected
+        if first_error is None:
+            assert kernel.decrypt_many(batch, counted=False) == expected
+        else:  # the first offender's error, as a scalar loop would raise it
+            with pytest.raises(DecryptionError) as caught:
+                kernel.decrypt_many(batch, counted=False)
+            assert str(caught.value) == first_error
 
 
 class TestNdKernel:

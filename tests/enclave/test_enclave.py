@@ -68,17 +68,6 @@ class TestEpcBudget:
         assert enclave.epc_high_water == 100
 
 
-class TestSealedScratch:
-    def test_seal_unseal(self, enclave):
-        enclave.seal("layout", [1, 2, 3])
-        assert enclave.unseal("layout") == [1, 2, 3]
-        assert enclave.has_sealed("layout")
-
-    def test_unseal_missing(self, enclave):
-        with pytest.raises(EnclaveError):
-            enclave.unseal("nope")
-
-
 class TestMasterKey:
     def test_generate_master_key_length(self):
         assert len(generate_master_key()) == 32

@@ -9,10 +9,13 @@ not bytes: the replicated engine's attempt budget turns it into a
 packed into the enclave's columnar form: an answer that is not a table
 of fixed-width byte cells must end in a typed violation there — on a
 plain engine with or without verification, and as one failover plus a
-quarantine on a replica group — never in a crash.  The last test pins
-the order in which the channel consults its sites: a seeded schedule
-over a mixed rows/packed/tree read sequence must replay to the bytes
-captured before the three hand-copied channels became one.
+quarantine on a replica group — never in a crash.  The sidecar boundary
+is held to the same: a packed bin with too few columns or columns of
+another width than the table's ends in the same typed violation.  The
+last test pins the order in which the channel consults its sites: a
+seeded schedule over a mixed rows/packed/tree read sequence must replay
+to the bytes captured before the three hand-copied channels became one.
+Every test then runs once more with the verifier's tag memo warm.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import hashlib
 import pytest
 
 from repro import telemetry
+from repro.core.packed import PackedBin
 from repro.core.queries import Aggregate, PointQuery, RangeQuery
 from repro.core.rotation import rotate_service_keys, rotation_token
 from repro.exceptions import IntegrityViolation
@@ -48,6 +52,10 @@ DROP_KIND = {"rows": "counter-gap", "packed": "counter-gap", "tree": "missing-no
 class Channel:
     """Replica 0's armed channel over a sealed epoch, plus what the
     enclave needs to ask for — and check — one unit of each kind."""
+
+    # Set by the ``warm_memo`` fixture: every sealed tag is opened before
+    # an answer is checked.
+    warm = False
 
     def __init__(self, *specs, seed=5, replicas=2):
         self.injector = FaultInjector(seed, list(specs))
@@ -80,12 +88,22 @@ class Channel:
     def verify(self, kind, chosen, answer):
         """What the enclave runs on an answer of this kind."""
         context = self.service.context_for(0)
+        if self.warm:
+            _warm(context)
         if kind == "rows":
             context.verify_rows(answer, chosen.cell_ids)
         elif kind == "packed":
             context.verify_packed([answer], chosen.cell_ids)
         else:
             context.decode_tree_nodes(self.meta, self.coords, answer)
+
+
+def _warm(context):
+    """Open and keep every sealed tag of the epoch, as a context that
+    has been serving verified reads for a while has."""
+    for cid, population in enumerate(context.c_tuple):
+        if population:
+            context._tag_digests(cid)
 
 
 def always(site):
@@ -172,6 +190,53 @@ MALFORMED = {
     ),
     "empty-batch": (lambda rows: [], "missing-cell"),
 }
+# Well-formed tables of fixed-width cells, only not this table's: what
+# becomes of each row's columns.
+WRONG_SHAPES = {
+    "two-columns": lambda c: c[:2],
+    "index-width-0": lambda c: (*c[:-1], b""),
+    "index-width-16": lambda c: (*c[:-1], c[-1][:16]),
+    "index-width-80": lambda c: (*c[:-1], c[0]),
+    "filter-width-79": lambda c: (c[0][:-1], *c[1:]),
+}
+
+
+def _with_columns(rows, reshape):
+    return [Row(row.row_id, tuple(reshape(row.columns))) for row in rows]
+
+
+MALFORMED.update({
+    shape: (lambda rows, reshape=reshape: _with_columns(rows, reshape), "malformed-batch")
+    for shape, reshape in WRONG_SHAPES.items()
+})
+# The same at the sidecar boundary, where the host answers with a whole
+# packed bin, and two shapes only a bin can have.
+MALFORMED_BINS = {
+    **{
+        shape: (
+            lambda packed, reshape=reshape: PackedBin.pack(
+                packed.bin_index, _with_columns(packed.unpack(), reshape)
+            ),
+            "malformed-batch",
+        )
+        for shape, reshape in WRONG_SHAPES.items()
+    },
+    # What ``pack_rows`` used to emit for no rows at all.
+    "zero-rows-width-1": (
+        lambda packed: PackedBin(
+            packed.bin_index, 0, (1,) * len(packed.columns),
+            (b"",) * len(packed.columns), (),
+        ),
+        "malformed-batch",
+    ),
+    "zero-rows": (
+        lambda packed: PackedBin(
+            packed.bin_index, 0, packed.column_widths,
+            (b"",) * len(packed.columns), (),
+        ),
+        "missing-cell",
+    ),
+}
 LOCATION, TIMESTAMP, _ = replication_records()[0]
 TRAPDOOR_READS = {
     "point": lambda service: service.execute_point(
@@ -185,44 +250,79 @@ TRAPDOOR_READS = {
         method="ebpb",
     ),
 }
+SIDECAR_READS = {
+    "point": TRAPDOOR_READS["point"],
+    "multipoint": lambda service: service.execute_range(
+        RangeQuery(index_values=(LOCATION,), time_start=0, time_end=299),
+        method="multipoint",
+    ),
+}
 
 
-def _malform(source, monkeypatch, shape):
-    """Have ``source`` answer every trapdoor lookup malformed."""
-    honest = source.lookup_many
+def _malform(source, monkeypatch, method, bend):
+    """Have ``source`` answer every ``method`` read malformed."""
+    honest = getattr(source, method)
     monkeypatch.setattr(
-        source, "lookup_many",
-        lambda *args, **kwargs: MALFORMED[shape][0](honest(*args, **kwargs)),
+        source, method, lambda *args, **kwargs: bend(honest(*args, **kwargs))
     )
 
 
-@pytest.mark.parametrize("read", sorted(TRAPDOOR_READS))
-@pytest.mark.parametrize("shape", sorted(MALFORMED))
-class TestMalformedAnswersAtThePackBoundary:
+class _MalformedAnswers:
+    """An answer that is not the table's shape, at one fetch boundary:
+    ``method`` is the read the host bends, ``shapes`` how, ``reads`` the
+    queries that make it, ``sidecar`` whether the epoch keeps one."""
+
+    warm = False  # see ``warm_memo``: an honest read opens the tags first
+    # One failover takes the replica out for the table, however many
+    # reads the query goes on to make; the exceptions, by (shape, read).
+    failovers: dict = {}
+
     @pytest.mark.parametrize("verify", [False, True], ids=["unverified", "verified"])
     def test_plain_engine_reports_a_typed_violation(
         self, monkeypatch, shape, read, verify
     ):
         _, service = make_stack(
-            SPEC, replication_records(), verify=verify, sidecar=False
+            SPEC, replication_records(), verify=verify, sidecar=self.sidecar
         )
-        _malform(service.engine, monkeypatch, shape)
+        if self.warm:
+            _warm(service.context_for(0))
+        bend, kind = self.shapes[shape]
+        _malform(service.engine, monkeypatch, self.method, bend)
         with pytest.raises(IntegrityViolation) as caught:
-            TRAPDOOR_READS[read](service)
-        assert caught.value.kind == MALFORMED[shape][1]
+            self.reads[read](service)
+        assert caught.value.kind == kind
 
     def test_replica_group_fails_over_and_quarantines(
         self, monkeypatch, shape, read
     ):
         channel = Channel()
-        for member in channel.engine.replicas:  # no sidecar: read by trapdoor
-            member.inner._tables[channel.table].packed_bins = None
-        honest_answer, _ = TRAPDOOR_READS[read](channel.service)
-        _malform(channel.replica, monkeypatch, shape)
-        answer, stats = TRAPDOOR_READS[read](channel.service)
+        if not self.sidecar:  # read by trapdoor
+            for member in channel.engine.replicas:
+                member.inner._tables[channel.table].packed_bins = None
+        honest_answer, _ = self.reads[read](channel.service)
+        _malform(channel.replica, monkeypatch, self.method, self.shapes[shape][0])
+        answer, stats = self.reads[read](channel.service)
         assert answer == honest_answer
-        assert stats.failovers == 1 and stats.verified
+        assert stats.failovers == self.failovers.get((shape, read), 1)
+        assert stats.verified
         assert channel.engine.tables_needing_repair() == [(0, channel.table)]
+
+
+@pytest.mark.parametrize("read", sorted(TRAPDOOR_READS))
+@pytest.mark.parametrize("shape", sorted(MALFORMED))
+class TestMalformedAnswersAtThePackBoundary(_MalformedAnswers):
+    method, shapes, reads, sidecar = "lookup_many", MALFORMED, TRAPDOOR_READS, False
+
+
+@pytest.mark.parametrize("read", sorted(SIDECAR_READS))
+@pytest.mark.parametrize("shape", sorted(MALFORMED_BINS))
+class TestMalformedAnswersAtTheSidecarBoundary(_MalformedAnswers):
+    method, shapes, reads, sidecar = (
+        "fetch_packed_bin", MALFORMED_BINS, SIDECAR_READS, True
+    )
+    # An absent cell is held against that cell only, so each of the
+    # three bins this range reads costs its own failover.
+    failovers = {("zero-rows", "multipoint"): 3}
 
 
 def test_row_replay_of_another_bin_is_rejected_within_an_epoch():
@@ -275,3 +375,41 @@ def test_seeded_schedule_over_mixed_reads_replays_to_the_golden_bytes():
     assert hashlib.sha256(schedule).hexdigest() == GOLDEN_SCHEDULE
     assert answers.hexdigest() == GOLDEN_ANSWERS
     assert channel.clock.now() == GOLDEN_STALLED
+
+
+# ------------------------------------------------- the suite, memo warm
+
+
+@pytest.fixture
+def warm_memo(monkeypatch):
+    """Every check above decides the same once the context has opened
+    and kept every sealed tag (what a serving enclave's state is)."""
+    monkeypatch.setattr(Channel, "warm", True)
+    monkeypatch.setattr(_MalformedAnswers, "warm", True)
+
+
+@pytest.mark.usefixtures("warm_memo")
+class TestEveryKindWithTheTagMemoWarm(TestEveryKindThroughTheChannel):
+    pass
+
+
+@pytest.mark.usefixtures("warm_memo")
+class TestMalformedPackAnswersWithTheTagMemoWarm(TestMalformedAnswersAtThePackBoundary):
+    pass
+
+
+@pytest.mark.usefixtures("warm_memo")
+class TestMalformedSidecarAnswersWithTheTagMemoWarm(
+    TestMalformedAnswersAtTheSidecarBoundary
+):
+    pass
+
+
+@pytest.mark.usefixtures("warm_memo")
+class TestReplaysWithTheTagMemoWarm:
+    test_row_replay = staticmethod(
+        test_row_replay_of_another_bin_is_rejected_within_an_epoch
+    )
+    test_seeded_schedule = staticmethod(
+        test_seeded_schedule_over_mixed_reads_replays_to_the_golden_bytes
+    )
