@@ -1,22 +1,19 @@
-"""Exp 12 — ingest fast paths: batch kernels + parallel epoch encrypt.
+"""Exp 12 — parallel epoch encrypt.
 
-Not a paper experiment: this benchmark quantifies the reproduction's
-Algorithm 1 fast paths against its own scalar baseline (the pre-kernel
-per-row cipher loop, kept alive as ``use_kernels=False``).
+Not a paper experiment: this benchmark measures Algorithm 1's ingest
+throughput with the rows partitioned by cell-id over a process pool.
 
-Measured grid: scalar, kernels at ``workers`` ∈ {1, 2, 4}.  All four
-configurations produce byte-identical packages from same-seed RNGs
-(property-tested in ``tests/core/test_parallel_encryptor.py``); only
-the wall-clock differs.
+Measured grid: ``workers`` ∈ {1, 2, 4}.  All three configurations
+produce byte-identical packages from same-seed RNGs (golden digests in
+``tests/core/test_parallel_encryptor.py``); only the wall-clock differs.
+The committed ``results/exp12_ingest.json`` predates the one cipher
+suite and is kept as the historical record of the per-row scalar-cipher
+arm this grid was once compared against (EXPERIMENTS.md, Exp 12).
 
-Expectations enforced:
-
-- the single-worker kernel path beats scalar by well over 1.2×
-  (primed HMAC bases, deduplicated DET plaintexts, batched SIV);
-- with ≥2 cores, ``workers=4`` reaches ≥2× scalar throughput; on a
-  single-core host (CI containers) process parallelism cannot beat the
-  GIL-free serial path, so the gate falls back to the kernel floor and
-  the recorded JSON carries ``cpu_count`` for context.
+Expectation enforced: with ≥2 cores ``workers=4`` beats ``workers=1``;
+on a single-core host (CI containers) process parallelism cannot beat
+the serial pass, so the gate is that pool overhead stays bounded, and
+the recorded JSON carries ``cpu_count`` for context.
 """
 
 import os
@@ -49,13 +46,13 @@ def batch():
     return records[:BATCH_ROWS]
 
 
-def _rows_per_minute(batch, use_kernels: bool, workers: int, rounds: int = 3):
+def _rows_per_minute(batch, workers: int, rounds: int = 3):
     """Best-of-N wall-clock for one full epoch encryption."""
     best = float("inf")
     for _ in range(rounds):
         encryptor = EpochEncryptor(
             WIFI_SCHEMA, SPEC, MASTER_KEY, time_granularity=TIME_STEP,
-            rng=random.Random(1), use_kernels=use_kernels, workers=workers,
+            rng=random.Random(1), workers=workers,
         )
         start = time.perf_counter()
         encryptor.encrypt_epoch(batch, EPOCH)
@@ -63,50 +60,37 @@ def _rows_per_minute(batch, use_kernels: bool, workers: int, rounds: int = 3):
     return 60.0 * len(batch) / best
 
 
-def test_exp12_ingest_fast_paths(batch):
+def test_exp12_parallel_ingest(batch):
     cpus = os.cpu_count() or 1
-    scalar = _rows_per_minute(batch, use_kernels=False, workers=1)
     by_workers = {
-        workers: _rows_per_minute(batch, use_kernels=True, workers=workers)
-        for workers in WORKER_GRID
+        workers: _rows_per_minute(batch, workers) for workers in WORKER_GRID
     }
-
-    kernel_speedup = by_workers[1] / scalar
-    parallel_speedup = by_workers[max(WORKER_GRID)] / scalar
+    parallel_speedup = by_workers[max(WORKER_GRID)] / by_workers[1]
     print(paper_row(
-        "exp12", "Algorithm 1 fast paths",
-        scalar_rows_per_min=int(scalar),
+        "exp12", "Algorithm 1 parallel ingest",
         **{f"w{w}_rows_per_min": int(v) for w, v in by_workers.items()},
-        kernel_speedup=round(kernel_speedup, 2),
         parallel_speedup=round(parallel_speedup, 2),
         cpu_count=cpus,
     ))
     save_result("exp12_ingest", {
         "batch_rows": BATCH_ROWS,
         "cpu_count": cpus,
-        "scalar_rows_per_minute": int(scalar),
-        "kernel_rows_per_minute_by_workers": {
+        "rows_per_minute_by_workers": {
             str(w): int(v) for w, v in by_workers.items()
         },
-        "kernel_speedup_workers1": round(kernel_speedup, 3),
-        "speedup_workers4": round(parallel_speedup, 3),
+        "speedup_workers4_over_workers1": round(parallel_speedup, 3),
     })
 
-    # The kernel rewrite alone must clear the 1.2× bar with margin.
-    assert kernel_speedup > 1.2, (
-        f"single-worker kernel path only {kernel_speedup:.2f}x over scalar"
-    )
     if cpus >= 2:
-        # Real cores available: the pool must at least double scalar.
-        assert parallel_speedup >= 2.0, (
+        assert parallel_speedup > 1.0, (
             f"workers={max(WORKER_GRID)} only {parallel_speedup:.2f}x over "
-            f"scalar on {cpus} cpus"
+            f"workers=1 on {cpus} cpus"
         )
     else:
         # Single-core host: forked workers time-slice one core, so the
-        # ceiling is the serial kernel gain minus pool overhead.  The
-        # degradation guard must keep that overhead bounded.
-        assert parallel_speedup > 1.2, (
+        # ceiling is the serial pass minus pool overhead, which the
+        # min_rows_per_worker guard must keep bounded.
+        assert parallel_speedup > 0.6, (
             f"workers={max(WORKER_GRID)} fell to {parallel_speedup:.2f}x on a "
             "single-core host — pool overhead is not being contained"
         )

@@ -88,7 +88,7 @@ def _build_service(scale: dict):
 
 
 def _ingest_metrics(scale: dict, metrics: dict[str, float]) -> None:
-    """Algorithm 1 throughput: scalar baseline vs batch kernels.
+    """Algorithm 1 throughput.
 
     Wall-clock, hence informational (never gated) — but the committed
     baseline keeps the trend visible: check_regression.py prints the
@@ -114,21 +114,13 @@ def _ingest_metrics(scale: dict, metrics: dict[str, float]) -> None:
         cell_id_count=256,
         epoch_duration=EPOCH_DURATION,
     )
-
-    def rows_per_min(use_kernels: bool) -> float:
-        encryptor = EpochEncryptor(
-            WIFI_SCHEMA, spec, MASTER_KEY, time_granularity=60,
-            rng=random.Random(7), use_kernels=use_kernels,
-        )
-        start = time.perf_counter()
-        encryptor.encrypt_epoch(records, EPOCH)
-        return len(records) / (time.perf_counter() - start) * 60.0
-
-    scalar = rows_per_min(use_kernels=False)
-    kernel = rows_per_min(use_kernels=True)
-    metrics["ingest_rows_per_min_scalar"] = round(scalar, 1)
-    metrics["ingest_rows_per_min_kernel"] = round(kernel, 1)
-    metrics["ingest_kernel_speedup"] = round(kernel / scalar, 4)
+    encryptor = EpochEncryptor(
+        WIFI_SCHEMA, spec, MASTER_KEY, time_granularity=60, rng=random.Random(7)
+    )
+    start = time.perf_counter()
+    encryptor.encrypt_epoch(records, EPOCH)
+    rate = len(records) / (time.perf_counter() - start) * 60.0
+    metrics["ingest_rows_per_min_kernel"] = round(rate, 1)
 
 
 def _service_metrics(metrics: dict[str, float]) -> None:

@@ -27,7 +27,10 @@ from profile_ingest import TOP_N, PhaseTimer, fleet_and_records  # noqa: E402
 QUERIES = 200
 _CONTEXT = ("repro.core.context", "EpochContext")
 PHASES = [
-    ("verify: index-key decrypt*", "repro.crypto.kernels", "DetKernel", "decrypt_many"),
+    (
+        "verify: index-key decrypt*",
+        "repro.crypto.kernels", "DeterministicCipher", "decrypt_many",
+    ),
     ("verify: grouping", *_CONTEXT, "_group_by_cell"),
     ("verify: chain fold", "repro.core.context", None, "extend_chain_slices"),
     ("verify: counters + tags", *_CONTEXT, "_check_cells"),

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.core.schema import DatasetSchema, encode_values
-from repro.crypto.kernels import CHAIN_INIT, DetKernel, extend_chain
+from repro.crypto.kernels import CHAIN_INIT, DeterministicCipher, extend_chain
 from repro.crypto.prf import Prf
 from repro.exceptions import EpochError
 
@@ -633,7 +633,7 @@ def build_agg_tree(
 
     # counted=False: the encryptor credits the (public) node count to the
     # kernel-op counter itself, matching the row-encryption discipline.
-    ciphertexts = DetKernel(enc_key).encrypt_many(plaintexts, counted=False)
+    ciphertexts = DeterministicCipher(enc_key).encrypt_many(plaintexts, counted=False)
     nodes = b"".join(ciphertexts)
     directory_plain = encode_directory(directory_entries, entity_count)
     # Two nd nonces, fixed order: directory, then root tag.

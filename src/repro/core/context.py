@@ -36,15 +36,14 @@ from repro.core.grid import Grid
 from repro.core.packed import PackedBin
 from repro.core.queries import Predicate, QueryStats
 from repro.core.schema import DatasetSchema
-from repro.crypto.det import DeterministicCipher
 from repro.crypto.kernels import (
     CHAIN_INIT,
     DET_TAG_BYTES,
-    DetKernel,
+    DeterministicCipher,
+    RandomizedCipher,
     extend_chain_slices,
 )
 from repro.crypto.keys import derive_epoch_key
-from repro.crypto.nondet import RandomizedCipher
 from repro.enclave.enclave import Enclave
 from repro.enclave.sort import bitonic_sort, column_sort
 from repro.exceptions import (
@@ -114,7 +113,6 @@ class EpochContext:
         # enclave-private like every other derived key here.
         self._epoch_key = epoch_key
         self.det = DeterministicCipher(epoch_key)
-        self.det_kernel = DetKernel(epoch_key)
         self.nd = RandomizedCipher(epoch_key)
         grid_key = (
             self.nd.decrypt(package.enc_grid_key)
@@ -175,7 +173,7 @@ class EpochContext:
         # query: (engine generation, (meta, directory) | None).
         self._tree_state: tuple[int, object] | None = None
         self._tree_key_pair: tuple[bytes, bytes] | None = None
-        self._tree_det: DetKernel | None = None
+        self._tree_det: DeterministicCipher | None = None
 
     def super_layout(self, super_bin_count: int):
         """The §8 super-bin grouping of this epoch's bins, cached per f.
@@ -225,7 +223,7 @@ class EpochContext:
         for every value combination a wildcard predicate names.
         """
         timestamps = list(timestamps)
-        return self.det_kernel.encrypt_many(
+        return self.det.encrypt_many(
             [
                 self.schema.filter_plaintext_for_values(predicate.group, values, t)
                 for values in predicate.combinations()
@@ -251,7 +249,7 @@ class EpochContext:
         query can name the same fake many times), looked up in the
         service's :class:`~repro.core.trapdoor_table.TrapdoorTable`
         when one is wired, and only the remaining misses hit the DET
-        kernel — in one batch.
+        cipher — in one batch.
         """
         slots: list[tuple] = [
             ("real", cid, j)
@@ -276,7 +274,7 @@ class EpochContext:
             pending[slot] = None
         miss_order = list(pending)
         if miss_order:
-            derived = self.det_kernel.encrypt_many(
+            derived = self.det.encrypt_many(
                 [
                     index_plaintext(slot[1], slot[2])
                     if slot[0] == "real"
@@ -314,14 +312,13 @@ class EpochContext:
             "oblivious_trapdoor_schedule", cells_max, tuples_max, fakes_max
         )
 
-        # The memoizing TrapdoorTable is deliberately bypassed here: the
-        # kernel derives every candidate slot unconditionally, so the
-        # schedule's memory-touch sequence stays bin-independent.  The
-        # primed-HMAC amortization is trace-neutral (same per-slot work).
+        # The memoizing TrapdoorTable is deliberately bypassed here:
+        # every candidate slot is derived unconditionally, so the
+        # schedule's memory-touch sequence stays bin-independent.
         slots: list[tuple[int, bytes]] = []
         cell_list = list(chosen.cell_ids) + [0] * (cells_max - len(chosen.cell_ids))
         in_bin_count = len(chosen.cell_ids)
-        encrypt = self.det_kernel.encrypt
+        encrypt = self.det.encrypt
         for position in range(cells_max):
             cid = cell_list[position]
             in_bin = ((position - in_bin_count) >> 63) & 1  # 1 iff slot is used
@@ -657,7 +654,7 @@ class EpochContext:
             )
         enc_key, mac_key = self._tree_keys()
         if self._tree_det is None:
-            self._tree_det = DetKernel(enc_key)
+            self._tree_det = DeterministicCipher(enc_key)
         plaintexts = self._tree_det.decrypt_many(list(nodes), errors="none")
         decoded = []
         for (entity, level, index), plaintext in zip(coords, plaintexts):
@@ -763,7 +760,7 @@ class EpochContext:
 
         from repro.core.schema import unpad_plaintext
 
-        # Every kept row's index key, decrypted in one kernel batch.
+        # Every kept row's index key, decrypted in one batch.
         # Cells are materialised by plain slicing, never through numpy
         # element access (S-dtype strips trailing NULs from ciphertext).
         batches: list[tuple[PackedBin, Sequence[int]]] = []
@@ -778,7 +775,7 @@ class EpochContext:
             offset += pb.row_count
             batches.append((pb, slots))
             index_keys += keys
-        plaintexts = iter(self.det_kernel.decrypt_many(index_keys, errors="none"))
+        plaintexts = iter(self.det.decrypt_many(index_keys, errors="none"))
         from_bytes = int.from_bytes
         cells: dict[int, list[list]] = {}
         for pb, slots in batches:
@@ -886,7 +883,7 @@ class EpochContext:
         """Whether a fetched row is one of the provider's fakes."""
         from repro.core.schema import unpad_plaintext
 
-        plaintext = unpad_plaintext(self.det_kernel.decrypt(row[-1]))
+        plaintext = unpad_plaintext(self.det.decrypt(row[-1]))
         return plaintext.split(b"\x1f")[0] != b"idx"
 
     # ------------------------------------------------------------- filtering
@@ -1041,7 +1038,7 @@ class EpochContext:
         """Payload ciphertexts → record tuples (skipping any fake that
         slipped through matching).
 
-        Batched through the DET kernel with ``counted=False``: the
+        One batch with ``counted=False``: the
         number of matched-and-decrypted rows is data-dependent, so it
         must not feed a public-size kernel counter.
         """
@@ -1049,7 +1046,7 @@ class EpochContext:
         # volume (data-dependent).  The span itself is fine — every query
         # has exactly one decrypt stage, a public fact.
         with telemetry.span("enclave.decrypt", stage="decrypt", epoch=self.epoch_id):
-            plaintexts = self.det_kernel.decrypt_many(
+            plaintexts = self.det.decrypt_many(
                 payloads, errors="none", counted=False
             )
             records = [

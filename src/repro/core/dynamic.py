@@ -30,12 +30,17 @@ from repro import telemetry
 from repro.core.aggregation import evaluate_aggregate
 from repro.core.binning import Bin
 from repro.core.context import EpochContext, _count_tuples
-from repro.core.epoch import EpochPackage, fake_index_plaintext, index_plaintext
+from repro.core.epoch import (
+    EpochPackage,
+    fake_index_plaintext,
+    index_plaintext,
+    rekey_row,
+)
 from repro.core.queries import Aggregate, QueryStats, RangeQuery, resolve_predicate
 from repro.core.service import ServiceProvider
 from repro.crypto.det import DeterministicCipher
 from repro.crypto.keys import derive_rewrite_key
-from repro.exceptions import DecryptionError, QueryError
+from repro.exceptions import QueryError
 from repro.storage.table import Row
 
 
@@ -205,19 +210,10 @@ class DynamicConcealer:
             )
         )
 
-        contents = []
-        for row in rows:
-            columns = []
-            for ciphertext in row.columns:
-                try:
-                    columns.append(new_cipher.encrypt(old_cipher.decrypt(ciphertext)))
-                except DecryptionError:
-                    # Fake filter/payload columns are randomized garbage;
-                    # refresh with new garbage of the same length (the
-                    # 32 bytes of E_nd framing stay constant).
-                    body = b"\x00" * max(0, len(ciphertext) - 32)
-                    columns.append(context.nd.encrypt(body))
-            contents.append(columns)
+        contents = [
+            rekey_row(row.columns, old_cipher, new_cipher, context.nd)[0]
+            for row in rows
+        ]
 
         slots = [row.row_id for row in rows]
         self._rng.shuffle(contents)

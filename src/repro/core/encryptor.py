@@ -19,23 +19,20 @@ For each epoch the data provider:
 Throughput of this function is the paper's Exp 1 (≈37,185 rows/min on
 the authors' hardware).
 
-**Fast paths.**  Lines 4–21 are embarrassingly parallel per cell-id:
-every row's ciphertexts depend only on the epoch key and the row's own
-``(cid, counter)`` assignment, and the per-cell hash chains never cross
-cells.  The encryptor therefore supports
-
-- ``use_kernels=True`` (default): rows run through the primed-HMAC
-  batch kernels of :mod:`repro.crypto.kernels` instead of the scalar
-  ciphers — byte-identical output, a sizeable constant-factor win;
-- ``workers=N``: rows are partitioned *by cell-id* across a bounded
-  process pool, each worker running Lines 4–21 for its cells, and the
-  parent merging results by original row position.  Everything
-  RNG-ordered — fake nonces, tag nonces, the Line-24 permutation, the
-  metadata vectors — stays single-threaded in the parent, in a fixed
-  sequence, so a ``workers=4`` package is **bit-for-bit identical** to
-  ``workers=1`` (property-tested in
-  ``tests/core/test_parallel_encryptor.py``).  Pool failures (no fork
-  support, pickling issues) fall back to the serial kernel path.
+**Row encryption.**  Every column of an epoch goes through one batched
+pass of the cipher suite (:mod:`repro.crypto.kernels`) over the epoch's
+*distinct* plaintexts.  Lines 4–21 are also embarrassingly parallel per
+cell-id: every row's ciphertexts depend only on the epoch key and the
+row's own ``(cid, counter)`` assignment, and the per-cell hash chains
+never cross cells.  With ``workers=N`` rows are partitioned *by
+cell-id* across a bounded process pool, each worker running Lines 4–21
+for its cells, and the parent merging results by original row position.
+Everything RNG-ordered — fake nonces, tag nonces, the Line-24
+permutation, the metadata vectors — stays single-threaded in the
+parent, in a fixed sequence, so a ``workers=4`` package is
+**bit-for-bit identical** to ``workers=1``, and both to fixed golden
+digests (``tests/core/test_parallel_encryptor.py``).  Pool failures (no
+fork support, pickling issues) fall back to the serial path.
 """
 
 from __future__ import annotations
@@ -59,10 +56,13 @@ from repro.core.epoch import (
 )
 from repro.core.grid import Grid, GridSpec, Placement, derive_grid_key
 from repro.core.schema import DatasetSchema
-from repro.crypto.det import DeterministicCipher
-from repro.crypto.kernels import CHAIN_INIT, DetKernel, NdKernel, record_kernel_ops
+from repro.crypto.kernels import (
+    CHAIN_INIT,
+    DeterministicCipher,
+    RandomizedCipher,
+    record_kernel_ops,
+)
 from repro.crypto.keys import derive_epoch_key
-from repro.crypto.nondet import RandomizedCipher
 from repro.exceptions import EpochError
 
 
@@ -96,7 +96,7 @@ def _encrypt_partition(args: tuple) -> tuple[list, dict]:
     input order.  Module-level so the process pool can pickle it.
     """
     epoch_key, schema, records, cids = args
-    det = DetKernel(epoch_key)
+    det = DeterministicCipher(epoch_key)
     sha = hashlib.sha256
     filter_count = len(schema.filter_groups)
 
@@ -145,8 +145,7 @@ class EpochEncryptor:
     ``rng`` seeds the Line-24 permutation *and* the randomized-cipher
     nonces; pass a seeded ``random.Random`` for reproducible packages.
     ``workers`` sets the default ingest parallelism (overridable per
-    call); ``use_kernels=False`` pins the original scalar ciphers — the
-    pre-kernel baseline the throughput benchmarks compare against.
+    call).
     """
 
     # A partition below this many rows is not worth a fork: the pool
@@ -164,7 +163,6 @@ class EpochEncryptor:
         time_granularity: int = 1,
         rng: random.Random | None = None,
         workers: int = 1,
-        use_kernels: bool = True,
         agg_tree: bool = True,
         agg_tree_fanout: int = 4,
         agg_tree_entities: int | None = None,
@@ -188,11 +186,9 @@ class EpochEncryptor:
         self.pad_epoch_rows_to: int | None = None
         self._rng = rng if rng is not None else random.Random()
         # Nonce source for E_nd: the caller's rng when one was supplied
-        # (reproducible packages), os.urandom otherwise — matching the
-        # scalar RandomizedCipher contract.
+        # (reproducible packages), os.urandom otherwise.
         self._nonce_rng = rng
         self.workers = workers
-        self.use_kernels = use_kernels
         self.last_report: EncryptionReport | None = None
 
     def place(self, records: Sequence[tuple], epoch_id: int) -> Placement:
@@ -218,8 +214,8 @@ class EpochEncryptor:
 
         ``workers`` overrides the instance default for this call.  The
         produced package bytes depend only on ``(records, epoch_id,
-        master_key, rng state)`` — never on ``workers`` or
-        ``use_kernels``.  ``placement``: :meth:`place` of these records.
+        master_key, rng state)`` — never on ``workers``.  ``placement``:
+        :meth:`place` of these records.
         """
         workers = self.workers if workers is None else workers
         if workers < 1:
@@ -229,11 +225,7 @@ class EpochEncryptor:
             placement = self.place(records, epoch_id)
         grid = placement.grid
         epoch_key = derive_epoch_key(self.master_key, epoch_id)
-        nd = (
-            NdKernel(epoch_key, rng=self._nonce_rng)
-            if self.use_kernels
-            else RandomizedCipher(epoch_key, rng=self._nonce_rng)
-        )
+        nd = RandomizedCipher(epoch_key, rng=self._nonce_rng)
 
         c_tuple = [0] * self.grid_spec.cell_id_count
         cell_counts = [0] * self.grid_spec.total_cells
@@ -251,15 +243,11 @@ class EpochEncryptor:
 
         # Row encryption + per-cell chain folds (Lines 8–11, 16–21).
         effective = min(workers, max(1, len(records) // self.min_rows_per_worker))
-        if not self.use_kernels:
-            real_rows, digests = self._encrypt_rows_scalar(
-                records, cids, counters, epoch_key, column_count
-            )
-        elif effective > 1:
+        if effective > 1:
             real_rows, digests = self._encrypt_rows_parallel(records, cids, epoch_key, effective)
         else:
             real_rows, digests = _encrypt_partition((epoch_key, self.schema, records, cids))
-        if self.use_kernels and records:
+        if records:
             # Worker-side encryptions are counted here, in the parent,
             # so the public kernel-op count is identical for every
             # ``workers`` setting (and for the pool-failure fallback).
@@ -308,7 +296,7 @@ class EpochEncryptor:
                 ),
                 time_granularity=self.time_granularity,
             )
-            if agg_tree is not None and self.use_kernels:
+            if agg_tree is not None:
                 record_kernel_ops("det_encrypt", agg_tree.node_count)
 
         package = EpochPackage(
@@ -337,7 +325,7 @@ class EpochEncryptor:
             bin_size=layout_size,
             bin_count=-(-sum(c_tuple) // layout_size) if sum(c_tuple) else 0,
             metadata_bytes=package.metadata_bytes(),
-            workers=effective if self.use_kernels else 1,
+            workers=effective,
         )
         return package
 
@@ -398,32 +386,6 @@ class EpochEncryptor:
 
     # ------------------------------------------------------------- row paths
 
-    def _encrypt_rows_scalar(
-        self, records, cids, counters, epoch_key: bytes, column_count: int
-    ) -> tuple[list[EncryptedRow], dict[int, list[bytes]]]:
-        """The original per-row scalar path (the pre-kernel baseline)."""
-        det = DeterministicCipher(epoch_key)
-        schema = self.schema
-        sha = hashlib.sha256
-        rows: list[EncryptedRow] = []
-        digests: dict[int, list[bytes]] = {}
-        for record, cid, counter in zip(records, cids, counters):
-            filters = tuple(
-                det.encrypt(schema.filter_plaintext(record, group))
-                for group in schema.filter_groups
-            )
-            payload = det.encrypt(schema.payload_plaintext(record))
-            index_key = det.encrypt(index_plaintext(cid, counter))
-            rows.append(
-                EncryptedRow(filters=filters, payload=payload, index_key=index_key)
-            )
-            chain = digests.get(cid)
-            if chain is None:
-                chain = digests[cid] = [CHAIN_INIT] * column_count
-            for position, ciphertext in enumerate((*filters, payload)):
-                chain[position] = sha(ciphertext + chain[position]).digest()
-        return rows, digests
-
     def _encrypt_rows_parallel(
         self, records, cids, epoch_key: bytes, workers: int
     ) -> tuple[list[EncryptedRow], dict[int, list[bytes]]]:
@@ -432,7 +394,7 @@ class EpochEncryptor:
         Partitioning by cell-id keeps each per-cell chain entirely
         inside one worker; the merge is order-free for chains and
         slot-indexed for rows, so the result is byte-identical to the
-        serial path.  Any pool failure falls back to serial kernels.
+        serial path.  Any pool failure falls back to the serial path.
         """
         by_cid: dict[int, list[int]] = {}
         for slot, cid in enumerate(cids):
@@ -491,7 +453,7 @@ class EpochEncryptor:
 
         Returns ``(rows, chain_digests)``; digests are ``None`` when no
         fakes ship.  ``nd`` draws one nonce per encrypted column in row
-        order — the sequence both the scalar and kernel paths follow.
+        order.
         """
         total_real = sum(c_tuple)
         if self.fake_strategy is FakeStrategy.EQUAL:
@@ -523,23 +485,14 @@ class EpochEncryptor:
         fake_filter_body = b"\x00" * (self.schema.filter_pad_width - 16)
         fake_payload_body = b"\x00" * (self.schema.payload_pad_width - 16)
 
-        # One E_nd per column per fake, nonces drawn in row order; the
-        # batch kernel consumes the RNG identically to a scalar loop.
+        # One E_nd per column per fake, nonces drawn in row order.
         bodies = ([fake_filter_body] * (column_count - 1) + [fake_payload_body]) * (
             fake_total
         )
-        if self.use_kernels:
-            encrypted = nd.encrypt_many(bodies)
-            index_keys = DetKernel(epoch_key).encrypt_many(
-                [fake_index_plaintext(fid) for fid in range(1, fake_total + 1)]
-            )
-        else:
-            encrypted = [nd.encrypt(body) for body in bodies]
-            det = DeterministicCipher(epoch_key)
-            index_keys = [
-                det.encrypt(fake_index_plaintext(fid))
-                for fid in range(1, fake_total + 1)
-            ]
+        encrypted = nd.encrypt_many(bodies)
+        index_keys = DeterministicCipher(epoch_key).encrypt_many(
+            [fake_index_plaintext(fid) for fid in range(1, fake_total + 1)]
+        )
 
         sha = hashlib.sha256
         fake_digests = [CHAIN_INIT] * column_count

@@ -57,6 +57,31 @@ def fake_index_plaintext(fake_id: int) -> bytes:
     return pad_plaintext(raw, INDEX_PAD_WIDTH)
 
 
+def rekey_row(columns, old_det, new_det, nd) -> tuple[list[bytes], list[bytes]]:
+    """One stored row moved from ``old_det`` to ``new_det`` (key
+    rotation, the §6 rewrite): the new columns, and the fields of its
+    index key — ``[b"idx", cid, counter]`` or ``[b"fake", j]``.
+
+    The index key says what the row is, so it must decrypt; so must
+    every column of a real row (:class:`DecryptionError` otherwise —
+    the stored row was tampered with).  A fake's filter and payload
+    columns are ``E_nd`` garbage and get fresh garbage of the same
+    length (the 32 bytes of ``E_nd`` framing stay constant).
+    """
+    from repro.core.schema import unpad_plaintext
+
+    *cells, index_key = columns
+    index_plain = old_det.decrypt(index_key)
+    meta = unpad_plaintext(index_plain).split(_SEP)
+    if meta[0] == b"idx":
+        cells = new_det.encrypt_many(
+            old_det.decrypt_many(cells, counted=False), counted=False
+        )
+    else:
+        cells = [nd.encrypt(b"\x00" * max(0, len(cell) - 32)) for cell in cells]
+    return cells + [new_det.encrypt(index_plain)], meta
+
+
 def encode_int_vector(values: list[int]) -> bytes:
     """Serialize an integer vector for ``E_nd`` encryption.
 

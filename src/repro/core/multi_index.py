@@ -78,7 +78,7 @@ class MultiIndexDeployment:
         )
         self.enclave = Enclave(EnclaveConfig())
         base_config = config or ServiceConfig()
-        self.engine = StorageEngine(btree_order=base_config.btree_order)
+        self.engine = StorageEngine()
         self._rng = rng if rng is not None else random.Random()
 
         self.providers: dict[str, DataProvider] = {}

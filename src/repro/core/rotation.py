@@ -12,12 +12,17 @@ provider host never sees plaintext):
    knowledge of the *current* master key, bound to a commitment of the
    new key — the host cannot forge a rotation to a key it controls.
 2. The enclave verifies the token against its sealed master key.
-3. Per ingested epoch, the enclave decrypts every stored column under
-   the old epoch key and re-encrypts under the new one (fake columns
-   are re-randomized at the same length), overwriting rows in place —
-   the DBMS index follows automatically.  The epoch package's metadata
-   vectors and verifiable tags are re-encrypted too, so verification
-   keeps working after rotation.
+3. Per ingested epoch, the enclave first holds the stored rows to the
+   epoch's sealed tags (the §5 check of a verified read, over the whole
+   table: every populated cell present, counters complete, chains
+   equal) — rotation seals *new* tags over what it finds, so it must
+   not find anything the data provider did not ship.  It then decrypts
+   every stored column under the old epoch key and re-encrypts under
+   the new one (fake columns are re-randomized at the same length),
+   overwriting rows in place — the DBMS index follows automatically.
+   The epoch package's metadata vectors are re-encrypted and the tags
+   rebuilt over the new ciphertexts, so verification keeps working
+   after rotation.
 4. The enclave swaps its sealed key schedule; the provider adopts the
    new master for future epochs.
 
@@ -42,14 +47,18 @@ from __future__ import annotations
 import hmac as _hmac
 
 from repro import telemetry
-from repro.core.epoch import FAKE_CHAIN_LABEL, encode_int_vector
+from repro.core.epoch import FAKE_CHAIN_LABEL, encode_int_vector, rekey_row
+from repro.core.grid import derive_grid_key
 from repro.core.service import ServiceProvider
-from repro.core.schema import unpad_plaintext
-from repro.crypto.kernels import CHAIN_INIT, DetKernel, NdKernel, batch_chain_extend
+from repro.crypto.kernels import (
+    CHAIN_INIT,
+    DeterministicCipher,
+    RandomizedCipher,
+    batch_chain_extend,
+)
 from repro.crypto.keys import EpochKeySchedule, derive_epoch_key
-from repro.crypto.nondet import RandomizedCipher
 from repro.crypto.prf import Prf
-from repro.exceptions import AuthorizationError, CryptoError, DecryptionError
+from repro.exceptions import AuthorizationError, CryptoError, IntegrityViolation
 
 
 def rotation_token(old_master: bytes, new_master: bytes) -> bytes:
@@ -273,11 +282,12 @@ def rotate_service_keys(
     The single-service entry point: prepare + commit in one call.
     Returns the number of rows re-encrypted.  Raises
     :class:`AuthorizationError` on a bad token and
-    :class:`CryptoError` if any stored real row fails to decrypt (the
-    storage was tampered with — rotation aborts before swapping keys,
-    leaving the old key valid).  The sharded tier drives the two
-    phases separately (:mod:`repro.sharding.coordinator`) so every
-    shard prepares before any shard commits.
+    :class:`CryptoError` if the stored rows fail verification against
+    the epoch's sealed tags (the storage was tampered with — rotation
+    aborts before swapping keys, leaving the old key valid).  The
+    sharded tier drives the two phases separately
+    (:mod:`repro.sharding.coordinator`) so every shard prepares before
+    any shard commits.
     """
     prepared = prepare_rotation(service, new_master, token)
     return commit_rotation(prepared)
@@ -292,100 +302,76 @@ def _rotate_all_epochs(
     """Re-encrypt every epoch in place, journalling an intent per epoch."""
     enclave = service.enclave
     rotated_rows = 0
+    chained_columns = len(service.schema.filter_groups) + 1
     for epoch_id in service.ingested_epochs():
         package = service._packages[epoch_id]
         journal.begin_epoch(service, epoch_id)
         enclave.kill_point("enclave.kill.rotation")
-        old_key = derive_epoch_key(old_master, epoch_id)
+        # The epoch as the old key opens it (commit and rollback both
+        # drop it); the new ciphers prime their HMAC bases once per epoch.
+        context = service.context_for(epoch_id)
         new_key = derive_epoch_key(new_master, epoch_id)
-        # Batch kernels: rotation touches every stored row, so the
-        # primed-HMAC ciphers pay their key-block setup once per epoch
-        # instead of twice per column.
-        old_det, new_det = DetKernel(old_key), DetKernel(new_key)
-        old_nd = RandomizedCipher(old_key)
-        new_nd = NdKernel(new_key)
+        new_det, new_nd = DeterministicCipher(new_key), RandomizedCipher(new_key)
 
         table = service._table_name(epoch_id)
-        # Verifiable tags chain the *stored* ciphertexts, so rotation must
-        # rebuild the chains over the new ciphertexts.  Collect each real
-        # row's (cid, counter) and each fake's id while re-encrypting.
-        chained_columns = len(service.schema.filter_groups) + 1
-        real_entries: dict[int, list[tuple[int, list[bytes]]]] = {}
-        fake_entries: list[tuple[int, list[bytes]]] = []
-        for row in service.engine.snapshot_rows(table):
+        rows = service.engine.snapshot_rows(table)
+        # New tags are sealed over whatever is stored, so what is stored
+        # is first held to the old ones — every populated cell present,
+        # counters 1..c_tuple, each column's chain — or a tampered row
+        # would come out of rotation authenticated.
+        try:
+            context.verify_rows(rows, range(len(context.c_tuple)))
+        except IntegrityViolation as violation:
+            raise CryptoError(
+                f"{table} fails verification against its sealed tags — "
+                f"storage tampered, rotation aborted: {violation}"
+            ) from violation
+
+        # Verifiable tags chain the *stored* ciphertexts, so rotation
+        # rebuilds the chains over the new ones, ordered by each real
+        # row's counter within its cell-id and each fake's id.
+        numbered: dict[int, list[tuple[int, list[bytes]]]] = {}
+        for row in rows:
             # A kill here leaves the table half-rotated — exactly the
             # torn state the journal's rollback must undo.
             enclave.kill_point("enclave.kill.rotation")
-            columns = []
-            for position, ciphertext in enumerate(row.columns):
-                try:
-                    columns.append(new_det.encrypt(old_det.decrypt(ciphertext)))
-                except DecryptionError:
-                    if position == len(row.columns) - 1:
-                        # Index keys are always DET; a failure here means
-                        # the host tampered with storage.
-                        raise CryptoError(
-                            f"row {row.row_id} of {table} failed rotation "
-                            "decryption — storage tampered, rotation aborted"
-                        ) from None
-                    # Fake filter/payload columns: fresh garbage, same length.
-                    body = b"\x00" * max(0, len(ciphertext) - 32)
-                    columns.append(new_nd.encrypt(body))
-            meta = unpad_plaintext(old_det.decrypt(row.columns[-1])).split(b"\x1f")
-            if meta[0] == b"idx":
-                real_entries.setdefault(int(meta[1]), []).append(
-                    (int(meta[2]), columns[:chained_columns])
-                )
-            else:
-                fake_entries.append((int(meta[1]), columns[:chained_columns]))
+            columns, meta = rekey_row(row.columns, context.det, new_det, new_nd)
+            label = int(meta[1]) if meta[0] == b"idx" else FAKE_CHAIN_LABEL
+            numbered.setdefault(label, []).append(
+                (int(meta[-1]), columns[:chained_columns])
+            )
             service.engine.overwrite(table, row.row_id, columns)
             rotated_rows += 1
 
         new_tags: dict[int, tuple[bytes, ...]] = {}
-        for label, numbered in real_entries.items():
-            numbered.sort(key=lambda pair: pair[0])
+        for label, entries in numbered.items():
+            entries.sort(key=lambda pair: pair[0])
             chains = batch_chain_extend(
                 [CHAIN_INIT] * chained_columns,
                 [
-                    [columns[position] for _, columns in numbered]
+                    [columns[position] for _, columns in entries]
                     for position in range(chained_columns)
                 ],
                 counted=False,
             )
             new_tags[label] = tuple(new_nd.encrypt(digest) for digest in chains)
-        if fake_entries:
-            fake_entries.sort(key=lambda pair: pair[0])
-            chains = batch_chain_extend(
-                [CHAIN_INIT] * chained_columns,
-                [
-                    [columns[position] for _, columns in fake_entries]
-                    for position in range(chained_columns)
-                ],
-                counted=False,
-            )
-            new_tags[FAKE_CHAIN_LABEL] = tuple(
-                new_nd.encrypt(digest) for digest in chains
-            )
 
         # Metadata vectors and tags move to the new epoch key too.
         package.enc_cell_id_vector = new_nd.encrypt(
-            encode_int_vector(package.decrypt_cell_id_vector(old_nd))
+            encode_int_vector(context.cell_id_vector)
         )
         package.enc_c_tuple_vector = new_nd.encrypt(
-            encode_int_vector(package.decrypt_c_tuple_vector(old_nd))
+            encode_int_vector(context.c_tuple)
         )
         package.enc_cell_counts = new_nd.encrypt(
-            encode_int_vector(package.decrypt_cell_counts(old_nd))
+            encode_int_vector(context.cell_counts)
         )
-        if package.enc_grid_key:
-            package.enc_grid_key = new_nd.encrypt(old_nd.decrypt(package.enc_grid_key))
-        else:
-            # Pre-rotation packages derived placement from the master key;
-            # pin the old derivation explicitly so placements survive.
-            from repro.core.grid import derive_grid_key
-
-            package.enc_grid_key = new_nd.encrypt(
-                derive_grid_key(old_master, epoch_id)
-            )
+        # Pre-rotation packages derived placement from the master key;
+        # pin the old derivation explicitly so placements survive.
+        package.enc_grid_key = new_nd.encrypt(
+            context.nd.decrypt(package.enc_grid_key)
+            if package.enc_grid_key
+            else derive_grid_key(old_master, epoch_id)
+        )
         package.enc_tags = new_tags
     return rotated_rows

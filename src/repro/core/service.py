@@ -181,16 +181,13 @@ class ServiceConfig:
     verify: bool = False             # hash-chain verification (Exp 4)
     window_subintervals: int = 8     # winSecRange λ, in subintervals
     super_bin_count: int | None = None  # §8 workload defence (point queries)
-    btree_order: int = 64
     table_prefix: str = ""           # distinguishes co-hosted indexes (§9.1)
-    # Retry policy for transient storage faults (capped exponential
-    # backoff; see repro.faults.clock).  Queries are retried and an
-    # epoch landing resumes; integrity violations and crashes are not.
-    retry_attempts: int = 4
-    retry_base_delay: float = 0.01
-    retry_max_delay: float = 1.0
-    # Backoff jitter fraction in [0, 1]; the RNG is threaded in by the
-    # caller (ServiceProvider's ``retry_rng``) so runs stay replayable.
+    # Transient storage faults are retried under RetryPolicy's capped
+    # exponential backoff (repro.faults.clock): queries are retried and
+    # an epoch landing resumes; integrity violations and crashes are
+    # not.  This is the backoff's jitter fraction in [0, 1]; the RNG is
+    # threaded in by the caller (ServiceProvider's ``retry_rng``) so
+    # runs stay replayable.
     retry_jitter: float = 0.0
     # Per-request deadline budget in seconds (None = unbounded).  The
     # deadline is minted at the service edge and checked at every
@@ -225,10 +222,12 @@ class ServiceConfig:
     # function of public inputs; the tree is forced off under oblivious
     # execution (trace identity).
     agg_tree: bool = True
-    # Minimum fully-covered leaf buckets before the auto planner
-    # prefers the tree: shorter windows fetch so few bins that the
-    # node cover would not pay for itself.
-    agg_tree_min_buckets: int = 8
+
+
+# Minimum fully-covered leaf buckets before the auto planner prefers the
+# aggregate tree: shorter windows fetch so few bins that the node cover
+# would not pay for itself.
+AGG_TREE_MIN_BUCKETS = 8
 
 
 class ServiceProvider:
@@ -251,18 +250,11 @@ class ServiceProvider:
         jitter when ``config.retry_jitter`` is non-zero."""
         self.schema = schema
         self.config = config or ServiceConfig()
-        self.engine = engine if engine is not None else StorageEngine(
-            btree_order=self.config.btree_order
-        )
+        self.engine = engine if engine is not None else StorageEngine()
         self.enclave = enclave if enclave is not None else Enclave(EnclaveConfig())
         self.clock = clock if clock is not None else SystemClock()
         self.retry = RetryPolicy(
-            attempts=self.config.retry_attempts,
-            base_delay=self.config.retry_base_delay,
-            max_delay=self.config.retry_max_delay,
-            clock=self.clock,
-            jitter=self.config.retry_jitter,
-            rng=retry_rng,
+            clock=self.clock, jitter=self.config.retry_jitter, rng=retry_rng
         )
         self.admission = AdmissionController(
             max_inflight=self.config.max_inflight,
@@ -745,7 +737,7 @@ class ServiceProvider:
             query.time_start,
             query.time_end,
         )
-        return span.full_buckets >= self.config.agg_tree_min_buckets
+        return span.full_buckets >= AGG_TREE_MIN_BUCKETS
 
     def _choose_range_method(self, query: RangeQuery, context) -> str:
         if self.tree_enabled_for(query, context):

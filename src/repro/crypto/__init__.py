@@ -2,44 +2,42 @@
 
 The paper encrypts with AES-256 inside an SGX enclave.  This offline
 reproduction uses only the Python standard library, so the package
-provides equivalent symmetric primitives built on SHA-256 / HMAC-SHA256:
+provides equivalent symmetric primitives built on SHA-256 / HMAC-SHA256
+— each of them exactly once:
 
-- :mod:`repro.crypto.prf` — a pseudo-random function and helpers to hash
-  values into integer ranges (the paper's hash function ``H`` used for
-  grid placement).
-- :mod:`repro.crypto.stream` — a counter-mode stream cipher keyed by a
-  PRF, the substitute for AES-CTR.
-- :mod:`repro.crypto.det` — deterministic authenticated encryption
-  (SIV-style): the paper's ``E_k``.  Determinism is what makes the
-  encrypted ``Index`` column usable as a stock DBMS index key.
-- :mod:`repro.crypto.nondet` — randomized authenticated encryption: the
-  paper's ``E_nd``, used for the ``cell_id[]`` / ``c_tuple[]`` vectors
-  and the verifiable tags.
+- :mod:`repro.crypto.prf` — the pseudo-random function (one primed
+  HMAC object per key) and the keyed hash ``H`` that places values on
+  the grid.
+- :mod:`repro.crypto.kernels` — the cipher suite: deterministic
+  authenticated encryption (SIV-style, the paper's ``E_k``, whose
+  determinism makes the encrypted ``Index`` column usable as a stock
+  DBMS index key), randomized authenticated encryption (the paper's
+  ``E_nd``, for the ``cell_id[]`` / ``c_tuple[]`` vectors, the
+  verifiable tags and fake bodies), the counter-mode keystream under
+  both (the substitute for AES-CTR) and the §3 hash-chain fold.  A
+  single encryption is a batch of one.
+- :mod:`repro.crypto.det`, :mod:`repro.crypto.nondet` — the two
+  constructions, stated; they export the classes under the paper's names.
 - :mod:`repro.crypto.keys` — per-epoch key derivation
   (``k = KDF(s_k, eid)``) and re-encryption keys for the §6 rewrite.
-- :mod:`repro.crypto.hashchain` — the §3 hash chains and encrypted
-  verifiable tags.
+- :mod:`repro.crypto.stream`, :mod:`repro.crypto.hashchain` — the
+  keystream and the chain as straight-line stdlib code: the references
+  ``tests/crypto/`` compares the suite against.  No product module
+  imports them, this one included.
 
 All ciphertexts are ``bytes``; all keys are 32-byte secrets.
 """
 
-from repro.crypto.det import DeterministicCipher
-from repro.crypto.hashchain import HashChain, chain_digest
+from repro.crypto.kernels import DeterministicCipher, RandomizedCipher
 from repro.crypto.keys import EpochKeySchedule, derive_epoch_key, derive_rewrite_key
-from repro.crypto.nondet import RandomizedCipher
 from repro.crypto.prf import Prf, hash_to_range
-from repro.crypto.stream import keystream, stream_xor
 
 __all__ = [
     "DeterministicCipher",
     "EpochKeySchedule",
-    "HashChain",
     "Prf",
     "RandomizedCipher",
-    "chain_digest",
     "derive_epoch_key",
     "derive_rewrite_key",
     "hash_to_range",
-    "keystream",
-    "stream_xor",
 ]

@@ -15,63 +15,10 @@ The construction here is SIV-style:
 
 Equal plaintexts give equal ciphertexts (deterministic); the tag doubles
 as an authentication check on decryption.  Ciphertext length is
-``plaintext length + 16`` bytes.
+``plaintext length + 16`` bytes.  The implementation is
+:class:`repro.crypto.kernels.DeterministicCipher`.
 """
 
-from __future__ import annotations
+from repro.crypto.kernels import DET_TAG_BYTES as TAG_BYTES, DeterministicCipher
 
-import hmac as _hmac
-
-from repro.crypto.prf import KEY_BYTES, Prf
-from repro.crypto.stream import stream_xor
-from repro.exceptions import DecryptionError, KeyDerivationError
-
-TAG_BYTES = 16
-
-
-class DeterministicCipher:
-    """The paper's deterministic encryption function ``E_k``.
-
-    >>> cipher = DeterministicCipher(b"\\x01" * 32)
-    >>> ct = cipher.encrypt(b"l1|t1")
-    >>> ct == cipher.encrypt(b"l1|t1")   # deterministic
-    True
-    >>> cipher.decrypt(ct)
-    b'l1|t1'
-    """
-
-    __slots__ = ("_k_mac", "_k_enc")
-
-    def __init__(self, key: bytes):
-        if not isinstance(key, bytes) or len(key) != KEY_BYTES:
-            raise KeyDerivationError(f"cipher key must be {KEY_BYTES} bytes")
-        prf = Prf(key)
-        self._k_mac = prf.derive_key("det-mac")
-        self._k_enc = prf.derive_key("det-enc")
-
-    def encrypt(self, plaintext: bytes) -> bytes:
-        """Encrypt deterministically; equal inputs yield equal outputs."""
-        if not isinstance(plaintext, bytes):
-            raise TypeError("plaintext must be bytes")
-        tag = Prf(self._k_mac)(plaintext)[:TAG_BYTES]
-        body = stream_xor(self._k_enc, tag, plaintext)
-        return tag + body
-
-    def decrypt(self, ciphertext: bytes) -> bytes:
-        """Decrypt and authenticate; raises :class:`DecryptionError` on tamper."""
-        if len(ciphertext) < TAG_BYTES:
-            raise DecryptionError("ciphertext shorter than authentication tag")
-        tag, body = ciphertext[:TAG_BYTES], ciphertext[TAG_BYTES:]
-        plaintext = stream_xor(self._k_enc, tag, body)
-        expected = Prf(self._k_mac)(plaintext)[:TAG_BYTES]
-        if not _hmac.compare_digest(tag, expected):
-            raise DecryptionError("ciphertext failed authentication")
-        return plaintext
-
-    def encrypt_str(self, text: str) -> bytes:
-        """Convenience wrapper: encrypt a UTF-8 string."""
-        return self.encrypt(text.encode("utf-8"))
-
-    def decrypt_str(self, ciphertext: bytes) -> str:
-        """Convenience wrapper: decrypt to a UTF-8 string."""
-        return self.decrypt(ciphertext).decode("utf-8")
+__all__ = ["TAG_BYTES", "DeterministicCipher"]

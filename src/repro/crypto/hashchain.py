@@ -13,19 +13,16 @@ The final digest ``h_p``, encrypted with the randomized cipher, is the
 execution the enclave recomputes the chain over the rows it fetched and
 compares against the decrypted tag — any injected, deleted, reordered or
 modified row changes the digest (STEP 4 of Algorithm 2).
+
+:func:`chain_digest` is the straight-line reference; the product folds
+chains with :func:`repro.crypto.kernels.extend_chain` and its slice
+form, which the tests hold to this function.
 """
 
 from __future__ import annotations
 
 import hashlib
-import hmac as _hmac
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
-
-from repro.crypto.nondet import RandomizedCipher
-from repro.exceptions import IntegrityError
-
-DIGEST_BYTES = 32
+from collections.abc import Iterable
 
 
 def chain_digest(ciphertexts: Iterable[bytes]) -> bytes:
@@ -38,82 +35,3 @@ def chain_digest(ciphertexts: Iterable[bytes]) -> bytes:
     for ciphertext in ciphertexts:
         digest = hashlib.sha256(ciphertext + digest).digest()
     return digest
-
-
-class HashChain:
-    """Incremental builder for one cell-id's hash chain.
-
-    >>> chain = HashChain()
-    >>> chain.extend([b"a", b"b"])
-    >>> chain.digest() == chain_digest([b"a", b"b"])
-    True
-    """
-
-    __slots__ = ("_digest", "_length")
-
-    def __init__(self):
-        self._digest = hashlib.sha256(b"concealer-chain-init").digest()
-        self._length = 0
-
-    def update(self, ciphertext: bytes) -> None:
-        """Append one ciphertext to the chain."""
-        self._digest = hashlib.sha256(ciphertext + self._digest).digest()
-        self._length += 1
-
-    def extend(self, ciphertexts: Iterable[bytes]) -> None:
-        """Append each ciphertext in order."""
-        for ciphertext in ciphertexts:
-            self.update(ciphertext)
-
-    def digest(self) -> bytes:
-        """The current chained digest."""
-        return self._digest
-
-    def __len__(self) -> int:
-        return self._length
-
-
-@dataclass(frozen=True)
-class VerifiableTag:
-    """The encrypted per-cell-id tags shipped by the data provider.
-
-    One chained digest per verified column (the paper chains the
-    location, observation and full-tuple ciphertext columns separately —
-    ``Ehl``, ``Eho``, ``Ehr``).
-    """
-
-    cell_id: int
-    encrypted_digests: tuple[bytes, ...]
-
-    @classmethod
-    def seal(
-        cls,
-        cell_id: int,
-        column_chains: Sequence[bytes],
-        cipher: RandomizedCipher,
-    ) -> "VerifiableTag":
-        """Encrypt the final digests of each column chain into a tag."""
-        return cls(
-            cell_id=cell_id,
-            encrypted_digests=tuple(cipher.encrypt(d) for d in column_chains),
-        )
-
-    def verify(self, column_chains: Sequence[bytes], cipher: RandomizedCipher) -> None:
-        """Check recomputed digests against the sealed tag.
-
-        Raises :class:`IntegrityError` if the number of columns differs
-        or any digest mismatches — i.e. the service provider tampered
-        with, dropped, or injected rows for this cell-id.
-        """
-        if len(column_chains) != len(self.encrypted_digests):
-            raise IntegrityError(
-                f"cell {self.cell_id}: expected {len(self.encrypted_digests)} "
-                f"column digests, got {len(column_chains)}"
-            )
-        for index, sealed in enumerate(self.encrypted_digests):
-            expected = cipher.decrypt(sealed)
-            if not _hmac.compare_digest(expected, column_chains[index]):
-                raise IntegrityError(
-                    f"cell {self.cell_id}: column {index} hash chain mismatch "
-                    "(rows tampered, reordered, injected or deleted)"
-                )

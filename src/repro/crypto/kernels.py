@@ -1,79 +1,55 @@
-"""Batch crypto kernels — vectorized drop-ins for the scalar primitives.
+"""The cipher suite: the one implementation of ``E_k``, ``E_nd``, the
+keystream and the hash-chain fold.
 
 Every query and every epoch ingest bottoms out in per-tuple crypto:
 one DET trapdoor per ``(cell-id, counter)`` slot, one DET/randomized
 encryption per row column at ingest, one chain fold per fetched row at
-verify.  The scalar modules (:mod:`repro.crypto.prf`,
-:mod:`repro.crypto.stream`, :mod:`repro.crypto.det`,
-:mod:`repro.crypto.nondet`, :mod:`repro.crypto.hashchain`) pay the full
-Python + hashlib setup cost on *every* call:
+verify.  So each keyed HMAC object is primed once per key and
+``.copy()``-ed per evaluation (the same trick Opaque-style enclave
+operators use to keep batched crypto from being CPU-bound), keystreams
+are expanded once per nonce family and sliced, and XOR is done on whole
+rows as big integers.  A single ``encrypt`` / ``decrypt`` is a batch of
+one.
 
-- ``hmac.new(key, ...)`` re-derives the inner/outer key blocks (two
-  SHA-256 compressions plus object construction) per evaluation;
-- ``stream_xor`` XORs byte-by-byte in a Python generator;
-- ``DeterministicCipher.encrypt`` builds two throwaway ``Prf`` objects
-  per plaintext.
+The constructions are stated in :mod:`repro.crypto.det` and
+:mod:`repro.crypto.nondet`; :mod:`repro.crypto.stream` and
+:func:`repro.crypto.hashchain.chain_digest` are the straight-line
+stdlib references that ``tests/crypto/`` holds this module to, byte for
+byte, over random keys, nonces and lengths.
 
-This module amortizes all three: one keyed HMAC object per key reused
-via ``.copy()`` (the same trick Opaque-style enclave operators use to
-keep batched crypto from being CPU-bound), keystreams expanded once per
-nonce family and sliced, and XOR done on whole rows as big integers.
-Each kernel is **byte-identical** to its scalar counterpart — property
-tests in ``tests/crypto/test_kernels.py`` enforce equality over random
-keys, nonces and lengths — so callers may mix scalar and batched paths
-freely (ingest with kernels, audit with scalars, or vice versa).
-
-Kernel invocations are counted in a public-size telemetry family,
+``*_many`` calls are counted in a public-size telemetry family,
 labelled by kernel name.  The counts are functions of *public* volumes
 (rows ingested, trapdoors issued, rows verified) at every call site
 except record decryption, which passes ``counted=False`` because the
-number of successfully matched real rows is data-dependent.
+number of successfully matched real rows is data-dependent; single-item
+calls are never counted.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
+import os
 
-from repro.crypto.prf import KEY_BYTES, Prf
-from repro.crypto.stream import _BLOCK_BYTES
-from repro.exceptions import DecryptionError, KeyDerivationError
+from repro.crypto.prf import Prf, _len4
+from repro.exceptions import DecryptionError
 
 DET_TAG_BYTES = 16
 ND_NONCE_BYTES = 16
 ND_TAG_BYTES = 16
+_BLOCK_BYTES = 32  # one HMAC-SHA256 output = one keystream block
 
 #: Initial digest of the §3 hash chain — ``chain_digest([]) == CHAIN_INIT``.
 CHAIN_INIT = hashlib.sha256(b"concealer-chain-init").digest()
 
 _sha256 = hashlib.sha256
 
-# Length prefixes (4-byte big-endian) recur at a handful of fixed widths
-# (the padded index/filter/payload plaintexts), so memoize them.
-_LEN4_CACHE: dict[int, bytes] = {}
-
-# Keystream block counters likewise: rows are a few blocks long.
+# Keystream block counters: rows are a few blocks long.
 _CTR8 = tuple(i.to_bytes(8, "big") for i in range(16))
-
-
-def _len4(n: int) -> bytes:
-    cached = _LEN4_CACHE.get(n)
-    if cached is None:
-        if len(_LEN4_CACHE) < 4096:
-            cached = _LEN4_CACHE[n] = n.to_bytes(4, "big")
-        else:
-            cached = n.to_bytes(4, "big")
-    return cached
 
 
 def _ctr8(i: int) -> bytes:
     return _CTR8[i] if i < 16 else i.to_bytes(8, "big")
-
-
-def _check_key(key: bytes) -> bytes:
-    if not isinstance(key, bytes) or len(key) != KEY_BYTES:
-        raise KeyDerivationError(f"kernel key must be {KEY_BYTES} bytes")
-    return key
 
 
 def _count(kernel: str, items: int) -> None:
@@ -121,55 +97,14 @@ def xor_bytes(data: bytes, pad: bytes) -> bytes:
 # ------------------------------------------------------------------ PRF
 
 
-class BatchPrf:
-    """A :class:`~repro.crypto.prf.Prf` that amortizes HMAC key setup.
-
-    ``hmac.new(key)`` costs two SHA-256 compressions to derive the
-    ipad/opad blocks; this class pays that once and ``.copy()``-s the
-    primed object per evaluation.  Outputs are byte-identical to
-    ``Prf(key)(*parts)``.
-    """
-
-    __slots__ = ("_base", "_raw")
-
-    def __init__(self, key: bytes):
-        self._base = hmac.new(_check_key(key), digestmod=hashlib.sha256)
-        # CPython's hmac module is a thin Python wrapper around an
-        # OpenSSL HMAC object; copying/updating that object directly
-        # skips one wrapper layer per evaluation (~1.4× per op) while
-        # producing identical digests.  The wrapper itself exposes the
-        # same copy/update/digest trio, so it doubles as the fallback
-        # on interpreters without the private attribute.
-        self._raw = getattr(self._base, "_hmac", None) or self._base
-
-    def __call__(self, *parts: bytes | str | int) -> bytes:
-        mac = self._raw.copy()
-        for part in parts:
-            if type(part) is bytes:
-                encoded = b"B" + part
-            else:
-                from repro.crypto.prf import _as_bytes
-
-                encoded = _as_bytes(part)
-            mac.update(_len4(len(encoded)))
-            mac.update(encoded)
-        return mac.digest()
-
-    def digest_raw(self, data: bytes) -> bytes:
-        """HMAC over ``data`` with no Prf part-encoding (keystream use)."""
-        mac = self._raw.copy()
-        mac.update(data)
-        return mac.digest()
-
-
 def batch_prf(key: bytes, inputs: list[bytes], out: list | None = None) -> list[bytes]:
-    """``[Prf(key)(x) for x in inputs]`` with one amortized keyed hash.
+    """``[Prf(key)(x) for x in inputs]`` off one primed keyed hash.
 
     ``out``, if given, must be a list of ``len(inputs)`` slots; results
     are written in place and the same list returned (preallocated
     output-buffer style, avoids a growing append loop for large spans).
     """
-    prf = BatchPrf(key)
+    prf = Prf(key)
     results = out if out is not None else [b""] * len(inputs)
     for i, data in enumerate(inputs):
         results[i] = prf(data)
@@ -179,8 +114,8 @@ def batch_prf(key: bytes, inputs: list[bytes], out: list | None = None) -> list[
 # ------------------------------------------------------------- keystream
 
 
-def expand_keystream(base: BatchPrf, nonce: bytes, length: int) -> bytes:
-    """Keystream for ``(key, nonce)`` off a primed HMAC base object.
+def expand_keystream(raw, nonce: bytes, length: int) -> bytes:
+    """Keystream for ``(key, nonce)`` off a primed HMAC object ``raw``.
 
     Byte-identical to :func:`repro.crypto.stream.keystream`.
     """
@@ -188,7 +123,6 @@ def expand_keystream(base: BatchPrf, nonce: bytes, length: int) -> bytes:
         if length < 0:
             raise ValueError("length must be non-negative")
         return b""
-    raw = base._raw
     if length <= _BLOCK_BYTES:
         mac = raw.copy()
         mac.update(nonce + _CTR8[0])
@@ -221,7 +155,7 @@ def batch_keystream(
     family's maximum length and slice it per request.  Byte-identical
     to ``[keystream(key, n, l) for n, l in requests]``.
     """
-    base = BatchPrf(key)
+    raw = Prf(key)._raw
     results = out if out is not None else [b""] * len(requests)
     # Group by nonce, preserving per-request output order.
     families: dict[bytes, list[int]] = {}
@@ -229,7 +163,7 @@ def batch_keystream(
         families.setdefault(nonce, []).append(i)
     for nonce, indices in families.items():
         longest = max(requests[i][1] for i in indices)
-        stream = expand_keystream(base, nonce, longest)
+        stream = expand_keystream(raw, nonce, longest)
         for i in indices:
             results[i] = stream[: requests[i][1]]
     return results
@@ -238,59 +172,46 @@ def batch_keystream(
 # ------------------------------------------------------------ DET cipher
 
 
-class DetKernel:
-    """Batched drop-in for :class:`~repro.crypto.det.DeterministicCipher`.
+class DeterministicCipher:
+    """The paper's deterministic encryption function ``E_k``
+    (construction: :mod:`repro.crypto.det`).
 
-    Same key schedule (sub-keys ``det-mac`` / ``det-enc`` derived with
-    the scalar :class:`Prf`), same SIV construction, byte-identical
-    ciphertexts — but the two keyed HMAC objects are primed once per
-    kernel and copied per row.
+    >>> cipher = DeterministicCipher(b"\\x01" * 32)
+    >>> ct = cipher.encrypt(b"l1|t1")
+    >>> ct == cipher.encrypt(b"l1|t1")   # deterministic
+    True
+    >>> cipher.decrypt(ct)
+    b'l1|t1'
     """
 
     __slots__ = ("_mac", "_enc")
 
     def __init__(self, key: bytes):
-        _check_key(key)
         prf = Prf(key)
-        self._mac = BatchPrf(prf.derive_key("det-mac"))
-        self._enc = BatchPrf(prf.derive_key("det-enc"))
+        self._mac = Prf(prf.derive_key("det-mac"))._raw
+        self._enc = Prf(prf.derive_key("det-enc"))._raw
 
     def encrypt(self, plaintext: bytes) -> bytes:
-        """Scalar-compatible single encryption off the primed bases."""
-        mac = self._mac._raw.copy()
-        encoded = b"B" + plaintext
-        mac.update(_len4(len(encoded)))
-        mac.update(encoded)
-        tag = mac.digest()[:DET_TAG_BYTES]
-        pad = expand_keystream(self._enc, tag, len(plaintext))
-        return tag + xor_bytes(plaintext, pad)
+        """Encrypt deterministically; equal inputs yield equal outputs."""
+        return self.encrypt_many((plaintext,), counted=False)[0]
 
     def decrypt(self, ciphertext: bytes) -> bytes:
-        if len(ciphertext) < DET_TAG_BYTES:
-            raise DecryptionError("ciphertext shorter than authentication tag")
-        tag, body = ciphertext[:DET_TAG_BYTES], ciphertext[DET_TAG_BYTES:]
-        pad = expand_keystream(self._enc, tag, len(body))
-        plaintext = xor_bytes(body, pad)
-        mac = self._mac._raw.copy()
-        encoded = b"B" + plaintext
-        mac.update(_len4(len(encoded)))
-        mac.update(encoded)
-        if not hmac.compare_digest(tag, mac.digest()[:DET_TAG_BYTES]):
-            raise DecryptionError("ciphertext failed authentication")
-        return plaintext
+        """Decrypt and authenticate; raises :class:`DecryptionError` on tamper."""
+        return self.decrypt_many((ciphertext,), counted=False)[0]
 
     def encrypt_many(
         self, plaintexts, out: list | None = None, counted: bool = True
     ) -> list[bytes]:
-        """``[det.encrypt(p) for p in plaintexts]``, amortized.
+        """``tag ‖ (keystream(tag) XOR p)`` with ``tag = Prf(k_mac)(p)[:16]``
+        per plaintext.
 
         The keystream expansion is inlined (no per-item function call,
         raw HMAC objects throughout) — this loop is the single hottest
         site of Algorithm 1 ingest.
         """
         results = out if out is not None else [b""] * len(plaintexts)
-        mac_raw = self._mac._raw
-        enc_raw = self._enc._raw
+        mac_raw = self._mac
+        enc_raw = self._enc
         block = _BLOCK_BYTES
         from_le = int.from_bytes
         for i, plaintext in enumerate(plaintexts):
@@ -334,7 +255,7 @@ class DetKernel:
         errors: str = "raise",
         counted: bool = True,
     ) -> list:
-        """``[det.decrypt(c) for c in ciphertexts]``, amortized.
+        """Decrypt and authenticate every ciphertext.
 
         Inlined like :meth:`encrypt_many` and columnar: one big-integer
         XOR over the joined bodies, a MAC base primed with ``len4‖"B"``
@@ -344,8 +265,9 @@ class DetKernel:
         of raising on the first, sparing callers a per-row try/except.
         """
         results = out if out is not None else [None] * len(ciphertexts)
-        enc_copy = self._enc._raw.copy
-        mac_raw = self._mac._raw
+        enc_raw = self._enc
+        enc_copy = enc_raw.copy
+        mac_raw = self._mac
         block = _BLOCK_BYTES
         # An item shorter than a tag has no body and fails the compare.
         tags = [ciphertext[:DET_TAG_BYTES] for ciphertext in ciphertexts]
@@ -358,7 +280,7 @@ class DetKernel:
                 pad.update(tag + _CTR8[0])
                 pads.append(pad.digest()[:n])
             else:
-                pads.append(expand_keystream(self._enc, tag, n))
+                pads.append(expand_keystream(enc_raw, tag, n))
         joined = b"".join(bodies)
         plain = (
             int.from_bytes(joined, "little")
@@ -394,90 +316,81 @@ class DetKernel:
         return results
 
 
-def batch_det_encrypt(key: bytes, plaintexts, counted: bool = True) -> list[bytes]:
-    """One-shot batched DET encryption under ``key``."""
-    return DetKernel(key).encrypt_many(plaintexts, counted=counted)
-
-
-def batch_det_decrypt(
-    key: bytes, ciphertexts, errors: str = "raise", counted: bool = True
-) -> list:
-    """One-shot batched DET decryption under ``key``."""
-    return DetKernel(key).decrypt_many(ciphertexts, errors=errors, counted=counted)
+# benchmarks/e2e/metrics.py::kernel_pass imports the cipher under this
+# name and nothing under benchmarks/e2e/ changes alongside source
+# (ROADMAP item 1's benchmark PR repoints it; then this line goes).
+DetKernel = DeterministicCipher
 
 
 # ------------------------------------------------------------- ND cipher
 
 
-class NdKernel:
-    """Batched drop-in for :class:`~repro.crypto.nondet.RandomizedCipher`.
+class RandomizedCipher:
+    """The paper's randomized encryption function ``E_nd``
+    (construction: :mod:`repro.crypto.nondet`).
 
-    Nonces are drawn from the supplied ``rng`` (``randbytes``) in call
-    order, exactly as the scalar cipher draws them, so a batch of
-    encryptions consumes the RNG identically to the equivalent scalar
-    loop — the property the byte-identical ``workers=N`` ingest relies
-    on.  Without an ``rng`` nonces come from ``os.urandom``.
+    >>> cipher = RandomizedCipher(b"\\x02" * 32)
+    >>> a, b = cipher.encrypt(b"same"), cipher.encrypt(b"same")
+    >>> a == b            # randomized: same plaintext, different ciphertext
+    False
+    >>> cipher.decrypt(a) == cipher.decrypt(b) == b"same"
+    True
+
+    ``rng`` may be supplied for deterministic tests; it must expose
+    ``randbytes(n)`` (e.g. ``random.Random``).  Nonces are drawn from it
+    one per encryption in call order — the property the byte-identical
+    ``workers=N`` ingest relies on; without one they come from
+    ``os.urandom``.
     """
 
     __slots__ = ("_mac", "_enc", "_rng")
 
     def __init__(self, key: bytes, rng=None):
-        _check_key(key)
         prf = Prf(key)
-        self._mac = BatchPrf(prf.derive_key("nd-mac"))
-        self._enc = BatchPrf(prf.derive_key("nd-enc"))
+        self._mac = Prf(prf.derive_key("nd-mac"))
+        self._enc = Prf(prf.derive_key("nd-enc"))._raw
         self._rng = rng
 
-    def _nonce(self) -> bytes:
-        if self._rng is not None:
-            return self._rng.randbytes(ND_NONCE_BYTES)
-        import os
-
-        return os.urandom(ND_NONCE_BYTES)
-
     def encrypt(self, plaintext: bytes) -> bytes:
-        nonce = self._nonce()
-        pad = expand_keystream(self._enc, nonce, len(plaintext))
-        body = xor_bytes(plaintext, pad)
-        tag = self._prf_tag(nonce + body)
-        return nonce + body + tag
-
-    def _prf_tag(self, data: bytes) -> bytes:
-        mac = self._mac._raw.copy()
-        encoded = b"B" + data
-        mac.update(_len4(len(encoded)))
-        mac.update(encoded)
-        return mac.digest()[:ND_TAG_BYTES]
-
-    def encrypt_many(
-        self, plaintexts, out: list | None = None, counted: bool = True
-    ) -> list[bytes]:
-        """``[nd.encrypt(p) for p in plaintexts]``; one RNG draw per item,
-        in item order."""
-        results = out if out is not None else [b""] * len(plaintexts)
-        for i, plaintext in enumerate(plaintexts):
-            nonce = self._nonce()
-            pad = expand_keystream(self._enc, nonce, len(plaintext))
-            body = xor_bytes(plaintext, pad)
-            results[i] = nonce + body + self._prf_tag(nonce + body)
-        if counted:
-            _count("nd_encrypt", len(plaintexts))
-        return results
+        """Encrypt with a fresh nonce; repeated calls differ."""
+        if not isinstance(plaintext, bytes):
+            raise TypeError("plaintext must be bytes")
+        if self._rng is not None:
+            nonce = self._rng.randbytes(ND_NONCE_BYTES)
+        else:
+            nonce = os.urandom(ND_NONCE_BYTES)
+        body = nonce + xor_bytes(
+            plaintext, expand_keystream(self._enc, nonce, len(plaintext))
+        )
+        return body + self._mac(body)[:ND_TAG_BYTES]
 
     def decrypt(self, ciphertext: bytes) -> bytes:
+        """Decrypt and authenticate; raises :class:`DecryptionError` on tamper."""
         if len(ciphertext) < ND_NONCE_BYTES + ND_TAG_BYTES:
             raise DecryptionError("ciphertext too short")
         nonce = ciphertext[:ND_NONCE_BYTES]
         body = ciphertext[ND_NONCE_BYTES:-ND_TAG_BYTES]
-        tag = ciphertext[-ND_TAG_BYTES:]
-        if not hmac.compare_digest(tag, self._prf_tag(nonce + body)):
+        expected = self._mac(ciphertext[:-ND_TAG_BYTES])[:ND_TAG_BYTES]
+        if not hmac.compare_digest(ciphertext[-ND_TAG_BYTES:], expected):
             raise DecryptionError("ciphertext failed authentication")
-        pad = expand_keystream(self._enc, nonce, len(body))
-        return xor_bytes(body, pad)
+        return xor_bytes(body, expand_keystream(self._enc, nonce, len(body)))
+
+    def encrypt_many(
+        self, plaintexts, out: list | None = None, counted: bool = True
+    ) -> list[bytes]:
+        """``[nd.encrypt(p) for p in plaintexts]``: one RNG draw per item,
+        in item order."""
+        results = out if out is not None else [b""] * len(plaintexts)
+        for i, plaintext in enumerate(plaintexts):
+            results[i] = self.encrypt(plaintext)
+        if counted:
+            _count("nd_encrypt", len(plaintexts))
+        return results
 
     def decrypt_many(
         self, ciphertexts, out: list | None = None, counted: bool = True
     ) -> list[bytes]:
+        """``[nd.decrypt(c) for c in ciphertexts]``."""
         results = out if out is not None else [b""] * len(ciphertexts)
         for i, ciphertext in enumerate(ciphertexts):
             results[i] = self.decrypt(ciphertext)
@@ -494,8 +407,7 @@ def extend_chain(digest: bytes, ciphertexts) -> bytes:
 
     ``extend_chain(CHAIN_INIT, cts) == chain_digest(cts)`` and the fold
     composes: ``extend_chain(extend_chain(d, a), b) ==
-    extend_chain(d, a + b)``.  The same fold step is written out in
-    :func:`extend_chain_slices` and :func:`batch_chain_extend`.
+    extend_chain(d, a + b)``.
     """
     sha = _sha256
     for ciphertext in ciphertexts:
@@ -525,18 +437,14 @@ def batch_chain_extend(
     ciphertext_lists[i])``.
 
     Per-cell chains are independent (Algorithm 1 lines 16–21 chain each
-    cell-id separately), so the batch is a flat loop with the SHA-256
-    constructor bound once; items processed = total ciphertexts folded,
-    a function of the public fetched/ingested volume.
+    cell-id separately); items counted = total ciphertexts folded, a
+    function of the public fetched/ingested volume.
     """
     results = out if out is not None else [b""] * len(digests)
-    sha = _sha256
     folded = 0
     for i, (digest, ciphertexts) in enumerate(zip(digests, ciphertext_lists)):
-        for ciphertext in ciphertexts:
-            digest = sha(ciphertext + digest).digest()
-            folded += 1
-        results[i] = digest
+        results[i] = extend_chain(digest, ciphertexts)
+        folded += len(ciphertexts)
     if counted:
         _count("chain_extend", folded)
     return results

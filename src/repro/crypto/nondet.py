@@ -14,68 +14,14 @@ nonce per call.
     output = nonce || ct || tag
 
 Two encryptions of the same plaintext are distinct with overwhelming
-probability.
+probability.  The implementation is
+:class:`repro.crypto.kernels.RandomizedCipher`.
 """
 
-from __future__ import annotations
+from repro.crypto.kernels import (
+    ND_NONCE_BYTES as NONCE_BYTES,
+    ND_TAG_BYTES as TAG_BYTES,
+    RandomizedCipher,
+)
 
-import hmac as _hmac
-import os
-
-from repro.crypto.prf import KEY_BYTES, Prf
-from repro.crypto.stream import stream_xor
-from repro.exceptions import DecryptionError, KeyDerivationError
-
-NONCE_BYTES = 16
-TAG_BYTES = 16
-
-
-class RandomizedCipher:
-    """The paper's randomized encryption function ``E_nd``.
-
-    >>> cipher = RandomizedCipher(b"\\x02" * 32)
-    >>> a, b = cipher.encrypt(b"same"), cipher.encrypt(b"same")
-    >>> a == b            # randomized: same plaintext, different ciphertext
-    False
-    >>> cipher.decrypt(a) == cipher.decrypt(b) == b"same"
-    True
-
-    ``rng`` may be supplied for deterministic tests; it must expose
-    ``randbytes(n)`` (e.g. ``random.Random``).
-    """
-
-    __slots__ = ("_k_mac", "_k_enc", "_rng")
-
-    def __init__(self, key: bytes, rng=None):
-        if not isinstance(key, bytes) or len(key) != KEY_BYTES:
-            raise KeyDerivationError(f"cipher key must be {KEY_BYTES} bytes")
-        prf = Prf(key)
-        self._k_mac = prf.derive_key("nd-mac")
-        self._k_enc = prf.derive_key("nd-enc")
-        self._rng = rng
-
-    def _nonce(self) -> bytes:
-        if self._rng is not None:
-            return self._rng.randbytes(NONCE_BYTES)
-        return os.urandom(NONCE_BYTES)
-
-    def encrypt(self, plaintext: bytes) -> bytes:
-        """Encrypt with a fresh nonce; repeated calls differ."""
-        if not isinstance(plaintext, bytes):
-            raise TypeError("plaintext must be bytes")
-        nonce = self._nonce()
-        body = stream_xor(self._k_enc, nonce, plaintext)
-        tag = Prf(self._k_mac)(nonce + body)[:TAG_BYTES]
-        return nonce + body + tag
-
-    def decrypt(self, ciphertext: bytes) -> bytes:
-        """Decrypt and authenticate; raises :class:`DecryptionError` on tamper."""
-        if len(ciphertext) < NONCE_BYTES + TAG_BYTES:
-            raise DecryptionError("ciphertext too short")
-        nonce = ciphertext[:NONCE_BYTES]
-        body = ciphertext[NONCE_BYTES:-TAG_BYTES]
-        tag = ciphertext[-TAG_BYTES:]
-        expected = Prf(self._k_mac)(nonce + body)[:TAG_BYTES]
-        if not _hmac.compare_digest(tag, expected):
-            raise DecryptionError("ciphertext failed authentication")
-        return stream_xor(self._k_enc, nonce, body)
+__all__ = ["NONCE_BYTES", "TAG_BYTES", "RandomizedCipher"]

@@ -23,6 +23,20 @@ KEY_BYTES = 32
 DIGEST_BYTES = 32
 
 
+# Length prefixes (4-byte big-endian) recur at a handful of fixed widths
+# (the padded index/filter/payload plaintexts), so memoize them.
+_LEN4_CACHE: dict[int, bytes] = {}
+
+
+def _len4(n: int) -> bytes:
+    cached = _LEN4_CACHE.get(n)
+    if cached is None:
+        cached = n.to_bytes(4, "big")
+        if len(_LEN4_CACHE) < 4096:
+            _LEN4_CACHE[n] = cached
+    return cached
+
+
 def _as_bytes(value: bytes | str | int) -> bytes:
     """Canonically encode a value for hashing.
 
@@ -42,6 +56,10 @@ def _as_bytes(value: bytes | str | int) -> bytes:
 class Prf:
     """A keyed pseudo-random function ``F_k: bytes -> 32 bytes``.
 
+    ``hmac.new(key)`` costs two SHA-256 compressions to derive the
+    ipad/opad blocks; the object is primed once here and copied per
+    evaluation.
+
     >>> f = Prf(b"\\x00" * 32)
     >>> f(b"hello") == f(b"hello")
     True
@@ -49,14 +67,20 @@ class Prf:
     False
     """
 
-    __slots__ = ("_key",)
+    __slots__ = ("_raw",)
 
     def __init__(self, key: bytes):
         if not isinstance(key, bytes) or len(key) != KEY_BYTES:
             raise KeyDerivationError(
                 f"PRF key must be {KEY_BYTES} bytes, got {len(key) if isinstance(key, bytes) else type(key).__name__}"
             )
-        self._key = key
+        base = hmac.new(key, digestmod=hashlib.sha256)
+        # CPython's hmac object is a thin Python wrapper around an
+        # OpenSSL one; copying that directly skips a wrapper layer per
+        # evaluation with identical digests.  The wrapper has the same
+        # copy/update/digest trio, so it is the fallback on interpreters
+        # without the private attribute.
+        self._raw = getattr(base, "_hmac", None) or base
 
     def __call__(self, *parts: bytes | str | int) -> bytes:
         """Evaluate the PRF on the canonical encoding of ``parts``.
@@ -64,10 +88,10 @@ class Prf:
         Multiple parts are domain-separated with length prefixes, so
         ``f("ab", "c") != f("a", "bc")``.
         """
-        mac = hmac.new(self._key, digestmod=hashlib.sha256)
+        mac = self._raw.copy()
         for part in parts:
-            encoded = _as_bytes(part)
-            mac.update(len(encoded).to_bytes(4, "big"))
+            encoded = b"B" + part if type(part) is bytes else _as_bytes(part)
+            mac.update(_len4(len(encoded)))
             mac.update(encoded)
         return mac.digest()
 

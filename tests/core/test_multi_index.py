@@ -82,11 +82,10 @@ class TestConstruction:
 
         changed = {
             "oblivious": False, "verify": True, "window_subintervals": 4,
-            "super_bin_count": 2, "btree_order": 16, "retry_attempts": 2,
-            "retry_base_delay": 0.5, "retry_max_delay": 2.0, "retry_jitter": 0.25,
+            "super_bin_count": 2, "retry_jitter": 0.25,
             "deadline_seconds": 30.0, "max_inflight": 3, "admission_queue": 5,
             "bin_cache_bins": 7, "batch_workers": 1, "trapdoor_table_slots": 11,
-            "agg_tree": False, "agg_tree_min_buckets": 3,
+            "agg_tree": False,
         }
         defaults = ServiceConfig()
         fields = {f.name for f in dataclasses.fields(ServiceConfig)}

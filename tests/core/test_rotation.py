@@ -148,3 +148,89 @@ class TestRotationAuthorization:
             rotate_service_keys(
                 service, NEW_KEY, rotation_token(OLD_KEY, NEW_KEY)
             )
+
+
+class TestRotationAuthenticatesWhatItReseals:
+    """Rotation seals new tags over the stored rows, so rows the data
+    provider never shipped must not come out of it authenticated: any
+    tampering at rest aborts with the old key live, and once the host
+    puts its bytes back the old key answers, verified, as before."""
+
+    @pytest.fixture
+    def world(self, wifi_records, grid_spec):
+        from repro import ServiceConfig
+
+        provider = DataProvider(
+            WIFI_SCHEMA, grid_spec, 0, master_key=OLD_KEY,
+            time_granularity=60, rng=random.Random(15),
+        )
+        service = ServiceProvider(WIFI_SCHEMA, ServiceConfig(verify=True))
+        provider.provision_enclave(service.enclave)
+        service.ingest_epoch(provider.encrypt_epoch(wifi_records, 0))
+        location, timestamp, _ = wifi_records[0]
+        expected = sum(
+            1 for r in wifi_records if r[0] == location and r[1] == timestamp
+        )
+        context = service.context_for(0)
+        wanted = context.det.encrypt(
+            WIFI_SCHEMA.filter_plaintext_for_values(
+                WIFI_SCHEMA.filter_groups[0], (location,), timestamp
+            )
+        )
+        rows = service.engine.snapshot_rows("epoch_0")
+        matching = [row for row in rows if row.columns[0] == wanted]
+        other = next(
+            row for row in rows
+            if row.columns[0] != wanted and not context.is_fake_row(row)
+        )
+        assert len(matching) == expected >= 1
+        query = PointQuery(index_values=(location,), timestamp=timestamp)
+        return service, query, expected, matching, other
+
+    def _rotation_aborts(self, service):
+        engine = service.engine
+        tampered = [row.columns for row in engine.snapshot_rows("epoch_0")]
+        with pytest.raises(CryptoError):
+            rotate_service_keys(
+                service, NEW_KEY, rotation_token(OLD_KEY, NEW_KEY)
+            )
+        assert service.enclave.master_key == OLD_KEY
+        assert [r.columns for r in engine.snapshot_rows("epoch_0")] == tampered
+
+    def _old_key_answers(self, service, query, expected):
+        answer, stats = service.execute_point(query)
+        assert answer == expected and stats.verified
+
+    @pytest.mark.parametrize("substitute", ["zeros", "another row's filter"])
+    def test_rewritten_real_column_aborts(self, world, substitute):
+        service, query, expected, matching, other = world
+        width = len(other.columns[0])
+        forged = b"\x00" * width if substitute == "zeros" else other.columns[0]
+        for row in matching:
+            service.engine.overwrite(
+                "epoch_0", row.row_id, [forged, *row.columns[1:]]
+            )
+        self._rotation_aborts(service)
+        for row in matching:
+            service.engine.overwrite("epoch_0", row.row_id, list(row.columns))
+        self._old_key_answers(service, query, expected)
+
+    def test_dropped_row_aborts(self, world):
+        service, query, expected, matching, _ = world
+        service.engine.delete("epoch_0", matching[0].row_id)
+        self._rotation_aborts(service)
+        service.engine.insert("epoch_0", list(matching[0].columns))
+        self._old_key_answers(service, query, expected)
+
+    def test_duplicated_row_aborts(self, world):
+        service, query, expected, matching, _ = world
+        service.engine.insert("epoch_0", list(matching[0].columns))
+        self._rotation_aborts(service)
+
+    def test_untampered_rotation_unchanged(self, world):
+        service, query, expected, *_ = world
+        rows = rotate_service_keys(
+            service, NEW_KEY, rotation_token(OLD_KEY, NEW_KEY)
+        )
+        assert rows == service.engine.row_count("epoch_0")
+        self._old_key_answers(service, query, expected)  # now under NEW_KEY

@@ -25,9 +25,6 @@ class TestRoundtrip:
         data = bytes(range(256)) * 64
         assert cipher.decrypt(cipher.encrypt(data)) == data
 
-    def test_string_helpers(self, cipher):
-        assert cipher.decrypt_str(cipher.encrypt_str("héllo")) == "héllo"
-
     @given(st.binary(max_size=1024))
     def test_property_roundtrip(self, data):
         cipher = DeterministicCipher(KEY)

@@ -1,13 +1,10 @@
-"""Tests for hash chains and verifiable tags (§3 lines 16–21)."""
+"""Tests for the §3 hash chain (lines 16–21): the reference fold and the
+product's incremental one."""
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.crypto.hashchain import HashChain, VerifiableTag, chain_digest
-from repro.crypto.nondet import RandomizedCipher
-from repro.exceptions import IntegrityError
-
-KEY = b"\x0e" * 32
+from repro.crypto.hashchain import chain_digest
+from repro.crypto.kernels import CHAIN_INIT, extend_chain
 
 
 class TestChainDigest:
@@ -28,17 +25,15 @@ class TestChainDigest:
         assert chain_digest([b"a"]) != chain_digest([b"a", b"a"])
 
     def test_incremental_matches_batch(self):
-        chain = HashChain()
-        chain.extend([b"x", b"y", b"z"])
-        assert chain.digest() == chain_digest([b"x", b"y", b"z"])
-        assert len(chain) == 3
+        digest = extend_chain(extend_chain(CHAIN_INIT, [b"x"]), [b"y", b"z"])
+        assert digest == chain_digest([b"x", b"y", b"z"])
 
     @given(st.lists(st.binary(max_size=64), max_size=30))
     def test_property_incremental_equals_batch(self, items):
-        chain = HashChain()
+        digest = CHAIN_INIT
         for item in items:
-            chain.update(item)
-        assert chain.digest() == chain_digest(items)
+            digest = extend_chain(digest, [item])
+        assert digest == chain_digest(items)
 
     @given(st.lists(st.binary(min_size=1, max_size=32), min_size=2, max_size=10))
     def test_property_any_drop_changes_digest(self, items):
@@ -46,30 +41,3 @@ class TestChainDigest:
         for skip in range(len(items)):
             reduced = items[:skip] + items[skip + 1 :]
             assert chain_digest(reduced) != full
-
-
-class TestVerifiableTag:
-    def test_seal_verify_roundtrip(self):
-        cipher = RandomizedCipher(KEY)
-        digests = [chain_digest([b"a"]), chain_digest([b"b"])]
-        tag = VerifiableTag.seal(3, digests, cipher)
-        tag.verify(digests, cipher)  # no raise
-
-    def test_mismatched_digest_detected(self):
-        cipher = RandomizedCipher(KEY)
-        tag = VerifiableTag.seal(3, [chain_digest([b"a"])], cipher)
-        with pytest.raises(IntegrityError):
-            tag.verify([chain_digest([b"tampered"])], cipher)
-
-    def test_wrong_column_count_detected(self):
-        cipher = RandomizedCipher(KEY)
-        tag = VerifiableTag.seal(3, [chain_digest([b"a"])], cipher)
-        with pytest.raises(IntegrityError):
-            tag.verify([chain_digest([b"a"]), chain_digest([b"b"])], cipher)
-
-    def test_tag_ciphertexts_randomized(self):
-        cipher = RandomizedCipher(KEY)
-        d = chain_digest([b"a"])
-        t1 = VerifiableTag.seal(1, [d], cipher)
-        t2 = VerifiableTag.seal(1, [d], cipher)
-        assert t1.encrypted_digests != t2.encrypted_digests

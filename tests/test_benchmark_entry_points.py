@@ -32,3 +32,17 @@ def _wrapped_names():
 def test_wrapped_name_is_a_plain_function_on_its_class(module, cls, method):
     owner = getattr(importlib.import_module(module), cls)
     assert inspect.isfunction(inspect.getattr_static(owner, method))
+
+
+def test_kernel_pass_finds_the_crypto_names_it_imports(monkeypatch):
+    """``metrics.kernel_pass`` imports its kernels from
+    ``repro.crypto.kernels`` by name, inside the function: a renamed one
+    is an ``ImportError`` 20 s into the smoke — or here, in ~10 ms."""
+    monkeypatch.syspath_prepend(str(SPANS.parent))  # metrics does `import spans`
+    spec = importlib.util.spec_from_file_location(
+        "_benchmark_metrics", SPANS.parent / "metrics.py"
+    )
+    metrics = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(metrics)
+    rates = metrics.kernel_pass(8)
+    assert len(rates) == 5 and all(rate > 0 for rate in rates.values())

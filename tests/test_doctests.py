@@ -10,6 +10,7 @@ import repro.core.schema
 import repro.core.superbin
 import repro.crypto.det
 import repro.crypto.hashchain
+import repro.crypto.kernels
 import repro.crypto.nondet
 import repro.crypto.prf
 import repro.enclave.sort
@@ -27,6 +28,7 @@ MODULES = [
     repro.core.superbin,
     repro.crypto.det,
     repro.crypto.hashchain,
+    repro.crypto.kernels,
     repro.crypto.nondet,
     repro.crypto.prf,
     repro.enclave.sort,
