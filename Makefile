@@ -101,7 +101,9 @@ profile:
 # The read-side sibling: where a verified point query's time goes on the
 # repo benchmark's `point_bins` fleet shape — STEP 4's verification split
 # into index-key decrypt / grouping / chain fold / counters + tag compare,
-# then the cProfile top-30 — written to benchmarks/results/profile_read.txt.
+# then the cProfile top-30; then whole-epoch ranges through the async
+# router on a 4x1 fleet (plan / dispatch / tree decode / hops split) —
+# written to benchmarks/results/profile_read.txt.
 profile-read:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/profile_read.py
 

@@ -1,17 +1,33 @@
-"""``make profile-read`` — where a verified point query's time goes.
+"""``make profile-read`` — where a read's time goes, bin path and router.
 
-The read-side sibling of ``make profile``: the repo benchmark's
-``point_bins`` fleet shape (1×1, |b| = 512, every ``ServiceConfig``
-default, so verify on) built in-process from public APIs, then 200
-point queries at ingested (location, time) pairs, twice: unprofiled,
-with wrappers installed from here around the parts of STEP 4's
-verification and the stages beside it, so the wall-clock split sums to
-the run (the fold wrapper, ~70 calls a query, taxes it a few percent);
-then under cProfile, top-30.  To stdout and ``results/profile_read.txt``.
+The read-side sibling of ``make profile``, in two sections, both written
+to stdout and ``results/profile_read.txt``:
+
+* **Verified point queries.**  The repo benchmark's ``point_bins`` fleet
+  shape (1×1, |b| = 512, every ``ServiceConfig`` default, so verify on)
+  built in-process from public APIs, then 200 point queries at ingested
+  (location, time) pairs, twice: unprofiled, with wrappers installed
+  from here around the parts of STEP 4's verification and the stages
+  beside it, so the wall-clock split sums to the run (the fold wrapper,
+  ~70 calls a query, taxes it a few percent); then under cProfile,
+  top-30.
+* **Whole-epoch ranges through the router.**  The ``longrange_tree``
+  fleet shape (4×1) and request stream (whole-epoch ``auto``
+  COUNT/SUM/MIN/MAX, so one tree node per shard), sent one at a time
+  through ``AsyncShardRouter`` on one core (as the benchmark pins its
+  server child): per query, the plan, the shard dispatch
+  window (from the first shard starting to the last one finishing),
+  the tree-node decode inside it, and what is left — pool hops, asyncio
+  and the merge.  Shards run concurrently, so a phase is the union of
+  its intervals, not their sum.
 """
 
+import asyncio
 import cProfile
+import functools
+import importlib
 import io
+import os
 import pstats
 import random
 import sys
@@ -40,12 +56,60 @@ PHASES = [
     ("decrypt", *_CONTEXT, "decrypt_packed_records"),
 ]
 
+RANGES, RANGE_WARMUP = 400, 50
+_SHARDED = ("repro.sharding.service", "ShardedService")
+ROUTER_PHASES = [
+    ("plan", *_SHARDED, "plan_range"),
+    ("shard dispatch", *_SHARDED, "_dispatch"),
+    ("tree decode", *_CONTEXT, "decode_tree_nodes"),
+]
 
-def main() -> None:
+
+class IntervalTimer:
+    """Wall-clock intervals per phase, from any thread (``list.append``
+    is atomic); :meth:`seconds` is the length of their union."""
+
+    def __init__(self, phases):
+        self.phases = phases
+        self.intervals: dict[str, list] = {phase: [] for phase, *_ in phases}
+        self._patched: list[tuple] = []
+
+    def _wrap(self, phase: str, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.intervals[phase].append((start, time.perf_counter()))
+
+        return wrapper
+
+    def seconds(self, phase: str) -> float:
+        total, reach = 0.0, float("-inf")
+        for start, end in sorted(self.intervals[phase]):
+            if end > reach:
+                total += end - max(start, reach)
+                reach = end
+        return total
+
+    def __enter__(self):
+        for phase, module, owner, name in self.phases:
+            holder = getattr(importlib.import_module(module), owner)
+            original = holder.__dict__[name]
+            setattr(holder, name, self._wrap(phase, original))
+            self._patched.append((holder, name, original))
+        return self
+
+    def __exit__(self, *exc):
+        for holder, name, original in self._patched:
+            setattr(holder, name, original)
+
+
+def point_section(out: io.StringIO) -> None:
     from repro.core.queries import Aggregate, PointQuery
     from repro.sharding import ingest_epoch_sharded
 
-    out = io.StringIO()
     with tempfile.TemporaryDirectory() as workdir:
         fleet, records, epoch = fleet_and_records(workdir, shards=1, replicas=1)
         ingest_epoch_sharded(fleet, records, epoch)
@@ -73,7 +137,70 @@ def main() -> None:
     for phase, spent in (*phases.seconds.items(), ("plan, merge, rest", rest)):
         share = f"{1000 * spent / QUERIES:7.3f} ms/query {100 * spent / wall:5.1f}%"
         out.write(f"  {phase:<28}{share}\n")
-    pstats.Stats(profiler, stream=out).sort_stats("cumulative").print_stats(TOP_N)
+    pstats.Stats(profiler, stream=out).strip_dirs().sort_stats("cumulative").print_stats(TOP_N)
+
+
+def router_section(out: io.StringIO) -> None:
+    from repro.core.queries import Aggregate, RangeQuery
+    from repro.sharding import AsyncShardRouter, ingest_epoch_sharded
+
+    aggregates = (Aggregate.COUNT, Aggregate.SUM, Aggregate.MIN, Aggregate.MAX)
+    with tempfile.TemporaryDirectory() as workdir:
+        fleet, records, epoch = fleet_and_records(workdir, shards=4, replicas=1)
+        ingest_epoch_sharded(fleet, records, epoch)
+        duration = fleet.provider.grid_spec.epoch_duration
+        rng = random.Random(41)
+        queries = [  # as the benchmark's longrange_tree stream
+            RangeQuery(
+                index_values=(records[rng.randrange(len(records))][0],),
+                time_start=epoch, time_end=epoch + duration - 1,
+                aggregate=aggregates[i % 4], target=None if i % 4 == 0 else "time",
+            )
+            for i in range(RANGE_WARMUP + RANGES)
+        ]
+        router = AsyncShardRouter(fleet)
+
+        async def ask(batch):
+            for query in batch:
+                await router.execute_range(query, method="auto")
+
+        async def measure():
+            await ask(queries[:RANGE_WARMUP])
+            with IntervalTimer(ROUTER_PHASES) as timer:
+                start = time.perf_counter()
+                await ask(queries[RANGE_WARMUP:])
+                return timer, time.perf_counter() - start
+
+        # One core, as the benchmark's server child: the router's pool
+        # threads (started by the first query) inherit it.
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cpus)})
+        try:
+            timer, wall = asyncio.run(measure())
+        finally:
+            router.close()
+            os.sched_setaffinity(0, cpus)
+    plan, dispatch, decode = (timer.seconds(phase) for phase, *_ in ROUTER_PHASES)
+    out.write(
+        f"\n{RANGES} whole-epoch auto ranges through AsyncShardRouter, 4x1 fleet, "
+        f"one at a time: {wall:.3f} s ({1000 * wall / RANGES:.2f} ms/query)\n\n"
+        "split (wall clock; a phase is the union of its intervals on any thread)\n"
+    )
+    split = (
+        ("plan", plan),
+        ("shard dispatch (less decode)", dispatch - decode),
+        ("tree decode", decode),
+        ("hops, asyncio, rest", wall - plan - dispatch),
+    )
+    for phase, spent in split:
+        share = f"{1000 * spent / RANGES:7.3f} ms/query {100 * spent / wall:5.1f}%"
+        out.write(f"  {phase:<30}{share}\n")
+
+
+def main() -> None:
+    out = io.StringIO()
+    point_section(out)
+    router_section(out)
     path = Path(__file__).parent / "results" / "profile_read.txt"
     path.write_text(out.getvalue())
     print(out.getvalue(), f"wrote {path}", sep="\n")

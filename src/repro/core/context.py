@@ -119,15 +119,17 @@ class EpochContext:
             if package.enc_grid_key
             else None
         )
-        self.grid = Grid(
-            package.grid_spec, schema, enclave.master_key, package.epoch_id,
-            grid_key=grid_key,
-        )
 
         with enclave.trace.disabled():
             self.cell_id_vector = package.decrypt_cell_id_vector(self.nd)
             self.c_tuple = package.decrypt_c_tuple_vector(self.nd)
             self.cell_counts = package.decrypt_cell_counts(self.nd)
+        # The vector is the grid's allocation (Algorithm 1 ships it), so
+        # a query's cell-ids are list lookups, never PRF calls.
+        self.grid = Grid(
+            package.grid_spec, schema, enclave.master_key, package.epoch_id,
+            grid_key=grid_key, allocation=self.cell_id_vector,
+        )
         # The stored table's shape, a function of the schema alone: what
         # an answer entering the enclave is held to (:meth:`_admit`).
         self.column_widths = (DET_TAG_BYTES + schema.filter_pad_width,) * len(

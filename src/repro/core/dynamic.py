@@ -133,11 +133,9 @@ class DynamicConcealer:
         end = min(query.time_end, context.epoch_id + duration - 1)
         if end < start:
             return []
-        cids: list[int] = []
-        for combo in query.candidate_combinations():
-            for cid in context.grid.cell_ids_for_range(combo, start, end):
-                if cid not in cids:
-                    cids.append(cid)
+        cids = context.grid.cell_ids_for_combinations(
+            query.candidate_combinations(), start, end
+        )
         return context.layout.bins_of_cell_ids(cids)
 
     def _fetch_set(self, needed: list[Bin], context: EpochContext) -> list[Bin]:

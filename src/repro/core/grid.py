@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 from repro.core.schema import DatasetSchema, encode_value
@@ -110,12 +111,15 @@ class Grid:
         key: bytes,
         epoch_id: int,
         grid_key: bytes | None = None,
+        allocation: list[int] | None = None,
     ):
         """``grid_key`` (when given) fixes the placement secret directly;
         otherwise it is derived from ``key`` (the master secret) and the
         epoch id.  An explicit grid key is what keeps placements stable
         across master-key rotation — the key that *places* data need not
-        be the key that *encrypts* it."""
+        be the key that *encrypts* it.  ``allocation`` is the
+        :meth:`cell_id_vector` this key derives, when the caller already
+        holds it (an epoch context decrypts it from the package)."""
         expected_axes = len(schema.grid_dimensions())
         if len(spec.dimension_sizes) != expected_axes:
             raise ValueError(
@@ -138,8 +142,14 @@ class Grid:
         self._coord_cache: dict[tuple[int, object], int] = {}
         self._cid_cache: dict[int, int] = {}
         # The whole allocation once cell_id_vector() derived it (the data
-        # provider's grids; a query-side grid keeps to the bounded memo).
-        self._allocation: list[int] | None = None
+        # provider's grids) or the caller handed it in (an epoch
+        # context's); a standalone grid keeps to the bounded memo.
+        if allocation is not None and len(allocation) != spec.total_cells:
+            raise ValueError(f"allocation covers {len(allocation)} of {spec.total_cells} cells")
+        self._allocation = allocation
+        # Time-axis coordinate per subinterval index, filled on first
+        # use by the range cover; bounded by the public ``time_buckets``.
+        self._time_coords: list[int | None] = [None] * spec.time_buckets
 
     _COORD_CACHE_MAX = 4096
 
@@ -280,32 +290,38 @@ class Grid:
         last = self.time_bucket(end)
         return list(range(first, last + 1))
 
-    def cells_for_range(
-        self, index_values: Sequence, start: int, end: int
-    ) -> list[tuple[int, ...]]:
-        """Grid cells covering a time range for fixed index values.
-
-        One cell per covered subinterval — the "ℓ cells" of §5.
-        """
-        coords_prefix = [
-            self._axis_coord(i, value) for i, value in enumerate(index_values)
-        ]
-        time_axis = len(self._axes) - 1
-        cells = []
-        for bucket in self.time_buckets_for_range(start, end):
-            cells.append(tuple(coords_prefix + [self._axis_coord(time_axis, bucket)]))
-        return cells
-
     def cell_ids_for_range(
         self, index_values: Sequence, start: int, end: int
     ) -> list[int]:
-        """Distinct cell-ids covering a time range (order-preserving)."""
-        seen: list[int] = []
-        for cell in self.cells_for_range(index_values, start, end):
-            cid = self.cell_id_of(self.flat_index(cell))
-            if cid not in seen:
-                seen.append(cid)
-        return seen
+        """Distinct cell-ids covering a time range, in bucket order: the "ℓ
+        cells" of §5, one per covered subinterval, in one linear pass — the
+        index values fold into the flat prefix once and each bucket adds its
+        time coordinate (``_axis_coord`` output: already in range)."""
+        buckets = self.time_buckets_for_range(start, end)
+        time_axis = len(self._axes) - 1
+        if len(index_values) != time_axis:
+            raise QueryError(f"expected {time_axis} index values, got {len(index_values)}")
+        sizes = self.spec.dimension_sizes
+        prefix = 0
+        for axis, value in enumerate(index_values):
+            prefix = prefix * sizes[axis] + self._axis_coord(axis, value)
+        base = prefix * sizes[time_axis]
+        window = slice(buckets[0], buckets[-1] + 1)  # buckets are contiguous
+        if None in self._time_coords[window]:
+            for bucket in buckets:
+                self._time_coords[bucket] = self._axis_coord(time_axis, bucket)
+        lookup = self.cell_id_of if self._allocation is None else self._allocation.__getitem__
+        flats = [base + coord for coord in self._time_coords[window]]
+        return list(dict.fromkeys(map(lookup, flats)))
+
+    def cell_ids_for_combinations(
+        self, combinations: Sequence[Sequence], start: int, end: int
+    ) -> list[int]:
+        """Distinct cell-ids covering a time range for every index-value
+        combination of a query, in first-occurrence order."""
+        return list(dict.fromkeys(chain.from_iterable(
+            self.cell_ids_for_range(combo, start, end) for combo in combinations
+        )))
 
     def iter_flat_cells(self) -> Iterator[int]:
         """All flat cell indices (used when building per-cell statistics)."""

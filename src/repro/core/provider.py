@@ -157,13 +157,9 @@ class DataProvider:
     def _partition(self, records: Sequence[tuple], epoch_id: int, topology):
         """Per shard, its records and their slice of the one placement."""
         placement = self.encryptor.place(records, epoch_id)
-        owners: dict[int, int] = {}  # the topology's map hashes per call
         slots: list[list[int]] = [[] for _ in range(topology.shard_count)]
         for slot, cid in enumerate(placement.cell_ids):
-            owner = owners.get(cid)
-            if owner is None:
-                owner = owners[cid] = topology.shard_of(cid)
-            slots[owner].append(slot)
+            slots[topology.shard_of(cid)].append(slot)
         return [([records[s] for s in owned], placement.select(owned)) for owned in slots]
 
     def partition_records(

@@ -125,13 +125,9 @@ class RangeExecutor:
 
     def multipoint_bins(self, query: RangeQuery, context: EpochContext) -> list:
         """The point-query bins covering this range (planner-shared)."""
-        needed_cids: list[int] = []
-        for combo in query.candidate_combinations():
-            for cid in context.grid.cell_ids_for_range(
-                combo, query.time_start, query.time_end
-            ):
-                if cid not in needed_cids:
-                    needed_cids.append(cid)
+        needed_cids = context.grid.cell_ids_for_combinations(
+            query.candidate_combinations(), query.time_start, query.time_end
+        )
         return context.layout.bins_of_cell_ids(needed_cids)
 
     def execute_multipoint(
@@ -357,13 +353,9 @@ class RangeExecutor:
         )
 
         state = self._ebpb_budget(context, span)
-        needed_cids: list[int] = []
-        for combo in combos:
-            for cid in context.grid.cell_ids_for_range(
-                combo, query.time_start, query.time_end
-            ):
-                if cid not in needed_cids:
-                    needed_cids.append(cid)
+        needed_cids = context.grid.cell_ids_for_combinations(
+            combos, query.time_start, query.time_end
+        )
 
         real_volume = sum(context.c_tuple[cid] for cid in needed_cids)
         budget = state.budget(len(combos))

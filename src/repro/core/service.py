@@ -215,13 +215,6 @@ class ServiceConfig:
     # view is unchanged (see DESIGN.md §12).  Ignored under oblivious
     # execution (§4.3 trace identity forbids memoization).
     trapdoor_table_slots: int = 8192
-    # Hierarchical aggregate-tree sidecar: ingest stores each epoch's
-    # sealed k-ary aggregate tree and the auto planner routes eligible
-    # long-window COUNT/SUM/MIN/MAX to it (O(log range) node fetches
-    # instead of O(range) bins).  The planner gate below is a pure
-    # function of public inputs; the tree is forced off under oblivious
-    # execution (trace identity).
-    agg_tree: bool = True
 
 
 # Minimum fully-covered leaf buckets before the auto planner prefers the
@@ -354,7 +347,7 @@ class ServiceProvider:
             if not self.config.oblivious:
                 if package.packed_bins:
                     engine.store_packed_bins(table, package.packed_bins)
-                if self.config.agg_tree and package.agg_tree is not None:
+                if package.agg_tree is not None:
                     engine.store_agg_tree(table, package.agg_tree)
         except BaseException:
             engine.drop_table(table)
@@ -721,7 +714,7 @@ class ServiceProvider:
         Data values are never consulted, so the planner's choice leaks
         nothing the storage access log does not already show.
         """
-        if not self.config.agg_tree or self.config.oblivious:
+        if self.config.oblivious:  # trace identity: no tree under §4.3
             return False
         if not RangeExecutor.tree_eligible(query, self.schema):
             return False

@@ -170,37 +170,29 @@ class AsyncShardRouter:
         Thread pools do not carry context variables, so both attempts
         are wrapped with :func:`tracing.propagate` — the shard-side
         spans join this request's trace instead of starting their own.
+        Unhedged, the attempt is awaited in the caller's task (``gather``
+        already gave each sub-query one) rather than in a task of its own.
         """
         captured = tracing.capture()
-        primary = asyncio.ensure_future(
-            self._run_on(
+
+        def attempt(label: str):
+            return self._run_on(
                 shard,
                 tracing.propagate(
-                    functools.partial(
-                        self.sharded._dispatch, shard, kind, thunk
-                    ),
+                    functools.partial(self.sharded._dispatch, shard, label, thunk),
                     captured,
                 ),
             )
-        )
+
         if self.hedge_delay is None:
-            return await primary
+            return await attempt(kind)
+        primary = asyncio.ensure_future(attempt(kind))
         done, _ = await asyncio.wait({primary}, timeout=self.hedge_delay)
         if primary in done:
             return primary.result()
         _count_hedge(shard.shard_id, "launched")
         tracing.annotate(**{f"hedge_shard_{shard.shard_id}": "launched"})
-        hedge = asyncio.ensure_future(
-            self._run_on(
-                shard,
-                tracing.propagate(
-                    functools.partial(
-                        self.sharded._dispatch, shard, f"{kind}-hedge", thunk
-                    ),
-                    captured,
-                ),
-            )
-        )
+        hedge = asyncio.ensure_future(attempt(f"{kind}-hedge"))
         pending = {primary, hedge}
         failures: list[tuple[bool, BaseException]] = []
         while pending:
@@ -339,9 +331,10 @@ class AsyncShardRouter:
 
     async def _plan(self, fn):
         """Planning runs off the event loop (it decrypts metadata in an
-        enclave); any pool works since the plan shard's lock is taken
-        inside the sync core.  ``propagate`` carries the trace context
-        onto the pool thread so ``router.plan`` joins this trace."""
+        enclave); any pool works since the sync core takes the lock of
+        an idle healthy shard to plan on.  ``propagate`` carries the
+        trace context onto the pool thread so ``router.plan`` joins this
+        trace."""
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(None, tracing.propagate(fn))
 

@@ -77,6 +77,10 @@ MERGEABLE_AGGREGATES = frozenset(
     }
 )
 
+# Consecutive soft failures (deadline, transient exhaustion) before a
+# shard's breaker isolates it; crashes isolate immediately.
+SHARD_BREAKER_THRESHOLD = 2
+
 
 def _count_dispatch(shard_id: int, kind: str) -> None:
     telemetry.counter(
@@ -100,8 +104,6 @@ def build_replica_group(
     replicas: int,
     clock=None,
     fault_injector: FaultInjector | None = None,
-    attempt_timeout: float | None = 2.0,
-    min_healthy: int | None = None,
 ) -> ReplicatedStorageEngine:
     """A shard-local replica group of plain storage engines.
 
@@ -116,13 +118,7 @@ def build_replica_group(
         StorageEngine(fault_injector=fault_injector if rid == 0 else None)
         for rid in range(replicas)
     ]
-    return ReplicatedStorageEngine(
-        members,
-        clock=clock,
-        policy=ReplicationPolicy(
-            min_healthy=min_healthy, attempt_timeout=attempt_timeout
-        ),
-    )
+    return ReplicatedStorageEngine(members, clock=clock, policy=ReplicationPolicy())
 
 
 @dataclass
@@ -136,11 +132,6 @@ class ShardedConfig:
     # all run below the router — a single tampered or crashed storage
     # node never surfaces as a degraded shard.
     replicas: int = 1
-    # Per-replica attempt budget (seconds) inside a shard's group.
-    replica_attempt_timeout: float | None = 2.0
-    # Healthy-replica count below which a shard's reads are flagged
-    # degraded (None = all of them).
-    replica_min_healthy: int | None = None
     verify: bool = True
     oblivious: bool = False
     # Per-shard dispatch budget in seconds (None = unbounded).  Minted
@@ -150,9 +141,6 @@ class ShardedConfig:
     # Range queries over a degraded fleet return PartialResult when
     # True; fail with ShardUnavailable when False (fail-closed mode).
     allow_partial: bool = True
-    # Consecutive soft failures (deadline, transient exhaustion) before
-    # a shard's breaker isolates it; crashes isolate immediately.
-    breaker_threshold: int = 2
     breaker_reset_seconds: float = 30.0
     bin_cache_bins: int = 0
     trapdoor_table_slots: int = 8192
@@ -349,11 +337,7 @@ class ShardedService:
                 engine = engine_factory(shard_id)
             elif config.replicas > 1:
                 engine = build_replica_group(
-                    config.replicas,
-                    clock=clock,
-                    fault_injector=fault_injector,
-                    attempt_timeout=config.replica_attempt_timeout,
-                    min_healthy=config.replica_min_healthy,
+                    config.replicas, clock=clock, fault_injector=fault_injector
                 )
             else:
                 engine = StorageEngine(fault_injector=fault_injector)
@@ -390,7 +374,7 @@ class ShardedService:
                     ),
                     breaker=CircuitBreaker(
                         clock,
-                        failure_threshold=config.breaker_threshold,
+                        failure_threshold=SHARD_BREAKER_THRESHOLD,
                         reset_timeout=config.breaker_reset_seconds,
                         name=f"shard-{shard_id}",
                     ),
@@ -432,18 +416,26 @@ class ShardedService:
 
         Planning (cell-id identification) needs a provisioned enclave;
         every shard's package carries the same grid-wide metadata, so
-        any healthy shard can plan for the whole fleet.
+        any healthy shard can plan for the whole fleet.  ``context_for``
+        mutates the shard's context cache, so planning takes the shard's
+        lock — the router may be running a sub-query there — but only a
+        free one, in shard order: a busy or stalled shard never delays
+        requests that do not touch it.  A shard found busy is retried
+        blocking once every other shard was tried (single-threaded
+        callers never find one busy, so they always plan on the first).
         """
         last_error: ConcealerError | None = None
-        for shard in self.healthy_shards():
+        attempts = [(shard, False) for shard in self.healthy_shards()]
+        for shard, blocking in attempts:  # grows while iterated: busy ones last
+            if not shard.lock.acquire(blocking=blocking):
+                attempts.append((shard, True))
+                continue
             try:
-                # context_for mutates the shard's context cache, so take
-                # its lock — the router may be executing a sub-query on
-                # this shard's thread at the same time.
-                with shard.lock:
-                    return shard.service.context_for(epoch_id)
+                return shard.service.context_for(epoch_id)
             except ConcealerError as error:
                 last_error = error
+            finally:
+                shard.lock.release()
         if last_error is not None:
             raise last_error
         raise NoHealthyShard(
@@ -578,13 +570,9 @@ class ShardedService:
                 else self._epoch_of(query.time_start)
             )
             context = self._plan_context(eid)
-            cells: set[int] = set()
-            for combo in query.candidate_combinations():
-                cells.update(
-                    context.grid.cell_ids_for_range(
-                        combo, query.time_start, query.time_end
-                    )
-                )
+            cells = context.grid.cell_ids_for_combinations(
+                query.candidate_combinations(), query.time_start, query.time_end
+            )
             owners = self.topology.shards_for(cells)
             if len(owners) > 1 and query.aggregate not in MERGEABLE_AGGREGATES:
                 raise QueryError(

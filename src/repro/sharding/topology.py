@@ -20,6 +20,14 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+# shard count → {cell-id: owner}.  The map is an unkeyed public function
+# of ``(cell_id, shard_count)``, so one process-wide memo serves every
+# topology instance and leaks nothing (SECURITY.md); it saves the router
+# a SHA-256 per covered cell-id on every request.  Cell-ids are bounded
+# by the grid's ``u``; the cap only stops a stray caller growing it.
+_OWNERS: dict[int, dict[int, int]] = {}
+_OWNERS_MAX = 1 << 16
+
 
 @dataclass(frozen=True)
 class ShardTopology:
@@ -41,8 +49,15 @@ class ShardTopology:
 
     def shard_of(self, cell_id: int) -> int:
         """The shard owning one cell-id (uniform by SHA-256 avalanche)."""
-        digest = hashlib.sha256(b"concealer-shard|%d" % cell_id).digest()
-        return int.from_bytes(digest[:8], "big") % self.shard_count
+        memo = _OWNERS.setdefault(self.shard_count, {})
+        owner = memo.get(cell_id)
+        if owner is None:
+            digest = hashlib.sha256(b"concealer-shard|%d" % cell_id).digest()
+            owner = int.from_bytes(digest[:8], "big") % self.shard_count
+            if len(memo) >= _OWNERS_MAX:
+                memo.clear()
+            memo[cell_id] = owner
+        return owner
 
     def shards_for(self, cell_ids) -> dict[int, list[int]]:
         """Group cell-ids by owning shard, both axes sorted.
@@ -51,10 +66,14 @@ class ShardTopology:
         deterministic: participants are visited in ascending shard id
         regardless of the set/iteration order the planner produced.
         """
-        owners: dict[int, list[int]] = {}
-        for cell_id in sorted(set(cell_ids)):
-            owners.setdefault(self.shard_of(cell_id), []).append(cell_id)
-        return dict(sorted(owners.items()))
+        cells = sorted(set(cell_ids))
+        owners = list(map(_OWNERS.get(self.shard_count, {}).get, cells))
+        if None in owners:
+            owners = [self.shard_of(cell_id) for cell_id in cells]
+        groups: list[list[int]] = [[] for _ in range(self.shard_count)]
+        for cell_id, owner in zip(cells, owners):
+            groups[owner].append(cell_id)
+        return {shard: owned for shard, owned in enumerate(groups) if owned}
 
     def all_shards(self) -> tuple[int, ...]:
         return tuple(range(self.shard_count))

@@ -4,10 +4,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.grid import Grid, GridSpec
-from repro.core.schema import TPCH_2D_SCHEMA, WIFI_SCHEMA
+from repro.core.schema import TPCH_2D_SCHEMA, TPCH_4D_SCHEMA, WIFI_SCHEMA
 from repro.exceptions import QueryError
 
 KEY = b"\x55" * 32
+
+
+def reference_cover(grid: Grid, values, start: int, end: int):
+    """The range cover spelled out one bucket at a time: per covered
+    subinterval ``cell_id_of(flat_index(coords_for(values, t)))`` at the
+    bucket's first timestamp, then the distinct ids in first-seen order."""
+    spec = grid.spec
+    per_bucket = []
+    for bucket in grid.time_buckets_for_range(start, end):
+        timestamp = grid.epoch_id - (-bucket * spec.epoch_duration // spec.time_buckets)
+        assert grid.time_bucket(timestamp) == bucket
+        per_bucket.append(grid.cell_id_of(grid.flat_index(grid.coords_for(values, timestamp))))
+    distinct: list[int] = []
+    for cid in per_bucket:
+        if cid not in distinct:
+            distinct.append(cid)
+    return per_bucket, distinct
 
 
 @pytest.fixture
@@ -120,10 +137,9 @@ class TestRangeCovers:
             grid.time_buckets_for_range(100, 50)
 
     def test_cells_for_range_one_per_bucket(self, grid):
-        cells = grid.cells_for_range(("ap1",), 0, 899)  # buckets 0..3
-        assert len(cells) == 4
-        prefixes = {cell[0] for cell in cells}
-        assert len(prefixes) == 1  # same location column
+        per_bucket, distinct = reference_cover(grid, ("ap1",), 0, 899)
+        assert len(per_bucket) == 4  # buckets 0..3
+        assert grid.cell_ids_for_range(("ap1",), 0, 899) == distinct
 
     def test_cell_ids_for_range_deduped(self, grid):
         cids = grid.cell_ids_for_range(("ap1",), 0, 3599)
@@ -142,6 +158,71 @@ class TestRangeCovers:
         cids = set(grid.cell_ids_for_range(("ap0",), lo, hi))
         probe = (lo + hi) // 2
         assert grid.place_values(("ap0",), probe) in cids
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([WIFI_SCHEMA, TPCH_2D_SCHEMA, TPCH_4D_SCHEMA]),
+        st.data(),
+        st.integers(1, 48),
+        st.booleans(),
+        st.sampled_from([0, 3600]),
+        st.booleans(),
+    )
+    def test_property_cover_is_the_per_bucket_reference(
+        self, schema, data, time_buckets, time_local, epoch_id, seeded
+    ):
+        index_axes = len(schema.index_attributes)
+        sizes = tuple(
+            data.draw(st.lists(st.integers(1, 4), min_size=index_axes, max_size=index_axes))
+        ) + (time_buckets,)
+        total = 1
+        for size in sizes:
+            total *= size
+        spec = GridSpec(
+            dimension_sizes=sizes,
+            cell_id_count=data.draw(st.integers(1, total)),
+            epoch_duration=3600,
+            time_local_cell_ids=time_local,
+        )
+        # seeded: an epoch context's grid, the allocation handed in
+        allocation = Grid(spec, schema, KEY, epoch_id).cell_id_vector() if seeded else None
+        grid = Grid(spec, schema, KEY, epoch_id, allocation=allocation)
+        values = tuple(
+            data.draw(st.one_of(st.integers(-50, 50), st.text(max_size=4)))
+            for _ in range(index_axes)
+        )
+        shape = data.draw(st.sampled_from(["bucket", "epoch", "any", "reversed", "outside"]))
+        if shape == "bucket":
+            start = end = epoch_id + data.draw(st.integers(0, 3599))
+        elif shape == "epoch":
+            start, end = epoch_id, epoch_id + 3599
+        else:
+            start, end = sorted(data.draw(st.integers(0, 3599)) + epoch_id for _ in range(2))
+            if shape == "reversed" and start != end:
+                start, end = end, start
+            elif shape == "outside":
+                end = epoch_id + 3600 + data.draw(st.integers(0, 100))
+        if end < start or end >= epoch_id + 3600:
+            with pytest.raises(QueryError):
+                reference_cover(grid, values, start, end)
+            with pytest.raises(QueryError):
+                grid.cell_ids_for_range(values, start, end)
+            return
+        _, distinct = reference_cover(grid, values, start, end)
+        assert grid.cell_ids_for_range(values, start, end) == distinct
+        assert grid.cell_ids_for_combinations([values, values], start, end) == distinct
+
+    def test_errors_keep_their_precedence(self, grid):
+        with pytest.raises(QueryError, match="precedes"):
+            grid.cell_ids_for_range(("a", "b"), 100, 50)
+        with pytest.raises(QueryError, match="outside epoch"):
+            grid.cell_ids_for_range(("a", "b"), 0, 3600)
+        with pytest.raises(QueryError, match="index values"):
+            grid.cell_ids_for_range(("a", "b"), 0, 3599)
+
+    def test_allocation_must_cover_the_grid(self, spec):
+        with pytest.raises(ValueError):
+            Grid(spec, WIFI_SCHEMA, KEY, 0, allocation=[0] * (spec.total_cells - 1))
 
 
 class TestMultiDimensional:

@@ -85,7 +85,6 @@ class TestConstruction:
             "super_bin_count": 2, "retry_jitter": 0.25,
             "deadline_seconds": 30.0, "max_inflight": 3, "admission_queue": 5,
             "bin_cache_bins": 7, "batch_workers": 1, "trapdoor_table_slots": 11,
-            "agg_tree": False,
         }
         defaults = ServiceConfig()
         fields = {f.name for f in dataclasses.fields(ServiceConfig)}

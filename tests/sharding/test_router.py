@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 
 import pytest
 
@@ -282,3 +283,61 @@ class TestDrainAndShutdown:
 
         run(scenario())
         assert router.inflight == 0
+
+
+class TestPlanningIsolation:
+    def test_busy_shard_zero_delays_no_request_it_does_not_serve(self, tmp_path):
+        """Any healthy shard can plan, and planning takes an idle one: a
+        sub-query or stall holding shard 0's lock must not delay requests
+        owned by the other shards (planning used to wait for shard 0)."""
+        _, sharded, _ = make_fleet(tmp_path, shards=4)
+        router = AsyncShardRouter(sharded)
+        point = ranged = None
+        for location in LOCATIONS:
+            for start in range(0, EPOCH_DURATION, 60):
+                if point is None:
+                    candidate = PointQuery(index_values=(location,), timestamp=start)
+                    if sharded.plan_point(candidate)[2] != 0:
+                        point = candidate
+                if ranged is None:
+                    candidate = RangeQuery(
+                        index_values=(location,), time_start=start, time_end=start + 59
+                    )
+                    if 0 not in sharded.plan_range(candidate, "auto")[2]:
+                        ranged = candidate
+        assert point is not None and ranged is not None
+        held, release = threading.Event(), threading.Event()
+
+        def hold_shard_zero():
+            with sharded.shards[0].lock:
+                held.set()
+                release.wait(1.0)
+
+        async def ask():
+            started = time.perf_counter()
+            point_result = await router.execute_point(point)
+            point_seconds = time.perf_counter() - started
+            started = time.perf_counter()
+            range_result = await router.execute_range(ranged, method="auto")
+            range_seconds = time.perf_counter() - started
+            return (point_result, range_result), (point_seconds, range_seconds)
+
+        async def scenario():
+            await ask()  # warm: contexts and trapdoors on every shard
+            idle, _ = await ask()
+            holder = threading.Thread(target=hold_shard_zero)
+            holder.start()
+            held.wait()
+            try:
+                busy, seconds = await ask()
+            finally:
+                release.set()
+                holder.join()
+            return idle, busy, seconds
+
+        try:
+            idle, busy, seconds = run(scenario())
+        finally:
+            router.close()
+        assert max(seconds) < 0.2, seconds
+        assert busy == idle

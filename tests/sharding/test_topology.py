@@ -11,10 +11,13 @@ order, chaos fingerprints) never depend on dict iteration or timing.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.sharding import topology as topology_module
 from repro.sharding.topology import ShardTopology
 
 # Frozen expected mappings: a change here is a *re-sharding event* —
@@ -93,6 +96,56 @@ class TestScatterPlan:
     def test_single_shard_owns_everything(self):
         topology = ShardTopology(1)
         assert topology.shards_for([5, 9, 2]) == {0: [2, 5, 9]}
+
+
+def unmemoised_owner(cell_id: int, shard_count: int) -> int:
+    """The map's formula, straight from its definition."""
+    digest = hashlib.sha256(b"concealer-shard|%d" % cell_id).digest()
+    return int.from_bytes(digest[:8], "big") % shard_count
+
+
+class TestMemo:
+    """The process-wide memo is only a cache of the formula above."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(0, 1 << 40), max_size=80),
+        st.integers(1, 8),
+        st.integers(1, 8),
+    )
+    def test_memoised_map_is_the_formula(self, cells, count, other):
+        topology, neighbour = ShardTopology(count), ShardTopology(other)
+        for cell_id in cells:  # interleave two shard counts on one memo
+            assert topology.shard_of(cell_id) == unmemoised_owner(cell_id, count)
+            assert neighbour.shard_of(cell_id) == unmemoised_owner(cell_id, other)
+        expected: dict[int, list[int]] = {}
+        for cell_id in sorted(set(cells)):
+            expected.setdefault(unmemoised_owner(cell_id, count), []).append(cell_id)
+        assert topology.shards_for(cells) == dict(sorted(expected.items()))
+        assert topology.shards_for(reversed(cells)) == dict(sorted(expected.items()))
+
+    def test_shard_counts_never_share_an_entry(self):
+        cells = range(64)
+        two = [ShardTopology(2).shard_of(c) for c in cells]
+        three = [ShardTopology(3).shard_of(c) for c in cells]
+        assert two == [unmemoised_owner(c, 2) for c in cells]
+        assert three == [unmemoised_owner(c, 3) for c in cells]
+        assert max(three) == 2  # a shared entry would cap it at 1
+        assert [ShardTopology(2).shard_of(c) for c in cells] == two
+
+    def test_warm_map_hashes_nothing(self, monkeypatch):
+        topology = ShardTopology(4)
+        cells = list(range(1000, 1200))
+        plan = topology.shards_for(cells)
+        owners = [unmemoised_owner(c, 4) for c in cells]
+        calls = []
+        real = topology_module.hashlib.sha256
+        monkeypatch.setattr(
+            topology_module.hashlib, "sha256", lambda *a: calls.append(a) or real(*a)
+        )
+        assert topology.shards_for(cells) == plan
+        assert [topology.shard_of(c) for c in cells] == owners
+        assert calls == []
 
 
 class TestValidation:
