@@ -1,16 +1,21 @@
 """``make profile-read`` — where a read's time goes, bin path and router.
 
-The read-side sibling of ``make profile``, in two sections, both written
+The read-side sibling of ``make profile``, in three sections, all written
 to stdout and ``results/profile_read.txt``:
 
 * **Verified point queries.**  The repo benchmark's ``point_bins`` fleet
   shape (1×1, |b| = 512, every ``ServiceConfig`` default, so verify on)
   built in-process from public APIs, then 200 point queries at ingested
   (location, time) pairs, twice: unprofiled, with wrappers installed
-  from here around the parts of STEP 4's verification and the stages
-  beside it, so the wall-clock split sums to the run (the fold wrapper,
-  ~70 calls a query, taxes it a few percent); then under cProfile,
-  top-30.
+  from here around the parts of STEP 4's verification — by position,
+  or by decrypting and grouping the index keys — and the stages beside
+  it, so the wall-clock split sums to the run, with how many verified
+  batches took each path; then under cProfile, top-30.
+* **10-minute ranges, per method.**  The ``range_scatter`` fleet shape
+  (2×3) and request shapes, 60 multipoint then 60 eBPB ranges, each
+  split into trapdoor derivation, index lookup, sidecar read, pack,
+  verify (positional vs grouping), filter and decrypt — self time, so a
+  replica group's per-attempt verification counts as verify, not lookup.
 * **Whole-epoch ranges through the router.**  The ``longrange_tree``
   fleet shape (4×1) and request stream (whole-epoch ``auto``
   COUNT/SUM/MIN/MAX, so one tree node per shard), sent one at a time
@@ -42,16 +47,27 @@ from profile_ingest import TOP_N, PhaseTimer, fleet_and_records  # noqa: E402
 
 QUERIES = 200
 _CONTEXT = ("repro.core.context", "EpochContext")
-PHASES = [
-    (
-        "verify: index-key decrypt*",
-        "repro.crypto.kernels", "DeterministicCipher", "decrypt_many",
-    ),
-    ("verify: grouping", *_CONTEXT, "_group_by_cell"),
-    ("verify: chain fold", "repro.core.context", None, "extend_chain_slices"),
-    ("verify: counters + tags", *_CONTEXT, "_check_cells"),
+_ENGINE = ("repro.storage.engine", "StorageEngine")
+VERIFY_PHASES = [
+    ("verify: positional", *_CONTEXT, "_verify_positional"),
+    ("verify: grouping (decrypt, runs)", *_CONTEXT, "_group_by_cell"),
+    ("verify: grouping (chains, tags)", *_CONTEXT, "_check_cells"),
     ("verify: shell", *_CONTEXT, "verify_packed"),
+]
+PHASES = [
+    *VERIFY_PHASES,
     ("fetch", *_CONTEXT, "fetch_packed"),
+    ("filter", *_CONTEXT, "match_packed"),
+    ("decrypt", *_CONTEXT, "decrypt_packed_records"),
+]
+
+RANGE_QUERIES, RANGE_MINUTES = 60, 10
+RANGE_PHASES = [
+    ("trapdoor derivation", *_CONTEXT, "trapdoors_for_cell_ids"),
+    ("index lookup", *_ENGINE, "lookup_many"),
+    ("sidecar read", *_ENGINE, "fetch_packed_bin"),
+    ("pack", *_CONTEXT, "pack_rows"),
+    *VERIFY_PHASES,
     ("filter", *_CONTEXT, "match_packed"),
     ("decrypt", *_CONTEXT, "decrypt_packed_records"),
 ]
@@ -106,6 +122,50 @@ class IntervalTimer:
             setattr(holder, name, original)
 
 
+class VerifyPaths:
+    """How many verified batches took each path: accepted by position,
+    or handed to the decrypt-and-group path."""
+
+    def __enter__(self):
+        from repro.core.context import EpochContext
+
+        self.positional = self.grouping = 0
+        self._originals = positional, grouping = (
+            EpochContext._verify_positional, EpochContext._group_by_cell,
+        )
+
+        def count_positional(context, *args):
+            real = positional(context, *args)
+            self.positional += real is not None
+            return real
+
+        def count_grouping(context, *args):
+            self.grouping += 1
+            return grouping(context, *args)
+
+        EpochContext._verify_positional = count_positional
+        EpochContext._group_by_cell = count_grouping
+        return self
+
+    def __exit__(self, *exc):
+        from repro.core.context import EpochContext
+
+        EpochContext._verify_positional, EpochContext._group_by_cell = self._originals
+
+    def line(self) -> str:
+        return (
+            f"  verified batches: {self.positional} by position, "
+            f"{self.grouping} by grouping\n"
+        )
+
+
+def write_split(out, phases: "PhaseTimer", wall: float, queries: int) -> None:
+    rest = wall - sum(phases.seconds.values())
+    for phase, spent in (*phases.seconds.items(), ("plan, merge, rest", rest)):
+        share = f"{1000 * spent / queries:7.3f} ms/query {100 * spent / wall:5.1f}%"
+        out.write(f"  {phase:<34}{share}\n")
+
+
 def point_section(out: io.StringIO) -> None:
     from repro.core.queries import Aggregate, PointQuery
     from repro.sharding import ingest_epoch_sharded
@@ -120,7 +180,7 @@ def point_section(out: io.StringIO) -> None:
             for i, (place, at, _) in asked
         ]
         fleet.execute_point(queries[0])  # builds the epoch context
-        with PhaseTimer(PHASES) as phases:
+        with PhaseTimer(PHASES) as phases, VerifyPaths() as paths:
             start = time.perf_counter()
             for query in queries:
                 fleet.execute_point(query)
@@ -131,13 +191,46 @@ def point_section(out: io.StringIO) -> None:
     out.write(
         f"{QUERIES} verified point queries, 1x1 fleet, |b| = 512: {wall:.3f} s "
         f"({1000 * wall / QUERIES:.2f} ms/query)\n\n"
-        "split (wall clock, self time; * with the few matched payloads)\n"
+        "split (wall clock, self time)\n"
     )
-    rest = wall - sum(phases.seconds.values())
-    for phase, spent in (*phases.seconds.items(), ("plan, merge, rest", rest)):
-        share = f"{1000 * spent / QUERIES:7.3f} ms/query {100 * spent / wall:5.1f}%"
-        out.write(f"  {phase:<28}{share}\n")
+    write_split(out, phases, wall, QUERIES)
+    out.write(paths.line())
     pstats.Stats(profiler, stream=out).strip_dirs().sort_stats("cumulative").print_stats(TOP_N)
+
+
+def range_section(out: io.StringIO) -> None:
+    from repro.core.queries import Aggregate, RangeQuery
+    from repro.sharding import ingest_epoch_sharded
+
+    with tempfile.TemporaryDirectory() as workdir:
+        fleet, records, epoch = fleet_and_records(workdir, shards=2, replicas=3)
+        ingest_epoch_sharded(fleet, records, epoch)
+        buckets = fleet.provider.grid_spec.epoch_duration // 60
+        rng = random.Random(41)
+        aggregates = (Aggregate.COUNT, Aggregate.SUM, Aggregate.MAX)
+        queries = []
+        for i in range(RANGE_QUERIES + 5):  # as the benchmark's range_scatter
+            start = epoch + rng.randrange(buckets - RANGE_MINUTES + 1) * 60
+            queries.append(RangeQuery(
+                index_values=(records[rng.randrange(len(records))][0],),
+                time_start=start, time_end=start + RANGE_MINUTES * 60 - 1,
+                aggregate=aggregates[i % 3], target=None if i % 3 == 0 else "time",
+            ))
+        for method in ("multipoint", "ebpb"):
+            for query in queries[:5]:  # builds contexts and the eBPB budget
+                fleet.execute_range(query, method=method)
+            with PhaseTimer(RANGE_PHASES) as phases, VerifyPaths() as paths:
+                start = time.perf_counter()
+                for query in queries[5:]:
+                    fleet.execute_range(query, method=method)
+                wall = time.perf_counter() - start
+            out.write(
+                f"\n{RANGE_QUERIES} {method} ranges of {RANGE_MINUTES} minutes, 2x3 "
+                f"fleet: {wall:.3f} s ({1000 * wall / RANGE_QUERIES:.2f} ms/query)\n\n"
+                "split (wall clock, self time)\n"
+            )
+            write_split(out, phases, wall, RANGE_QUERIES)
+            out.write(paths.line())
 
 
 def router_section(out: io.StringIO) -> None:
@@ -200,6 +293,7 @@ def router_section(out: io.StringIO) -> None:
 def main() -> None:
     out = io.StringIO()
     point_section(out)
+    range_section(out)
     router_section(out)
     path = Path(__file__).parent / "results" / "profile_read.txt"
     path.write_text(out.getvalue())

@@ -233,6 +233,9 @@ class BinFetcher:
         # be cached under the post-rewrite generation.
         generation = getattr(engine, "rewrite_generation", 0)
         packed = None
+        # Both fetch kinds hand back the whole bin in canonical slot
+        # order, except the oblivious schedule's bitonic-sorted one.
+        chosen = None if self.oblivious else fetch_bin
         if not self.oblivious:
             with self._engine_lock:
                 packed, verified = context.fetch_packed(
@@ -249,12 +252,12 @@ class BinFetcher:
                 packed, verified = context.fetch(
                     engine, trapdoors, stats, deadline=deadline,
                     verify=self.verify, cells=fetch_bin.cell_ids,
-                    bin_index=fetch_bin.index,
+                    bin_index=fetch_bin.index, chosen=chosen,
                 )
         if self.verify and ensure_verified and not verified:
             # The bin becomes reusable, so it must be checked *now*:
             # a later overlay/cache consumer will trust it as-is.
-            context.verify_packed([packed], fetch_bin.cell_ids)
+            packed = context.verified_bin(packed, fetch_bin.cell_ids, chosen)
             verified = True
             stats.verified = True
         if self._cache_active():

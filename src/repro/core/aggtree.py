@@ -392,17 +392,6 @@ class AggTree:
         offset = self.node_offset(entity, level, index)
         return self.nodes[offset : offset + self.node_width]
 
-    def root_digest(self) -> bytes:
-        """Hash chain over every node ciphertext in canonical order."""
-        width = self.node_width
-        return extend_chain(
-            CHAIN_INIT,
-            (
-                self.nodes[i : i + width]
-                for i in range(0, len(self.nodes), width)
-            ),
-        )
-
     # ----------------------------------------------------------- wire form
 
     def to_bytes(self) -> bytes:

@@ -20,8 +20,10 @@ The context also provides the building blocks every executor shares:
 
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
+from dataclasses import replace
 
 from repro import telemetry
 from repro.core.binning import Bin, BinLayout, pack_bins
@@ -144,25 +146,23 @@ class EpochContext:
         self.tag_memo_bytes = verifies * len(CHAIN_INIT) * (
             len(self.column_widths) - 1
         ) * (len(package.enc_tags) - (FAKE_CHAIN_LABEL in package.enc_tags))
+        self.layout: BinLayout = pack_bins(
+            self.c_tuple,
+            bin_size=package.bin_size,
+            max_cells_per_bin=package.max_cells_per_bin,
+        )
+        # SHA-256 of each sealed bin's index-key column, by bin index
+        # (:meth:`_index_digest`): a digest per public bin when full.
+        self._index_memo: dict[int, bytes] = {}
+        self.index_memo_bytes = verifies * len(CHAIN_INIT) * len(self.layout.bins)
         # The §9.1 observation that the vectors are small enough for the
         # enclave: charge them against the EPC budget (8 bytes/int), and
-        # reserve the memo in the same single charge, so that when it
-        # fills says nothing and moves no fault site.
-        self._metadata_charge = self.tag_memo_bytes + 8 * (
+        # reserve both memos in the same single charge, so that when they
+        # fill says nothing and moves no fault site.
+        self._metadata_charge = self.tag_memo_bytes + self.index_memo_bytes + 8 * (
             len(self.cell_id_vector) + len(self.c_tuple) + len(self.cell_counts)
         )
         enclave.charge_memory(self._metadata_charge)
-        try:
-            self.layout: BinLayout = pack_bins(
-                self.c_tuple,
-                bin_size=package.bin_size,
-                max_cells_per_bin=package.max_cells_per_bin,
-            )
-        except BaseException:
-            # A half-built context holds no EPC: a packing failure (or an
-            # injected fault) must not leak the metadata charge forever.
-            enclave.release_memory(self._metadata_charge)
-            raise
         self.fake_pool_size = package.fake_count
         self._super_layouts: dict[int, object] = {}
         # What the range executor sizes its fetches by (the eBPB budget
@@ -200,7 +200,7 @@ class EpochContext:
 
     def release(self) -> None:
         """Return this context's EPC charge (the cached metadata and the
-        tag memo) to the enclave it was charged on; once."""
+        two memos) to the enclave it was charged on; once."""
         charge, self._metadata_charge = self._metadata_charge, 0
         if charge:
             self.enclave.release_memory(charge)
@@ -434,11 +434,12 @@ class EpochContext:
     def _admit(self, packed: PackedBin) -> PackedBin:
         """The boundary every fetched batch crosses once: a bin without
         the stored table's columns at the schema's widths is a typed
-        violation here, never an ``IndexError`` or zero-width slice."""
+        violation here, never an ``IndexError`` or zero-width slice.  A
+        real-row mask is the enclave's to set, so one arriving is dropped."""
         if packed.column_widths != self.column_widths:
             widths = f"{packed.column_widths}, the table's are {self.column_widths}"
             raise self._malformed(f"column widths {widths}")
-        return packed
+        return packed if packed.real_rows is None else replace(packed, real_rows=None)
 
     def pack_rows(self, rows: Sequence[Row], bin_index: int = 0) -> PackedBin:
         """The pack boundary: fetched rows → the one in-enclave form.
@@ -467,6 +468,7 @@ class EpochContext:
         verify: bool = False,
         cells: Sequence[int] | None = None,
         bin_index: int = 0,
+        chosen: Bin | None = None,
     ) -> tuple[PackedBin, bool]:
         """The trapdoor fetch kind: submit trapdoors to the DBMS, pull
         the rows (one per trapdoor, ~256 B of ciphertext each) and pack
@@ -477,14 +479,13 @@ class EpochContext:
         tampered batch costs a failover there and not the query.  A
         fetch retrieves complete cell-id populations, so checking it
         alone is sound even before a range method de-duplicates across
-        its fetches.
+        its fetches.  ``chosen``: the trapdoors are that bin's, in order.
         """
         packed = None
 
         def verifier(rows, expected):
             nonlocal packed  # the last answer verified is the one accepted
-            packed = self.pack_rows(rows, bin_index)
-            self.verify_packed([packed], expected)
+            packed = self.verified_bin(self.pack_rows(rows, bin_index), expected, chosen)
 
         stats.trapdoors_generated += len(trapdoors)
         rows, verified = self._fetch(
@@ -514,23 +515,24 @@ class EpochContext:
         engine holds no sidecar for this table (after a dynamic insert,
         a repair or a rotation) — the caller then makes the trapdoor
         fetch, which is authoritative for errors.  The bin transits the
-        enclave whole either way, so the EPC charge is the same.
+        enclave whole either way, so the EPC charge is the same.  It is
+        checked as ``chosen``, whatever ``bin_index`` it claims.
         """
-        verifier = None
+        accepted = verifier = None
         if verify:
-            verifier = lambda packed, cells: self.verify_packed(
-                [self._admit(packed)], cells
-            )
+            def verifier(packed, cells):
+                nonlocal accepted  # the last answer verified is the one accepted
+                accepted = self.verified_bin(self._admit(packed), cells, chosen)
+
         packed, verified = self._fetch(
             engine, "fetch_packed_bin", (chosen.index,),
             stats, deadline, verifier, chosen.cell_ids, 256 * chosen.total_tuples,
             stage="fetch", trapdoors=chosen.total_tuples,
         )
         if packed is not None:
-            if not verified:
-                self._admit(packed)
-                if not verify and not packed.row_count:
-                    self._require_cells((), chosen.cell_ids)  # as in fetch()
+            packed = accepted if verified else self._admit(packed)
+            if not verify and not packed.row_count:
+                self._require_cells((), chosen.cell_ids)  # as in fetch()
             # Volume counters move only once the fetch is known to have
             # gone the sidecar way — a None fallback leaves them for
             # the trapdoor fetch to account.
@@ -723,8 +725,11 @@ class EpochContext:
         packed_bins: Sequence[PackedBin],
         expected_cells: Sequence[int] | None = None,
         keep=None,
-    ) -> None:
-        """STEP 4 (optional): hash-chain verification of a fetched batch.
+        requested: Sequence[Bin] | None = None,
+    ):
+        """STEP 4 (optional): hash-chain verification of a fetched batch;
+        returns the mask of rows it authenticated as real, the only ones
+        STEP 4 may filter and decrypt (a fake's cells are under no tag).
 
         The enclave decrypts each real row's index key to recover
         ``(cid, counter)``, orders rows per cell-id by counter, rebuilds
@@ -732,6 +737,9 @@ class EpochContext:
         Raises a structured :class:`IntegrityViolation` (an
         :class:`~repro.exceptions.IntegrityError` subclass carrying the
         epoch, table, cell-id, and violation kind) on any inconsistency.
+        ``requested``, the :class:`Bin` each batch was fetched for when
+        each is that whole bin in canonical slot order, first tries
+        :meth:`_verify_positional`, which decrypts nothing.
 
         ``expected_cells`` binds the response to the *request*: every
         named cell-id with a non-zero population must appear in the
@@ -749,15 +757,79 @@ class EpochContext:
         # volume-hiding argument — so it may ride on the span.
         rows = int(keep.sum()) if keep is not None else total
         with self._verification("verify", rows=rows):
-            self._check_cells(self._group_by_cell(packed_bins, keep), expected_cells)
+            if requested is not None and rows == total:
+                real = self._verify_positional(packed_bins, requested, expected_cells)
+                if real is not None:
+                    return real
+            cells, real = self._group_by_cell(packed_bins, keep)
+            self._check_cells(cells, expected_cells)
+            return real
 
-    def _group_by_cell(self, packed_bins: Sequence[PackedBin], keep) -> dict:
+    def verified_bin(self, packed: PackedBin, cells, chosen: Bin | None = None) -> PackedBin:
+        """A batch verified at fetch time (as the whole bin ``chosen``
+        when given), carrying its real-row mask on to STEP 4."""
+        real = self.verify_packed([packed], cells, requested=chosen and (chosen,))
+        return replace(packed, real_rows=real)
+
+    def _index_digest(self, chosen: Bin) -> bytes:
+        """SHA-256 of ``chosen``'s sealed index-key column, derived from
+        ``c_tuple`` once per context: no trapdoor table, no volume
+        counter, and uncounted (first touches follow the access order)."""
+        digest = self._index_memo.get(chosen.index)
+        if digest is None:
+            c_tuple = self.c_tuple
+            plaintexts = [index_plaintext(cid, j) for cid in chosen.cell_ids
+                          for j in range(1, c_tuple[cid] + 1)]
+            plaintexts += map(fake_index_plaintext, chosen.fake_ids())
+            column = b"".join(self.det.encrypt_many(plaintexts, counted=False))
+            digest = self._index_memo[chosen.index] = hashlib.sha256(column).digest()
+        return digest
+
+    def _verify_positional(self, packed_bins, requested, expected_cells):
+        """Verification by position (DESIGN.md §16): each batch is a
+        distinct requested bin whole — |b| rows, the table's widths, the
+        index-key column :meth:`_index_digest` expects — and each cell's
+        chains fold to its tags over the slots the layout gives it.  The
+        real-row mask, or ``None`` for the grouping path, which accepts
+        whatever this does (same runs, slices and tags)."""
+        import numpy as np
+
+        c_tuple = self.c_tuple
+        present = {cid for chosen in requested for cid in chosen.cell_ids}
+        if (
+            len(requested) != len(packed_bins)
+            or len({chosen.index for chosen in requested}) != len(requested)
+            or any(c_tuple[cid] and cid not in present for cid in expected_cells or ())
+        ):
+            return None
+        for pb, chosen in zip(packed_bins, requested):
+            if (pb.row_count, pb.column_widths) != (chosen.total_tuples, self.column_widths) or (
+                hashlib.sha256(pb.columns[-1]).digest() != self._index_digest(chosen)
+            ):
+                return None
+        for pb, chosen in zip(packed_bins, requested):
+            start = 0
+            for cid in chosen.cell_ids:
+                stop = start + c_tuple[cid]
+                if stop > start and self._tag_digests(cid) != tuple(
+                    extend_chain_slices(CHAIN_INIT, ((blob, width, start, stop),))
+                    for blob, width in zip(pb.columns[:-1], pb.column_widths)
+                ):
+                    return None
+                start = stop
+        return np.concatenate([
+            np.arange(pb.row_count) < chosen.real_tuples
+            for pb, chosen in zip(packed_bins, requested)
+        ])
+
+    def _group_by_cell(self, packed_bins: Sequence[PackedBin], keep) -> tuple[dict, object]:
         """The real rows of a batch grouped by cell-id, as *runs*
         ``[first counter, start slot, stop slot, bin]``: slots adjacent
         in one bin whose counters are consecutive.  A sealed bin and a
         trapdoor answer hold each cell as one run from counter 1
         (canonical slot order); a permuted, split, thinned or replayed
-        batch just makes more runs for :meth:`_check_cells` to order."""
+        batch just makes more runs for :meth:`_check_cells` to order.
+        With them, the mask of the rows found real."""
         import numpy as np
 
         from repro.core.schema import unpad_plaintext
@@ -765,7 +837,7 @@ class EpochContext:
         # Every kept row's index key, decrypted in one batch.
         # Cells are materialised by plain slicing, never through numpy
         # element access (S-dtype strips trailing NULs from ciphertext).
-        batches: list[tuple[PackedBin, Sequence[int]]] = []
+        batches: list[tuple[PackedBin, Sequence[int], int]] = []
         index_keys: list[bytes] = []
         offset = 0
         for pb in packed_bins:
@@ -774,39 +846,36 @@ class EpochContext:
             if keep is not None:
                 slots = np.flatnonzero(keep[offset : offset + pb.row_count]).tolist()
                 keys = [keys[j] for j in slots]
+            batches.append((pb, slots, offset))
             offset += pb.row_count
-            batches.append((pb, slots))
             index_keys += keys
         plaintexts = iter(self.det.decrypt_many(index_keys, errors="none"))
         from_bytes = int.from_bytes
         cells: dict[int, list[list]] = {}
-        for pb, slots in batches:
+        real = np.zeros(offset, dtype=bool)
+        for pb, slots, base in batches:
             open_cid = run = None
             for j, plaintext in zip(slots, plaintexts):
                 if plaintext is None:
-                    raise self._undecryptable(pb.row_ids[j])
+                    raise IntegrityViolation(
+                        f"row {pb.row_ids[j]}: index key fails decryption — the "
+                        "stored ciphertext was tampered with",
+                        epoch_id=self.epoch_id, table=self.table_name, kind="undecryptable",
+                    )
                 end = 4 + from_bytes(plaintext[:4], "big")  # unpad_plaintext
                 if end > len(plaintext):
                     unpad_plaintext(plaintext)  # raises: corrupt padding
                 parts = plaintext[4:end].split(b"\x1f")
                 if parts[0] != b"idx":
                     continue  # fake rows are not covered by per-cid tags
+                real[base + j] = True
                 cid, counter = int(parts[1]), int(parts[2])
                 if cid == open_cid and j == run[2] and counter - run[0] == j - run[1]:
                     run[2] = j + 1
                 else:
                     open_cid, run = cid, [counter, j, j + 1, pb]
                     cells.setdefault(cid, []).append(run)
-        return cells
-
-    def _undecryptable(self, row_id: int) -> IntegrityViolation:
-        return IntegrityViolation(
-            f"row {row_id}: index key fails decryption — the "
-            "stored ciphertext was tampered with",
-            epoch_id=self.epoch_id,
-            table=self.table_name,
-            kind="undecryptable",
-        )
+        return cells, real
 
     def _cell_violation(self, cid: int, kind: str, message: str) -> IntegrityViolation:
         return IntegrityViolation(
@@ -880,13 +949,6 @@ class EpochContext:
                     cid, "chain-mismatch",
                     f"column {position} hash chain mismatch",
                 )
-
-    def is_fake_row(self, row: Row) -> bool:
-        """Whether a fetched row is one of the provider's fakes."""
-        from repro.core.schema import unpad_plaintext
-
-        plaintext = unpad_plaintext(self.det.decrypt(row[-1]))
-        return plaintext.split(b"\x1f")[0] != b"idx"
 
     # ------------------------------------------------------------- filtering
 
@@ -973,6 +1035,7 @@ class EpochContext:
         filters: Sequence[bytes],
         group: tuple[str, ...],
         stats: QueryStats,
+        real=None,
     ) -> list[Row]:
         """§4.3 STEP 4: oblivious filtering.
 
@@ -980,7 +1043,8 @@ class EpochContext:
         folded branch-free so the trace never reveals which filter
         hit.  Rows are then bitonic-sorted by flag (matches first) and
         the matched prefix is returned.  The in-enclave event trace
-        depends only on ``(len(rows), len(filters))``.
+        depends only on ``(len(rows), len(filters))``.  ``real``, the
+        verified real-row flags, is ANDed into each flag the same way.
         """
         trace = self.enclave.trace
         position = self.filter_group_position(group)
@@ -994,13 +1058,14 @@ class EpochContext:
             max_width = max(max_width, len(rows[0][position]))
         shift = 8 * max_width + 8
         flagged: list[tuple[int, Row]] = []
-        for row in rows:
+        real_flags = [1] * len(rows) if real is None else list(map(int, real))
+        for row, is_real in zip(rows, real_flags):
             cell = int.from_bytes(row[position], "big")
             v = 0
             for filter_int in filter_ints:
                 diff = cell ^ filter_int
                 v |= ((-diff) >> shift) & 1 ^ 1  # 1 iff diff == 0
-            flagged.append((v, row))
+            flagged.append((v & is_real, row))
         ordered = self._oblivious_sort(flagged, key=lambda fr: -fr[0])
         matched_count = sum(v for v, _ in flagged)
         stats.rows_matched += matched_count

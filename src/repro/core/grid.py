@@ -22,7 +22,7 @@ without a meaningful time axis use one subinterval.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -322,10 +322,6 @@ class Grid:
         return list(dict.fromkeys(chain.from_iterable(
             self.cell_ids_for_range(combo, start, end) for combo in combinations
         )))
-
-    def iter_flat_cells(self) -> Iterator[int]:
-        """All flat cell indices (used when building per-cell statistics)."""
-        return iter(range(self.spec.total_cells))
 
 
 class Placement(NamedTuple):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.storage.table import Row
@@ -48,6 +48,10 @@ class PackedBin:
     column_widths: tuple[int, ...]
     columns: tuple[bytes, ...]
     row_ids: tuple[int, ...]
+    # The rows hash-chain verification authenticated as real (a boolean
+    # mask), set only by ``EpochContext.verified_bin``; ``None`` on
+    # anything the host hands over, and never on the wire.
+    real_rows: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.columns) != len(self.column_widths):

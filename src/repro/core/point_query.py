@@ -27,6 +27,7 @@ from collections.abc import Sequence
 
 from repro import telemetry
 from repro.core.aggregation import evaluate_aggregate, needs_decryption
+from repro.core.binning import Bin
 from repro.core.context import EpochContext
 from repro.core.packed import PackedBin
 from repro.core.queries import (
@@ -50,6 +51,7 @@ def finish_query(
     verify: bool,
     oblivious: bool,
     dedup: bool,
+    requested: Sequence[Bin] | None = None,
 ) -> tuple[object, QueryStats]:
     """STEP 4, once, for every method: dedup → verify → filter →
     decrypt → aggregate over the fetched batch.
@@ -65,18 +67,30 @@ def finish_query(
     Verification is bound to ``expected_cells``, the cell-ids the query
     *requested*: a per-cell hash chain only proves the cells present in
     the batch are whole, so a host dropping every row of a population-1
-    cell would otherwise leave no counter gap to find.  A batch a
-    replica group already verified per attempt (``stats.verified``) is
-    not checked twice.
+    cell would otherwise leave no counter gap to find.  ``requested``
+    (the bins, when each batch is a whole one) lets it go by position.
+    A batch verified at fetch time (``stats.verified``: per replica
+    attempt, or before it became reusable) is not checked twice.  Only
+    the rows verification found real are filtered and decrypted: a fake
+    slot's cells are under no tag, so a host could fill them.
 
     ``oblivious`` selects §4.3's filter — Concealer+ compares every row
     against every filter and bitonic-sorts the matches forward, row at
     a time by construction — over a row view of the same batch.
     """
+    import numpy as np
+
     keep = context.packed_dedup_keep(bins) if dedup else None
-    if verify and not stats.verified:
-        context.verify_packed(bins, expected_cells, keep=keep)
-        stats.verified = True
+    real = None
+    if verify:
+        masks = [packed.real_rows for packed in bins]
+        if stats.verified and all(mask is not None for mask in masks):
+            real = np.concatenate(masks)
+        else:
+            # The oblivious schedule's order is the bitonic sort's.
+            requested = None if oblivious else requested
+            real = context.verify_packed(bins, expected_cells, keep=keep, requested=requested)
+            stats.verified = True
     filters = context.filters_for(predicate, timestamps)
     with telemetry.span(
         "enclave.aggregate",
@@ -88,12 +102,15 @@ def finish_query(
             rows = [row for packed in bins for row in packed]
             if keep is not None:
                 rows = [row for row, kept in zip(rows, keep) if kept]
+                real = None if real is None else real[keep]
             matched = context.match_rows_oblivious(
-                rows, filters, predicate.group, stats
+                rows, filters, predicate.group, stats, real=real
             )
             count = len(matched)
             decrypt = lambda: context.decrypt_records(matched, stats)
         else:
+            if real is not None:
+                keep = real if keep is None else keep & real
             mask = context.match_packed(
                 bins, filters, predicate.group, stats, keep=keep
             )
@@ -193,5 +210,5 @@ class BPBExecutor:
                 query, context, fetched,
                 [cid for fetch_bin in bins for cid in fetch_bin.cell_ids],
                 predicate, [query.timestamp], stats,
-                verify=self.verify, oblivious=self.oblivious, dedup=False,
+                verify=self.verify, oblivious=self.oblivious, dedup=False, requested=bins,
             )

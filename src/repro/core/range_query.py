@@ -112,13 +112,15 @@ class RangeExecutor:
             return self.execute_ebpb(query, context, deadline=deadline)
         return self.execute_winsecrange(query, context, deadline=deadline)
 
-    def _step4(self, query, context, bins, expected_cells, stats):
-        """Every §5 method ends in Algorithm 2's STEP 4, deduplicated."""
+    def _step4(self, query, context, bins, expected_cells, stats, requested=None):
+        """Every §5 method ends in Algorithm 2's STEP 4, deduplicated
+        (``requested`` as :func:`finish_query` takes it)."""
         return finish_query(
             query, context, bins, expected_cells,
             resolve_predicate(query, context.schema),
             context.query_timestamps(query.time_start, query.time_end),
             stats, verify=self.verify, oblivious=self.oblivious, dedup=True,
+            requested=requested,
         )
 
     # ----------------------------------------------------------- §5.1 trivial
@@ -150,7 +152,7 @@ class RangeExecutor:
                 for chosen in bins
             ]
             expected = [cid for chosen in bins for cid in chosen.cell_ids]
-            return self._step4(query, context, fetched, expected, stats)
+            return self._step4(query, context, fetched, expected, stats, requested=bins)
 
     # ------------------------------------------------------ aggregate tree
 

@@ -20,10 +20,10 @@ provides equivalent symmetric primitives built on SHA-256 / HMAC-SHA256
   constructions, stated; they export the classes under the paper's names.
 - :mod:`repro.crypto.keys` — per-epoch key derivation
   (``k = KDF(s_k, eid)``) and re-encryption keys for the §6 rewrite.
-- :mod:`repro.crypto.stream`, :mod:`repro.crypto.hashchain` — the
-  keystream and the chain as straight-line stdlib code: the references
-  ``tests/crypto/`` compares the suite against.  No product module
-  imports them, this one included.
+
+The keystream and the chain as straight-line stdlib code — the
+references the suite is compared against — live with the tests
+(``tests/crypto/stream.py``, ``tests/crypto/hashchain.py``).
 
 All ciphertexts are ``bytes``; all keys are 32-byte secrets.
 """

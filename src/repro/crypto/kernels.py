@@ -12,10 +12,9 @@ rows as big integers.  A single ``encrypt`` / ``decrypt`` is a batch of
 one.
 
 The constructions are stated in :mod:`repro.crypto.det` and
-:mod:`repro.crypto.nondet`; :mod:`repro.crypto.stream` and
-:func:`repro.crypto.hashchain.chain_digest` are the straight-line
-stdlib references that ``tests/crypto/`` holds this module to, byte for
-byte, over random keys, nonces and lengths.
+:mod:`repro.crypto.nondet`; ``tests/crypto/`` holds this module to
+straight-line stdlib references of the keystream and the chain, byte
+for byte, over random keys, nonces and lengths.
 
 ``*_many`` calls are counted in a public-size telemetry family,
 labelled by kernel name.  The counts are functions of *public* volumes
@@ -117,7 +116,7 @@ def batch_prf(key: bytes, inputs: list[bytes], out: list | None = None) -> list[
 def expand_keystream(raw, nonce: bytes, length: int) -> bytes:
     """Keystream for ``(key, nonce)`` off a primed HMAC object ``raw``.
 
-    Byte-identical to :func:`repro.crypto.stream.keystream`.
+    Byte-identical to the straight-line ``HMAC(key, nonce ‖ ctr)`` stream.
     """
     if length <= 0:
         if length < 0:

@@ -20,7 +20,6 @@ import hmac
 from repro.exceptions import KeyDerivationError
 
 KEY_BYTES = 32
-DIGEST_BYTES = 32
 
 
 # Length prefixes (4-byte big-endian) recur at a handful of fixed widths

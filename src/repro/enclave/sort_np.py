@@ -25,7 +25,6 @@ import numpy as np
 from repro.enclave.trace import TraceRecorder, ambient_recorder
 
 _PAD_KEY = np.int64(2**62)
-_INT64_MIN = -(2**62)
 
 
 def _next_power_of_two(n: int) -> int:

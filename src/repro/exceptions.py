@@ -58,10 +58,6 @@ class TransientStorageError(StorageError, TransientError):
     """
 
 
-class DuplicateKeyError(StorageError):
-    """An insert collided with an existing unique key."""
-
-
 class ReplicationError(StorageError):
     """The replicated storage layer could not satisfy an operation."""
 

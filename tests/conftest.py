@@ -110,3 +110,12 @@ def ground_truth_count(records, location=None, t0=None, t1=None, device=None):
             continue
         total += 1
     return total
+
+
+def is_fake_row(context, row) -> bool:
+    """Whether a fetched row is one of the provider's fakes (by the
+    index key the enclave decrypts)."""
+    from repro.core.schema import unpad_plaintext
+
+    plaintext = unpad_plaintext(context.det.decrypt(row[-1]))
+    return plaintext.split(b"\x1f")[0] != b"idx"

@@ -6,7 +6,7 @@ from repro.core.context import EpochContext
 from repro.core.queries import Predicate, QueryStats
 from repro.exceptions import EnclaveError, QueryError
 
-from tests.conftest import make_stack
+from tests.conftest import is_fake_row, make_stack
 
 
 @pytest.fixture
@@ -94,7 +94,7 @@ class TestRowHandling:
         rows, _ = context.fetch(
             service.engine, context.trapdoors_for_bin(chosen), stats
         )
-        fakes = sum(1 for row in rows if context.is_fake_row(row))
+        fakes = sum(1 for row in rows if is_fake_row(context, row))
         assert fakes == chosen.fake_count
 
     def test_decrypt_record_roundtrip(self, stack, context, wifi_records):
@@ -104,7 +104,7 @@ class TestRowHandling:
         rows, _ = context.fetch(
             service.engine, context.trapdoors_for_bin(chosen), stats
         )
-        real_rows = [row for row in rows if not context.is_fake_row(row)]
+        real_rows = [row for row in rows if not is_fake_row(context, row)]
         records = context.decrypt_records(real_rows, stats)
         record_set = set(wifi_records)
         assert all(record in record_set for record in records)

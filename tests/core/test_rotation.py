@@ -15,6 +15,8 @@ from repro.core.rotation import rotate_service_keys, rotation_token
 from repro.exceptions import AuthorizationError, CryptoError
 from repro.workloads.queries import build_q1
 
+from tests.conftest import is_fake_row
+
 OLD_KEY = b"\x81" * 32
 NEW_KEY = b"\x82" * 32
 
@@ -181,7 +183,7 @@ class TestRotationAuthenticatesWhatItReseals:
         matching = [row for row in rows if row.columns[0] == wanted]
         other = next(
             row for row in rows
-            if row.columns[0] != wanted and not context.is_fake_row(row)
+            if row.columns[0] != wanted and not is_fake_row(context, row)
         )
         assert len(matching) == expected >= 1
         query = PointQuery(index_values=(location,), timestamp=timestamp)

@@ -15,9 +15,12 @@ import dataclasses
 import hashlib
 import json
 
+from unittest import mock
+
 import pytest
 
 from repro import GridSpec, telemetry
+from repro.core.context import EpochContext
 from repro.core.queries import Aggregate, PointQuery, RangeQuery
 from tests.conftest import make_stack
 from tests.replication.conftest import make_replicated_stack
@@ -104,7 +107,18 @@ def _run(service, kind, query):
 
 def capture(topology: str, verify: bool) -> dict:
     """Everything observable about the scenario, as digests."""
-    with telemetry.scoped_registry() as registry:
+    # Index keys a batch verified by position never decrypts: count them.
+    by_position = []
+    positional = EpochContext._verify_positional
+
+    def counting(context, packed_bins, *args):
+        real = positional(context, packed_bins, *args)
+        if real is not None:
+            by_position.append(sum(pb.row_count for pb in packed_bins))
+        return real
+
+    with mock.patch.object(EpochContext, "_verify_positional", counting), \
+            telemetry.scoped_registry() as registry:
         if topology == "plain":
             _, service = make_stack(SPEC, RECORDS, verify=verify)
             tables = [next(iter(service.engine._tables.values()))]
@@ -127,12 +141,28 @@ def capture(topology: str, verify: bool) -> dict:
     # its metadata.  ``GOLDEN`` stays the bcb189f digests: the two
     # gauges must read exactly that reservation above the parent's, and
     # every other family what it read there.
-    memo = service.context_for(0).tag_memo_bytes
+    context = service.context_for(0)
+    memo = context.tag_memo_bytes
     tagged = sum(cid >= 0 for cid in service._packages[0].enc_tags)
     assert memo == 32 * 4 * tagged * verify  # a digest per chained column
+    # Verification by position adds the index-key memo, a digest per
+    # public bin, to that reservation, and every whole bin it accepts
+    # (each point read's, each multipoint bin, sidecar or trapdoor
+    # alike) decrypts no index key: ``det_decrypt`` reads lower by
+    # exactly those rows, and nothing else moves.
+    index_memo = context.index_memo_bytes
+    assert index_memo == 32 * len(context.layout.bins) * verify
+    multipoint = len(context.layout.bins_of_cell_ids(
+        context.grid.cell_ids_for_combinations((("ap3",),), 0, 300)
+    ))
+    bin_size = context.layout.bin_size
+    assert sum(by_position) == verify * 2 * (2 + multipoint) * bin_size
     for gauge in ("concealer_epc_used_bytes", "concealer_epc_high_water_bytes"):
         (sample,) = snapshot[gauge]["samples"]
-        sample["value"] -= memo
+        sample["value"] -= memo + index_memo
+    for sample in snapshot["concealer_crypto_kernel_ops_total"]["samples"]:
+        if sample["labels"] == {"kernel": "det_decrypt"}:
+            sample["value"] += sum(by_position)
     stream = hashlib.sha256()
     for event in service.engine.access_log:
         stream.update(

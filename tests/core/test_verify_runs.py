@@ -10,15 +10,22 @@ batches — clean bins, permuted rows, a cell split across two bins,
 dropped / duplicated / corrupted / replayed rows, ``keep`` masks, wrong
 and missing request bindings — and requires the same outcome: both
 accept, or both reject with the same ``(kind, cell_id)``; with the tag
-memo cold and warm.  Two pins ride along: a verified bin still costs
-exactly one authenticated index-key decryption per (kept) row, and
-dropping contexts on a live enclave leaves ``concealer_epc_used_bytes``
-where it was.
+memo cold and warm.  Every batch goes through verification by position
+too (each bin bound to the ``Bin`` it came from): the same outcome
+again, positional acceptance only where the oracle accepts, and the
+real-row mask the oracle's.  Pins ride along: the grouping path still
+costs exactly one authenticated index-key decryption per (kept) row,
+an honest sealed bin verified by position costs none, a forged
+``bin_index`` changes nothing, a permuted but authentic bin is still
+accepted, the oblivious path never goes by position, and dropping
+contexts on a live enclave leaves ``concealer_epc_used_bytes`` where it
+was.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,10 +34,10 @@ from repro import GridSpec, telemetry
 from repro.core.packed import PackedBin
 from repro.core.rotation import rotate_service_keys, rotation_token
 from repro.core.schema import unpad_plaintext
-from repro.crypto.hashchain import chain_digest
 from repro.exceptions import DecryptionError, IntegrityViolation
 
-from tests.conftest import MASTER_KEY, make_stack
+from tests.conftest import MASTER_KEY, is_fake_row, make_stack
+from tests.crypto.hashchain import chain_digest
 
 SPEC = GridSpec(dimension_sizes=(4, 10), cell_id_count=16, epoch_duration=600)
 RECORDS = [
@@ -74,12 +81,43 @@ def reference_verify(context, packed_bins, expected_cells=None, keep=None):
     return None
 
 
-def outcome(context, packed_bins, expected_cells=None, keep=None):
+def reference_real(context, packed_bins, keep=None):
+    """The rows the oracle counts as real: kept, index key ``idx``."""
+    rows = [row for pb in packed_bins for row in pb]
+    return [
+        (keep is None or bool(keep[j])) and not is_fake_row(context, row)
+        for j, row in enumerate(rows)
+    ]
+
+
+def outcome(context, packed_bins, expected_cells=None, keep=None, requested=None):
     try:
-        context.verify_packed(packed_bins, expected_cells, keep=keep)
+        context.verify_packed(packed_bins, expected_cells, keep=keep, requested=requested)
     except IntegrityViolation as violation:
         return violation.kind, violation.cell_id
     return None
+
+
+def by_position(context, packed_bins, expected_cells=None, keep=None, requested=None):
+    """``(outcome, accepted by position, real-row mask)``."""
+    accepted = []
+    positional = type(context)._verify_positional
+
+    def spy(*args):
+        real = positional(context, *args)
+        accepted.append(real is not None)
+        return real
+
+    context._verify_positional = spy
+    try:
+        real = context.verify_packed(
+            packed_bins, expected_cells, keep=keep, requested=requested
+        )
+    except IntegrityViolation as violation:
+        return (violation.kind, violation.cell_id), any(accepted), None
+    finally:
+        del context._verify_positional
+    return None, any(accepted), real.tolist()
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +133,7 @@ def sealed():
 
 
 def _real_slots(context, pb):
-    return [j for j, row in enumerate(pb) if not context.is_fake_row(row)]
+    return [j for j, row in enumerate(pb) if not is_fake_row(context, row)]
 
 
 def _flip(cell: bytes) -> bytes:
@@ -139,9 +177,12 @@ def test_run_based_verify_decides_as_the_reference_did(sealed, seed):
     rng = random.Random(seed)
     chosen = rng.sample(range(len(bins)), rng.choice([1, 1, 2, 3]))
     batch: list[PackedBin] = []
+    requested = []  # the Bin each packed batch was fetched for
     for index in chosen:
         pb = bins[index]
-        batch += _split(rng, pb) if rng.random() < 0.3 else _perturb(rng, context, pb)
+        parts = _split(rng, pb) if rng.random() < 0.3 else _perturb(rng, context, pb)
+        batch += parts
+        requested += [context.layout.bins[index]] * len(parts)
     expected = rng.choice([
         None,
         [cid for index in chosen for cid in context.layout.bins[index].cell_ids],
@@ -157,8 +198,16 @@ def test_run_based_verify_decides_as_the_reference_did(sealed, seed):
     want = reference_verify(context, batch, expected, keep)
     if seed % 2:
         context._tag_memo.clear()  # the cold pass decides as the warm one
+        context._index_memo.clear()
     assert outcome(context, batch, expected, keep) == want
     assert outcome(context, batch, expected, keep) == want  # memo warm now
+    for _ in ("cold-or-warm", "warm"):
+        got, positional, real = by_position(context, batch, expected, keep, requested)
+        assert got == want
+        if positional:  # (a) acceptance by position implies the oracle's
+            assert want is None
+        if want is None:
+            assert real == reference_real(context, batch, keep)
 
 
 def test_every_sealed_bin_and_the_whole_epoch_verify(sealed):
@@ -178,9 +227,15 @@ def test_the_reservation_is_the_full_memo_and_a_silent_service_makes_none(sealed
     context.verify_packed(bins, None)
     held = sum(len(d) for digests in context._tag_memo.values() for d in digests)
     assert held == context.tag_memo_bytes > 0
+    # The index-key memo: a digest per public bin once each was verified
+    # by position.
+    context.verify_packed(bins, None, requested=context.layout.bins)
+    indexed = sum(map(len, context._index_memo.values()))
+    assert indexed == context.index_memo_bytes == 32 * len(bins)
     _, silent = make_stack(SPEC, RECORDS, verify=False)
     assert silent.context_for(0).tag_memo_bytes == 0
-    assert service.enclave.epc_used - silent.enclave.epc_used == held
+    assert silent.context_for(0).index_memo_bytes == 0
+    assert service.enclave.epc_used - silent.enclave.epc_used == held + indexed
 
 
 def test_each_violation_kind_is_still_reachable(sealed):
@@ -220,8 +275,9 @@ def test_a_replayed_pre_rotation_bin_is_undecryptable_with_the_memo_warm():
 
 
 def test_a_verified_bin_costs_one_index_key_decryption_per_kept_row(sealed):
-    """The MAC over every fetched index key is not optional: a later
-    "optimisation" that skips it moves this public counter."""
+    """On the grouping path — any batch not bound to the bins it was
+    fetched for — the MAC over every fetched index key is not optional:
+    a later "optimisation" that skips it moves this public counter."""
     _, context, bins = sealed
     pb = bins[0]
     keep = np.ones(pb.row_count, dtype=bool)
@@ -265,3 +321,88 @@ def test_epc_in_use_is_flat_over_rotations_and_evictions():
             touch()
             assert service.enclave.epc_used == baseline
         assert registry.value("concealer_epc_used_bytes") == baseline
+
+
+def test_a_warm_honest_sealed_bin_decrypts_no_index_key(sealed, monkeypatch):
+    """(b) Its slots' index keys are known before it arrives: a byte
+    compare of the column against the memo replaces their decryption."""
+    from repro.crypto.kernels import DeterministicCipher
+
+    _, context, bins = sealed
+    chosen = next(b for b in context.layout.bins if b.real_tuples and b.fake_count)
+    pb = bins[chosen.index]
+    context.verify_packed([pb], chosen.cell_ids, requested=[chosen])  # warm
+    calls = []
+    decrypt_many = DeterministicCipher.decrypt_many
+
+    def counting(cipher, ciphertexts, *args, **kwargs):
+        calls.append(len(ciphertexts))
+        return decrypt_many(cipher, ciphertexts, *args, **kwargs)
+
+    monkeypatch.setattr(DeterministicCipher, "decrypt_many", counting)
+    real = context.verify_packed([pb], chosen.cell_ids, requested=[chosen])
+    assert calls == []
+    assert real.tolist() == [j < chosen.real_tuples for j in range(pb.row_count)]
+    context.verify_packed([pb], chosen.cell_ids)  # unbound: the grouping path
+    assert calls == [pb.row_count]
+
+
+def test_a_forged_bin_index_changes_nothing(sealed):
+    """(c) The batch is checked as the bin the enclave asked for."""
+    _, context, bins = sealed
+    first, second = [b for b in context.layout.bins if b.real_tuples][:2]
+    liar = replace(bins[first.index], bin_index=second.index)
+    assert by_position(context, [liar], first.cell_ids, requested=[first])[:2] == (
+        None, True,
+    )
+    # Another bin's bytes, however labelled, are not the requested bin's.
+    for claimed in (first.index, second.index):
+        swapped = replace(bins[second.index], bin_index=claimed)
+        got, positional, _ = by_position(
+            context, [swapped], first.cell_ids, requested=[first]
+        )
+        assert not positional
+        assert got == reference_verify(context, [swapped], first.cell_ids)
+        assert got[0] == "missing-cell"
+
+
+def test_a_permuted_authentic_bin_is_accepted_by_grouping(sealed):
+    """(d) Position is a shortcut, never a new rule: a bin whose rows
+    arrive in another order still verifies, by the grouping path."""
+    _, context, bins = sealed
+    chosen = next(b for b in context.layout.bins if b.real_tuples > 1)
+    rows = bins[chosen.index].unpack()
+    random.Random(7).shuffle(rows)
+    permuted = PackedBin.pack(chosen.index, rows)
+    got, positional, real = by_position(
+        context, [permuted], chosen.cell_ids, requested=[chosen]
+    )
+    assert (got, positional) == (None, False)
+    assert real == reference_real(context, [permuted])
+
+
+def test_the_oblivious_path_never_verifies_by_position(monkeypatch):
+    """(e) Concealer+'s trapdoor order is the bitonic sort's; its
+    verification keeps the grouping path and its trace is unchanged."""
+    from repro.core.context import EpochContext
+    from repro.core.queries import PointQuery, RangeQuery
+    from repro.enclave.trace import trace_signature
+
+    def never(*_):
+        raise AssertionError("verified by position under oblivious execution")
+
+    monkeypatch.setattr(EpochContext, "_verify_positional", never)
+    _, service = make_stack(SPEC, RECORDS, verify=True, oblivious=True)
+    location, timestamp, _ = RECORDS[0]
+    service.enclave.trace.clear()
+    service.execute_point(PointQuery(index_values=(location,), timestamp=timestamp))
+    service.execute_range(
+        RangeQuery(index_values=(location,), time_start=0, time_end=300),
+        method="multipoint",
+    )
+    assert trace_signature(service.enclave.trace).hex() == OBLIVIOUS_TRACE
+
+
+# ``trace_signature`` of the two oblivious queries above, captured at the
+# commit before verification by position existed (8b26dea).
+OBLIVIOUS_TRACE = "95c2f52775309b95aa6162a34dce229cb1ec94887337f2e774d2fb7dea0e8a8d"

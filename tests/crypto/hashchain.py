@@ -16,7 +16,8 @@ modified row changes the digest (STEP 4 of Algorithm 2).
 
 :func:`chain_digest` is the straight-line reference; the product folds
 chains with :func:`repro.crypto.kernels.extend_chain` and its slice
-form, which the tests hold to this function.
+form, which the tests hold to this function.  It lives with the tests
+because nothing else uses it.
 """
 
 from __future__ import annotations

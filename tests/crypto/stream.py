@@ -1,10 +1,10 @@
-"""Counter-mode stream cipher keyed by HMAC-SHA256.
+"""The straight-line reference for the cipher suite's keystream.
 
-The paper encrypts with AES-256; this environment has no AES package,
-so we substitute a CTR-mode stream built from the same HMAC-SHA256 PRF
-used elsewhere.  Security rests on HMAC-SHA256 being a PRF, exactly as
-AES-CTR rests on AES being a PRP — the library code paths (encrypt,
-decrypt, key-per-epoch) are unchanged by the substitution.
+Blocks are ``HMAC-SHA256(key, nonce || counter)``, the reproduction's
+stand-in for AES-CTR (security rests on HMAC-SHA256 being a PRF, as
+AES-CTR's rests on AES being a PRP).  :mod:`repro.crypto.kernels`
+expands the same stream off primed HMAC objects; the tests hold it to
+this module byte for byte.
 """
 
 from __future__ import annotations

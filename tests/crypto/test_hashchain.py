@@ -3,8 +3,9 @@ product's incremental one."""
 
 from hypothesis import given, strategies as st
 
-from repro.crypto.hashchain import chain_digest
 from repro.crypto.kernels import CHAIN_INIT, extend_chain
+
+from tests.crypto.hashchain import chain_digest
 
 
 class TestChainDigest:

@@ -23,7 +23,6 @@ import hashlib
 import hmac
 
 from repro.crypto import DeterministicCipher, Prf, RandomizedCipher
-from repro.crypto.hashchain import chain_digest
 from repro.crypto.kernels import (
     CHAIN_INIT,
     batch_chain_extend,
@@ -33,8 +32,10 @@ from repro.crypto.kernels import (
     xor_bytes,
 )
 from repro.crypto.prf import _as_bytes
-from repro.crypto.stream import keystream, stream_xor
 from repro.exceptions import DecryptionError
+
+from tests.crypto.hashchain import chain_digest
+from tests.crypto.stream import keystream, stream_xor
 
 TRIALS = 25
 

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.crypto.stream import keystream, stream_xor
+from tests.crypto.stream import keystream, stream_xor
 
 KEY = b"\x01" * 32
 

@@ -15,9 +15,10 @@ import random
 import pytest
 
 from repro.crypto import DeterministicCipher, Prf, RandomizedCipher
-from repro.crypto.hashchain import chain_digest
 from repro.crypto.kernels import CHAIN_INIT, batch_keystream, extend_chain
-from repro.crypto.stream import keystream
+
+from tests.crypto.hashchain import chain_digest
+from tests.crypto.stream import keystream
 
 KEY = bytes(range(32))
 NONCE = bytes(range(100, 116))

@@ -15,7 +15,8 @@ another width than the table's ends in the same typed violation.  The
 last test pins the order in which the channel consults its sites: a
 seeded schedule over a mixed rows/packed/tree read sequence must replay
 to the bytes captured before the three hand-copied channels became one.
-Every test then runs once more with the verifier's tag memo warm.
+Every test then runs once more with the verifier's memos (tags, and each
+bin's index-key digest for verification by position) warm.
 """
 
 from __future__ import annotations
@@ -86,24 +87,28 @@ class Channel:
         return source.fetch_tree_nodes(self.table, self.coords)
 
     def verify(self, kind, chosen, answer):
-        """What the enclave runs on an answer of this kind."""
+        """What the enclave runs on an answer of this kind — a whole bin
+        checked as the bin it asked for, by position first."""
         context = self.service.context_for(0)
         if self.warm:
             _warm(context)
         if kind == "rows":
-            context.verify_rows(answer, chosen.cell_ids)
+            context.verified_bin(context.pack_rows(answer), chosen.cell_ids, chosen)
         elif kind == "packed":
-            context.verify_packed([answer], chosen.cell_ids)
+            context.verified_bin(context._admit(answer), chosen.cell_ids, chosen)
         else:
             context.decode_tree_nodes(self.meta, self.coords, answer)
 
 
 def _warm(context):
-    """Open and keep every sealed tag of the epoch, as a context that
-    has been serving verified reads for a while has."""
+    """Open and keep every sealed tag and every bin's index-key digest
+    of the epoch, as a context that has been serving verified reads for
+    a while has."""
     for cid, population in enumerate(context.c_tuple):
         if population:
             context._tag_digests(cid)
+    for chosen in context.layout.bins:
+        context._index_digest(chosen)
 
 
 def always(site):

@@ -9,7 +9,6 @@ import repro.core.grid
 import repro.core.schema
 import repro.core.superbin
 import repro.crypto.det
-import repro.crypto.hashchain
 import repro.crypto.kernels
 import repro.crypto.nondet
 import repro.crypto.prf
@@ -20,6 +19,7 @@ import repro.storage.btree
 import repro.storage.engine
 import repro.telemetry.metrics
 import repro.telemetry.spans
+import tests.crypto.hashchain
 
 MODULES = [
     repro.core.binning,
@@ -27,7 +27,6 @@ MODULES = [
     repro.core.schema,
     repro.core.superbin,
     repro.crypto.det,
-    repro.crypto.hashchain,
     repro.crypto.kernels,
     repro.crypto.nondet,
     repro.crypto.prf,
@@ -38,6 +37,7 @@ MODULES = [
     repro.storage.engine,
     repro.telemetry.metrics,
     repro.telemetry.spans,
+    tests.crypto.hashchain,
 ]
 
 
