@@ -7,14 +7,16 @@ to stdout and ``results/profile_read.txt``:
   shape (1×1, |b| = 512, every ``ServiceConfig`` default, so verify on)
   built in-process from public APIs, then 200 point queries at ingested
   (location, time) pairs, twice: unprofiled, with wrappers installed
-  from here around the parts of STEP 4's verification — by position,
-  or by decrypting and grouping the index keys — and the stages beside
-  it, so the wall-clock split sums to the run, with how many verified
-  batches took each path; then under cProfile, top-30.
+  from here around the parts of STEP 4's verification — by position
+  (a whole bin), by request (a trapdoor fetch's slot request), or by
+  decrypting and grouping the index keys — and the stages beside it, so
+  the wall-clock split sums to the run, with how many verified batches
+  took each path; then under cProfile, top-30.
 * **10-minute ranges, per method.**  The ``range_scatter`` fleet shape
   (2×3) and request shapes, 60 multipoint then 60 eBPB ranges, each
   split into trapdoor derivation, index lookup, sidecar read, pack,
-  verify (positional vs grouping), filter and decrypt — self time, so a
+  verify (by position, by request or by grouping), filter and decrypt,
+  with the same path counts — self time, so a
   replica group's per-attempt verification counts as verify, not lookup.
 * **Whole-epoch ranges through the router.**  The ``longrange_tree``
   fleet shape (4×1) and request stream (whole-epoch ``auto``
@@ -48,8 +50,12 @@ from profile_ingest import TOP_N, PhaseTimer, fleet_and_records  # noqa: E402
 QUERIES = 200
 _CONTEXT = ("repro.core.context", "EpochContext")
 _ENGINE = ("repro.storage.engine", "StorageEngine")
+# The two ``_verify_positional`` rows are the aliases :class:`VerifyPaths`
+# routes it through (a whole bin, or a trapdoor fetch's slot request), so
+# it must be entered before the timer.
 VERIFY_PHASES = [
-    ("verify: positional", *_CONTEXT, "_verify_positional"),
+    ("verify: by position", *_CONTEXT, "_verify_bin"),
+    ("verify: by request", *_CONTEXT, "_verify_request"),
     ("verify: grouping (decrypt, runs)", *_CONTEXT, "_group_by_cell"),
     ("verify: grouping (chains, tags)", *_CONTEXT, "_check_cells"),
     ("verify: shell", *_CONTEXT, "verify_packed"),
@@ -123,27 +129,34 @@ class IntervalTimer:
 
 
 class VerifyPaths:
-    """How many verified batches took each path: accepted by position,
-    or handed to the decrypt-and-group path."""
+    """How many verified batches took each path: accepted by position (a
+    whole bin), by request (a trapdoor fetch's slot request), or handed
+    to the decrypt-and-group path.  Routes ``_verify_positional`` through
+    one alias per kind, so a timer entered inside can split the two."""
 
     def __enter__(self):
-        from repro.core.context import EpochContext
+        from repro.core.context import EpochContext, SlotRequest
 
-        self.positional = self.grouping = 0
+        self.by_position = self.by_request = self.grouping = 0
         self._originals = positional, grouping = (
             EpochContext._verify_positional, EpochContext._group_by_cell,
         )
 
-        def count_positional(context, *args):
-            real = positional(context, *args)
-            self.positional += real is not None
+        def route(context, packed_bins, requested, *args):
+            by_request = bool(requested) and isinstance(requested[0], SlotRequest)
+            verify = context._verify_request if by_request else context._verify_bin
+            real = verify(packed_bins, requested, *args)
+            if real is not None:
+                self.by_request += by_request
+                self.by_position += not by_request
             return real
 
         def count_grouping(context, *args):
             self.grouping += 1
             return grouping(context, *args)
 
-        EpochContext._verify_positional = count_positional
+        EpochContext._verify_bin = EpochContext._verify_request = positional
+        EpochContext._verify_positional = route
         EpochContext._group_by_cell = count_grouping
         return self
 
@@ -151,11 +164,12 @@ class VerifyPaths:
         from repro.core.context import EpochContext
 
         EpochContext._verify_positional, EpochContext._group_by_cell = self._originals
+        del EpochContext._verify_bin, EpochContext._verify_request
 
     def line(self) -> str:
         return (
-            f"  verified batches: {self.positional} by position, "
-            f"{self.grouping} by grouping\n"
+            f"  verified batches: {self.by_position} by position, "
+            f"{self.by_request} by request, {self.grouping} by grouping\n"
         )
 
 
@@ -180,7 +194,7 @@ def point_section(out: io.StringIO) -> None:
             for i, (place, at, _) in asked
         ]
         fleet.execute_point(queries[0])  # builds the epoch context
-        with PhaseTimer(PHASES) as phases, VerifyPaths() as paths:
+        with VerifyPaths() as paths, PhaseTimer(PHASES) as phases:
             start = time.perf_counter()
             for query in queries:
                 fleet.execute_point(query)
@@ -219,7 +233,7 @@ def range_section(out: io.StringIO) -> None:
         for method in ("multipoint", "ebpb"):
             for query in queries[:5]:  # builds contexts and the eBPB budget
                 fleet.execute_range(query, method=method)
-            with PhaseTimer(RANGE_PHASES) as phases, VerifyPaths() as paths:
+            with VerifyPaths() as paths, PhaseTimer(RANGE_PHASES) as phases:
                 start = time.perf_counter()
                 for query in queries[5:]:
                     fleet.execute_range(query, method=method)

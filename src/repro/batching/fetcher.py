@@ -252,7 +252,7 @@ class BinFetcher:
                 packed, verified = context.fetch(
                     engine, trapdoors, stats, deadline=deadline,
                     verify=self.verify, cells=fetch_bin.cell_ids,
-                    bin_index=fetch_bin.index, chosen=chosen,
+                    bin_index=fetch_bin.index, request=chosen,
                 )
         if self.verify and ensure_verified and not verified:
             # The bin becomes reusable, so it must be checked *now*:

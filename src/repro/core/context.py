@@ -24,6 +24,7 @@ import hashlib
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from dataclasses import replace
+from typing import NamedTuple
 
 from repro import telemetry
 from repro.core.binning import Bin, BinLayout, pack_bins
@@ -85,6 +86,20 @@ def _count_tuples(real: int, fake: int) -> None:
     )
     tuples.labels(kind="real").inc(real)
     tuples.labels(kind="fake").inc(fake)
+
+
+class SlotRequest(NamedTuple):
+    """A trapdoor fetch as the enclave made it: ``cell_ids``' slots in
+    order, then its fakes', and the ``trapdoors`` it sent for them —
+    the index keys an honest host returns, in that order.  A
+    :class:`Bin` is the other kind of slot request (DESIGN.md §16)."""
+
+    cell_ids: Sequence[int]
+    trapdoors: Sequence[bytes]
+
+    @property
+    def total_tuples(self) -> int:
+        return len(self.trapdoors)
 
 
 class EpochContext:
@@ -250,44 +265,38 @@ class EpochContext:
         a range query needs more fakes than the pool holds, so one
         query can name the same fake many times), looked up in the
         service's :class:`~repro.core.trapdoor_table.TrapdoorTable`
-        when one is wired, and only the remaining misses hit the DET
-        cipher — in one batch.
+        when one is wired (one pass for the whole request), and only the
+        remaining misses hit the DET cipher — in one batch.  The list is
+        in slot order: each cell-id's counters, then the fakes.
         """
-        slots: list[tuple] = [
-            ("real", cid, j)
+        prefix = (self.epoch_id, self.table_name)
+        c_tuple = self.c_tuple
+        slots = [
+            (*prefix, "real", cid, j)
             for cid in cell_ids
-            for j in range(1, self.c_tuple[cid] + 1)
+            for j in range(1, c_tuple[cid] + 1)
         ]
         real = len(slots)
-        slots.extend(("fake", fid, 0) for fid in fake_ids)
+        slots += [(*prefix, "fake", fid, 0) for fid in fake_ids]
         _count_tuples(real, len(slots) - real)
 
+        # One memo pass over the distinct slots, one derivation of the
+        # misses, one fill stamped with the fence read before both.
         table = self.trapdoor_table
-        resolved: dict[tuple, bytes] = {}
-        pending: dict[tuple, None] = {}
-        for slot in slots:
-            if slot in resolved or slot in pending:
-                continue
+        distinct = list(dict.fromkeys(slots))
+        cached, stamp = (
+            table.lookup_many(distinct) if table is not None else ([None] * len(distinct), None)
+        )
+        resolved = dict(zip(distinct, cached))
+        misses = [slot for slot, trapdoor in resolved.items() if trapdoor is None]
+        if misses:
+            derived = self.det.encrypt_many([
+                index_plaintext(cid, j) if kind == "real" else fake_index_plaintext(cid)
+                for _, _, kind, cid, j in misses
+            ])
+            resolved.update(zip(misses, derived))
             if table is not None:
-                cached = table.lookup((self.epoch_id, self.table_name) + slot)
-                if cached is not None:
-                    resolved[slot] = cached
-                    continue
-            pending[slot] = None
-        miss_order = list(pending)
-        if miss_order:
-            derived = self.det.encrypt_many(
-                [
-                    index_plaintext(slot[1], slot[2])
-                    if slot[0] == "real"
-                    else fake_index_plaintext(slot[1])
-                    for slot in miss_order
-                ]
-            )
-            for slot, trapdoor in zip(miss_order, derived):
-                resolved[slot] = trapdoor
-                if table is not None:
-                    table.insert((self.epoch_id, self.table_name) + slot, trapdoor)
+                table.insert_many(zip(misses, derived), stamp)
         return [resolved[slot] for slot in slots]
 
     def trapdoors_for_bin(self, chosen: Bin) -> list[bytes]:
@@ -468,7 +477,7 @@ class EpochContext:
         verify: bool = False,
         cells: Sequence[int] | None = None,
         bin_index: int = 0,
-        chosen: Bin | None = None,
+        request: Bin | SlotRequest | None = None,
     ) -> tuple[PackedBin, bool]:
         """The trapdoor fetch kind: submit trapdoors to the DBMS, pull
         the rows (one per trapdoor, ~256 B of ciphertext each) and pack
@@ -479,13 +488,14 @@ class EpochContext:
         tampered batch costs a failover there and not the query.  A
         fetch retrieves complete cell-id populations, so checking it
         alone is sound even before a range method de-duplicates across
-        its fetches.  ``chosen``: the trapdoors are that bin's, in order.
+        its fetches.  ``request``: the slot request the trapdoors make
+        (never the oblivious schedule's, which is in sorted order).
         """
         packed = None
 
         def verifier(rows, expected):
             nonlocal packed  # the last answer verified is the one accepted
-            packed = self.verified_bin(self.pack_rows(rows, bin_index), expected, chosen)
+            packed = self.verified_bin(self.pack_rows(rows, bin_index), expected, request)
 
         stats.trapdoors_generated += len(trapdoors)
         rows, verified = self._fetch(
@@ -737,9 +747,9 @@ class EpochContext:
         Raises a structured :class:`IntegrityViolation` (an
         :class:`~repro.exceptions.IntegrityError` subclass carrying the
         epoch, table, cell-id, and violation kind) on any inconsistency.
-        ``requested``, the :class:`Bin` each batch was fetched for when
-        each is that whole bin in canonical slot order, first tries
-        :meth:`_verify_positional`, which decrypts nothing.
+        ``requested``, the slot request each batch was fetched by (a
+        :class:`Bin` in canonical slot order or a :class:`SlotRequest`),
+        first tries :meth:`_verify_positional`, which decrypts nothing.
 
         ``expected_cells`` binds the response to the *request*: every
         named cell-id with a non-zero population must appear in the
@@ -750,25 +760,28 @@ class EpochContext:
 
         ``keep`` is an optional boolean mask over the concatenated rows
         (range queries dedup *before* verifying, so a tamper-duplicate
-        is dropped there and not reported as a counter gap).
+        is dropped there and not reported as a counter gap).  The mask
+        returned is only ever of kept rows.
         """
         total = sum(pb.row_count for pb in packed_bins)
         # Row count here is the *fetched* volume — public-size by the
         # volume-hiding argument — so it may ride on the span.
         rows = int(keep.sum()) if keep is not None else total
         with self._verification("verify", rows=rows):
-            if requested is not None and rows == total:
-                real = self._verify_positional(packed_bins, requested, expected_cells)
+            if requested is not None:
+                real = self._verify_positional(packed_bins, requested, expected_cells, keep)
                 if real is not None:
-                    return real
+                    return real if keep is None else real & keep
             cells, real = self._group_by_cell(packed_bins, keep)
             self._check_cells(cells, expected_cells)
             return real
 
-    def verified_bin(self, packed: PackedBin, cells, chosen: Bin | None = None) -> PackedBin:
-        """A batch verified at fetch time (as the whole bin ``chosen``
-        when given), carrying its real-row mask on to STEP 4."""
-        real = self.verify_packed([packed], cells, requested=chosen and (chosen,))
+    def verified_bin(
+        self, packed: PackedBin, cells, request: Bin | SlotRequest | None = None
+    ) -> PackedBin:
+        """A batch verified at fetch time (by the slot ``request`` that
+        fetched it, when given), carrying its real-row mask on to STEP 4."""
+        real = self.verify_packed([packed], cells, requested=request and (request,))
         return replace(packed, real_rows=real)
 
     def _index_digest(self, chosen: Bin) -> bytes:
@@ -785,31 +798,40 @@ class EpochContext:
             digest = self._index_memo[chosen.index] = hashlib.sha256(column).digest()
         return digest
 
-    def _verify_positional(self, packed_bins, requested, expected_cells):
-        """Verification by position (DESIGN.md §16): each batch is a
-        distinct requested bin whole — |b| rows, the table's widths, the
-        index-key column :meth:`_index_digest` expects — and each cell's
-        chains fold to its tags over the slots the layout gives it.  The
-        real-row mask, or ``None`` for the grouping path, which accepts
-        whatever this does (same runs, slices and tags)."""
+    def _verify_positional(self, packed_bins, requested, expected_cells, keep):
+        """Verification by request (DESIGN.md §16): each batch is its slot
+        request whole — its row count, the table's widths, the index-key
+        column the enclave expects (a :class:`Bin`'s :meth:`_index_digest`,
+        a :class:`SlotRequest`'s trapdoors) — and each cell's chains fold
+        to its tags over the slots the request gives it; no cell twice,
+        unless ``keep`` is the first-occurrence mask.  The real-row mask,
+        or ``None`` for the grouping path, which accepts whatever this does."""
         import numpy as np
 
         c_tuple = self.c_tuple
-        present = {cid for chosen in requested for cid in chosen.cell_ids}
+        cells = [cid for request in requested for cid in request.cell_ids]
+        present = set(cells)
         if (
-            len(requested) != len(packed_bins)
-            or len({chosen.index for chosen in requested}) != len(requested)
+            not requested
+            or len(requested) != len(packed_bins)
+            or (keep is None and len(present) != len(cells))
             or any(c_tuple[cid] and cid not in present for cid in expected_cells or ())
         ):
             return None
-        for pb, chosen in zip(packed_bins, requested):
-            if (pb.row_count, pb.column_widths) != (chosen.total_tuples, self.column_widths) or (
-                hashlib.sha256(pb.columns[-1]).digest() != self._index_digest(chosen)
+        for pb, request in zip(packed_bins, requested):
+            column = pb.columns[-1]
+            if (pb.row_count, pb.column_widths) != (request.total_tuples, self.column_widths) or (
+                column != b"".join(request.trapdoors)
+                if isinstance(request, SlotRequest)
+                else hashlib.sha256(column).digest() != self._index_digest(request)
             ):
                 return None
-        for pb, chosen in zip(packed_bins, requested):
+        if keep is not None and not np.array_equal(keep, self.packed_dedup_keep(packed_bins)):
+            return None
+        masks = []
+        for pb, request in zip(packed_bins, requested):
             start = 0
-            for cid in chosen.cell_ids:
+            for cid in request.cell_ids:
                 stop = start + c_tuple[cid]
                 if stop > start and self._tag_digests(cid) != tuple(
                     extend_chain_slices(CHAIN_INIT, ((blob, width, start, stop),))
@@ -817,10 +839,8 @@ class EpochContext:
                 ):
                     return None
                 start = stop
-        return np.concatenate([
-            np.arange(pb.row_count) < chosen.real_tuples
-            for pb, chosen in zip(packed_bins, requested)
-        ])
+            masks.append(np.arange(pb.row_count) < start)
+        return np.concatenate(masks)
 
     def _group_by_cell(self, packed_bins: Sequence[PackedBin], keep) -> tuple[dict, object]:
         """The real rows of a batch grouped by cell-id, as *runs*

@@ -28,7 +28,7 @@ from collections.abc import Sequence
 from repro import telemetry
 from repro.core.aggregation import evaluate_aggregate, needs_decryption
 from repro.core.binning import Bin
-from repro.core.context import EpochContext
+from repro.core.context import EpochContext, SlotRequest
 from repro.core.packed import PackedBin
 from repro.core.queries import (
     PointQuery,
@@ -51,7 +51,7 @@ def finish_query(
     verify: bool,
     oblivious: bool,
     dedup: bool,
-    requested: Sequence[Bin] | None = None,
+    requested: Sequence[Bin | SlotRequest] | None = None,
 ) -> tuple[object, QueryStats]:
     """STEP 4, once, for every method: dedup → verify → filter →
     decrypt → aggregate over the fetched batch.
@@ -67,8 +67,9 @@ def finish_query(
     Verification is bound to ``expected_cells``, the cell-ids the query
     *requested*: a per-cell hash chain only proves the cells present in
     the batch are whole, so a host dropping every row of a population-1
-    cell would otherwise leave no counter gap to find.  ``requested``
-    (the bins, when each batch is a whole one) lets it go by position.
+    cell would otherwise leave no counter gap to find.  ``requested``,
+    the slot request each batch was fetched by (a whole bin, or a
+    trapdoor list), lets it go by request.
     A batch verified at fetch time (``stats.verified``: per replica
     attempt, or before it became reusable) is not checked twice.  Only
     the rows verification found real are filtered and decrypted: a fake
@@ -87,7 +88,8 @@ def finish_query(
         if stats.verified and all(mask is not None for mask in masks):
             real = np.concatenate(masks)
         else:
-            # The oblivious schedule's order is the bitonic sort's.
+            # The oblivious schedule's order is the bitonic sort's; the
+            # path a batch takes hangs on the method, never on the data.
             requested = None if oblivious else requested
             real = context.verify_packed(bins, expected_cells, keep=keep, requested=requested)
             stats.verified = True

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, replace
 
 from repro import telemetry
-from repro.core.context import EpochContext
+from repro.core.context import EpochContext, SlotRequest
 from repro.core.point_query import finish_query
 from repro.core.queries import Aggregate, QueryStats, RangeQuery, resolve_predicate
 from repro.exceptions import IntegrityViolation, QueryError
@@ -379,16 +379,8 @@ class RangeExecutor:
             method="ebpb",
             budget=budget,
         ):
-            trapdoors = context.trapdoors_for_cell_ids(needed_cids, fake_ids)
-            packed, _ = context.fetch(
-                self.fetcher.engine,
-                trapdoors,
-                stats,
-                deadline=deadline,
-                verify=self.verify,
-                cells=needed_cids,
-            )
-            return self._step4(query, context, [packed], needed_cids, stats)
+            packed, request = self._fetch_slots(context, needed_cids, fake_ids, stats, deadline)
+            return self._step4(query, context, [packed], needed_cids, stats, [request])
 
     def _ebpb_budget(self, context: EpochContext, span: int) -> _EBPBState:
         """STEP 2–3: per-column worst-case volumes for ℓ-window queries.
@@ -454,7 +446,7 @@ class RangeExecutor:
             method="winsecrange",
             windows=len(windows),
         ):
-            fetched = []
+            fetched, requested = [], []
             fake_offset = 0
             expected: list[int] = []
             for window in windows:
@@ -465,19 +457,12 @@ class RangeExecutor:
                     context, max(0, window_size - real_volume), offset=fake_offset
                 )
                 fake_offset += len(fake_ids)
-                trapdoors = context.trapdoors_for_cell_ids(cids, fake_ids)
-                packed, _ = context.fetch(
-                    self.fetcher.engine,
-                    trapdoors,
-                    stats,
-                    deadline=deadline,
-                    verify=self.verify,
-                    cells=cids,
-                )
+                packed, request = self._fetch_slots(context, cids, fake_ids, stats, deadline)
                 fetched.append(packed)
+                requested.append(request)
             stats.bins_fetched = len(windows)
             stats.extra["window_size"] = window_size
-            return self._step4(query, context, fetched, expected, stats)
+            return self._step4(query, context, fetched, expected, stats, requested)
 
     def _covering_windows(self, query: RangeQuery, context: EpochContext) -> list[int]:
         """The λ-window indices intersecting the query's time range."""
@@ -524,6 +509,19 @@ class RangeExecutor:
         return sizing[("winsec", lam)]
 
     # ---------------------------------------------------------------- shared
+
+    def _fetch_slots(self, context, cells, fake_ids, stats, deadline):
+        """STEP 3 for a padded cell-id set (eBPB's, a winSecRange
+        window's): its trapdoors, the fetch by them, and the slot request
+        the batch is verified by — none under Concealer+, whose
+        verification keeps the grouping path whatever the method."""
+        trapdoors = context.trapdoors_for_cell_ids(cells, fake_ids)
+        request = None if self.oblivious else SlotRequest(cells, trapdoors)
+        packed, _ = context.fetch(
+            self.fetcher.engine, trapdoors, stats, deadline=deadline,
+            verify=self.verify, cells=cells, request=request,
+        )
+        return packed, request
 
     def _pad_fakes(
         self, context: EpochContext, needed: int, offset: int = 0

@@ -20,11 +20,13 @@ a slot was seen before.
 
 Staleness follows the BinCache discipline with one addition: entries
 are stamped with both the storage engine's ``rewrite_generation`` *and*
-the enclave's ``key_generation`` at fill time.  Key rotation bumps the
-key generation (and flushes the table outright); §6 dynamic rewrites
-bump the engine generation.  A lookup observing either fence moved —
-or a rewrite in flight — discards the entry instead of serving a
-trapdoor derived under dead key material.
+the enclave's ``key_generation``, read at lookup time — before the
+misses are derived, as ``BinCache`` stamps a bin before its fetch — and
+a fill whose stamp no longer matches is not admitted.  Key rotation
+bumps the key generation (and flushes the table outright); §6 dynamic
+rewrites bump the engine generation.  A lookup observing either fence
+moved — or a rewrite in flight — discards the entry instead of serving
+a trapdoor derived under dead key material.
 """
 
 from __future__ import annotations
@@ -106,64 +108,82 @@ class TrapdoorTable:
         self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
         self._lock = threading.RLock()
 
-    # --------------------------------------------------------------- fences
-
-    def _engine_generation(self) -> int:
-        return getattr(self.engine, "rewrite_generation", 0)
-
-    def _key_generation(self) -> int:
-        return getattr(self.enclave, "key_generation", 0)
-
-    def _stale(self, entry: _Entry) -> bool:
-        if getattr(self.engine, "rewrite_in_progress", False):
-            return True
-        if entry.engine_generation != self._engine_generation():
-            return True
-        return entry.key_generation != self._key_generation()
-
     # --------------------------------------------------------------- lookups
 
-    def lookup(self, key: tuple) -> bytes | None:
-        """The memoized trapdoor, or ``None`` on miss/stale entry."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and self._stale(entry):
-                self._evict(key, "generation")
-                entry = None
-            if entry is None:
-                _misses().inc()
-                return None
-            self._entries.move_to_end(key)
-            _hits().inc()
-            return entry.trapdoor
-
-    def insert(self, key: tuple, trapdoor: bytes) -> bool:
-        """Memoize a freshly derived trapdoor; returns residency.
-
-        Skipped while a rewrite is in flight (the derivation may span
-        the fence) and when the EPC cannot cover the entry.
-        """
-        if self.capacity <= 0:
-            return False
+    def _fence(self):
+        """The stamp a fill must carry: ``(engine generation, key
+        generation)``, or ``None`` while a rewrite is in flight."""
         if getattr(self.engine, "rewrite_in_progress", False):
-            return False
+            return None
+        return (
+            getattr(self.engine, "rewrite_generation", 0),
+            getattr(self.enclave, "key_generation", 0),
+        )
+
+    def lookup_many(self, keys) -> tuple[list, tuple | None]:
+        """One pass for a whole request (one lock, one fence read, one
+        increment per counter): the memoized trapdoor per key, ``None``
+        on a miss or a stale entry, and the fence stamp the misses' fill
+        must be handed (:meth:`insert_many`)."""
+        found = []
+        evicted = hits = 0
         with self._lock:
-            if key in self._entries:
-                self._evict(key, "replaced")
-            try:
-                self.enclave.charge_memory(self.entry_bytes)
-            except EnclaveMemoryError:
-                _evictions().labels(reason="epc-full").inc()
-                return False
-            while len(self._entries) >= self.capacity:
-                self._evict(next(iter(self._entries)), "capacity")
-            self._entries[key] = _Entry(
-                trapdoor=trapdoor,
-                engine_generation=self._engine_generation(),
-                key_generation=self._key_generation(),
+            stamp = self._fence()
+            entries = self._entries
+            for key in keys:
+                entry = entries.get(key)
+                if entry is not None and (entry.engine_generation, entry.key_generation) != stamp:
+                    self._drop(key)
+                    evicted += 1
+                    entry = None
+                if entry is None:
+                    found.append(None)
+                    continue
+                entries.move_to_end(key)
+                hits += 1
+                found.append(entry.trapdoor)
+            self._account(
+                {"generation": evicted}, evicted, hits=hits, misses=len(found) - hits
             )
-            _occupancy().set(len(self._entries))
-            return True
+        return found, stamp
+
+    def insert_many(self, pairs, stamp) -> int:
+        """Memoize freshly derived ``(key, trapdoor)`` pairs, in order;
+        returns how many became resident.
+
+        Nothing is admitted unless the fence still reads ``stamp`` (the
+        one :meth:`lookup_many` returned before the derivation): a
+        rewrite or a rotation that began or ended in between may have
+        made the derivation stale.  A pair the EPC cannot cover is
+        skipped; each entry is charged on its own, in order.
+        """
+        if self.capacity <= 0 or stamp is None:
+            return 0
+        evicted = {"replaced": 0, "epc-full": 0, "capacity": 0}
+        admitted = 0
+        with self._lock:
+            if self._fence() != stamp:
+                return 0
+            entries = self._entries
+            try:  # a crashed enclave's charge raises: account what was done
+                for key, trapdoor in pairs:
+                    if key in entries:
+                        self._drop(key)
+                        evicted["replaced"] += 1
+                    try:
+                        self.enclave.charge_memory(self.entry_bytes)
+                    except EnclaveMemoryError:
+                        evicted["epc-full"] += 1
+                        continue
+                    while len(entries) >= self.capacity:
+                        self._drop(next(iter(entries)))
+                        evicted["capacity"] += 1
+                    entries[key] = _Entry(trapdoor, *stamp)
+                    admitted += 1
+            finally:
+                changed = admitted + evicted["replaced"] + evicted["capacity"]
+                self._account(evicted, changed)
+        return admitted
 
     # ------------------------------------------------------------ invalidation
 
@@ -172,7 +192,8 @@ class TrapdoorTable:
         with self._lock:
             dropped = len(self._entries)
             for key in list(self._entries):
-                self._evict(key, reason, release=release)
+                self._drop(key, release)
+            self._account({reason: dropped}, dropped)
             return dropped
 
     def rebind_enclave(self, enclave) -> None:
@@ -186,14 +207,23 @@ class TrapdoorTable:
         self.invalidate_all(reason="engine-replaced", release=True)
         self.engine = engine
 
-    def _evict(self, key: tuple, reason: str, release: bool = True) -> None:
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            return
+    def _drop(self, key: tuple, release: bool = True) -> None:
+        self._entries.pop(key)
         if release:
             self.enclave.release_memory(self.entry_bytes)
-        _evictions().labels(reason=reason).inc()
-        _occupancy().set(len(self._entries))
+
+    def _account(self, evicted: dict, changed: int, hits: int = 0, misses: int = 0) -> None:
+        """One increment per counter and call, and the occupancy gauge
+        set once if the entries ``changed``; a zero moves nothing."""
+        if hits:
+            _hits().inc(hits)
+        if misses:
+            _misses().inc(misses)
+        for reason, count in evicted.items():
+            if count:
+                _evictions().labels(reason=reason).inc(count)
+        if changed:
+            _occupancy().set(len(self._entries))
 
     # ------------------------------------------------------------- inspection
 

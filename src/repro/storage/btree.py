@@ -16,6 +16,8 @@ comparable keys (for Concealer: the ciphertext bytes of
 
 from __future__ import annotations
 
+from bisect import bisect_left as _bisect_left
+from bisect import bisect_right as _bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import Any
@@ -38,30 +40,6 @@ class _InnerNode:
     children: list[Any] = field(default_factory=list)
 
     is_leaf = False
-
-
-def _bisect_right(keys: list[Any], key: Any) -> int:
-    """Rightmost insertion point for ``key`` (works for bytes/int/str keys)."""
-    lo, hi = 0, len(keys)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if key < keys[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def _bisect_left(keys: list[Any], key: Any) -> int:
-    """Leftmost insertion point for ``key``."""
-    lo, hi = 0, len(keys)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if keys[mid] < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 class BPlusTree:

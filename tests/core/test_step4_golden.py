@@ -20,7 +20,7 @@ from unittest import mock
 import pytest
 
 from repro import GridSpec, telemetry
-from repro.core.context import EpochContext
+from repro.core.context import EpochContext, SlotRequest
 from repro.core.queries import Aggregate, PointQuery, RangeQuery
 from tests.conftest import make_stack
 from tests.replication.conftest import make_replicated_stack
@@ -59,6 +59,13 @@ GOLDEN = {
         "metrics": "70a9cb55f6d6a03a502879a3eb0eb61597fc864d99f011c319b0fec7cac3c075",
     },
 }
+
+
+# Rows the three eBPB / winSecRange reads fetch, twice over, and the
+# rows of those verified by request: after STEP 4's dedup on a plain
+# engine, every fetched row when a replica group verifies each attempt.
+TRAPDOOR_ROWS = 568
+BY_REQUEST = {"plain": 472, "replicated": TRAPDOOR_ROWS}
 
 
 def _queries():
@@ -107,14 +114,18 @@ def _run(service, kind, query):
 
 def capture(topology: str, verify: bool) -> dict:
     """Everything observable about the scenario, as digests."""
-    # Index keys a batch verified by position never decrypts: count them.
-    by_position = []
+    # Index keys a batch verified by request never decrypts: count them,
+    # whole bins (by position) and trapdoor lists (by request) apart.
+    by_position, by_request = [], []
     positional = EpochContext._verify_positional
 
-    def counting(context, packed_bins, *args):
-        real = positional(context, packed_bins, *args)
-        if real is not None:
-            by_position.append(sum(pb.row_count for pb in packed_bins))
+    def counting(context, packed_bins, requested, expected_cells, keep):
+        real = positional(context, packed_bins, requested, expected_cells, keep)
+        if real is not None:  # grouping decrypts the kept rows
+            accepted = by_request if isinstance(requested[0], SlotRequest) else by_position
+            accepted.append(
+                sum(pb.row_count for pb in packed_bins) if keep is None else int(keep.sum())
+            )
         return real
 
     with mock.patch.object(EpochContext, "_verify_positional", counting), \
@@ -160,9 +171,29 @@ def capture(topology: str, verify: bool) -> dict:
     for gauge in ("concealer_epc_used_bytes", "concealer_epc_high_water_bytes"):
         (sample,) = snapshot[gauge]["samples"]
         sample["value"] -= memo + index_memo
-    for sample in snapshot["concealer_crypto_kernel_ops_total"]["samples"]:
-        if sample["labels"] == {"kernel": "det_decrypt"}:
-            sample["value"] += sum(by_position)
+    # Every eBPB and winSecRange fetch goes by request as well (its
+    # trapdoors are the index keys it expects back), so ``det_decrypt``
+    # reads lower by those fetches' kept rows too — the sample is gone
+    # when nothing is decrypted at all.
+    trapdoor_rows = sum(
+        stats.rows_fetched
+        for (kind, _), (_, stats) in zip(_queries() * 2, outcomes)
+        if kind in ("ebpb", "winsecrange")
+    )
+    assert trapdoor_rows == TRAPDOOR_ROWS
+    assert sum(by_request) == verify * BY_REQUEST[topology]
+    decrypted = sum(by_position) + sum(by_request)
+    samples = snapshot["concealer_crypto_kernel_ops_total"]["samples"]
+    det_decrypt = next(
+        (sample for sample in samples if sample["labels"] == {"kernel": "det_decrypt"}),
+        None,
+    )
+    if det_decrypt is None and decrypted:
+        det_decrypt = {"labels": {"kernel": "det_decrypt"}, "value": 0}
+        samples.append(det_decrypt)
+        samples.sort(key=lambda sample: sorted(sample["labels"].items()))
+    if decrypted:
+        det_decrypt["value"] += decrypted
     stream = hashlib.sha256()
     for event in service.engine.access_log:
         stream.update(

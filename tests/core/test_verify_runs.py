@@ -13,7 +13,13 @@ accept, or both reject with the same ``(kind, cell_id)``; with the tag
 memo cold and warm.  Every batch goes through verification by position
 too (each bin bound to the ``Bin`` it came from): the same outcome
 again, positional acceptance only where the oracle accepts, and the
-real-row mask the oracle's.  Pins ride along: the grouping path still
+real-row mask the oracle's.  The same 120 seeds are replayed as
+trapdoor fetches shaped like eBPB's (any cells, cycled fakes) and
+winSecRange's (windows sharing cells, STEP 4's dedup ``keep``), each
+batch bound to the slot request that fetched it: the same outcome, the
+same mask, acceptance by request only where the oracle accepts, and an
+honest eBPB or winSecRange query decrypts no index key at all.  Pins
+ride along: the grouping path still
 costs exactly one authenticated index-key decryption per (kept) row,
 an honest sealed bin verified by position costs none, a forged
 ``bin_index`` changes nothing, a permuted but authentic bin is still
@@ -31,6 +37,7 @@ import numpy as np
 import pytest
 
 from repro import GridSpec, telemetry
+from repro.core.context import SlotRequest
 from repro.core.packed import PackedBin
 from repro.core.rotation import rotate_service_keys, rotation_token
 from repro.core.schema import unpad_plaintext
@@ -210,6 +217,134 @@ def test_run_based_verify_decides_as_the_reference_did(sealed, seed):
             assert real == reference_real(context, batch, keep)
 
 
+@pytest.fixture(scope="module")
+def fetching():
+    """(service, context) of a verifying stack whose fetches leave the
+    EPC as they found it (no trapdoor memo)."""
+    _, service = make_stack(SPEC, RECORDS, verify=True, trapdoor_table_slots=0)
+    return service, service.context_for(0)
+
+
+def _trapdoor_fetch(service, context, cells, fake_ids):
+    """The packed answer to a trapdoor fetch and the request it was."""
+    trapdoors = context.trapdoors_for_cell_ids(cells, fake_ids)
+    rows = service.engine.lookup_many(context.table_name, "index_key", trapdoors)
+    return context.pack_rows(rows), SlotRequest(cells, trapdoors)
+
+
+def _slot_batch(rng, service, context, shape):
+    """An eBPB-shaped fetch (one request: any cells, fakes cycling past
+    the pool) or a winSecRange-shaped one (two or three windows whose
+    cells overlap, each padded from its own fake offset)."""
+    populations = context.c_tuple
+    pool = context.fake_pool_size
+    if shape == "ebpb":
+        cells = rng.sample(range(len(populations)), rng.randrange(1, 6))
+        fakes = [1 + i % pool for i in range(rng.randrange(0, 2 * pool + 3))]
+        return [_trapdoor_fetch(service, context, cells, fakes)]
+    shared = rng.sample(range(len(populations)), 8)
+    fetches, offset = [], 0
+    for _ in range(rng.choice([2, 3])):
+        cells = rng.sample(shared, rng.randrange(1, 5))
+        fakes = [1 + (offset + i) % pool for i in range(rng.randrange(0, pool + 2))]
+        offset += len(fakes)
+        fetches.append(_trapdoor_fetch(service, context, cells, fakes))
+    return fetches
+
+
+@pytest.mark.parametrize("shape", ["ebpb", "winsecrange"])
+@pytest.mark.parametrize("seed", range(120))
+def test_a_trapdoor_fetch_by_request_decides_as_the_reference_did(fetching, shape, seed):
+    service, context = fetching
+    rng = random.Random(seed)
+    batch, requested, asked = [], [], []
+    for pb, request in _slot_batch(rng, service, context, shape):
+        if not pb.row_count:  # empty cells and no fakes: nothing to bend
+            parts = [pb]
+        elif pb.row_count > 1 and rng.random() < 0.2:
+            parts = _split(rng, pb)
+        else:
+            parts = _perturb(rng, context, pb)
+        batch += parts
+        requested += [request] * len(parts)
+        asked += request.cell_ids
+    expected = rng.choice([None, asked, asked, rng.sample(range(len(context.c_tuple)), 3)])
+    mask = rng.choice(["dedup", "dedup", "none", "random"])
+    keep = None
+    if mask == "dedup":  # what STEP 4 hands a range method's batch
+        keep = context.packed_dedup_keep(batch)
+    elif mask == "random":
+        keep = np.array([rng.random() < 0.9 for _ in range(sum(map(len, batch)))], dtype=bool)
+    want = reference_verify(context, batch, expected, keep)
+    if seed % 2:
+        context._tag_memo.clear()
+    for _ in ("cold-or-warm", "warm"):
+        got, by_request, real = by_position(context, batch, expected, keep, requested)
+        assert got == want
+        if by_request:  # acceptance by request implies the oracle's
+            assert want is None
+        if want is None:
+            assert real == reference_real(context, batch, keep)
+
+
+def test_honest_trapdoor_fetches_are_accepted_by_request(fetching):
+    """The differential above would pass if the path were never taken:
+    an untouched fetch of either shape goes by request, cycled fakes,
+    shared cells and dedup included."""
+    service, context = fetching
+    for shape in ("ebpb", "winsecrange"):
+        for seed in range(20):
+            fetches = _slot_batch(random.Random(seed), service, context, shape)
+            batch = [pb for pb, _ in fetches]
+            requested = [request for _, request in fetches]
+            cells = [cid for request in requested for cid in request.cell_ids]
+            keep = context.packed_dedup_keep(batch)
+            got, by_request, real = by_position(context, batch, cells, keep, requested)
+            assert (got, by_request) == (None, True)
+            assert real == reference_real(context, batch, keep)
+
+
+@pytest.mark.parametrize("replicated", [False, True], ids=["plain", "replicated"])
+def test_an_honest_ebpb_or_winsecrange_query_decrypts_no_index_key(monkeypatch, replicated):
+    """Every fetched row's index key is the trapdoor the enclave sent
+    for its slot, so nothing needs decrypting; COUNT needs no payload."""
+    from repro.core.context import EpochContext
+    from repro.core.queries import RangeQuery
+    from repro.crypto.kernels import DeterministicCipher
+    from tests.replication.conftest import make_replicated_stack, replication_records
+
+    if replicated:
+        records = replication_records()
+        _, service, *_ = make_replicated_stack(records, replicas=2, verify=True)
+    else:
+        records = RECORDS
+        _, service = make_stack(SPEC, RECORDS, verify=True)
+    location = records[0][0]
+    query = RangeQuery(index_values=(location,), time_start=0, time_end=299)
+    honest = {method: service.execute_range(query, method=method)[0]
+              for method in ("ebpb", "winsecrange")}
+    calls = []
+    decrypt_many = DeterministicCipher.decrypt_many
+
+    def counting(cipher, ciphertexts, *args, **kwargs):
+        calls.append(len(ciphertexts))
+        return decrypt_many(cipher, ciphertexts, *args, **kwargs)
+
+    def never(*_):
+        raise AssertionError("an honest trapdoor fetch went to the grouping path")
+
+    monkeypatch.setattr(DeterministicCipher, "decrypt_many", counting)
+    monkeypatch.setattr(EpochContext, "_group_by_cell", never)
+    with telemetry.scoped_registry() as registry:
+        for method, answer in honest.items():
+            got, stats = service.execute_range(query, method=method)
+            assert (got, stats.verified) == (answer, True)
+        assert registry.value(
+            "concealer_crypto_kernel_ops_total", kernel="det_decrypt"
+        ) == 0
+    assert calls == []
+
+
 def test_every_sealed_bin_and_the_whole_epoch_verify(sealed):
     _, context, bins = sealed
     for chosen, pb in zip(context.layout.bins, bins):
@@ -383,7 +518,8 @@ def test_a_permuted_authentic_bin_is_accepted_by_grouping(sealed):
 
 def test_the_oblivious_path_never_verifies_by_position(monkeypatch):
     """(e) Concealer+'s trapdoor order is the bitonic sort's; its
-    verification keeps the grouping path and its trace is unchanged."""
+    verification keeps the grouping path, whatever the method, and its
+    trace is unchanged."""
     from repro.core.context import EpochContext
     from repro.core.queries import PointQuery, RangeQuery
     from repro.enclave.trace import trace_signature
@@ -401,8 +537,20 @@ def test_the_oblivious_path_never_verifies_by_position(monkeypatch):
         method="multipoint",
     )
     assert trace_signature(service.enclave.trace).hex() == OBLIVIOUS_TRACE
+    # Nor by request: eBPB and winSecRange keep the grouping path too.
+    service.enclave.trace.clear()
+    for method in ("ebpb", "winsecrange"):
+        _, stats = service.execute_range(
+            RangeQuery(index_values=(location,), time_start=0, time_end=300),
+            method=method,
+        )
+        assert stats.verified
+    assert trace_signature(service.enclave.trace).hex() == OBLIVIOUS_RANGE_TRACE
 
 
 # ``trace_signature`` of the two oblivious queries above, captured at the
-# commit before verification by position existed (8b26dea).
+# commit before verification by position existed (8b26dea), and of the
+# eBPB and winSecRange pair at the commit before verification by request
+# existed (b224630).
 OBLIVIOUS_TRACE = "95c2f52775309b95aa6162a34dce229cb1ec94887337f2e774d2fb7dea0e8a8d"
+OBLIVIOUS_RANGE_TRACE = "3905e774cfc3d43af13c94d8edd1941614a6b964cdce040368f05a65f4754e95"

@@ -5,7 +5,12 @@ through one channel.  For every (kind, site) pair the enclave's own
 verifier for that kind must reject the perturbed answer with the
 violation kind it has always reported (``replica.slow`` perturbs time,
 not bytes: the replicated engine's attempt budget turns it into a
-``timeout`` failover).  A further site sits where trapdoor rows are
+``timeout`` failover).  eBPB- and winSecRange-shaped trapdoor fetches
+ride the same channel as kinds of their own, verified by the slot
+request that fetched them, and as whole queries on a plain engine (a
+bent batch is a typed violation, a duplicated row is deduplicated away)
+and on a replica group (a failover to the honest answer).  A further
+site sits where trapdoor rows are
 packed into the enclave's columnar form: an answer that is not a table
 of fixed-width byte cells must end in a typed violation there — on a
 plain engine with or without verification, and as one failover plus a
@@ -26,6 +31,7 @@ import hashlib
 import pytest
 
 from repro import telemetry
+from repro.core.context import SlotRequest
 from repro.core.packed import PackedBin
 from repro.core.queries import Aggregate, PointQuery, RangeQuery
 from repro.core.rotation import rotate_service_keys, rotation_token
@@ -43,11 +49,18 @@ from tests.replication.conftest import (
 
 NEW_MASTER = bytes(range(32, 64))
 KINDS = ("rows", "packed", "tree")
+# Trapdoor fetches shaped like eBPB's and winSecRange's, verified by the
+# slot request that fetched them.
+SLOT_KINDS = ("ebpb", "winsecrange")
 # The violation kind each perturbation has always been rejected with.
 TAMPER_KIND = {
-    "rows": "chain-mismatch", "packed": "chain-mismatch", "tree": "undecryptable"
+    "rows": "chain-mismatch", "packed": "chain-mismatch", "tree": "undecryptable",
+    "ebpb": "chain-mismatch", "winsecrange": "chain-mismatch",
 }
-DROP_KIND = {"rows": "counter-gap", "packed": "counter-gap", "tree": "missing-node"}
+DROP_KIND = {
+    "rows": "counter-gap", "packed": "counter-gap", "tree": "missing-node",
+    "ebpb": "counter-gap", "winsecrange": "counter-gap",
+}
 
 
 class Channel:
@@ -76,24 +89,46 @@ class Channel:
             if b.real_tuples and b.index not in skip
         )
 
+    def slot_request(self, kind, chosen, context) -> SlotRequest:
+        """The trapdoor fetch a slot kind makes around ``chosen``: eBPB's
+        cells of two bins with fakes cycling past the pool, or
+        winSecRange's fullest window (the budget's, so every slot is a
+        real row a perturbation must be caught on)."""
+        executor = self.service._range_executor
+        if kind == "ebpb":
+            cells = [*chosen.cell_ids, *self.full_bin(skip={chosen.index}).cell_ids]
+            fakes = executor._pad_fakes(context, context.fake_pool_size + 2)
+        else:
+            cells = executor._window_cell_ids(context, 0)
+            real = sum(context.c_tuple[cid] for cid in cells)
+            fakes = executor._pad_fakes(context, executor._window_budget(context) - real)
+        return SlotRequest(cells, context.trapdoors_for_cell_ids(cells, fakes))
+
     def read(self, kind, chosen, source=None):
         source = source or self.replica
         if kind == "rows":
             return source.lookup_many(
                 self.table, "index_key", self.context.trapdoors_for_bin(chosen)
             )
+        if kind in SLOT_KINDS:
+            request = self.slot_request(kind, chosen, self.service.context_for(0))
+            return source.lookup_many(self.table, "index_key", request.trapdoors)
         if kind == "packed":
             return source.fetch_packed_bin(self.table, chosen.index)
         return source.fetch_tree_nodes(self.table, self.coords)
 
     def verify(self, kind, chosen, answer):
         """What the enclave runs on an answer of this kind — a whole bin
-        checked as the bin it asked for, by position first."""
+        checked as the bin it asked for, a trapdoor fetch as the slot
+        request it was, by request first."""
         context = self.service.context_for(0)
         if self.warm:
             _warm(context)
         if kind == "rows":
             context.verified_bin(context.pack_rows(answer), chosen.cell_ids, chosen)
+        elif kind in SLOT_KINDS:
+            request = self.slot_request(kind, chosen, context)
+            context.verified_bin(context.pack_rows(answer), request.cell_ids, request)
         elif kind == "packed":
             context.verified_bin(context._admit(answer), chosen.cell_ids, chosen)
         else:
@@ -115,7 +150,7 @@ def always(site):
     return FaultSpec(site, probability=1.0, max_fires=None)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS + SLOT_KINDS)
 class TestEveryKindThroughTheChannel:
     def test_honest_channel_answers_verify(self, kind):
         channel = Channel()
@@ -255,6 +290,10 @@ TRAPDOOR_READS = {
         method="ebpb",
     ),
 }
+TRAPDOOR_READS["winsecrange"] = lambda service: service.execute_range(
+    RangeQuery(index_values=(LOCATION,), time_start=0, time_end=299),
+    method="winsecrange",
+)
 SIDECAR_READS = {
     "point": TRAPDOOR_READS["point"],
     "multipoint": lambda service: service.execute_range(
@@ -328,6 +367,77 @@ class TestMalformedAnswersAtTheSidecarBoundary(_MalformedAnswers):
     # An absent cell is held against that cell only, so each of the
     # three bins this range reads costs its own failover.
     failovers = {("zero-rows", "multipoint"): 3}
+
+
+# ------------------------------ eBPB and winSecRange, query by query
+
+
+RANGE_READS = {
+    method: (
+        lambda service, start=0, method=method: service.execute_range(
+            RangeQuery(
+                index_values=(LOCATION,), time_start=start, time_end=start + 299,
+                aggregate=Aggregate.COLLECT,
+            ),
+            method=method,
+        )
+    )
+    for method in SLOT_KINDS
+}
+# What the host bends on a plain engine (the batch a lookup returns).
+PLAIN_SITES = ("storage.row.corrupt", "storage.row.drop", "storage.row.duplicate")
+BYZANTINE_SITES = ("replica.tamper", "replica.bin.drop", "replica.replay.stale", "replica.slow")
+
+
+@pytest.mark.parametrize("read", SLOT_KINDS)
+class TestRangeReadsThroughTheChannel:
+    """eBPB and winSecRange, verified by the slot request of each fetch:
+    a bent batch is never a silently wrong answer — a typed violation on
+    a plain engine, a failover to an honest replica in a group."""
+
+    @pytest.mark.parametrize("site", PLAIN_SITES)
+    def test_plain_engine_never_answers_wrong(self, read, site):
+        from repro.storage.engine import StorageEngine
+
+        _, honest = make_stack(SPEC, replication_records(), verify=True)
+        want, _ = RANGE_READS[read](honest)
+        outcomes = []
+        for seed in range(6):
+            engine = StorageEngine(fault_injector=FaultInjector(seed, []))
+            _, service = make_stack(
+                SPEC, replication_records(), verify=True, engine=engine
+            )
+            engine.fault_injector.arm(always(site))  # once landed
+            try:
+                got, stats = RANGE_READS[read](service)
+            except IntegrityViolation as violation:
+                outcomes.append(violation.kind)
+            else:
+                assert (got, stats.verified) == (want, True)
+                outcomes.append(None)
+        if site == "storage.row.duplicate":
+            # STEP 4 drops the copy by its index key before anything looks.
+            assert outcomes == [None] * 6
+        else:
+            assert set(outcomes) - {None} <= {
+                "chain-mismatch", "undecryptable", "counter-gap", "missing-cell"
+            }
+            assert any(outcomes)
+
+    @pytest.mark.parametrize("site", BYZANTINE_SITES)
+    def test_replica_group_fails_over_to_the_honest_answer(self, read, site):
+        want = [RANGE_READS[read](Channel().service, start)[0] for start in (0, 300)]
+        channel = Channel()
+        RANGE_READS[read](channel.service)  # replica 0 remembers an answer
+        channel.injector.arm(
+            FaultSpec(site, probability=1.0, max_fires=1)
+            if site == "replica.slow" else always(site)
+        )
+        got, stats = RANGE_READS[read](channel.service, 300)
+        assert (got, stats.verified) == (want[1], True)
+        assert stats.failovers >= 1
+        if site != "replica.slow":
+            assert channel.engine.tables_needing_repair() == [(0, channel.table)]
 
 
 def test_row_replay_of_another_bin_is_rejected_within_an_epoch():

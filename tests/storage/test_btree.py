@@ -1,11 +1,12 @@
 """Unit and property tests for the B+-tree."""
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.storage.btree import BPlusTree
+from repro.storage.btree import BPlusTree, _bisect_left, _bisect_right
 
 
 class TestBasics:
@@ -250,3 +251,86 @@ class TestBulkLoad:
                 chosen = value if value % 3 else None  # one value, or the key
                 assert loaded.delete(key, chosen) == grown.delete(key, chosen)
         self._same(loaded, grown, probes)
+
+
+# ----------------------------------------------- differential, per key type
+
+
+def reference_bisect_right(keys, key):
+    """The tree's pure-Python bisection before it used the stdlib's."""
+    lo, hi = 0, len(keys)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if key < keys[mid]:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def reference_bisect_left(keys, key):
+    lo, hi = 0, len(keys)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if keys[mid] < key:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+KEY_MAKERS = {
+    "bytes": lambda n: hashlib.sha256(str(n).encode()).digest()[: 1 + n % 7],
+    "int": lambda n: (n * 7919) % 211 - 100,
+    "str": lambda n: f"k{(n * 31) % 97:03d}"[: 2 + n % 3],
+}
+# ``node_reads`` after the fixed sequence below, captured with the
+# pure-Python bisection: the stdlib's makes the same comparisons, so it
+# visits the same nodes.
+NODE_READS = {"bytes": 825, "int": 795, "str": 801}
+
+
+@pytest.mark.parametrize("kind", sorted(KEY_MAKERS))
+def test_a_fixed_sequence_matches_a_dict_model_and_pins_node_reads(kind):
+    rng = random.Random(2026)
+    make = KEY_MAKERS[kind]
+    tree = BPlusTree(order=4)
+    model: dict = {}
+    keys = [make(rng.randrange(300)) for _ in range(400)]
+    assert len(set(keys)) < len(keys)  # duplicates included
+    for i, key in enumerate(keys):
+        tree.insert(key, i)
+        model.setdefault(key, []).append(i)
+    for key in keys[::7]:
+        assert tree.get(key) == model[key]
+        assert tree.contains(key)
+    lo, hi = sorted(rng.sample(keys, 2))
+    assert [k for k, _ in tree.range(lo, hi)] == sorted(k for k in model if lo <= k <= hi)
+    for key in keys[::5]:
+        value = None if rng.random() < 0.5 else keys.index(key)
+        stored = model.get(key, [])
+        kept = [] if value is None else [v for v in stored if v != value]
+        assert tree.delete(key, value) == len(stored) - len(kept)
+        if kept:
+            model[key] = kept
+        else:
+            model.pop(key, None)
+    assert list(tree.items()) == sorted(model.items())
+    assert tree.node_reads == NODE_READS[kind]
+
+
+KEY_LISTS = st.one_of(
+    st.lists(st.integers(-50, 50)),
+    st.lists(st.binary(max_size=4)),
+    st.lists(st.text(alphabet="abc", max_size=3)),
+)
+
+
+@given(keys=KEY_LISTS)
+@settings(max_examples=200, deadline=None)
+def test_stdlib_bisection_is_the_reference_bisection(keys):
+    # The last key drawn is the probe: present in the rest or not.
+    probe = keys[-1] if keys else 0
+    keys = sorted(keys[:-1])
+    assert _bisect_right(keys, probe) == reference_bisect_right(keys, probe)
+    assert _bisect_left(keys, probe) == reference_bisect_left(keys, probe)
