@@ -98,12 +98,15 @@ trace-overhead:
 profile:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/profile_ingest.py
 
-# The read-side sibling: where a verified point query's time goes on the
-# repo benchmark's `point_bins` fleet shape — STEP 4's verification split
-# into index-key decrypt / grouping / chain fold / counters + tag compare,
-# then the cProfile top-30; then whole-epoch ranges through the async
-# router on a 4x1 fleet (plan / dispatch / tree decode / hops split) —
-# written to benchmarks/results/profile_read.txt.
+# The read-side sibling, in three sections written to
+# benchmarks/results/profile_read.txt: verified point queries on the repo
+# benchmark's `point_bins` fleet shape — STEP 4's verification split by
+# path (by position / by request / by grouping), fetch, filter, decrypt,
+# then the cProfile top-30; 10-minute multipoint, eBPB and winSecRange
+# ranges on the `range_scatter` 2x3 shape (trapdoors / index lookup /
+# slot runs / sidecar read of whole bins or of slot runs / index memo /
+# pack / verify / filter / decrypt); then whole-epoch ranges through the
+# async router on a 4x1 fleet (plan / dispatch / tree decode / hops).
 profile-read:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/profile_read.py
 

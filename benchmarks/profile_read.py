@@ -8,16 +8,17 @@ to stdout and ``results/profile_read.txt``:
   built in-process from public APIs, then 200 point queries at ingested
   (location, time) pairs, twice: unprofiled, with wrappers installed
   from here around the parts of STEP 4's verification — by position
-  (a whole bin), by request (a trapdoor fetch's slot request), or by
+  (a whole bin), by request (an eBPB or winSecRange slot request), or by
   decrypting and grouping the index keys — and the stages beside it, so
   the wall-clock split sums to the run, with how many verified batches
   took each path; then under cProfile, top-30.
 * **10-minute ranges, per method.**  The ``range_scatter`` fleet shape
-  (2×3) and request shapes, 60 multipoint then 60 eBPB ranges, each
-  split into trapdoor derivation, index lookup, sidecar read, pack,
-  verify (by position, by request or by grouping), filter and decrypt,
-  with the same path counts — self time, so a
-  replica group's per-attempt verification counts as verify, not lookup.
+  (2×3) and request shapes, 60 multipoint, 60 eBPB and 60 winSecRange
+  ranges, each split into trapdoor derivation, index lookup, slot runs,
+  sidecar read (whole bins, or slot runs for eBPB and winSecRange), the
+  index memo, pack, verify (by position, by request or by grouping),
+  filter and decrypt, with the same path counts — self time, so a
+  replica group's per-attempt verification counts as verify, not read.
 * **Whole-epoch ranges through the router.**  The ``longrange_tree``
   fleet shape (4×1) and request stream (whole-epoch ``auto``
   COUNT/SUM/MIN/MAX, so one tree node per shard), sent one at a time
@@ -51,7 +52,7 @@ QUERIES = 200
 _CONTEXT = ("repro.core.context", "EpochContext")
 _ENGINE = ("repro.storage.engine", "StorageEngine")
 # The two ``_verify_positional`` rows are the aliases :class:`VerifyPaths`
-# routes it through (a whole bin, or a trapdoor fetch's slot request), so
+# routes it through (a whole bin, or an eBPB or winSecRange slot request), so
 # it must be entered before the timer.
 VERIFY_PHASES = [
     ("verify: by position", *_CONTEXT, "_verify_bin"),
@@ -68,10 +69,15 @@ PHASES = [
 ]
 
 RANGE_QUERIES, RANGE_MINUTES = 60, 10
+# The two sidecar-read rows are the aliases :class:`ReadPaths` routes
+# ``fetch_packed_bin`` through (a whole bin, or slot runs).
 RANGE_PHASES = [
     ("trapdoor derivation", *_CONTEXT, "trapdoors_for_cell_ids"),
     ("index lookup", *_ENGINE, "lookup_many"),
-    ("sidecar read", *_ENGINE, "fetch_packed_bin"),
+    ("slot runs", *_CONTEXT, "slot_runs"),
+    ("sidecar read: whole bins", *_ENGINE, "_read_bin"),
+    ("sidecar read: slot runs", *_ENGINE, "_read_runs"),
+    ("index memo", *_CONTEXT, "_index_column"),
     ("pack", *_CONTEXT, "pack_rows"),
     *VERIFY_PHASES,
     ("filter", *_CONTEXT, "match_packed"),
@@ -130,7 +136,7 @@ class IntervalTimer:
 
 class VerifyPaths:
     """How many verified batches took each path: accepted by position (a
-    whole bin), by request (a trapdoor fetch's slot request), or handed
+    whole bin), by request (an eBPB or winSecRange slot request), or handed
     to the decrypt-and-group path.  Routes ``_verify_positional`` through
     one alias per kind, so a timer entered inside can split the two."""
 
@@ -171,6 +177,31 @@ class VerifyPaths:
             f"  verified batches: {self.by_position} by position, "
             f"{self.by_request} by request, {self.grouping} by grouping\n"
         )
+
+
+class ReadPaths:
+    """Routes ``StorageEngine.fetch_packed_bin`` through one alias per
+    unit read — a whole bin, or slot runs — so a timer entered inside
+    can split the two."""
+
+    def __enter__(self):
+        from repro.storage.engine import StorageEngine
+
+        self._original = read = StorageEngine.fetch_packed_bin
+
+        def route(engine, table, bins):
+            alias = engine._read_bin if isinstance(bins, int) else engine._read_runs
+            return alias(table, bins)
+
+        StorageEngine._read_bin = StorageEngine._read_runs = read
+        StorageEngine.fetch_packed_bin = route
+        return self
+
+    def __exit__(self, *exc):
+        from repro.storage.engine import StorageEngine
+
+        StorageEngine.fetch_packed_bin = self._original
+        del StorageEngine._read_bin, StorageEngine._read_runs
 
 
 def write_split(out, phases: "PhaseTimer", wall: float, queries: int) -> None:
@@ -230,10 +261,10 @@ def range_section(out: io.StringIO) -> None:
                 time_start=start, time_end=start + RANGE_MINUTES * 60 - 1,
                 aggregate=aggregates[i % 3], target=None if i % 3 == 0 else "time",
             ))
-        for method in ("multipoint", "ebpb"):
-            for query in queries[:5]:  # builds contexts and the eBPB budget
+        for method in ("multipoint", "ebpb", "winsecrange"):
+            for query in queries[:5]:  # builds contexts and the range budgets
                 fleet.execute_range(query, method=method)
-            with VerifyPaths() as paths, PhaseTimer(RANGE_PHASES) as phases:
+            with VerifyPaths() as paths, ReadPaths(), PhaseTimer(RANGE_PHASES) as phases:
                 start = time.perf_counter()
                 for query in queries[5:]:
                     fleet.execute_range(query, method=method)

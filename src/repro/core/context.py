@@ -10,8 +10,9 @@ EPC budget.
 The context also provides the building blocks every executor shares:
 
 - trapdoor generation for a set of cell-ids + fake ids (STEP 3),
-- the two fetch kinds — a sealed bin read whole, or rows pulled by
-  trapdoor and packed at this boundary — both handing back a
+- the two fetch kinds — a sealed bin or slot runs of the sealed bins
+  read from the sidecar, or rows pulled by trapdoor and packed at this
+  boundary — both handing back a
   :class:`~repro.core.packed.PackedBin` (DESIGN.md §16),
 - DET filter generation for predicates over timestamp sets,
 - hash-chain verification of a fetched batch against the verifiable tags,
@@ -20,7 +21,6 @@ The context also provides the building blocks every executor shares:
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from dataclasses import replace
@@ -89,17 +89,19 @@ def _count_tuples(real: int, fake: int) -> None:
 
 
 class SlotRequest(NamedTuple):
-    """A trapdoor fetch as the enclave made it: ``cell_ids``' slots in
-    order, then its fakes', and the ``trapdoors`` it sent for them —
-    the index keys an honest host returns, in that order.  A
-    :class:`Bin` is the other kind of slot request (DESIGN.md §16)."""
+    """A fetch of padded cell-ids as the enclave made it: ``cell_ids``'
+    slots in order, then its fakes' — asked for as ``runs``
+    ``(bin, start, stop)`` of the sealed bins, or by the ``trapdoors``
+    sent for them (the index keys an honest host returns, in that
+    order).  A :class:`Bin` is the run ``(bin, 0, |b|)`` (DESIGN.md §16)."""
 
     cell_ids: Sequence[int]
-    trapdoors: Sequence[bytes]
+    trapdoors: Sequence[bytes] = ()
+    runs: Sequence[tuple[int, int, int]] = ()
 
     @property
     def total_tuples(self) -> int:
-        return len(self.trapdoors)
+        return len(self.trapdoors) or sum(stop - start for _, start, stop in self.runs)
 
 
 class EpochContext:
@@ -166,10 +168,15 @@ class EpochContext:
             bin_size=package.bin_size,
             max_cells_per_bin=package.max_cells_per_bin,
         )
-        # SHA-256 of each sealed bin's index-key column, by bin index
-        # (:meth:`_index_digest`): a digest per public bin when full.
+        # Each sealed bin's index-key column, by bin index
+        # (:meth:`_index_column`): every public bin's |b| keys when full.
         self._index_memo: dict[int, bytes] = {}
-        self.index_memo_bytes = verifies * len(CHAIN_INIT) * len(self.layout.bins)
+        self.index_memo_bytes = verifies * self.column_widths[-1] * self.layout.bin_size * len(
+            self.layout.bins
+        )
+        # Where each cell-id's and each fake's slots sit in the sealed
+        # bins, once a run read needs it (:meth:`slot_runs`).
+        self._slot_starts = None
         # The §9.1 observation that the vectors are small enough for the
         # enclave: charge them against the EPC budget (8 bytes/int), and
         # reserve both memos in the same single charge, so that when they
@@ -511,21 +518,67 @@ class EpochContext:
             self._require_cells((), cells)
         return (packed if verified else self.pack_rows(rows, bin_index)), verified
 
+    def slot_runs(
+        self, cell_ids: Sequence[int], fake_ids: Sequence[int]
+    ) -> list[tuple[int, int, int]] | None:
+        """The slots a trapdoor fetch of ``cell_ids`` and ``fake_ids``
+        would read, in its order, as maximal runs ``(bin, start, stop)``
+        of the sealed bins; ``None`` when some pool fake has no bin slot
+        (an EQUAL or epoch-padded pool), which only trapdoors reach.
+        Both are public: the runs are the row ids that fetch would show
+        the host, cut where the sidecar it stores has them adjacent
+        (SECURITY.md item 8)."""
+        import numpy as np
+
+        layout = self.layout
+        if self.fake_pool_size != layout.total_fakes:
+            return None
+        size = layout.bin_size
+        if self._slot_starts is None:
+            # Flat slot positions (bin × |b| + slot): each cell-id's
+            # first, and every fake id's own.
+            cells, fakes = [0] * len(self.c_tuple), np.zeros(layout.total_fakes + 1, dtype=np.int64)
+            for chosen in layout.bins:
+                at = chosen.index * size
+                for cid in chosen.cell_ids:
+                    cells[cid], at = at, at + self.c_tuple[cid]
+                if chosen.fake_id_range is not None:
+                    lo, hi = chosen.fake_id_range
+                    fakes[lo : hi + 1] = np.arange(at, at + hi - lo + 1)
+            self._slot_starts = cells, fakes
+        cells, fakes = self._slot_starts
+        c_tuple = self.c_tuple
+        slots = np.concatenate([
+            *(np.arange(cells[cid], cells[cid] + c_tuple[cid]) for cid in cell_ids),
+            fakes[np.asarray(fake_ids, dtype=np.int64)],
+        ])
+        if not len(slots):
+            return []
+        # A run ends where the next slot is not the adjacent one, or
+        # opens the next bin.
+        cuts = np.flatnonzero((np.diff(slots) != 1) | (slots[1:] % size == 0)) + 1
+        bounds = [0, *cuts.tolist(), len(slots)]
+        return [
+            (first // size, first % size, first % size + stop - start)
+            for first, start, stop in zip(slots[bounds[:-1]].tolist(), bounds, bounds[1:])
+        ]
+
     def fetch_packed(
         self,
         engine,
-        chosen: Bin,
+        chosen: Bin | SlotRequest,
         stats: QueryStats,
         deadline=None,
         verify: bool = False,
     ) -> tuple[PackedBin | None, bool]:
-        """The sidecar fetch kind: one sealed bin, read whole.
+        """The sidecar fetch kind: one sealed bin read whole, or the slot
+        runs of a :class:`SlotRequest`, as one batch.
 
         Returns ``(packed, verified)``; ``packed`` is ``None`` when the
         engine holds no sidecar for this table (after a dynamic insert,
         a repair or a rotation) — the caller then makes the trapdoor
-        fetch, which is authoritative for errors.  The bin transits the
-        enclave whole either way, so the EPC charge is the same.  It is
+        fetch, which is authoritative for errors.  The rows transit the
+        enclave either way, so the EPC charge is the same.  The batch is
         checked as ``chosen``, whatever ``bin_index`` it claims.
         """
         accepted = verifier = None
@@ -534,10 +587,12 @@ class EpochContext:
                 nonlocal accepted  # the last answer verified is the one accepted
                 accepted = self.verified_bin(self._admit(packed), cells, chosen)
 
+        whole = isinstance(chosen, Bin)
+        total = chosen.total_tuples
         packed, verified = self._fetch(
-            engine, "fetch_packed_bin", (chosen.index,),
-            stats, deadline, verifier, chosen.cell_ids, 256 * chosen.total_tuples,
-            stage="fetch", trapdoors=chosen.total_tuples,
+            engine, "fetch_packed_bin", (chosen.index if whole else list(chosen.runs),),
+            stats, deadline, verifier, chosen.cell_ids, 256 * total,
+            stage="fetch", trapdoors=total,
         )
         if packed is not None:
             packed = accepted if verified else self._admit(packed)
@@ -546,8 +601,9 @@ class EpochContext:
             # Volume counters move only once the fetch is known to have
             # gone the sidecar way — a None fallback leaves them for
             # the trapdoor fetch to account.
-            stats.trapdoors_generated += chosen.total_tuples
-            _count_tuples(chosen.real_tuples, chosen.fake_count)
+            real = chosen.real_tuples if whole else sum(self.c_tuple[cid] for cid in chosen.cell_ids)
+            stats.trapdoors_generated += total
+            _count_tuples(real, total - real)
             stats.rows_fetched += packed.row_count
         return packed, verified
 
@@ -784,28 +840,43 @@ class EpochContext:
         real = self.verify_packed([packed], cells, requested=request and (request,))
         return replace(packed, real_rows=real)
 
-    def _index_digest(self, chosen: Bin) -> bytes:
-        """SHA-256 of ``chosen``'s sealed index-key column, derived from
-        ``c_tuple`` once per context: no trapdoor table, no volume
-        counter, and uncounted (first touches follow the access order)."""
-        digest = self._index_memo.get(chosen.index)
-        if digest is None:
+    def _index_column(self, chosen: Bin) -> bytes:
+        """``chosen``'s sealed index-key column, derived from ``c_tuple``
+        once per context: no trapdoor table, no volume counter, and
+        uncounted (first touches follow the access order)."""
+        column = self._index_memo.get(chosen.index)
+        if column is None:
             c_tuple = self.c_tuple
             plaintexts = [index_plaintext(cid, j) for cid in chosen.cell_ids
                           for j in range(1, c_tuple[cid] + 1)]
             plaintexts += map(fake_index_plaintext, chosen.fake_ids())
             column = b"".join(self.det.encrypt_many(plaintexts, counted=False))
-            digest = self._index_memo[chosen.index] = hashlib.sha256(column).digest()
-        return digest
+            self._index_memo[chosen.index] = column
+        return column
+
+    def _index_expected(self, request: Bin | SlotRequest) -> bytes:
+        """The index-key column an honest answer to ``request`` carries:
+        the trapdoors it sent, or the slices of the sealed bins' columns
+        its runs name (a :class:`Bin` is the run ``(bin, 0, |b|)``)."""
+        if isinstance(request, Bin):
+            runs = ((request.index, 0, request.total_tuples),)
+        elif request.trapdoors:
+            return b"".join(request.trapdoors)
+        else:
+            runs = request.runs
+        width, bins = self.column_widths[-1], self.layout.bins
+        return b"".join(
+            self._index_column(bins[b])[start * width : stop * width] for b, start, stop in runs
+        )
 
     def _verify_positional(self, packed_bins, requested, expected_cells, keep):
         """Verification by request (DESIGN.md §16): each batch is its slot
         request whole — its row count, the table's widths, the index-key
-        column the enclave expects (a :class:`Bin`'s :meth:`_index_digest`,
-        a :class:`SlotRequest`'s trapdoors) — and each cell's chains fold
-        to its tags over the slots the request gives it; no cell twice,
-        unless ``keep`` is the first-occurrence mask.  The real-row mask,
-        or ``None`` for the grouping path, which accepts whatever this does."""
+        column the enclave expects (:meth:`_index_expected`) — and each
+        cell's chains fold to its tags over the slots the request gives
+        it; no cell twice, unless ``keep`` is the first-occurrence mask.
+        The real-row mask, or ``None`` for the grouping path, which
+        accepts whatever this does."""
         import numpy as np
 
         c_tuple = self.c_tuple
@@ -819,12 +890,9 @@ class EpochContext:
         ):
             return None
         for pb, request in zip(packed_bins, requested):
-            column = pb.columns[-1]
-            if (pb.row_count, pb.column_widths) != (request.total_tuples, self.column_widths) or (
-                column != b"".join(request.trapdoors)
-                if isinstance(request, SlotRequest)
-                else hashlib.sha256(column).digest() != self._index_digest(request)
-            ):
+            if (pb.row_count, pb.column_widths) != (
+                request.total_tuples, self.column_widths
+            ) or pb.columns[-1] != self._index_expected(request):
                 return None
         if keep is not None and not np.array_equal(keep, self.packed_dedup_keep(packed_bins)):
             return None

@@ -10,14 +10,15 @@ verify→filter→decrypt→aggregate as whole-batch kernel calls
 no per-row Python objects in the loop.
 
 A batch gets here one of two ways (DESIGN.md §16).  The data provider
-seals every Theorem-4.1 bin in this form and the engine serves it whole
-(the *sidecar* fetch); or the enclave submits trapdoors, gets rows back
-and packs them at the fetch boundary (the *trapdoor* fetch — eBPB,
-winSecRange, the oblivious schedule, any table whose sidecar a rewrite
-dropped).  Rows inside a sealed bin sit in *canonical slot order* — for
-each cell-id of the bin, counters ``1..c_tuple[cid]``, then the bin's
-fake ids ascending — exactly the order the trapdoor fetch returns, so
-both ways produce the same bytes.
+seals every Theorem-4.1 bin in this form and the engine serves a bin
+whole or slot runs of the bins (the *sidecar* fetch); or the enclave
+submits trapdoors, gets rows back and packs them at the fetch boundary
+(the *trapdoor* fetch — the oblivious schedule, fake pools with rows
+outside the bins, any table whose sidecar a rewrite dropped).  Rows
+inside a sealed bin sit in *canonical slot order* — for each cell-id of
+the bin, counters ``1..c_tuple[cid]``, then the bin's fake ids
+ascending — exactly the order the trapdoor fetch returns, so both ways
+produce the same bytes.
 
 Every cell in a column has the same width (the schema pads plaintexts
 and fakes are sized to match), so a bin's packed size is a public
@@ -31,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Sequence
 
 from repro.storage.table import Row
@@ -107,6 +109,18 @@ class PackedBin:
             columns=columns,
             row_ids=tuple(row.row_id for row in rows),
         )
+
+    @classmethod
+    def join_runs(cls, runs: Sequence[tuple["PackedBin", int, int]]) -> "PackedBin":
+        """Rows ``[start, stop)`` of each ``(packed, start, stop)`` in
+        turn, as one batch: a read of slot runs of sealed bins."""
+        first = runs[0][0]
+        columns = tuple(
+            b"".join(pb.columns[c][start * width : stop * width] for pb, start, stop in runs)
+            for c, width in enumerate(first.column_widths)
+        )
+        row_ids = tuple(chain.from_iterable(pb.row_ids[start:stop] for pb, start, stop in runs))
+        return cls(first.bin_index, len(row_ids), first.column_widths, columns, row_ids)
 
     def unpack(self) -> list[Row]:
         """The row list this bin was packed from, byte-for-byte."""

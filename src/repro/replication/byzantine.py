@@ -87,11 +87,12 @@ class ByzantineReplica:
             _without_item,
         )
 
-    def fetch_packed_bin(self, table: str, bin_index: int):
-        """Whole-bin columnar read; remembered per (table, bin)."""
+    def fetch_packed_bin(self, table: str, bins):
+        """Whole-bin columnar read, remembered per (table, bin); or a
+        slot-run read, remembered per table like a row batch."""
         return self._respond(
-            ("packed", table, bin_index),
-            lambda: self.inner.fetch_packed_bin(table, bin_index),
+            ("packed", table, bins) if isinstance(bins, int) else ("runs", table),
+            lambda: self.inner.fetch_packed_bin(table, bins),
             self._tamper_packed_cell,
             lambda packed, victim: packed.without_row(victim),
         )

@@ -386,18 +386,22 @@ class ReplicatedStorageEngine:
     def fetch_packed_bin(
         self,
         table: str,
-        bin_index: int,
+        bins: int | Sequence[tuple[int, int, int]],
         verifier: Callable | None = None,
         deadline: Deadline | None = None,
         cells: Iterable[int] | None = None,
     ):
-        """Whole-bin columnar read through :meth:`_verified_read`.
+        """Whole-bin or slot-run columnar read through :meth:`_verified_read`.
 
         A sidecar kind: ``None`` (a replica without the sidecar, or an
         exhausted group) sends the caller to the scalar row fetch.
         """
+        attrs = (
+            {"bin": bins} if isinstance(bins, int)
+            else {"keys": sum(stop - start for _, start, stop in bins)}
+        )
         return self._verified_read(
-            table, "fetch_packed_bin", (table, bin_index), {"bin": bin_index},
+            table, "fetch_packed_bin", (table, bins), attrs,
             verifier, deadline, cells, sidecar=True,
         )
 

@@ -13,7 +13,7 @@ leakage experiments analyse.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 
 from repro import telemetry
 from repro.exceptions import (
@@ -351,22 +351,33 @@ class StorageEngine:
         """Whether a columnar sidecar is installed for this table."""
         return self._table(table).packed_bins is not None
 
-    def fetch_packed_bin(self, table: str, bin_index: int):
-        """Read one whole bin in columnar form; ``None`` means fall back.
+    def fetch_packed_bin(self, table: str, bins: int | Sequence[tuple[int, int, int]]):
+        """Read one whole bin, or slot runs ``(bin, start, stop)`` of the
+        sealed bins, in columnar form as one batch; ``None`` means fall back.
 
-        The host-observable view is identical to the trapdoor whole-bin
-        fetch: the same physical ROW_READ/PAGE_READ stream (plus one
-        BIN_READ marking the unit), the same rows-read counter, and the
+        The host-observable view is identical to the trapdoor fetch of
+        the same rows: the same physical ROW_READ/PAGE_READ stream (with
+        one BIN_READ marking each unit, the bin index or the run, in
+        place of a lookup per row), the same rows-read counter, and the
         same malicious-host response channel — armed tamper faults
         corrupt, drop, or duplicate rows in the returned batch while
         stored bytes stay intact.  The bookkeeping for that view is one
-        access-log run (pointing at the bin's own ``row_ids``) and one
-        counter increment, whatever the bin size.
+        access-log run and one counter increment, whatever the size; a
+        whole bin's run points at the bin's own ``row_ids``.
         """
         packed = self._table(table).packed_bins
         if packed is None:
             return None
-        chosen = packed.get(bin_index)
+        if isinstance(bins, int):
+            chosen = packed.get(bins)
+            heads, starts, unit = (bins,), (0,), f"bin {bins}"
+        else:
+            runs = [(packed.get(b), start, stop) for b, start, stop in bins]
+            if not runs or any(pb is None for pb, _, _ in runs):
+                return None
+            chosen = runs[0][0].join_runs(runs)
+            heads, unit = tuple(bins), f"{len(runs)} runs"
+            starts = list(accumulate((stop - start for _, start, stop in runs[:-1]), initial=0))
         if chosen is None:
             return None
         # Same span family as the scalar batched lookup, so trace trees
@@ -374,14 +385,13 @@ class StorageEngine:
         with telemetry.span("storage.lookup", table=table, keys=chosen.row_count):
             if self.fault_injector.fire("storage.read.transient") is not None:
                 raise TransientStorageError(
-                    f"transient read failure on {table!r} bin {bin_index} "
-                    "(injected)"
+                    f"transient read failure on {table!r} {unit} (injected)"
                 )
             self.access_log.record_run(
                 table,
                 AccessKind.BIN_READ,
-                (bin_index,),
-                (0,),
+                heads,
+                starts,
                 chosen.row_ids,
                 self._pagers[table].rows_per_page,
             )

@@ -42,10 +42,10 @@ class AccessKind(str, Enum):
     TABLE_SCAN = "table_scan"
     PAGE_READ = "page_read"
     PAGE_WRITE = "page_write"
-    # A whole-bin columnar read: one event per packed-bin fetch, in
-    # addition to the per-row ROW_READ/PAGE_READ events the fetch still
-    # emits (the adversary sees which physical rows left storage either
-    # way; the bin-granular event records that they left as one unit).
+    # A columnar sidecar read: one event per whole bin or slot run
+    # fetched, in addition to the per-row ROW_READ/PAGE_READ events the
+    # fetch still emits (the adversary sees which physical rows left
+    # storage either way; this event records the unit they left in).
     BIN_READ = "bin_read"
 
 

@@ -119,3 +119,27 @@ def is_fake_row(context, row) -> bool:
 
     plaintext = unpad_plaintext(context.det.decrypt(row[-1]))
     return plaintext.split(b"\x1f")[0] != b"idx"
+
+
+def as_trapdoor_heads(engine):
+    """``engine``'s access log as the trapdoor fetch kind records it: a
+    slot-run read's ``BIN_READ`` head (detail ``(bin, start, stop)``)
+    becomes one ``INDEX_LOOKUP`` per row, detailed with the row's stored
+    index key — the trapdoor that finds it.  Every other event, the
+    ``ROW_READ``/``PAGE_READ`` stream included, passes through as is."""
+    from repro.storage.pager import AccessEvent, AccessKind
+
+    keys = {}
+    for table in engine.table_names():
+        keys.update({(table, row.row_id): row.columns[-1] for row in engine.snapshot_rows(table)})
+    owed = 0
+    for event in engine.access_log:
+        if event.kind is AccessKind.BIN_READ and isinstance(event.detail, tuple):
+            _, start, stop = event.detail
+            owed = stop - start
+            continue
+        if event.kind is AccessKind.ROW_READ and owed:
+            owed -= 1
+            key = keys[event.table, event.detail]
+            yield AccessEvent(AccessKind.INDEX_LOOKUP, event.table, key, event.query_id)
+        yield event

@@ -1,12 +1,13 @@
 """One STEP 4 changed nothing anyone outside the enclave can see.
 
 A fixed scenario drives every fetch situation through the one compute
-path: a sidecar point read, an eBPB and a winSecRange trapdoor fetch
-(packed at the fetch boundary), then — after a row overwrite dropped
-the sidecar — the same point reads over trapdoors.  Answers,
-``QueryStats``, the host's access-log stream and the metrics registry
-(less wall-clock families) must equal what the row-compute twins
-produced at the parent commit (bcb189f), plain and replicated.
+path: a sidecar point read, eBPB and winSecRange reads (slot runs of
+the sealed bins, once trapdoor fetches packed at the fetch boundary),
+then — after a row overwrite dropped the sidecar — the same reads over
+trapdoors.  Answers, ``QueryStats``, the host's access-log stream and
+the metrics registry (less wall-clock families) must equal what the
+row-compute twins produced at the parent commit (bcb189f), plain and
+replicated; ``capture`` says what it puts back for the slot-run reads.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ import pytest
 
 from repro import GridSpec, telemetry
 from repro.core.context import EpochContext, SlotRequest
+from repro.core.range_query import RangeExecutor
 from repro.core.queries import Aggregate, PointQuery, RangeQuery
-from tests.conftest import make_stack
+from tests.conftest import as_trapdoor_heads, make_stack
 from tests.replication.conftest import make_replicated_stack
 
 SPEC = GridSpec(dimension_sizes=(4, 10), cell_id_count=16, epoch_duration=600)
@@ -114,6 +116,26 @@ def _run(service, kind, query):
 
 def capture(topology: str, verify: bool) -> dict:
     """Everything observable about the scenario, as digests."""
+    # On the sealed epoch eBPB and winSecRange read slot runs of the
+    # sidecar bins and derive no trapdoors.  Deriving them here anyway,
+    # just before each run read (as the trapdoor kind did, volume
+    # counted once, by the read), replays into the trapdoor table, the
+    # EPC ledger and ``det_encrypt`` what the parent's fetch did; the
+    # heads of the log are put back below.  Once the sidecar is gone a
+    # run read is still tried, answered ``None`` and made by trapdoor:
+    # one more EPC reservation, counted in ``probes``.
+    fetch_slots = RangeExecutor._fetch_slots
+    run_rows, probes = [], []
+
+    def deriving(executor, context, cells, fake_ids, *args):
+        if context.slot_runs(cells, fake_ids):
+            if not executor.fetcher.engine.has_packed_bins(context.table_name):
+                probes.append(1)
+            else:
+                with mock.patch("repro.core.context._count_tuples"):
+                    run_rows.append(len(context.trapdoors_for_cell_ids(cells, fake_ids)))
+        return fetch_slots(executor, context, cells, fake_ids, *args)
+
     # Index keys a batch verified by request never decrypts: count them,
     # whole bins (by position) and trapdoor lists (by request) apart.
     by_position, by_request = [], []
@@ -129,6 +151,7 @@ def capture(topology: str, verify: bool) -> dict:
         return real
 
     with mock.patch.object(EpochContext, "_verify_positional", counting), \
+            mock.patch.object(RangeExecutor, "_fetch_slots", deriving), \
             telemetry.scoped_registry() as registry:
         if topology == "plain":
             _, service = make_stack(SPEC, RECORDS, verify=verify)
@@ -156,13 +179,13 @@ def capture(topology: str, verify: bool) -> dict:
     memo = context.tag_memo_bytes
     tagged = sum(cid >= 0 for cid in service._packages[0].enc_tags)
     assert memo == 32 * 4 * tagged * verify  # a digest per chained column
-    # Verification by position adds the index-key memo, a digest per
-    # public bin, to that reservation, and every whole bin it accepts
-    # (each point read's, each multipoint bin, sidecar or trapdoor
+    # Verification by position adds the index-key memo, every public
+    # bin's index-key column, to that reservation, and every whole bin
+    # it accepts (each point read's, each multipoint bin, sidecar or trapdoor
     # alike) decrypts no index key: ``det_decrypt`` reads lower by
     # exactly those rows, and nothing else moves.
     index_memo = context.index_memo_bytes
-    assert index_memo == 32 * len(context.layout.bins) * verify
+    assert index_memo == 48 * context.layout.bin_size * len(context.layout.bins) * verify
     multipoint = len(context.layout.bins_of_cell_ids(
         context.grid.cell_ids_for_combinations((("ap3",),), 0, 300)
     ))
@@ -194,8 +217,21 @@ def capture(topology: str, verify: bool) -> dict:
         samples.sort(key=lambda sample: sorted(sample["labels"].items()))
     if decrypted:
         det_decrypt["value"] += decrypted
+    # The slot-run reads' rows were each found by an index lookup on
+    # the parent: every row of the sealed-epoch pass's eBPB and
+    # winSecRange reads.
+    assert sum(run_rows) == sum(
+        stats.rows_fetched
+        for (kind, _), (_, stats) in zip(_queries(), outcomes)
+        if kind in ("ebpb", "winsecrange")
+    )
+    lookups = snapshot["concealer_index_lookups_total"]["samples"][0]
+    lookups["value"] += sum(run_rows)
+    assert len(probes) == len(run_rows)  # the same reads, sidecar dropped
+    for family in ("concealer_epc_charge_events_total", "concealer_epc_release_events_total"):
+        snapshot[family]["samples"][0]["value"] -= len(probes)
     stream = hashlib.sha256()
-    for event in service.engine.access_log:
+    for event in as_trapdoor_heads(service.engine):
         stream.update(
             repr((event.kind.value, event.table, event.detail, event.query_id)).encode()
         )

@@ -18,8 +18,11 @@ trapdoor fetches shaped like eBPB's (any cells, cycled fakes) and
 winSecRange's (windows sharing cells, STEP 4's dedup ``keep``), each
 batch bound to the slot request that fetched it: the same outcome, the
 same mask, acceptance by request only where the oracle accepts, and an
-honest eBPB or winSecRange query decrypts no index key at all.  Pins
-ride along: the grouping path still
+honest eBPB or winSecRange query decrypts no index key at all.  They are
+replayed once more as reads of slot runs of the sealed bins, each bound
+to its runs, with the same three requirements; a warm honest eBPB or
+winSecRange query on a sealed epoch then derives no trapdoor and looks
+nothing up.  Pins ride along: the grouping path still
 costs exactly one authenticated index-key decryption per (kept) row,
 an honest sealed bin verified by position costs none, a forged
 ``bin_index`` changes nothing, a permuted but authentic bin is still
@@ -232,33 +235,59 @@ def _trapdoor_fetch(service, context, cells, fake_ids):
     return context.pack_rows(rows), SlotRequest(cells, trapdoors)
 
 
-def _slot_batch(rng, service, context, shape):
+def _run_read(service, context, cells, fake_ids):
+    """The same slots read as runs of the sealed bins (a request with
+    no slots at all is made by trapdoor, as the executor makes it)."""
+    runs = context.slot_runs(cells, fake_ids)
+    if not runs:
+        return _trapdoor_fetch(service, context, cells, fake_ids)
+    packed = service.engine.fetch_packed_bin(context.table_name, runs)
+    return context._admit(packed), SlotRequest(cells, runs=runs)
+
+
+def _slot_batch(rng, service, context, shape, read=_trapdoor_fetch):
     """An eBPB-shaped fetch (one request: any cells, fakes cycling past
     the pool) or a winSecRange-shaped one (two or three windows whose
-    cells overlap, each padded from its own fake offset)."""
+    cells overlap, each padded from its own fake offset), each request
+    made by ``read``."""
     populations = context.c_tuple
     pool = context.fake_pool_size
     if shape == "ebpb":
         cells = rng.sample(range(len(populations)), rng.randrange(1, 6))
         fakes = [1 + i % pool for i in range(rng.randrange(0, 2 * pool + 3))]
-        return [_trapdoor_fetch(service, context, cells, fakes)]
+        return [read(service, context, cells, fakes)]
     shared = rng.sample(range(len(populations)), 8)
     fetches, offset = [], 0
     for _ in range(rng.choice([2, 3])):
         cells = rng.sample(shared, rng.randrange(1, 5))
         fakes = [1 + (offset + i) % pool for i in range(rng.randrange(0, pool + 2))]
         offset += len(fakes)
-        fetches.append(_trapdoor_fetch(service, context, cells, fakes))
+        fetches.append(read(service, context, cells, fakes))
     return fetches
 
 
 @pytest.mark.parametrize("shape", ["ebpb", "winsecrange"])
 @pytest.mark.parametrize("seed", range(120))
 def test_a_trapdoor_fetch_by_request_decides_as_the_reference_did(fetching, shape, seed):
+    _decides_as_the_reference_did(fetching, shape, seed, _trapdoor_fetch)
+
+
+@pytest.mark.parametrize("shape", ["ebpb", "winsecrange"])
+@pytest.mark.parametrize("seed", range(120))
+def test_a_run_read_by_request_decides_as_the_reference_did(fetching, shape, seed):
+    """The same seeds, each request read as slot runs of the sealed bins
+    and bound to its runs: acceptance by request is still a subset of
+    the oracle's, with the index memo cold on odd seeds."""
+    if seed % 2:
+        fetching[1]._index_memo.clear()
+    _decides_as_the_reference_did(fetching, shape, seed, _run_read)
+
+
+def _decides_as_the_reference_did(fetching, shape, seed, read):
     service, context = fetching
     rng = random.Random(seed)
     batch, requested, asked = [], [], []
-    for pb, request in _slot_batch(rng, service, context, shape):
+    for pb, request in _slot_batch(rng, service, context, shape, read):
         if not pb.row_count:  # empty cells and no fakes: nothing to bend
             parts = [pb]
         elif pb.row_count > 1 and rng.random() < 0.2:
@@ -291,10 +320,19 @@ def test_honest_trapdoor_fetches_are_accepted_by_request(fetching):
     """The differential above would pass if the path were never taken:
     an untouched fetch of either shape goes by request, cycled fakes,
     shared cells and dedup included."""
+    _honest_fetches_are_accepted_by_request(fetching, _trapdoor_fetch)
+
+
+def test_honest_run_reads_are_accepted_by_request(fetching):
+    """The same, each request read as slot runs of the sealed bins."""
+    _honest_fetches_are_accepted_by_request(fetching, _run_read)
+
+
+def _honest_fetches_are_accepted_by_request(fetching, read):
     service, context = fetching
     for shape in ("ebpb", "winsecrange"):
         for seed in range(20):
-            fetches = _slot_batch(random.Random(seed), service, context, shape)
+            fetches = _slot_batch(random.Random(seed), service, context, shape, read)
             batch = [pb for pb, _ in fetches]
             requested = [request for _, request in fetches]
             cells = [cid for request in requested for cid in request.cell_ids]
@@ -345,6 +383,59 @@ def test_an_honest_ebpb_or_winsecrange_query_decrypts_no_index_key(monkeypatch, 
     assert calls == []
 
 
+@pytest.mark.parametrize("replicated", [False, True], ids=["plain", "replicated"])
+def test_a_warm_honest_ebpb_or_winsecrange_query_derives_no_trapdoor(monkeypatch, replicated):
+    """On a sealed epoch both read slot runs of the sidecar bins, so once
+    the index memo holds the bins they touch, nothing is looked up and
+    no index key is encrypted: the one ``encrypt_many`` left per query
+    is STEP 4's filters."""
+    from repro.core.context import EpochContext
+    from repro.core.queries import RangeQuery
+    from repro.crypto.kernels import DeterministicCipher
+    from repro.replication.engine import ReplicatedStorageEngine
+    from repro.storage.engine import StorageEngine
+    from tests.replication.conftest import make_replicated_stack, replication_records
+
+    if replicated:
+        records = replication_records()
+        _, service, *_ = make_replicated_stack(records, replicas=2, verify=True)
+    else:
+        records = RECORDS
+        _, service = make_stack(SPEC, RECORDS, verify=True)
+    query = RangeQuery(index_values=(records[0][0],), time_start=0, time_end=299)
+    methods = ("ebpb", "winsecrange")
+    honest = {method: service.execute_range(query, method=method)[0] for method in methods}
+    calls = {"lookup_many": 0, "trapdoors_for_cell_ids": 0}
+    encrypted = []
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner in (StorageEngine, ReplicatedStorageEngine):
+        counting(owner, "lookup_many")
+    counting(EpochContext, "trapdoors_for_cell_ids")
+    encrypt_many = DeterministicCipher.encrypt_many
+
+    def recording(cipher, plaintexts, *args, **kwargs):
+        encrypted.append([unpad_plaintext(p).split(b"\x1f")[0] for p in plaintexts])
+        return encrypt_many(cipher, plaintexts, *args, **kwargs)
+
+    monkeypatch.setattr(DeterministicCipher, "encrypt_many", recording)
+    for method, answer in honest.items():
+        got, stats = service.execute_range(query, method=method)
+        assert (got, stats.verified) == (answer, True)
+        assert stats.trapdoors_generated and stats.rows_fetched == stats.trapdoors_generated
+    assert calls == {"lookup_many": 0, "trapdoors_for_cell_ids": 0}
+    assert len(encrypted) == len(methods)
+    assert not {b"idx", b"fake"} & {head for batch in encrypted for head in batch}
+
+
 def test_every_sealed_bin_and_the_whole_epoch_verify(sealed):
     _, context, bins = sealed
     for chosen, pb in zip(context.layout.bins, bins):
@@ -362,11 +453,11 @@ def test_the_reservation_is_the_full_memo_and_a_silent_service_makes_none(sealed
     context.verify_packed(bins, None)
     held = sum(len(d) for digests in context._tag_memo.values() for d in digests)
     assert held == context.tag_memo_bytes > 0
-    # The index-key memo: a digest per public bin once each was verified
-    # by position.
+    # The index-key memo: every public bin's sealed index-key column
+    # (|b| keys of 48 B) once each was verified by position.
     context.verify_packed(bins, None, requested=context.layout.bins)
     indexed = sum(map(len, context._index_memo.values()))
-    assert indexed == context.index_memo_bytes == 32 * len(bins)
+    assert indexed == context.index_memo_bytes == 48 * context.layout.bin_size * len(bins)
     _, silent = make_stack(SPEC, RECORDS, verify=False)
     assert silent.context_for(0).tag_memo_bytes == 0
     assert silent.context_for(0).index_memo_bytes == 0

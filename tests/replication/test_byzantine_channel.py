@@ -9,7 +9,10 @@ not bytes: the replicated engine's attempt budget turns it into a
 ride the same channel as kinds of their own, verified by the slot
 request that fetched them, and as whole queries on a plain engine (a
 bent batch is a typed violation, a duplicated row is deduplicated away)
-and on a replica group (a failover to the honest answer).  A further
+and on a replica group (a failover to the honest answer).  The ``run``
+kind reads an eBPB-shaped request as slot runs of the sealed bins: the
+same sites as every kind on a replica, another request's runs replayed,
+and a plain engine's tamper, drop and duplicate.  A further
 site sits where trapdoor rows are
 packed into the enclave's columnar form: an answer that is not a table
 of fixed-width byte cells must end in a typed violation there — on a
@@ -52,14 +55,16 @@ KINDS = ("rows", "packed", "tree")
 # Trapdoor fetches shaped like eBPB's and winSecRange's, verified by the
 # slot request that fetched them.
 SLOT_KINDS = ("ebpb", "winsecrange")
+# The same eBPB-shaped request read as slot runs of the sealed bins.
+RUN_KIND = "run"
 # The violation kind each perturbation has always been rejected with.
 TAMPER_KIND = {
     "rows": "chain-mismatch", "packed": "chain-mismatch", "tree": "undecryptable",
-    "ebpb": "chain-mismatch", "winsecrange": "chain-mismatch",
+    "ebpb": "chain-mismatch", "winsecrange": "chain-mismatch", RUN_KIND: "chain-mismatch",
 }
 DROP_KIND = {
     "rows": "counter-gap", "packed": "counter-gap", "tree": "missing-node",
-    "ebpb": "counter-gap", "winsecrange": "counter-gap",
+    "ebpb": "counter-gap", "winsecrange": "counter-gap", RUN_KIND: "counter-gap",
 }
 
 
@@ -90,18 +95,21 @@ class Channel:
         )
 
     def slot_request(self, kind, chosen, context) -> SlotRequest:
-        """The trapdoor fetch a slot kind makes around ``chosen``: eBPB's
-        cells of two bins with fakes cycling past the pool, or
-        winSecRange's fullest window (the budget's, so every slot is a
-        real row a perturbation must be caught on)."""
+        """The fetch a slot kind makes around ``chosen``: eBPB's cells of
+        two bins with fakes cycling past the pool — by trapdoor, or as
+        slot runs for the run kind — or winSecRange's fullest window
+        (the budget's, so every slot is a real row a perturbation must
+        be caught on)."""
         executor = self.service._range_executor
-        if kind == "ebpb":
-            cells = [*chosen.cell_ids, *self.full_bin(skip={chosen.index}).cell_ids]
-            fakes = executor._pad_fakes(context, context.fake_pool_size + 2)
-        else:
+        if kind == "winsecrange":
             cells = executor._window_cell_ids(context, 0)
             real = sum(context.c_tuple[cid] for cid in cells)
             fakes = executor._pad_fakes(context, executor._window_budget(context) - real)
+        else:
+            cells = [*chosen.cell_ids, *self.full_bin(skip={chosen.index}).cell_ids]
+            fakes = executor._pad_fakes(context, context.fake_pool_size + 2)
+        if kind == RUN_KIND:
+            return SlotRequest(cells, runs=context.slot_runs(cells, fakes))
         return SlotRequest(cells, context.trapdoors_for_cell_ids(cells, fakes))
 
     def read(self, kind, chosen, source=None):
@@ -113,6 +121,9 @@ class Channel:
         if kind in SLOT_KINDS:
             request = self.slot_request(kind, chosen, self.service.context_for(0))
             return source.lookup_many(self.table, "index_key", request.trapdoors)
+        if kind == RUN_KIND:
+            request = self.slot_request(kind, chosen, self.service.context_for(0))
+            return source.fetch_packed_bin(self.table, list(request.runs))
         if kind == "packed":
             return source.fetch_packed_bin(self.table, chosen.index)
         return source.fetch_tree_nodes(self.table, self.coords)
@@ -129,6 +140,9 @@ class Channel:
         elif kind in SLOT_KINDS:
             request = self.slot_request(kind, chosen, context)
             context.verified_bin(context.pack_rows(answer), request.cell_ids, request)
+        elif kind == RUN_KIND:
+            request = self.slot_request(kind, chosen, context)
+            context.verified_bin(context._admit(answer), request.cell_ids, request)
         elif kind == "packed":
             context.verified_bin(context._admit(answer), chosen.cell_ids, chosen)
         else:
@@ -136,21 +150,21 @@ class Channel:
 
 
 def _warm(context):
-    """Open and keep every sealed tag and every bin's index-key digest
+    """Open and keep every sealed tag and every bin's index-key column
     of the epoch, as a context that has been serving verified reads for
     a while has."""
     for cid, population in enumerate(context.c_tuple):
         if population:
             context._tag_digests(cid)
     for chosen in context.layout.bins:
-        context._index_digest(chosen)
+        context._index_column(chosen)
 
 
 def always(site):
     return FaultSpec(site, probability=1.0, max_fires=None)
 
 
-@pytest.mark.parametrize("kind", KINDS + SLOT_KINDS)
+@pytest.mark.parametrize("kind", KINDS + SLOT_KINDS + (RUN_KIND,))
 class TestEveryKindThroughTheChannel:
     def test_honest_channel_answers_verify(self, kind):
         channel = Channel()
@@ -300,6 +314,9 @@ SIDECAR_READS = {
         RangeQuery(index_values=(LOCATION,), time_start=0, time_end=299),
         method="multipoint",
     ),
+    # On a sealed epoch these read slot runs of the sidecar bins.
+    "ebpb": TRAPDOOR_READS["ebpb"],
+    "winsecrange": TRAPDOOR_READS["winsecrange"],
 }
 
 
@@ -453,6 +470,58 @@ def test_row_replay_of_another_bin_is_rejected_within_an_epoch():
     assert caught.value.kind == "missing-cell"
 
 
+def test_a_replayed_run_read_of_another_request_is_rejected():
+    """Run reads are remembered per table, like row batches, so a replay
+    can hand one request's authentic runs to another: the column is not
+    the one asked for, and the grouping path finds the absent cells."""
+    channel = Channel()
+    first = channel.full_bin()
+    second = channel.full_bin(skip={first.index})
+    third = channel.full_bin(skip={first.index, second.index})
+    channel.read(RUN_KIND, first)  # the cells of ``first`` and ``second``
+    channel.injector.arm(always("replica.replay.stale"))
+    replayed = channel.read(RUN_KIND, third)  # asks ``third`` and ``first``
+    with pytest.raises(IntegrityViolation) as caught:
+        channel.verify(RUN_KIND, third, replayed)
+    assert caught.value.kind == "missing-cell"
+    assert caught.value.cell_id in third.cell_ids
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["memo-cold", "memo-warm"])
+@pytest.mark.parametrize("site", PLAIN_SITES)
+def test_a_bent_run_read_on_a_plain_engine_never_passes_a_bent_real_row(site, warm):
+    """A plain engine's own response channel on a run read: a typed
+    violation, or — when the bent row was a fake — an accepted batch
+    whose verified real rows are exactly the honest ones."""
+    from repro.storage.engine import StorageEngine
+
+    outcomes = []
+    for seed in range(6):
+        engine = StorageEngine(fault_injector=FaultInjector(seed, []))
+        _, service = make_stack(SPEC, replication_records(), verify=True, engine=engine)
+        context = service.context_for(0)
+        if warm:
+            _warm(context)
+        full = [b for b in context.layout.bins if b.real_tuples][:2]
+        cells = [cid for chosen in full for cid in chosen.cell_ids]
+        fakes = service._range_executor._pad_fakes(context, context.fake_pool_size + 2)
+        request = SlotRequest(cells, runs=context.slot_runs(cells, fakes))
+        honest = engine.fetch_packed_bin(context.table_name, list(request.runs))
+        want = context.verified_bin(context._admit(honest), cells, request)
+        engine.fault_injector.arm(always(site))
+        bent = engine.fetch_packed_bin(context.table_name, list(request.runs))
+        try:
+            got = context.verified_bin(context._admit(bent), cells, request)
+        except IntegrityViolation as violation:
+            outcomes.append(violation.kind)
+            continue
+        outcomes.append(None)
+        real = [row for row, is_real in zip(got, got.real_rows) if is_real]
+        assert real == [row for row, is_real in zip(want, want.real_rows) if is_real]
+    assert set(outcomes) - {None} <= {"chain-mismatch", "undecryptable", "counter-gap"}
+    assert any(outcomes)
+
+
 # Captured at the commit before the three channels were merged (PR 14,
 # 6cddcad): sha256 of ``encode_schedule()``, fired-fault count, sha256 of
 # every answer served, and the virtual seconds stalled.
@@ -524,6 +593,9 @@ class TestMalformedSidecarAnswersWithTheTagMemoWarm(
 class TestReplaysWithTheTagMemoWarm:
     test_row_replay = staticmethod(
         test_row_replay_of_another_bin_is_rejected_within_an_epoch
+    )
+    test_run_replay = staticmethod(
+        test_a_replayed_run_read_of_another_request_is_rejected
     )
     test_seeded_schedule = staticmethod(
         test_seeded_schedule_over_mixed_reads_replays_to_the_golden_bytes
