@@ -104,8 +104,8 @@ profile:
 # path (by position / by request / by grouping), fetch, filter, decrypt,
 # then the cProfile top-30; 10-minute multipoint, eBPB and winSecRange
 # ranges on the `range_scatter` 2x3 shape (trapdoors / index lookup /
-# slot runs / sidecar read of whole bins or of slot runs / index memo /
-# pack / verify / filter / decrypt); then whole-epoch ranges through the
+# slot runs / sidecar read of whole bins or of slot runs / index keys
+# derived / index check / pack / verify / filter / decrypt); then whole-epoch ranges through the
 # async router on a 4x1 fleet (plan / dispatch / tree decode / hops).
 profile-read:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/profile_read.py

@@ -16,9 +16,11 @@ to stdout and ``results/profile_read.txt``:
   (2×3) and request shapes, 60 multipoint, 60 eBPB and 60 winSecRange
   ranges, each split into trapdoor derivation, index lookup, slot runs,
   sidecar read (whole bins, or slot runs for eBPB and winSecRange), the
-  index memo, pack, verify (by position, by request or by grouping),
-  filter and decrypt, with the same path counts — self time, so a
-  replica group's per-attempt verification counts as verify, not read.
+  index keys derived (the index memo's digests on first use, and a run
+  read's partial fake ranges), the index check, pack, verify (by
+  position, by request or by grouping), filter and decrypt, with the
+  same path counts — self time, so a replica group's per-attempt
+  verification counts as verify, not read.
 * **Whole-epoch ranges through the router.**  The ``longrange_tree``
   fleet shape (4×1) and request stream (whole-epoch ``auto``
   COUNT/SUM/MIN/MAX, so one tree node per shard), sent one at a time
@@ -77,7 +79,8 @@ RANGE_PHASES = [
     ("slot runs", *_CONTEXT, "slot_runs"),
     ("sidecar read: whole bins", *_ENGINE, "_read_bin"),
     ("sidecar read: slot runs", *_ENGINE, "_read_runs"),
-    ("index memo", *_CONTEXT, "_index_column"),
+    ("index keys derived", *_CONTEXT, "_index_digest"),
+    ("index check", *_CONTEXT, "_index_matches"),
     ("pack", *_CONTEXT, "pack_rows"),
     *VERIFY_PHASES,
     ("filter", *_CONTEXT, "match_packed"),
@@ -141,7 +144,8 @@ class VerifyPaths:
     one alias per kind, so a timer entered inside can split the two."""
 
     def __enter__(self):
-        from repro.core.context import EpochContext, SlotRequest
+        from repro.core.binning import Bin
+        from repro.core.context import EpochContext
 
         self.by_position = self.by_request = self.grouping = 0
         self._originals = positional, grouping = (
@@ -149,7 +153,7 @@ class VerifyPaths:
         )
 
         def route(context, packed_bins, requested, *args):
-            by_request = bool(requested) and isinstance(requested[0], SlotRequest)
+            by_request = bool(requested) and not isinstance(requested[0], Bin)
             verify = context._verify_request if by_request else context._verify_bin
             real = verify(packed_bins, requested, *args)
             if real is not None:
@@ -189,9 +193,11 @@ class ReadPaths:
 
         self._original = read = StorageEngine.fetch_packed_bin
 
-        def route(engine, table, bins):
-            alias = engine._read_bin if isinstance(bins, int) else engine._read_runs
-            return alias(table, bins)
+        def route(engine, table, runs):
+            # One run from slot 0: a bin read whole (a run read of one
+            # run from a bin's first slot would count here too: rare).
+            whole = len(runs) == 1 and runs[0][1] == 0
+            return (engine._read_bin if whole else engine._read_runs)(table, runs)
 
         StorageEngine._read_bin = StorageEngine._read_runs = read
         StorageEngine.fetch_packed_bin = route

@@ -57,6 +57,11 @@ class Bin:
         """Real plus fake tuples — always the bin capacity."""
         return self.real_tuples + self.fake_count
 
+    @property
+    def runs(self) -> tuple[tuple[int, int, int], ...]:
+        """This bin as slot runs of the sealed bins: ``(index, 0, |b|)``."""
+        return ((self.index, 0, self.total_tuples),)
+
     def fake_ids(self) -> list[int]:
         """The fake-tuple ids this bin retrieves."""
         if self.fake_id_range is None:

@@ -10,9 +10,8 @@ EPC budget.
 The context also provides the building blocks every executor shares:
 
 - trapdoor generation for a set of cell-ids + fake ids (STEP 3),
-- the two fetch kinds — a sealed bin or slot runs of the sealed bins
-  read from the sidecar, or rows pulled by trapdoor and packed at this
-  boundary — both handing back a
+- the two fetch kinds — slot runs of the sealed bins, or rows pulled by
+  trapdoor and packed at this boundary — both handing back a
   :class:`~repro.core.packed.PackedBin` (DESIGN.md §16),
 - DET filter generation for predicates over timestamp sets,
 - hash-chain verification of a fetched batch against the verifiable tags,
@@ -21,6 +20,7 @@ The context also provides the building blocks every executor shares:
 
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from dataclasses import replace
@@ -89,19 +89,30 @@ def _count_tuples(real: int, fake: int) -> None:
 
 
 class SlotRequest(NamedTuple):
-    """A fetch of padded cell-ids as the enclave made it: ``cell_ids``'
-    slots in order, then its fakes' — asked for as ``runs``
-    ``(bin, start, stop)`` of the sealed bins, or by the ``trapdoors``
-    sent for them (the index keys an honest host returns, in that
-    order).  A :class:`Bin` is the run ``(bin, 0, |b|)`` (DESIGN.md §16)."""
+    """A trapdoor fetch as the enclave made it: ``cell_ids``' slots in
+    order, then its fakes', and the ``trapdoors`` it sent for them —
+    the index keys an honest host returns, in that order."""
 
     cell_ids: Sequence[int]
-    trapdoors: Sequence[bytes] = ()
-    runs: Sequence[tuple[int, int, int]] = ()
+    trapdoors: Sequence[bytes]
 
     @property
     def total_tuples(self) -> int:
-        return len(self.trapdoors) or sum(stop - start for _, start, stop in self.runs)
+        return len(self.trapdoors)
+
+
+class RunRequest(NamedTuple):
+    """A read of ``cell_ids``' slots (``real_tuples``), then ``fake_ids``',
+    as maximal ``runs`` ``(bin, start, stop)`` of the sealed bins."""
+
+    cell_ids: Sequence[int]
+    fake_ids: Sequence[int]
+    runs: Sequence[tuple[int, int, int]]
+    real_tuples: int
+
+    @property
+    def total_tuples(self) -> int:
+        return self.real_tuples + len(self.fake_ids)
 
 
 class EpochContext:
@@ -115,6 +126,7 @@ class EpochContext:
         table_name: str | None = None,
         trapdoor_table=None,
         verifies: bool = True,
+        oblivious: bool = False,
     ):
         enclave.require_provisioned()
         self.enclave = enclave
@@ -160,29 +172,34 @@ class EpochContext:
         # What the memo holds when full — one digest per chained column
         # and real cell-id tag shipped, a function of the package's
         # public sizes; nothing for a service that never verifies.
-        self.tag_memo_bytes = verifies * len(CHAIN_INIT) * (
-            len(self.column_widths) - 1
-        ) * (len(package.enc_tags) - (FAKE_CHAIN_LABEL in package.enc_tags))
+        tagged = len(package.enc_tags) - (FAKE_CHAIN_LABEL in package.enc_tags)
+        self.tag_memo_bytes = verifies * len(CHAIN_INIT) * (len(self.column_widths) - 1) * tagged
         self.layout: BinLayout = pack_bins(
             self.c_tuple,
             bin_size=package.bin_size,
             max_cells_per_bin=package.max_cells_per_bin,
         )
-        # Each sealed bin's index-key column, by bin index
-        # (:meth:`_index_column`): every public bin's |b| keys when full.
-        self._index_memo: dict[int, bytes] = {}
-        self.index_memo_bytes = verifies * self.column_widths[-1] * self.layout.bin_size * len(
-            self.layout.bins
+        # SHA-256 of index keys (:meth:`_index_digest`): of each sealed
+        # bin's column and of its fakes' keys, by bin index, and of each
+        # cell-id's keys, by cell-id — a digest per public bin, padded bin
+        # and tagged cell-id when full, never per row, and nothing for a
+        # service that never verifies by position (one that does not
+        # verify, or an oblivious one).
+        self._index_memo: dict[tuple[str, int], bytes] = {}
+        padded = sum(chosen.fake_count > 0 for chosen in self.layout.bins)
+        self.index_memo_bytes = (verifies and not oblivious) * len(CHAIN_INIT) * (
+            len(self.layout.bins) + padded + tagged
         )
-        # Where each cell-id's and each fake's slots sit in the sealed
-        # bins, once a run read needs it (:meth:`slot_runs`).
+        # Where each cell-id's slots and each bin's fakes start in the
+        # sealed bins, once a run read needs them (:meth:`slot_runs`).
         self._slot_starts = None
         # The §9.1 observation that the vectors are small enough for the
-        # enclave: charge them against the EPC budget (8 bytes/int), and
-        # reserve both memos in the same single charge, so that when they
-        # fill says nothing and moves no fault site.
+        # enclave: charge them against the EPC budget (8 bytes/int), with
+        # the slot starts, and reserve both memos in the same single
+        # charge, so that when they fill says nothing and moves no fault
+        # site.
         self._metadata_charge = self.tag_memo_bytes + self.index_memo_bytes + 8 * (
-            len(self.cell_id_vector) + len(self.c_tuple) + len(self.cell_counts)
+            len(self.cell_id_vector) + 2 * len(self.c_tuple) + len(self.cell_counts) + 2 * padded
         )
         enclave.charge_memory(self._metadata_charge)
         self.fake_pool_size = package.fake_count
@@ -518,61 +535,56 @@ class EpochContext:
             self._require_cells((), cells)
         return (packed if verified else self.pack_rows(rows, bin_index)), verified
 
-    def slot_runs(
-        self, cell_ids: Sequence[int], fake_ids: Sequence[int]
-    ) -> list[tuple[int, int, int]] | None:
+    def slot_runs(self, cell_ids: Sequence[int], fake_ids: Sequence[int]) -> RunRequest | None:
         """The slots a trapdoor fetch of ``cell_ids`` and ``fake_ids``
-        would read, in its order, as maximal runs ``(bin, start, stop)``
-        of the sealed bins; ``None`` when some pool fake has no bin slot
-        (an EQUAL or epoch-padded pool), which only trapdoors reach.
-        Both are public: the runs are the row ids that fetch would show
-        the host, cut where the sidecar it stores has them adjacent
-        (SECURITY.md item 8)."""
+        reads, in its order, as a :class:`RunRequest`; ``None`` when some
+        pool fake has no bin slot (an EQUAL or epoch-padded pool)."""
+        # Both are public: the runs are the row ids that fetch would show
+        # the host, cut where the sidecar it stores has them adjacent
+        # (SECURITY.md item 8).
         import numpy as np
 
         layout = self.layout
         if self.fake_pool_size != layout.total_fakes:
             return None
-        size = layout.bin_size
+        size, c_tuple = layout.bin_size, self.c_tuple
         if self._slot_starts is None:
-            # Flat slot positions (bin × |b| + slot): each cell-id's
-            # first, and every fake id's own.
-            cells, fakes = [0] * len(self.c_tuple), np.zeros(layout.total_fakes + 1, dtype=np.int64)
+            # Flat slot positions (bin × |b| + slot): where each cell-id's
+            # slots start, and each padded bin's first fake id and slot.
+            cells, fake_lo, fake_at = [0] * len(c_tuple), [], []
             for chosen in layout.bins:
                 at = chosen.index * size
                 for cid in chosen.cell_ids:
-                    cells[cid], at = at, at + self.c_tuple[cid]
+                    cells[cid], at = at, at + c_tuple[cid]
                 if chosen.fake_id_range is not None:
-                    lo, hi = chosen.fake_id_range
-                    fakes[lo : hi + 1] = np.arange(at, at + hi - lo + 1)
-            self._slot_starts = cells, fakes
-        cells, fakes = self._slot_starts
-        c_tuple = self.c_tuple
+                    fake_lo.append(chosen.fake_id_range[0])
+                    fake_at.append(at)
+            self._slot_starts = cells, np.array(fake_lo, dtype=int), np.array(fake_at, dtype=int)
+        cells, fake_lo, fake_at = self._slot_starts
+        fakes = np.asarray(fake_ids, dtype=np.int64)
+        owner = np.searchsorted(fake_lo, fakes, side="right") - 1  # fake ids ascend by bin
         slots = np.concatenate([
             *(np.arange(cells[cid], cells[cid] + c_tuple[cid]) for cid in cell_ids),
-            fakes[np.asarray(fake_ids, dtype=np.int64)],
+            fake_at[owner] + fakes - fake_lo[owner],
         ])
-        if not len(slots):
-            return []
         # A run ends where the next slot is not the adjacent one, or
         # opens the next bin.
         cuts = np.flatnonzero((np.diff(slots) != 1) | (slots[1:] % size == 0)) + 1
-        bounds = [0, *cuts.tolist(), len(slots)]
-        return [
+        bounds = [0, *cuts.tolist(), len(slots)] if len(slots) else [0]
+        return RunRequest(cell_ids, fake_ids, [
             (first // size, first % size, first % size + stop - start)
             for first, start, stop in zip(slots[bounds[:-1]].tolist(), bounds, bounds[1:])
-        ]
+        ], sum(c_tuple[cid] for cid in cell_ids))
 
     def fetch_packed(
         self,
         engine,
-        chosen: Bin | SlotRequest,
+        chosen: Bin | RunRequest,
         stats: QueryStats,
         deadline=None,
         verify: bool = False,
     ) -> tuple[PackedBin | None, bool]:
-        """The sidecar fetch kind: one sealed bin read whole, or the slot
-        runs of a :class:`SlotRequest`, as one batch.
+        """The sidecar fetch kind: a bin whole, or a :class:`RunRequest`.
 
         Returns ``(packed, verified)``; ``packed`` is ``None`` when the
         engine holds no sidecar for this table (after a dynamic insert,
@@ -587,12 +599,10 @@ class EpochContext:
                 nonlocal accepted  # the last answer verified is the one accepted
                 accepted = self.verified_bin(self._admit(packed), cells, chosen)
 
-        whole = isinstance(chosen, Bin)
         total = chosen.total_tuples
         packed, verified = self._fetch(
-            engine, "fetch_packed_bin", (chosen.index if whole else list(chosen.runs),),
-            stats, deadline, verifier, chosen.cell_ids, 256 * total,
-            stage="fetch", trapdoors=total,
+            engine, "fetch_packed_bin", (chosen.runs,), stats, deadline, verifier,
+            chosen.cell_ids, 256 * total, stage="fetch", trapdoors=total,
         )
         if packed is not None:
             packed = accepted if verified else self._admit(packed)
@@ -601,9 +611,8 @@ class EpochContext:
             # Volume counters move only once the fetch is known to have
             # gone the sidecar way — a None fallback leaves them for
             # the trapdoor fetch to account.
-            real = chosen.real_tuples if whole else sum(self.c_tuple[cid] for cid in chosen.cell_ids)
             stats.trapdoors_generated += total
-            _count_tuples(real, total - real)
+            _count_tuples(chosen.real_tuples, total - chosen.real_tuples)
             stats.rows_fetched += packed.row_count
         return packed, verified
 
@@ -804,7 +813,8 @@ class EpochContext:
         :class:`~repro.exceptions.IntegrityError` subclass carrying the
         epoch, table, cell-id, and violation kind) on any inconsistency.
         ``requested``, the slot request each batch was fetched by (a
-        :class:`Bin` in canonical slot order or a :class:`SlotRequest`),
+        :class:`Bin` in canonical slot order, a :class:`RunRequest` or a
+        :class:`SlotRequest`),
         first tries :meth:`_verify_positional`, which decrypts nothing.
 
         ``expected_cells`` binds the response to the *request*: every
@@ -833,46 +843,62 @@ class EpochContext:
             return real
 
     def verified_bin(
-        self, packed: PackedBin, cells, request: Bin | SlotRequest | None = None
+        self, packed: PackedBin, cells, request: Bin | SlotRequest | RunRequest | None = None
     ) -> PackedBin:
         """A batch verified at fetch time (by the slot ``request`` that
         fetched it, when given), carrying its real-row mask on to STEP 4."""
         real = self.verify_packed([packed], cells, requested=request and (request,))
         return replace(packed, real_rows=real)
 
-    def _index_column(self, chosen: Bin) -> bytes:
-        """``chosen``'s sealed index-key column, derived from ``c_tuple``
-        once per context: no trapdoor table, no volume counter, and
-        uncounted (first touches follow the access order)."""
-        column = self._index_memo.get(chosen.index)
-        if column is None:
+    def _index_digest(self, key: tuple[str, int] | None, cell_ids, fake_ids=()) -> bytes:
+        """SHA-256 of ``cell_ids``' then ``fake_ids``' index keys, kept under ``key``."""
+        # No trapdoor table, no volume counter, and uncounted (first
+        # touches follow the access order).
+        digest = self._index_memo.get(key)
+        if digest is None:
             c_tuple = self.c_tuple
-            plaintexts = [index_plaintext(cid, j) for cid in chosen.cell_ids
+            plaintexts = [index_plaintext(cid, j) for cid in cell_ids
                           for j in range(1, c_tuple[cid] + 1)]
-            plaintexts += map(fake_index_plaintext, chosen.fake_ids())
-            column = b"".join(self.det.encrypt_many(plaintexts, counted=False))
-            self._index_memo[chosen.index] = column
-        return column
+            plaintexts += map(fake_index_plaintext, fake_ids)
+            keys = self.det.encrypt_many(plaintexts, counted=False)
+            digest = hashlib.sha256(b"".join(keys)).digest()
+            if key is not None:  # ``None``: part of a fake range, not kept
+                self._index_memo[key] = digest
+        return digest
 
-    def _index_expected(self, request: Bin | SlotRequest) -> bytes:
-        """The index-key column an honest answer to ``request`` carries:
-        the trapdoors it sent, or the slices of the sealed bins' columns
-        its runs name (a :class:`Bin` is the run ``(bin, 0, |b|)``)."""
+    def _index_matches(self, column: bytes, request: Bin | SlotRequest | RunRequest) -> bool:
+        """Whether ``column`` holds the index keys ``request`` expects (DESIGN.md §16)."""
+        if isinstance(request, SlotRequest):
+            return column == b"".join(request.trapdoors)
+        c_tuple, width, at = self.c_tuple, self.column_widths[-1], 0
         if isinstance(request, Bin):
-            runs = ((request.index, 0, request.total_tuples),)
-        elif request.trapdoors:
-            return b"".join(request.trapdoors)
+            segments = [(("bin", request.index), request.cell_ids, request.fake_ids())]
         else:
-            runs = request.runs
-        width, bins = self.column_widths[-1], self.layout.bins
-        return b"".join(
-            self._index_column(bins[b])[start * width : stop * width] for b, start, stop in runs
-        )
+            segments = [(("cell", cid), (cid,), ()) for cid in request.cell_ids if c_tuple[cid]]
+            # The fakes, run by run past the real slots: a bin's whole
+            # fake range is kept, a part of one (a cycling pool's first
+            # or last) derived afresh.
+            done = 0
+            for b, first, stop in request.runs:
+                first, done = first + max(0, request.real_tuples - done), done + stop - first
+                if first < stop:
+                    chosen = self.layout.bins[b]
+                    # Slot ``s`` of a bin holds fake id ``lo + s``.
+                    lo = chosen.fake_id_range[0] - chosen.real_tuples
+                    ids = range(lo + first, lo + stop)
+                    key = ("fakes", b) if len(ids) == chosen.fake_count else None
+                    segments.append((key, (), ids))
+        for key, cells, ids in segments:
+            stop = at + width * (sum(c_tuple[cid] for cid in cells) + len(ids))
+            if hashlib.sha256(column[at:stop]).digest() != self._index_digest(key, cells, ids):
+                return False
+            at = stop
+        return True
 
     def _verify_positional(self, packed_bins, requested, expected_cells, keep):
         """Verification by request (DESIGN.md §16): each batch is its slot
         request whole — its row count, the table's widths, the index-key
-        column the enclave expects (:meth:`_index_expected`) — and each
+        column the enclave expects (:meth:`_index_matches`) — and each
         cell's chains fold to its tags over the slots the request gives
         it; no cell twice, unless ``keep`` is the first-occurrence mask.
         The real-row mask, or ``None`` for the grouping path, which
@@ -892,7 +918,7 @@ class EpochContext:
         for pb, request in zip(packed_bins, requested):
             if (pb.row_count, pb.column_widths) != (
                 request.total_tuples, self.column_widths
-            ) or pb.columns[-1] != self._index_expected(request):
+            ) or not self._index_matches(pb.columns[-1], request):
                 return None
         if keep is not None and not np.array_equal(keep, self.packed_dedup_keep(packed_bins)):
             return None

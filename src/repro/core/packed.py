@@ -10,15 +10,14 @@ verify→filter→decrypt→aggregate as whole-batch kernel calls
 no per-row Python objects in the loop.
 
 A batch gets here one of two ways (DESIGN.md §16).  The data provider
-seals every Theorem-4.1 bin in this form and the engine serves a bin
-whole or slot runs of the bins (the *sidecar* fetch); or the enclave
-submits trapdoors, gets rows back and packs them at the fetch boundary
-(the *trapdoor* fetch — the oblivious schedule, fake pools with rows
-outside the bins, any table whose sidecar a rewrite dropped).  Rows
-inside a sealed bin sit in *canonical slot order* — for each cell-id of
-the bin, counters ``1..c_tuple[cid]``, then the bin's fake ids
-ascending — exactly the order the trapdoor fetch returns, so both ways
-produce the same bytes.
+seals every Theorem-4.1 bin in this form and the engine serves slot runs
+of the bins (the *sidecar* fetch); or the enclave submits trapdoors,
+gets rows back and packs them at the fetch boundary (the *trapdoor*
+fetch — the oblivious schedule, fake pools with rows outside the bins,
+any table whose sidecar a rewrite dropped).  Rows inside a sealed bin
+sit in *canonical slot order* — for each cell-id of the bin, counters
+``1..c_tuple[cid]``, then the bin's fake ids ascending — exactly the
+order the trapdoor fetch returns, so both ways produce the same bytes.
 
 Every cell in a column has the same width (the schema pads plaintexts
 and fakes are sized to match), so a bin's packed size is a public
@@ -113,8 +112,11 @@ class PackedBin:
     @classmethod
     def join_runs(cls, runs: Sequence[tuple["PackedBin", int, int]]) -> "PackedBin":
         """Rows ``[start, stop)`` of each ``(packed, start, stop)`` in
-        turn, as one batch: a read of slot runs of sealed bins."""
+        turn, as one batch: a read of slot runs of sealed bins (a bin
+        read whole is the bin itself)."""
         first = runs[0][0]
+        if len(runs) == 1 and runs[0][1:] == (0, first.row_count):
+            return first
         columns = tuple(
             b"".join(pb.columns[c][start * width : stop * width] for pb, start, stop in runs)
             for c, width in enumerate(first.column_widths)

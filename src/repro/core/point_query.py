@@ -28,7 +28,7 @@ from collections.abc import Sequence
 from repro import telemetry
 from repro.core.aggregation import evaluate_aggregate, needs_decryption
 from repro.core.binning import Bin
-from repro.core.context import EpochContext, SlotRequest
+from repro.core.context import EpochContext, RunRequest, SlotRequest
 from repro.core.packed import PackedBin
 from repro.core.queries import (
     PointQuery,
@@ -51,7 +51,7 @@ def finish_query(
     verify: bool,
     oblivious: bool,
     dedup: bool,
-    requested: Sequence[Bin | SlotRequest] | None = None,
+    requested: Sequence[Bin | SlotRequest | RunRequest] | None = None,
 ) -> tuple[object, QueryStats]:
     """STEP 4, once, for every method: dedup → verify → filter →
     decrypt → aggregate over the fetched batch.

@@ -512,14 +512,11 @@ class RangeExecutor:
 
     def _fetch_slots(self, context, cells, fake_ids, stats, deadline):
         """STEP 3 for a padded cell-id set (eBPB's, a winSecRange
-        window's): the fetch and the slot request the batch is verified
-        by.  Slot runs of the sealed bins where the layout places every
-        slot and the engine holds the sidecar (DESIGN.md §16); otherwise
-        trapdoors, and under Concealer+ no request, whose verification
-        keeps the grouping path whatever the method."""
-        runs = None if self.oblivious else context.slot_runs(cells, fake_ids)
-        if runs:
-            request = SlotRequest(cells, runs=runs)
+        window's): the fetch — slot runs where the sidecar serves them
+        (DESIGN.md §16), else trapdoors — and the slot request the batch
+        is verified by, none under Concealer+ (always grouping)."""
+        request = None if self.oblivious else context.slot_runs(cells, fake_ids)
+        if request and request.runs:
             packed, _ = context.fetch_packed(
                 self.fetcher.engine, request, stats, deadline=deadline, verify=self.verify
             )

@@ -393,6 +393,7 @@ class ServiceProvider:
                 table_name=self._table_name(epoch_id),
                 trapdoor_table=self.trapdoor_table,
                 verifies=self.config.verify,
+                oblivious=self.config.oblivious,
             )
         return self._contexts[epoch_id]
 

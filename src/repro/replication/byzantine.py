@@ -87,12 +87,12 @@ class ByzantineReplica:
             _without_item,
         )
 
-    def fetch_packed_bin(self, table: str, bins):
-        """Whole-bin columnar read, remembered per (table, bin); or a
-        slot-run read, remembered per table like a row batch."""
+    def fetch_packed_bin(self, table: str, runs):
+        """Columnar read: one run (a whole bin) remembered per (table,
+        bin), several per table like a row batch."""
         return self._respond(
-            ("packed", table, bins) if isinstance(bins, int) else ("runs", table),
-            lambda: self.inner.fetch_packed_bin(table, bins),
+            ("packed", table, runs[0][0]) if len(runs) == 1 else ("runs", table),
+            lambda: self.inner.fetch_packed_bin(table, runs),
             self._tamper_packed_cell,
             lambda packed, victim: packed.without_row(victim),
         )

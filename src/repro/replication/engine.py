@@ -386,22 +386,19 @@ class ReplicatedStorageEngine:
     def fetch_packed_bin(
         self,
         table: str,
-        bins: int | Sequence[tuple[int, int, int]],
+        runs: Sequence[tuple[int, int, int]],
         verifier: Callable | None = None,
         deadline: Deadline | None = None,
         cells: Iterable[int] | None = None,
     ):
-        """Whole-bin or slot-run columnar read through :meth:`_verified_read`.
+        """Slot-run (or whole-bin) columnar read through :meth:`_verified_read`.
 
         A sidecar kind: ``None`` (a replica without the sidecar, or an
         exhausted group) sends the caller to the scalar row fetch.
         """
-        attrs = (
-            {"bin": bins} if isinstance(bins, int)
-            else {"keys": sum(stop - start for _, start, stop in bins)}
-        )
         return self._verified_read(
-            table, "fetch_packed_bin", (table, bins), attrs,
+            table, "fetch_packed_bin", (table, runs),
+            {"keys": sum(stop - start for _, start, stop in runs)},
             verifier, deadline, cells, sidecar=True,
         )
 

@@ -351,35 +351,29 @@ class StorageEngine:
         """Whether a columnar sidecar is installed for this table."""
         return self._table(table).packed_bins is not None
 
-    def fetch_packed_bin(self, table: str, bins: int | Sequence[tuple[int, int, int]]):
-        """Read one whole bin, or slot runs ``(bin, start, stop)`` of the
-        sealed bins, in columnar form as one batch; ``None`` means fall back.
+    def fetch_packed_bin(self, table: str, runs: Sequence[tuple[int, int, int]]):
+        """Read slot runs ``(bin, start, stop)`` of the sealed bins (a bin
+        whole is ``(bin, 0, |b|)``) as one columnar batch; ``None`` means
+        fall back.
 
         The host-observable view is identical to the trapdoor fetch of
-        the same rows: the same physical ROW_READ/PAGE_READ stream (with
-        one BIN_READ marking each unit, the bin index or the run, in
-        place of a lookup per row), the same rows-read counter, and the
+        the same rows: the same physical ROW_READ/PAGE_READ stream (one
+        BIN_READ per unit, a whole bin's index or a run, in place of a
+        lookup per row), the same rows-read counter, and the
         same malicious-host response channel — armed tamper faults
         corrupt, drop, or duplicate rows in the returned batch while
         stored bytes stay intact.  The bookkeeping for that view is one
-        access-log run and one counter increment, whatever the size; a
-        whole bin's run points at the bin's own ``row_ids``.
+        access-log run and one counter increment, whatever the size.
         """
         packed = self._table(table).packed_bins
-        if packed is None:
+        parts = [(packed.get(b), start, stop) for b, start, stop in runs] if packed else ()
+        if not parts or any(pb is None for pb, _, _ in parts):
             return None
-        if isinstance(bins, int):
-            chosen = packed.get(bins)
-            heads, starts, unit = (bins,), (0,), f"bin {bins}"
-        else:
-            runs = [(packed.get(b), start, stop) for b, start, stop in bins]
-            if not runs or any(pb is None for pb, _, _ in runs):
-                return None
-            chosen = runs[0][0].join_runs(runs)
-            heads, unit = tuple(bins), f"{len(runs)} runs"
-            starts = list(accumulate((stop - start for _, start, stop in runs[:-1]), initial=0))
-        if chosen is None:
-            return None
+        chosen = parts[0][0].join_runs(parts)
+        whole = chosen is parts[0][0]  # a stored bin, headed by its index
+        heads = (runs[0][0],) if whole else tuple(runs)
+        unit = f"bin {runs[0][0]}" if whole else f"{len(runs)} runs"
+        starts = list(accumulate((stop - start for _, start, stop in runs[:-1]), initial=0))
         # Same span family as the scalar batched lookup, so trace trees
         # (and the trace-leakage audits over them) keep their shape.
         with telemetry.span("storage.lookup", table=table, keys=chosen.row_count):

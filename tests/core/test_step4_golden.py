@@ -21,7 +21,8 @@ from unittest import mock
 import pytest
 
 from repro import GridSpec, telemetry
-from repro.core.context import EpochContext, SlotRequest
+from repro.core.binning import Bin
+from repro.core.context import EpochContext
 from repro.core.range_query import RangeExecutor
 from repro.core.queries import Aggregate, PointQuery, RangeQuery
 from tests.conftest import as_trapdoor_heads, make_stack
@@ -128,7 +129,8 @@ def capture(topology: str, verify: bool) -> dict:
     run_rows, probes = [], []
 
     def deriving(executor, context, cells, fake_ids, *args):
-        if context.slot_runs(cells, fake_ids):
+        request = context.slot_runs(cells, fake_ids)
+        if request and request.runs:
             if not executor.fetcher.engine.has_packed_bins(context.table_name):
                 probes.append(1)
             else:
@@ -144,7 +146,7 @@ def capture(topology: str, verify: bool) -> dict:
     def counting(context, packed_bins, requested, expected_cells, keep):
         real = positional(context, packed_bins, requested, expected_cells, keep)
         if real is not None:  # grouping decrypts the kept rows
-            accepted = by_request if isinstance(requested[0], SlotRequest) else by_position
+            accepted = by_position if isinstance(requested[0], Bin) else by_request
             accepted.append(
                 sum(pb.row_count for pb in packed_bins) if keep is None else int(keep.sum())
             )
@@ -179,13 +181,17 @@ def capture(topology: str, verify: bool) -> dict:
     memo = context.tag_memo_bytes
     tagged = sum(cid >= 0 for cid in service._packages[0].enc_tags)
     assert memo == 32 * 4 * tagged * verify  # a digest per chained column
-    # Verification by position adds the index-key memo, every public
-    # bin's index-key column, to that reservation, and every whole bin
+    # Verification by position adds the index memo, a digest per public
+    # bin, padded bin and tagged cell-id, to that reservation, and every whole bin
     # it accepts (each point read's, each multipoint bin, sidecar or trapdoor
     # alike) decrypts no index key: ``det_decrypt`` reads lower by
     # exactly those rows, and nothing else moves.
     index_memo = context.index_memo_bytes
-    assert index_memo == 48 * context.layout.bin_size * len(context.layout.bins) * verify
+    padded = [chosen for chosen in context.layout.bins if chosen.fake_count]
+    assert index_memo == 32 * (len(context.layout.bins) + len(padded) + tagged) * verify
+    # Every context also keeps where its cell-ids' slots start and each
+    # padded bin's first fake id and slot, for run reads: 8 B each.
+    starts = 8 * (len(context.c_tuple) + 2 * len(padded))
     multipoint = len(context.layout.bins_of_cell_ids(
         context.grid.cell_ids_for_combinations((("ap3",),), 0, 300)
     ))
@@ -193,7 +199,7 @@ def capture(topology: str, verify: bool) -> dict:
     assert sum(by_position) == verify * 2 * (2 + multipoint) * bin_size
     for gauge in ("concealer_epc_used_bytes", "concealer_epc_high_water_bytes"):
         (sample,) = snapshot[gauge]["samples"]
-        sample["value"] -= memo + index_memo
+        sample["value"] -= memo + index_memo + starts
     # Every eBPB and winSecRange fetch goes by request as well (its
     # trapdoors are the index keys it expects back), so ``det_decrypt``
     # reads lower by those fetches' kept rows too — the sample is gone

@@ -136,7 +136,7 @@ def sealed():
     _, service = make_stack(SPEC, RECORDS, verify=True)
     context = service.context_for(0)
     bins = [
-        service.engine.fetch_packed_bin(context.table_name, chosen.index)
+        service.engine.fetch_packed_bin(context.table_name, chosen.runs)
         for chosen in context.layout.bins
     ]
     return service, context, bins
@@ -238,11 +238,11 @@ def _trapdoor_fetch(service, context, cells, fake_ids):
 def _run_read(service, context, cells, fake_ids):
     """The same slots read as runs of the sealed bins (a request with
     no slots at all is made by trapdoor, as the executor makes it)."""
-    runs = context.slot_runs(cells, fake_ids)
-    if not runs:
+    request = context.slot_runs(cells, fake_ids)
+    if not request.runs:
         return _trapdoor_fetch(service, context, cells, fake_ids)
-    packed = service.engine.fetch_packed_bin(context.table_name, runs)
-    return context._admit(packed), SlotRequest(cells, runs=runs)
+    packed = service.engine.fetch_packed_bin(context.table_name, request.runs)
+    return context._admit(packed), request
 
 
 def _slot_batch(rng, service, context, shape, read=_trapdoor_fetch):
@@ -386,9 +386,11 @@ def test_an_honest_ebpb_or_winsecrange_query_decrypts_no_index_key(monkeypatch, 
 @pytest.mark.parametrize("replicated", [False, True], ids=["plain", "replicated"])
 def test_a_warm_honest_ebpb_or_winsecrange_query_derives_no_trapdoor(monkeypatch, replicated):
     """On a sealed epoch both read slot runs of the sidecar bins, so once
-    the index memo holds the bins they touch, nothing is looked up and
-    no index key is encrypted: the one ``encrypt_many`` left per query
-    is STEP 4's filters."""
+    the index memo holds the cell-ids they touch, nothing is looked up
+    and no real row's index key is encrypted: the ``encrypt_many`` calls
+    left are STEP 4's filters, one per query, and the keys of the fakes
+    a fetch takes from part of a bin's fake range (its whole ranges are
+    checked by digest), consecutive ids, each once."""
     from repro.core.context import EpochContext
     from repro.core.queries import RangeQuery
     from repro.crypto.kernels import DeterministicCipher
@@ -423,7 +425,7 @@ def test_a_warm_honest_ebpb_or_winsecrange_query_derives_no_trapdoor(monkeypatch
     encrypt_many = DeterministicCipher.encrypt_many
 
     def recording(cipher, plaintexts, *args, **kwargs):
-        encrypted.append([unpad_plaintext(p).split(b"\x1f")[0] for p in plaintexts])
+        encrypted.append([unpad_plaintext(p).split(b"\x1f") for p in plaintexts])
         return encrypt_many(cipher, plaintexts, *args, **kwargs)
 
     monkeypatch.setattr(DeterministicCipher, "encrypt_many", recording)
@@ -432,8 +434,14 @@ def test_a_warm_honest_ebpb_or_winsecrange_query_derives_no_trapdoor(monkeypatch
         assert (got, stats.verified) == (answer, True)
         assert stats.trapdoors_generated and stats.rows_fetched == stats.trapdoors_generated
     assert calls == {"lookup_many": 0, "trapdoors_for_cell_ids": 0}
-    assert len(encrypted) == len(methods)
-    assert not {b"idx", b"fake"} & {head for batch in encrypted for head in batch}
+    fakes = [batch for batch in encrypted if batch and batch[0][0] == b"fake"]
+    filters = [batch for batch in encrypted if batch and batch not in fakes]
+    assert fakes and len(filters) == len(methods)
+    assert not {b"idx", b"fake"} & {parts[0] for batch in filters for parts in batch}
+    for batch in fakes:
+        assert {parts[0] for parts in batch} == {b"fake"}
+        ids = [int(parts[1]) for parts in batch]
+        assert ids == list(range(ids[0], ids[0] + len(ids)))
 
 
 def test_every_sealed_bin_and_the_whole_epoch_verify(sealed):
@@ -448,20 +456,50 @@ def test_every_sealed_bin_and_the_whole_epoch_verify(sealed):
 def test_the_reservation_is_the_full_memo_and_a_silent_service_makes_none(sealed):
     """The EPC charge is what the memo holds once every cell-id was
     verified (the fake chain's tag is never opened, so never counted),
-    and a service that does not verify is charged what it always was."""
+    a service that does not verify is charged what it always was, and
+    an oblivious one, which never verifies by position, holds no index
+    memo."""
     service, context, bins = sealed
     context.verify_packed(bins, None)
     held = sum(len(d) for digests in context._tag_memo.values() for d in digests)
     assert held == context.tag_memo_bytes > 0
-    # The index-key memo: every public bin's sealed index-key column
-    # (|b| keys of 48 B) once each was verified by position.
+    # The index-key memo: a digest per public bin once each was verified
+    # by position, and per tagged cell-id and padded bin's fake range
+    # once each was read as a run.
     context.verify_packed(bins, None, requested=context.layout.bins)
+    cells = [cid for cid, population in enumerate(context.c_tuple) if population]
+    fakes = range(1, context.fake_pool_size + 1)
+    packed, request = _run_read(service, context, cells, fakes)
+    context.verify_packed([packed], cells, requested=[request])
     indexed = sum(map(len, context._index_memo.values()))
-    assert indexed == context.index_memo_bytes == 48 * context.layout.bin_size * len(bins)
+    padded = sum(chosen.fake_count > 0 for chosen in context.layout.bins)
+    assert indexed == context.index_memo_bytes == 32 * (len(bins) + padded + len(cells))
     _, silent = make_stack(SPEC, RECORDS, verify=False)
     assert silent.context_for(0).tag_memo_bytes == 0
     assert silent.context_for(0).index_memo_bytes == 0
+    _, oblivious = make_stack(SPEC, RECORDS, verify=True, oblivious=True)
+    assert oblivious.context_for(0).tag_memo_bytes == context.tag_memo_bytes
+    assert oblivious.context_for(0).index_memo_bytes == 0
     assert service.enclave.epc_used - silent.enclave.epc_used == held + indexed
+
+
+def test_the_reservation_is_not_per_slot(sealed):
+    """The index memo holds digests — per bin, padded bin and tagged
+    cell-id — never a key per slot, so a context whose public bin size
+    puts far more slots in a bin than the EPC could key (2^22 slots,
+    201 MB of 48-byte index keys) is built, and charged no more memo
+    than the real one, whose bins are a thousandth of that size."""
+    from repro.core.context import EpochContext
+    from repro.enclave.enclave import DEFAULT_EPC_BYTES
+
+    service, context, _ = sealed
+    package = replace(service._packages[0], bin_size=2**22)
+    huge = EpochContext(service.enclave, package, service.schema, table_name=context.table_name)
+    try:
+        assert 48 * huge.layout.bin_size * len(huge.layout.bins) > DEFAULT_EPC_BYTES
+        assert 0 < huge.index_memo_bytes <= context.index_memo_bytes
+    finally:
+        huge.release()
 
 
 def test_each_violation_kind_is_still_reachable(sealed):
@@ -489,7 +527,7 @@ def test_a_replayed_pre_rotation_bin_is_undecryptable_with_the_memo_warm():
     _, service = make_stack(SPEC, RECORDS, verify=True)
     context = service.context_for(0)
     chosen = next(b for b in context.layout.bins if b.real_tuples)
-    stale = service.engine.fetch_packed_bin(context.table_name, chosen.index)
+    stale = service.engine.fetch_packed_bin(context.table_name, chosen.runs)
     assert outcome(context, [stale], chosen.cell_ids) is None
     assert context._tag_memo
     new_master = bytes(range(32, 64))
@@ -527,7 +565,7 @@ def test_epc_in_use_is_flat_over_rotations_and_evictions():
     def touch():
         context = service.context_for(0)
         chosen = next(b for b in context.layout.bins if b.real_tuples)
-        pb = service.engine.fetch_packed_bin(context.table_name, chosen.index)
+        pb = service.engine.fetch_packed_bin(context.table_name, chosen.runs)
         if pb is not None:  # a rotated table has no sidecar
             context.verify_packed([pb], chosen.cell_ids)
 

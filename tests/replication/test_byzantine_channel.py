@@ -34,7 +34,7 @@ import hashlib
 import pytest
 
 from repro import telemetry
-from repro.core.context import SlotRequest
+from repro.core.context import RunRequest, SlotRequest
 from repro.core.packed import PackedBin
 from repro.core.queries import Aggregate, PointQuery, RangeQuery
 from repro.core.rotation import rotate_service_keys, rotation_token
@@ -94,7 +94,7 @@ class Channel:
             if b.real_tuples and b.index not in skip
         )
 
-    def slot_request(self, kind, chosen, context) -> SlotRequest:
+    def slot_request(self, kind, chosen, context) -> SlotRequest | RunRequest:
         """The fetch a slot kind makes around ``chosen``: eBPB's cells of
         two bins with fakes cycling past the pool — by trapdoor, or as
         slot runs for the run kind — or winSecRange's fullest window
@@ -109,7 +109,7 @@ class Channel:
             cells = [*chosen.cell_ids, *self.full_bin(skip={chosen.index}).cell_ids]
             fakes = executor._pad_fakes(context, context.fake_pool_size + 2)
         if kind == RUN_KIND:
-            return SlotRequest(cells, runs=context.slot_runs(cells, fakes))
+            return context.slot_runs(cells, fakes)
         return SlotRequest(cells, context.trapdoors_for_cell_ids(cells, fakes))
 
     def read(self, kind, chosen, source=None):
@@ -125,7 +125,7 @@ class Channel:
             request = self.slot_request(kind, chosen, self.service.context_for(0))
             return source.fetch_packed_bin(self.table, list(request.runs))
         if kind == "packed":
-            return source.fetch_packed_bin(self.table, chosen.index)
+            return source.fetch_packed_bin(self.table, chosen.runs)
         return source.fetch_tree_nodes(self.table, self.coords)
 
     def verify(self, kind, chosen, answer):
@@ -150,14 +150,17 @@ class Channel:
 
 
 def _warm(context):
-    """Open and keep every sealed tag and every bin's index-key column
-    of the epoch, as a context that has been serving verified reads for
-    a while has."""
+    """Open and keep every sealed tag and every bin's and cell-id's
+    index digest of the epoch, as a context that has been serving
+    verified reads for a while has."""
     for cid, population in enumerate(context.c_tuple):
         if population:
             context._tag_digests(cid)
+            context._index_digest(("cell", cid), (cid,))
     for chosen in context.layout.bins:
-        context._index_column(chosen)
+        context._index_digest(("bin", chosen.index), chosen.cell_ids, chosen.fake_ids())
+        if chosen.fake_count:
+            context._index_digest(("fakes", chosen.index), (), chosen.fake_ids())
 
 
 def always(site):
@@ -505,7 +508,7 @@ def test_a_bent_run_read_on_a_plain_engine_never_passes_a_bent_real_row(site, wa
         full = [b for b in context.layout.bins if b.real_tuples][:2]
         cells = [cid for chosen in full for cid in chosen.cell_ids]
         fakes = service._range_executor._pad_fakes(context, context.fake_pool_size + 2)
-        request = SlotRequest(cells, runs=context.slot_runs(cells, fakes))
+        request = context.slot_runs(cells, fakes)
         honest = engine.fetch_packed_bin(context.table_name, list(request.runs))
         want = context.verified_bin(context._admit(honest), cells, request)
         engine.fault_injector.arm(always(site))

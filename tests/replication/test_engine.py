@@ -475,7 +475,7 @@ LIE = object()
 
 READS = {
     "rows": ("lookup_many", ("k", [b"k1"])),
-    "packed": ("fetch_packed_bin", (0,)),
+    "packed": ("fetch_packed_bin", ([(0, 0, 1)],)),
     "tree": ("fetch_tree_nodes", ([(0, 0, 1), (0, 1, 0)],)),
 }
 
