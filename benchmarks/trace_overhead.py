@@ -109,7 +109,7 @@ def measure(repeats: int, points: int, ranges: int) -> tuple[float, list]:
 
     service, records = build_stack()
     queries = make_queries(records, points, ranges)
-    # One untimed warm-up pass per mode: bin cache, trapdoor memo, and
+    # One untimed warm-up pass per mode: bin cache, epoch contexts and
     # bytecode warm-up would otherwise all be charged to the baseline.
     timed(False)
     timed(True)

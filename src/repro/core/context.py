@@ -124,7 +124,6 @@ class EpochContext:
         package: EpochPackage,
         schema: DatasetSchema,
         table_name: str | None = None,
-        trapdoor_table=None,
         verifies: bool = True,
         oblivious: bool = False,
     ):
@@ -134,10 +133,6 @@ class EpochContext:
         self.package = package
         self.epoch_id = package.epoch_id
         self.table_name = table_name or f"epoch_{package.epoch_id}"
-        # Optional service-wide TrapdoorTable (rotation-fenced LRU memo
-        # of derived trapdoors); None on the oblivious path, where a
-        # memo hit would break Concealer+'s trace-identity guarantee.
-        self.trapdoor_table = trapdoor_table
 
         epoch_key = derive_epoch_key(enclave.master_key, package.epoch_id)
         # Kept for lazily-derived subkeys (the aggregate-tree keys);
@@ -287,10 +282,8 @@ class EpochContext:
 
         Slots are deduplicated within the request (fake ids cycle when
         a range query needs more fakes than the pool holds, so one
-        query can name the same fake many times), looked up in the
-        service's :class:`~repro.core.trapdoor_table.TrapdoorTable`
-        when one is wired (one pass for the whole request), and only the
-        remaining misses hit the DET cipher — in one batch.  The list is
+        query can name the same fake many times) and the distinct ones
+        derived under the live epoch key in one DET batch.  The list is
         in slot order: each cell-id's counters, then the fakes.
         """
         prefix = (self.epoch_id, self.table_name)
@@ -304,23 +297,14 @@ class EpochContext:
         slots += [(*prefix, "fake", fid, 0) for fid in fake_ids]
         _count_tuples(real, len(slots) - real)
 
-        # One memo pass over the distinct slots, one derivation of the
-        # misses, one fill stamped with the fence read before both.
-        table = self.trapdoor_table
         distinct = list(dict.fromkeys(slots))
-        cached, stamp = (
-            table.lookup_many(distinct) if table is not None else ([None] * len(distinct), None)
-        )
-        resolved = dict(zip(distinct, cached))
-        misses = [slot for slot, trapdoor in resolved.items() if trapdoor is None]
-        if misses:
-            derived = self.det.encrypt_many([
-                index_plaintext(cid, j) if kind == "real" else fake_index_plaintext(cid)
-                for _, _, kind, cid, j in misses
-            ])
-            resolved.update(zip(misses, derived))
-            if table is not None:
-                table.insert_many(zip(misses, derived), stamp)
+        if not distinct:  # no kernel call, so no zero-count metric sample
+            return []
+        derived = self.det.encrypt_many([
+            index_plaintext(cid, j) if kind == "real" else fake_index_plaintext(cid)
+            for _, _, kind, cid, j in distinct
+        ])
+        resolved = dict(zip(distinct, derived))
         return [resolved[slot] for slot in slots]
 
     def trapdoors_for_bin(self, chosen: Bin) -> list[bytes]:
@@ -347,8 +331,7 @@ class EpochContext:
             "oblivious_trapdoor_schedule", cells_max, tuples_max, fakes_max
         )
 
-        # The memoizing TrapdoorTable is deliberately bypassed here:
-        # every candidate slot is derived unconditionally, so the
+        # Every candidate slot is derived unconditionally, so the
         # schedule's memory-touch sequence stays bin-independent.
         slots: list[tuple[int, bytes]] = []
         cell_list = list(chosen.cell_ids) + [0] * (cells_max - len(chosen.cell_ids))

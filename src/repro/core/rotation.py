@@ -242,10 +242,8 @@ def commit_rotation(prepared: PreparedRotation) -> int:
         secrecy=telemetry.PUBLIC_SIZE,
     ).inc(prepared.rotated_rows)
 
-    # Swap the sealed key material; cached contexts hold old ciphers.
-    # swap_master_key bumps the enclave key generation, so any cache
-    # stamped under the old key (the TrapdoorTable above all) becomes
-    # unservable even where the explicit flush below is missed.
+    # Swap the sealed key material; cached contexts hold old ciphers,
+    # so they are dropped and rebuilt under the new key on next use.
     old_schedule = enclave.key_schedule
     enclave.swap_master_key(
         prepared.new_master,
@@ -256,9 +254,6 @@ def commit_rotation(prepared: PreparedRotation) -> int:
         ),
     )
     service._drop_contexts()
-    table = getattr(service, "trapdoor_table", None)
-    if table is not None:
-        table.invalidate_all("rotation")
     return prepared.rotated_rows
 
 

@@ -35,7 +35,6 @@ from repro.core.queries import PointQuery, QueryStats, RangeQuery
 from repro.core.range_query import RangeExecutor
 from repro.core.registry import Registry, RegistryEntry, UserCredential
 from repro.core.schema import DatasetSchema
-from repro.core.trapdoor_table import TrapdoorTable
 from repro.crypto.keys import derive_epoch_key
 from repro.crypto.nondet import RandomizedCipher
 from repro.enclave.enclave import Enclave, EnclaveConfig
@@ -207,14 +206,6 @@ class ServiceConfig:
     # Bounded worker pool for batch prefetches; 1 = fully sequential
     # (what the chaos harness uses so fault schedules replay).
     batch_workers: int = 4
-    # Capacity (in memoized trapdoors) of the enclave-resident
-    # TrapdoorTable; 0 disables it.  On by default: unlike the bin
-    # cache it never changes *storage* fetch volumes — every trapdoor
-    # is still submitted — it only skips re-deriving ciphertexts the
-    # host has already seen as index-lookup keys, so the observable
-    # view is unchanged (see DESIGN.md §12).  Ignored under oblivious
-    # execution (§4.3 trace identity forbids memoization).
-    trapdoor_table_slots: int = 8192
 
 
 # Minimum fully-covered leaf buckets before the auto planner prefers the
@@ -271,16 +262,6 @@ class ServiceProvider:
         if self.config.bin_cache_bins > 0 and not self.config.oblivious:
             self.bin_cache = BinCache(
                 self.enclave, self.engine, capacity_bins=self.config.bin_cache_bins
-            )
-        # Trapdoor memo table (repro.core.trapdoor_table): skips
-        # re-deriving DET trapdoors for slots already issued, fenced on
-        # both the engine rewrite generation and the enclave key
-        # generation.  Never built under oblivious execution.
-        self.trapdoor_table: TrapdoorTable | None = None
-        if self.config.trapdoor_table_slots > 0 and not self.config.oblivious:
-            self.trapdoor_table = TrapdoorTable(
-                self.enclave, self.engine,
-                capacity=self.config.trapdoor_table_slots,
             )
         self._fetcher = BinFetcher(
             self.engine,
@@ -391,7 +372,6 @@ class ServiceProvider:
             self._contexts[epoch_id] = EpochContext(
                 self.enclave, package, self.schema,
                 table_name=self._table_name(epoch_id),
-                trapdoor_table=self.trapdoor_table,
                 verifies=self.config.verify,
                 oblivious=self.config.oblivious,
             )
@@ -426,8 +406,6 @@ class ServiceProvider:
             # The dead instance's EPC (and every cached bin in it) was
             # wiped by hardware; drop entries without releasing charge.
             self.bin_cache.rebind_enclave(enclave)
-        if self.trapdoor_table is not None:
-            self.trapdoor_table.rebind_enclave(enclave)
 
     def adopt_engine(self, engine: StorageEngine) -> None:
         """Swap in a storage engine restored from a checkpoint."""
@@ -436,8 +414,6 @@ class ServiceProvider:
         if self.bin_cache is not None:
             # Restored storage may not match what was cached; flush.
             self.bin_cache.rebind_engine(engine)
-        if self.trapdoor_table is not None:
-            self.trapdoor_table.rebind_engine(engine)
 
     # ---------------------------------------------------------- authentication
 

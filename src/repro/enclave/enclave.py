@@ -79,11 +79,6 @@ class Enclave:
         self._epc_used = 0
         self._epc_high_water = 0
         self._crashed: str | None = None
-        # Bumped whenever the sealed master key changes (provisioning,
-        # rotation, crash wipe).  Key-derived caches outside the sealed
-        # state — e.g. the TrapdoorTable — fence on this so memoized
-        # ciphertexts can never outlive the key that produced them.
-        self._key_generation = 0
         # The EPC ledger is shared by concurrent batch-prefetch workers;
         # charge/release must be atomic or parallel fetches could both
         # pass the budget check and overshoot it.
@@ -106,7 +101,6 @@ class Enclave:
         """
         self._crashed = reason
         self._sealed = _SealedState()
-        self._key_generation += 1
         self._epc_used = 0
         telemetry.counter(
             "concealer_enclave_crashes_total",
@@ -164,25 +158,17 @@ class Enclave:
             first_epoch_id=first_epoch_id,
             epoch_duration=epoch_duration,
         )
-        self._key_generation += 1
-
-    @property
-    def key_generation(self) -> int:
-        """Fence counter for key-derived caches (see ``__init__``)."""
-        return self._key_generation
 
     def swap_master_key(self, new_master: bytes, key_schedule: EpochKeySchedule) -> None:
-        """Install rotated key material, bumping the key-generation fence.
+        """Install rotated key material.
 
         Used by :func:`repro.core.rotation.rotate_service_keys` after a
-        committed rewrite: any cache entry stamped with the previous
-        generation (memoized trapdoors, most notably) becomes
-        unservable the moment the sealed key changes.
+        committed rewrite; the caller drops every epoch context built
+        under the previous key.
         """
         self._ecall_guard()
         self._sealed.master_key = new_master
         self._sealed.key_schedule = key_schedule
-        self._key_generation += 1
 
     @property
     def provisioned(self) -> bool:

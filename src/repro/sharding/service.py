@@ -143,7 +143,6 @@ class ShardedConfig:
     allow_partial: bool = True
     breaker_reset_seconds: float = 30.0
     bin_cache_bins: int = 0
-    trapdoor_table_slots: int = 8192
     max_inflight: int = 64
     admission_queue: int = 128
     retry_jitter: float = 0.0
@@ -348,7 +347,6 @@ class ShardedService:
                     oblivious=config.oblivious,
                     deadline_seconds=config.deadline_seconds,
                     bin_cache_bins=config.bin_cache_bins,
-                    trapdoor_table_slots=config.trapdoor_table_slots,
                     max_inflight=config.max_inflight,
                     admission_queue=config.admission_queue,
                     retry_jitter=config.retry_jitter,

@@ -63,6 +63,38 @@ class TestTrapdoors:
             oblivious = set(context.oblivious_trapdoors_for_bin(chosen))
             assert plain == oblivious
 
+    def test_cycling_fakes_are_derived_once_each_in_slot_order(
+        self, context, monkeypatch
+    ):
+        """Fake ids cycle when a range needs more fakes than the pool
+        holds: each distinct slot is derived once, in one batch, and
+        the answer is every slot's own DET trapdoor, in slot order."""
+        from repro.core.epoch import fake_index_plaintext, index_plaintext
+        from repro.crypto.kernels import DeterministicCipher
+
+        cells = [cid for cid, count in enumerate(context.c_tuple) if count][:2]
+        pool = min(3, context.fake_pool_size)
+        assert pool
+        fake_ids = [i % pool for i in range(3 * pool + 1)]
+        plaintexts = [
+            index_plaintext(cid, j)
+            for cid in cells
+            for j in range(1, context.c_tuple[cid] + 1)
+        ] + [fake_index_plaintext(fid) for fid in fake_ids]
+
+        encrypt_many = DeterministicCipher.encrypt_many
+        batches = []
+
+        def spying(cipher, batch, *args, **kwargs):
+            if cipher is context.det:
+                batches.append(list(batch))
+            return encrypt_many(cipher, batch, *args, **kwargs)
+
+        monkeypatch.setattr(DeterministicCipher, "encrypt_many", spying)
+        trapdoors = context.trapdoors_for_cell_ids(cells, fake_ids)
+        assert batches == [list(dict.fromkeys(plaintexts))]
+        assert trapdoors == [context.det.encrypt(p) for p in plaintexts]
+
 
 class TestFilters:
     def test_filter_group_position(self, context):

@@ -12,6 +12,10 @@ fetch kinds), two claims about the slot-run kind (DESIGN.md §16):
    (``FakeStrategy.EQUAL``, or ``pad_epoch_rows_to`` above the layout's
    need) is read by trapdoor whatever the query, and a sealed
    ``SIMULATED`` package by slot runs whatever the query.
+
+And one about the trapdoor kind: a sidecar-less epoch, read cold then
+warm, derives every trapdoor afresh per request (nothing is memoized
+across requests), so its public view is equal across such datasets too.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from repro import (
     ServiceProvider,
     WIFI_SCHEMA,
 )
-from repro.core.queries import Aggregate, RangeQuery
+from repro.core.queries import Aggregate, PointQuery, RangeQuery
 from repro.storage.pager import AccessKind
 from repro.telemetry import assert_equal_public_view, audit_run
 from tests.conftest import MASTER_KEY, make_stack
@@ -81,6 +85,34 @@ def _cold_then_warm(records, method):
 def test_run_kind_views_are_identical_across_device_disjoint_datasets(method):
     report_a = audit_run(_cold_then_warm(_records("A"), method))
     report_b = audit_run(_cold_then_warm(_records("B"), method))
+    assert report_a.result == report_b.result
+    assert_equal_public_view(report_a, report_b)
+    assert report_a.trace_summary() == report_b.trace_summary()
+
+
+def _sidecarless_cold_then_warm(records):
+    def run():
+        _, service = make_stack(SPEC, records, verify=True, sidecar=False)
+        points = [
+            PointQuery(index_values=("ap0",), timestamp=60),
+            PointQuery(index_values=("ap2",), timestamp=120),
+        ]
+        answers = []
+        for _ in range(2):  # pass 2 derives what pass 1 did
+            answers.extend(service.execute_point(query)[0] for query in points)
+            answers.extend(
+                service.execute_range(QUERIES[0], method=method)[0]
+                for method in ("multipoint",) + METHODS
+            )
+        assert _heads(service) == {AccessKind.INDEX_LOOKUP}  # trapdoors only
+        return answers
+
+    return run
+
+
+def test_sidecarless_views_are_identical_across_device_disjoint_datasets():
+    report_a = audit_run(_sidecarless_cold_then_warm(_records("A")))
+    report_b = audit_run(_sidecarless_cold_then_warm(_records("B")))
     assert report_a.result == report_b.result
     assert_equal_public_view(report_a, report_b)
     assert report_a.trace_summary() == report_b.trace_summary()

@@ -13,9 +13,10 @@ from repro import (
 )
 from repro.core.rotation import rotate_service_keys, rotation_token
 from repro.exceptions import AuthorizationError, CryptoError
+from repro.storage.pager import AccessKind
 from repro.workloads.queries import build_q1
 
-from tests.conftest import is_fake_row
+from tests.conftest import MASTER_KEY, is_fake_row, make_stack
 
 OLD_KEY = b"\x81" * 32
 NEW_KEY = b"\x82" * 32
@@ -94,6 +95,40 @@ class TestRotation:
         old_trapdoors = context.trapdoors_for_bin(context.layout.bins[0])
         rotate_service_keys(service, NEW_KEY, rotation_token(OLD_KEY, NEW_KEY))
         assert service.engine.lookup_many("epoch_0", "index_key", old_trapdoors) == []
+
+    def test_sidecarless_epoch_looks_up_only_new_key_trapdoors(
+        self, wifi_records, grid_spec
+    ):
+        """Every trapdoor is derived per request under the live key:
+        after a rotation no index-lookup key repeats one sent before,
+        and the answers still match the records."""
+        _, service = make_stack(grid_spec, wifi_records, verify=True, sidecar=False)
+        location, timestamp, _ = wifi_records[0]
+        point = PointQuery(index_values=(location,), timestamp=timestamp)
+        ranged = build_q1("ap1", 0, 1800)
+        expected = [
+            sum(1 for r in wifi_records if r[:2] == (location, timestamp)),
+        ] + [sum(1 for r in wifi_records if r[0] == "ap1" and r[1] <= 1800)] * 3
+
+        def keys_and_answers():
+            service.engine.access_log.clear()
+            answers = [service.execute_point(point)[0]] + [
+                service.execute_range(ranged, method=method)[0]
+                for method in ("multipoint", "ebpb", "winsecrange")
+            ]
+            keys = {
+                event.detail
+                for event in service.engine.access_log
+                if event.kind is AccessKind.INDEX_LOOKUP
+            }
+            return keys, answers
+
+        before, answers = keys_and_answers()
+        assert before and answers == expected
+        rotate_service_keys(service, NEW_KEY, rotation_token(MASTER_KEY, NEW_KEY))
+        after, answers = keys_and_answers()
+        assert after and answers == expected
+        assert before.isdisjoint(after)
 
     def test_stored_ciphertexts_changed(self, wifi_records, grid_spec):
         provider = DataProvider(

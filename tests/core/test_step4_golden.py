@@ -8,6 +8,8 @@ trapdoors.  Answers, ``QueryStats``, the host's access-log stream and
 the metrics registry (less wall-clock families) must equal what the
 row-compute twins produced at the parent commit (bcb189f), plain and
 replicated; ``capture`` says what it puts back for the slot-run reads.
+The metric digests were re-captured once trapdoors stopped being
+memoized across requests (``GOLDEN`` says how).
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ LOCATIONS = tuple(sorted({record[0] for record in RECORDS}))
 
 # Captured at bcb189f: from a checkout of it,
 # ``PYTHONPATH=src:<this repo> python <this file>`` prints the table.
+# The ``metrics`` digests are 8933a09's with its trapdoor memo off: in a
+# checkout of it, ``sed -i 's/trapdoor_table_slots: int = 8192/
+# trapdoor_table_slots: int = 0/' src/repro/core/service.py
+# src/repro/sharding/service.py``, then the same command.
 _ANSWERS = "748170f02cffcdb070427b192a2d5b38ffca8dc6c5e68175af99df19dc87ea62"
 _STREAM = "f579b105d9213a8d5dfcddfd30435a26547aa36c5e0bafe97292f7aeb073ad70"
 _VERIFIED_STATS = "b20e1477fcd59071a727a5a60f63f28c7e9165e631255a3b7f76328373965331"
@@ -46,20 +52,20 @@ GOLDEN = {
         "answers": _ANSWERS,
         "stats": "a3905bdaf980a659a78c20fb7710c81b6f86c1dddf655d09d4d592d7b0cdbd1d",
         "stream": _STREAM,
-        "metrics": "d88014c7fc3bdf60b2bcd595b8af9f02f4cba3f87bee317154514b80cf2d5681",
+        "metrics": "10f06343f626a980accc044971a6da9fdbc925b757a0a75000a975f34dfd39a4",
     },
     ("plain", True): {
         "answers": _ANSWERS,
         "stats": _VERIFIED_STATS,
         "stream": _STREAM,
-        "metrics": "cfa3e2e0b774109a31e7d76b4901a38fdca8923f021101435f290e01d2d174a5",
+        "metrics": "c9a58918c4c3e9042d7f45cc599d10a2d1a78c34deab62324eb8d513368c9559",
     },
     # Replica 0's log: the honest group serves every read from it.
     ("replicated", True): {
         "answers": _ANSWERS,
         "stats": _VERIFIED_STATS,
         "stream": _STREAM,
-        "metrics": "70a9cb55f6d6a03a502879a3eb0eb61597fc864d99f011c319b0fec7cac3c075",
+        "metrics": "70de8354ef0a9d31e65b5ddb7f42eaf97c9f8c99e38cbb954131c295fe302655",
     },
 }
 
@@ -120,11 +126,11 @@ def capture(topology: str, verify: bool) -> dict:
     # On the sealed epoch eBPB and winSecRange read slot runs of the
     # sidecar bins and derive no trapdoors.  Deriving them here anyway,
     # just before each run read (as the trapdoor kind did, volume
-    # counted once, by the read), replays into the trapdoor table, the
-    # EPC ledger and ``det_encrypt`` what the parent's fetch did; the
-    # heads of the log are put back below.  Once the sidecar is gone a
-    # run read is still tried, answered ``None`` and made by trapdoor:
-    # one more EPC reservation, counted in ``probes``.
+    # counted once, by the read), replays into ``det_encrypt`` what the
+    # parent's fetch did; the heads of the log are put back below.
+    # Once the sidecar is gone a run read is still tried, answered
+    # ``None`` and made by trapdoor: one more EPC reservation, counted
+    # in ``probes``.
     fetch_slots = RangeExecutor._fetch_slots
     run_rows, probes = [], []
 

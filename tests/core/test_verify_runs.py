@@ -222,9 +222,9 @@ def test_run_based_verify_decides_as_the_reference_did(sealed, seed):
 
 @pytest.fixture(scope="module")
 def fetching():
-    """(service, context) of a verifying stack whose fetches leave the
-    EPC as they found it (no trapdoor memo)."""
-    _, service = make_stack(SPEC, RECORDS, verify=True, trapdoor_table_slots=0)
+    """(service, context) of a verifying stack (its fetches leave the
+    EPC as they found it)."""
+    _, service = make_stack(SPEC, RECORDS, verify=True)
     return service, service.context_for(0)
 
 
