@@ -29,7 +29,9 @@ to stdout and ``results/profile_read.txt``:
   window (from the first shard starting to the last one finishing),
   the tree-node decode inside it, and what is left — pool hops, asyncio
   and the merge.  Shards run concurrently, so a phase is the union of
-  its intervals, not their sum.
+  its intervals, not their sum.  Then the same stream again from two
+  concurrent clients, the benchmark's closed loop, where a thread hop
+  also queues behind the other client's work: wall clock only.
 """
 
 import asyncio
@@ -309,25 +311,33 @@ def router_section(out: io.StringIO) -> None:
                 await router.execute_range(query, method="auto")
 
         async def measure():
+            stream = queries[RANGE_WARMUP:]
             await ask(queries[:RANGE_WARMUP])
             with IntervalTimer(ROUTER_PHASES) as timer:
                 start = time.perf_counter()
-                await ask(queries[RANGE_WARMUP:])
-                return timer, time.perf_counter() - start
+                await ask(stream)
+                wall = time.perf_counter() - start
+            # Two clients in a closed loop, as the benchmark drives it:
+            # each sub-query that hops now queues behind the other's.
+            start = time.perf_counter()
+            await asyncio.gather(ask(stream[0::2]), ask(stream[1::2]))
+            return timer, wall, time.perf_counter() - start
 
         # One core, as the benchmark's server child: the router's pool
         # threads (started by the first query) inherit it.
         cpus = os.sched_getaffinity(0)
         os.sched_setaffinity(0, {min(cpus)})
         try:
-            timer, wall = asyncio.run(measure())
+            timer, wall, paired = asyncio.run(measure())
         finally:
             router.close()
             os.sched_setaffinity(0, cpus)
     plan, dispatch, decode = (timer.seconds(phase) for phase, *_ in ROUTER_PHASES)
     out.write(
         f"\n{RANGES} whole-epoch auto ranges through AsyncShardRouter, 4x1 fleet, "
-        f"one at a time: {wall:.3f} s ({1000 * wall / RANGES:.2f} ms/query)\n\n"
+        f"one at a time: {wall:.3f} s ({1000 * wall / RANGES:.2f} ms/query)\n"
+        f"the same stream from two concurrent clients: {paired:.3f} s "
+        f"({1000 * paired / RANGES:.2f} ms/query, {RANGES / paired:.0f} queries/s)\n\n"
         "split (wall clock; a phase is the union of its intervals on any thread)\n"
     )
     split = (

@@ -3,7 +3,14 @@
 The router owns one small thread pool *per shard*, so a shard that
 stalls (slow storage, injected ``shard.slow``, a wedged enclave call)
 blocks only its own threads — sub-queries to every other shard keep
-flowing.  On top of that isolation it adds:
+flowing.  Work that costs about one lookup skips the hop and runs on
+the event loop itself, through the same sync-core code: the plan, when
+a free shard already holds the epoch's context, and a range sub-query
+planned to the aggregate tree (one sealed node), when its shard's lock
+is free, its epoch context is built and no hedge is configured.  The
+loop only ever *tries* a shard lock, so a stalled shard — which holds
+its lock — is never waited on: its sub-query takes the hop.  On top of
+that isolation it adds:
 
 - **asyncio admission**: at most ``max_inflight`` requests execute at
   once and at most ``admission_queue`` more may wait; everything beyond
@@ -44,7 +51,12 @@ from repro.exceptions import (
     ShardUnavailable,
 )
 from repro.sharding.results import ShardedQueryStats, merged_stats
-from repro.sharding.service import Shard, ShardedService, _count_isolated
+from repro.sharding.service import (
+    SHARD_BUSY,
+    Shard,
+    ShardedService,
+    _count_isolated,
+)
 
 
 def _count_shed(kind: str) -> None:
@@ -69,9 +81,10 @@ class AsyncShardRouter:
     """Async scatter-gather over a :class:`ShardedService`.
 
     The router never touches bins or keys itself: planning and
-    execution run on shard threads through the sync core, so the
-    verification, leakage, and partial-result semantics are byte-for-
-    byte those of :class:`ShardedService` — this class only decides
+    execution run through the sync core — on the event loop when the
+    work is a lookup and the shard is free, else on shard threads — so
+    the verification, leakage, and partial-result semantics are byte-
+    for-byte those of :class:`ShardedService`; this class only decides
     *where and when* the work runs.
     """
 
@@ -162,10 +175,28 @@ class AsyncShardRouter:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(self._executors[shard.shard_id], fn)
 
+    def _dispatch_inline(self, shard: Shard, thunk, epoch_id: int):
+        """One tree sub-query on the loop thread itself, or
+        :data:`SHARD_BUSY` when the shard's lock is held or its epoch
+        context is cold (the caller then hops to :meth:`_dispatch`).
+
+        The same ``ShardedService._dispatch`` body runs, so budget,
+        breaker, fault points, spans and counters are unchanged.  An
+        error comes back as a value, as ``gather(return_exceptions=True)``
+        returns the hopped ones.
+        """
+        try:
+            return self.sharded._dispatch(
+                shard, "range", thunk, blocking=False, epoch_id=epoch_id
+            )
+        except Exception as error:
+            return error
+
     async def _dispatch(self, shard: Shard, kind: str, thunk):
-        """One sub-query with optional hedging; same budget semantics
-        as the sync path (``ShardedService._dispatch`` does the breaker
-        and deadline work on the shard thread).
+        """One sub-query on the shard's thread, with optional hedging;
+        same budget semantics as the sync path (``ShardedService
+        ._dispatch`` does the breaker and deadline work on the shard
+        thread).
 
         Thread pools do not carry context variables, so both attempts
         are wrapped with :func:`tracing.propagate` — the shard-side
@@ -232,7 +263,7 @@ class AsyncShardRouter:
             with telemetry.span("router.query", kind="point"):
                 self.sharded._check_fence()
                 eid, cell_id, owner_id = await self._plan(
-                    lambda: self.sharded.plan_point(query, epoch_id)
+                    functools.partial(self.sharded.plan_point, query, epoch_id)
                 )
                 owner = self.sharded.shards[owner_id]
                 if not owner.healthy():
@@ -266,7 +297,9 @@ class AsyncShardRouter:
         """Admission-gated async scatter-gather range query.
 
         Healthy participants run *concurrently*, each on its own shard
-        thread under its own deadline budget; isolated or failing
+        thread under its own deadline budget — except tree sub-queries
+        on free, warm shards, which run on the loop one after another
+        (each is one node lookup); isolated or failing
         shards degrade to the same :class:`PartialResult` semantics as
         the sync path (:meth:`ShardedService.finish_range` is shared).
         """
@@ -277,38 +310,44 @@ class AsyncShardRouter:
             with telemetry.span("router.query", kind="range"):
                 self.sharded._check_fence()
                 eid, method, participants = await self._plan(
-                    lambda: self.sharded.plan_range(query, method, epoch_id)
+                    functools.partial(
+                        self.sharded.plan_range, query, method, epoch_id
+                    )
                 )
+                # A tree sub-query reads one sealed node: it runs on the
+                # loop when its shard is free (see _dispatch_inline).
+                inline = method == "tree" and self.hedge_delay is None
 
-                answers: dict[int, object] = {}
-                per_shard: dict[int, QueryStats] = {}
+                outcomes: dict[int, object] = {}
                 errors: dict[int, str] = {}
-                gathers = []
+                hops = []
                 for shard_id in participants:
                     shard = self.sharded.shards[shard_id]
                     if not shard.healthy():
                         _count_isolated(shard_id, shard.isolation_reason())
                         errors[shard_id] = "ShardUnavailable"
                         continue
-                    gathers.append(
-                        (
-                            shard_id,
-                            self._dispatch(
-                                shard,
-                                "range",
-                                functools.partial(
-                                    shard.service.execute_range,
-                                    query,
-                                    method=method,
-                                    epoch_id=eid,
-                                ),
-                            ),
-                        )
+                    thunk = functools.partial(
+                        shard.service.execute_range,
+                        query,
+                        method=method,
+                        epoch_id=eid,
                     )
-                outcomes = await asyncio.gather(
-                    *(coro for _, coro in gathers), return_exceptions=True
+                    if inline:
+                        outcome = self._dispatch_inline(shard, thunk, eid)
+                        if outcome is not SHARD_BUSY:
+                            outcomes[shard_id] = outcome
+                            continue
+                    hops.append((shard_id, self._dispatch(shard, "range", thunk)))
+                gathered = await asyncio.gather(
+                    *(coro for _, coro in hops), return_exceptions=True
                 )
-                for (shard_id, _), outcome in zip(gathers, outcomes):
+                outcomes.update(zip((shard_id for shard_id, _ in hops), gathered))
+
+                answers: dict[int, object] = {}
+                per_shard: dict[int, QueryStats] = {}
+                for shard_id in sorted(outcomes):
+                    outcome = outcomes[shard_id]
                     if isinstance(outcome, ConcealerError):
                         errors[shard_id] = type(outcome).__name__
                     elif isinstance(outcome, BaseException):
@@ -329,14 +368,23 @@ class AsyncShardRouter:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(None, self.sharded.heal)
 
-    async def _plan(self, fn):
-        """Planning runs off the event loop (it decrypts metadata in an
-        enclave); any pool works since the sync core takes the lock of
-        an idle healthy shard to plan on.  ``propagate`` carries the
-        trace context onto the pool thread so ``router.plan`` joins this
-        trace."""
+    async def _plan(self, plan):
+        """Plan a request: ``plan`` is ``plan_point`` / ``plan_range``
+        bound to the request, taking the ``blocking`` flag.
+
+        A warm plan is a lookup, so it runs on the loop when a free
+        shard already holds the epoch's context.  Otherwise (every
+        shard busy, or the epoch's first request since ingest, a
+        rotation or a heal) it runs on the default pool: the plan then
+        decrypts metadata in an enclave, and may wait for a lock.
+        ``propagate`` carries the trace context onto the pool thread so
+        ``router.plan`` joins this trace.
+        """
+        planned = plan(blocking=False)
+        if planned is not SHARD_BUSY:
+            return planned
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, tracing.propagate(fn))
+        return await loop.run_in_executor(None, tracing.propagate(plan))
 
     # ---------------------------------------------------------------- drain
 

@@ -55,6 +55,31 @@ from repro.telemetry import tracing
 from repro.telemetry.slo import SLOMonitor
 
 
+# The longest request line the door reads (asyncio's default limit).
+LINE_LIMIT = 2**16
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next request line: ``b""`` at end of stream, ``None`` for a
+    line over :data:`LINE_LIMIT`.  An over-long line is read off and
+    dropped through its newline, so the next request is answered."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as eof:
+        return eof.partial
+    except asyncio.LimitOverrunError:
+        pass
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+        except asyncio.LimitOverrunError as overrun:
+            await reader.readexactly(overrun.consumed)  # all before the newline
+            continue
+        except asyncio.IncompleteReadError:
+            pass  # the stream ended inside the line; the next read sees it
+        return None
+
+
 def _parse_index_values(raw) -> tuple:
     """JSON slots → query slots (lists become wildcard tuples)."""
     return tuple(
@@ -152,7 +177,7 @@ class ShardServer:
     async def start(self) -> int:
         """Bind and start accepting; returns the bound port."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=LINE_LIMIT
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self.port
@@ -186,10 +211,17 @@ class ShardServer:
     async def _handle_connection(self, reader, writer) -> None:
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await _read_line(reader)
+                if line is None:
+                    response = {
+                        "ok": False,
+                        "error": "BadRequest",
+                        "message": f"request line over {LINE_LIMIT} bytes",
+                    }
+                elif not line:
                     break
-                response = await self._handle_request(line)
+                else:
+                    response = await self._handle_request(line)
                 writer.write(json.dumps(response).encode() + b"\n")
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
@@ -202,6 +234,10 @@ class ShardServer:
     async def _handle_request(self, line: bytes) -> dict:
         try:
             request = json.loads(line)
+            if not isinstance(request, dict):
+                return {"ok": False, "error": "BadRequest",
+                        "message": "a request is a JSON object, not "
+                                   f"{type(request).__name__}"}
             operation = request.get("op")
             if operation in ("point", "range"):
                 return await self._handle_query(operation, request)

@@ -33,6 +33,7 @@ the chaos harness drives it directly so schedules stay deterministic.
 
 from __future__ import annotations
 
+import contextlib
 import random
 import threading
 from dataclasses import dataclass, field
@@ -80,6 +81,11 @@ MERGEABLE_AGGREGATES = frozenset(
 # Consecutive soft failures (deadline, transient exhaustion) before a
 # shard's breaker isolates it; crashes isolate immediately.
 SHARD_BREAKER_THRESHOLD = 2
+
+# What a non-blocking plan or dispatch returns instead of waiting: the
+# shard's lock was held, or the work would have built an epoch context.
+# The async router then runs it on a thread instead of its event loop.
+SHARD_BUSY = object()
 
 
 def _count_dispatch(shard_id: int, kind: str) -> None:
@@ -263,6 +269,11 @@ class Shard:
                 "router and shard disagree on the topology"
             )
 
+    def context_warm(self, epoch_id: int) -> bool:
+        """Whether the epoch's context is built already (a dict lookup;
+        ``context_for`` would build a missing one)."""
+        return epoch_id in self.service._contexts
+
     def probe(self) -> None:
         """Readmission self-check: every ingested epoch's context builds.
 
@@ -409,7 +420,7 @@ class ShardedService:
     def healthy_shards(self) -> list[Shard]:
         return [shard for shard in self.shards if shard.healthy()]
 
-    def _plan_context(self, epoch_id: int):
+    def _plan_context(self, epoch_id: int, blocking: bool = True):
         """An epoch context on any healthy shard, for query planning.
 
         Planning (cell-id identification) needs a provisioned enclave;
@@ -421,19 +432,29 @@ class ShardedService:
         requests that do not touch it.  A shard found busy is retried
         blocking once every other shard was tried (single-threaded
         callers never find one busy, so they always plan on the first).
+
+        ``blocking=False`` is the event loop's mode: it never waits and
+        never builds.  The first free shard that already holds the
+        epoch's context plans; with none, :data:`SHARD_BUSY` comes back
+        and the caller plans on a thread instead.
         """
         last_error: ConcealerError | None = None
         attempts = [(shard, False) for shard in self.healthy_shards()]
-        for shard, blocking in attempts:  # grows while iterated: busy ones last
-            if not shard.lock.acquire(blocking=blocking):
-                attempts.append((shard, True))
+        for shard, wait in attempts:  # grows while iterated: busy ones last
+            if not shard.lock.acquire(blocking=wait):
+                if blocking:
+                    attempts.append((shard, True))
                 continue
             try:
+                if not blocking and not shard.context_warm(epoch_id):
+                    continue
                 return shard.service.context_for(epoch_id)
             except ConcealerError as error:
                 last_error = error
             finally:
                 shard.lock.release()
+        if not blocking:
+            return SHARD_BUSY
         if last_error is not None:
             raise last_error
         raise NoHealthyShard(
@@ -447,7 +468,14 @@ class ShardedService:
 
     # --------------------------------------------------------------- dispatch
 
-    def _dispatch(self, shard: Shard, kind: str, thunk):
+    def _dispatch(
+        self,
+        shard: Shard,
+        kind: str,
+        thunk,
+        blocking: bool = True,
+        epoch_id: int | None = None,
+    ):
         """Run one sub-query on one shard under its own budget.
 
         Success closes the shard's breaker; a deadline or transient
@@ -457,7 +485,31 @@ class ShardedService:
         dispatch's entire budget on the virtual clock before the work
         starts, so the typed failure is a DeadlineExceeded attributed
         to exactly this shard.
+
+        ``blocking=False`` is the async router's event-loop mode, which
+        must never wait: the shard's lock is taken only if it is free
+        and the shard already holds ``epoch_id``'s context (the loop
+        never builds one).  Otherwise :data:`SHARD_BUSY` comes back
+        before any counter, span or deadline exists.  Once taken, the
+        lock is held through the same bookkeeping as a blocking
+        dispatch; it is never released and taken again.
         """
+        if blocking:
+            return self._dispatch_under(shard, kind, thunk, shard.lock)
+        if not shard.lock.acquire(blocking=False):
+            return SHARD_BUSY
+        try:
+            if not shard.context_warm(epoch_id):
+                return SHARD_BUSY
+            return self._dispatch_under(
+                shard, kind, thunk, contextlib.nullcontext()
+            )
+        finally:
+            shard.lock.release()
+
+    def _dispatch_under(self, shard: Shard, kind: str, thunk, guard):
+        """:meth:`_dispatch`'s body; ``guard`` holds the shard's lock
+        around the work (or is a no-op when the caller holds it)."""
         _count_dispatch(shard.shard_id, kind)
         deadline = (
             Deadline.after(self.clock, self.config.deadline_seconds)
@@ -471,7 +523,7 @@ class ShardedService:
             with telemetry.bind_tracer(shard.tracer), telemetry.span(
                 "shard.dispatch", shard=shard.shard_id, kind=kind
             ) as dispatch_span:
-                with shard.lock:
+                with guard:
                     if not shard.service.enclave.crashed:
                         shard.service.enclave.kill_point("shard.kill")
                     if (
@@ -529,15 +581,47 @@ class ShardedService:
 
     # ---------------------------------------------------------------- queries
 
+    @contextlib.contextmanager
+    def _planning(
+        self, kind: str, timestamp: int, epoch_id: int | None, blocking: bool
+    ):
+        """The ``router.plan`` span, with the request's epoch and a
+        planning context: yields ``(epoch_id, context, span)``.
+
+        Blocking, both resolve inside the span.  Non-blocking, they
+        resolve first, so a fleet with no free warm shard opens no span
+        and the block sees ``context is SHARD_BUSY``.
+        """
+        if blocking:
+            with telemetry.span("router.plan", stage="plan", kind=kind) as plan:
+                eid = epoch_id if epoch_id is not None else self._epoch_of(timestamp)
+                yield eid, self._plan_context(eid), plan
+            return
+        eid = epoch_id if epoch_id is not None else self._epoch_of(timestamp)
+        context = self._plan_context(eid, blocking=False)
+        if context is SHARD_BUSY:
+            yield eid, SHARD_BUSY, None
+            return
+        with telemetry.span("router.plan", stage="plan", kind=kind) as plan:
+            yield eid, context, plan
+
     def plan_point(
-        self, query: PointQuery, epoch_id: int | None = None
+        self,
+        query: PointQuery,
+        epoch_id: int | None = None,
+        blocking: bool = True,
     ) -> tuple[int, int, int]:
-        """Resolve a point query to ``(epoch_id, cell_id, owner_shard)``."""
-        with telemetry.span("router.plan", stage="plan", kind="point") as plan:
-            eid = (
-                epoch_id if epoch_id is not None else self._epoch_of(query.timestamp)
-            )
-            context = self._plan_context(eid)
+        """Resolve a point query to ``(epoch_id, cell_id, owner_shard)``.
+
+        ``blocking=False`` returns :data:`SHARD_BUSY` rather than wait
+        for a shard's lock or build an epoch context
+        (:meth:`_plan_context`).
+        """
+        with self._planning(
+            "point", query.timestamp, epoch_id, blocking
+        ) as (eid, context, plan):
+            if context is SHARD_BUSY:
+                return SHARD_BUSY
             cell_id = context.grid.place_values(
                 query.index_values, query.timestamp
             )
@@ -549,25 +633,26 @@ class ShardedService:
         query: RangeQuery,
         method: str = "ebpb",
         epoch_id: int | None = None,
+        blocking: bool = True,
     ) -> tuple[int, str, tuple[int, ...]]:
         """Resolve a range query to ``(epoch_id, method, participants)``.
 
         Participants are the shards owning any covered cell-id, in
         ascending shard id.  Raises a typed :class:`QueryError` for
         aggregates that cannot be merged across a multi-shard
-        participant set.
+        participant set.  ``blocking=False`` returns
+        :data:`SHARD_BUSY` rather than wait for a shard's lock or build
+        an epoch context (:meth:`_plan_context`).
         """
         if method not in RANGE_METHODS:
             raise QueryError(
                 f"unknown range method {method!r}; choose from {RANGE_METHODS}"
             )
-        with telemetry.span("router.plan", stage="plan", kind="range") as plan:
-            eid = (
-                epoch_id
-                if epoch_id is not None
-                else self._epoch_of(query.time_start)
-            )
-            context = self._plan_context(eid)
+        with self._planning(
+            "range", query.time_start, epoch_id, blocking
+        ) as (eid, context, plan):
+            if context is SHARD_BUSY:
+                return SHARD_BUSY
             cells = context.grid.cell_ids_for_combinations(
                 query.candidate_combinations(), query.time_start, query.time_end
             )

@@ -38,6 +38,7 @@ def make_fleet(
     records=None,
     fault_injector=None,
     clock=None,
+    spec=SPEC,
     **config_kwargs,
 ):
     """A provisioned fleet with one epoch landed via two-phase ingest.
@@ -47,7 +48,7 @@ def make_fleet(
     records = records if records is not None else epoch_records(0)
     provider = DataProvider(
         WIFI_SCHEMA,
-        SPEC,
+        spec,
         first_epoch_id=0,
         master_key=MASTER_KEY,
         time_granularity=TIME_STEP,

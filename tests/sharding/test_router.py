@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import asyncio
+import random
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core.queries import PointQuery, RangeQuery
+from repro import GridSpec, telemetry
+from repro.core.queries import Aggregate, PointQuery, RangeQuery
 from repro.exceptions import (
     RouterFenced,
     ServiceOverloaded,
@@ -17,9 +20,12 @@ from repro.exceptions import (
 )
 from repro.sharding.results import PartialResult
 from repro.sharding.router import AsyncShardRouter
+from repro.sharding.server import ShardServer
 from tests.sharding.conftest import (
+    DEVICES,
     EPOCH_DURATION,
     LOCATIONS,
+    TIME_STEP,
     make_fleet,
     truth,
 )
@@ -341,3 +347,241 @@ class TestPlanningIsolation:
             router.close()
         assert max(seconds) < 0.2, seconds
         assert busy == idle
+
+
+# A fleet where the planner sends whole-epoch ranges to the aggregate
+# tree (16 full buckets) and every one of 4 shards participates.
+TREE_DURATION = 16 * TIME_STEP
+TREE_SPEC = GridSpec(
+    dimension_sizes=(len(LOCATIONS), TREE_DURATION // TIME_STEP),
+    cell_id_count=64,
+    epoch_duration=TREE_DURATION,
+)
+TREE_AGGREGATES = (Aggregate.COUNT, Aggregate.SUM, Aggregate.MIN, Aggregate.MAX)
+
+
+def whole_epoch_ranges() -> list[RangeQuery]:
+    return [
+        RangeQuery(
+            index_values=(location,),
+            time_start=0,
+            time_end=TREE_DURATION - 1,
+            aggregate=aggregate,
+            target=None if aggregate is Aggregate.COUNT else "time",
+        )
+        for location in LOCATIONS
+        for aggregate in TREE_AGGREGATES
+    ]
+
+
+def tree_fleet(workdir):
+    rng = random.Random("tree-fleet")
+    records = [
+        (LOCATIONS[rng.randrange(len(LOCATIONS))], t, device)
+        for t in range(0, TREE_DURATION, TIME_STEP)
+        for device in DEVICES
+    ]
+    _, sharded, _ = make_fleet(workdir, shards=4, records=records, spec=TREE_SPEC)
+    return sharded, records
+
+
+class CountingExecutor(ThreadPoolExecutor):
+    def __init__(self):
+        super().__init__(max_workers=2)
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+def count_hops(router: AsyncShardRouter) -> dict:
+    """Count submissions to each shard's pool, by shard id."""
+    counts = {shard_id: 0 for shard_id in router._executors}
+    for shard_id, executor in router._executors.items():
+        submit = executor.submit
+
+        def counting(*args, _shard=shard_id, _submit=submit, **kwargs):
+            counts[_shard] += 1
+            return _submit(*args, **kwargs)
+
+        executor.submit = counting
+    return counts
+
+
+def count_default_hops() -> CountingExecutor:
+    """Count submissions to the running loop's default executor."""
+    executor = CountingExecutor()
+    asyncio.get_running_loop().set_default_executor(executor)
+    return executor
+
+
+class TestInlineTreeDispatch:
+    """Whole-epoch tree ranges run on the event loop when their shards
+    are free and warm: same code, same answers, no thread hop."""
+
+    def test_warm_tree_ranges_match_the_sync_path_with_no_hop(self, tmp_path):
+        sharded, records = tree_fleet(tmp_path)
+        queries = whole_epoch_ranges()
+        assert {sharded.plan_range(q, "auto")[1:] for q in queries} == {
+            ("tree", (0, 1, 2, 3))
+        }
+        expected = [sharded.execute_range(q, method="auto") for q in queries]
+        router = AsyncShardRouter(sharded)
+        hops = count_hops(router)
+
+        async def scenario():
+            default = count_default_hops()
+            await router.execute_range(queries[0], method="auto")  # warm-up
+            hops.update({shard_id: 0 for shard_id in hops})
+            default.submitted = 0
+            results = [
+                await router.execute_range(q, method="auto") for q in queries
+            ]
+            return results, default.submitted
+
+        try:
+            results, default_hops = run(scenario())
+        finally:
+            router.close()
+        assert default_hops == 0
+        assert hops == {0: 0, 1: 0, 2: 0, 3: 0}
+        for (answer, stats), (want, want_stats) in zip(results, expected):
+            assert answer == want
+            assert stats == want_stats
+        assert results[0][0] == truth(
+            records, queries[0].index_values[0], 0, TREE_DURATION - 1
+        )
+
+    def test_a_held_shard_lock_takes_the_hop_and_never_blocks_the_loop(
+        self, tmp_path
+    ):
+        sharded, _ = tree_fleet(tmp_path)
+        query = whole_epoch_ranges()[0]
+        expected = sharded.execute_range(query, method="auto")
+        router = AsyncShardRouter(sharded)
+        server = ShardServer(router)
+        hops = count_hops(router)
+        held, release = threading.Event(), threading.Event()
+
+        def hold_shard_two():
+            with sharded.shards[2].lock:
+                held.set()
+                release.wait(5.0)
+
+        async def scenario():
+            default = count_default_hops()
+            await router.execute_range(query, method="auto")  # warm-up
+            hops.update({shard_id: 0 for shard_id in hops})
+            holder = threading.Thread(target=hold_shard_two)
+            holder.start()
+            held.wait()
+            try:
+                request = asyncio.ensure_future(
+                    router.execute_range(query, method="auto")
+                )
+                health = await asyncio.wait_for(
+                    server._handle_request(b'{"op": "health"}'), timeout=2.0
+                )
+                await asyncio.sleep(0.05)
+                waiting = not request.done()
+            finally:
+                release.set()
+                holder.join(5.0)
+            assert not holder.is_alive()
+            return await request, health, waiting, default.submitted
+
+        try:
+            result, health, waiting, default_hops = run(scenario())
+        finally:
+            router.close()
+        assert health["ok"] and health["inflight"] == 1
+        assert waiting  # shard 2's sub-query waited on its own thread
+        assert result == expected
+        assert hops == {0: 0, 1: 0, 2: 1, 3: 0}
+        assert default_hops == 0
+
+    def test_hedged_routers_keep_every_tree_sub_query_on_the_pool(
+        self, tmp_path
+    ):
+        sharded, _ = tree_fleet(tmp_path)
+        queries = whole_epoch_ranges()
+        expected = [sharded.execute_range(q, method="auto") for q in queries]
+        router = AsyncShardRouter(sharded, hedge_delay=5.0)
+        hops = count_hops(router)
+
+        async def scenario():
+            return [await router.execute_range(q, method="auto") for q in queries]
+
+        try:
+            assert run(scenario()) == expected
+        finally:
+            router.close()
+        assert hops == {shard_id: len(queries) for shard_id in range(4)}
+
+    def test_a_cold_epoch_context_plans_and_dispatches_through_the_hop(
+        self, tmp_path
+    ):
+        sharded, _ = tree_fleet(tmp_path)
+        query = whole_epoch_ranges()[0]
+        router = AsyncShardRouter(sharded)
+        hops = count_hops(router)
+
+        async def scenario():
+            default = count_default_hops()
+            seen = []
+            for _ in range(2):
+                for shard in sharded.shards:  # as a rotation or heal does
+                    shard.service._drop_contexts()
+                await router.execute_range(query, method="auto")
+                seen.append((default.submitted, dict(hops)))
+                await router.execute_range(query, method="auto")
+                seen.append((default.submitted, dict(hops)))
+            return seen
+
+        try:
+            seen = run(scenario())
+        finally:
+            router.close()
+        # The plan builds shard 0's context on the default pool, so
+        # shard 0 then serves inline; the other three are cold and hop.
+        # Warm, nothing hops; dropping the contexts starts it over.
+        cold = {0: 0, 1: 1, 2: 1, 3: 1}
+        twice = {0: 0, 1: 2, 2: 2, 3: 2}
+        assert seen == [(1, cold), (1, cold), (2, twice), (2, twice)]
+
+    def test_dispatch_counters_match_on_the_loop_and_on_the_pool(
+        self, tmp_path
+    ):
+        sharded, _ = tree_fleet(tmp_path)
+        queries = whole_epoch_ranges()
+        for query in queries:  # warm every shard's context
+            sharded.execute_range(query, method="auto")
+
+        def dispatches(router) -> dict:
+            with telemetry.scoped_registry() as registry:
+                run(_ask_all(router, queries))
+                router.close()
+                return {
+                    shard_id: registry.value(
+                        "concealer_shard_dispatch_total",
+                        shard=shard_id,
+                        kind="range",
+                    )
+                    for shard_id in range(4)
+                }
+
+        inline = AsyncShardRouter(sharded)
+        inline_hops = count_hops(inline)
+        pooled = AsyncShardRouter(sharded, hedge_delay=5.0)
+        pooled_hops = count_hops(pooled)
+        assert dispatches(inline) == dispatches(pooled) == {
+            shard_id: len(queries) for shard_id in range(4)
+        }
+        assert sum(inline_hops.values()) == 0
+        assert sum(pooled_hops.values()) == 4 * len(queries)
+
+
+async def _ask_all(router, queries):
+    for query in queries:
+        await router.execute_range(query, method="auto")

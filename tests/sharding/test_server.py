@@ -79,6 +79,40 @@ class TestProtocol:
                 reader, writer, {"op": "point", "index_values": [location]}
             )
             assert not malformed["ok"] and malformed["error"] == "BadRequest"
+            # Valid JSON that is not an object: typed answer, and the
+            # connection stays open for the next request.
+            for not_an_object in ([1], "x", 7, None):
+                answer = await _rpc(reader, writer, not_an_object)
+                assert not answer["ok"] and answer["error"] == "BadRequest"
+            assert (await _rpc(reader, writer, {"op": "health"}))["ok"]
+
+            writer.close()
+            server.request_stop()
+            assert await serve_task is True
+
+        run(scenario())
+
+    def test_an_over_long_line_gets_a_typed_answer_and_keeps_the_connection(
+        self, tmp_path
+    ):
+        async def scenario():
+            _, sharded, _ = make_fleet(tmp_path)
+            server = ShardServer(AsyncShardRouter(sharded), drain_seconds=2.0)
+            port = await server.start()
+            serve_task = asyncio.create_task(server.serve_until_stopped())
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+            # Sent in two writes, so the door usually overruns its limit
+            # before the newline has arrived and must read on to it.
+            writer.write(b'{"op": "health", "pad": "' + b"x" * 66_000)
+            await writer.drain()
+            await asyncio.sleep(0.05)
+            writer.write(b"x" * 4_000 + b'"}\n')
+            await writer.drain()
+            answer = json.loads(await reader.readline())
+            assert not answer["ok"] and answer["error"] == "BadRequest"
+            health = await _rpc(reader, writer, {"op": "health"})
+            assert health["ok"] and health["epochs"] == [0]
 
             writer.close()
             server.request_stop()
