@@ -1,23 +1,20 @@
-"""Exp 11 (beyond the paper) — batched execution and the bin cache.
+"""Exp 11 (beyond the paper) — batched execution.
 
 The paper evaluates one query at a time.  Analyst workloads arrive in
 bursts that keep hitting the same hot bins (a dashboard refreshing a
 handful of locations, a sweep over one time slice), so this experiment
-measures what the batch planner and the epoch-fenced bin cache buy:
+measures what the batch planner and its per-batch overlay buy:
 
 - **batched vs sequential** — the same overlapping workload run through
   ``execute_batch`` (one deduplicated whole-bin fetch plan) and as a
   sequential loop; the acceptance bar is ≥2× fewer storage row reads at
   ≥4× bin overlap, with byte-identical answers.
-- **cold vs warm cache** — repeated probes against a cached service;
-  the warm pass must serve hot bins from the enclave without touching
-  storage.
 - **worker scaling** — the parallel prefetch executor at 1/2/4 workers
   (pure-Python threads overlap storage round-trips, not compute).
 
 Everything measured here is host-observable volume accounting (reads,
 bins, dedup factors) — public-size by Theorem 4.1, which is exactly why
-whole-bin caching and batching are safe to deploy.
+batching whole-bin fetches is safe to deploy.
 """
 
 import pytest
@@ -44,19 +41,7 @@ REPEATS = 6
 
 @pytest.fixture(scope="module")
 def batching_stack(wifi_small_records):
-    """Verified service with the bin cache and batch executor enabled."""
-    return build_wifi_stack(
-        wifi_small_records,
-        SMALL_SPEC,
-        verify=True,
-        bin_cache_bins=64,
-        batch_workers=4,
-    )
-
-
-@pytest.fixture(scope="module")
-def uncached_stack(wifi_small_records):
-    """Verified service with batching but no cache — overlay dedup only."""
+    """Verified service with the batch executor's default worker pool."""
     return build_wifi_stack(wifi_small_records, SMALL_SPEC, verify=True)
 
 
@@ -77,9 +62,9 @@ def reads_delta(fn):
     return result, registry.total(READS) - before
 
 
-def test_exp11_batched_vs_sequential(benchmark, uncached_stack, wifi_small_records):
+def test_exp11_batched_vs_sequential(benchmark, batching_stack, wifi_small_records):
     """The headline number: reads per query, batched vs sequential."""
-    _, service = uncached_stack
+    _, service = batching_stack
     queries = overlapping_queries(wifi_small_records)
 
     sequential_answers, sequential_reads = reads_delta(
@@ -118,45 +103,6 @@ def test_exp11_batched_vs_sequential(benchmark, uncached_stack, wifi_small_recor
             "batched_rows_read": batched_reads,
             "read_reduction": round(sequential_reads / max(1, batched_reads), 4),
             "batch_measured_mean_s": mean,
-        }
-    })
-
-
-def test_exp11_cold_vs_warm_cache(benchmark, batching_stack, wifi_small_records):
-    """Hot-bin probes served from the enclave after the first pass."""
-    _, service = batching_stack
-    probes = sample_probes(wifi_small_records, 6, seed=12)
-    queries = [
-        PointQuery(index_values=(location,), timestamp=timestamp)
-        for location, timestamp in probes
-    ]
-
-    service.bin_cache.invalidate_all("bench-reset")
-    cold_answers, cold_reads = reads_delta(
-        lambda: [service.execute_point(q)[0] for q in queries]
-    )
-
-    def warm():
-        return [service.execute_point(q)[0] for q in queries]
-
-    warm_answers = benchmark.pedantic(warm, rounds=3, warmup_rounds=1, iterations=1)
-    _, warm_reads = reads_delta(warm)
-
-    assert warm_answers == cold_answers
-    assert warm_reads < cold_reads
-
-    mean = benchmark.stats.stats.mean
-    print(paper_row(
-        "exp11", "cold-vs-warm",
-        cold_reads=cold_reads, warm_reads=warm_reads,
-        warm_mean_s=round(mean, 4),
-    ))
-    save_result("exp11_batching", {
-        "cold_vs_warm_cache": {
-            "probes": len(queries),
-            "cold_rows_read": cold_reads,
-            "warm_rows_read": warm_reads,
-            "warm_measured_mean_s": mean,
         }
     })
 

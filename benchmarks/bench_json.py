@@ -45,7 +45,6 @@ TRACKED = {
     "batch_read_reduction": "higher",
     "batch_dedup_factor": "higher",
     "fake_tuple_ratio": "lower",
-    "warm_cache_rows_per_query": "lower",
     "sharded_range_participants": "lower",
     "longrange_tree_rows_per_query": "lower",
     "longrange_speedup_30d": "higher",
@@ -82,7 +81,7 @@ def _build_service(scale: dict):
         epoch_duration=EPOCH_DURATION,
     )
     _, service = build_wifi_stack(
-        records, spec, verify=True, bin_cache_bins=64, batch_workers=4
+        records, spec, verify=True, batch_workers=4
     )
     return records, service
 
@@ -354,11 +353,10 @@ def run_bench(scale_name: str = "ci") -> dict:
             time_end=EPOCH + 1499,
         )
 
-        # Point queries, cold (cache flushed before each): latency + volume.
+        # Point queries: latency + volume.
         latencies = []
         before = reads()
         for query in point_queries:
-            service.bin_cache.invalidate_all("bench-cold")
             start = time.perf_counter()
             service.execute_point(query)
             latencies.append(time.perf_counter() - start)
@@ -369,31 +367,17 @@ def run_bench(scale_name: str = "ci") -> dict:
         metrics["point_p50_s"] = round(p50, 6)
         metrics["point_p95_s"] = round(p95, 6)
 
-        # Warm cache: the same probes again, cache intact.
-        service.bin_cache.invalidate_all("bench-reset")
-        for query in point_queries:
-            service.execute_point(query)
-        before = reads()
-        for query in point_queries:
-            service.execute_point(query)
-        metrics["warm_cache_rows_per_query"] = (
-            (reads() - before) / len(point_queries)
-        )
-
         # Multipoint range volume.
         before = reads()
-        service.bin_cache.invalidate_all("bench-cold")
         start = time.perf_counter()
         service.execute_range(ranged, method="multipoint")
         metrics["range_multipoint_p50_s"] = round(time.perf_counter() - start, 6)
         metrics["range_multipoint_storage_rows_per_query"] = reads() - before
 
-        # Batched execution of the overlapping workload, cache flushed so
-        # the dedup factor (not cache residency) is what's measured.
+        # Batched execution of the overlapping workload.
         sequential_reads = metrics["point_storage_rows_per_query"] * len(
             batch_queries
         )
-        service.bin_cache.invalidate_all("bench-cold")
         before = reads()
         start = time.perf_counter()
         service.execute_batch(batch_queries)

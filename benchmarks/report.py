@@ -356,7 +356,7 @@ linearly with data, while Concealer grows only with the bin size.
     # ------------------------------------------------------------- Exp 11
     exp11 = load("exp11_batching")
     if exp11:
-        lines = ["## Exp 11 — batched execution and the bin cache (beyond the paper)", ""]
+        lines = ["## Exp 11 — batched execution (beyond the paper)", ""]
         bvs = exp11.get("batched_vs_sequential")
         if bvs:
             lines.append(
@@ -367,15 +367,6 @@ linearly with data, while Concealer grows only with the bin size.
                 f"{bvs['read_reduction']:.1f}× reduction with byte-identical "
                 f"answers (the overlay dedups whole-bin fetches; each query "
                 f"still computes from full bins)."
-            )
-        cw = exp11.get("cold_vs_warm_cache")
-        if cw:
-            lines.append(
-                f"- **Bin cache**: {cw['probes']} hot probes read "
-                f"{cw['cold_rows_read']:,} rows cold and "
-                f"{cw['warm_rows_read']:,} warm ({seconds(cw['warm_measured_mean_s'])} "
-                f"per warm pass) — verified whole bins served from the EPC, "
-                f"invalidated by the epoch-rewrite generation fence."
             )
         workers = {
             int(k.split("_")[1]): v["batch_measured_mean_s"]

@@ -11,8 +11,8 @@ Shareable means the method retrieves whole bins, the public retrieval
 unit: BPB point queries (including §8 super-bin expansion) and the
 §5.1 multipoint range method.  eBPB and winSecRange fetch padded
 cell-id sets / λ-windows — not bins — and run "direct", as does the
-aggregate-tree method (its nodes are their own retrieval unit with a
-per-node cache) and every query under oblivious (§4.3) execution,
+aggregate-tree method (its nodes are their own retrieval unit) and
+every query under oblivious (§4.3) execution,
 whose trace-identity guarantee forbids history-dependent reuse.
 
 The planner reuses the executors' own bin-resolution code

@@ -362,11 +362,6 @@ class AggTree:
     def node_count(self) -> int:
         return self.entity_count * self.per_entity
 
-    @property
-    def nbytes(self) -> int:
-        """Exact resident size (EPC charging / cache accounting)."""
-        return len(self.nodes) + len(self.enc_directory) + len(self.enc_root_tag)
-
     def meta(self) -> TreeMeta:
         return TreeMeta(
             fanout=self.fanout,

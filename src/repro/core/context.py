@@ -613,10 +613,10 @@ class EpochContext:
         """``(meta, directory)`` of the engine's tree sidecar, or ``None``.
 
         The sealed directory is decrypted inside the enclave on first
-        use and fenced on the engine's ``rewrite_generation`` exactly
-        like cached bins: a rewrite (key rotation, §6 bin rewrite)
-        drops the decrypted state so a stale tree can never answer
-        post-rewrite queries.  ``None`` means no sidecar is available
+        use and fenced on the engine's ``rewrite_generation``: a
+        rewrite (key rotation, §6 bin rewrite) drops the decrypted
+        state so a stale tree can never answer post-rewrite queries.
+        ``None`` means no sidecar is available
         (un-sealed epoch, post-mutation) — callers fall back to the bin
         path.
         """

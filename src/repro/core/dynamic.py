@@ -223,9 +223,9 @@ class DynamicConcealer:
         # and the generation stays put.
         enclave = self.service.enclave
         engine = self.service.engine
-        # Fence generation-stamped consumers (the enclave bin cache,
-        # anti-entropy repair): a bin cached before this rewrite must
-        # not be served after it, even though the *logical* bin is the
+        # Fence generation-stamped consumers (the enclave's tree state,
+        # anti-entropy repair): state captured before this rewrite must
+        # not be used after it, even though the *logical* bin is the
         # same — its ciphertexts changed key and permutation.
         fenced = getattr(engine, "begin_rewrite", None) is not None
         if fenced:

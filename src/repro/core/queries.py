@@ -165,6 +165,20 @@ def _check_aggregate(aggregate: Aggregate, target: str | None) -> None:
         raise QueryError(f"aggregate {aggregate.value} requires a target attribute")
 
 
+def check_against_schema(query: "PointQuery | RangeQuery", schema) -> None:
+    """Raise the typed :class:`QueryError` execution would raise for a
+    query the public schema alone shows is malformed: an unknown target
+    of a decrypting aggregate, or a predicate on a group the schema
+    does not store.  Lets a router refuse it before any dispatch."""
+    if query.aggregate not in (Aggregate.COUNT, Aggregate.COLLECT):
+        schema.position(query.target)
+    predicate = query.predicate
+    if predicate is not None and predicate.group not in schema.filter_groups:
+        raise QueryError(
+            f"schema {schema.name!r} has no filter group {predicate.group}"
+        )
+
+
 @dataclass
 class QueryStats:
     """Execution-side accounting a benchmark or test can inspect.
@@ -185,11 +199,12 @@ class QueryStats:
     # healthy-replica threshold.  Both are public-size (fault-driven).
     degraded: bool = False
     failovers: int = 0
-    # Whole-bin cache accounting (repro.batching).  Hit/miss counts are
-    # per *bin* — the public retrieval unit — and ``rows_from_cache``
-    # the rows those hits served without a storage round-trip.  All
-    # public-size: residency is a pure function of the bin-identity
-    # sequence the storage log already shows.
+    # In-batch overlay accounting (repro.batching).  Hits are per
+    # *bin* — the public retrieval unit — and ``rows_from_cache`` the
+    # rows those hits served without a storage round-trip.  All
+    # public-size: reuse is a pure function of the bin-identity
+    # sequence the storage log shows.  ``cache_misses`` is always 0;
+    # it stays so the stats keep their shape.
     cache_hits: int = 0
     cache_misses: int = 0
     rows_from_cache: int = 0

@@ -192,6 +192,21 @@ class RangeExecutor:
             return False
         return schema.index_attributes in schema.filter_groups
 
+    @classmethod
+    def check_tree(cls, query: RangeQuery, schema, oblivious: bool) -> None:
+        """Raise the typed :class:`QueryError` a ``"tree"`` request gets
+        when the execution mode or the query shape rules the tree out."""
+        if oblivious:
+            # Concealer+'s identical-trace guarantee covers the scalar
+            # trapdoor schedule only; a tree fetch would be a different
+            # in-enclave event trace per range length.
+            raise QueryError("tree path is unavailable under oblivious execution")
+        if not cls.tree_eligible(query, schema):
+            raise QueryError(
+                "query shape is not tree-eligible (aggregate, target, "
+                "wildcard, or predicate rules); use the bin path"
+            )
+
     def execute_tree(
         self, query: RangeQuery, context: EpochContext, deadline=None, overlay=None
     ) -> tuple[object, QueryStats]:
@@ -204,16 +219,7 @@ class RangeExecutor:
         ``verify=False`` policy, falls back to the bin path — the tree
         is an accelerator, never the sole source of truth.
         """
-        if self.oblivious:
-            # Concealer+'s identical-trace guarantee covers the scalar
-            # trapdoor schedule only; a tree fetch would be a different
-            # in-enclave event trace per range length.
-            raise QueryError("tree path is unavailable under oblivious execution")
-        if not self.tree_eligible(query, context.schema):
-            raise QueryError(
-                "query shape is not tree-eligible (aggregate, target, "
-                "wildcard, or predicate rules); use the bin path"
-            )
+        self.check_tree(query, context.schema, self.oblivious)
         state = context.tree_state(self.fetcher.engine)
         if state is None:
             return self.execute_multipoint(

@@ -23,7 +23,6 @@ import os
 from dataclasses import dataclass
 
 from repro import telemetry
-from repro.batching.cache import BinCache
 from repro.batching.executor import ParallelFetchExecutor
 from repro.batching.fetcher import BatchOverlay, BinFetcher
 from repro.batching.planner import BatchPlan, QueryBatcher
@@ -117,17 +116,12 @@ def _record_query(
     if stats.cache_hits:
         telemetry.counter(
             "concealer_query_cache_hits_total",
+            # The in-batch overlay is the only source now; the text is
+            # unchanged so `--metrics` chaos replays stay byte-identical.
             "whole-bin fetches served from the enclave bin cache/overlay",
             secrecy=telemetry.PUBLIC_SIZE,
             labels=("kind",),
         ).labels(kind=kind).inc(stats.cache_hits)
-    if stats.cache_misses:
-        telemetry.counter(
-            "concealer_query_cache_misses_total",
-            "whole-bin fetches that missed the enclave bin cache",
-            secrecy=telemetry.PUBLIC_SIZE,
-            labels=("kind",),
-        ).labels(kind=kind).inc(stats.cache_misses)
     if seconds is not None:
         # The exemplar links each latency bucket to the last trace that
         # landed in it — "what does a p99 query look like?" becomes a
@@ -196,13 +190,6 @@ class ServiceConfig:
     # plus admission_queue waiting; the rest shed with ServiceOverloaded.
     max_inflight: int = 64
     admission_queue: int = 128
-    # repro.batching: capacity (in whole bins) of the enclave-resident
-    # verified-bin cache; 0 disables it.  Off by default — the cache
-    # changes per-query fetch volumes (repeat queries stop touching
-    # storage), which volume-hiding analyses reason about, so turning
-    # it on is an explicit deployment decision.  Ignored under
-    # oblivious execution (§4.3 trace identity forbids reuse).
-    bin_cache_bins: int = 0
     # Bounded worker pool for batch prefetches; 1 = fully sequential
     # (what the chaos harness uses so fault schedules replay).
     batch_workers: int = 4
@@ -254,20 +241,11 @@ class ServiceProvider:
         # network adversary replaying a captured (challenge, response)
         # pair is rejected (§1.2(ii) replay concern, enclave-side).
         self._open_challenges: set[bytes] = set()
-        # Whole-bin cache + shared fetch path (repro.batching).  The
-        # cache is enclave-resident (EPC-charged) and generation-fenced
-        # against the engine's begin/end_rewrite; oblivious execution
-        # never caches, so the cache is not even built.
-        self.bin_cache: BinCache | None = None
-        if self.config.bin_cache_bins > 0 and not self.config.oblivious:
-            self.bin_cache = BinCache(
-                self.enclave, self.engine, capacity_bins=self.config.bin_cache_bins
-            )
+        # The shared whole-bin fetch path (repro.batching).
         self._fetcher = BinFetcher(
             self.engine,
             oblivious=self.config.oblivious,
             verify=self.config.verify,
-            cache=self.bin_cache,
         )
         # One persistent prefetch pool per service: batches reuse its
         # worker threads instead of paying thread spawn per request.
@@ -346,9 +324,7 @@ class ServiceProvider:
         already landed an epoch when a later shard failed — a fleet
         must never serve an epoch only some shards hold, or range
         queries would silently under-count.  Returns whether anything
-        was evicted.  Cached bins for the epoch are flushed via the
-        engine rebind (the cache is fenced on table identity, not
-        epoch, so a partial flush is not expressible).
+        was evicted.
         """
         evicted = epoch_id in self._packages
         table = self._table_name(epoch_id)
@@ -357,8 +333,6 @@ class ServiceProvider:
             evicted = True
         self._packages.pop(epoch_id, None)
         self._drop_contexts(epoch_id)
-        if evicted and self.bin_cache is not None:
-            self.bin_cache.rebind_engine(self.engine)
         return evicted
 
     # ------------------------------------------------------------ epoch state
@@ -402,18 +376,11 @@ class ServiceProvider:
         # Not _drop_contexts: the instance these were charged on is gone.
         self._contexts.clear()
         self._registry = None
-        if self.bin_cache is not None:
-            # The dead instance's EPC (and every cached bin in it) was
-            # wiped by hardware; drop entries without releasing charge.
-            self.bin_cache.rebind_enclave(enclave)
 
     def adopt_engine(self, engine: StorageEngine) -> None:
         """Swap in a storage engine restored from a checkpoint."""
         self.engine = engine
         self._fetcher.engine = engine
-        if self.bin_cache is not None:
-            # Restored storage may not match what was cached; flush.
-            self.bin_cache.rebind_engine(engine)
 
     # ---------------------------------------------------------- authentication
 
@@ -556,8 +523,7 @@ class ServiceProvider:
         """One attempt at a planned batch (read-only, so retry-safe).
 
         A retry after a transient fault rebuilds the overlay from
-        scratch; with the bin cache enabled the bins verified before
-        the fault are served from it, so retries converge quickly.
+        scratch.
         """
         overlay = BatchOverlay()
         fetch_stats = self._prefetch_executor.prefetch(

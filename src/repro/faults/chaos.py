@@ -237,15 +237,13 @@ class ChaosRun:
             )
             config = ServiceConfig(
                 verify=True, deadline_seconds=90.0, retry_jitter=0.2,
-                bin_cache_bins=12, batch_workers=1,
+                batch_workers=1,
             )
             retry_rng = random.Random(f"chaos-retry-{seed}")
         else:
             engine = StorageEngine(fault_injector=self.injector)
-            # Batching armed: the enclave bin cache is live for every
-            # op (so faults race cache fills and invalidations) and
-            # prefetch is sequential so schedules replay exactly.
-            config = ServiceConfig(verify=True, bin_cache_bins=12, batch_workers=1)
+            # Prefetch is sequential so schedules replay exactly.
+            config = ServiceConfig(verify=True, batch_workers=1)
             retry_rng = None
         self.service = ServiceProvider(
             WIFI_SCHEMA,

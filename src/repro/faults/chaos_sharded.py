@@ -153,7 +153,6 @@ class ShardedChaosRun:
             shards=shards,
             replicas=replicas,
             deadline_seconds=60.0,
-            bin_cache_bins=12,
             breaker_reset_seconds=1e9,  # re-admission only via heal()
         )
         self.sharded = ShardedService.build(

@@ -259,12 +259,14 @@ class ShardServer:
                 }
             if operation == "traces":
                 limit = int(request.get("limit", 16))
+                if limit < 0:
+                    return {"ok": False, "error": "BadRequest",
+                            "message": f"negative traces limit {limit}"}
                 roots, dropped = self._assembled_traces()
+                newest = roots[-limit:] if limit else []
                 return {
                     "ok": True,
-                    "traces": [
-                        tracing.span_to_dict(root) for root in roots[-limit:]
-                    ],
+                    "traces": [tracing.span_to_dict(root) for root in newest],
                     "assembled": len(roots),
                     "dropped": dropped,
                 }

@@ -41,7 +41,10 @@ from pathlib import Path
 
 from repro import telemetry
 from repro.core.provider import DataProvider
-from repro.core.queries import Aggregate, PointQuery, QueryStats, RangeQuery
+from repro.core.queries import (
+    Aggregate, PointQuery, QueryStats, RangeQuery, check_against_schema,
+)
+from repro.core.range_query import RangeExecutor
 from repro.core.service import RANGE_METHODS, ServiceConfig, ServiceProvider
 from repro.enclave.enclave import Enclave, EnclaveConfig
 from repro.exceptions import (
@@ -148,7 +151,6 @@ class ShardedConfig:
     # True; fail with ShardUnavailable when False (fail-closed mode).
     allow_partial: bool = True
     breaker_reset_seconds: float = 30.0
-    bin_cache_bins: int = 0
     max_inflight: int = 64
     admission_queue: int = 128
     retry_jitter: float = 0.0
@@ -357,7 +359,6 @@ class ShardedService:
                     verify=config.verify,
                     oblivious=config.oblivious,
                     deadline_seconds=config.deadline_seconds,
-                    bin_cache_bins=config.bin_cache_bins,
                     max_inflight=config.max_inflight,
                     admission_queue=config.admission_queue,
                     retry_jitter=config.retry_jitter,
@@ -581,6 +582,20 @@ class ShardedService:
 
     # ---------------------------------------------------------------- queries
 
+    def _check_request(self, query, method: str | None = None) -> None:
+        """Refuse, before any dispatch, a request every shard would
+        refuse: an unknown target or filter group, or a ``"tree"``
+        method the query shape or the fleet rules out.
+
+        A shard finds these only inside its dispatch, where the failure
+        counts as a breaker strike, so bad input alone would isolate
+        healthy shards.  The schema and config are public.
+        """
+        schema = self.provider.schema
+        check_against_schema(query, schema)
+        if method == "tree":
+            RangeExecutor.check_tree(query, schema, self.config.oblivious)
+
     @contextlib.contextmanager
     def _planning(
         self, kind: str, timestamp: int, epoch_id: int | None, blocking: bool
@@ -615,8 +630,10 @@ class ShardedService:
 
         ``blocking=False`` returns :data:`SHARD_BUSY` rather than wait
         for a shard's lock or build an epoch context
-        (:meth:`_plan_context`).
+        (:meth:`_plan_context`).  A query the public schema shows is
+        malformed fails here (:meth:`_check_request`).
         """
+        self._check_request(query)
         with self._planning(
             "point", query.timestamp, epoch_id, blocking
         ) as (eid, context, plan):
@@ -640,7 +657,8 @@ class ShardedService:
         Participants are the shards owning any covered cell-id, in
         ascending shard id.  Raises a typed :class:`QueryError` for
         aggregates that cannot be merged across a multi-shard
-        participant set.  ``blocking=False`` returns
+        participant set, and for a query the public schema shows is
+        malformed (:meth:`_check_request`).  ``blocking=False`` returns
         :data:`SHARD_BUSY` rather than wait for a shard's lock or build
         an epoch context (:meth:`_plan_context`).
         """
@@ -648,6 +666,7 @@ class ShardedService:
             raise QueryError(
                 f"unknown range method {method!r}; choose from {RANGE_METHODS}"
             )
+        self._check_request(query, method)
         with self._planning(
             "range", query.time_start, epoch_id, blocking
         ) as (eid, context, plan):

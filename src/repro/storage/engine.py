@@ -73,8 +73,9 @@ class StorageEngine:
         self.fault_injector = fault_injector or NULL_INJECTOR
         # Epoch-rewrite fence, mirroring ReplicatedStorageEngine: key
         # rotation and §6 bin rewrites bump the generation, and
-        # generation-stamped consumers (the enclave bin cache) discard
-        # state captured under an older generation.
+        # generation-stamped consumers (the enclave's tree state,
+        # anti-entropy repair) discard state captured under an older
+        # generation.
         self.rewrite_generation = 0
         self.rewrite_in_progress = False
 

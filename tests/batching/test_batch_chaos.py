@@ -1,10 +1,9 @@
 """Chaos coverage for the batched path: faults mid-batch, zero lies.
 
 The chaos workload includes a ``batch`` operation (overlapping point
-probes plus a multipoint range through ``execute_batch``) and runs the
-service with the bin cache enabled, so every schedule exercises
-fault-during-prefetch, fault-during-cache-fill, and cache invalidation
-across enclave crashes and checkpoint restores.  The invariant is the
+probes plus a multipoint range through ``execute_batch``), so every
+schedule exercises fault-during-prefetch and overlay reuse across
+enclave crashes and checkpoint restores.  The invariant is the
 corpus-wide one: oracle answer or typed error, never a silent lie —
 and every run replays byte-identically from its seed.
 """

@@ -1,36 +1,26 @@
-"""Leakage audit: the bin cache must not add a data-dependent channel.
+"""Leakage audit: enclave reuse must not add a data-dependent channel.
 
-Two claims, both checked with the telemetry auditor:
+Nothing the enclave keeps between requests (epoch contexts, the tag
+and index memos) may change what the host sees.  Two claims:
 
 1. **Across datasets** — for two datasets of equal public size
    (identical (location, timestamp) multisets, disjoint devices), a
-   cold-then-warm cached workload emits identical public-size
-   telemetry: hits, misses, evictions, storage reads, trapdoors, EPC.
-   Whole-bin hit/miss depends only on which *bins* queries touch — the
-   same quantity the storage access log already reveals — never on row
-   contents.
-
-2. **Within a dataset** — a warm run does fewer storage reads than a
-   cold one (that is the point of the cache), so cold-vs-warm views
-   legitimately differ *in the public dimension only*; the auditor
-   must localise the difference to public-size families, with every
-   data-dependent family untouched by cache state.
+   repeated workload (cold memos, then warm ones) emits identical
+   public-size telemetry: storage reads, trapdoors, EPC.
+2. **Across history** — a query repeated against a warm enclave makes
+   exactly the storage reads it made the first time: what the host
+   sees depends on the query, never on the queries before it.
 """
 
 from repro import GridSpec
 from repro.core.queries import PointQuery, RangeQuery
-from repro.telemetry import assert_equal_public_view, audit_run, public_view
+from repro.telemetry import assert_equal_public_view, audit_run
 from tests.conftest import make_stack
 
 EPOCH_DURATION = 600
 LOCATIONS = tuple(f"ap{i}" for i in range(4))
 SPEC = GridSpec(
     dimension_sizes=(4, 10), cell_id_count=16, epoch_duration=EPOCH_DURATION
-)
-
-CACHE_FAMILIES = (
-    "concealer_bin_cache_hits_total",
-    "concealer_bin_cache_misses_total",
 )
 
 
@@ -43,23 +33,31 @@ def _records(prefix):
     ]
 
 
+def _query_pass(service):
+    """One pass of the audit workload; returns ``(answers, query ids)``."""
+    queries = [
+        PointQuery(index_values=("ap0",), timestamp=60),
+        PointQuery(index_values=("ap2",), timestamp=120),
+    ]
+    ranged = RangeQuery(index_values=("ap1",), time_start=0, time_end=240)
+    answers, query_ids = [], []
+    for query in queries:
+        answers.append(service.execute_point(query)[0])
+        query_ids.append(service.engine.access_log.last_query_id)
+    answers.append(service.execute_range(ranged, method="multipoint")[0])
+    query_ids.append(service.engine.access_log.last_query_id)
+    return answers, query_ids
+
+
 def _cold_then_warm(records):
-    """The same query mix twice against one cached service: the first
-    pass fills the cache, the second hits it."""
+    """The same query mix twice against one service: the first pass
+    builds the enclave's memos, the second finds them warm."""
 
     def run():
-        _, service = make_stack(SPEC, records, verify=True, bin_cache_bins=16)
-        queries = [
-            PointQuery(index_values=("ap0",), timestamp=60),
-            PointQuery(index_values=("ap2",), timestamp=120),
-        ]
-        ranged = RangeQuery(index_values=("ap1",), time_start=0, time_end=240)
+        _, service = make_stack(SPEC, records, verify=True)
         answers = []
-        for _ in range(2):  # pass 1 cold, pass 2 warm
-            answers.extend(service.execute_point(q)[0] for q in queries)
-            answers.append(
-                service.execute_range(ranged, method="multipoint")[0]
-            )
+        for _ in range(2):
+            answers.extend(_query_pass(service)[0])
         return answers
 
     return run
@@ -72,55 +70,14 @@ class TestEqualPublicSizeDatasets:
         assert report_a.result == report_b.result
         assert_equal_public_view(report_a, report_b)
 
-    def test_cache_counters_are_in_the_public_view(self):
-        report = audit_run(_cold_then_warm(_records("A")))
-        view = report.public_view()
-        for family in CACHE_FAMILIES:
-            assert family in view, family
-        # The warm pass actually exercised the cache.
-        assert report.registry.total("concealer_bin_cache_hits_total") > 0
 
-
-class TestColdVersusWarm:
-    def test_warm_run_differs_only_in_public_size_families(self):
-        records = _records("A")
-
-        def once(cache_bins):
-            def run():
-                _, service = make_stack(
-                    SPEC, records, verify=True, bin_cache_bins=cache_bins
-                )
-                answers = [
-                    service.execute_point(
-                        PointQuery(index_values=("ap0",), timestamp=60)
-                    )[0]
-                    for _ in range(3)
-                ]
-                return answers
-
-            return run
-
-        cold = audit_run(once(cache_bins=0))
-        warm = audit_run(once(cache_bins=16))
-        assert cold.result == warm.result
-        assert (
-            warm.registry.total("concealer_storage_rows_read_total")
-            < cold.registry.total("concealer_storage_rows_read_total")
-        )
-        # Every data-dependent family is identical across cache states:
-        # caching changes host-visible volume accounting, nothing else.
-        cold_private = _private_families(cold)
-        warm_private = _private_families(warm)
-        for family in ("concealer_rows_matched_total",):
-            assert cold_private.get(family) == warm_private.get(family)
-
-
-def _private_families(report):
-    """Totals of families excluded from the public view."""
-    view = public_view(report.registry)
-    totals = {}
-    for name in ("concealer_rows_matched_total", "concealer_rows_decrypted_total"):
-        if report.registry.get(name) is not None:
-            assert name not in view
-            totals[name] = report.registry.total(name)
-    return totals
+class TestHistoryIndependence:
+    def test_a_repeated_query_reads_what_the_first_read(self):
+        _, service = make_stack(SPEC, _records("A"), verify=True)
+        log = service.engine.access_log
+        first_answers, first_ids = _query_pass(service)
+        again_answers, again_ids = _query_pass(service)
+        assert again_answers == first_answers
+        for first, again in zip(first_ids, again_ids):
+            assert log.rows_fetched(again) == log.rows_fetched(first) > 0
+            assert log.row_ids_fetched(again) == log.row_ids_fetched(first)

@@ -1,6 +1,6 @@
-"""The two fetch kinds: parity, fallback, and caching.
+"""The two fetch kinds: parity and fallback.
 
-Three contracts:
+Two contracts:
 
 1. **Bit-identical answers** — an epoch landed with its packed sidecar
    ("packed") and the same epoch landed without it, read by trapdoor
@@ -11,8 +11,6 @@ Three contracts:
    table (including tampering that bypasses the engine wrappers)
    drops the derived packed sidecar, and the trapdoor fetch still
    answers correctly / still detects the tamper.
-3. **The cache holds packed bins** — a warm hit serves the columnar
-   form, charged at its actual byte size, with answers unchanged.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from __future__ import annotations
 import pytest
 
 from repro import GridSpec
-from repro.core.packed import PackedBin
 from repro.core.queries import Aggregate, PointQuery, RangeQuery
 from repro.exceptions import IntegrityViolation
 from tests.conftest import make_stack
@@ -147,40 +144,3 @@ class TestFallback:
         table.overwrite(row.row_id, list(row.columns))
         assert table.packed_bins is None
         assert _answers(service, queries) == before
-
-
-class TestPackedCache:
-    def test_warm_hits_serve_packed_entries(self):
-        records = _records(1)
-        _, service = make_stack(
-            SPEC, records, verify=True, bin_cache_bins=16
-        )
-        query = PointQuery(
-            index_values=(records[0][0],), timestamp=records[0][1]
-        )
-        cold = service.execute_point(query)[0]
-        cache = service._fetcher.cache
-        assert len(cache) > 0
-        entry = next(iter(cache._entries.values()))
-        assert isinstance(entry.rows, PackedBin)
-        assert service.execute_point(query)[0] == cold
-
-    def test_cache_charge_is_the_packed_byte_length(self):
-        # Regression: the EPC charge for a packed entry must be its
-        # actual byte size (column blobs + row ids), not the scalar
-        # per-row estimate.
-        records = _records(1)
-        _, service = make_stack(
-            SPEC, records, verify=True, bin_cache_bins=16
-        )
-        service.execute_point(
-            PointQuery(index_values=(records[0][0],), timestamp=records[0][1])
-        )
-        cache = service._fetcher.cache
-        charged = sum(
-            entry.charged_bytes for entry in cache._entries.values()
-        )
-        packed_len = sum(
-            entry.rows.nbytes for entry in cache._entries.values()
-        )
-        assert charged == packed_len > 0

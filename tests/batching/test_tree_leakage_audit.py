@@ -3,20 +3,17 @@
 The tree answers long-window aggregates from O(log range) fixed-width
 encrypted nodes instead of whole bins, but every host-visible quantity
 must remain a pure function of public inputs — the query's time span,
-the grid spec, and the epoch's sealed (public) tree shape.  Three
+the grid spec, and the epoch's sealed (public) tree shape.  Two
 claims:
 
 1. **Across datasets** — two datasets of equal public size (identical
    (location, timestamp) multisets, disjoint devices) produce
-   byte-identical public-size metric views under a cold-then-warm
-   tree workload, absent combinations included (decoy entities make an
+   byte-identical public-size metric views under a repeated tree
+   workload (cold enclave memos, then warm ones), absent combinations included (decoy entities make an
    empty combination fetch the same node count as a full one).
 2. **Tree families are public** — the node-fetch and planner-decision
    counters sit in the public view: they may be disclosed to the host
    without weakening Theorem 4.1's volume-hiding argument.
-3. **Cold vs warm tree cache** — cache state changes only public-size
-   families (hits, misses, storage reads); the per-query node-fetch
-   count and every data-dependent family are untouched.
 """
 
 from repro import GridSpec
@@ -65,10 +62,10 @@ def _tree_mix(service):
 
 
 def _cold_then_warm(records):
-    """The same tree mix twice against one cached, verifying service."""
+    """The same tree mix twice against one verifying service."""
 
     def run():
-        _, service = make_stack(SPEC, records, verify=True, bin_cache_bins=16)
+        _, service = make_stack(SPEC, records, verify=True)
         answers = []
         for _ in range(2):  # pass 1 cold, pass 2 warm
             answers.extend(_tree_mix(service))
@@ -93,44 +90,3 @@ class TestEqualPublicSizeDatasets:
         ):
             assert family in view, family
             assert report.registry.total(family) > 0, family
-
-
-class TestColdVersusWarmTreeCache:
-    def test_warm_tree_run_differs_only_in_public_size_families(self):
-        records = _records("A")
-
-        def once(cache_bins):
-            def run():
-                _, service = make_stack(
-                    SPEC, records, verify=True, bin_cache_bins=cache_bins
-                )
-                return [_tree_mix(service) for _ in range(3)]
-
-            return run
-
-        cold = audit_run(once(cache_bins=0))
-        warm = audit_run(once(cache_bins=16))
-        assert cold.result == warm.result
-        # The executor counts nodes per query before consulting the
-        # cache, so the fetch count is cache-state independent …
-        assert cold.registry.total(
-            "concealer_tree_nodes_fetched_total"
-        ) == warm.registry.total("concealer_tree_nodes_fetched_total")
-        # … while the cache absorbs actual storage reads.
-        assert (
-            warm.registry.total("concealer_storage_rows_read_total")
-            < cold.registry.total("concealer_storage_rows_read_total")
-        )
-        for family in (
-            "concealer_rows_matched_total",
-            "concealer_rows_decrypted_total",
-        ):
-            assert _private_total(cold, family) == _private_total(warm, family)
-
-
-def _private_total(report, family):
-    """Total of a family that must stay out of the public view."""
-    if report.registry.get(family) is None:
-        return None
-    assert family not in public_view(report.registry)
-    return report.registry.total(family)

@@ -57,7 +57,7 @@ def make_stack(
     """Build a provisioned provider/service pair with one ingested epoch.
 
     Extra keyword arguments flow into :class:`ServiceConfig` (e.g.
-    ``bin_cache_bins=8`` to enable the batching bin cache).  ``engine``
+    ``super_bin_count=4`` to arm §8's workload defence).  ``engine``
     lets a test supply its own storage engine (e.g. a replicated or
     Byzantine-wrapped group).  ``sidecar=False`` lands the package
     without its packed bins, so every bin is fetched by trapdoor.

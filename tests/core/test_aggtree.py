@@ -183,23 +183,6 @@ class TestDifferential:
         assert tree_stats.rows_fetched < bin_stats.rows_fetched / 10
 
 
-class TestWithCache:
-    def test_warm_tree_cache_answers_identically(self):
-        records = tree_records()
-        _, service = make_stack(SPEC, records, verify=True, bin_cache_bins=64)
-        query = build_q1("ap2", 60, 3500)
-        cold_answer, cold_stats = service.execute_range(query, method="tree")
-        warm_answer, warm_stats = service.execute_range(query, method="tree")
-        assert cold_answer == warm_answer
-        # Same public cover either way; the warm run served it from the
-        # per-node cache.
-        assert (
-            warm_stats.extra["tree_nodes_fetched"]
-            == cold_stats.extra["tree_nodes_fetched"]
-        )
-        assert warm_stats.cache_hits > cold_stats.cache_hits
-
-
 # ------------------------------------------------------------------ planner
 
 

@@ -11,7 +11,7 @@ identity is the index-key ciphertext (deterministic encryption of
 ``cid ‖ counter``), byte-identical wherever the row is stored.
 
 Regression for a composed-chaos find (seed 9079): an id-keyed de-dup
-silently dropped real rows when a cached bin's ids collided with a
+silently dropped real rows when one source's ids collided with a
 failover batch's shifted ids — every batch verified, the *union* lied.
 """
 
@@ -50,30 +50,43 @@ def _shift_physical_ids(member, table: str, offset: int) -> None:
     )
 
 
+def _flip_last_byte(cell: bytes) -> bytes:
+    return cell[:-1] + bytes([cell[-1] ^ 0x5A])
+
+
 def test_failover_into_an_id_diverged_replica_drops_no_rows():
     records = replication_records()
     provider, service, engine, members, clock = make_replicated_stack(
-        records,
-        config=ServiceConfig(verify=True, bin_cache_bins=32),
+        records, config=ServiceConfig(verify=True)
     )
     table = service._table_name(0)
-
-    # Warm the verified-bin cache from replica 0: a point query pins its
-    # bin's rows — under replica 0's physical ids — into the cache.
-    answer, _ = service.execute_point(
-        PointQuery(index_values=("ap0",), timestamp=60)
-    )
-    assert answer == ground_truth_count(records, location="ap0", t0=60, t1=60)
+    context = service.context_for(0)
 
     # Replicas 1 and 2 hold the same logical rows under rotated physical
     # ids (any repair or divergent ingest can legitimately do this)…
     for member in members[1:]:
         _shift_physical_ids(member, table, offset=7)
-    # …and replica 0's store is then corrupted, so every further fetch
-    # fails verification there and fails over to the id-shifted peers.
-    assert members[0].corrupt_stored(table) > 0
+    # …and some of replica 0's bins are corrupted: those fail
+    # verification there and fail over to the id-shifted peers, while
+    # every other bin is still served by replica 0.  Slot 0 of a bin
+    # holding real rows is a real row, under a hash chain.
+    corrupted = sorted(
+        {
+            context.layout.bin_of_cell_id(
+                context.grid.place_values((location,), 60)
+            ).index
+            for location in ("ap0", "ap3")
+        }
+    )
+    sidecar = members[0].inner._tables[table].packed_bins
+    for index in corrupted:
+        sidecar[index] = sidecar[index].with_corrupted_cell(
+            0, 0, _flip_last_byte
+        )
+    bins = len(context.layout.bins)
+    assert 0 < len(corrupted) < bins
 
-    # The full-domain range unions cached bins (replica-0 ids) with
+    # The full-domain range unions replica 0's bins (its ids) with
     # failover fetches (shifted ids).  Ids collide across the two
     # sources while the logical rows differ — an id-keyed de-dup would
     # silently undercount here; identity by index-key ciphertext must
@@ -84,22 +97,24 @@ def test_failover_into_an_id_diverged_replica_drops_no_rows():
             time_start=0,
             time_end=EPOCH_DURATION - 1,
         ),
-        method="ebpb",
+        method="multipoint",
     )
-    assert stats.failovers > 0, "replica 0 was never failed over"
+    assert stats.bins_fetched == bins
+    assert stats.failovers == len(corrupted)
     assert answer == ground_truth_count(
         records, t0=0, t1=EPOCH_DURATION - 1
     )
 
     # Same guarantee when the *entire* union comes from one shifted
-    # replica (no cache interplay): ids are permuted but complete.
+    # replica: ids are permuted but complete.
+    assert members[0].corrupt_stored(table) > 0
     answer, _ = service.execute_range(
         RangeQuery(
             index_values=(LOCATIONS,),
             time_start=0,
             time_end=EPOCH_DURATION // 2,
         ),
-        method="multipoint",
+        method="ebpb",
     )
     assert answer == ground_truth_count(
         records, t0=0, t1=EPOCH_DURATION // 2

@@ -42,22 +42,16 @@ class TestProtocol:
             truth = sum(
                 1 for r in records if r[0] == location and r[1] == timestamp
             )
-            point = await _rpc(
-                reader,
-                writer,
-                {"op": "point", "index_values": [location],
-                 "timestamp": timestamp},
-            )
+            point_request = {"op": "point", "index_values": [location],
+                             "timestamp": timestamp}
+            point = await _rpc(reader, writer, point_request)
             assert point["ok"] and point["answer"] == truth
             assert point["verified"] and not point["partial"]
 
             locations = sorted({r[0] for r in records})
-            ranged = await _rpc(
-                reader,
-                writer,
-                {"op": "range", "index_values": [locations],
-                 "time_start": 0, "time_end": 1800},
-            )
+            range_request = {"op": "range", "index_values": [locations],
+                             "time_start": 0, "time_end": 1800}
+            ranged = await _rpc(reader, writer, range_request)
             assert ranged["ok"]
             assert ranged["answer"] == sum(1 for r in records if r[1] <= 1800)
             assert ranged["verified_shards"] == [0, 1]
@@ -85,6 +79,33 @@ class TestProtocol:
                 answer = await _rpc(reader, writer, not_an_object)
                 assert not answer["ok"] and answer["error"] == "BadRequest"
             assert (await _rpc(reader, writer, {"op": "health"}))["ok"]
+            # An unknown target fails while planning: past the breaker
+            # threshold, no shard was dispatched to or isolated.
+            registry = telemetry.get_registry()
+            dispatched = registry.total("concealer_shard_dispatch_total")
+            for _ in range(3):
+                for request in (
+                    {"op": "point", "index_values": [location],
+                     "timestamp": timestamp},
+                    {"op": "range", "index_values": [locations],
+                     "time_start": 0, "time_end": 1800},
+                ):
+                    answer = await _rpc(
+                        reader, writer,
+                        {**request, "aggregate": "max", "target": "nope"},
+                    )
+                    assert not answer["ok"]
+                    assert answer["error"] == "QueryError"
+            assert registry.total("concealer_shard_dispatch_total") == dispatched
+            health = await _rpc(reader, writer, {"op": "health"})
+            assert all(
+                not detail["breaker_open"] and detail["status"] == "healthy"
+                for detail in health["shards"].values()
+            )
+            assert (await _rpc(reader, writer, point_request))["answer"] == truth
+            again = await _rpc(reader, writer, range_request)
+            assert again["answer"] == ranged["answer"]
+            assert not again["partial"]
 
             writer.close()
             server.request_stop()
@@ -351,6 +372,15 @@ class TestOpsPlane:
                 "router", "shard-0", "shard-1"
             }
             assert all(v == 0 for v in traces["dropped"].values())
+            # Zero asks for no trees (a negative slice bound would
+            # return them all); a negative limit is a bad request.
+            none = await _rpc(reader, writer, {"op": "traces", "limit": 0})
+            assert none["ok"] and none["traces"] == []
+            assert none["assembled"] == traces["assembled"] >= 1
+            negative = await _rpc(
+                reader, writer, {"op": "traces", "limit": -1}
+            )
+            assert not negative["ok"] and negative["error"] == "BadRequest"
 
             writer.close()
             server.request_stop()

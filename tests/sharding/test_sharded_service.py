@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.queries import Aggregate, PointQuery, RangeQuery
+from repro import telemetry
+from repro.core.queries import Aggregate, Predicate, PointQuery, RangeQuery
 from repro.exceptions import (
     NoHealthyShard,
     QueryError,
@@ -140,6 +141,83 @@ class TestMergeSemantics:
             for shard in sharded.shards
         }
         assert first == merge_answers(Aggregate.COLLECT, per_shard)
+
+
+class TestRequestErrorsIsolateNothing:
+    """Input every shard would refuse fails while planning: no dispatch,
+    no breaker strike, so a bad request cannot isolate a healthy shard."""
+
+    def test_unknown_targets_leave_every_breaker_closed(self, fleet):
+        _, sharded, records = fleet
+        location, timestamp, _ = records[0]
+        registry = telemetry.get_registry()
+        dispatched = registry.total("concealer_shard_dispatch_total")
+        bad_point = PointQuery(
+            index_values=(location,), timestamp=timestamp,
+            aggregate=Aggregate.MAX, target="nope",
+        )
+        bad_range = RangeQuery(
+            index_values=WILDCARD, time_start=0, time_end=EPOCH_DURATION - 1,
+            aggregate=Aggregate.MAX, target="nope",
+        )
+        for _ in range(3):
+            with pytest.raises(QueryError, match="no attribute 'nope'"):
+                sharded.execute_point(bad_point)
+            with pytest.raises(QueryError, match="no attribute 'nope'"):
+                sharded.execute_range(bad_range)
+        assert registry.total("concealer_shard_dispatch_total") == dispatched
+        assert [shard.breaker.state for shard in sharded.shards] == [
+            "closed", "closed"
+        ]
+
+        answer, _ = sharded.execute_point(
+            PointQuery(index_values=(location,), timestamp=timestamp)
+        )
+        assert answer == truth(records, location, timestamp, timestamp)
+        answer, stats = sharded.execute_range(
+            RangeQuery(
+                index_values=WILDCARD, time_start=0, time_end=EPOCH_DURATION - 1
+            )
+        )
+        assert answer == truth(records, LOCATIONS, 0, EPOCH_DURATION - 1)
+        assert stats.missing_shards == ()
+
+    @pytest.mark.parametrize(
+        "query, method, message",
+        [
+            (
+                RangeQuery(
+                    index_values=("ap0",), time_start=0, time_end=59,
+                    predicate=Predicate(group=("nope",), values=("x",)),
+                ),
+                "ebpb",
+                "no filter group",
+            ),
+            (
+                RangeQuery(
+                    index_values=WILDCARD, time_start=0,
+                    time_end=EPOCH_DURATION - 1,
+                ),
+                "tree",
+                "not tree-eligible",
+            ),
+        ],
+        ids=["unknown-filter-group", "ineligible-tree"],
+    )
+    def test_other_request_errors_fail_while_planning(
+        self, fleet, query, method, message
+    ):
+        _, sharded, _ = fleet
+        dispatched = telemetry.get_registry().total(
+            "concealer_shard_dispatch_total"
+        )
+        for _ in range(3):
+            with pytest.raises(QueryError, match=message):
+                sharded.execute_range(query, method=method)
+        assert telemetry.get_registry().total(
+            "concealer_shard_dispatch_total"
+        ) == dispatched
+        assert all(shard.breaker.state == "closed" for shard in sharded.shards)
 
 
 class TestIsolation:
