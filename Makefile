@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test chaos replication-chaos shard-chaos shard-replication-chaos serve demo bench bench-json bench-smoke bench-e2e-smoke bench-longrange trace-overhead metrics-smoke lint loc profile profile-read
+.PHONY: test chaos replication-chaos shard-chaos shard-replication-chaos serve demo bench bench-json bench-smoke bench-e2e-smoke bench-longrange trace-overhead metrics-smoke lint loc profile profile-read pin-replays
 
 # Where `make bench-json` writes its machine-readable metrics.
 BENCH_OUT ?= BENCH_local.json
@@ -106,9 +106,17 @@ profile:
 # ranges on the `range_scatter` 2x3 shape (trapdoors / index lookup /
 # slot runs / sidecar read of whole bins or of slot runs / index keys
 # derived / index check / pack / verify / filter / decrypt); then whole-epoch ranges through the
-# async router on a 4x1 fleet (plan / dispatch / tree decode / hops).
+# async router on a 4x1 fleet (plan / dispatch / tree decode / telemetry /
+# hops).
 profile-read:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/profile_read.py
+
+# Rule (iii)'s replay pin: one digest per run of chaos seeds 1-18, 121,
+# 4014 and 9079 x {plain, --replicas 3, --shards 2, both}, over
+# `--metrics prom` less concealer_query_seconds plus `--trace-dump` with
+# durations blanked.  Diff its output against a checkout of the parent.
+pin-replays:
+	$(PYTHON) benchmarks/pin_replays.py
 
 # Tiny workload → Prometheus export → line-format validation.
 metrics-smoke:

@@ -27,9 +27,11 @@ to stdout and ``results/profile_read.txt``:
   through ``AsyncShardRouter`` on one core (as the benchmark pins its
   server child): per query, the plan, the shard dispatch
   window (from the first shard starting to the last one finishing),
-  the tree-node decode inside it, and what is left — pool hops, asyncio
-  and the merge.  Shards run concurrently, so a phase is the union of
-  its intervals, not their sum.  Then the same stream again from two
+  the tree-node decode inside it, telemetry (opening and closing spans,
+  metric lookups and updates, wherever they run), and what is left —
+  pool hops, asyncio and the merge.  Each row is self time: the others
+  exclude the telemetry inside them.  Shards run concurrently, so a
+  phase is the union of its intervals, not their sum.  Then the same stream again from two
   concurrent clients, the benchmark's closed loop, where a thread hop
   also queues behind the other client's work: wall clock only.
 """
@@ -96,6 +98,29 @@ ROUTER_PHASES = [
     ("shard dispatch", *_SHARDED, "_dispatch"),
     ("tree decode", *_CONTEXT, "decode_tree_nodes"),
 ]
+# Opening and closing spans, looking up metric families and children,
+# and updating them: the calls every instrumented site makes.  There are
+# ~400 a query and each timer costs ~1 us, mostly inside the telemetry
+# row, so that row (which prints its calls a query) is an upper bound.
+_METRICS = "repro.telemetry.metrics"
+TELEMETRY_PHASES = [
+    ("telemetry", "repro.telemetry", None, name)
+    for name in ("span", "counter", "gauge", "histogram")
+] + [
+    ("telemetry", "repro.telemetry.spans", "_SpanScope", "__enter__"),
+    ("telemetry", "repro.telemetry.spans", "_SpanScope", "__exit__"),
+    ("telemetry", _METRICS, "MetricsRegistry", "_family"),
+    ("telemetry", _METRICS, "MetricFamily", "labels"),
+    ("telemetry", _METRICS, "MetricFamily", "default"),
+] + [
+    ("telemetry", _METRICS, owner, name)
+    for owner, names in (
+        ("Counter", ("inc",)),
+        ("Gauge", ("set", "inc", "dec", "set_max")),
+        ("Histogram", ("observe",)),
+    )
+    for name in names
+]
 
 
 class IntervalTimer:
@@ -106,6 +131,28 @@ class IntervalTimer:
         self.phases = phases
         self.intervals: dict[str, list] = {phase: [] for phase, *_ in phases}
         self._patched: list[tuple] = []
+
+    def merged(self, phase: str) -> list[tuple[float, float]]:
+        """The phase's intervals as a sorted union of disjoint ones."""
+        out: list[list[float]] = []
+        for start, end in sorted(self.intervals[phase]):
+            if out and start <= out[-1][1]:
+                out[-1][1] = max(out[-1][1], end)
+            else:
+                out.append([start, end])
+        return [(start, end) for start, end in out]
+
+    def overlap(self, phase: str, other: str) -> float:
+        """Seconds in both phases' unions (one sweep over both)."""
+        total, theirs, first = 0.0, self.merged(other), 0
+        for start, end in self.merged(phase):
+            while first < len(theirs) and theirs[first][1] <= start:
+                first += 1
+            at = first
+            while at < len(theirs) and theirs[at][0] < end:
+                total += min(end, theirs[at][1]) - max(start, theirs[at][0])
+                at += 1
+        return total
 
     def _wrap(self, phase: str, fn):
         @functools.wraps(fn)
@@ -119,16 +166,13 @@ class IntervalTimer:
         return wrapper
 
     def seconds(self, phase: str) -> float:
-        total, reach = 0.0, float("-inf")
-        for start, end in sorted(self.intervals[phase]):
-            if end > reach:
-                total += end - max(start, reach)
-                reach = end
-        return total
+        return sum(end - start for start, end in self.merged(phase))
 
     def __enter__(self):
         for phase, module, owner, name in self.phases:
-            holder = getattr(importlib.import_module(module), owner)
+            holder = importlib.import_module(module)
+            if owner is not None:
+                holder = getattr(holder, owner)
             original = holder.__dict__[name]
             setattr(holder, name, self._wrap(phase, original))
             self._patched.append((holder, name, original))
@@ -313,7 +357,7 @@ def router_section(out: io.StringIO) -> None:
         async def measure():
             stream = queries[RANGE_WARMUP:]
             await ask(queries[:RANGE_WARMUP])
-            with IntervalTimer(ROUTER_PHASES) as timer:
+            with IntervalTimer(ROUTER_PHASES + TELEMETRY_PHASES) as timer:
                 start = time.perf_counter()
                 await ask(stream)
                 wall = time.perf_counter() - start
@@ -332,19 +376,28 @@ def router_section(out: io.StringIO) -> None:
         finally:
             router.close()
             os.sched_setaffinity(0, cpus)
-    plan, dispatch, decode = (timer.seconds(phase) for phase, *_ in ROUTER_PHASES)
+    # Self time: each phase less the telemetry inside it.
+    own = {
+        phase: timer.seconds(phase) - timer.overlap(phase, "telemetry")
+        for phase, *_ in ROUTER_PHASES
+    }
+    telemetry_s = timer.seconds("telemetry")
+    calls = len(timer.intervals["telemetry"]) // RANGES
     out.write(
         f"\n{RANGES} whole-epoch auto ranges through AsyncShardRouter, 4x1 fleet, "
         f"one at a time: {wall:.3f} s ({1000 * wall / RANGES:.2f} ms/query)\n"
         f"the same stream from two concurrent clients: {paired:.3f} s "
         f"({1000 * paired / RANGES:.2f} ms/query, {RANGES / paired:.0f} queries/s)\n\n"
-        "split (wall clock; a phase is the union of its intervals on any thread)\n"
+        "split (wall clock, self time; a phase is the union of its intervals on "
+        "any thread)\n"
     )
     split = (
-        ("plan", plan),
-        ("shard dispatch (less decode)", dispatch - decode),
-        ("tree decode", decode),
-        ("hops, asyncio, rest", wall - plan - dispatch),
+        ("plan", own["plan"]),
+        ("shard dispatch (less decode)", own["shard dispatch"] - own["tree decode"]),
+        ("tree decode", own["tree decode"]),
+        (f"telemetry ({calls} timed calls)", telemetry_s),
+        ("hops, asyncio, rest", wall - sum(own[p] for p in ("plan", "shard dispatch"))
+         - telemetry_s),
     )
     for phase, spent in split:
         share = f"{1000 * spent / RANGES:7.3f} ms/query {100 * spent / wall:5.1f}%"

@@ -253,9 +253,7 @@ def node_plain_width(target_count: int) -> int:
 
 
 def _chain_entry(mac_key: bytes, head_and_body: bytes) -> bytes:
-    return _hmac.new(
-        mac_key, b"aggtree-node\x1f" + head_and_body, hashlib.sha256
-    ).digest()
+    return _hmac.digest(mac_key, b"aggtree-node\x1f" + head_and_body, "sha256")
 
 
 def encode_node(

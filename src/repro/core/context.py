@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Iterable, Sequence
-from contextlib import contextmanager
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -113,6 +112,37 @@ class RunRequest(NamedTuple):
     @property
     def total_tuples(self) -> int:
         return self.real_tuples + len(self.fake_ids)
+
+
+class _Verification:
+    """What :meth:`EpochContext._verification` returns: the span, then
+    the outcome counters on exit.  A plain class: it wraps every
+    verified fetch."""
+
+    __slots__ = ("_span", "_outcomes")
+
+    def __init__(self, span):
+        self._span = span
+
+    def __enter__(self) -> None:
+        self._outcomes = telemetry.counter(
+            "concealer_hashchain_verifications_total",
+            "hash-chain verifications of fetched row batches, by outcome",
+            labels=("result",),
+        )
+        self._span.__enter__()
+
+    def __exit__(self, kind, error, traceback) -> None:
+        if kind is None:
+            self._outcomes.labels(result="ok").inc()
+        elif issubclass(kind, IntegrityViolation):
+            self._outcomes.labels(result="violation").inc()
+            telemetry.counter(
+                "concealer_integrity_violations_total",
+                "structured integrity-verification failures, by kind",
+                labels=("kind",),
+            ).labels(kind=error.kind).inc()
+        self._span.__exit__(kind, error, traceback)
 
 
 class EpochContext:
@@ -747,30 +777,15 @@ class EpochContext:
 
     # ----------------------------------------------------------- verification
 
-    @contextmanager
-    def _verification(self, stage: str, **span_attrs):
+    def _verification(self, stage: str, **span_attrs) -> "_Verification":
         """The accounting every verification shares: the
         ``enclave.verify`` span, the ok/violation outcome counter and
         the per-kind violation counter."""
-        verifications = telemetry.counter(
-            "concealer_hashchain_verifications_total",
-            "hash-chain verifications of fetched row batches, by outcome",
-            labels=("result",),
+        return _Verification(
+            telemetry.span(
+                "enclave.verify", stage=stage, epoch=self.epoch_id, **span_attrs
+            )
         )
-        with telemetry.span(
-            "enclave.verify", stage=stage, epoch=self.epoch_id, **span_attrs
-        ):
-            try:
-                yield
-            except IntegrityViolation as violation:
-                verifications.labels(result="violation").inc()
-                telemetry.counter(
-                    "concealer_integrity_violations_total",
-                    "structured integrity-verification failures, by kind",
-                    labels=("kind",),
-                ).labels(kind=violation.kind).inc()
-                raise
-            verifications.labels(result="ok").inc()
 
     def verify_rows(
         self, rows: Sequence[Row], expected_cells: Sequence[int] | None = None

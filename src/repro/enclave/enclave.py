@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import os
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro import telemetry
@@ -255,19 +254,14 @@ class Enclave:
             secrecy=telemetry.PUBLIC_SIZE,
         ).set(used)
 
-    @contextmanager
-    def memory(self, nbytes: int):
+    def memory(self, nbytes: int) -> "_Reservation":
         """Exception-safe EPC reservation: ``with enclave.memory(n): ...``.
 
         The release runs even when the body raises, so a fault mid-query
         (transient storage error, injected crash, integrity violation)
         cannot leak budget and wedge every subsequent query.
         """
-        self.charge_memory(nbytes)
-        try:
-            yield
-        finally:
-            self.release_memory(nbytes)
+        return _Reservation(self, nbytes)
 
     @property
     def epc_used(self) -> int:
@@ -282,6 +276,23 @@ class Enclave:
     def reset_epc_stats(self) -> None:
         """Reset the high-water mark to the current usage."""
         self._epc_high_water = self._epc_used
+
+
+class _Reservation:
+    """What :meth:`Enclave.memory` returns: charge on entry, release on
+    exit.  A plain class: it wraps every query's working set."""
+
+    __slots__ = ("_enclave", "_nbytes")
+
+    def __init__(self, enclave: Enclave, nbytes: int):
+        self._enclave = enclave
+        self._nbytes = nbytes
+
+    def __enter__(self) -> None:
+        self._enclave.charge_memory(self._nbytes)
+
+    def __exit__(self, *exc) -> None:
+        self._enclave.release_memory(self._nbytes)
 
 
 def generate_master_key(rng=None) -> bytes:

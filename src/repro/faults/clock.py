@@ -19,8 +19,7 @@ from repro.exceptions import TransientStorageError
 class SystemClock:
     """Real wall-clock time (production default)."""
 
-    def now(self) -> float:
-        return time.monotonic()
+    now = staticmethod(time.monotonic)
 
     def sleep(self, seconds: float) -> None:
         time.sleep(seconds)

@@ -21,8 +21,6 @@ request arrival, never of the plaintext data.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 from repro import telemetry
 from repro.exceptions import ServiceOverloaded
 
@@ -46,8 +44,7 @@ class AdmissionController:
         """Total requests admissible at once (executing + waiting)."""
         return self.max_inflight + self.max_queue
 
-    @contextmanager
-    def admit(self, kind: str = "query"):
+    def admit(self, kind: str = "query") -> "_Slot":
         """Take a slot for the ``with`` body or shed the request.
 
         The synchronous simulator has no true concurrency, so "queued"
@@ -55,39 +52,7 @@ class AdmissionController:
         degraded-mode query): occupancy beyond ``max_inflight`` spills
         into the queue allowance before shedding begins.
         """
-        if self.inflight + self.queued >= self.capacity:
-            self.shed += 1
-            telemetry.counter(
-                "concealer_requests_shed_total",
-                "requests rejected by admission control, by query kind",
-                secrecy=telemetry.PUBLIC_SIZE,
-                labels=("kind",),
-            ).labels(kind=kind).inc()
-            raise ServiceOverloaded(
-                f"admission queue full ({self.inflight} inflight, "
-                f"{self.queued} queued, capacity {self.capacity}); "
-                f"{kind!r} request shed — retry after backoff"
-            )
-        queued = self.inflight >= self.max_inflight
-        if queued:
-            self.queued += 1
-        else:
-            self.inflight += 1
-        telemetry.counter(
-            "concealer_requests_admitted_total",
-            "requests admitted past the front door, by query kind",
-            secrecy=telemetry.PUBLIC_SIZE,
-            labels=("kind",),
-        ).labels(kind=kind).inc()
-        self._export()
-        try:
-            yield
-        finally:
-            if queued:
-                self.queued -= 1
-            else:
-                self.inflight -= 1
-            self._export()
+        return _Slot(self, kind)
 
     def _export(self) -> None:
         telemetry.gauge(
@@ -95,3 +60,51 @@ class AdmissionController:
             "requests currently executing plus waiting",
             secrecy=telemetry.PUBLIC_SIZE,
         ).set(self.inflight + self.queued)
+
+
+class _Slot:
+    """What :meth:`AdmissionController.admit` returns: a slot taken on
+    entry (or the request shed) and given back on exit.  A plain class:
+    it wraps every query."""
+
+    __slots__ = ("_controller", "_kind", "_queued")
+
+    def __init__(self, controller: AdmissionController, kind: str):
+        self._controller = controller
+        self._kind = kind
+
+    def __enter__(self) -> None:
+        controller, kind = self._controller, self._kind
+        if controller.inflight + controller.queued >= controller.capacity:
+            controller.shed += 1
+            telemetry.counter(
+                "concealer_requests_shed_total",
+                "requests rejected by admission control, by query kind",
+                secrecy=telemetry.PUBLIC_SIZE,
+                labels=("kind",),
+            ).labels(kind=kind).inc()
+            raise ServiceOverloaded(
+                f"admission queue full ({controller.inflight} inflight, "
+                f"{controller.queued} queued, capacity {controller.capacity}); "
+                f"{kind!r} request shed — retry after backoff"
+            )
+        self._queued = controller.inflight >= controller.max_inflight
+        if self._queued:
+            controller.queued += 1
+        else:
+            controller.inflight += 1
+        telemetry.counter(
+            "concealer_requests_admitted_total",
+            "requests admitted past the front door, by query kind",
+            secrecy=telemetry.PUBLIC_SIZE,
+            labels=("kind",),
+        ).labels(kind=kind).inc()
+        controller._export()
+
+    def __exit__(self, *exc) -> None:
+        controller = self._controller
+        if self._queued:
+            controller.queued -= 1
+        else:
+            controller.inflight -= 1
+        controller._export()

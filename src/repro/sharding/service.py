@@ -596,29 +596,27 @@ class ShardedService:
         if method == "tree":
             RangeExecutor.check_tree(query, schema, self.config.oblivious)
 
-    @contextlib.contextmanager
-    def _planning(
-        self, kind: str, timestamp: int, epoch_id: int | None, blocking: bool
+    def _planned(
+        self, kind: str, timestamp: int, epoch_id: int | None, blocking: bool,
+        plan,
     ):
-        """The ``router.plan`` span, with the request's epoch and a
-        planning context: yields ``(epoch_id, context, span)``.
+        """``plan(epoch_id, context, span)`` inside the ``router.plan``
+        span, given the request's epoch and a planning context.
 
         Blocking, both resolve inside the span.  Non-blocking, they
         resolve first, so a fleet with no free warm shard opens no span
-        and the block sees ``context is SHARD_BUSY``.
+        and gets :data:`SHARD_BUSY` back.
         """
-        if blocking:
-            with telemetry.span("router.plan", stage="plan", kind=kind) as plan:
+        if not blocking:
+            eid = epoch_id if epoch_id is not None else self._epoch_of(timestamp)
+            context = self._plan_context(eid, blocking=False)
+            if context is SHARD_BUSY:
+                return SHARD_BUSY
+        with telemetry.span("router.plan", stage="plan", kind=kind) as span:
+            if blocking:
                 eid = epoch_id if epoch_id is not None else self._epoch_of(timestamp)
-                yield eid, self._plan_context(eid), plan
-            return
-        eid = epoch_id if epoch_id is not None else self._epoch_of(timestamp)
-        context = self._plan_context(eid, blocking=False)
-        if context is SHARD_BUSY:
-            yield eid, SHARD_BUSY, None
-            return
-        with telemetry.span("router.plan", stage="plan", kind=kind) as plan:
-            yield eid, context, plan
+                context = self._plan_context(eid)
+            return plan(eid, context, span)
 
     def plan_point(
         self,
@@ -634,16 +632,15 @@ class ShardedService:
         malformed fails here (:meth:`_check_request`).
         """
         self._check_request(query)
-        with self._planning(
-            "point", query.timestamp, epoch_id, blocking
-        ) as (eid, context, plan):
-            if context is SHARD_BUSY:
-                return SHARD_BUSY
+
+        def plan(eid, context, span):
             cell_id = context.grid.place_values(
                 query.index_values, query.timestamp
             )
-            plan.set(epoch=eid)
+            span.set(epoch=eid)
             return eid, cell_id, self.topology.shard_of(cell_id)
+
+        return self._planned("point", query.timestamp, epoch_id, blocking, plan)
 
     def plan_range(
         self,
@@ -667,11 +664,8 @@ class ShardedService:
                 f"unknown range method {method!r}; choose from {RANGE_METHODS}"
             )
         self._check_request(query, method)
-        with self._planning(
-            "range", query.time_start, epoch_id, blocking
-        ) as (eid, context, plan):
-            if context is SHARD_BUSY:
-                return SHARD_BUSY
+
+        def plan(eid, context, span):
             cells = context.grid.cell_ids_for_combinations(
                 query.candidate_combinations(), query.time_start, query.time_end
             )
@@ -682,17 +676,20 @@ class ShardedService:
                     f"across {len(owners)} shards; supported cross-shard: "
                     f"{sorted(a.value for a in MERGEABLE_AGGREGATES)}"
                 )
-            if method == "auto":
-                method = self.shards[
+            chosen = method
+            if chosen == "auto":
+                chosen = self.shards[
                     next(iter(owners))
                 ].service.choose_range_method(query, context)
-            plan.set(
+            span.set(
                 epoch=eid,
-                method=method,
+                method=chosen,
                 cells=len(cells),
                 participants=len(owners),
             )
-            return eid, method, tuple(owners)
+            return eid, chosen, tuple(owners)
+
+        return self._planned("range", query.time_start, epoch_id, blocking, plan)
 
     def finish_range(
         self,

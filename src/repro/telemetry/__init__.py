@@ -43,8 +43,10 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
 )
 from repro.telemetry.spans import (
+    _DISABLED_CONTEXT,
     Span,
     Tracer,
+    _SpanScope,
     format_span,
     format_trace_tree,
     format_traces,
@@ -194,7 +196,7 @@ def counter(
     labels: tuple[str, ...] = (),
 ) -> MetricFamily:
     """Get-or-create a counter family on the ambient registry."""
-    return _registry.counter(name, help, secrecy, labels)
+    return _registry._family(name, "counter", help, secrecy, labels)
 
 
 def gauge(
@@ -204,7 +206,7 @@ def gauge(
     labels: tuple[str, ...] = (),
 ) -> MetricFamily:
     """Get-or-create a gauge family on the ambient registry."""
-    return _registry.gauge(name, help, secrecy, labels)
+    return _registry._family(name, "gauge", help, secrecy, labels)
 
 
 def histogram(
@@ -215,9 +217,18 @@ def histogram(
     boundaries: tuple[float, ...] = (0.001, 0.01, 0.1, 1.0, 10.0),
 ) -> MetricFamily:
     """Get-or-create a histogram family on the ambient registry."""
-    return _registry.histogram(name, help, secrecy, labels, boundaries)
+    return _registry._family(name, "histogram", help, secrecy, labels, boundaries)
 
 
 def span(name: str, secrecy: str = PUBLIC_SIZE, **attributes):
-    """Open a span on the context's tracer (context manager)."""
-    return get_tracer().span(name, secrecy=secrecy, **attributes)
+    """Open a span on the context's tracer (context manager).
+
+    :meth:`Tracer.span` with :func:`get_tracer` inlined: every request
+    opens dozens of spans, and each saved call counts.
+    """
+    tracer = tracing._BOUND_TRACER.get()
+    if tracer is None:
+        tracer = _tracer
+    if not tracer.enabled:
+        return _DISABLED_CONTEXT
+    return _SpanScope(tracer, name, secrecy, attributes)

@@ -165,6 +165,9 @@ class MetricFamily:
     max_label_values: int
     boundaries: tuple[float, ...] | None = None   # histograms only
     children: dict[tuple, object] = field(default_factory=dict)
+    _memo: dict[tuple, object] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def labels(self, **labels):
         """The child for one label-value combination (created on demand).
@@ -172,28 +175,38 @@ class MetricFamily:
         Beyond ``max_label_values`` distinct combinations, new ones
         aggregate into a single :data:`OVERFLOW_LABEL` child so a buggy
         or adversarial label source cannot balloon the registry.
+
+        A hit is one lookup of the call's ``(name, value)`` pairs in
+        ``_memo`` (at most ``max_label_values`` entries, never an
+        overflowed one).  Values match by ``==``: a label must not take
+        values that are equal yet print differently (``1``, ``True``).
         """
-        if set(labels) != set(self.label_names):
+        call = tuple(labels.items())
+        child = self._memo.get(call)
+        if child is not None:
+            return child
+        names = self.label_names
+        if len(labels) != len(names) or not all(n in labels for n in names):
             raise TelemetryError(
-                f"metric {self.name!r} takes labels {self.label_names}, "
+                f"metric {self.name!r} takes labels {names}, "
                 f"got {tuple(sorted(labels))}"
             )
-        key = tuple(str(labels[name]) for name in self.label_names)
-        child = self.children.get(key)
-        if child is None:
-            # Two threads racing the first touch of a label combination
-            # must agree on one child object, or increments land on an
-            # orphan and the family under-counts.
-            with _MUTATION_LOCK:
-                child = self.children.get(key)
-                if child is None:
-                    if len(self.children) >= self.max_label_values:
-                        key = (OVERFLOW_LABEL,) * len(self.label_names)
-                        child = self.children.get(key)
-                        if child is not None:
-                            return child
-                    child = self._new_child()
-                    self.children[key] = child
+        key = tuple(str(labels[name]) for name in names)
+        # Two threads racing the first touch of a label combination must
+        # agree on one child object, or increments land on an orphan and
+        # the family under-counts.
+        with _MUTATION_LOCK:
+            child = self.children.get(key)
+            if child is None:
+                if len(self.children) >= self.max_label_values:
+                    overflow = (OVERFLOW_LABEL,) * len(names)
+                    if overflow not in self.children:
+                        self.children[overflow] = self._new_child()
+                    return self.children[overflow]
+                child = self._new_child()
+                self.children[key] = child
+            if len(self._memo) < self.max_label_values:
+                self._memo[call] = child
         return child
 
     def default(self):
@@ -282,8 +295,15 @@ class MetricsRegistry:
         """Get or create a histogram family with fixed bucket boundaries."""
         return self._family(name, "histogram", help, secrecy, labels, boundaries)
 
-    def _family(self, name, kind, help, secrecy, labels, boundaries):
+    def _family(self, name, kind, help, secrecy, labels, boundaries=None):
         family = self._families.get(name)
+        if (
+            family is not None
+            and family.kind == kind
+            and family.label_names == labels
+            and family.secrecy == secrecy
+        ):
+            return family
         if family is None:
             # First registration may race across threads; serialize it so
             # both sites end up holding the same family object.

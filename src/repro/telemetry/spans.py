@@ -37,10 +37,10 @@ families stay out of the public view.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.telemetry import tracing
@@ -50,11 +50,10 @@ from repro.telemetry.metrics import PUBLIC_SIZE, SECRECY_LEVELS
 class _MonotonicClock:
     """The production default: real monotonic time."""
 
-    def now(self) -> float:
-        return time.monotonic()
+    now = staticmethod(time.monotonic)
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed region; ``children`` are spans opened inside it."""
 
@@ -68,11 +67,9 @@ class Span:
     span_id: str = ""
     parent_id: str | None = None
     secrecy: str = PUBLIC_SIZE
-
-    def __post_init__(self):
-        # The owning tracer, for the local-root rule.  Not a dataclass
-        # field: identity bookkeeping, not data.
-        self._tracer = None
+    # The owning tracer, for the local-root rule: identity bookkeeping,
+    # not data, so it takes no part in equality or repr.
+    _tracer: "Tracer | None" = field(default=None, compare=False, repr=False)
 
     @property
     def duration(self) -> float:
@@ -155,6 +152,84 @@ class _DisabledContext:
 _DISABLED_CONTEXT = _DisabledContext()
 
 
+class _SpanScope:
+    """The context manager :meth:`Tracer.span` returns: opens the span on
+    ``__enter__`` and closes it on ``__exit__``.  A plain class, not a
+    generator context manager, because every request opens dozens."""
+
+    __slots__ = ("_tracer", "_name", "_secrecy", "_attributes", "_span",
+                 "_token", "_local")
+
+    def __init__(self, tracer: "Tracer", name: str, secrecy: str, attributes):
+        self._tracer = tracer
+        self._name = name
+        self._secrecy = secrecy
+        self._attributes = attributes
+
+    def __enter__(self) -> Span:
+        tracer, secrecy = self._tracer, self._secrecy
+        if secrecy not in SECRECY_LEVELS:
+            from repro.exceptions import TelemetryError
+
+            raise TelemetryError(
+                f"unknown span secrecy {secrecy!r}; use one of {SECRECY_LEVELS}"
+            )
+        parent = tracing._CURRENT.get()
+        if parent is not None:
+            trace_id, parent_id = parent.trace_id, parent.span_id
+        else:
+            remote = tracing._REMOTE.get()
+            if remote is not None:
+                trace_id, parent_id = remote.trace_id, remote.span_id
+            else:
+                trace_id, parent_id = tracing.new_trace_id(), None
+        # Positional, in field order: keywords cost a tenth of a span.
+        opened = Span(
+            self._name, self._attributes, tracer.clock.now(), None, None, [],
+            trace_id, tracing.new_span_id(), parent_id, secrecy, tracer,
+        )
+        # Same buffer: attach in place.  list.append is atomic under the
+        # GIL, so concurrent children from sibling shard threads
+        # interleave but never corrupt.
+        self._local = parent is not None and parent._tracer is tracer
+        if self._local:
+            parent.children.append(opened)
+        self._span = opened
+        self._token = tracing._CURRENT.set(opened)
+        return opened
+
+    def __exit__(self, kind, error, traceback) -> None:
+        opened = self._span
+        if kind is not None:
+            opened.error = kind.__name__
+        opened.end = self._tracer.clock.now()
+        tracing._CURRENT.reset(self._token)
+        if not self._local:
+            self._tracer._record_root(opened)
+
+
+# (registry, child) of ``concealer_trace_spans_dropped_total``, resolved
+# once per ambient registry rather than once per evicted root.
+_DROPPED = (None, None)
+
+
+def _dropped_counter():
+    # telemetry.__init__ imports this module, so it is read from
+    # sys.modules.  The counter is public-size: it counts buffer
+    # pressure (a function of query volume), never row data.
+    global _DROPPED
+    registry = sys.modules["repro.telemetry"].get_registry()
+    cached_registry, child = _DROPPED
+    if cached_registry is not registry:
+        child = registry.counter(
+            "concealer_trace_spans_dropped_total",
+            "root spans evicted from a full trace ring buffer",
+            secrecy=PUBLIC_SIZE,
+        ).default()
+        _DROPPED = (registry, child)
+    return child
+
+
 class Tracer:
     """Builds span trees and keeps the last ``capacity`` completed traces.
 
@@ -192,78 +267,16 @@ class Tracer:
         """
         if not self.enabled:
             return _DISABLED_CONTEXT
-        return self._span(name, secrecy, attributes)
-
-    @contextmanager
-    def _span(self, name: str, secrecy: str, attributes: dict):
-        if secrecy not in SECRECY_LEVELS:
-            from repro.exceptions import TelemetryError
-
-            raise TelemetryError(
-                f"unknown span secrecy {secrecy!r}; use one of {SECRECY_LEVELS}"
-            )
-        parent = tracing.current_span()
-        remote = None if parent is not None else tracing._REMOTE.get()
-        if parent is not None:
-            trace_id, parent_id = parent.trace_id, parent.span_id
-        elif remote is not None:
-            trace_id, parent_id = remote.trace_id, remote.span_id
-        else:
-            trace_id, parent_id = tracing.new_trace_id(), None
-        opened = Span(
-            name=name,
-            attributes=dict(attributes),
-            start=self.clock.now(),
-            trace_id=trace_id,
-            span_id=tracing.new_span_id(),
-            parent_id=parent_id,
-        )
-        opened.secrecy = secrecy
-        opened._tracer = self
-        local_parent = (
-            parent
-            if parent is not None and parent._tracer is self
-            else None
-        )
-        if local_parent is not None:
-            # Same buffer: attach in place.  list.append is atomic under
-            # the GIL, so concurrent children from sibling shard threads
-            # interleave but never corrupt.
-            local_parent.children.append(opened)
-        token = tracing._CURRENT.set(opened)
-        try:
-            yield opened
-        except BaseException as error:
-            opened.error = type(error).__name__
-            raise
-        finally:
-            opened.end = self.clock.now()
-            tracing._CURRENT.reset(token)
-            if local_parent is None:
-                self._record_root(opened)
+        return _SpanScope(self, name, secrecy, attributes)
 
     def _record_root(self, root: Span) -> None:
         with self._lock:
-            if self._capacity and len(self._traces) == self._capacity:
+            dropped_now = bool(self._capacity) and len(self._traces) == self._capacity
+            if dropped_now:
                 self.dropped += 1
-                dropped_now = True
-            else:
-                dropped_now = False
             self._traces.append(root)
         if dropped_now:
-            self._count_drop()
-
-    def _count_drop(self) -> None:
-        # Lazy import: telemetry.__init__ imports this module.  The
-        # counter is public-size — it counts buffer pressure (a function
-        # of query volume), never row data.
-        from repro import telemetry
-
-        telemetry.get_registry().counter(
-            "concealer_trace_spans_dropped_total",
-            "root spans evicted from a full trace ring buffer",
-            secrecy=PUBLIC_SIZE,
-        ).inc()
+            _dropped_counter().inc()
 
     def current(self) -> Span | None:
         """The innermost open span recording into *this* tracer."""

@@ -25,7 +25,7 @@ which :func:`scoped_ids` makes directly testable.
 
 from __future__ import annotations
 
-import threading
+import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -93,32 +93,21 @@ class SpanContext:
 # ------------------------------------------------------------ id allocation
 
 
-class _IdAllocator:
-    """Monotonic counter → ids.  Public by construction: the sequence is
-    a function of *how many spans were opened*, never of what they saw."""
-
-    def __init__(self, start: int = 1):
-        self._lock = threading.Lock()
-        self._next = start
-
-    def allocate(self) -> int:
-        with self._lock:
-            value = self._next
-            self._next += 1
-            return value
-
-
-_IDS = _IdAllocator()
+# ``next()`` on an ``itertools.count`` is one C call, atomic under the
+# GIL, so concurrent shard threads never share an id.  Public by
+# construction: the sequence is a function of *how many spans were
+# opened*, never of what they saw.
+_IDS = itertools.count(1)
 
 
 def new_trace_id() -> str:
     """A fresh 32-hex-char trace id off the public counter."""
-    return f"{_IDS.allocate():032x}"
+    return f"{next(_IDS):032x}"
 
 
 def new_span_id() -> str:
     """A fresh 16-hex-char span id off the public counter."""
-    return f"{_IDS.allocate():016x}"
+    return f"{next(_IDS):016x}"
 
 
 @contextmanager
@@ -131,7 +120,7 @@ def scoped_ids(start: int = 1):
     """
     global _IDS
     previous = _IDS
-    _IDS = _IdAllocator(start=start)
+    _IDS = itertools.count(start)
     try:
         yield
     finally:
@@ -156,8 +145,11 @@ def current_context() -> SpanContext | None:
 
 def current_trace_id() -> str | None:
     """The active trace id (for exemplars), or ``None`` outside a trace."""
-    context = current_context()
-    return context.trace_id if context is not None else None
+    span = _CURRENT.get()
+    if span is not None:
+        return span.trace_id
+    remote = _REMOTE.get()
+    return remote.trace_id if remote is not None else None
 
 
 def current_traceparent() -> str | None:
@@ -178,22 +170,34 @@ def annotate(**attributes) -> None:
         span.set(**attributes)
 
 
-@contextmanager
-def activate(context: SpanContext | None):
+class _Bound:
+    """Set a context variable for a ``with`` body and reset it after;
+    a ``None`` value leaves the variable alone.  A plain class, not a
+    generator context manager: it wraps every request."""
+
+    __slots__ = ("_var", "_value", "_token")
+
+    def __init__(self, var: ContextVar, value):
+        self._var = var
+        self._value = value
+
+    def __enter__(self) -> None:
+        if self._value is not None:
+            self._token = self._var.set(self._value)
+
+    def __exit__(self, *exc) -> None:
+        if self._value is not None:
+            self._var.reset(self._token)
+
+
+def activate(context: SpanContext | None) -> _Bound:
     """Adopt a deserialized remote parent for the ``with`` body.
 
     Spans opened inside join ``context``'s trace as children of the
     remote span.  ``None`` is allowed (no-op) so servers can wrap every
     request handler unconditionally.
     """
-    if context is None:
-        yield
-        return
-    token = _REMOTE.set(context)
-    try:
-        yield
-    finally:
-        _REMOTE.reset(token)
+    return _Bound(_REMOTE, context)
 
 
 @dataclass(frozen=True)
@@ -242,21 +246,13 @@ def propagate(fn, captured: CapturedContext | None = None, tracer=None):
     return wrapper
 
 
-@contextmanager
-def bind_tracer(tracer: "Tracer | None"):
+def bind_tracer(tracer: "Tracer | None") -> _Bound:
     """Route spans in this execution context into ``tracer``.
 
     ``None`` is a no-op (keep the ambient tracer), so call sites can
     write ``with bind_tracer(shard.tracer):`` without a conditional.
     """
-    if tracer is None:
-        yield
-        return
-    token = _BOUND_TRACER.set(tracer)
-    try:
-        yield
-    finally:
-        _BOUND_TRACER.reset(token)
+    return _Bound(_BOUND_TRACER, tracer)
 
 
 def bound_tracer() -> "Tracer | None":
