@@ -10,6 +10,13 @@ all three to ``benchmarks/results/profile.txt``:
 * the **collector's share**: seconds and collection count from
   ``gc.callbacks`` — time cProfile attributes to whichever function
   happened to allocate, so the table below cannot show it;
+* the **live heap after landing**, on a 1×1 and a 2×3 fleet, each from
+  its own run under ``tracemalloc``: the bytes the stored row
+  representation (row dicts, column tuples, ``index_key`` B+-trees)
+  holds per stored row per replica — what dropping every replica's
+  tables frees, so the ciphertexts the retained epoch package still
+  references are not counted — plus the process's GC-tracked objects
+  and the time of one full collection over them;
 * the cProfile top-30 by cumulative time, from a second run (profiling
   inflates Python frames against native crypto, so the split above
   comes from the unprofiled run).
@@ -30,6 +37,7 @@ import random
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -166,6 +174,39 @@ def ingest(*observers):
     return len(records), sum(stored.values()), wall
 
 
+def live_heap(shards: int, replicas: int) -> str:
+    """One "live heap after landing" line for a fresh shards × replicas
+    fleet (see the module docstring)."""
+    from repro.sharding import ingest_epoch_sharded
+
+    with tempfile.TemporaryDirectory() as workdir:
+        fleet, records, epoch = fleet_and_records(workdir, shards, replicas)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            stored = sum(ingest_epoch_sharded(fleet, records, epoch).values())
+            gc.collect()
+            tracked = len(gc.get_objects())
+            start = time.perf_counter()
+            gc.collect()
+            collect_ms = 1e3 * (time.perf_counter() - start)
+            before = tracemalloc.get_traced_memory()[0]
+            for shard in fleet.shards:
+                group = shard.replicated_engine()
+                for engine in group.replicas if group else [shard.service.engine]:
+                    for table in engine.table_names():
+                        engine.drop_table(table)
+            gc.collect()
+            freed = before - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+    return (
+        f"  {shards}x{replicas}: {freed / (stored * replicas):6.1f} B per stored "
+        f"row per replica ({stored} rows x {replicas}), {tracked:,} GC-tracked "
+        f"objects, full collection {collect_ms:.1f} ms\n"
+    )
+
+
 def main() -> int:
     out = io.StringIO()
     phases, collector = PhaseTimer(), CollectorClock()
@@ -183,13 +224,16 @@ def main() -> int:
         f"\ncyclic collector: {collector.seconds:.3f} s in "
         f"{collector.collections} collections "
         f"({100 * collector.seconds / wall:.1f}% of the wall clock, spread over "
-        "the phases above)\n\n"
+        "the phases above)\n\nlive heap after landing (row store, tracemalloc)\n"
     )
+    for shards, replicas in ((1, 1), (SHARDS, REPLICAS)):
+        out.write(live_heap(shards, replicas))
+    out.write("\n")
 
     profiler = cProfile.Profile()
     ingest(profiler)  # a Profile is a context manager: enable … disable
     stats = pstats.Stats(profiler, stream=out)
-    stats.sort_stats("cumulative").print_stats(TOP_N)
+    stats.strip_dirs().sort_stats("cumulative").print_stats(TOP_N)
 
     path = Path(__file__).parent / "results" / "profile.txt"
     path.parent.mkdir(exist_ok=True)

@@ -90,10 +90,9 @@ def derive_tree_keys(epoch_key: bytes) -> tuple[bytes, bytes]:
 
 def combo_digest(mac_key: bytes, index_values: tuple) -> bytes:
     """Keyed digest of one index-value combination (directory key)."""
-    return _hmac.new(
-        mac_key, b"aggtree-combo\x1f" + encode_values(index_values),
-        hashlib.sha256,
-    ).digest()
+    return _hmac.digest(
+        mac_key, b"aggtree-combo\x1f" + encode_values(index_values), "sha256"
+    )
 
 
 def decoy_entity(digest: bytes, entity_count: int) -> int:

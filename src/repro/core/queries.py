@@ -54,6 +54,13 @@ def _cross_product(slots) -> list[tuple]:
     return [tuple(c) for c in combos]
 
 
+def _check_slots(slots) -> None:
+    """Refuse a wildcard slot with no candidates: the query would match
+    nothing, and the read paths disagree on what nothing means."""
+    if any(isinstance(slot, (tuple, list)) and not slot for slot in slots):
+        raise QueryError("a wildcard slot needs at least one candidate value")
+
+
 @dataclass(frozen=True)
 class Predicate:
     """A filter-column match: which group, and the non-time values.
@@ -72,6 +79,7 @@ class Predicate:
                 f"predicate on group {self.group} needs {len(self.group)} "
                 f"values, got {len(self.values)}"
             )
+        _check_slots(self.values)
 
     def combinations(self) -> list[tuple]:
         """The concrete value tuples this predicate matches: wildcard
@@ -123,6 +131,7 @@ class RangeQuery:
     def __post_init__(self):
         if self.time_end < self.time_start:
             raise QueryError("range end precedes start")
+        _check_slots(self.index_values)
         _check_aggregate(self.aggregate, self.target)
 
     def candidate_combinations(self) -> list[tuple]:

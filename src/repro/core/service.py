@@ -296,7 +296,7 @@ class ServiceProvider:
         engine.create_table(table, package.column_names)
         engine.create_index(table, "index_key")
         try:
-            rows = [row.as_columns() for row in package.rows]
+            rows = [tuple(row.as_columns()) for row in package.rows]
             self.retry.call(
                 lambda: engine.insert_many(table, rows, engine.row_count(table)),
                 progress=lambda: engine.row_count(table),

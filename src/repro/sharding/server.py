@@ -328,7 +328,8 @@ class ShardServer:
                 "error": type(error).__name__,
                 "message": str(error),
             }
-        except (KeyError, ValueError, TypeError, json.JSONDecodeError) as error:
+        except (KeyError, ValueError, TypeError, OverflowError) as error:
+            # OverflowError: int() of a non-finite number (1e400, Infinity).
             return {
                 "ok": False,
                 "error": "BadRequest",

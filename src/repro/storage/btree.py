@@ -5,9 +5,10 @@ comparable keys (for Concealer: the ciphertext bytes of
 ``E_k(cid || counter)``) to row ids.  Design notes:
 
 - Values live only in leaves; leaves are linked for ordered scans.
-- Duplicate keys are supported: each leaf slot stores the list of row
-  ids sharing the key (needed by the cleartext baseline, which indexes
-  plaintext locations).
+- Duplicate keys are supported (needed by the cleartext baseline, which
+  indexes plaintext locations).  A leaf slot holds a key's lone value
+  bare, and a :class:`_Dups` list only once a second value arrives, so a
+  unique-key index allocates nothing per key; readers always get lists.
 - Deletion removes values without rebalancing.  Concealer's §6 rewrite
   deletes a whole epoch's rows and re-inserts them under fresh
   ciphertexts, so underfull nodes are transient; a production engine
@@ -25,10 +26,29 @@ from typing import Any
 DEFAULT_ORDER = 64
 
 
+class _Dups(list):
+    """A leaf slot holding two or more values of one key, in insertion order."""
+
+    __slots__ = ()
+
+
+def _values(slot: Any) -> list[Any]:
+    """A leaf slot's values as a fresh list."""
+    return list(slot) if type(slot) is _Dups else [slot]
+
+
+def _add(slot: Any, value: Any) -> "_Dups":
+    """``slot`` with ``value`` appended, as a :class:`_Dups`."""
+    if type(slot) is _Dups:
+        slot.append(value)
+        return slot
+    return _Dups((slot, value))
+
+
 @dataclass
 class _LeafNode:
     keys: list[Any] = field(default_factory=list)
-    values: list[list[Any]] = field(default_factory=list)
+    values: list[Any] = field(default_factory=list)  # bare value or _Dups
     next_leaf: "_LeafNode | None" = None
 
     is_leaf = True
@@ -102,7 +122,7 @@ class BPlusTree:
         leaf = self._find_leaf(key)
         index = _bisect_left(leaf.keys, key)
         if index < len(leaf.keys) and leaf.keys[index] == key:
-            return list(leaf.values[index])
+            return _values(leaf.values[index])
         return []
 
     def contains(self, key: Any) -> bool:
@@ -120,7 +140,7 @@ class BPlusTree:
                 key = leaf.keys[index]
                 if key > high:
                     return
-                yield key, list(leaf.values[index])
+                yield key, _values(leaf.values[index])
                 index += 1
             leaf = leaf.next_leaf
             index = 0
@@ -134,7 +154,7 @@ class BPlusTree:
             node = node.children[0]
         leaf: _LeafNode | None = node
         while leaf is not None:
-            yield from zip(leaf.keys, (list(v) for v in leaf.values))
+            yield from zip(leaf.keys, map(_values, leaf.values))
             leaf = leaf.next_leaf
 
     def keys(self) -> Iterator[Any]:
@@ -164,14 +184,14 @@ class BPlusTree:
         for key, value in pairs:
             leaf = leaves[-1]
             if leaf.keys and leaf.keys[-1] == key:
-                leaf.values[-1].append(value)
+                leaf.values[-1] = _add(leaf.values[-1], value)
             else:
                 if len(leaf.keys) == self._order:
                     leaves.append(_LeafNode())
                     leaf.next_leaf = leaves[-1]
                     leaf = leaves[-1]
                 leaf.keys.append(key)
-                leaf.values.append([value])
+                leaf.values.append(value)
             size += 1
         # ``lows[i]`` is the smallest key under ``level[i]``: the
         # separator its parent files it under.
@@ -195,10 +215,10 @@ class BPlusTree:
         if node.is_leaf:
             index = _bisect_left(node.keys, key)
             if index < len(node.keys) and node.keys[index] == key:
-                node.values[index].append(value)
+                node.values[index] = _add(node.values[index], value)
                 return None
             node.keys.insert(index, key)
-            node.values.insert(index, [value])
+            node.values.insert(index, value)
             if len(node.keys) > self._order:
                 return self._split_leaf(node)
             return None
@@ -250,17 +270,14 @@ class BPlusTree:
         index = _bisect_left(leaf.keys, key)
         if index >= len(leaf.keys) or leaf.keys[index] != key:
             return 0
-        if value is None:
-            removed = len(leaf.values[index])
+        values = _values(leaf.values[index])
+        kept = [] if value is None else [v for v in values if v != value]
+        removed = len(values) - len(kept)
+        if not kept:
             del leaf.keys[index]
             del leaf.values[index]
-        else:
-            before = len(leaf.values[index])
-            leaf.values[index] = [v for v in leaf.values[index] if v != value]
-            removed = before - len(leaf.values[index])
-            if not leaf.values[index]:
-                del leaf.keys[index]
-                del leaf.values[index]
+        elif removed:
+            leaf.values[index] = kept[0] if len(kept) == 1 else _Dups(kept)
         self._size -= removed
         return removed
 

@@ -97,9 +97,7 @@ def checkpoint_engine(
             name: {
                 "columns": table.column_names,
                 "next_row_id": table._next_row_id,
-                "rows": {
-                    row_id: row.columns for row_id, row in table._rows.items()
-                },
+                "rows": dict(table._rows),
             }
             for name, table in engine._tables.items()
         },
@@ -160,11 +158,7 @@ def restore_engine(path: str | Path) -> StorageEngine:
             engine.create_table(name, table_snapshot["columns"])
             table = engine._tables[name]
             for row_id in sorted(table_snapshot["rows"]):
-                from repro.storage.table import Row
-
-                table._rows[row_id] = Row(
-                    row_id=row_id, columns=tuple(table_snapshot["rows"][row_id])
-                )
+                table._rows[row_id] = tuple(table_snapshot["rows"][row_id])
                 engine._pagers[name].note_row(row_id)
             table._next_row_id = table_snapshot["next_row_id"]
         for table_name, column in snapshot["indexes"]:

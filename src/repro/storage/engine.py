@@ -128,8 +128,8 @@ class StorageEngine:
         sequential inserts) and streamed: no list of pairs per index."""
         rows = tbl._rows
         row_ids = sorted(rows)
-        row_ids.sort(key=lambda row_id: rows[row_id].columns[position])
-        tree.bulk_load((rows[row_id].columns[position], row_id) for row_id in row_ids)
+        row_ids.sort(key=lambda row_id: rows[row_id][position])
+        tree.bulk_load((rows[row_id][position], row_id) for row_id in row_ids)
 
     def has_table(self, name: str) -> bool:
         """Whether a table with this name exists."""
@@ -168,7 +168,7 @@ class StorageEngine:
         tbl = self._tables[name]
         next_row_id = 0
         for row in rows:
-            tbl._rows[row.row_id] = Row(row_id=row.row_id, columns=tuple(row.columns))
+            tbl._rows[row.row_id] = tuple(row.columns)
             self._pagers[name].note_row(row.row_id)
             next_row_id = max(next_row_id, row.row_id + 1)
         tbl._next_row_id = next_row_id

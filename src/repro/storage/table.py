@@ -15,9 +15,13 @@ from dataclasses import dataclass
 from repro.exceptions import StorageError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Row:
-    """One stored row: its physical id plus the column values."""
+    """One row as read: its physical id plus the column values.
+
+    A read-time view: a :class:`Table` stores only the column tuple and
+    builds a ``Row`` per ``fetch``/``scan``.
+    """
 
     row_id: int
     columns: tuple
@@ -43,7 +47,9 @@ class Table:
             raise StorageError("a table needs at least one column")
         self.name = name
         self.column_names = tuple(column_names)
-        self._rows: dict[int, Row] = {}
+        # row id → column tuple.  Replicas landing the same tuple share
+        # it (``tuple(t) is t``), so a row's ciphertexts are held once.
+        self._rows: dict[int, tuple] = {}
         self._next_row_id = 0
         # Columnar sidecar: bin_index → PackedBin, or None when absent.
         # Derived data — any row mutation drops it, so the packed read
@@ -80,7 +86,7 @@ class Table:
             )
         row_id = self._next_row_id
         self._next_row_id += 1
-        self._rows[row_id] = Row(row_id=row_id, columns=tuple(columns))
+        self._rows[row_id] = tuple(columns)
         self.packed_bins = None
         self.agg_tree = None
         return row_id
@@ -88,7 +94,7 @@ class Table:
     def fetch(self, row_id: int) -> Row:
         """Read one row by id; raises on unknown/deleted ids."""
         try:
-            return self._rows[row_id]
+            return Row(row_id, self._rows[row_id])
         except KeyError:
             raise StorageError(
                 f"table {self.name!r} has no row {row_id}"
@@ -102,7 +108,7 @@ class Table:
             raise StorageError(
                 f"table {self.name!r} expects {self.column_count} columns"
             )
-        self._rows[row_id] = Row(row_id=row_id, columns=tuple(columns))
+        self._rows[row_id] = tuple(columns)
         self.packed_bins = None
         self.agg_tree = None
 
@@ -117,7 +123,7 @@ class Table:
     def scan(self) -> Iterator[Row]:
         """Yield all live rows in row-id order."""
         for row_id in sorted(self._rows):
-            yield self._rows[row_id]
+            yield Row(row_id, self._rows[row_id])
 
     def __len__(self) -> int:
         return len(self._rows)

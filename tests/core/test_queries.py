@@ -22,6 +22,10 @@ class TestPredicate:
         predicate = Predicate(group=("location",), values=("ap1",))
         assert predicate.values == ("ap1",)
 
+    def test_empty_wildcard_slot_rejected(self):
+        with pytest.raises(QueryError, match="at least one candidate"):
+            Predicate(group=("location",), values=((),))
+
 
 class TestPointQuery:
     def test_defaults(self):
@@ -49,6 +53,11 @@ class TestRangeQuery:
 
     def test_single_point_range_allowed(self):
         RangeQuery(index_values=("a",), time_start=5, time_end=5)
+
+    @pytest.mark.parametrize("slots", [((),), ([],), ("a", ()), (("a",), [])])
+    def test_empty_wildcard_slot_rejected(self, slots):
+        with pytest.raises(QueryError, match="at least one candidate"):
+            RangeQuery(index_values=slots, time_start=0, time_end=1)
 
     def test_candidate_combinations_scalar(self):
         query = RangeQuery(index_values=("a",), time_start=0, time_end=1)

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 from repro import telemetry
+from repro.core.service import RANGE_METHODS
 from repro.sharding.router import AsyncShardRouter
 from repro.sharding.server import ShardServer, build_demo_fleet
 from repro.telemetry import tracing
@@ -134,6 +135,80 @@ class TestProtocol:
             assert not answer["ok"] and answer["error"] == "BadRequest"
             health = await _rpc(reader, writer, {"op": "health"})
             assert health["ok"] and health["epochs"] == [0]
+
+            writer.close()
+            server.request_stop()
+            assert await serve_task is True
+
+        run(scenario())
+
+    def test_non_finite_numbers_get_a_typed_answer_and_keep_the_connection(
+        self, tmp_path
+    ):
+        async def scenario():
+            _, sharded, _ = make_fleet(tmp_path)
+            server = ShardServer(AsyncShardRouter(sharded), drain_seconds=2.0)
+            port = await server.start()
+            serve_task = asyncio.create_task(server.serve_until_stopped())
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+            point = '"op": "point", "index_values": ["ap0"], "timestamp": 0'
+            ranged = ('"op": "range", "index_values": [["ap0"]], '
+                      '"time_start": 0, "time_end": 59')
+            lines = [
+                '{"op": "point", "index_values": ["ap0"], "timestamp": 1e400}',
+                '{"op": "point", "index_values": ["ap0"], "timestamp": Infinity}',
+                '{%s, "k": -Infinity}' % point,
+                '{"op": "range", "index_values": [["ap0"]], '
+                '"time_start": 1e400, "time_end": 59}',
+                '{"op": "range", "index_values": [["ap0"]], '
+                '"time_start": 0, "time_end": Infinity}',
+                '{%s, "k": 1e400}' % ranged,
+                '{"op": "traces", "limit": 1e400}',
+                '{"op": "traces", "limit": NaN}',
+            ]
+            for line in lines:
+                writer.write(line.encode() + b"\n")
+                await writer.drain()
+                answer = json.loads(await reader.readline())
+                assert not answer["ok"] and answer["error"] == "BadRequest", line
+                health = await _rpc(reader, writer, {"op": "health"})
+                assert health["ok"]
+                assert all(
+                    not detail["breaker_open"] and detail["status"] == "healthy"
+                    for detail in health["shards"].values()
+                )
+
+            writer.close()
+            server.request_stop()
+            assert await serve_task is True
+
+        run(scenario())
+
+    def test_an_empty_wildcard_slot_is_a_query_error_for_every_method(
+        self, tmp_path
+    ):
+        async def scenario():
+            _, sharded, _ = make_fleet(tmp_path)
+            server = ShardServer(AsyncShardRouter(sharded), drain_seconds=2.0)
+            port = await server.start()
+            serve_task = asyncio.create_task(server.serve_until_stopped())
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+            registry = telemetry.get_registry()
+            dispatched = registry.total("concealer_shard_dispatch_total")
+            for method in RANGE_METHODS:
+                answer = await _rpc(reader, writer, {
+                    "op": "range", "index_values": [[]], "time_start": 0,
+                    "time_end": 59, "method": method,
+                })
+                assert not answer["ok"] and answer["error"] == "QueryError"
+            assert registry.total("concealer_shard_dispatch_total") == dispatched
+            health = await _rpc(reader, writer, {"op": "health"})
+            assert all(
+                not detail["breaker_open"] and detail["status"] == "healthy"
+                for detail in health["shards"].values()
+            )
 
             writer.close()
             server.request_stop()

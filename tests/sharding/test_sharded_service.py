@@ -13,6 +13,7 @@ from repro.exceptions import (
     ShardMisrouted,
     ShardUnavailable,
 )
+from repro.core.service import RANGE_METHODS
 from repro.sharding.results import PartialResult
 from repro.sharding.service import merge_answers
 from tests.sharding.conftest import (
@@ -217,6 +218,27 @@ class TestRequestErrorsIsolateNothing:
         assert telemetry.get_registry().total(
             "concealer_shard_dispatch_total"
         ) == dispatched
+        assert all(shard.breaker.state == "closed" for shard in sharded.shards)
+
+
+    @pytest.mark.parametrize("method", RANGE_METHODS)
+    def test_an_empty_wildcard_slot_fails_typed_before_any_read(
+        self, fleet, method
+    ):
+        _, sharded, _ = fleet
+        registry = telemetry.get_registry()
+        dispatched = registry.total("concealer_shard_dispatch_total")
+        read = registry.total("concealer_storage_rows_read_total")
+        services = [sharded] + [shard.service for shard in sharded.shards]
+        for _ in range(3):
+            for service in services:
+                with pytest.raises(QueryError, match="at least one candidate"):
+                    service.execute_range(
+                        RangeQuery(index_values=((),), time_start=0, time_end=59),
+                        method=method,
+                    )
+        assert registry.total("concealer_shard_dispatch_total") == dispatched
+        assert registry.total("concealer_storage_rows_read_total") == read
         assert all(shard.breaker.state == "closed" for shard in sharded.shards)
 
 
