@@ -92,7 +92,7 @@ def build_wifi_stack(
     ``max_cells_per_bin=8`` bounds the §4.3 oblivious schedule so the
     Concealer+ benchmarks stay tractable in pure Python.  Extra keyword
     arguments flow into :class:`ServiceConfig` (``super_bin_count=…``,
-    ``batch_workers=…``, …).
+    ``window_subintervals=…``, …).
     """
     if cell_id_count is not None:
         spec = GridSpec(

@@ -368,19 +368,6 @@ linearly with data, while Concealer grows only with the bin size.
                 f"answers (the overlay dedups whole-bin fetches; each query "
                 f"still computes from full bins)."
             )
-        workers = {
-            int(k.split("_")[1]): v["batch_measured_mean_s"]
-            for k, v in exp11.items()
-            if k.startswith("workers_")
-        }
-        if workers:
-            lines.append(
-                "- **Prefetch workers**: batch latency "
-                + ", ".join(
-                    f"{n}→{seconds(workers[n])}" for n in sorted(workers)
-                )
-                + " — threads overlap storage round-trips; compute stays serial."
-            )
         lines.append("")
         add("\n".join(lines))
 

@@ -50,31 +50,23 @@ def _bin_reuses():
 
 
 class BatchOverlay:
-    """Per-batch map of already-fetched bins: (table, bin_index) →
-    (packed bin, verified).
+    """One batch's bins: (table, bin_index) → (packed bin, verified).
 
-    Lives only for one ``execute_batch`` call, so it needs no fencing —
-    a rewrite cannot interleave with the read-only batch that owns it.
-    Thread-safe because the parallel prefetch fills it concurrently.
+    The first member that names a bin fetches it, verified, and every
+    member read of it — that first one's included — is served from
+    here.  The fetches are charged to ``stats``, the batch's own
+    accounting; ``references`` counts the member reads.  Lives for one
+    attempt at one ``execute_batch``, so it needs no fencing: a rewrite
+    cannot interleave with the read-only batch that owns it.
     """
 
     def __init__(self):
-        self._entries: dict[tuple[str, int], tuple[object, bool]] = {}
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple[str, int]) -> tuple[object, bool] | None:
-        with self._lock:
-            return self._entries.get(key)
-
-    def put(self, key: tuple[str, int], packed, verified: bool) -> None:
-        with self._lock:
-            self._entries[key] = (packed, verified)
+        self.entries: dict[tuple[str, int], tuple[object, bool]] = {}
+        self.stats = QueryStats()
+        self.references = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: tuple[str, int]) -> bool:
-        return key in self._entries
+        return len(self.entries)
 
 
 class BinFetcher:
@@ -89,10 +81,10 @@ class BinFetcher:
         self.engine = engine
         self.oblivious = oblivious
         self.verify = verify
-        # Engines (and their access logs / breakers) are not reentrant;
-        # concurrent prefetch workers serialise the storage round-trip
-        # and parallelise what surrounds it (trapdoor generation,
-        # verification — the in-enclave compute).
+        # Engines (and their access logs / breakers) are not reentrant,
+        # and admission lets up to ``max_inflight`` callers into one
+        # service at once: the storage round-trip runs under this lock,
+        # trapdoor derivation and verification outside it.
         self._engine_lock = threading.Lock()
 
     # ------------------------------------------------------------ query path
@@ -100,21 +92,20 @@ class BinFetcher:
     def fetch_bin_any(
         self, context, fetch_bin, stats: QueryStats, deadline=None, overlay=None
     ):
-        """Retrieve one whole bin, packed: overlay → storage; fills the
-        overlay."""
+        """Retrieve one whole bin, packed: from storage, or through the
+        batch's overlay, which the first reader of a bin fills."""
+        if overlay is None:
+            return self.fetch_entry_any(context, fetch_bin, stats, deadline)[0]
         key = (context.table_name, fetch_bin.index)
-        shared = overlay.get(key) if overlay is not None else None
-        if shared is not None:
-            packed, verified = shared
-            _bin_reuses().inc()
-            self._count_hit(stats, packed, verified)
-            return packed
-        packed, verified = self.fetch_entry_any(
-            context, fetch_bin, stats, deadline,
-            ensure_verified=overlay is not None,
-        )
-        if overlay is not None:
-            overlay.put(key, packed, verified)
+        entry = overlay.entries.get(key)
+        if entry is None:
+            entry = overlay.entries[key] = self.fetch_entry_any(
+                context, fetch_bin, overlay.stats, deadline, ensure_verified=True
+            )
+        overlay.references += 1
+        packed, verified = entry
+        _bin_reuses().inc()
+        self._count_hit(stats, packed, verified)
         return packed
 
     def fetch_entry_any(

@@ -138,7 +138,7 @@ class BPBExecutor:
         quarantine=None,
     ):
         # The shared whole-bin fetch path (repro.batching): STEP 3 goes
-        # through its overlay → cache → storage step, always.
+        # through it, and through a batch's overlay when there is one.
         self.fetcher = fetcher
         self.oblivious = oblivious
         self.verify = verify
@@ -150,27 +150,6 @@ class BPBExecutor:
         # violations fail fast instead of serving suspect answers.
         self.quarantine = quarantine
 
-    def bins_for(
-        self, query: PointQuery, context: EpochContext, cell_id: int | None = None
-    ) -> list:
-        """STEP 2 as a pure function: the bins this query will fetch.
-
-        Shared with the batch planner so a plan can never disagree with
-        what execution retrieves.
-        """
-        if cell_id is None:
-            cell_id = context.grid.place_values(
-                query.index_values, query.timestamp
-            )
-        chosen = context.layout.bin_of_cell_id(cell_id)
-        if self.super_bin_count is None:
-            return [chosen]
-        layout = context.super_layout(self.super_bin_count)
-        return [
-            context.layout.bins[index]
-            for index in layout.bins_to_fetch(chosen.index)
-        ]
-
     def execute(
         self, query: PointQuery, context: EpochContext, deadline=None, overlay=None
     ) -> tuple[object, QueryStats]:
@@ -179,8 +158,9 @@ class BPBExecutor:
         ``deadline`` (a :class:`~repro.replication.deadline.Deadline`)
         bounds the whole execution; it is checked at every fetch and at
         every replica failover decision below.  ``overlay`` (a
-        :class:`~repro.batching.fetcher.BatchOverlay`) serves bins the
-        owning batch already fetched and verified.
+        :class:`~repro.batching.fetcher.BatchOverlay`) is the owning
+        batch's: a bin another member fetched and verified is read from
+        it, one no member has yet is fetched into it.
         """
         stats = QueryStats(oblivious=self.oblivious)
         predicate = resolve_predicate(query, context.schema)
@@ -196,7 +176,13 @@ class BPBExecutor:
                 self.quarantine.check(context.epoch_id, cell_id)
 
             # STEP 2: bin identification (plus §8 super-bin expansion).
-            bins = self.bins_for(query, context, cell_id=cell_id)
+            bins = [context.layout.bin_of_cell_id(cell_id)]
+            if self.super_bin_count is not None:
+                layout = context.super_layout(self.super_bin_count)
+                bins = [
+                    context.layout.bins[index]
+                    for index in layout.bins_to_fetch(bins[0].index)
+                ]
             stats.bins_fetched = len(bins)
             query_span.set(bins=len(bins))
 

@@ -14,7 +14,7 @@ Table 4's Q4 ("which locations saw observation ``o_i`` between
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from repro.exceptions import QueryError
@@ -210,7 +210,8 @@ class QueryStats:
     failovers: int = 0
     # In-batch overlay accounting (repro.batching).  Hits are per
     # *bin* — the public retrieval unit — and ``rows_from_cache`` the
-    # rows those hits served without a storage round-trip.  All
+    # rows those hits served; every read through the overlay is one,
+    # since a bin's storage fetch is charged to the batch.  All
     # public-size: reuse is a pure function of the bin-identity
     # sequence the storage log shows.  ``cache_misses`` is always 0;
     # it stays so the stats keep their shape.
@@ -218,3 +219,14 @@ class QueryStats:
     cache_misses: int = 0
     rows_from_cache: int = 0
     extra: dict = field(default_factory=dict)
+
+    def add(self, other: "QueryStats") -> None:
+        """Fold a part's accounting (a residue sub-query, a shard) into
+        this one: every count adds and ``degraded`` sticks.  Whether
+        the whole is ``verified`` or ``oblivious`` is the caller's rule."""
+        for name in _COUNTS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.degraded = self.degraded or other.degraded
+
+
+_COUNTS = tuple(f.name for f in fields(QueryStats) if f.type == "int")

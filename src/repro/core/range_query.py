@@ -125,19 +125,15 @@ class RangeExecutor:
 
     # ----------------------------------------------------------- §5.1 trivial
 
-    def multipoint_bins(self, query: RangeQuery, context: EpochContext) -> list:
-        """The point-query bins covering this range (planner-shared)."""
-        needed_cids = context.grid.cell_ids_for_combinations(
-            query.candidate_combinations(), query.time_start, query.time_end
-        )
-        return context.layout.bins_of_cell_ids(needed_cids)
-
     def execute_multipoint(
         self, query: RangeQuery, context: EpochContext, deadline=None, overlay=None
     ) -> tuple[object, QueryStats]:
         """Convert the range into point-query bins and fetch them all."""
         stats = QueryStats(oblivious=self.oblivious)
-        bins = self.multipoint_bins(query, context)
+        needed_cids = context.grid.cell_ids_for_combinations(
+            query.candidate_combinations(), query.time_start, query.time_end
+        )
+        bins = context.layout.bins_of_cell_ids(needed_cids)
         stats.bins_fetched = len(bins)
         with telemetry.span(
             "enclave.range_query",
@@ -310,7 +306,8 @@ class RangeExecutor:
                     sub_query, context, deadline=deadline, overlay=overlay
                 )
                 sub_answers.append(sub_answer)
-                self._merge_stats(stats, sub_stats)
+                stats.add(sub_stats)
+                stats.verified = stats.verified or sub_stats.verified
 
             if query.aggregate is Aggregate.COUNT:
                 return tree_count + sum(sub_answers), stats
@@ -332,21 +329,6 @@ class RangeExecutor:
             if query.aggregate is Aggregate.MIN:
                 return min(values), stats
             return max(values), stats
-
-    @staticmethod
-    def _merge_stats(stats: QueryStats, sub: QueryStats) -> None:
-        """Fold a residue sub-query's accounting into the main stats."""
-        stats.trapdoors_generated += sub.trapdoors_generated
-        stats.rows_fetched += sub.rows_fetched
-        stats.rows_matched += sub.rows_matched
-        stats.rows_decrypted += sub.rows_decrypted
-        stats.bins_fetched += sub.bins_fetched
-        stats.failovers += sub.failovers
-        stats.cache_hits += sub.cache_hits
-        stats.cache_misses += sub.cache_misses
-        stats.rows_from_cache += sub.rows_from_cache
-        stats.verified = stats.verified or sub.verified
-        stats.degraded = stats.degraded or sub.degraded
 
     # -------------------------------------------------------------- §5.2 eBPB
 

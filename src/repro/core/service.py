@@ -21,16 +21,17 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro import telemetry
-from repro.batching.executor import ParallelFetchExecutor
 from repro.batching.fetcher import BatchOverlay, BinFetcher
-from repro.batching.planner import BatchPlan, QueryBatcher
 from repro.core.collector import collector_quiet
 from repro.core.context import EpochContext
 from repro.core.epoch import EpochPackage
 from repro.core.point_query import BPBExecutor
-from repro.core.queries import PointQuery, QueryStats, RangeQuery
+from repro.core.queries import (
+    PointQuery, QueryStats, RangeQuery, check_against_schema,
+)
 from repro.core.range_query import RangeExecutor
 from repro.core.registry import Registry, RegistryEntry, UserCredential
 from repro.core.schema import DatasetSchema
@@ -50,6 +51,27 @@ from repro.replication.deadline import Deadline
 from repro.storage.engine import StorageEngine
 
 RANGE_METHODS = ("multipoint", "ebpb", "winsecrange", "tree", "auto")
+
+
+def check_request(
+    query, schema: DatasetSchema, oblivious: bool, method: str | None = None
+) -> None:
+    """Refuse a request the public schema and config alone show every
+    reader would refuse: an unknown range method, target or filter
+    group, or a ``"tree"`` method the query shape or the execution mode
+    rules out.
+
+    Both front doors call it before any read: the sharded router before
+    dispatch (a shard finds these only inside its dispatch, where the
+    failure counts as a breaker strike), and a batch for every member.
+    """
+    if method is not None and method not in RANGE_METHODS:
+        raise QueryError(
+            f"unknown range method {method!r}; choose from {RANGE_METHODS}"
+        )
+    check_against_schema(query, schema)
+    if method == "tree":
+        RangeExecutor.check_tree(query, schema, oblivious)
 
 
 def _record_query(
@@ -116,9 +138,7 @@ def _record_query(
     if stats.cache_hits:
         telemetry.counter(
             "concealer_query_cache_hits_total",
-            # The in-batch overlay is the only source now; the text is
-            # unchanged so `--metrics` chaos replays stay byte-identical.
-            "whole-bin fetches served from the enclave bin cache/overlay",
+            "whole-bin fetches served from the in-batch overlay",
             secrecy=telemetry.PUBLIC_SIZE,
             labels=("kind",),
         ).labels(kind=kind).inc(stats.cache_hits)
@@ -136,8 +156,8 @@ def _record_query(
         )
 
 
-def _record_batch(plan: BatchPlan, fetch_stats: QueryStats, seconds: float) -> None:
-    """Batch-level accounting: size, dedup, and the prefetch volumes.
+def _record_batch(queries: int, overlay: BatchOverlay, seconds: float) -> None:
+    """Batch-level accounting: size, dedup, and the batch's own fetches.
 
     Batch size and bin counts are part of the request *shape* (the host
     sees how many queries arrive and which bins are fetched), so the
@@ -152,18 +172,19 @@ def _record_batch(plan: BatchPlan, fetch_stats: QueryStats, seconds: float) -> N
         "concealer_batch_queries_total",
         "queries executed inside batches",
         secrecy=telemetry.PUBLIC_SIZE,
-    ).inc(len(plan.items))
+    ).inc(queries)
     telemetry.counter(
         "concealer_batch_bin_references_total",
         "whole-bin references named by batched queries (pre-dedup)",
         secrecy=telemetry.PUBLIC_SIZE,
-    ).inc(plan.bin_references)
+    ).inc(overlay.references)
     telemetry.counter(
         "concealer_batch_unique_bins_total",
         "deduplicated whole-bin fetch units executed for batches",
         secrecy=telemetry.PUBLIC_SIZE,
-    ).inc(len(plan.units))
-    _record_query("batch", "prefetch", fetch_stats, seconds)
+    ).inc(len(overlay))
+    # The batch's own fetches keep their established method label.
+    _record_query("batch", "prefetch", overlay.stats, seconds)
 
 
 @dataclass
@@ -190,9 +211,6 @@ class ServiceConfig:
     # plus admission_queue waiting; the rest shed with ServiceOverloaded.
     max_inflight: int = 64
     admission_queue: int = 128
-    # Bounded worker pool for batch prefetches; 1 = fully sequential
-    # (what the chaos harness uses so fault schedules replay).
-    batch_workers: int = 4
 
 
 # Minimum fully-covered leaf buckets before the auto planner prefers the
@@ -246,11 +264,6 @@ class ServiceProvider:
             self.engine,
             oblivious=self.config.oblivious,
             verify=self.config.verify,
-        )
-        # One persistent prefetch pool per service: batches reuse its
-        # worker threads instead of paying thread spawn per request.
-        self._prefetch_executor = ParallelFetchExecutor(
-            self._fetcher, workers=self.config.batch_workers
         )
         self._point_executor = BPBExecutor(
             self._fetcher,
@@ -422,7 +435,7 @@ class ServiceProvider:
     ) -> tuple[object, QueryStats]:
         """Run a point query (Algorithm 2) inside the enclave."""
         with self.admission.admit("point"):
-            eid = epoch_id if epoch_id is not None else self._epoch_of(query.timestamp)
+            eid = self._epoch_for(query, epoch_id)
             context = self.context_for(eid)
             deadline = self._new_deadline()
             with telemetry.span("service.point_query", epoch=eid) as query_span:
@@ -450,11 +463,7 @@ class ServiceProvider:
             raise QueryError(
                 f"unknown range method {method!r}; choose from {RANGE_METHODS}"
             )
-        eid = epoch_id if epoch_id is not None else self._epoch_of(query.time_start)
-        if epoch_id is None and self._epoch_of(query.time_end) != eid:
-            raise QueryError(
-                "range spans multiple epochs; use DynamicConcealer (§6)"
-            )
+        eid = self._epoch_for(query, epoch_id)
         with self.admission.admit("range"):
             context = self.context_for(eid)
             if method == "auto":
@@ -478,76 +487,99 @@ class ServiceProvider:
     def execute_batch(
         self, queries, epoch_id: int | None = None
     ) -> list[tuple[object, QueryStats]]:
-        """Execute a batch of queries over one shared, deduplicated fetch.
+        """Execute a batch of queries, fetching each shared bin once.
 
         ``queries`` mixes :class:`PointQuery`, :class:`RangeQuery`
-        (default eBPB), and ``(RangeQuery, method)`` pairs.  The batch
-        planner resolves every query's whole-bin set and deduplicates
-        it into one fetch plan; the parallel fetch executor retrieves
-        each unique bin exactly once (verified before reuse), and every
-        query then runs through its normal §5 executor against the
-        shared overlay — answers are byte-identical to running the
-        queries sequentially, while bins overlapping across the batch
-        are fetched once instead of once per query.
+        (default eBPB), and ``(RangeQuery, method)`` pairs.  Every
+        member is resolved and checked before anything is read, then
+        runs through its normal §5 executor.  Whole-bin members (BPB
+        points and multipoint ranges, never under oblivious execution)
+        share one :class:`BatchOverlay`: the first of them to name a bin
+        fetches and verifies it, and the others read it from there —
+        answers are byte-identical to running the queries sequentially,
+        while bins overlapping across the batch are fetched once.
 
         Admission charges the batch as a single request; one deadline
-        budget covers planning, prefetch, and every member's execution.
-        Returns ``[(answer, stats), ...]`` in input order.
+        budget covers every member.  Returns ``[(answer, stats), ...]``
+        in input order.
         """
         items = list(queries)
         if not items:
             return []
         with self.admission.admit("batch"):
             deadline = self._new_deadline()
-            plan = QueryBatcher(self).plan(items, epoch_id=epoch_id)
-            with telemetry.span(
-                "service.batch",
-                queries=len(plan.items),
-                unique_bins=len(plan.units),
-                references=plan.bin_references,
-            ) as batch_span:
+            members = [self._batch_member(item, epoch_id) for item in items]
+            with telemetry.span("service.batch", queries=len(members)) as batch_span:
                 self.engine.access_log.begin_query()
                 try:
-                    fetch_stats, results = self._execute_resilient(
-                        lambda: self._run_batch(plan, deadline),
+                    overlay, results = self._execute_resilient(
+                        lambda: self._run_batch(members, deadline),
                         deadline=deadline,
                     )
                 finally:
                     self.engine.access_log.end_query()
-        _record_batch(plan, fetch_stats, batch_span.duration)
-        for planned, (answer, stats) in zip(plan.items, results):
-            _record_query(planned.kind, planned.method, stats, None)
+                batch_span.set(unique_bins=len(overlay), references=overlay.references)
+        _record_batch(len(members), overlay, batch_span.duration)
+        for member, (answer, stats) in zip(members, results):
+            _record_query(member.kind, member.method, stats, None)
         return results
 
-    def _run_batch(self, plan: BatchPlan, deadline: Deadline | None):
-        """One attempt at a planned batch (read-only, so retry-safe).
+    def _batch_member(self, item, epoch_id: int | None) -> _BatchMember:
+        """Resolve and check one batch member: the checks both front
+        doors make (:func:`check_request`), then :meth:`execute_range`'s
+        epoch and method resolution."""
+        if isinstance(item, PointQuery):
+            query, kind, method = item, "point", "bpb"
+        elif isinstance(item, RangeQuery):
+            query, kind, method = item, "range", "ebpb"
+        elif (
+            isinstance(item, tuple) and len(item) == 2
+            and isinstance(item[0], RangeQuery)
+        ):
+            (query, method), kind = item, "range"
+        else:
+            raise QueryError(
+                f"batch member {item!r} is neither a PointQuery, a RangeQuery, "
+                "nor a (RangeQuery, method) pair"
+            )
+        check_request(
+            query, self.schema, self.config.oblivious,
+            method if kind == "range" else None,
+        )
+        context = self.context_for(self._epoch_for(query, epoch_id))
+        if method == "auto":
+            method = self.choose_range_method(query, context)
+        # Only whole bins are shared; Concealer+'s identical-trace
+        # guarantee forbids history-dependent reuse.
+        shared = not self.config.oblivious and method in ("bpb", "multipoint")
+        return _BatchMember(kind, query, method, context, shared)
 
-        A retry after a transient fault rebuilds the overlay from
-        scratch.
+    def _run_batch(self, members, deadline: Deadline | None):
+        """One attempt at a resolved batch (read-only, so retry-safe: a
+        retry starts from an empty overlay).
+
+        Shared members run first, then direct ones, each group in input
+        order: every storage read a shared bin costs precedes the direct
+        members' reads, and the bins are read in the order members first
+        name them.
         """
         overlay = BatchOverlay()
-        fetch_stats = self._prefetch_executor.prefetch(
-            plan.units, overlay, deadline=deadline
-        )
-        results: list[tuple[object, QueryStats]] = []
-        for item in plan.items:
-            context = self.context_for(item.epoch_id)
-            shared_overlay = overlay if item.shared else None
-            if item.kind == "point":
-                results.append(
-                    self._point_executor.execute(
-                        item.query, context,
-                        deadline=deadline, overlay=shared_overlay,
-                    )
+        results: list = [None] * len(members)
+        order = sorted(range(len(members)), key=lambda i: not members[i].shared)
+        for position in order:
+            member = members[position]
+            shared = overlay if member.shared else None
+            if member.kind == "point":
+                results[position] = self._point_executor.execute(
+                    member.query, member.context, deadline=deadline, overlay=shared
                 )
             else:
-                results.append(
-                    self._range_executor.execute(
-                        item.method, item.query, context,
-                        deadline=deadline, overlay=shared_overlay,
-                    )
+                results[position] = self._range_executor.execute(
+                    member.method, member.query, member.context,
+                    deadline=deadline, overlay=shared,
                 )
-        return fetch_stats, results
+        overlay.stats.bins_fetched = len(overlay)
+        return overlay, results
 
     def _new_deadline(self) -> Deadline | None:
         """Mint this request's deadline budget (None = unbounded)."""
@@ -699,3 +731,27 @@ class ServiceProvider:
         """Map a timestamp to an ingested epoch id."""
         self.enclave.require_provisioned()
         return self.enclave.key_schedule.epoch_id_for_time(timestamp)
+
+    def _epoch_for(self, query, epoch_id: int | None) -> int:
+        """The epoch a query reads: ``epoch_id``, or the one its time
+        falls in.  A range must fall in one epoch."""
+        if epoch_id is not None:
+            return epoch_id
+        if isinstance(query, PointQuery):
+            return self._epoch_of(query.timestamp)
+        eid = self._epoch_of(query.time_start)
+        if self._epoch_of(query.time_end) != eid:
+            raise QueryError(
+                "range spans multiple epochs; use DynamicConcealer (§6)"
+            )
+        return eid
+
+
+class _BatchMember(NamedTuple):
+    """One resolved batch member."""
+
+    kind: str              # "point" | "range"
+    query: object
+    method: str            # "bpb" | a §5 range method
+    context: EpochContext
+    shared: bool           # reads whole bins through the batch's overlay

@@ -236,14 +236,12 @@ class ChaosRun:
                 policy=ReplicationPolicy(attempt_timeout=2.0),
             )
             config = ServiceConfig(
-                verify=True, deadline_seconds=90.0, retry_jitter=0.2,
-                batch_workers=1,
+                verify=True, deadline_seconds=90.0, retry_jitter=0.2
             )
             retry_rng = random.Random(f"chaos-retry-{seed}")
         else:
             engine = StorageEngine(fault_injector=self.injector)
-            # Prefetch is sequential so schedules replay exactly.
-            config = ServiceConfig(verify=True, batch_workers=1)
+            config = ServiceConfig(verify=True)
             retry_rng = None
         self.service = ServiceProvider(
             WIFI_SCHEMA,
@@ -336,7 +334,7 @@ class ChaosRun:
         """A shared-fetch batch with deliberate bin overlap.
 
         Five point queries over two repeated probes plus one multipoint
-        range — so the planner genuinely deduplicates — executed as one
+        range — so the overlay genuinely deduplicates — executed as one
         ``execute_batch``.  A fault mid-batch must fail the *whole*
         batch loudly (one answer silently skewed while the rest verify
         would be the worst possible outcome).

@@ -118,8 +118,8 @@ class RecoveryCoordinator:
         (preserving row ids, so physical addresses stay aligned),
         stale replica tables are dropped, quarantines clear (every
         replica now holds checkpoint truth), per-replica breakers
-        reset, and the *same* group object is re-adopted so the bin
-        cache and trapdoor table flush.
+        reset, and the *same* group object is re-adopted, so the
+        service's fetcher reads through it.
         """
         if self.checkpoint_path is None:
             raise StorageError("no checkpoint path configured")

@@ -60,16 +60,7 @@ def merged_stats(
     merged = QueryStats()
     for shard_id in sorted(per_shard):
         stats = per_shard[shard_id]
-        merged.trapdoors_generated += stats.trapdoors_generated
-        merged.rows_fetched += stats.rows_fetched
-        merged.rows_matched += stats.rows_matched
-        merged.rows_decrypted += stats.rows_decrypted
-        merged.bins_fetched += stats.bins_fetched
-        merged.failovers += stats.failovers
-        merged.cache_hits += stats.cache_hits
-        merged.cache_misses += stats.cache_misses
-        merged.rows_from_cache += stats.rows_from_cache
-        merged.degraded = merged.degraded or stats.degraded
+        merged.add(stats)
         merged.oblivious = merged.oblivious or stats.oblivious
     merged.verified = bool(per_shard) and all(
         stats.verified for stats in per_shard.values()

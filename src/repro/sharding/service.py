@@ -41,11 +41,8 @@ from pathlib import Path
 
 from repro import telemetry
 from repro.core.provider import DataProvider
-from repro.core.queries import (
-    Aggregate, PointQuery, QueryStats, RangeQuery, check_against_schema,
-)
-from repro.core.range_query import RangeExecutor
-from repro.core.service import RANGE_METHODS, ServiceConfig, ServiceProvider
+from repro.core.queries import Aggregate, PointQuery, QueryStats, RangeQuery
+from repro.core.service import ServiceConfig, ServiceProvider, check_request
 from repro.enclave.enclave import Enclave, EnclaveConfig
 from repro.exceptions import (
     ConcealerError,
@@ -362,7 +359,6 @@ class ShardedService:
                     max_inflight=config.max_inflight,
                     admission_queue=config.admission_queue,
                     retry_jitter=config.retry_jitter,
-                    batch_workers=1,
                 ),
                 engine=engine,
                 enclave=Enclave(EnclaveConfig(), fault_injector=fault_injector),
@@ -582,20 +578,6 @@ class ShardedService:
 
     # ---------------------------------------------------------------- queries
 
-    def _check_request(self, query, method: str | None = None) -> None:
-        """Refuse, before any dispatch, a request every shard would
-        refuse: an unknown target or filter group, or a ``"tree"``
-        method the query shape or the fleet rules out.
-
-        A shard finds these only inside its dispatch, where the failure
-        counts as a breaker strike, so bad input alone would isolate
-        healthy shards.  The schema and config are public.
-        """
-        schema = self.provider.schema
-        check_against_schema(query, schema)
-        if method == "tree":
-            RangeExecutor.check_tree(query, schema, self.config.oblivious)
-
     def _planned(
         self, kind: str, timestamp: int, epoch_id: int | None, blocking: bool,
         plan,
@@ -629,9 +611,9 @@ class ShardedService:
         ``blocking=False`` returns :data:`SHARD_BUSY` rather than wait
         for a shard's lock or build an epoch context
         (:meth:`_plan_context`).  A query the public schema shows is
-        malformed fails here (:meth:`_check_request`).
+        malformed fails here (:func:`check_request`).
         """
-        self._check_request(query)
+        check_request(query, self.provider.schema, self.config.oblivious)
 
         def plan(eid, context, span):
             cell_id = context.grid.place_values(
@@ -655,15 +637,11 @@ class ShardedService:
         ascending shard id.  Raises a typed :class:`QueryError` for
         aggregates that cannot be merged across a multi-shard
         participant set, and for a query the public schema shows is
-        malformed (:meth:`_check_request`).  ``blocking=False`` returns
+        malformed (:func:`check_request`).  ``blocking=False`` returns
         :data:`SHARD_BUSY` rather than wait for a shard's lock or build
         an epoch context (:meth:`_plan_context`).
         """
-        if method not in RANGE_METHODS:
-            raise QueryError(
-                f"unknown range method {method!r}; choose from {RANGE_METHODS}"
-            )
-        self._check_request(query, method)
+        check_request(query, self.provider.schema, self.config.oblivious, method)
 
         def plan(eid, context, span):
             cells = context.grid.cell_ids_for_combinations(

@@ -2,8 +2,8 @@
 
 The chaos workload includes a ``batch`` operation (overlapping point
 probes plus a multipoint range through ``execute_batch``), so every
-schedule exercises fault-during-prefetch and overlay reuse across
-enclave crashes and checkpoint restores.  The invariant is the
+schedule exercises faults during a batch's first fetch of a bin and
+overlay reuse across enclave crashes and checkpoint restores.  The invariant is the
 corpus-wide one: oracle answer or typed error, never a silent lie —
 and every run replays byte-identically from its seed.
 """

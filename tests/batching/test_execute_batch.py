@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro import GridSpec
-from repro.core.queries import PointQuery, RangeQuery
+from repro.core.queries import Aggregate, PointQuery, RangeQuery
 from repro.core.registry import unseal_answer
 from repro.exceptions import EpochError, QueryError
 from repro.telemetry import audit_run
@@ -81,14 +81,16 @@ class TestDedup:
 
     def test_plan_reports_the_dedup_factor(self):
         _, service = make_stack(SPEC, RECORDS)
-        from repro.batching import QueryBatcher
-
-        plan = QueryBatcher(service).plan(
-            _overlapping_queries(RECORDS, probes=2, repeats=4)
-        )
-        assert len(plan.items) == 8
-        assert plan.bin_references >= len(plan.units) * 4
-        assert plan.dedup_factor >= 4.0
+        queries = _overlapping_queries(RECORDS, probes=2, repeats=4)
+        run = audit_run(lambda: service.execute_batch(queries))
+        assert run.registry.total("concealer_batch_queries_total") == 8
+        references = run.registry.total("concealer_batch_bin_references_total")
+        unique = run.registry.total("concealer_batch_unique_bins_total")
+        assert unique and references >= unique * 4
+        # Every member read is served from the overlay: the first reader
+        # of a bin fetches it for the batch, then reads it like the rest.
+        assert run.registry.total("concealer_batch_bin_reuses_total") == references
+        assert sum(stats.cache_hits for _, stats in run.result) == references
 
 
 class TestAnswers:
@@ -194,18 +196,49 @@ class TestSealedBatch:
             assert unseal_answer(credential.secret, blob) == truth
 
 
-class TestWorkers:
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_worker_count_does_not_change_answers(self, workers):
-        queries = _overlapping_queries(RECORDS, probes=3, repeats=3)
-        _, service = make_stack(
-            SPEC, RECORDS, verify=True, batch_workers=workers
-        )
-        answers = [a for a, _ in service.execute_batch(queries)]
-        for query, answer in zip(queries, answers):
-            assert answer == ground_truth_count(
-                RECORDS,
-                location=query.index_values[0],
-                t0=query.timestamp,
-                t1=query.timestamp,
-            )
+class TestRequestChecks:
+    """Every member is checked before the batch reads anything: a batch
+    a member of which is refused shows the host no read at all."""
+
+    @pytest.mark.parametrize(
+        "bad, oblivious",
+        [
+            # COLLECT needs the rows: never tree-eligible.
+            (
+                (
+                    RangeQuery(
+                        index_values=(LOCATIONS[0],), time_start=0,
+                        time_end=3599, aggregate=Aggregate.COLLECT,
+                    ),
+                    "tree",
+                ),
+                False,
+            ),
+            # Concealer+ has no tree path.
+            (
+                (
+                    RangeQuery(
+                        index_values=(LOCATIONS[0],), time_start=0, time_end=3599
+                    ),
+                    "tree",
+                ),
+                True,
+            ),
+            (
+                PointQuery(
+                    index_values=(LOCATIONS[0],), timestamp=0,
+                    aggregate=Aggregate.SUM, target="no_such_attribute",
+                ),
+                False,
+            ),
+        ],
+        ids=["ineligible-tree", "oblivious-tree", "unknown-target"],
+    )
+    def test_a_refused_member_leaves_the_access_log_empty(self, bad, oblivious):
+        _, service = make_stack(SPEC, RECORDS, oblivious=oblivious)
+        location, timestamp, _ = RECORDS[10]
+        good = PointQuery(index_values=(location,), timestamp=timestamp)
+        before = len(list(service.engine.access_log))
+        with pytest.raises(QueryError):
+            service.execute_batch([good, bad])
+        assert len(list(service.engine.access_log)) == before

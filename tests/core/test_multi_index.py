@@ -84,7 +84,6 @@ class TestConstruction:
             "oblivious": False, "verify": True, "window_subintervals": 4,
             "super_bin_count": 2, "retry_jitter": 0.25,
             "deadline_seconds": 30.0, "max_inflight": 3, "admission_queue": 5,
-            "batch_workers": 1,
         }
         defaults = ServiceConfig()
         fields = {f.name for f in dataclasses.fields(ServiceConfig)}

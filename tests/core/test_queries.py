@@ -88,3 +88,37 @@ class TestStats:
         a, b = QueryStats(), QueryStats()
         a.extra["k"] = 1
         assert "k" not in b.extra
+
+    def test_every_count_is_summed_by_every_merge(self):
+        """A residue sub-query's and a shard's counts all reach the
+        whole: found by introspection, so a counter added to
+        ``QueryStats`` cannot silently drop out of either merge."""
+        import dataclasses
+
+        from repro.sharding.results import merged_stats
+
+        counts = [
+            field.name
+            for field in dataclasses.fields(QueryStats)
+            if field.type in (int, "int")
+        ]
+        assert {"rows_fetched", "bins_fetched", "cache_hits"} <= set(counts)
+        parts = [
+            QueryStats(**{name: 10 * index + position + 1
+                          for position, name in enumerate(counts)})
+            for index in range(3)
+        ]
+        whole = QueryStats()
+        for part in parts:
+            whole.add(part)
+        merged = merged_stats(dict(enumerate(parts)))
+        for name in counts:
+            expected = sum(getattr(part, name) for part in parts)
+            assert getattr(whole, name) == expected, name
+            assert getattr(merged, name) == expected, name
+
+    def test_add_keeps_degraded_and_leaves_the_flags_to_the_caller(self):
+        whole = QueryStats()
+        whole.add(QueryStats(degraded=True, verified=True, oblivious=True))
+        assert whole.degraded
+        assert not whole.verified and not whole.oblivious
