@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test chaos replication-chaos shard-chaos shard-replication-chaos serve demo bench bench-json bench-smoke bench-e2e-smoke bench-longrange trace-overhead metrics-smoke lint loc profile profile-read pin-replays
+.PHONY: test chaos serve demo bench bench-json bench-smoke bench-e2e-smoke bench-longrange trace-overhead metrics-smoke lint loc profile profile-read pin-replays
 
 # Where `make bench-json` writes its machine-readable metrics.
 BENCH_OUT ?= BENCH_local.json
@@ -9,35 +9,19 @@ BENCH_SCALE ?= ci
 BENCH_BASELINE ?= benchmarks/results/baseline_ci.json
 BENCH_MAX_REGRESSION ?= 0.25
 
-test: metrics-smoke replication-chaos
+test: metrics-smoke
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
 
-# Randomized fault-schedule runs; any failure replays deterministically
-# with `python -m repro --chaos-seed N` using the seed pytest prints.
+# Every seeded fault-schedule corpus (`-m chaos`): single-stack,
+# Byzantine replicated, sharded, composed (every shard a three-replica
+# group) and batched.  CHAOS_CORPUS narrows the run to one corpus file
+# (CI runs them as a matrix).  The timeout is a hard ceiling, so a
+# wedged replica group or shard fails the run instead of hanging it.
+# Any failure replays with `python -m repro --chaos-seed N` plus the
+# `--replicas 3` / `--shards 2` the failing corpus names.
+CHAOS_CORPUS ?= tests
 chaos:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/faults tests/replication -m chaos -q
-
-# The Byzantine replicated-store corpus: ≥200 seeded runs over 3 and 5
-# replicas with tamper/replay/drop/slow faults armed.  Any failure
-# replays with `python -m repro --chaos-seed N --replicas 3`.
-replication-chaos:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/replication/test_replication_chaos.py -q
-
-# The sharded multi-enclave corpus: ≥200 seeded runs over 2/3/4-shard
-# fleets with shard kills, slow shards, router crashes, and mid-stream
-# two-phase rotation/ingest.  Any failure replays with
-# `python -m repro --chaos-seed N --shards 2`.
-shard-chaos:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/faults/test_chaos_sharded.py -q
-
-# The composed corpus: sharded fleets where every shard fronts a
-# three-replica group — Byzantine replica faults, shard kills, and
-# mid-stream two-phase rotation at once.  Any failure replays with
-# `python -m repro --chaos-seed N --shards 2 --replicas 3`.  The
-# timeout is a hard ceiling so a wedged replica group fails the run
-# instead of hanging it.
-shard-replication-chaos:
-	PYTHONPATH=$(PYTHONPATH) timeout 600 $(PYTHON) -m pytest tests/faults/test_chaos_composed.py -q
+	PYTHONPATH=$(PYTHONPATH) timeout 600 $(PYTHON) -m pytest $(CHAOS_CORPUS) -m chaos -q
 
 # The sharded fleet behind the JSON-lines TCP door (SIGTERM drains,
 # checkpoints, and exits 0).

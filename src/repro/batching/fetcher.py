@@ -38,6 +38,7 @@ from __future__ import annotations
 import threading
 
 from repro import telemetry
+from repro.core.context import SlotRequest
 from repro.core.queries import QueryStats
 
 
@@ -114,29 +115,22 @@ class BinFetcher:
     ) -> tuple[object, bool]:
         """Fetch → ensure-verified for one bin, by whichever fetch kind
         the engine can serve; returns ``(packed, verified)``."""
-        engine = self.engine
         packed = None
         # Both fetch kinds hand back the whole bin in canonical slot
         # order, except the oblivious schedule's bitonic-sorted one.
         chosen = None if self.oblivious else fetch_bin
         if not self.oblivious:
-            with self._engine_lock:
-                packed, verified = context.fetch_packed(
-                    engine, fetch_bin, stats, deadline=deadline, verify=self.verify
-                )
+            packed, verified = self._read_sidecar(context, fetch_bin, stats, deadline)
         if packed is None:
-            # No sidecar (or the oblivious schedule): the trapdoor
-            # fetch.  Trapdoor derivation stays outside the engine lock.
+            # No sidecar (or the oblivious schedule): the trapdoor fetch.
             if self.oblivious:
                 trapdoors = context.oblivious_trapdoors_for_bin(fetch_bin)
             else:
                 trapdoors = context.trapdoors_for_bin(fetch_bin)
-            with self._engine_lock:
-                packed, verified = context.fetch(
-                    engine, trapdoors, stats, deadline=deadline,
-                    verify=self.verify, cells=fetch_bin.cell_ids,
-                    bin_index=fetch_bin.index, request=chosen,
-                )
+            packed, verified = self._read_trapdoors(
+                context, trapdoors, stats, deadline, cells=fetch_bin.cell_ids,
+                bin_index=fetch_bin.index, request=chosen,
+            )
         if self.verify and ensure_verified and not verified:
             # The bin becomes reusable, so it must be checked *now*:
             # a later overlay consumer will trust it as-is.
@@ -145,10 +139,55 @@ class BinFetcher:
             stats.verified = True
         return packed, verified
 
+    def fetch_slots(self, context, cells, fake_ids, stats: QueryStats, deadline=None):
+        """STEP 3 for a padded cell-id set (eBPB's, a winSecRange
+        window's): the fetch — slot runs where the sidecar serves them
+        (DESIGN.md §16), else trapdoors — and the slot request the batch
+        is verified by, none under Concealer+ (always grouping).
+        Returns ``(packed, request)``."""
+        request = None if self.oblivious else context.slot_runs(cells, fake_ids)
+        if request and request.runs:
+            packed, _ = self._read_sidecar(context, request, stats, deadline)
+            if packed is not None:
+                return packed, request
+        trapdoors = context.trapdoors_for_cell_ids(cells, fake_ids)
+        request = None if self.oblivious else SlotRequest(cells, trapdoors)
+        packed, _ = self._read_trapdoors(
+            context, trapdoors, stats, deadline, cells=cells, request=request
+        )
+        return packed, request
+
+    # The two fetch kinds, each one storage round-trip under the engine
+    # lock; what they read is derived by the callers, outside it.
+
+    def _read_sidecar(self, context, request, stats: QueryStats, deadline):
+        with self._engine_lock:
+            return context.fetch_packed(
+                self.engine, request, stats, deadline=deadline, verify=self.verify
+            )
+
+    def _read_trapdoors(self, context, trapdoors, stats: QueryStats, deadline, **shape):
+        with self._engine_lock:
+            return context.fetch(
+                self.engine, trapdoors, stats, deadline=deadline,
+                verify=self.verify, **shape,
+            )
+
     # Caller-less: kept only because the repo benchmark's span table
     # (benchmarks/e2e/spans.py, ENTRY_POINTS) names them.
     fetch_bin = fetch_bin_any
     fetch_bin_entry = fetch_entry_any
+
+    def tree_meta(self, context):
+        """The public shape of the epoch's tree sidecar (``None``: none)."""
+        with self._engine_lock:
+            return self.engine.fetch_agg_tree_meta(context.table_name)
+
+    def tree_state(self, context):
+        """The epoch's tree sidecar state (``EpochContext.tree_state``),
+        whose first use per rewrite generation reads the engine."""
+        with self._engine_lock:
+            return context.tree_state(self.engine)
 
     def fetch_tree_nodes(
         self, context, meta, coords, stats: QueryStats, deadline=None

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, replace
 
 from repro import telemetry
-from repro.core.context import EpochContext, SlotRequest
+from repro.core.context import EpochContext
 from repro.core.point_query import finish_query
 from repro.core.queries import Aggregate, QueryStats, RangeQuery, resolve_predicate
 from repro.exceptions import IntegrityViolation, QueryError
@@ -216,7 +216,7 @@ class RangeExecutor:
         is an accelerator, never the sole source of truth.
         """
         self.check_tree(query, context.schema, self.oblivious)
-        state = context.tree_state(self.fetcher.engine)
+        state = self.fetcher.tree_state(context)
         if state is None:
             return self.execute_multipoint(
                 query, context, deadline=deadline, overlay=overlay
@@ -367,7 +367,9 @@ class RangeExecutor:
             method="ebpb",
             budget=budget,
         ):
-            packed, request = self._fetch_slots(context, needed_cids, fake_ids, stats, deadline)
+            packed, request = self.fetcher.fetch_slots(
+                context, needed_cids, fake_ids, stats, deadline
+            )
             return self._step4(query, context, [packed], needed_cids, stats, [request])
 
     def _ebpb_budget(self, context: EpochContext, span: int) -> _EBPBState:
@@ -445,7 +447,7 @@ class RangeExecutor:
                     context, max(0, window_size - real_volume), offset=fake_offset
                 )
                 fake_offset += len(fake_ids)
-                packed, request = self._fetch_slots(context, cids, fake_ids, stats, deadline)
+                packed, request = self.fetcher.fetch_slots(context, cids, fake_ids, stats, deadline)
                 fetched.append(packed)
                 requested.append(request)
             stats.bins_fetched = len(windows)
@@ -497,26 +499,6 @@ class RangeExecutor:
         return sizing[("winsec", lam)]
 
     # ---------------------------------------------------------------- shared
-
-    def _fetch_slots(self, context, cells, fake_ids, stats, deadline):
-        """STEP 3 for a padded cell-id set (eBPB's, a winSecRange
-        window's): the fetch — slot runs where the sidecar serves them
-        (DESIGN.md §16), else trapdoors — and the slot request the batch
-        is verified by, none under Concealer+ (always grouping)."""
-        request = None if self.oblivious else context.slot_runs(cells, fake_ids)
-        if request and request.runs:
-            packed, _ = context.fetch_packed(
-                self.fetcher.engine, request, stats, deadline=deadline, verify=self.verify
-            )
-            if packed is not None:
-                return packed, request
-        trapdoors = context.trapdoors_for_cell_ids(cells, fake_ids)
-        request = None if self.oblivious else SlotRequest(cells, trapdoors)
-        packed, _ = context.fetch(
-            self.fetcher.engine, trapdoors, stats, deadline=deadline,
-            verify=self.verify, cells=cells, request=request,
-        )
-        return packed, request
 
     def _pad_fakes(
         self, context: EpochContext, needed: int, offset: int = 0

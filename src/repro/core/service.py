@@ -61,9 +61,10 @@ def check_request(
     group, or a ``"tree"`` method the query shape or the execution mode
     rules out.
 
-    Both front doors call it before any read: the sharded router before
+    Every request runs it before any read: the sharded router before
     dispatch (a shard finds these only inside its dispatch, where the
-    failure counts as a breaker strike), and a batch for every member.
+    failure counts as a breaker strike), :class:`ServiceProvider`'s
+    point and range entry points, and a batch for every member.
     """
     if method is not None and method not in RANGE_METHODS:
         raise QueryError(
@@ -434,6 +435,7 @@ class ServiceProvider:
         self, query: PointQuery, epoch_id: int | None = None
     ) -> tuple[object, QueryStats]:
         """Run a point query (Algorithm 2) inside the enclave."""
+        check_request(query, self.schema, self.config.oblivious)
         with self.admission.admit("point"):
             eid = self._epoch_for(query, epoch_id)
             context = self.context_for(eid)
@@ -459,10 +461,7 @@ class ServiceProvider:
         epoch_id: int | None = None,
     ) -> tuple[object, QueryStats]:
         """Run a range query with the chosen §5 method."""
-        if method not in RANGE_METHODS:
-            raise QueryError(
-                f"unknown range method {method!r}; choose from {RANGE_METHODS}"
-            )
+        check_request(query, self.schema, self.config.oblivious, method)
         eid = self._epoch_for(query, epoch_id)
         with self.admission.admit("range"):
             context = self.context_for(eid)
@@ -693,7 +692,7 @@ class ServiceProvider:
             return False
         if not RangeExecutor.tree_eligible(query, self.schema):
             return False
-        meta = self.engine.fetch_agg_tree_meta(context.table_name)
+        meta = self._fetcher.tree_meta(context)
         if meta is None:
             return False
         from repro.core.aggtree import decompose_range

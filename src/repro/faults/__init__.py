@@ -16,8 +16,9 @@ package gives the reproduction a failure model:
 - :mod:`repro.faults.recovery` — :class:`RecoveryCoordinator`:
   re-attest + re-provision a crashed enclave, restore storage from an
   integrity-checked checkpoint.
-- :mod:`repro.faults.chaos` — the chaos harness behind ``make chaos``
-  and ``python -m repro --chaos-seed N``.
+- :mod:`repro.faults.chaos` — the one chaos harness, for a single
+  service or a sharded fleet, replicated or not, behind ``make chaos``
+  and ``python -m repro --chaos-seed N [--replicas R] [--shards S]``.
 
 ``recovery`` and ``chaos`` import :mod:`repro.core` and are therefore
 *not* imported here (core itself depends on the leaf modules above);

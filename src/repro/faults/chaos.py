@@ -1,16 +1,24 @@
 """The chaos harness: randomized fault schedules over real workloads.
 
-One *chaos run* builds a provisioned provider/service stack whose
-storage engine and enclave share a seeded :class:`FaultInjector`, then
-executes a seeded sequence of operations (epoch ingestion, point
-queries, range queries, checkpoints) while faults fire.  Every
-operation's outcome is checked against a cleartext oracle computed from
-the plaintext records, and classified:
+One *chaos run* builds a provisioned stack whose storage engines and
+enclaves share a seeded :class:`FaultInjector`, then executes a seeded
+sequence of operations (epoch ingestion, point queries, range queries,
+checkpoints, key rotation) while faults fire.  The stack is one
+:class:`ServiceProvider` (:class:`ChaosRun`) or an N-shard
+:class:`ShardedService` (:class:`ShardedChaosRun`, which adds shard
+kills, shard stalls and router crashes); with ``replicas > 1`` every
+engine is a replica group whose response channels are Byzantine.
+Every operation's outcome is checked against a cleartext oracle
+computed from the plaintext records, and classified:
 
 - **ok** — an answer was produced and it matches the oracle;
+- **ok (partial)** — sharded only: a
+  :class:`~repro.sharding.results.PartialResult` whose answer matches
+  the truth restricted to exactly the shards that served it, and whose
+  missing set is honest;
 - **typed failure** — a :class:`~repro.exceptions.ConcealerError`
-  subclass was raised (the run *failed loudly*); crashed enclaves are
-  then recovered through :class:`RecoveryCoordinator` and the run
+  subclass was raised (the run *failed loudly*); a crashed enclave is
+  then recovered (isolated shards are sometimes healed) and the run
   continues;
 - **silent wrong** — an answer was produced that does *not* match the
   oracle.  This is the one outcome the system must never exhibit; the
@@ -28,6 +36,7 @@ aggregates, which is precisely the paper's argument for the tags.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import random
 import tempfile
@@ -38,17 +47,22 @@ from repro import telemetry
 from repro.core.provider import DataProvider
 from repro.core.grid import GridSpec
 from repro.core.queries import PointQuery, RangeQuery
+from repro.core.rotation import rotate_service_keys, rotation_token
 from repro.core.schema import WIFI_SCHEMA
 from repro.core.service import ServiceConfig, ServiceProvider
 from repro.enclave.enclave import Enclave, EnclaveConfig
 from repro.exceptions import ConcealerError, EnclaveCrashed
 from repro.faults.clock import VirtualClock
-from repro.faults.injector import FaultInjector, FaultSpec
+from repro.faults.injector import FAULT_SITES, FaultInjector, FaultSpec
 from repro.faults.recovery import RecoveryCoordinator
 from repro.replication.byzantine import ByzantineReplica
-from repro.replication.engine import ReplicatedStorageEngine, ReplicationPolicy
+from repro.replication.engine import ReplicatedStorageEngine
+from repro.sharding.coordinator import ingest_epoch_sharded, rotate_sharded_keys
+from repro.sharding.results import PartialResult
+from repro.sharding.service import ShardedConfig, ShardedService
 from repro.storage.checkpoint import restore_engine
 from repro.storage.engine import StorageEngine
+from repro.telemetry.slo import SLOMonitor
 
 MASTER_KEY = bytes(range(32, 64))
 EPOCH_DURATION = 240
@@ -74,23 +88,60 @@ def default_specs() -> list[FaultSpec]:
     ]
 
 
-def byzantine_specs() -> list[FaultSpec]:
-    """The replicated chaos mix: the standard faults plus a Byzantine
-    storage adversary (replica-targeted tamper, stale replay, bin
-    suppression, stragglers) and mid-rotation enclave kills."""
-    specs = [
+def _rotation_armed() -> list[FaultSpec]:
+    """:func:`default_specs` with mid-rotation enclave kills armed."""
+    return [
         spec
         if spec.site != "enclave.kill.rotation"
         else FaultSpec("enclave.kill.rotation", probability=0.05, max_fires=1)
         for spec in default_specs()
     ]
-    specs += [
+
+
+def _replica_specs() -> list[FaultSpec]:
+    """The Byzantine storage adversary's sites."""
+    return [
         FaultSpec("replica.tamper", probability=0.10, max_fires=3),
         FaultSpec("replica.replay.stale", probability=0.08, max_fires=2),
         FaultSpec("replica.bin.drop", probability=0.08, max_fires=2),
         FaultSpec("replica.slow", probability=0.05, max_fires=2),
     ]
-    return specs
+
+
+def byzantine_specs() -> list[FaultSpec]:
+    """The replicated chaos mix: the standard faults plus a Byzantine
+    storage adversary (replica-targeted tamper, stale replay, bin
+    suppression, stragglers) and mid-rotation enclave kills."""
+    return _rotation_armed() + _replica_specs()
+
+
+def sharded_specs() -> list[FaultSpec]:
+    """The sharded chaos mix: classic faults + shard/router sites.
+
+    ``enclave.kill.rotation`` is armed (it fires inside a shard's
+    phase-1 rewrite, exercising the cross-shard abort), and the three
+    sharding sites join the stream.  Probabilities are tuned so a
+    typical schedule fires a couple of faults without degenerating
+    into everything-always-fails.
+    """
+    return _rotation_armed() + [
+        FaultSpec("shard.kill", probability=0.05, max_fires=2),
+        FaultSpec("shard.slow", probability=0.05, max_fires=2),
+        FaultSpec("router.crash", probability=0.05, max_fires=1),
+    ]
+
+
+def composed_specs() -> list[FaultSpec]:
+    """The composed mix: sharded sites *plus* a Byzantine storage
+    adversary inside every shard's replica group.
+
+    This is the full gauntlet — replica-targeted tamper/stale-replay/
+    bin-drop/stragglers racing shard kills, router crashes, and a
+    mid-stream two-phase rotation.  The oracle contract is unchanged:
+    zero silent-wrong, with in-shard failover expected to absorb most
+    replica faults before the router ever sees a degraded shard.
+    """
+    return sharded_specs() + _replica_specs()
 
 
 @dataclass
@@ -177,7 +228,24 @@ def _range_truth(records, location, t0, t1) -> int:
 
 
 class ChaosRun:
-    """One seeded stack + fault schedule; drives ops and classifies them."""
+    """One seeded single-service stack + fault schedule.
+
+    Drives the op stream and classifies every outcome.  The sharded
+    fleet (:class:`ShardedChaosRun`) overrides only what its topology
+    changes: the stack, recovery, ingest, the range oracle, the
+    checkpoint, the op mix and the end of the run.
+    """
+
+    # Salt of the next master key; see :meth:`rotate_keys`.
+    rotation_salt = b"chaos-rotation"
+    # The mixed op stream: a uniform draw runs the first op whose bound
+    # it is under.
+    op_mix = (
+        (0.40, "point_query"),
+        (0.75, "range_query"),
+        (0.88, "batch_query"),
+        (1.0, "checkpoint_cycle"),
+    )
 
     def __init__(
         self,
@@ -190,7 +258,7 @@ class ChaosRun:
         self.replicas = replicas
         self.workload_rng = random.Random(f"chaos-workload-{seed}")
         if specs is None:
-            specs = byzantine_specs() if replicas > 1 else default_specs()
+            specs = self._fault_mix()
         self.injector = FaultInjector(seed, specs)
         self.report = ChaosReport(seed=seed)
         self._tmp = None
@@ -215,30 +283,21 @@ class ChaosRun:
         self.clock = VirtualClock()
         self._master = MASTER_KEY
         self._rotations = 0
-        if replicas > 1:
-            # N-replica Byzantine setup: replica 0's inner engine keeps
-            # the shared injector (classic storage faults still fire);
-            # every replica's *response channel* is adversarial, driven
-            # by the same injector so runs replay deterministically.
-            members = []
-            for rid in range(replicas):
-                inner = StorageEngine(
-                    fault_injector=self.injector if rid == 0 else None
-                )
-                members.append(
-                    ByzantineReplica(
-                        inner, rid, fault_injector=self.injector, clock=self.clock
-                    )
-                )
-            engine = ReplicatedStorageEngine(
-                members,
-                clock=self.clock,
-                policy=ReplicationPolicy(attempt_timeout=2.0),
-            )
+        # Plaintext oracle state: epoch id -> records that truly landed.
+        self.oracle: dict[int, list[tuple]] = {}
+        self._build()
+
+    def _fault_mix(self) -> list[FaultSpec]:
+        return byzantine_specs() if self.replicas > 1 else default_specs()
+
+    def _build(self) -> None:
+        """One provisioned service behind a recovery coordinator."""
+        if self.replicas > 1:
+            engine = self._replica_group()
             config = ServiceConfig(
                 verify=True, deadline_seconds=90.0, retry_jitter=0.2
             )
-            retry_rng = random.Random(f"chaos-retry-{seed}")
+            retry_rng = random.Random(f"chaos-retry-{self.seed}")
         else:
             engine = StorageEngine(fault_injector=self.injector)
             config = ServiceConfig(verify=True)
@@ -256,43 +315,75 @@ class ChaosRun:
         self.coordinator = RecoveryCoordinator(
             self.provider, self.service, self.workdir / "chaos.ckpt"
         )
-        # Plaintext oracle state: epoch id -> records that truly landed.
-        self.oracle: dict[int, list[tuple]] = {}
+
+    def _replica_group(self) -> ReplicatedStorageEngine:
+        """A replica group whose response channels are all Byzantine.
+
+        Replica 0's inner engine keeps the shared injector, so classic
+        storage faults still fire inside exactly one replica; every
+        replica's *response channel* is adversarial, driven by the same
+        injector and clock so runs replay deterministically.  Replica
+        ids restart at 0 per group: each shard's group is its own
+        failure domain.
+        """
+        members = [
+            ByzantineReplica(
+                StorageEngine(fault_injector=self.injector if rid == 0 else None),
+                rid,
+                fault_injector=self.injector,
+                clock=self.clock,
+            )
+            for rid in range(self.replicas)
+        ]
+        return ReplicatedStorageEngine(members, clock=self.clock)
 
     # ------------------------------------------------------------------ ops
 
     def _attempt(self, op: str, thunk, expected=None) -> ChaosOutcome:
-        """Run one operation; classify; recover a crashed enclave."""
+        """Run one operation; classify it; recover after a typed failure."""
         outcome = ChaosOutcome(op=op, ok=False, expected=expected)
+        started = self.clock.now()
         try:
             outcome.answer = thunk()
         except ConcealerError as error:
             outcome.error = type(error).__name__
-            if isinstance(error, EnclaveCrashed) or self.service.enclave.crashed:
-                self.coordinator.recover()
-                outcome.recovered = True
-                self.report.recoveries += 1
+            self._observe(started, ok=False)
+            outcome.recovered = self._recover(error)
         else:
             outcome.ok = outcome.answer == expected
+            self._observe(started, ok=True)
         self.report.outcomes.append(outcome)
         return outcome
+
+    def _observe(self, started: float, ok: bool) -> None:
+        """Record one op's virtual duration (the sharded fleet's SLO)."""
+
+    def _recover(self, error: ConcealerError) -> bool:
+        """Recover a crashed enclave; True iff it was recovered."""
+        if not (isinstance(error, EnclaveCrashed) or self.service.enclave.crashed):
+            return False
+        self.coordinator.recover()
+        self.report.recoveries += 1
+        return True
 
     def ingest(self, epoch_id: int) -> ChaosOutcome:
         """Land one epoch; the oracle only counts it if ingestion succeeds."""
         records = _epoch_records(epoch_id, self.workload_rng)
+        return self._ingest("ingest", records, epoch_id)
 
-        def run():
-            package = self.provider.encrypt_epoch(records, epoch_id)
-            self.service.ingest_epoch(package)
-            self.oracle[epoch_id] = records
-            return self.service.engine.row_count(f"epoch_{epoch_id}")
-
+    def _ingest(self, op: str, records: list[tuple], epoch_id: int) -> ChaosOutcome:
         # Expected row count is unknowable up front (fakes are seeded
         # provider-side); success is simply "all rows landed".
-        outcome = self._attempt("ingest", run)
+        outcome = self._attempt(op, lambda: self._land(records, epoch_id))
         if outcome.error is None:
             outcome.ok = outcome.answer >= len(records)
         return outcome
+
+    def _land(self, records: list[tuple], epoch_id: int) -> int:
+        package = self.provider.encrypt_epoch(records, epoch_id)
+        self.service.ingest_epoch(package)
+        self.oracle[epoch_id] = records
+        return self.service.engine.row_count(f"epoch_{epoch_id}")
 
     def point_query(self) -> ChaosOutcome:
         epoch_id, records = self._pick_epoch()
@@ -309,26 +400,37 @@ class ChaosRun:
         )
 
     def range_query(self) -> ChaosOutcome:
+        """A count over one location slot and a one-to-three-step window."""
         epoch_id, records = self._pick_epoch()
         if records is None:
             return self._skip("range")
-        location = _LOCATIONS[self.workload_rng.randrange(len(_LOCATIONS))]
-        t0 = epoch_id + TIME_STEP * self.workload_rng.randrange(2)
-        t1 = t0 + TIME_STEP * (1 + self.workload_rng.randrange(2))
-        method = ("multipoint", "ebpb", "winsecrange")[
-            self.workload_rng.randrange(3)
-        ]
-        expected = _range_truth(records, location, t0, t1)
-        return self._attempt(
+        slot, locations = self._range_slot()
+        rng = self.workload_rng
+        t0 = epoch_id + TIME_STEP * rng.randrange(2)
+        t1 = t0 + TIME_STEP * (1 + rng.randrange(2))
+        method = ("multipoint", "ebpb", "winsecrange")[rng.randrange(3)]
+
+        def truth(rows) -> int:
+            return sum(_range_truth(rows, location, t0, t1) for location in locations)
+
+        outcome = self._attempt(
             "range",
             lambda: self.service.execute_range(
-                RangeQuery(
-                    index_values=(location,), time_start=t0, time_end=t1
-                ),
+                RangeQuery(index_values=(slot,), time_start=t0, time_end=t1),
                 method=method,
             )[0],
-            expected,
+            truth(records),
         )
+        return self._check_partial(outcome, epoch_id, truth)
+
+    def _range_slot(self) -> tuple[object, tuple[str, ...]]:
+        """The range's location slot value and the locations it covers."""
+        location = _LOCATIONS[self.workload_rng.randrange(len(_LOCATIONS))]
+        return location, (location,)
+
+    def _check_partial(self, outcome: ChaosOutcome, epoch_id: int, truth) -> ChaosOutcome:
+        """Re-judge a partial answer (sharded only; one service has none)."""
+        return outcome
 
     def batch_query(self) -> ChaosOutcome:
         """A shared-fetch batch with deliberate bin overlap.
@@ -374,18 +476,23 @@ class ChaosRun:
         )
 
     def checkpoint_cycle(self) -> ChaosOutcome:
-        """Checkpoint, then restore into a scratch engine and compare."""
+        """Checkpoint, then restore one archive into a scratch engine and
+        compare its tables with the live engine's."""
+        checkpoint, engine = self._checkpoint_target()
+        expected = sorted(engine.table_names())
+        return self._attempt(
+            "checkpoint",
+            lambda: sorted(restore_engine(checkpoint()).table_names()),
+            expected,
+        )
 
-        def run():
-            path = self.coordinator.checkpoint()
-            restored = restore_engine(path)
-            return sorted(restored.table_names())
-
-        expected = sorted(self.service.engine.table_names())
-        return self._attempt("checkpoint", run, expected)
+    def _checkpoint_target(self):
+        """(a thunk that checkpoints and returns the archive to restore,
+        the live engine that archive must match)."""
+        return self.coordinator.checkpoint, self.service.engine
 
     def rotate_keys(self) -> ChaosOutcome:
-        """Rotate the master key mid-run (replicated schedules only).
+        """Rotate the master key mid-run.
 
         The next key is a deterministic function of the seed and the
         rotation count, so schedules replay.  A mid-rotation enclave
@@ -393,17 +500,14 @@ class ChaosRun:
         the *old* key stays live, which the oracle checks implicitly by
         the following queries still answering correctly.
         """
-        from repro.core.rotation import rotate_service_keys, rotation_token
-
         self._rotations += 1
         new_master = hashlib.sha256(
-            b"chaos-rotation|%d|%d" % (self.seed, self._rotations)
+            b"%s|%d|%d" % (self.rotation_salt, self.seed, self._rotations)
         ).digest()
 
         def run():
             token = rotation_token(self._master, new_master)
-            rotated = rotate_service_keys(self.service, new_master, token)
-            self.provider.adopt_master(new_master)
+            rotated = self._rotate(new_master, token)
             self._master = new_master
             return rotated
 
@@ -411,6 +515,11 @@ class ChaosRun:
         if outcome.error is None:
             outcome.ok = True
         return outcome
+
+    def _rotate(self, new_master: bytes, token) -> int:
+        rotated = rotate_service_keys(self.service, new_master, token)
+        self.provider.adopt_master(new_master)
+        return rotated
 
     def repair(self) -> list:
         """One anti-entropy pass; no-op for unreplicated runs."""
@@ -431,6 +540,21 @@ class ChaosRun:
 
     # ------------------------------------------------------------------ run
 
+    def _rotates(self) -> bool:
+        """Whether the stream rotates keys: a single service does so only
+        when replicated, to exercise failover around an epoch rewrite."""
+        return self.replicas > 1
+
+    def _before_op(self) -> None:
+        """A fault consulted before every op of the stream (sharded only)."""
+
+    def _after_ops(self) -> None:
+        """The end-of-stream checks (sharded only)."""
+
+    def _tracing(self):
+        """Where spans go: the ambient tracer, unless a run scopes its own."""
+        return contextlib.nullcontext()
+
     def run(self, ops: int = 12) -> ChaosReport:
         """Execute the seeded schedule: ingest, then a mixed op stream.
 
@@ -438,40 +562,262 @@ class ChaosRun:
         report's ``telemetry`` (retry counts, recoveries, fault fires)
         covers exactly this run and nothing ambient.
         """
-        with telemetry.scoped_registry() as registry:
+        with telemetry.scoped_registry() as registry, self._tracing() as tracer:
             try:
                 self.ingest(0)
                 for index in range(ops):
+                    self._before_op()
                     # A second epoch lands part-way through (insert workload).
                     if index == ops // 2 and EPOCH_DURATION not in self.oracle:
                         self.ingest(EPOCH_DURATION)
                         continue
-                    # Replicated schedules rotate keys mid-stream — with
-                    # replica faults armed this exercises failover during
-                    # and after an epoch rewrite (the repair fence).
-                    if self.replicas > 1 and index == max(1, (2 * ops) // 3):
+                    if self._rotates() and index == max(1, (2 * ops) // 3):
                         self.rotate_keys()
                         continue
                     draw = self.workload_rng.random()
-                    if draw < 0.40:
-                        self.point_query()
-                    elif draw < 0.75:
-                        self.range_query()
-                    elif draw < 0.88:
-                        self.batch_query()
-                    else:
-                        self.checkpoint_cycle()
+                    op = next(name for bound, name in self.op_mix if draw < bound)
+                    getattr(self, op)()
+                    # Replicated stacks run periodic anti-entropy repair
+                    # (fenced against rewrites and the cross-shard
+                    # journal), as a production repair cron would.
                     if self.replicas > 1 and index % 4 == 3:
                         self.repair()
                 if self.replicas > 1:
                     self.repair()
+                self._after_ops()
             finally:
                 self.report.schedule = self.injector.encode_schedule()
                 self.report.faults_fired = len(self.injector.fired)
                 self.report.telemetry = registry
+                if tracer is not None:
+                    self.report.traces = tracer.traces()
                 if self._tmp is not None:
                     self._tmp.cleanup()
         return self.report
+
+
+class ShardedChaosRun(ChaosRun):
+    """One seeded N-shard fleet + fault schedule, with a per-shard oracle.
+
+    The same seeded injector also drives shard kills at dispatch and
+    two-phase boundaries (``shard.kill``), shard stalls that burn a
+    dispatch budget (``shard.slow``) and front-door restarts
+    (``router.crash``).  The oracle knows the *per-shard* truth: records
+    are partitioned at ingest with the provider's keyed grid and public
+    topology, so a partial answer claiming shards it did not serve, or
+    a full answer missing a healthy shard's rows, is silently wrong like
+    a wrong scalar.  Every run ends with a full heal and verification
+    sweep (:meth:`final_verify`).
+    """
+
+    rotation_salt = b"chaos-sharded-rotation"
+    op_mix = (
+        (0.35, "point_query"),
+        (0.85, "range_query"),
+        (1.0, "checkpoint_cycle"),
+    )
+
+    def __init__(
+        self,
+        seed: int,
+        specs: list[FaultSpec] | None = None,
+        workdir: str | Path | None = None,
+        shards: int = 2,
+        replicas: int = 1,
+    ):
+        self.shard_count = shards
+        super().__init__(seed, specs=specs, workdir=workdir, replicas=replicas)
+
+    def _fault_mix(self) -> list[FaultSpec]:
+        return composed_specs() if self.replicas > 1 else sharded_specs()
+
+    def _build(self) -> None:
+        self.config = ShardedConfig(
+            shards=self.shard_count,
+            replicas=self.replicas,
+            deadline_seconds=60.0,
+            breaker_reset_seconds=1e9,  # re-admission only via heal()
+        )
+        self.service = ShardedService.build(
+            self.provider,
+            self.config,
+            self.workdir,
+            clock=self.clock,
+            fault_injector=self.injector,
+            retry_rng_seed=f"chaos-retry-{self.seed}",
+            engine_factory=(
+                (lambda shard_id: self._replica_group())
+                if self.replicas > 1
+                else None
+            ),
+        )
+        # SLO monitor on the fleet's virtual clock: a shard.slow burns
+        # its dispatch budget in *virtual* seconds, so the latency
+        # objective trips deterministically on replay.
+        self.slo = SLOMonitor(clock=self.clock)
+        # Epoch -> per-shard records.  Partitions are captured at ingest
+        # (grid keys never change for an ingested epoch, so ownership is
+        # stable across rotations).
+        self.oracle_parts: dict[int, list[list[tuple]]] = {}
+
+    # ------------------------------------------------------------------- ops
+
+    def _observe(self, started: float, ok: bool) -> None:
+        self.slo.record(self.clock.now() - started, ok=ok)
+
+    def _recover(self, error: ConcealerError) -> bool:
+        """Sometimes heal the fleet.
+
+        Healing is deliberately *probabilistic* (seeded): immediate
+        healing would mask the isolated-shard behaviours this harness
+        exists to exercise (partial results, point-to-dead-owner), so
+        roughly half the failures leave the fleet degraded for a while.
+        """
+        return self.workload_rng.random() < 0.5 and self._heal()
+
+    def _heal(self) -> bool:
+        actions = self.service.heal()
+        readmitted = sum(a["readmitted"] for a in actions.values())
+        self.report.recoveries += readmitted
+        return readmitted > 0
+
+    def ingest(self, epoch_id: int) -> ChaosOutcome:
+        """Two-phase epoch landing; on rollback, heal and retry once.
+
+        The oracle only counts an epoch once the *whole fleet* landed
+        it — a rollback leaves both the fleet and the oracle unchanged,
+        so a shard serving a half-ingested epoch would show up as
+        silent wrongness on later queries.
+        """
+        records = _epoch_records(epoch_id, self.workload_rng)
+        outcome = self._ingest("ingest", records, epoch_id)
+        if outcome.error is not None and epoch_id not in self.oracle:
+            self._heal()
+            self._ingest("ingest-retry", records, epoch_id)
+        return outcome
+
+    def _land(self, records: list[tuple], epoch_id: int) -> int:
+        counts = ingest_epoch_sharded(self.service, records, epoch_id)
+        self.oracle[epoch_id] = records
+        self.oracle_parts[epoch_id] = self.provider.partition_records(
+            records, epoch_id, self.service.topology
+        )
+        return sum(counts.values())
+
+    def _range_slot(self) -> tuple[object, tuple[str, ...]]:
+        """A wildcard over two or more locations, so the covered cell-ids
+        genuinely span shards."""
+        rng = self.workload_rng
+        width = 2 + rng.randrange(len(_LOCATIONS) - 1)
+        start = rng.randrange(len(_LOCATIONS))
+        locations = tuple(
+            _LOCATIONS[(start + i) % len(_LOCATIONS)] for i in range(width)
+        )
+        return locations, locations
+
+    def _check_partial(self, outcome: ChaosOutcome, epoch_id: int, truth) -> ChaosOutcome:
+        """Check a partial answer against the truth restricted to exactly
+        its served shards, and its missing set for honesty."""
+        partial = outcome.answer
+        if isinstance(partial, PartialResult):
+            parts = self.oracle_parts[epoch_id]
+            outcome.op = "range-partial"
+            outcome.expected = sum(truth(parts[s]) for s in partial.served_shards)
+            outcome.answer = partial.answer
+            honest = set(partial.served_shards).isdisjoint(partial.missing_shards)
+            outcome.ok = honest and outcome.answer == outcome.expected
+        return outcome
+
+    def _checkpoint_target(self):
+        victim = self.workload_rng.randrange(self.shard_count)
+        return (
+            lambda: self.service.checkpoint_all()[victim],
+            self.service.shards[victim].service.engine,
+        )
+
+    def _rotate(self, new_master: bytes, token) -> int:
+        """Two-phase cross-shard rotation; failures converge on the old
+        key fleet-wide (which later queries verify implicitly)."""
+        return rotate_sharded_keys(self.service, new_master, token)
+
+    def repair(self) -> dict:
+        return self.service.repair_replicas()
+
+    def router_crash(self) -> ChaosOutcome:
+        """The front-door process dies and restarts.
+
+        Shard state (host-side storage, enclaves) survives — only the
+        router object, its fence, and its plan caches are lost.  The
+        rebuilt router must serve correct answers immediately, which
+        the following ops check against the unchanged oracle.
+        """
+        self.service = ShardedService(
+            self.provider,
+            self.service.topology,
+            self.service.shards,
+            clock=self.clock,
+            config=self.config,
+            fault_injector=self.injector,
+        )
+        outcome = ChaosOutcome(op="router-restart", ok=True)
+        self.report.outcomes.append(outcome)
+        return outcome
+
+    def final_verify(self) -> None:
+        """Heal everything, then demand complete, correct epoch counts.
+
+        This is the re-admission acceptance check: after the run's
+        crashes, every shard must recover (re-attest, restore, probe)
+        and a wildcard count per epoch must be a *full* (non-partial)
+        answer equal to the epoch's true record count.  The injector is
+        disarmed first — this sweep measures recovery, not tolerance of
+        yet more faults (disarming is deterministic, so replay holds).
+        """
+        for site in FAULT_SITES:
+            self.injector.disarm(site)
+        self._heal()
+        for epoch_id, records in sorted(self.oracle.items()):
+            outcome = ChaosOutcome(
+                op="final-verify", ok=False, expected=len(records)
+            )
+            try:
+                answer = self.service.execute_range(
+                    RangeQuery(
+                        index_values=(_LOCATIONS,),
+                        time_start=epoch_id,
+                        time_end=epoch_id + EPOCH_DURATION - 1,
+                    ),
+                    method="ebpb",
+                )[0]
+            except ConcealerError as error:
+                outcome.error = type(error).__name__
+            else:
+                outcome.answer = answer
+                # A PartialResult here means a shard failed to re-admit:
+                # answer != expected (comparing PartialResult to int),
+                # so it is classified as not-ok below.
+                outcome.ok = answer == len(records)
+            self.report.outcomes.append(outcome)
+
+    # ------------------------------------------------------------------- run
+
+    def _rotates(self) -> bool:
+        return True
+
+    def _before_op(self) -> None:
+        if self.injector.fire("router.crash") is not None:
+            self.router_crash()
+
+    def _after_ops(self) -> None:
+        """Evaluate the SLO monitor *before* the final heal sweep, so the
+        alerts describe the faulted workload, not the recovery."""
+        self.report.slo_alerts = list(self.slo.evaluate())
+        self.final_verify()
+
+    def _tracing(self):
+        """Spans go to a run-scoped tracer kept on the report, like the
+        registry; neither feeds ``fingerprint()``."""
+        return telemetry.scoped_tracer(clock=self.clock)
 
 
 def run_chaos(
@@ -484,15 +830,15 @@ def run_chaos(
 ) -> ChaosReport:
     """Run one seeded chaos schedule end to end and return its report.
 
-    ``replicas > 1`` switches to the Byzantine-replicated stack: N
-    engines behind verify-then-failover reads, replica fault sites
-    armed (:func:`byzantine_specs`), a mid-run key rotation, and
+    ``replicas > 1`` makes every storage engine a Byzantine replica
+    group behind verify-then-failover reads, arms the replica fault
+    sites (:func:`byzantine_specs`), rotates keys mid-run and runs
     periodic anti-entropy repair.
 
-    ``shards > 1`` switches to the sharded fleet instead (see
-    :mod:`repro.faults.chaos_sharded`): shard kills, stalls, router
-    crashes, two-phase ingest/rotation, and partial-result checking
-    against a per-shard oracle.
+    ``shards > 1`` runs the sharded fleet instead
+    (:class:`ShardedChaosRun`): shard kills, stalls, router crashes,
+    two-phase ingest/rotation, and partial-result checking against a
+    per-shard oracle.
 
     ``shards > 1`` *and* ``replicas > 1`` compose: every shard fronts
     its own Byzantine-wrapped replica group, so replica tamper/replay/
@@ -500,11 +846,9 @@ def run_chaos(
     mid-stream two-phase rotation in one schedule — the full gauntlet.
     """
     if shards > 1:
-        from repro.faults.chaos_sharded import ShardedChaosRun
-
-        return ShardedChaosRun(
+        run = ShardedChaosRun(
             seed, specs=specs, workdir=workdir, shards=shards, replicas=replicas
-        ).run(ops=ops)
-    return ChaosRun(seed, specs=specs, workdir=workdir, replicas=replicas).run(
-        ops=ops
-    )
+        )
+    else:
+        run = ChaosRun(seed, specs=specs, workdir=workdir, replicas=replicas)
+    return run.run(ops=ops)

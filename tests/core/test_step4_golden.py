@@ -23,9 +23,9 @@ from unittest import mock
 import pytest
 
 from repro import GridSpec, telemetry
+from repro.batching.fetcher import BinFetcher
 from repro.core.binning import Bin
 from repro.core.context import EpochContext
-from repro.core.range_query import RangeExecutor
 from repro.core.queries import Aggregate, PointQuery, RangeQuery
 from tests.conftest import as_trapdoor_heads, make_stack
 from tests.replication.conftest import make_replicated_stack
@@ -131,18 +131,18 @@ def capture(topology: str, verify: bool) -> dict:
     # Once the sidecar is gone a run read is still tried, answered
     # ``None`` and made by trapdoor: one more EPC reservation, counted
     # in ``probes``.
-    fetch_slots = RangeExecutor._fetch_slots
+    fetch_slots = BinFetcher.fetch_slots
     run_rows, probes = [], []
 
-    def deriving(executor, context, cells, fake_ids, *args):
+    def deriving(fetcher, context, cells, fake_ids, *args):
         request = context.slot_runs(cells, fake_ids)
         if request and request.runs:
-            if not executor.fetcher.engine.has_packed_bins(context.table_name):
+            if not fetcher.engine.has_packed_bins(context.table_name):
                 probes.append(1)
             else:
                 with mock.patch("repro.core.context._count_tuples"):
                     run_rows.append(len(context.trapdoors_for_cell_ids(cells, fake_ids)))
-        return fetch_slots(executor, context, cells, fake_ids, *args)
+        return fetch_slots(fetcher, context, cells, fake_ids, *args)
 
     # Index keys a batch verified by request never decrypts: count them,
     # whole bins (by position) and trapdoor lists (by request) apart.
@@ -159,7 +159,7 @@ def capture(topology: str, verify: bool) -> dict:
         return real
 
     with mock.patch.object(EpochContext, "_verify_positional", counting), \
-            mock.patch.object(RangeExecutor, "_fetch_slots", deriving), \
+            mock.patch.object(BinFetcher, "fetch_slots", deriving), \
             telemetry.scoped_registry() as registry:
         if topology == "plain":
             _, service = make_stack(SPEC, RECORDS, verify=verify)

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults.chaos import run_chaos
-from repro.faults.chaos_sharded import composed_specs
+from repro.faults.chaos import composed_specs, run_chaos
 from repro.faults.injector import FaultSpec
 from tests.faults.test_chaos_sharded import assert_never_silently_wrong
 
