@@ -19,10 +19,12 @@ provider host never sees plaintext):
    not find anything the data provider did not ship.  It then decrypts
    every stored column under the old epoch key and re-encrypts under
    the new one (fake columns are re-randomized at the same length),
-   overwriting rows in place — the DBMS index follows automatically.
-   The epoch package's metadata vectors are re-encrypted and the tags
-   rebuilt over the new ciphertexts, so verification keeps working
-   after rotation.
+   in memory, then installs the re-keyed table whole — same row ids,
+   same sealed-bin slot layout, so the epoch keeps reading sealed bins.
+   The tree sidecar is dropped: its directory is keyed by combination
+   digests the enclave cannot re-key.  The epoch package's metadata
+   vectors are re-encrypted and the tags rebuilt over the new
+   ciphertexts, so verification keeps working after rotation.
 4. The enclave swaps its sealed key schedule; the provider adopts the
    new master for future epochs.
 
@@ -30,21 +32,22 @@ Restrictions: epochs already touched by §6 dynamic rewrites carry
 per-bin generations this routine does not track; rotate before going
 dynamic, or re-ship those rounds.
 
-**Crash safety.**  Rotation rewrites every stored row in place, so an
-enclave killed mid-way (AEX, power event) would otherwise strand a
-table half under the old key and half under the new — unreadable under
-either.  Rotation therefore runs under a :class:`RotationJournal`: an
-*intent* record snapshots each epoch's rows and package crypto fields
-before the first overwrite, the sealed key swap happens only after the
+**Crash safety.**  Rotation rewrites every stored table, so an enclave
+killed between two epochs (AEX, power event) would otherwise strand
+some epochs under the old key and some under the new.  Rotation
+therefore runs under a :class:`RotationJournal`: an *intent* record
+holds each epoch's pre-rotation table image and package crypto fields
+before it is rewritten, the sealed key swap happens only after the
 journal *commits*, and any failure (including an injected
-:class:`~repro.exceptions.EnclaveCrashed`) rolls every touched epoch
-back to its pre-rotation bytes — the old key remains valid and the old
-epoch stays queryable after recovery.
+:class:`~repro.exceptions.EnclaveCrashed`) installs every touched
+epoch's image back — the old key remains valid and the old epoch
+stays queryable, sealed bins and tree included, after recovery.
 """
 
 from __future__ import annotations
 
 import hmac as _hmac
+from dataclasses import replace
 
 from repro import telemetry
 from repro.core.epoch import FAKE_CHAIN_LABEL, encode_int_vector, rekey_row
@@ -59,6 +62,7 @@ from repro.crypto.kernels import (
 from repro.crypto.keys import EpochKeySchedule, derive_epoch_key
 from repro.crypto.prf import Prf
 from repro.exceptions import AuthorizationError, CryptoError, IntegrityViolation
+from repro.storage.table import Row, TableImage
 
 
 def rotation_token(old_master: bytes, new_master: bytes) -> bytes:
@@ -70,11 +74,12 @@ def rotation_token(old_master: bytes, new_master: bytes) -> bytes:
 class RotationJournal:
     """Intent/commit journal giving rotation all-or-nothing semantics.
 
-    ``begin_epoch`` files an intent: a snapshot of the epoch's stored
-    rows and its package's crypto fields, taken *before* the first
-    in-place overwrite.  ``commit`` discards the intents (the point of
-    no return preceding the sealed key swap); ``rollback`` restores
-    every snapshotted epoch byte-for-byte.
+    ``begin_epoch`` files an intent — the epoch's verified pre-rotation
+    image and its package's crypto fields — just before the table is
+    rewritten, so an epoch that failed verification is never rolled
+    back onto its peers.  ``commit`` discards the intents (the point of
+    no return preceding the sealed key swap); ``rollback`` installs
+    every intent's image and restores its package fields.
     """
 
     _PACKAGE_FIELDS = (
@@ -95,26 +100,17 @@ class RotationJournal:
         ).labels(phase=phase).inc(amount)
 
     def __init__(self):
-        self._intents: list[tuple[int, dict, dict]] = []
+        self._intents: list[tuple[int, TableImage, dict]] = []
         self.committed = False
 
-    def begin_epoch(self, service: ServiceProvider, epoch_id: int) -> None:
-        """File the intent to rewrite one epoch (snapshot its state)."""
-        table = service._table_name(epoch_id)
-        rows = {
-            row.row_id: row.columns
-            for row in service.engine.snapshot_rows(table)
-        }
+    def begin_epoch(
+        self, service: ServiceProvider, epoch_id: int, image: TableImage
+    ) -> None:
+        """File the intent to rewrite one epoch from ``image``."""
         package = service._packages[epoch_id]
-        fields = {
-            name: (
-                dict(getattr(package, name))
-                if name == "enc_tags"
-                else getattr(package, name)
-            )
-            for name in self._PACKAGE_FIELDS
-        }
-        self._intents.append((epoch_id, rows, fields))
+        fields = {name: getattr(package, name) for name in self._PACKAGE_FIELDS}
+        fields["enc_tags"] = dict(package.enc_tags)
+        self._intents.append((epoch_id, image, fields))
         self._count_phase("intent")
 
     def commit(self) -> None:
@@ -131,10 +127,8 @@ class RotationJournal:
         Returns the number of epochs restored.
         """
         restored = 0
-        for epoch_id, rows, fields in self._intents:
-            table = service._table_name(epoch_id)
-            for row_id, columns in rows.items():
-                service.engine.overwrite(table, row_id, list(columns))
+        for epoch_id, image, fields in self._intents:
+            service.engine.install(image)
             package = service._packages[epoch_id]
             for name, value in fields.items():
                 setattr(package, name, value)
@@ -147,12 +141,12 @@ class RotationJournal:
 
 
 class PreparedRotation:
-    """Phase-1 output: every row rewritten, nothing irreversible yet.
+    """Phase-1 output: every table rewritten, nothing irreversible yet.
 
     Between :func:`prepare_rotation` and :func:`commit_rotation` the
     stored rows are under the *new* epoch keys but the enclave still
     seals the *old* master and the journal still holds every intent —
-    so :func:`abort_rotation` can restore the pre-rotation bytes
+    so :func:`abort_rotation` can install the pre-rotation images
     host-side even if the enclave has since died.  The engine's rewrite
     fence (``begin_rewrite``) is held across the whole window; both
     ``commit`` and ``abort`` release it.
@@ -165,22 +159,19 @@ class PreparedRotation:
         old_master: bytes,
         new_master: bytes,
         rotated_rows: int,
-        fenced: bool,
     ):
         self.service = service
         self.journal = journal
         self.old_master = old_master
         self.new_master = new_master
         self.rotated_rows = rotated_rows
-        self._fenced = fenced
         self._settled = False
 
     def _settle(self) -> None:
         if self._settled:
             raise CryptoError("rotation already committed or aborted")
         self._settled = True
-        if self._fenced:
-            self.service.engine.end_rewrite()
+        self.service.engine.end_rewrite()
 
 
 def prepare_rotation(
@@ -202,14 +193,12 @@ def prepare_rotation(
         raise AuthorizationError("rotation token invalid: not authorized by DP")
 
     journal = RotationJournal()
-    # Fence replicated engines: anti-entropy repair copying rows while
-    # this rewrite is in flight would resurrect pre-rotation ciphertexts.
+    # Fence the engine: anti-entropy repair copying a table while this
+    # rewrite is in flight would resurrect pre-rotation ciphertexts.
     # begin/end both bump the engine's rewrite generation, so a repair
-    # that snapshotted *before* the rotation aborts at apply time even
-    # if it runs after the fence lifts.
-    fenced = getattr(service.engine, "begin_rewrite", None) is not None
-    if fenced:
-        service.engine.begin_rewrite()
+    # that took its image *before* the rotation aborts at apply time
+    # even if it runs after the fence lifts.
+    service.engine.begin_rewrite()
     with telemetry.span(
         "rotation.prepare", epochs=len(service.ingested_epochs())
     ) as rotate_span:
@@ -219,13 +208,10 @@ def prepare_rotation(
             )
         except BaseException:
             journal.rollback(service)
-            if fenced:
-                service.engine.end_rewrite()
+            service.engine.end_rewrite()
             raise
         rotate_span.set(rows=rotated_rows)
-    return PreparedRotation(
-        service, journal, old_master, new_master, rotated_rows, fenced
-    )
+    return PreparedRotation(service, journal, old_master, new_master, rotated_rows)
 
 
 def commit_rotation(prepared: PreparedRotation) -> int:
@@ -258,9 +244,9 @@ def commit_rotation(prepared: PreparedRotation) -> int:
 
 
 def abort_rotation(prepared: PreparedRotation) -> int:
-    """Undo a prepared rotation: restore pre-rotation bytes host-side.
+    """Undo a prepared rotation: install the pre-rotation images.
 
-    Works with a dead enclave (rollback rewrites the host's own stored
+    Works with a dead enclave (rollback reinstalls the host's own stored
     ciphertexts); the old master stays the live key.  Returns the
     number of epochs restored.
     """
@@ -294,13 +280,14 @@ def _rotate_all_epochs(
     new_master: bytes,
     journal: RotationJournal,
 ) -> int:
-    """Re-encrypt every epoch in place, journalling an intent per epoch."""
+    """Re-key every epoch's table in memory and install it whole,
+    journalling the verified pre-rotation image first."""
     enclave = service.enclave
     rotated_rows = 0
     chained_columns = len(service.schema.filter_groups) + 1
     for epoch_id in service.ingested_epochs():
         package = service._packages[epoch_id]
-        journal.begin_epoch(service, epoch_id)
+        image = service.engine.image(service._table_name(epoch_id))
         enclave.kill_point("enclave.kill.rotation")
         # The epoch as the old key opens it (commit and rollback both
         # drop it); the new ciphers prime their HMAC bases once per epoch.
@@ -308,8 +295,8 @@ def _rotate_all_epochs(
         new_key = derive_epoch_key(new_master, epoch_id)
         new_det, new_nd = DeterministicCipher(new_key), RandomizedCipher(new_key)
 
-        table = service._table_name(epoch_id)
-        rows = service.engine.snapshot_rows(table)
+        table = image.table
+        rows = [Row(row_id, image.rows[row_id]) for row_id in sorted(image.rows)]
         # New tags are sealed over whatever is stored, so what is stored
         # is first held to the old ones — every populated cell present,
         # counters 1..c_tuple, each column's chain — or a tampered row
@@ -326,17 +313,20 @@ def _rotate_all_epochs(
         # rebuilds the chains over the new ones, ordered by each real
         # row's counter within its cell-id and each fake's id.
         numbered: dict[int, list[tuple[int, list[bytes]]]] = {}
+        rekeyed: dict[int, tuple] = {}
         for row in rows:
-            # A kill here leaves the table half-rotated — exactly the
-            # torn state the journal's rollback must undo.
+            # One kill point per row, as when rows were rewritten one
+            # at a time, so a seeded fault schedule draws the same.
             enclave.kill_point("enclave.kill.rotation")
             columns, meta = rekey_row(row.columns, context.det, new_det, new_nd)
             label = int(meta[1]) if meta[0] == b"idx" else FAKE_CHAIN_LABEL
             numbered.setdefault(label, []).append(
                 (int(meta[-1]), columns[:chained_columns])
             )
-            service.engine.overwrite(table, row.row_id, columns)
-            rotated_rows += 1
+            rekeyed[row.row_id] = tuple(columns)
+        journal.begin_epoch(service, epoch_id, image)
+        service.engine.install(replace(image, rows=rekeyed, tree=None))
+        rotated_rows += len(rekeyed)
 
         new_tags: dict[int, tuple[bytes, ...]] = {}
         for label, entries in numbered.items():

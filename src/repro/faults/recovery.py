@@ -32,6 +32,7 @@ from repro.core.service import ServiceProvider
 from repro.enclave.enclave import Enclave
 from repro.exceptions import StorageError
 from repro.storage.checkpoint import checkpoint_engine, restore_engine
+from repro.storage.table import TableImage
 
 
 def _count_recovery(component: str) -> None:
@@ -110,34 +111,25 @@ class RecoveryCoordinator:
         """Restore storage from the latest checkpoint and re-adopt it.
 
         For a plain engine the restored instance simply replaces the
-        old one.  For a **replicated** engine the group itself must
-        survive recovery — swapping in the plain restored engine would
-        silently strip the shard of its failover/quarantine machinery —
-        so the checkpoint is instead installed into *every* replica via
-        :meth:`~repro.storage.engine.StorageEngine.rebuild_table`
-        (preserving row ids, so physical addresses stay aligned),
-        stale replica tables are dropped, quarantines clear (every
-        replica now holds checkpoint truth), per-replica breakers
-        reset, and the *same* group object is re-adopted, so the
-        service's fetcher reads through it.
+        old one.  A **replicated** group must survive recovery (a plain
+        engine would strip the shard of failover and quarantine), so
+        every replica drops its stale tables and installs each
+        checkpointed table image, row ids and sealed bins kept; then
+        quarantines clear, breakers reset, and the same group is
+        re-adopted.
         """
         if self.checkpoint_path is None:
             raise StorageError("no checkpoint path configured")
         restored = restore_engine(self.checkpoint_path)
         engine = self.service.engine
         if getattr(engine, "supports_replicated_reads", False):
-            tables = restored.table_names()
+            images = [restored.image(table) for table in restored.table_names()]
             for replica in engine.replicas:
                 target = getattr(replica, "inner", replica)
-                for stale in set(target.table_names()) - set(tables):
+                for stale in set(target.table_names()) - set(restored.table_names()):
                     target.drop_table(stale)
-                for table in tables:
-                    target.rebuild_table(
-                        table,
-                        restored.column_names(table),
-                        restored.snapshot_rows(table),
-                        restored.indexed_columns(table),
-                    )
+                for image in images:
+                    target.install(image)
             for replica_id, table in list(engine.quarantine.tables()):
                 engine.quarantine.clear(replica_id, table)
             for breaker in engine.breakers:
@@ -147,28 +139,28 @@ class RecoveryCoordinator:
             self.service.adopt_engine(restored)
         _count_recovery("storage")
 
-    def master_source(self, table: str):
-        """Rebuild one table's encrypted rows from the DP's epoch package.
-
-        The anti-entropy repairer's last resort when no healthy peer
-        holds the table.  Declines (returns ``None``) once a key
-        rotation has run: the retained packages hold *pre-rotation*
-        ciphertexts, and re-installing them would fail verification
-        under the rotated keys — those tables must re-sync from a peer
-        or be re-shipped by the data provider.
+    def master_source(self, table: str) -> TableImage | None:
+        """One table's image from the DP's retained epoch package: rows
+        at their ingest row ids, with the sealed bins and tree the service
+        landed.  The anti-entropy repairer's last resort when no healthy
+        peer holds the table.  Declines (``None``) once a key rotation
+        has run: the retained packages hold pre-rotation ciphertexts.
         """
-        from repro.storage.table import Row
-
         if getattr(self.service.engine, "rewrite_generation", 0) > 0:
             return None
         for epoch_id, package in self.service._packages.items():
             if self.service._table_name(epoch_id) != table:
                 continue
-            rows = [
-                Row(row_id=position, columns=tuple(row.as_columns()))
-                for position, row in enumerate(package.rows)
-            ]
-            return (package.column_names, rows, ["index_key"])
+            # Ingest lands the sidecars only on a service that reads them.
+            sealed = not self.service.config.oblivious
+            return TableImage(
+                table, tuple(package.column_names),
+                {i: tuple(row.as_columns()) for i, row in enumerate(package.rows)},
+                len(package.rows), ("index_key",),
+                bins={pb.bin_index: pb.row_ids for pb in package.packed_bins}
+                if sealed and package.packed_bins else None,
+                tree=package.agg_tree if sealed else None,
+            )
         return None
 
     def repair_replicas(self, fence=None) -> list:

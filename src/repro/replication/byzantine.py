@@ -183,14 +183,14 @@ class ByzantineReplica:
         from a healthy peer.  Returns the number of rows corrupted.
         """
         tampered = 0
-        for row in list(self.inner.snapshot_rows(table)):
-            if row.row_id % every:
+        for row_id, stored in sorted(self.inner.image(table).rows.items()):
+            if row_id % every:
                 continue
-            columns = list(row.columns)
+            columns = list(stored)
             payload = columns[0]
             if isinstance(payload, bytes) and payload:
                 columns[0] = payload[:-1] + bytes([payload[-1] ^ 0x5A])
-                self.inner.overwrite(table, row.row_id, columns)
+                self.inner.overwrite(table, row_id, columns)
                 tampered += 1
         if tampered:
             self.tampered_tables.add(table)

@@ -46,7 +46,7 @@ plaintext data.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 from repro import telemetry
@@ -61,7 +61,8 @@ from repro.exceptions import (
 from repro.faults.clock import SystemClock
 from repro.replication.breaker import BreakerConfig, CircuitBreaker
 from repro.replication.deadline import Deadline
-from repro.storage.table import Row
+from repro.storage.engine import RewriteFence
+from repro.storage.table import Row, TableImage
 
 # EWMA smoothing for per-replica attempt latency (hedged-read ordering).
 _LATENCY_ALPHA = 0.3
@@ -179,7 +180,7 @@ class ReplicaQuarantine:
         return sum(len(cells) for cells in self._scopes.values())
 
 
-class ReplicatedStorageEngine:
+class ReplicatedStorageEngine(RewriteFence):
     """N-replica storage with verify-then-failover reads.
 
     Drop-in for :class:`~repro.storage.engine.StorageEngine` on every
@@ -213,9 +214,6 @@ class ReplicatedStorageEngine:
         ]
         # Smoothed per-replica attempt latency, for hedged read order.
         self._latency = [0.0] * len(self.replicas)
-        # Epoch-rewrite fence: repair must not interleave with rotation.
-        self.rewrite_generation = 0
-        self.rewrite_in_progress = False
         # Read-path health flags the executors surface in QueryStats.
         self.degraded = False
         self.last_read_failovers = 0
@@ -265,21 +263,6 @@ class ReplicatedStorageEngine:
         ).set(healthy)
         return healthy
 
-    # -------------------------------------------------------- rotation fence
-
-    def begin_rewrite(self) -> int:
-        """Fence the repairer out while an epoch rewrite is in flight."""
-        self.rewrite_generation += 1
-        self.rewrite_in_progress = True
-        return self.rewrite_generation
-
-    def end_rewrite(self) -> int:
-        """Lift the rewrite fence; bumps the generation so any repair
-        that captured pre-rewrite state aborts instead of applying."""
-        self.rewrite_generation += 1
-        self.rewrite_in_progress = False
-        return self.rewrite_generation
-
     # ------------------------------------------------------------------- DDL
 
     def create_table(self, name: str, column_names: Sequence[str]) -> None:
@@ -297,11 +280,17 @@ class ReplicatedStorageEngine:
     def table_names(self) -> list[str]:
         return self._primary().table_names()
 
-    def column_names(self, table: str) -> tuple[str, ...]:
-        return self._primary().column_names(table)
+    # ------------------------------------------------------- whole tables
 
-    def indexed_columns(self, table: str) -> list[str]:
-        return self._primary().indexed_columns(table)
+    def image(self, table: str) -> TableImage:
+        """The table whole, from the first replica eligible to serve it
+        (stored state: a Byzantine response channel is not consulted)."""
+        return self._primary(table).image(table)
+
+    def install(self, image: TableImage) -> int:
+        """Install ``image`` on every replica, by the write fan-out's
+        rule: a replica that fails it is quarantined for the table."""
+        return self._fanout("install", image.table, lambda r: r.install(image))
 
     # ------------------------------------------------------------------- DML
 
@@ -339,9 +328,6 @@ class ReplicatedStorageEngine:
                 self._diverged(rid, table, "insert")
                 position[rid] += 1
                 del stalled[rid]
-
-    def delete(self, table: str, row_id: int) -> None:
-        self._fanout("delete", table, lambda r: r.delete(table, row_id))
 
     def overwrite(self, table: str, row_id: int, columns: Sequence) -> None:
         self._fanout(
@@ -573,26 +559,8 @@ class ReplicatedStorageEngine:
                 f"{len(self.replicas) - len(candidates)} quarantined/skipped)"
             ) from last_error
 
-    def fetch_row(self, table: str, row_id: int) -> Row:
-        return self._primary(table).fetch_row(table, row_id)
-
-    def lookup(self, table: str, column: str, key) -> list[Row]:
-        return self._primary(table).lookup(table, column, key)
-
-    def range_lookup(self, table: str, column: str, low, high) -> list[Row]:
-        return self._primary(table).range_lookup(table, column, low, high)
-
-    def scan(self, table: str) -> Iterator[Row]:
-        return self._primary(table).scan(table)
-
-    def snapshot_rows(self, table: str) -> list[Row]:
-        return self._primary(table).snapshot_rows(table)
-
     def row_count(self, table: str) -> int:
         return self._primary(table).row_count(table)
-
-    def index_size(self, table: str, column: str) -> int:
-        return self._primary(table).index_size(table, column)
 
     @property
     def access_log(self):
@@ -610,30 +578,22 @@ class ReplicatedStorageEngine:
         return self.quarantine.tables()
 
     def resync_replica(
-        self,
-        replica_id: int,
-        table: str,
-        column_names: Sequence[str],
-        rows: Sequence[Row],
-        indexed_columns: Sequence[str],
-        expected_generation: int,
+        self, replica_id: int, image: TableImage, expected_generation: int
     ) -> int:
-        """Adopt a snapshot into one replica's table, behind the fence.
+        """Install a source image on one replica, behind the fence.
 
         Refuses with :class:`RepairFenced` if an epoch rewrite started
-        (or completed) since the snapshot was taken — applying would
+        (or completed) since the image was taken — applying would
         resurrect pre-rotation ciphertexts.
         """
         if self.rewrite_in_progress or self.rewrite_generation != expected_generation:
             raise RepairFenced(
-                f"repair of replica {replica_id} table {table!r} fenced: "
+                f"repair of replica {replica_id} table {image.table!r} fenced: "
                 f"rewrite generation moved {expected_generation} -> "
                 f"{self.rewrite_generation}"
                 + (" (rewrite in progress)" if self.rewrite_in_progress else "")
             )
-        return self.replicas[replica_id].rebuild_table(
-            table, column_names, rows, indexed_columns
-        )
+        return self.replicas[replica_id].install(image)
 
     def checkpoint_source(self):
         """The unwrapped engine checkpoints should be cut from.
@@ -646,8 +606,7 @@ class ReplicatedStorageEngine:
         for rid, replica in enumerate(self.replicas):
             if self.breakers[rid].state == "closed" and rid not in quarantined:
                 return getattr(replica, "inner", replica)
-        replica = self.replicas[0]
-        return getattr(replica, "inner", replica)
+        return getattr(self.replicas[0], "inner", self.replicas[0])
 
     # -------------------------------------------------------------- internal
 

@@ -2,30 +2,30 @@
 
 The repairer walks the engine's quarantine worklist — every (replica,
 table) scope a failed verification or write divergence put there — and
-rebuilds each quarantined table from a trustworthy snapshot:
+installs each quarantined table from a trustworthy
+:class:`~repro.storage.table.TableImage`, sealed bins and tree included:
 
-- **Peer source.**  When two or more healthy peers hold the table,
-  their snapshots are digest-compared and the majority wins — a peer
-  whose *stored* state silently rotted (never caught on the read path
-  because it was never asked) cannot poison the repair.  A single
-  healthy peer is trusted as-is.
+- **Peer source.**  The majority image of the healthy peers holding
+  the table (a lone peer is trusted as-is): a peer whose *stored*
+  state silently rotted, never asked on the read path, cannot poison
+  the repair.
 - **Master source.**  When no healthy peer holds the table, an
   optional ``master_source`` callback (wired to the data provider via
   :class:`~repro.faults.recovery.RecoveryCoordinator`) reconstructs
-  the encrypted rows from the retained epoch packages.
+  the table's image from the retained epoch package.
 - **Stored-state quorum.**  When even the master declines (e.g. after
   a key rotation invalidated the retained packages), a strict majority
-  of byte-identical *stored* snapshots across the whole group —
+  of identical *stored* images across the whole group —
   quarantined members included — is adopted: quarantine distrusts a
   replica's response channel, not its disk, and independent rot cannot
   mint a matching majority.
 
 Every repair is **fenced against epoch rotation**: the engine's
-rewrite generation is captured before the snapshot and re-checked by
+rewrite generation is captured before the image is taken and re-checked by
 :meth:`~repro.replication.engine.ReplicatedStorageEngine.resync_replica`
 at apply time.  A rotation that begins (or completes) in between aborts
 the repair with :class:`~repro.exceptions.RepairFenced` — applying a
-pre-rotation snapshot would resurrect old-key ciphertexts that no
+pre-rotation image would resurrect old-key ciphertexts that no
 longer verify.  Fenced repairs stay on the worklist and succeed on the
 next pass.
 
@@ -35,19 +35,16 @@ outcome reveal fault behaviour, not data.
 
 from __future__ import annotations
 
-import hashlib
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro import telemetry
 from repro.exceptions import RepairFenced
 from repro.replication.engine import ReplicatedStorageEngine
-from repro.storage.table import Row
+from repro.storage.table import TableImage
 
-# master_source(table) -> (column_names, rows, indexed_columns) | None
-MasterSource = Callable[
-    [str], "tuple[Sequence[str], Sequence[Row], Sequence[str]] | None"
-]
+# master_source(table) -> the table's image, or None to decline
+MasterSource = Callable[[str], "TableImage | None"]
 
 
 @dataclass(frozen=True)
@@ -61,16 +58,11 @@ class RepairOutcome:
     source: str = ""  # "peer:<id>" | "majority:<k>/<n>" | "master" | "quorum:<k>/<n>" | ""
 
 
-def _snapshot_digest(rows: Sequence[Row]) -> str:
-    """A stable digest of a table snapshot for majority comparison."""
-    digest = hashlib.sha256()
-    for row in sorted(rows, key=lambda r: r.row_id):
-        digest.update(str(row.row_id).encode())
-        for column in row.columns:
-            payload = column if isinstance(column, bytes) else str(column).encode()
-            digest.update(len(payload).to_bytes(4, "big"))
-            digest.update(payload)
-    return digest.hexdigest()
+def _majority(images: dict[int, TableImage]) -> list[int]:
+    """The largest group of replicas holding equal images (the first
+    such group on a tie), in replica order."""
+    groups = [[rid for rid in images if images[rid] == image] for image in images.values()]
+    return max(groups, key=len)
 
 
 class AntiEntropyRepairer:
@@ -102,42 +94,20 @@ class AntiEntropyRepairer:
             outcomes.append(self._repair(replica_id, table))
         return outcomes
 
-    def run_until_clean(self, max_passes: int = 3) -> list[RepairOutcome]:
-        """Repeat passes until the worklist drains or stops shrinking.
-
-        Fenced and source-less repairs can clear up between passes
-        (rotation finishing, peers recovering); anything still stuck
-        after ``max_passes`` is left quarantined for the operator.
-        """
-        outcomes: list[RepairOutcome] = []
-        for _ in range(max_passes):
-            batch = self.run_once()
-            outcomes.extend(batch)
-            if not batch or all(o.outcome == "repaired" for o in batch):
-                break
-        return outcomes
-
     # -------------------------------------------------------------- internal
 
     def _repair(self, replica_id: int, table: str) -> RepairOutcome:
         engine = self.engine
-        if engine.rewrite_in_progress:
-            return self._outcome(replica_id, table, "fenced")
-        if self.fence is not None and self.fence():
+        if engine.rewrite_in_progress or (self.fence is not None and self.fence()):
             return self._outcome(replica_id, table, "fenced")
         generation = engine.rewrite_generation
         chosen = self._choose_source(replica_id, table)
         if chosen is None:
             return self._outcome(replica_id, table, "no-source")
-        column_names, rows, indexed, source = chosen
+        image, source = chosen
         try:
             installed = engine.resync_replica(
-                replica_id,
-                table,
-                column_names,
-                rows,
-                indexed,
-                expected_generation=generation,
+                replica_id, image, expected_generation=generation
             )
         except RepairFenced:
             return self._outcome(replica_id, table, "fenced")
@@ -148,78 +118,44 @@ class AntiEntropyRepairer:
         )
 
     def _choose_source(self, replica_id: int, table: str):
-        """Pick a trustworthy snapshot: peer majority, lone peer, master."""
+        """Pick a trustworthy ``(image, source)``: peer majority or lone
+        peer, then the master, then a stored-state quorum."""
         engine = self.engine
         quarantined = {rid for rid, _ in engine.quarantine.tables()}
+        holders = [
+            rid for rid, replica in enumerate(engine.replicas) if replica.has_table(table)
+        ]
         peers = [
             rid
-            for rid in range(len(engine.replicas))
+            for rid in holders
             if rid != replica_id
             and rid not in quarantined
             and engine.breakers[rid].state == "closed"
-            and engine.replicas[rid].has_table(table)
         ]
         if peers:
-            snapshots = {
-                rid: engine.replicas[rid].snapshot_rows(table) for rid in peers
-            }
+            images = {rid: engine.replicas[rid].image(table) for rid in peers}
+            majority = _majority(images)
             if len(peers) == 1:
-                rid = peers[0]
-                return (
-                    engine.replicas[rid].column_names(table),
-                    snapshots[rid],
-                    engine.replicas[rid].indexed_columns(table),
-                    f"peer:{rid}",
-                )
-            by_digest: dict[str, list[int]] = {}
-            for rid in peers:
-                by_digest.setdefault(_snapshot_digest(snapshots[rid]), []).append(rid)
-            majority = max(by_digest.values(), key=len)
-            rid = majority[0]
-            return (
-                engine.replicas[rid].column_names(table),
-                snapshots[rid],
-                engine.replicas[rid].indexed_columns(table),
-                f"majority:{len(majority)}/{len(peers)}",
-            )
+                return images[peers[0]], f"peer:{peers[0]}"
+            return images[majority[0]], f"majority:{len(majority)}/{len(peers)}"
         if self.master_source is not None:
-            reconstructed = self.master_source(table)
-            if reconstructed is not None:
-                column_names, rows, indexed = reconstructed
-                return (column_names, rows, indexed, "master")
+            image = self.master_source(table)
+            if image is not None:
+                return image, "master"
         # Last resort: a stored-state quorum across the WHOLE group,
         # quarantined members included.  Quarantine marks a replica's
         # *response channel* untrusted (tampered answers, stale
         # replays), not its disk — a Byzantine response channel leaves
         # stored rows untouched.  When every peer is quarantined and
-        # the master declines, a strict majority of byte-identical
-        # stored snapshots cannot have arisen from independent rot, so
-        # it is adopted as truth and the group re-converges instead of
+        # the master declines, a strict majority of identical stored
+        # images cannot have arisen from independent rot, so it is
+        # adopted as truth and the group re-converges instead of
         # staying wedged forever.
-        holders = [
-            rid
-            for rid in range(len(engine.replicas))
-            if engine.replicas[rid].has_table(table)
-        ]
         if len(holders) > 1:
-            snapshots = {
-                rid: engine.replicas[rid].snapshot_rows(table)
-                for rid in holders
-            }
-            by_digest: dict[str, list[int]] = {}
-            for rid in holders:
-                by_digest.setdefault(
-                    _snapshot_digest(snapshots[rid]), []
-                ).append(rid)
-            quorum = max(by_digest.values(), key=len)
+            images = {rid: engine.replicas[rid].image(table) for rid in holders}
+            quorum = _majority(images)
             if len(quorum) > len(engine.replicas) // 2:
-                rid = quorum[0]
-                return (
-                    engine.replicas[rid].column_names(table),
-                    snapshots[rid],
-                    engine.replicas[rid].indexed_columns(table),
-                    f"quorum:{len(quorum)}/{len(holders)}",
-                )
+                return images[quorum[0]], f"quorum:{len(quorum)}/{len(holders)}"
         return None
 
     def _outcome(

@@ -8,7 +8,7 @@ offline reproduction provides an embedded engine with the same contract:
 - :mod:`repro.storage.btree` — a from-scratch B+-tree (point lookup,
   duplicate keys, ordered range scans) used for every secondary index.
 - :mod:`repro.storage.table` — an append-only row store with stable
-  row ids.
+  row ids, and :class:`TableImage`, a table whole.
 - :mod:`repro.storage.pager` — a page model plus the :class:`AccessLog`
   that records every page/row the engine touches.  The access log **is
   the adversary's view**: security tests and the leakage experiments
@@ -21,7 +21,7 @@ from repro.storage.btree import BPlusTree
 from repro.storage.checkpoint import checkpoint_engine, restore_engine
 from repro.storage.engine import StorageEngine
 from repro.storage.pager import AccessEvent, AccessLog, Pager
-from repro.storage.table import Row, Table
+from repro.storage.table import Row, Table, TableImage
 
 __all__ = [
     "AccessEvent",
@@ -31,6 +31,7 @@ __all__ = [
     "Row",
     "StorageEngine",
     "Table",
+    "TableImage",
     "checkpoint_engine",
     "restore_engine",
 ]

@@ -1,10 +1,11 @@
 """Checkpoint / restore for the embedded storage engine.
 
 A service provider restarting should not need the data provider to
-re-ship every epoch, so the engine supports durable snapshots.  The
-format is a versioned pickle of tables plus index *definitions* —
-B+-trees are rebuilt on restore rather than serialised, which keeps
-snapshots compact and immune to internal-layout changes.
+re-ship every epoch, so the engine supports durable snapshots: a
+versioned pickle of every table's
+:class:`~repro.storage.table.TableImage`.  B+-trees and sealed bins
+are rebuilt on restore from index definitions and slot layouts, which
+keeps snapshots compact, and a restored epoch reads sealed bins.
 
 Snapshots are **integrity-framed**: the pickled payload is followed by
 a footer of ``sha256(payload) || uint64(len(payload)) || magic``.  A
@@ -30,7 +31,7 @@ from repro.exceptions import StorageError, TransientStorageError
 from repro.faults.injector import FaultInjector, NULL_INJECTOR
 from repro.storage.engine import StorageEngine
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 _MAGIC = b"CONCEALER-CKPT\x00\x02"
 _FOOTER = struct.Struct("<32sQ16s")  # sha256, payload length, magic
 
@@ -81,7 +82,7 @@ def checkpoint_engine(
     path: str | Path,
     fault_injector: FaultInjector | None = None,
 ) -> Path:
-    """Write a durable snapshot of all tables and index definitions.
+    """Write a durable snapshot: the image of every table.
 
     ``fault_injector`` lets the chaos harness simulate a torn write (a
     crash mid-checkpoint): the file is left truncated *without* the
@@ -91,17 +92,9 @@ def checkpoint_engine(
     injector = fault_injector or NULL_INJECTOR
     snapshot = {
         "version": _FORMAT_VERSION,
-        "btree_order": engine._btree_order,
-        "rows_per_page": engine._rows_per_page,
-        "tables": {
-            name: {
-                "columns": table.column_names,
-                "next_row_id": table._next_row_id,
-                "rows": dict(table._rows),
-            }
-            for name, table in engine._tables.items()
-        },
-        "indexes": sorted(engine._indexes.keys()),
+        "btree_order": engine.btree_order,
+        "rows_per_page": engine.rows_per_page,
+        "images": [engine.image(name) for name in engine.table_names()],
     }
     payload = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
     outcomes = telemetry.counter(
@@ -129,7 +122,7 @@ def checkpoint_engine(
 
 
 def restore_engine(path: str | Path) -> StorageEngine:
-    """Rebuild an engine (tables + indexes) from a snapshot.
+    """Rebuild an engine from a snapshot, installing each table image.
 
     Fails loudly with :class:`StorageError` on truncation, checksum
     mismatch, a missing footer, or an unknown ``_FORMAT_VERSION``.
@@ -144,8 +137,8 @@ def restore_engine(path: str | Path) -> StorageEngine:
                 f"checkpoint {path} passed its checksum but failed to "
                 f"deserialise: {error}"
             ) from error
-        if not isinstance(snapshot, dict) or snapshot.get("version") != _FORMAT_VERSION:
-            version = snapshot.get("version") if isinstance(snapshot, dict) else None
+        version = snapshot.get("version") if isinstance(snapshot, dict) else None
+        if version != _FORMAT_VERSION:
             raise StorageError(
                 f"unsupported checkpoint version {version!r} "
                 f"(this build reads version {_FORMAT_VERSION})"
@@ -154,16 +147,8 @@ def restore_engine(path: str | Path) -> StorageEngine:
             btree_order=snapshot["btree_order"],
             rows_per_page=snapshot["rows_per_page"],
         )
-        for name, table_snapshot in snapshot["tables"].items():
-            engine.create_table(name, table_snapshot["columns"])
-            table = engine._tables[name]
-            for row_id in sorted(table_snapshot["rows"]):
-                table._rows[row_id] = tuple(table_snapshot["rows"][row_id])
-                engine._pagers[name].note_row(row_id)
-            table._next_row_id = table_snapshot["next_row_id"]
-        for table_name, column in snapshot["indexes"]:
-            engine.create_index(table_name, column)
-        engine.access_log.clear()
+        for image in snapshot["images"]:
+            engine.install(image, logged=False)
     telemetry.counter(
         "concealer_restores_total",
         "storage engines rebuilt from checkpoint snapshots",

@@ -13,7 +13,7 @@ leakage experiments analyse.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 
 from repro import telemetry
 from repro.exceptions import (
@@ -25,7 +25,7 @@ from repro.exceptions import (
 from repro.faults.injector import FaultInjector, NULL_INJECTOR
 from repro.storage.btree import BPlusTree
 from repro.storage.pager import AccessKind, AccessLog, Pager
-from repro.storage.table import Row, Table
+from repro.storage.table import Row, Table, TableImage
 
 
 def _count_rows_written(rows: int) -> None:
@@ -44,7 +44,30 @@ def _count_rows_read(rows: int) -> None:
     ).inc(rows)
 
 
-class StorageEngine:
+class RewriteFence:
+    """The epoch-rewrite fence of an engine or a replica group: key
+    rotation and §6 bin rewrites bump the generation, and
+    generation-stamped consumers (the enclave's tree state, anti-entropy
+    repair) discard state captured under an older one."""
+
+    rewrite_generation = 0
+    rewrite_in_progress = False
+
+    def begin_rewrite(self) -> int:
+        """Mark an epoch rewrite in flight; stale-state consumers fence."""
+        self.rewrite_generation += 1
+        self.rewrite_in_progress = True
+        return self.rewrite_generation
+
+    def end_rewrite(self) -> int:
+        """Lift the rewrite fence; bumps the generation so state captured
+        pre-rewrite (a repair's source image) is discarded, not applied."""
+        self.rewrite_generation += 1
+        self.rewrite_in_progress = False
+        return self.rewrite_generation
+
+
+class StorageEngine(RewriteFence):
     """An embedded multi-table database with secondary B+-tree indexes.
 
     >>> engine = StorageEngine()
@@ -64,35 +87,13 @@ class StorageEngine:
         self._tables: dict[str, Table] = {}
         self._indexes: dict[tuple[str, str], BPlusTree] = {}
         self._pagers: dict[str, Pager] = {}
-        self._btree_order = btree_order
-        self._rows_per_page = rows_per_page
+        self.btree_order = btree_order
+        self.rows_per_page = rows_per_page
         self.access_log = AccessLog()
         # Chaos hook: reads/writes may fail transiently, and lookup
         # *results* may be corrupted / dropped / duplicated — the
         # malicious-host tampering the hash chains are meant to detect.
         self.fault_injector = fault_injector or NULL_INJECTOR
-        # Epoch-rewrite fence, mirroring ReplicatedStorageEngine: key
-        # rotation and §6 bin rewrites bump the generation, and
-        # generation-stamped consumers (the enclave's tree state,
-        # anti-entropy repair) discard state captured under an older
-        # generation.
-        self.rewrite_generation = 0
-        self.rewrite_in_progress = False
-
-    # -------------------------------------------------------- rotation fence
-
-    def begin_rewrite(self) -> int:
-        """Mark an epoch rewrite in flight; stale-state consumers fence."""
-        self.rewrite_generation += 1
-        self.rewrite_in_progress = True
-        return self.rewrite_generation
-
-    def end_rewrite(self) -> int:
-        """Lift the rewrite fence; bumps the generation so state captured
-        pre-rewrite is discarded instead of served."""
-        self.rewrite_generation += 1
-        self.rewrite_in_progress = False
-        return self.rewrite_generation
 
     # ------------------------------------------------------------------- DDL
 
@@ -101,7 +102,7 @@ class StorageEngine:
         if name in self._tables:
             raise StorageError(f"table {name!r} already exists")
         self._tables[name] = Table(name, column_names)
-        self._pagers[name] = Pager(rows_per_page=self._rows_per_page)
+        self._pagers[name] = Pager(rows_per_page=self.rows_per_page)
 
     def drop_table(self, name: str) -> None:
         """Drop a table and all its indexes."""
@@ -117,7 +118,7 @@ class StorageEngine:
         position = tbl.column_index(column)
         if (table, column) in self._indexes:
             raise StorageError(f"index on {table}.{column} already exists")
-        tree = BPlusTree(order=self._btree_order)
+        tree = BPlusTree(order=self.btree_order)
         self._load_index(tbl, tree, position)
         self._indexes[(table, column)] = tree
 
@@ -139,43 +140,57 @@ class StorageEngine:
         """All table names, sorted."""
         return sorted(self._tables)
 
-    def column_names(self, table: str) -> tuple[str, ...]:
-        """The column names of a table (for replication and repair)."""
-        return self._table(table).column_names
+    # ------------------------------------------------------- whole tables
 
-    def indexed_columns(self, table: str) -> list[str]:
-        """Columns carrying a B+-tree index on this table, sorted."""
-        self._table(table)
-        return sorted(col for (tname, col) in self._indexes if tname == table)
+    def image(self, table: str) -> TableImage:
+        """The table whole.  A maintenance-plane bulk copy (checkpoint,
+        repair source, rotation intent), not a query: unlogged."""
+        tbl = self._table(table)
+        packed = tbl.packed_bins
+        return TableImage(
+            table=table,
+            column_names=tbl.column_names,
+            rows=dict(tbl._rows),
+            next_row_id=tbl._next_row_id,
+            indexed=tuple(sorted(col for name, col in self._indexes if name == table)),
+            bins=None if packed is None else {b: pb.row_ids for b, pb in packed.items()},
+            tree=tbl.agg_tree,
+        )
 
-    def rebuild_table(
-        self,
-        name: str,
-        column_names: Sequence[str],
-        rows: Sequence[Row],
-        indexed_columns: Sequence[str] = (),
-    ) -> int:
-        """Replace a table wholesale from a row snapshot, preserving ids.
-
-        The anti-entropy repair path: a quarantined replica adopts a
-        healthy peer's rows byte-for-byte (same row ids, so physical
-        addresses stay aligned across replicas).  Returns the number of
-        rows installed.
+    def install(self, image: TableImage, logged: bool = True) -> int:
+        """Replace ``image.table`` wholesale by ``image``; returns its row
+        count.  The sealed bins are re-packed from the installed rows by
+        the image's slot layout, so they serve exactly the stored bytes.
+        The host sees one ``ROW_WRITE`` run over the row ids, and the
+        rows-written counter moves; ``logged=False`` (a restore loading
+        a fresh host's disk) records neither.
         """
+        from repro.core.packed import PackedBin  # core imports storage
+
+        name = image.table
         if self.has_table(name):
-            self.drop_table(name)  # also drops the packed sidecar
-        self.create_table(name, column_names)
+            self.drop_table(name)
+        self.create_table(name, image.column_names)
         tbl = self._tables[name]
-        next_row_id = 0
-        for row in rows:
-            tbl._rows[row.row_id] = tuple(row.columns)
-            self._pagers[name].note_row(row.row_id)
-            next_row_id = max(next_row_id, row.row_id + 1)
-        tbl._next_row_id = next_row_id
-        for column in indexed_columns:
+        row_ids = sorted(image.rows)
+        tbl._rows.update((row_id, image.rows[row_id]) for row_id in row_ids)
+        tbl._next_row_id = image.next_row_id
+        if row_ids:
+            self._pagers[name].note_row(row_ids[-1])
+        for column in image.indexed:
             self.create_index(name, column)
-        _count_rows_written(len(tbl))
-        return len(tbl)
+        if image.bins is not None:
+            tbl.packed_bins = {
+                b: PackedBin.pack(b, [tbl.fetch(row_id) for row_id in ids])
+                for b, ids in image.bins.items()
+            }
+        tbl.agg_tree = image.tree
+        if logged:
+            self.access_log.record_run(
+                name, None, (None,), (0,), row_ids, None, AccessKind.ROW_WRITE
+            )
+            _count_rows_written(len(row_ids))
+        return len(row_ids)
 
     # ------------------------------------------------------------------- DML
 
@@ -256,10 +271,6 @@ class StorageEngine:
 
     # ----------------------------------------------------------------- reads
 
-    def fetch_row(self, table: str, row_id: int) -> Row:
-        """Read one row by physical id (logged as the adversary sees it)."""
-        return self._read(table, None, (None,), lambda _: (row_id,))[0]
-
     def lookup(self, table: str, column: str, key) -> list[Row]:
         """Index point lookup: all rows whose ``column`` equals ``key``."""
         tree = self._index(table, column)
@@ -335,14 +346,12 @@ class StorageEngine:
     # ------------------------------------------------------------ packed bins
 
     def store_packed_bins(self, table: str, packed_bins: Sequence) -> None:
-        """Install the columnar sidecar for a table (one PackedBin per bin).
+        """Install the sealed bins of a table (one PackedBin per bin).
 
-        Derived data: any later mutation of the table (insert, delete,
-        overwrite, rebuild, drop) silently discards it and readers fall
-        back to trapdoor lookups.  The sidecar lives *on the Table*
-        so even mutations that bypass the engine wrappers (a tampering
-        host writing rows directly) invalidate it — a sidecar read can
-        never serve pre-tamper bytes a verifier would wrongly bless.
+        Derived data: any later row mutation (insert, delete, overwrite,
+        even one behind the engine's back — the bins live on the Table)
+        drops them and readers fall back to trapdoor lookups, so a bin
+        read never serves bytes the rows do not hold.
         """
         self._table(table).packed_bins = {
             packed.bin_index: packed for packed in packed_bins
@@ -396,13 +405,8 @@ class StorageEngine:
     # ---------------------------------------------------------- aggregate tree
 
     def store_agg_tree(self, table: str, tree) -> None:
-        """Install the aggregate-tree sidecar for a table.
-
-        Same derived-data contract as :meth:`store_packed_bins`: any
-        later row mutation discards it (the sidecar lives on the Table,
-        so even engine-bypassing mutations invalidate), and readers fall
-        back to the bin path when it is absent.
-        """
+        """Install the aggregate-tree sidecar for a table: derived data,
+        as :meth:`store_packed_bins`; readers fall back to the bins."""
         self._table(table).agg_tree = tree
 
     def has_agg_tree(self, table: str) -> bool:
@@ -472,16 +476,6 @@ class StorageEngine:
             )
         return chosen
 
-    def range_lookup(self, table: str, column: str, low, high) -> list[Row]:
-        """Index range scan over ``[low, high]``."""
-        tree = self._index(table, column)
-        return self._read(
-            table,
-            AccessKind.INDEX_SCAN,
-            (None,),
-            lambda _: chain.from_iterable(ids for _, ids in tree.range(low, high)),
-        )
-
     def scan(self, table: str) -> Iterator[Row]:
         """Full table scan (what the Opaque baseline must do)."""
         tbl = self._table(table)
@@ -495,15 +489,6 @@ class StorageEngine:
         for row in tbl.scan():
             row_ids.append(row.row_id)
             yield row
-
-    def snapshot_rows(self, table: str) -> list[Row]:
-        """An unlogged copy of a table's live rows, in row-id order.
-
-        Maintenance-plane read used by key rotation, checkpointing and
-        anti-entropy repair; it bypasses the access log because it
-        models an operator-side bulk copy, not a query-path access.
-        """
-        return list(self._table(table).scan())
 
     def row_count(self, table: str) -> int:
         """Live-row count (part of the paper's setup leakage L_s)."""

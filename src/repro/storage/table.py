@@ -33,6 +33,24 @@ class Row:
         return len(self.columns)
 
 
+@dataclass(frozen=True)
+class TableImage:
+    """One table whole: what checkpoint, restore, repair and key
+    rotation move.  ``bins`` is each sealed bin's row ids in slot order
+    (public layout, re-packed from ``rows`` on install) or ``None``;
+    ``tree`` the aggregate-tree sidecar or ``None``.  Equal images
+    install equal tables.
+    """
+
+    table: str
+    column_names: tuple[str, ...]
+    rows: dict[int, tuple]
+    next_row_id: int
+    indexed: tuple[str, ...]
+    bins: dict[int, tuple[int, ...]] | None = None
+    tree: object | None = None
+
+
 class Table:
     """A named, schema-checked, append-only row store.
 
@@ -63,11 +81,6 @@ class Table:
         # aggregates that diverge from the row store.
         self.agg_tree: object | None = None
 
-    @property
-    def column_count(self) -> int:
-        """Number of columns in the schema."""
-        return len(self.column_names)
-
     def column_index(self, column: str) -> int:
         """Position of a named column; raises if unknown."""
         try:
@@ -79,9 +92,9 @@ class Table:
 
     def insert(self, columns: Sequence) -> int:
         """Append one row; returns its new row id."""
-        if len(columns) != self.column_count:
+        if len(columns) != len(self.column_names):
             raise StorageError(
-                f"table {self.name!r} expects {self.column_count} columns, "
+                f"table {self.name!r} expects {len(self.column_names)} columns, "
                 f"got {len(columns)}"
             )
         row_id = self._next_row_id
@@ -104,9 +117,9 @@ class Table:
         """Replace the columns of an existing row in place."""
         if row_id not in self._rows:
             raise StorageError(f"table {self.name!r} has no row {row_id}")
-        if len(columns) != self.column_count:
+        if len(columns) != len(self.column_names):
             raise StorageError(
-                f"table {self.name!r} expects {self.column_count} columns"
+                f"table {self.name!r} expects {len(self.column_names)} columns"
             )
         self._rows[row_id] = tuple(columns)
         self.packed_bins = None

@@ -5,8 +5,9 @@ member's ``QueryStats``, the batch counters (``concealer_batch_*`` and
 the batch's own fetch accounting) and the host access-log stream of
 every storage engine involved.  The batches cover: all members shared,
 a mix that opens with a direct (eBPB) member and carries every method,
-verify on and off, oblivious execution, a 3-replica engine, and an
-epoch read by trapdoor because key rotation dropped its sidecar.
+verify on and off, oblivious execution, a 3-replica engine, and a
+key-rotated epoch read by trapdoor (landed without its sealed bins:
+rotation keeps the bins an epoch has, and drops its tree).
 
 The digests were captured at 2104ce1, when a batch was planned up
 front and its deduplicated bins prefetched before any member ran;
@@ -89,7 +90,7 @@ SCENARIOS = {
     "mixed-verify": (MIXED, {"verify": True}),
     "oblivious": (OBLIVIOUS, {"verify": True, "oblivious": True}),
     "replicated": (MIXED, {"verify": True, "replicas": 3}),
-    "rotated": (MIXED, {"verify": True, "rotated": True}),
+    "rotated": (MIXED, {"verify": True, "rotated": True, "sidecar": False}),
 }
 
 # Captured at 2104ce1, with the batch planner and its prefetch in place.

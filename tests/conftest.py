@@ -112,6 +112,15 @@ def ground_truth_count(records, location=None, t0=None, t1=None, device=None):
     return total
 
 
+def stored_rows(engine, table):
+    """A table's stored rows in row-id order, read from its image (no
+    access-log entry)."""
+    from repro.storage.table import Row
+
+    rows = engine.image(table).rows
+    return [Row(row_id, rows[row_id]) for row_id in sorted(rows)]
+
+
 def is_fake_row(context, row) -> bool:
     """Whether a fetched row is one of the provider's fakes (by the
     index key the enclave decrypts)."""
@@ -131,7 +140,7 @@ def as_trapdoor_heads(engine):
 
     keys = {}
     for table in engine.table_names():
-        keys.update({(table, row.row_id): row.columns[-1] for row in engine.snapshot_rows(table)})
+        keys.update({(table, row.row_id): row.columns[-1] for row in stored_rows(engine, table)})
     owed = 0
     for event in engine.access_log:
         if event.kind is AccessKind.BIN_READ and isinstance(event.detail, tuple):

@@ -132,7 +132,7 @@ def _service(fake_strategy=FakeStrategy.SIMULATED, pad_to=None):
 
 def _padded():
     """Ten rows above what the ``SIMULATED`` layout needs."""
-    needed = len(_service().engine.snapshot_rows("epoch_0"))
+    needed = _service().engine.row_count("epoch_0")
     return _service(pad_to=needed + 10)
 
 

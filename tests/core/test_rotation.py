@@ -10,13 +10,19 @@ from repro import (
     PointQuery,
     ServiceProvider,
     WIFI_SCHEMA,
+    telemetry,
 )
 from repro.core.rotation import rotate_service_keys, rotation_token
-from repro.exceptions import AuthorizationError, CryptoError
+from repro.exceptions import AuthorizationError, CryptoError, EnclaveCrashed
+from repro.faults.clock import VirtualClock
+from repro.faults.injector import FaultEvent, FaultInjector
+from repro.faults.recovery import RecoveryCoordinator
+from repro.sharding.coordinator import rotate_sharded_keys
+from repro.sharding.service import build_replica_group
 from repro.storage.pager import AccessKind
 from repro.workloads.queries import build_q1
 
-from tests.conftest import MASTER_KEY, is_fake_row, make_stack
+from tests.conftest import MASTER_KEY, is_fake_row, make_stack, stored_rows
 
 OLD_KEY = b"\x81" * 32
 NEW_KEY = b"\x82" * 32
@@ -214,7 +220,7 @@ class TestRotationAuthenticatesWhatItReseals:
                 WIFI_SCHEMA.filter_groups[0], (location,), timestamp
             )
         )
-        rows = service.engine.snapshot_rows("epoch_0")
+        rows = stored_rows(service.engine, "epoch_0")
         matching = [row for row in rows if row.columns[0] == wanted]
         other = next(
             row for row in rows
@@ -226,13 +232,13 @@ class TestRotationAuthenticatesWhatItReseals:
 
     def _rotation_aborts(self, service):
         engine = service.engine
-        tampered = [row.columns for row in engine.snapshot_rows("epoch_0")]
+        tampered = [row.columns for row in stored_rows(engine, "epoch_0")]
         with pytest.raises(CryptoError):
             rotate_service_keys(
                 service, NEW_KEY, rotation_token(OLD_KEY, NEW_KEY)
             )
         assert service.enclave.master_key == OLD_KEY
-        assert [r.columns for r in engine.snapshot_rows("epoch_0")] == tampered
+        assert [r.columns for r in stored_rows(engine, "epoch_0")] == tampered
 
     def _old_key_answers(self, service, query, expected):
         answer, stats = service.execute_point(query)
@@ -271,3 +277,100 @@ class TestRotationAuthenticatesWhatItReseals:
         )
         assert rows == service.engine.row_count("epoch_0")
         self._old_key_answers(service, query, expected)  # now under NEW_KEY
+
+
+def _images(engine, table="epoch_0"):
+    """Every host's image of ``table`` and the bytes of its sealed bins."""
+    hosts = getattr(engine, "replicas", [engine])
+    return [
+        (host.image(table), {
+            b: pb.to_bytes() for b, pb in (host._tables[table].packed_bins or {}).items()
+        })
+        for host in hosts
+    ]
+
+
+class TestAbortedRotationRestoresWholeImages:
+    """An aborted rotation installs each touched epoch's pre-rotation
+    image back: every host's rows, next row id, index definitions,
+    sealed-bin layout and bytes and tree are as before, and the old key
+    answers, verified, from sealed bins."""
+
+    @pytest.mark.parametrize("replicas", [1, 3])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_enclave_killed_at_a_rotation_kill_point(
+        self, wifi_records, grid_spec, replicas, where
+    ):
+        engine = build_replica_group(replicas, clock=VirtualClock()) if replicas > 1 else None
+        provider, service = make_stack(grid_spec, wifi_records, verify=True, engine=engine)
+        second = grid_spec.epoch_duration
+        service.ingest_epoch(provider.encrypt_epoch(
+            [(loc, t + second, dev) for loc, t, dev in wifi_records], epoch_id=second
+        ))
+        tables = service.engine.table_names()
+        before = {table: _images(service.engine, table) for table in tables}
+        assert all(images[0][0].bins for images in before.values())
+        # One kill point per epoch, then one per row.  "first" kills
+        # before anything is written; "middle" and "last" kill in the
+        # second epoch, after the first was installed re-keyed.
+        rows = [service.engine.row_count(table) for table in tables]
+        kill = {"first": 0, "middle": rows[0] + 1 + rows[1] // 2, "last": sum(rows) + 1}[where]
+        injector = FaultInjector.from_schedule([FaultEvent("enclave.kill.rotation", kill)])
+        service.enclave.fault_injector = injector
+        with telemetry.scoped_registry() as registry:
+            with pytest.raises(EnclaveCrashed):
+                rotate_service_keys(service, NEW_KEY, rotation_token(MASTER_KEY, NEW_KEY))
+        assert injector.fired
+        rolled_back = registry.value("concealer_rotation_epochs_total", phase="rollback")
+        assert rolled_back == (0 if where == "first" else 1)
+        assert {table: _images(service.engine, table) for table in tables} == before
+
+        RecoveryCoordinator(provider, service).recover()
+        assert service.enclave.master_key == MASTER_KEY
+        service.engine.access_log.clear()
+        location, timestamp, _ = wifi_records[0]
+        answer, stats = service.execute_point(
+            PointQuery(index_values=(location,), timestamp=timestamp)
+        )
+        assert answer == sum(1 for r in wifi_records if r[:2] == (location, timestamp))
+        assert stats.verified
+        assert {e.kind for e in service.engine.access_log} & {
+            AccessKind.BIN_READ, AccessKind.INDEX_LOOKUP
+        } == {AccessKind.BIN_READ}
+
+    def test_two_shard_abort_after_prepare(self, tmp_path):
+        from tests.sharding.conftest import epoch_records, make_fleet
+
+        records = epoch_records(0, seed=5)  # both shards hold sealed rows
+        _, probe, _ = make_fleet(tmp_path / "probe", records=records)
+        shard0 = probe.shards[0].service
+        # Shard 0 prepares whole; the next kill point is shard 1's first,
+        # so the coordinator aborts shard 0's prepared rotation.
+        crash = 1 + shard0.engine.row_count(shard0._table_name(0))
+        injector = FaultInjector.from_schedule([FaultEvent("enclave.kill.rotation", crash)])
+        provider, sharded, _ = make_fleet(
+            tmp_path / "fleet", records=records, fault_injector=injector
+        )
+        table = sharded.shards[0].service._table_name(0)
+        before = [_images(shard.service.engine, table) for shard in sharded.shards]
+        assert all(images[0][0].bins and images[0][0].tree for images in before)
+        with pytest.raises(EnclaveCrashed):
+            rotate_sharded_keys(sharded, NEW_KEY, rotation_token(provider.master_key, NEW_KEY))
+        assert injector.fired
+        assert [_images(shard.service.engine, table) for shard in sharded.shards] == before
+
+    def test_a_rotted_primary_aborts_without_touching_its_peers(
+        self, wifi_records, grid_spec
+    ):
+        """The epoch that fails verification was never written, so the
+        rollback does not install the rotted replica's rows on its peers."""
+        engine = build_replica_group(3, clock=VirtualClock())
+        _, service = make_stack(grid_spec, wifi_records, verify=True, engine=engine)
+        before = _images(engine)
+        primary = engine.replicas[0]
+        row_id, columns = next(iter(primary.image("epoch_0").rows.items()))
+        rotted = columns[0][:-1] + bytes([columns[0][-1] ^ 1])
+        primary.overwrite("epoch_0", row_id, [rotted, *columns[1:]])
+        with pytest.raises(CryptoError):
+            rotate_service_keys(service, NEW_KEY, rotation_token(MASTER_KEY, NEW_KEY))
+        assert _images(engine)[1:] == before[1:]

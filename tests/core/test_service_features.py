@@ -19,7 +19,7 @@ from repro.faults.injector import FaultEvent, FaultInjector
 from repro.storage.engine import StorageEngine
 from repro.workloads.queries import build_q1, build_q2
 
-from tests.conftest import MASTER_KEY, TIME_STEP, make_stack
+from tests.conftest import MASTER_KEY, TIME_STEP, make_stack, stored_rows
 
 
 @pytest.fixture
@@ -125,7 +125,7 @@ class TestBulkLanding:
     """``ingest_epoch`` lands an epoch once, resumably, all-or-nothing."""
 
     def _stored(self, service):
-        return [row.columns for row in service.engine.snapshot_rows("epoch_0")]
+        return [row.columns for row in stored_rows(service.engine, "epoch_0")]
 
     @pytest.mark.parametrize("where", ["first", "middle", "last", "two", "same"])
     def test_transient_lands_every_row_exactly_once(

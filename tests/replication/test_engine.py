@@ -34,6 +34,8 @@ from repro.replication import (
 from repro.storage.engine import StorageEngine
 from repro.storage.table import Row
 
+from tests.conftest import stored_rows
+
 TABLE = "t"
 POISON = b"TAMPERED"
 
@@ -180,7 +182,7 @@ class TestBulkLanding:
     @staticmethod
     def _stored(engine):
         return [
-            [(row.row_id, row.columns) for row in replica.snapshot_rows(TABLE)]
+            [(row.row_id, row.columns) for row in stored_rows(replica, TABLE)]
             for replica in engine.replicas
         ]
 
@@ -242,7 +244,7 @@ class TestBulkLanding:
         assert engine.row_count(TABLE) == k
         assert len(engine.quarantine) == 0  # nothing diverged
         engine.insert_many(TABLE, EPOCH, start=engine.row_count(TABLE))
-        stored = [row.columns for row in engine.snapshot_rows(TABLE)]
+        stored = [row.columns for row in stored_rows(engine, TABLE)]
         assert stored == [tuple(row) for row in EPOCH]  # each row exactly once
         assert injector.consultations("storage.write.transient") == 13
 
@@ -268,7 +270,7 @@ class TestBulkLanding:
         assert [r.row_count(TABLE) for r in engine.replicas] == [11, 11, 12]
         assert engine.tables_needing_repair() == [(0, TABLE), (1, TABLE)]
         keys = [
-            [row.columns[1] for row in replica.snapshot_rows(TABLE)]
+            [row.columns[1] for row in stored_rows(replica, TABLE)]
             for replica in engine.replicas
         ]
         want = [row[1] for row in EPOCH]
@@ -527,7 +529,7 @@ def build_kinds(kind, replicas=2, policy=None):
     members = [PerturbedReplica(READS[kind][0], clock) for _ in range(replicas)]
     engine, _ = build(members, policy=policy, clock=clock)
     # Sidecars land after the rows: every insert invalidates them.
-    rows = members[0].snapshot_rows(TABLE)
+    rows = stored_rows(members[0], TABLE)
     engine.store_packed_bins(TABLE, [PackedBin.pack(0, rows)])
     engine.store_agg_tree(TABLE, TinyTree())
     return engine, clock, members

@@ -17,9 +17,10 @@ failover batch's shifted ids — every batch verified, the *union* lied.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro import ServiceConfig
 from repro.core.queries import PointQuery, RangeQuery
-from repro.storage.table import Row
 
 from tests.conftest import ground_truth_count
 from tests.replication.conftest import (
@@ -31,23 +32,20 @@ from tests.replication.conftest import (
 
 
 def _shift_physical_ids(member, table: str, offset: int) -> None:
-    """Reinstall a replica's rows under rotated physical ids.
+    """Reinstall a replica's rows under rotated physical ids, without
+    sidecars (their slot layouts name the old ids).
 
     Contents are untouched — the replica still holds exactly the same
     logical rows, so every per-bin verification keeps passing.
     """
-    rows = sorted(member.snapshot_rows(table), key=lambda r: r.row_id)
-    count = len(rows)
-    shifted = [
-        Row(row_id=(row.row_id + offset) % count, columns=tuple(row.columns))
-        for row in rows
-    ]
-    member.rebuild_table(
-        table,
-        member.column_names(table),
-        shifted,
-        member.indexed_columns(table),
-    )
+    image = member.image(table)
+    count = len(image.rows)
+    member.install(dataclasses.replace(
+        image,
+        rows={(row_id + offset) % count: columns for row_id, columns in image.rows.items()},
+        bins=None,
+        tree=None,
+    ))
 
 
 def _flip_last_byte(cell: bytes) -> bytes:

@@ -1,4 +1,4 @@
-"""Anti-entropy repair: sources, majority digests, the rotation fence,
+"""Anti-entropy repair: sources, image majorities, the rotation fence,
 and the degraded-mode acceptance scenario (a permanently tampering
 replica served around, quarantined, repaired, and trusted again)."""
 
@@ -11,7 +11,6 @@ from repro.core.rotation import rotate_service_keys, rotation_token
 from repro.exceptions import RepairFenced
 from repro.faults.recovery import RecoveryCoordinator
 from repro.replication import AntiEntropyRepairer
-from repro.replication.repair import _snapshot_digest
 
 from tests.conftest import ground_truth_count
 from tests.replication.conftest import (
@@ -71,9 +70,7 @@ class TestDegradedModeAcceptance:
         assert outcomes[0].source.startswith(("peer:", "majority:"))
         assert engine.tables_needing_repair() == []
         assert engine.healthy_replica_count() == 3
-        assert _snapshot_digest(members[0].snapshot_rows(table)) == (
-            _snapshot_digest(members[1].snapshot_rows(table))
-        )
+        assert members[0].image(table) == members[1].image(table)
 
         # …after which replica 0 serves verified reads again, first try.
         answer, stats = service.execute_point(
@@ -100,12 +97,8 @@ class TestRepairSources:
         outcomes = AntiEntropyRepairer(engine).run_once()
         assert [o.outcome for o in outcomes] == ["repaired"]
         assert outcomes[0].source == "majority:2/3"
-        assert _snapshot_digest(members[1].snapshot_rows(table)) == (
-            _snapshot_digest(members[0].snapshot_rows(table))
-        )
-        assert _snapshot_digest(members[1].snapshot_rows(table)) != (
-            _snapshot_digest(members[3].snapshot_rows(table))
-        )
+        assert members[1].image(table) == members[0].image(table)
+        assert members[1].image(table).rows != members[3].image(table).rows
 
     def test_master_source_restores_when_no_peer_is_healthy(self):
         records = replication_records()
@@ -165,13 +158,14 @@ class TestRepairSources:
             records, location="ap0", t0=60, t1=60
         )
 
-    def test_run_until_clean_drains_a_multi_replica_quarantine(self):
+    def test_one_pass_drains_a_multi_replica_quarantine(self):
         records = replication_records()
         provider, service, engine, members, clock = make_replicated_stack(records)
         table = epoch_table(service)
         engine.quarantine.record(0, table, 3, "chain-mismatch")
         engine.quarantine.record(1, table, None, "write-divergence:insert")
-        outcomes = AntiEntropyRepairer(engine).run_until_clean()
+        outcomes = AntiEntropyRepairer(engine).run_once()
+        assert len(outcomes) == 2
         assert all(o.outcome == "repaired" for o in outcomes)
         assert engine.tables_needing_repair() == []
 
@@ -197,19 +191,15 @@ class TestRotationFence:
         records = replication_records()
         provider, service, engine, members, clock = make_replicated_stack(records)
         table = epoch_table(service)
-        # A repair snapshots peer state, capturing the generation…
+        # A repair takes a peer's image, capturing the generation…
         generation = engine.rewrite_generation
-        columns = members[1].column_names(table)
-        rows = members[1].snapshot_rows(table)
+        image = members[1].image(table)
         # …then a whole rotation begins AND completes before it applies:
         # the snapshot holds pre-rotation ciphertexts and must not land.
         engine.begin_rewrite()
         engine.end_rewrite()
         with pytest.raises(RepairFenced):
-            engine.resync_replica(
-                0, table, columns, rows, ["index_key"],
-                expected_generation=generation,
-            )
+            engine.resync_replica(0, image, expected_generation=generation)
 
     def test_key_rotation_bumps_the_generation_and_still_verifies(self):
         records = replication_records()

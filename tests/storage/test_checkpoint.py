@@ -45,10 +45,62 @@ class TestRoundtrip:
         assert len(restored.access_log) == 0
 
 
+class TestImages:
+    """A checkpoint is the image of every table: restore gives equal
+    images, sealed-bin layout and tree bytes included."""
+
+    def test_roundtrip_gives_equal_images(self, tmp_path):
+        from repro import GridSpec
+
+        from tests.conftest import make_stack
+
+        records = [(f"ap{i % 4}", (i * 60) % 600, f"d{i % 5}") for i in range(60)]
+        spec = GridSpec(dimension_sizes=(4, 10), cell_id_count=16, epoch_duration=600)
+        _, service = make_stack(spec, records)
+        engine = service.engine
+        assert engine.has_packed_bins("epoch_0") and engine.has_agg_tree("epoch_0")
+        engine.create_table("plain", ["k", "v"])
+        engine.create_index("plain", "k")
+        for i in range(5):
+            engine.insert("plain", [bytes([i % 2]), bytes([i])])
+        engine.delete("plain", 4)  # next row id 5, four rows
+
+        restored = restore_engine(checkpoint_engine(engine, tmp_path / "snap.db"))
+        assert restored.table_names() == ["epoch_0", "plain"]
+        for table in restored.table_names():
+            before, after = engine.image(table), restored.image(table)
+            assert after == before
+            assert after.rows == before.rows
+            assert after.next_row_id == before.next_row_id
+            assert after.indexed == before.indexed
+            assert after.bins == before.bins
+            tree_bytes = [image.tree and image.tree.to_bytes() for image in (after, before)]
+            assert tree_bytes[0] == tree_bytes[1]
+        sealed = engine._tables["epoch_0"].packed_bins
+        assert {b: pb.to_bytes() for b, pb in restored._tables["epoch_0"].packed_bins.items()} == {
+            b: pb.to_bytes() for b, pb in sealed.items()
+        }
+        assert restored.image("plain").bins is None and restored.image("plain").tree is None
+
+
 class TestErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(StorageError):
             restore_engine(tmp_path / "missing.db")
+
+    def test_version_2_is_refused(self, tmp_path):
+        import pickle
+
+        from repro.storage.checkpoint import write_framed
+
+        path = tmp_path / "v2.db"
+        write_framed(path, pickle.dumps({
+            "version": 2, "btree_order": 8, "rows_per_page": 64,
+            "tables": {"t": {"columns": ("k",), "next_row_id": 0, "rows": {}}},
+            "indexes": [],
+        }))
+        with pytest.raises(StorageError, match="unsupported checkpoint version 2"):
+            restore_engine(path)
 
     def test_bad_version(self, engine, tmp_path):
         import pickle

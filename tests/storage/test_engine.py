@@ -13,6 +13,8 @@ from repro.faults.injector import FaultEvent, FaultInjector
 from repro.storage.engine import StorageEngine
 from repro.storage.pager import AccessEvent, AccessKind
 
+from tests.conftest import stored_rows
+
 
 @pytest.fixture
 def engine():
@@ -77,12 +79,6 @@ class TestDml:
         engine.overwrite("t", rid, [b"z", 9])
         assert engine.lookup("t", "k", b"a") == []
         assert engine.lookup("t", "k", b"z")[0][1] == 9
-
-    def test_range_lookup(self, engine):
-        for i in range(10):
-            engine.insert("t", [bytes([i]), i])
-        rows = engine.range_lookup("t", "k", bytes([3]), bytes([6]))
-        assert sorted(r[1] for r in rows) == [3, 4, 5, 6]
 
     def test_scan(self, engine):
         for i in range(5):
@@ -207,7 +203,7 @@ class TestBatchedReadBookkeeping:
     def test_single_key_and_single_row_reads_share_the_stream(self):
         engine = self._engine()
         engine.lookup("t", "k", b"b")
-        engine.fetch_row("t", 5)
+        engine.lookup("t", "k", b"c")
         assert list(engine.access_log) == [
             AccessEvent(AccessKind.INDEX_LOOKUP, "t", b"b"),
             *(
@@ -218,28 +214,10 @@ class TestBatchedReadBookkeeping:
                     (AccessKind.PAGE_READ, row_id // 4),
                 )
             ),
+            AccessEvent(AccessKind.INDEX_LOOKUP, "t", b"c"),
             AccessEvent(AccessKind.ROW_READ, "t", 5),
             AccessEvent(AccessKind.PAGE_READ, "t", 1),
         ]
-
-    def test_range_lookup_logs_scan_then_rows_and_pages(self):
-        engine = self._engine()
-        with telemetry.scoped_registry() as registry:
-            rows = engine.range_lookup("t", "k", b"b", b"c")
-        assert [row.row_id for row in rows] == [2, 3, 4, 5]
-        assert len(engine.access_log._entries) == 1
-        assert [(e.kind, e.detail) for e in engine.access_log] == [
-            (AccessKind.INDEX_SCAN, None),
-            *(
-                pair
-                for row_id in (2, 3, 4, 5)
-                for pair in (
-                    (AccessKind.ROW_READ, row_id),
-                    (AccessKind.PAGE_READ, row_id // 4),
-                )
-            ),
-        ]
-        assert registry.value("concealer_storage_rows_read_total") == 4
 
     def test_abandoned_scan_logs_only_the_rows_it_yielded(self):
         engine = self._engine()
@@ -283,7 +261,7 @@ class TestBulkLanding:
     def _view(engine):
         return (
             list(engine.access_log),
-            [(row.row_id, row.columns) for row in engine.snapshot_rows("t")],
+            [(row.row_id, row.columns) for row in stored_rows(engine, "t")],
             list(engine._indexes[("t", "k")].items()),
             engine.index_size("t", "k"),
         )
@@ -345,13 +323,12 @@ class TestBulkLanding:
         assert engine._pagers["t"].page_count == 2
         assert engine.index_size("t", "k") == engine.row_count("t") == 70
 
-    def test_create_index_and_rebuild_use_the_same_loader(self):
+    def test_create_index_and_install_use_the_same_loader(self):
         engine = self._engine()
         engine.insert_many("t", self.ROWS)
         engine.delete("t", 3)
-        snapshot = engine.snapshot_rows("t")
         other = StorageEngine(btree_order=4)
-        other.rebuild_table("t", ["payload", "k"], snapshot, ["k"])
+        other.install(engine.image("t"))
         assert list(other._indexes[("t", "k")].items()) == list(
             engine._indexes[("t", "k")].items()
         )

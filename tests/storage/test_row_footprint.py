@@ -11,6 +11,8 @@ from repro.storage.btree import BPlusTree, _Dups
 from repro.storage.engine import StorageEngine
 from repro.storage.table import Row
 
+from tests.conftest import stored_rows
+
 COLUMNS = ("payload", "index_key")
 
 
@@ -45,7 +47,7 @@ class TestSharedColumnTuples:
         engine.insert_many("t", rows)
         [row] = engine.lookup("t", "index_key", rows[3][1])
         assert row == Row(3, rows[3]) and row.columns is rows[3]
-        assert [r.columns for r in engine.snapshot_rows("t")] == rows
+        assert [r.columns for r in stored_rows(engine, "t")] == rows
         with pytest.raises(AttributeError):
             row.__dict__  # slotted: no per-instance dict
 
