@@ -2,10 +2,15 @@
 
 A change that claims "behaviour unchanged" must replay the pinned chaos
 seeds byte for byte (ROADMAP standing rule (iii)).  This prints one line
-per (seed, topology): a SHA-256 over the run's stdout with
-``--metrics prom --trace-dump``, less the ``concealer_query_seconds``
-lines (wall-clock samples and their exemplars) and with every span
-duration blanked.  Run it in two checkouts and diff the outputs::
+per (seed, topology) with two digests over the run's stdout with
+``--metrics prom --trace-dump``.  The behaviour digest covers every
+line less the ``concealer_query_seconds`` lines (wall-clock samples and
+their exemplars), with every span duration blanked and checkpoint
+payload sizes left out.  The sizes digest covers only those sizes (the
+``concealer_checkpoint_bytes`` lines and the ``bytes=`` attribute of
+``storage.checkpoint`` spans), so a change to what a checkpoint holds
+moves that column alone.  Run it in two checkouts and diff the
+outputs::
 
     python benchmarks/pin_replays.py > after.txt
     (cd <parent checkout> && python <this file> > before.txt)
@@ -29,15 +34,29 @@ TOPOLOGIES = {
     "both": ("--shards", "2", "--replicas", "3"),
 }
 _DURATION = re.compile(r"\d+\.\d+ms")
+_CHECKPOINT_BYTES = re.compile(r"(storage\.checkpoint .*\[bytes=)(\d+)")
 
 
-def digest(output: str) -> str:
-    kept = [
-        _DURATION.sub("ms", line)
-        for line in output.splitlines()
-        if "concealer_query_seconds" not in line
-    ]
-    return hashlib.sha256("\n".join(kept).encode()).hexdigest()[:16]
+def _sha(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def digests(output: str) -> tuple[str, str]:
+    """(behaviour digest, checkpoint-sizes digest) of one run's stdout."""
+    kept, sizes = [], []
+    for line in output.splitlines():
+        if "concealer_query_seconds" in line:
+            continue
+        if "concealer_checkpoint_bytes" in line:
+            sizes.append(line)
+            continue
+        line = _DURATION.sub("ms", line)
+        size = _CHECKPOINT_BYTES.search(line)
+        if size:
+            sizes.append(size.group(2))
+            line = _CHECKPOINT_BYTES.sub(r"\1", line)
+        kept.append(line)
+    return _sha(kept), _sha(sizes)
 
 
 def main() -> int:
@@ -52,8 +71,9 @@ def main() -> int:
                 capture_output=True, text=True, env=env,
             )
             failed += run.returncode != 0
+            behaviour, sizes = digests(run.stdout)
             print(f"seed={seed:<5} {topology:<10} exit={run.returncode} "
-                  f"{digest(run.stdout)}", flush=True)
+                  f"{behaviour} sizes={sizes}", flush=True)
     return 1 if failed else 0
 
 

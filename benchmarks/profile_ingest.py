@@ -12,11 +12,13 @@ all three to ``benchmarks/results/profile.txt``:
   happened to allocate, so the table below cannot show it;
 * the **live heap after landing**, on a 1×1 and a 2×3 fleet, each from
   its own run under ``tracemalloc``: the bytes the stored row
-  representation (row dicts, column tuples, ``index_key`` B+-trees)
-  holds per stored row per replica — what dropping every replica's
-  tables frees, so the ciphertexts the retained epoch package still
-  references are not counted — plus the process's GC-tracked objects
-  and the time of one full collection over them;
+  representation (loose row tuples, sealed-row slot arrays,
+  ``index_key`` B+-trees) holds per stored row per replica — what
+  dropping every replica's tables frees, so the sealed bins the
+  service's retained epoch package shares are not counted — then
+  everything the ingest left alive per stored row (tables, indexes,
+  sealed bins, retained packages), plus the process's GC-tracked
+  objects and the time of one full collection over them;
 * the cProfile top-30 by cumulative time, from a second run (profiling
   inflates Python frames against native crypto, so the split above
   comes from the unprofiled run).
@@ -202,7 +204,8 @@ def live_heap(shards: int, replicas: int) -> str:
             tracemalloc.stop()
     return (
         f"  {shards}x{replicas}: {freed / (stored * replicas):6.1f} B per stored "
-        f"row per replica ({stored} rows x {replicas}), {tracked:,} GC-tracked "
+        f"row per replica ({stored} rows x {replicas}), {before / stored:6.1f} B "
+        f"per stored row held in all, {tracked:,} GC-tracked "
         f"objects, full collection {collect_ms:.1f} ms\n"
     )
 

@@ -37,9 +37,9 @@ The construction preserves Concealer's three arguments:
   span, aggregate kind) — never from data values.  See SECURITY.md
   item 12.
 
-The tree is *derived data*, exactly like the packed-bin sidecar: it
-ships in :class:`~repro.core.epoch.EpochPackage`, is stored on
-:class:`~repro.storage.table.Table`, is invalidated by any mutation,
+The tree is a sidecar like the packed bins: it ships in
+:class:`~repro.core.epoch.EpochPackage`, is stored on
+:class:`~repro.storage.table.Table`, is dropped by any row mutation,
 and is fenced by the engine's ``rewrite_generation``.
 """
 

@@ -23,7 +23,7 @@ trapdoor generator always agree bit-for-bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.grid import GridSpec
 from repro.crypto.nondet import RandomizedCipher
@@ -154,13 +154,13 @@ class EpochPackage:
     # Columnar form of the same rows, one PackedBin per Theorem-4.1 bin
     # in canonical slot order (see repro.core.packed).  ``None`` means
     # the provider did not (or could not) pack — the epoch is read by
-    # trapdoor.  Derived data: never part of row accounting.
+    # trapdoor.  Once landed, the bins are the record of truth for the
+    # rows they hold (repro.storage.table.Table; :meth:`retained`).
     packed_bins: "list | None" = None
     # The hierarchical aggregate-tree sidecar (repro.core.aggtree):
     # fixed-shape encrypted aggregates at every power-of-k time
     # granularity.  ``None`` means no tree shipped — long-range
-    # aggregates fall back to the bin path.  Derived data, like
-    # ``packed_bins``.
+    # aggregates fall back to the bin path.
     agg_tree: "object | None" = None
 
     def __post_init__(self):
@@ -190,8 +190,22 @@ class EpochPackage:
     @property
     def column_names(self) -> list[str]:
         """Storage column names for this package's rows."""
-        filter_count = len(self.rows[0].filters) if self.rows else 0
-        return [f"filter_{i}" for i in range(filter_count)] + ["payload", "index_key"]
+        bins, rows = self.packed_bins, self.rows
+        arity = len(bins[0].columns) if bins else len(rows[0].as_columns()) if rows else 2
+        return [f"filter_{i}" for i in range(arity - 2)] + ["payload", "index_key"]
+
+    def stored_rows(self) -> list[tuple]:
+        """Every row's stored column tuple, in row-id (position) order."""
+        from repro.storage.table import bin_rows
+
+        binned = bin_rows(self.packed_bins) if None in self.rows else {}
+        return [binned[i] if row is None else tuple(row.as_columns())
+                for i, row in enumerate(self.rows)]
+
+    def retained(self) -> "EpochPackage":
+        """This package less the rows its sealed bins hold (``None``)."""
+        binned = {row_id for packed in self.packed_bins for row_id in packed.row_ids}
+        return replace(self, rows=[None if i in binned else row for i, row in enumerate(self.rows)])
 
     def metadata_bytes(self) -> int:
         """Size of the encrypted metadata vectors (reported by §9.1)."""
@@ -236,8 +250,8 @@ class EpochPackage:
                 for label, digests in self.enc_tags.items()
             },
             "rows": [
-                [[b64(f) for f in row.filters], b64(row.payload), b64(row.index_key)]
-                for row in self.rows
+                [[b64(f) for f in columns[:-2]], b64(columns[-2]), b64(columns[-1])]
+                for columns in self.stored_rows()
             ],
         }
         if self.packed_bins is not None:

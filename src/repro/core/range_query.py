@@ -28,7 +28,7 @@ Three methods with distinct cost/leakage trade-offs:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro import telemetry
 from repro.core.context import EpochContext
@@ -56,8 +56,12 @@ class _EBPBState:
     # columns (time-local allocation groups several columns under one
     # id) are fetched once, so any query's fetch is capped by this.
     window_totals: list[int] = None  # type: ignore[assignment]
+    # combos → budget over the windows above (a grown state is a new one).
+    budgets: dict[int, int] = field(default_factory=dict)
 
     def budget(self, combos: int) -> int:
+        if combos in self.budgets:
+            return self.budgets[combos]
         best = 0
         volumes = self.window_volumes or [[0]]
         totals = self.window_totals or [0] * len(volumes)
@@ -67,6 +71,7 @@ class _EBPBState:
             if combos > len(ordered):
                 volume += ordered[0] * (combos - len(ordered))
             best = max(best, min(volume, total))
+        self.budgets[combos] = best
         return best
 
 
@@ -415,9 +420,8 @@ class RangeExecutor:
             per_column.sort(reverse=True)
             window_volumes.append(per_column)
             window_totals.append(sum(context.c_tuple[cid] for cid in all_cids))
-        state.max_span = span
-        state.window_volumes = window_volumes
-        state.window_totals = window_totals
+        state = _EBPBState(span, window_volumes, window_totals)
+        context.range_sizing["ebpb"] = state
         return state
 
     # ------------------------------------------------------ §5.3 winSecRange

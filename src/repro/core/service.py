@@ -310,16 +310,18 @@ class ServiceProvider:
         engine.create_table(table, package.column_names)
         engine.create_index(table, "index_key")
         try:
-            rows = [tuple(row.as_columns()) for row in package.rows]
+            rows = package.stored_rows()
             self.retry.call(
                 lambda: engine.insert_many(table, rows, engine.row_count(table)),
                 progress=lambda: engine.row_count(table),
             )
-            # Derived data: a package without them, or a service that
-            # does not read them, skips the install.
+            # A package without them, or a service that does not read
+            # them, skips the install.  Landed bins hold their rows, so
+            # the service keeps the package less those rows.
             if not self.config.oblivious:
                 if package.packed_bins:
                     engine.store_packed_bins(table, package.packed_bins)
+                    package = package.retained()
                 if package.agg_tree is not None:
                     engine.store_agg_tree(table, package.agg_tree)
         except BaseException:

@@ -31,7 +31,7 @@ from repro.core.provider import DataProvider
 from repro.core.service import ServiceProvider
 from repro.enclave.enclave import Enclave
 from repro.exceptions import StorageError
-from repro.storage.checkpoint import checkpoint_engine, restore_engine
+from repro.storage.checkpoint import checkpoint_engine, read_checkpoint, restore_engine
 from repro.storage.table import TableImage
 
 
@@ -113,20 +113,19 @@ class RecoveryCoordinator:
         For a plain engine the restored instance simply replaces the
         old one.  A **replicated** group must survive recovery (a plain
         engine would strip the shard of failover and quarantine), so
-        every replica drops its stale tables and installs each
-        checkpointed table image, row ids and sealed bins kept; then
-        quarantines clear, breakers reset, and the same group is
-        re-adopted.
+        every replica drops its stale tables and installs each table
+        image the checkpoint holds (read once, no engine in between),
+        row ids and sealed bins kept; then quarantines clear, breakers
+        reset, and the same group is re-adopted.
         """
         if self.checkpoint_path is None:
             raise StorageError("no checkpoint path configured")
-        restored = restore_engine(self.checkpoint_path)
         engine = self.service.engine
         if getattr(engine, "supports_replicated_reads", False):
-            images = [restored.image(table) for table in restored.table_names()]
+            images = read_checkpoint(self.checkpoint_path)["images"]
             for replica in engine.replicas:
                 target = getattr(replica, "inner", replica)
-                for stale in set(target.table_names()) - set(restored.table_names()):
+                for stale in set(target.table_names()) - {i.table for i in images}:
                     target.drop_table(stale)
                 for image in images:
                     target.install(image)
@@ -136,15 +135,16 @@ class RecoveryCoordinator:
                 breaker.reset()
             self.service.adopt_engine(engine)
         else:
-            self.service.adopt_engine(restored)
+            self.service.adopt_engine(restore_engine(self.checkpoint_path))
         _count_recovery("storage")
 
     def master_source(self, table: str) -> TableImage | None:
-        """One table's image from the DP's retained epoch package: rows
-        at their ingest row ids, with the sealed bins and tree the service
-        landed.  The anti-entropy repairer's last resort when no healthy
-        peer holds the table.  Declines (``None``) once a key rotation
-        has run: the retained packages hold pre-rotation ciphertexts.
+        """One table's image from the epoch package the service retains:
+        its metadata, the sealed bins it shares with the engine and the
+        rows outside them, at their ingest row ids, with the tree the
+        service landed.  The anti-entropy repairer's last resort when no
+        healthy peer holds the table.  Declines (``None``) once a key
+        rotation has run: the retained package is pre-rotation.
         """
         if getattr(self.service.engine, "rewrite_generation", 0) > 0:
             return None
@@ -154,8 +154,7 @@ class RecoveryCoordinator:
             # Ingest lands the sidecars only on a service that reads them.
             sealed = not self.service.config.oblivious
             return TableImage(
-                table, tuple(package.column_names),
-                {i: tuple(row.as_columns()) for i, row in enumerate(package.rows)},
+                table, tuple(package.column_names), dict(enumerate(package.stored_rows())),
                 len(package.rows), ("index_key",),
                 bins={pb.bin_index: pb.row_ids for pb in package.packed_bins}
                 if sealed and package.packed_bins else None,

@@ -31,7 +31,7 @@ tampered (loud, permanent), else
 :class:`~repro.exceptions.NoHealthyReplica` (transient — the service's
 retry policy backs off, breakers reach half-open, and the read probes
 again).  The two sidecar kinds return ``None`` instead, and the caller
-falls back to the rows they were derived from.
+falls back to trapdoor reads of the rows.
 
 Writes fan out to every replica.  Replica-local write failures do not
 fail the operation while at least one replica applied it; divergent

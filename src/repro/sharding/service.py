@@ -647,7 +647,7 @@ class ShardedService:
             cells = context.grid.cell_ids_for_combinations(
                 query.candidate_combinations(), query.time_start, query.time_end
             )
-            owners = self.topology.shards_for(cells)
+            owners = self.topology.participants(cells)
             if len(owners) > 1 and query.aggregate not in MERGEABLE_AGGREGATES:
                 raise QueryError(
                     f"aggregate {query.aggregate.value!r} cannot be merged "
@@ -656,16 +656,16 @@ class ShardedService:
                 )
             chosen = method
             if chosen == "auto":
-                chosen = self.shards[
-                    next(iter(owners))
-                ].service.choose_range_method(query, context)
+                chosen = self.shards[owners[0]].service.choose_range_method(
+                    query, context
+                )
             span.set(
                 epoch=eid,
                 method=chosen,
                 cells=len(cells),
                 participants=len(owners),
             )
-            return eid, chosen, tuple(owners)
+            return eid, chosen, owners
 
         return self._planned("range", query.time_start, epoch_id, blocking, plan)
 

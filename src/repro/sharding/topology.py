@@ -36,8 +36,8 @@ class ShardTopology:
     >>> topo = ShardTopology(4)
     >>> topo.shard_of(7) == topo.shard_of(7)
     True
-    >>> sorted(topo.shards_for([0, 1, 2, 3]).keys()) == sorted(
-    ...     {topo.shard_of(c) for c in range(4)})
+    >>> topo.participants([0, 1, 2, 3]) == tuple(sorted(
+    ...     {topo.shard_of(c) for c in range(4)}))
     True
     """
 
@@ -59,21 +59,18 @@ class ShardTopology:
             memo[cell_id] = owner
         return owner
 
-    def shards_for(self, cell_ids) -> dict[int, list[int]]:
-        """Group cell-ids by owning shard, both axes sorted.
+    def participants(self, cell_ids) -> tuple[int, ...]:
+        """The shards owning any of ``cell_ids``, in ascending shard id.
 
-        The sorted return order is what makes scatter-gather merges
+        The sorted order is what makes scatter-gather merges
         deterministic: participants are visited in ascending shard id
         regardless of the set/iteration order the planner produced.
         """
-        cells = sorted(set(cell_ids))
-        owners = list(map(_OWNERS.get(self.shard_count, {}).get, cells))
+        cells = list(cell_ids)
+        owners = set(map(_OWNERS.get(self.shard_count, {}).get, cells))
         if None in owners:
-            owners = [self.shard_of(cell_id) for cell_id in cells]
-        groups: list[list[int]] = [[] for _ in range(self.shard_count)]
-        for cell_id, owner in zip(cells, owners):
-            groups[owner].append(cell_id)
-        return {shard: owned for shard, owned in enumerate(groups) if owned}
+            owners = set(map(self.shard_of, cells))
+        return tuple(sorted(owners))
 
     def all_shards(self) -> tuple[int, ...]:
         return tuple(range(self.shard_count))

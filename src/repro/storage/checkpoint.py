@@ -4,7 +4,7 @@ A service provider restarting should not need the data provider to
 re-ship every epoch, so the engine supports durable snapshots: a
 versioned pickle of every table's
 :class:`~repro.storage.table.TableImage`.  B+-trees and sealed bins
-are rebuilt on restore from index definitions and slot layouts, which
+are rebuilt on install from index definitions and slot layouts, which
 keeps snapshots compact, and a restored epoch reads sealed bins.
 
 Snapshots are **integrity-framed**: the pickled payload is followed by
@@ -121,12 +121,9 @@ def checkpoint_engine(
     return path
 
 
-def restore_engine(path: str | Path) -> StorageEngine:
-    """Rebuild an engine from a snapshot, installing each table image.
-
-    Fails loudly with :class:`StorageError` on truncation, checksum
-    mismatch, a missing footer, or an unknown ``_FORMAT_VERSION``.
-    """
+def read_checkpoint(path: str | Path) -> dict:
+    """A snapshot's engine settings and table ``images``; raises
+    :class:`StorageError` on a torn, corrupt or unknown-version file."""
     path = Path(path)
     with telemetry.span("storage.restore"):
         payload = read_framed(path)
@@ -143,14 +140,20 @@ def restore_engine(path: str | Path) -> StorageEngine:
                 f"unsupported checkpoint version {version!r} "
                 f"(this build reads version {_FORMAT_VERSION})"
             )
-        engine = StorageEngine(
-            btree_order=snapshot["btree_order"],
-            rows_per_page=snapshot["rows_per_page"],
-        )
-        for image in snapshot["images"]:
-            engine.install(image, logged=False)
     telemetry.counter(
         "concealer_restores_total",
         "storage engines rebuilt from checkpoint snapshots",
     ).inc()
+    return snapshot
+
+
+def restore_engine(path: str | Path) -> StorageEngine:
+    """A fresh engine with every table image of a snapshot installed."""
+    snapshot = read_checkpoint(path)
+    engine = StorageEngine(
+        btree_order=snapshot["btree_order"],
+        rows_per_page=snapshot["rows_per_page"],
+    )
+    for image in snapshot["images"]:
+        engine.install(image, logged=False)
     return engine

@@ -125,12 +125,10 @@ class StorageEngine(RewriteFence):
     @staticmethod
     def _load_index(tbl: Table, tree: BPlusTree, position: int) -> None:
         """Bulk-load ``tree`` from the table's column.  Row ids are sorted
-        by key in place (stably: equal keys keep row-id order, as after
-        sequential inserts) and streamed: no list of pairs per index."""
-        rows = tbl._rows
-        row_ids = sorted(rows)
-        row_ids.sort(key=lambda row_id: rows[row_id][position])
-        tree.bulk_load((rows[row_id][position], row_id) for row_id in row_ids)
+        by key (stably: equal keys keep row-id order, as after sequential
+        inserts) and streamed: no list of pairs per index."""
+        keys = {row_id: columns[position] for row_id, columns in tbl.rows().items()}
+        tree.bulk_load((keys[row_id], row_id) for row_id in sorted(keys, key=keys.get))
 
     def has_table(self, name: str) -> bool:
         """Whether a table with this name exists."""
@@ -150,7 +148,7 @@ class StorageEngine(RewriteFence):
         return TableImage(
             table=table,
             column_names=tbl.column_names,
-            rows=dict(tbl._rows),
+            rows=tbl.rows(),
             next_row_id=tbl._next_row_id,
             indexed=tuple(sorted(col for name, col in self._indexes if name == table)),
             bins=None if packed is None else {b: pb.row_ids for b, pb in packed.items()},
@@ -159,8 +157,8 @@ class StorageEngine(RewriteFence):
 
     def install(self, image: TableImage, logged: bool = True) -> int:
         """Replace ``image.table`` wholesale by ``image``; returns its row
-        count.  The sealed bins are re-packed from the installed rows by
-        the image's slot layout, so they serve exactly the stored bytes.
+        count.  The sealed bins are packed from the image's rows by its
+        slot layout and then hold those rows (:class:`Table`).
         The host sees one ``ROW_WRITE`` run over the row ids, and the
         rows-written counter moves; ``logged=False`` (a restore loading
         a fresh host's disk) records neither.
@@ -348,10 +346,10 @@ class StorageEngine(RewriteFence):
     def store_packed_bins(self, table: str, packed_bins: Sequence) -> None:
         """Install the sealed bins of a table (one PackedBin per bin).
 
-        Derived data: any later row mutation (insert, delete, overwrite,
-        even one behind the engine's back — the bins live on the Table)
-        drops them and readers fall back to trapdoor lookups, so a bin
-        read never serves bytes the rows do not hold.
+        They become the record of truth for the rows they hold (held
+        once, read as slices of the bin).  Any later row mutation, even
+        one behind the engine's back, materialises the rows and drops
+        the bins, and readers fall back to trapdoor lookups.
         """
         self._table(table).packed_bins = {
             packed.bin_index: packed for packed in packed_bins
@@ -405,8 +403,8 @@ class StorageEngine(RewriteFence):
     # ---------------------------------------------------------- aggregate tree
 
     def store_agg_tree(self, table: str, tree) -> None:
-        """Install the aggregate-tree sidecar for a table: derived data,
-        as :meth:`store_packed_bins`; readers fall back to the bins."""
+        """Install the aggregate-tree sidecar for a table; any row
+        mutation drops it, as the bins, and readers fall back to them."""
         self._table(table).agg_tree = tree
 
     def has_agg_tree(self, table: str) -> bool:

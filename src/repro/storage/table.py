@@ -9,7 +9,8 @@ them as the "physical addresses" an adversary observes.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from repro.exceptions import StorageError
@@ -51,6 +52,17 @@ class TableImage:
     tree: object | None = None
 
 
+def bin_rows(bins: Iterable) -> dict[int, tuple]:
+    """Row id → column tuple of every row the sealed ``bins`` hold."""
+    # Equal cells as one object, as DET ciphertexts land: a pickle writes each once.
+    rows: dict[int, tuple] = {}
+    cells: dict[bytes, bytes] = {}
+    for packed in bins:
+        columns = map(packed.column_cells, range(len(packed.columns)))
+        rows.update(zip(packed.row_ids, zip(*[list(map(cells.setdefault, c, c)) for c in columns])))
+    return rows
+
+
 class Table:
     """A named, schema-checked, append-only row store.
 
@@ -65,21 +77,40 @@ class Table:
             raise StorageError("a table needs at least one column")
         self.name = name
         self.column_names = tuple(column_names)
-        # row id → column tuple.  Replicas landing the same tuple share
-        # it (``tuple(t) is t``), so a row's ciphertexts are held once.
+        # row id → column tuple of each row outside the sealed bins.
+        # Replicas landing the same tuple share it (``tuple(t) is t``).
         self._rows: dict[int, tuple] = {}
         self._next_row_id = 0
-        # Columnar sidecar: bin_index → PackedBin, or None when absent.
-        # Derived data — any row mutation drops it, so the packed read
-        # path can never serve bytes that diverge from the row store
-        # (tampering included: a mutator that touches rows behind the
-        # engine's back still invalidates here).
-        self.packed_bins: dict[int, object] | None = None
+        # Sealed bins (bin_index → PackedBin) or None.  They are the
+        # record of truth for the rows they hold: while they hold any,
+        # row id → ``bin_index << 32 | slot`` (-1: not in a bin), and a
+        # read slices the bin.  One array, no Python object per row.
+        self._bins: dict[int, object] | None = None
+        self._slots = array("q")
         # Aggregate-tree sidecar (repro.core.aggtree.AggTree), or None.
-        # Same invalidation contract as ``packed_bins``: derived data,
-        # dropped on any row mutation so the tree path can never serve
-        # aggregates that diverge from the row store.
+        # Any row mutation drops it and the bins (their rows
+        # materialised first), so neither can serve bytes the rows do
+        # not hold — tampering behind the engine's back included.
         self.agg_tree: object | None = None
+
+    @property
+    def packed_bins(self) -> dict[int, object] | None:
+        return self._bins
+
+    @packed_bins.setter
+    def packed_bins(self, bins: dict[int, object] | None) -> None:
+        # Seal with ``bins`` (their rows leave ``_rows``), or drop them
+        # (``None``: the rows come back as tuples).  Bins naming a row
+        # the table lacks (a diverged replica) stay beside the rows.
+        if self._slots:
+            self._rows, self._slots = self.rows(), array("q")
+        self._bins, rows = bins, self._rows
+        if bins and all(r in rows for packed in bins.values() for r in packed.row_ids):
+            self._slots = slots = array("q", [-1]) * self._next_row_id
+            for index, packed in bins.items():
+                for position, row_id in enumerate(packed.row_ids, index << 32):
+                    slots[row_id] = position
+                    del rows[row_id]
 
     def column_index(self, column: str) -> int:
         """Position of a named column; raises if unknown."""
@@ -97,11 +128,11 @@ class Table:
                 f"table {self.name!r} expects {len(self.column_names)} columns, "
                 f"got {len(columns)}"
             )
+        if self._bins is not None or self.agg_tree is not None:
+            self.packed_bins = self.agg_tree = None
         row_id = self._next_row_id
         self._next_row_id += 1
         self._rows[row_id] = tuple(columns)
-        self.packed_bins = None
-        self.agg_tree = None
         return row_id
 
     def fetch(self, row_id: int) -> Row:
@@ -109,37 +140,40 @@ class Table:
         try:
             return Row(row_id, self._rows[row_id])
         except KeyError:
-            raise StorageError(
-                f"table {self.name!r} has no row {row_id}"
-            ) from None
+            if row_id not in self:
+                raise StorageError(f"table {self.name!r} has no row {row_id}") from None
+        return self._bins[self._slots[row_id] >> 32][self._slots[row_id] & 0xFFFFFFFF]
+
+    def rows(self) -> dict[int, tuple]:
+        """Row id → column tuple of every live row, in row-id order."""
+        binned = bin_rows(self._bins.values()) if self._slots else {}
+        return dict(sorted({**self._rows, **binned}.items()))
 
     def overwrite(self, row_id: int, columns: Sequence) -> None:
         """Replace the columns of an existing row in place."""
-        if row_id not in self._rows:
+        if row_id not in self:
             raise StorageError(f"table {self.name!r} has no row {row_id}")
         if len(columns) != len(self.column_names):
             raise StorageError(
                 f"table {self.name!r} expects {len(self.column_names)} columns"
             )
+        self.packed_bins = self.agg_tree = None
         self._rows[row_id] = tuple(columns)
-        self.packed_bins = None
-        self.agg_tree = None
 
     def delete(self, row_id: int) -> None:
         """Tombstone a row; its id is never reused."""
-        if row_id not in self._rows:
+        if row_id not in self:
             raise StorageError(f"table {self.name!r} has no row {row_id}")
+        self.packed_bins = self.agg_tree = None
         del self._rows[row_id]
-        self.packed_bins = None
-        self.agg_tree = None
 
     def scan(self) -> Iterator[Row]:
         """Yield all live rows in row-id order."""
-        for row_id in sorted(self._rows):
-            yield Row(row_id, self._rows[row_id])
+        for row_id, columns in self.rows().items():
+            yield Row(row_id, columns)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._rows) + len(self._slots) - self._slots.count(-1)
 
     def __contains__(self, row_id: int) -> bool:
-        return row_id in self._rows
+        return row_id in self._rows or 0 <= row_id < len(self._slots) and self._slots[row_id] >= 0

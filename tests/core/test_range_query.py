@@ -115,6 +115,21 @@ class TestVolumes:
                 volumes.add(stats.rows_fetched)
         assert len(volumes) == 1
 
+    def test_ebpb_budget_memo_matches_a_fresh_recompute(self, stack):
+        """The per-candidate-count budget memo answers what a recompute
+        over the sizing state's current windows answers, while spans
+        grow the state (a new state, an empty memo) and shrink back."""
+        from dataclasses import replace
+
+        _, service = stack
+        context = service.context_for(0)
+        executor = service._range_executor
+        for span in (2, 1, 5, 3, 12, 24, 6):
+            state = executor._ebpb_budget(context, span)
+            for combos in (1, 2, 3, 7, 10, 64, 2, 1):
+                assert state.budget(combos) == replace(state, budgets={}).budget(combos)
+            assert set(state.budgets) == {1, 2, 3, 7, 10, 64}
+
     def test_ebpb_budget_never_crosses_epochs_over_context_rebuilds(self):
         """Regression: the budget was cached under ``id(context)`` and
         outlived the context, so a context rebuilt for *another* epoch

@@ -71,31 +71,27 @@ class TestBalance:
 
 
 class TestScatterPlan:
-    def test_shards_for_groups_every_cell_under_its_owner(self):
+    def test_participants_are_every_owner(self):
         topology = ShardTopology(3)
         cells = set(random.Random(9).sample(range(100_000), 200))
-        plan = topology.shards_for(cells)
-        regrouped = {c for owned in plan.values() for c in owned}
-        assert regrouped == cells
-        for shard_id, owned in plan.items():
-            assert all(topology.shard_of(c) == shard_id for c in owned)
+        assert set(topology.participants(cells)) == {
+            topology.shard_of(c) for c in cells
+        }
 
-    def test_shards_for_is_deterministically_ordered(self):
-        """Ascending shard ids, ascending cell-ids within each — the
-        property the cross-shard merge (COLLECT order!) relies on."""
+    def test_participants_ascend_whatever_the_cell_order(self):
+        """Ascending shard ids — the property the cross-shard merge
+        (COLLECT order!) relies on."""
         topology = ShardTopology(4)
         cells = random.Random(3).sample(range(50_000), 300)
-        plan = topology.shards_for(cells)
-        assert list(plan) == sorted(plan)
-        for owned in plan.values():
-            assert owned == sorted(owned)
+        plan = topology.participants(cells)
+        assert list(plan) == sorted(set(plan))
         shuffled = list(cells)
         random.Random(4).shuffle(shuffled)
-        assert topology.shards_for(shuffled) == plan
+        assert topology.participants(shuffled) == plan
 
     def test_single_shard_owns_everything(self):
         topology = ShardTopology(1)
-        assert topology.shards_for([5, 9, 2]) == {0: [2, 5, 9]}
+        assert topology.participants([5, 9, 2]) == (0,)
 
 
 def unmemoised_owner(cell_id: int, shard_count: int) -> int:
@@ -118,11 +114,9 @@ class TestMemo:
         for cell_id in cells:  # interleave two shard counts on one memo
             assert topology.shard_of(cell_id) == unmemoised_owner(cell_id, count)
             assert neighbour.shard_of(cell_id) == unmemoised_owner(cell_id, other)
-        expected: dict[int, list[int]] = {}
-        for cell_id in sorted(set(cells)):
-            expected.setdefault(unmemoised_owner(cell_id, count), []).append(cell_id)
-        assert topology.shards_for(cells) == dict(sorted(expected.items()))
-        assert topology.shards_for(reversed(cells)) == dict(sorted(expected.items()))
+        expected = tuple(sorted({unmemoised_owner(c, count) for c in cells}))
+        assert topology.participants(cells) == expected
+        assert topology.participants(reversed(cells)) == expected
 
     def test_shard_counts_never_share_an_entry(self):
         cells = range(64)
@@ -136,14 +130,14 @@ class TestMemo:
     def test_warm_map_hashes_nothing(self, monkeypatch):
         topology = ShardTopology(4)
         cells = list(range(1000, 1200))
-        plan = topology.shards_for(cells)
+        plan = topology.participants(cells)
         owners = [unmemoised_owner(c, 4) for c in cells]
         calls = []
         real = topology_module.hashlib.sha256
         monkeypatch.setattr(
             topology_module.hashlib, "sha256", lambda *a: calls.append(a) or real(*a)
         )
-        assert topology.shards_for(cells) == plan
+        assert topology.participants(cells) == plan
         assert [topology.shard_of(c) for c in cells] == owners
         assert calls == []
 
