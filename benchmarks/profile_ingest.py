@@ -19,6 +19,12 @@ all three to ``benchmarks/results/profile.txt``:
   everything the ingest left alive per stored row (tables, indexes,
   sealed bins, retained packages), plus the process's GC-tracked
   objects and the time of one full collection over them;
+* **whole-table moves** after landing, on a 1×1 and a 2×3 fleet: one
+  table's ``image`` and ``install`` (onto a fresh engine), the fleet's
+  ``checkpoint_all`` and its payload bytes, and every shard's
+  ``recover_storage`` — its wall clock, the ``PackedBin.pack`` calls
+  and the traced-heap growth across it (a second, ``tracemalloc`` run)
+  — and whether every replica of a table then holds the same bins;
 * the cProfile top-30 by cumulative time, from a second run (profiling
   inflates Python frames against native crypto, so the split above
   comes from the unprofiled run).
@@ -210,6 +216,74 @@ def live_heap(shards: int, replicas: int) -> str:
     )
 
 
+def _best_ms(fn, repeats: int = 3) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return 1e3 * best
+
+
+def whole_table_moves(shards: int, replicas: int) -> str:
+    """One "whole-table moves" line for a fresh shards × replicas fleet
+    (see the module docstring)."""
+    from repro.core.packed import PackedBin
+    from repro.sharding import ingest_epoch_sharded
+    from repro.storage.engine import StorageEngine
+
+    def stores(shard):
+        group = shard.replicated_engine()
+        return [getattr(r, "inner", r) for r in group.replicas] if group else [shard.service.engine]
+
+    with tempfile.TemporaryDirectory() as workdir:
+        fleet, records, epoch = fleet_and_records(workdir, shards, replicas)
+        ingest_epoch_sharded(fleet, records, epoch)
+        engine = fleet.shards[0].service.engine
+        table = engine.table_names()[0]
+        image_ms = _best_ms(lambda: engine.image(table))
+        image = engine.image(table)
+        install_ms = _best_ms(lambda: StorageEngine().install(image))
+        start = time.perf_counter()
+        payload = sum(path.stat().st_size for path in fleet.checkpoint_all())
+        checkpoint_ms = 1e3 * (time.perf_counter() - start)
+
+        def recover_all():
+            for shard in fleet.shards:
+                shard.coordinator.recover_storage()
+
+        recover_ms = _best_ms(recover_all, repeats=1)
+        packs = []
+        pack = PackedBin.pack.__func__
+        PackedBin.pack = classmethod(lambda cls, *a: packs.append(1) or pack(cls, *a))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            recover_all()
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            PackedBin.pack = classmethod(pack)
+        shared = all(
+            all(
+                held.packed_bins[b] is pb
+                for held in (t._tables[name] for t in stores(shard)[1:])
+                for b, pb in stores(shard)[0]._tables[name].packed_bins.items()
+            )
+            for shard in fleet.shards
+            for name in stores(shard)[0].table_names()
+        )
+    return (
+        f"  {shards}x{replicas}: image {image_ms:6.3f} ms, install {install_ms:6.1f} ms "
+        f"({len(image.bins or ())} bins, {image.next_row_id} rows); checkpoint_all "
+        f"{checkpoint_ms:6.1f} ms, {payload:,} B; recover_storage {recover_ms:7.1f} ms, "
+        f"{len(packs)} packs, traced heap {grown / 2**20:+.1f} MiB; replicas share "
+        f"every bin: {'yes' if shared else 'no'}\n"
+    )
+
+
 def main() -> int:
     out = io.StringIO()
     phases, collector = PhaseTimer(), CollectorClock()
@@ -231,6 +305,9 @@ def main() -> int:
     )
     for shards, replicas in ((1, 1), (SHARDS, REPLICAS)):
         out.write(live_heap(shards, replicas))
+    out.write("\nwhole-table moves after landing (one table; every shard's recovery)\n")
+    for shards, replicas in ((1, 1), (SHARDS, REPLICAS)):
+        out.write(whole_table_moves(shards, replicas))
     out.write("\n")
 
     profiler = cProfile.Profile()

@@ -23,7 +23,7 @@ trapdoor generator always agree bit-for-bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.grid import GridSpec
 from repro.crypto.nondet import RandomizedCipher
@@ -155,7 +155,9 @@ class EpochPackage:
     # in canonical slot order (see repro.core.packed).  ``None`` means
     # the provider did not (or could not) pack — the epoch is read by
     # trapdoor.  Once landed, the bins are the record of truth for the
-    # rows they hold (repro.storage.table.Table; :meth:`retained`).
+    # rows they hold (repro.storage.table.Table), and the service keeps
+    # them, the rows outside them and the tree as the epoch's master
+    # image (repro.core.service.ServiceProvider).
     packed_bins: "list | None" = None
     # The hierarchical aggregate-tree sidecar (repro.core.aggtree):
     # fixed-shape encrypted aggregates at every power-of-k time
@@ -190,22 +192,12 @@ class EpochPackage:
     @property
     def column_names(self) -> list[str]:
         """Storage column names for this package's rows."""
-        bins, rows = self.packed_bins, self.rows
-        arity = len(bins[0].columns) if bins else len(rows[0].as_columns()) if rows else 2
+        arity = len(self.rows[0].as_columns()) if self.rows else 2
         return [f"filter_{i}" for i in range(arity - 2)] + ["payload", "index_key"]
 
     def stored_rows(self) -> list[tuple]:
         """Every row's stored column tuple, in row-id (position) order."""
-        from repro.storage.table import bin_rows
-
-        binned = bin_rows(self.packed_bins) if None in self.rows else {}
-        return [binned[i] if row is None else tuple(row.as_columns())
-                for i, row in enumerate(self.rows)]
-
-    def retained(self) -> "EpochPackage":
-        """This package less the rows its sealed bins hold (``None``)."""
-        binned = {row_id for packed in self.packed_bins for row_id in packed.row_ids}
-        return replace(self, rows=[None if i in binned else row for i, row in enumerate(self.rows)])
+        return [tuple(row.as_columns()) for row in self.rows]
 
     def metadata_bytes(self) -> int:
         """Size of the encrypted metadata vectors (reported by §9.1)."""

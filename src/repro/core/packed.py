@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Callable, Sequence
 
@@ -126,11 +126,8 @@ class PackedBin:
 
     def unpack(self) -> list[Row]:
         """The row list this bin was packed from, byte-for-byte."""
-        per_column = [self.column_cells(i) for i in range(len(self.columns))]
-        return [
-            Row(self.row_ids[j], tuple(cells[j] for cells in per_column))
-            for j in range(self.row_count)
-        ]
+        columns = zip(*map(self.column_cells, range(len(self.columns))))
+        return list(map(Row, self.row_ids, columns))
 
     def __iter__(self):
         """Row view, for the one row-at-a-time consumer (§4.3 oblivious
@@ -218,36 +215,20 @@ class PackedBin:
             raise ValueError("cell corruption must preserve length")
         columns = list(self.columns)
         columns[column] = blob[:start] + tampered + blob[start + width :]
-        return PackedBin(
-            bin_index=self.bin_index,
-            row_count=self.row_count,
-            column_widths=self.column_widths,
-            columns=tuple(columns),
-            row_ids=self.row_ids,
-        )
+        return replace(self, columns=tuple(columns))
 
     def without_row(self, row: int) -> "PackedBin":
         columns = tuple(
             blob[: row * width] + blob[(row + 1) * width :]
             for width, blob in zip(self.column_widths, self.columns)
         )
-        return PackedBin(
-            bin_index=self.bin_index,
-            row_count=self.row_count - 1,
-            column_widths=self.column_widths,
-            columns=columns,
-            row_ids=self.row_ids[:row] + self.row_ids[row + 1 :],
-        )
+        row_ids = self.row_ids[:row] + self.row_ids[row + 1 :]
+        return replace(self, row_count=self.row_count - 1, columns=columns, row_ids=row_ids)
 
     def with_duplicated_row(self, row: int) -> "PackedBin":
         columns = tuple(
             blob + blob[row * width : (row + 1) * width]
             for width, blob in zip(self.column_widths, self.columns)
         )
-        return PackedBin(
-            bin_index=self.bin_index,
-            row_count=self.row_count + 1,
-            column_widths=self.column_widths,
-            columns=columns,
-            row_ids=self.row_ids + (self.row_ids[row],),
-        )
+        row_ids = self.row_ids + (self.row_ids[row],)
+        return replace(self, row_count=self.row_count + 1, columns=columns, row_ids=row_ids)

@@ -19,8 +19,10 @@ provider host never sees plaintext):
    not find anything the data provider did not ship.  It then decrypts
    every stored column under the old epoch key and re-encrypts under
    the new one (fake columns are re-randomized at the same length),
-   in memory, then installs the re-keyed table whole — same row ids,
-   same sealed-bin slot layout, so the epoch keeps reading sealed bins.
+   in memory, packs the re-keyed rows into new sealed bins by the old
+   slot layout (the one whole-table write that packs), then installs
+   the re-keyed table whole — same row ids, same slot layout, so the
+   epoch keeps reading sealed bins — and makes it the epoch's master.
    The tree sidecar is dropped: its directory is keyed by combination
    digests the enclave cannot re-key.  The epoch package's metadata
    vectors are re-encrypted and the tags rebuilt over the new
@@ -36,7 +38,7 @@ dynamic, or re-ship those rounds.
 killed between two epochs (AEX, power event) would otherwise strand
 some epochs under the old key and some under the new.  Rotation
 therefore runs under a :class:`RotationJournal`: an *intent* record
-holds each epoch's pre-rotation table image and package crypto fields
+holds each epoch's pre-rotation table image and package
 before it is rewritten, the sealed key swap happens only after the
 journal *commits*, and any failure (including an injected
 :class:`~repro.exceptions.EnclaveCrashed`) installs every touched
@@ -50,8 +52,9 @@ import hmac as _hmac
 from dataclasses import replace
 
 from repro import telemetry
-from repro.core.epoch import FAKE_CHAIN_LABEL, encode_int_vector, rekey_row
+from repro.core.epoch import FAKE_CHAIN_LABEL, EpochPackage, encode_int_vector, rekey_row
 from repro.core.grid import derive_grid_key
+from repro.core.packed import PackedBin
 from repro.core.service import ServiceProvider
 from repro.crypto.kernels import (
     CHAIN_INIT,
@@ -75,20 +78,14 @@ class RotationJournal:
     """Intent/commit journal giving rotation all-or-nothing semantics.
 
     ``begin_epoch`` files an intent — the epoch's verified pre-rotation
-    image and its package's crypto fields — just before the table is
-    rewritten, so an epoch that failed verification is never rolled
-    back onto its peers.  ``commit`` discards the intents (the point of
-    no return preceding the sealed key swap); ``rollback`` installs
-    every intent's image and restores its package fields.
+    image (its sealed bins held whole, no copy) and package — just
+    before the table is rewritten, so an epoch that failed verification
+    is never rolled back onto its peers.  The rewrite gives the epoch a
+    re-keyed package and master image.  ``commit`` discards the intents
+    (the point of no return preceding the sealed key swap), so no
+    pre-rotation bin stays reachable; ``rollback`` installs every
+    intent's image and makes it and the package the epoch's again.
     """
-
-    _PACKAGE_FIELDS = (
-        "enc_cell_id_vector",
-        "enc_c_tuple_vector",
-        "enc_cell_counts",
-        "enc_grid_key",
-        "enc_tags",
-    )
 
     @staticmethod
     def _count_phase(phase: str, amount: int = 1) -> None:
@@ -100,17 +97,14 @@ class RotationJournal:
         ).labels(phase=phase).inc(amount)
 
     def __init__(self):
-        self._intents: list[tuple[int, TableImage, dict]] = []
+        self._intents: list[tuple[int, TableImage, EpochPackage]] = []
         self.committed = False
 
     def begin_epoch(
         self, service: ServiceProvider, epoch_id: int, image: TableImage
     ) -> None:
         """File the intent to rewrite one epoch from ``image``."""
-        package = service._packages[epoch_id]
-        fields = {name: getattr(package, name) for name in self._PACKAGE_FIELDS}
-        fields["enc_tags"] = dict(package.enc_tags)
-        self._intents.append((epoch_id, image, fields))
+        self._intents.append((epoch_id, image, service._packages[epoch_id]))
         self._count_phase("intent")
 
     def commit(self) -> None:
@@ -127,11 +121,9 @@ class RotationJournal:
         Returns the number of epochs restored.
         """
         restored = 0
-        for epoch_id, image, fields in self._intents:
+        for epoch_id, image, package in self._intents:
             service.engine.install(image)
-            package = service._packages[epoch_id]
-            for name, value in fields.items():
-                setattr(package, name, value)
+            service._masters[epoch_id], service._packages[epoch_id] = image, package
             restored += 1
         self._count_phase("rollback", restored)
         self._intents.clear()
@@ -296,7 +288,7 @@ def _rotate_all_epochs(
         new_det, new_nd = DeterministicCipher(new_key), RandomizedCipher(new_key)
 
         table = image.table
-        rows = [Row(row_id, image.rows[row_id]) for row_id in sorted(image.rows)]
+        rows = [Row(row_id, columns) for row_id, columns in image.all_rows().items()]
         # New tags are sealed over whatever is stored, so what is stored
         # is first held to the old ones — every populated cell present,
         # counters 1..c_tuple, each column's chain — or a tampered row
@@ -325,7 +317,15 @@ def _rotate_all_epochs(
             )
             rekeyed[row.row_id] = tuple(columns)
         journal.begin_epoch(service, epoch_id, image)
-        service.engine.install(replace(image, rows=rekeyed, tree=None))
+        # The one whole-table write that changes sealed bytes: the
+        # re-keyed rows go into new bins by the old slot layout.
+        bins = image.bins and {
+            index: PackedBin.pack(index, [Row(r, rekeyed[r]) for r in packed.row_ids])
+            for index, packed in image.bins.items()
+        }
+        loose = {row_id: rekeyed[row_id] for row_id in image.rows}
+        service._masters[epoch_id] = replace(image, rows=loose, bins=bins, tree=None)
+        service.engine.install(service._masters[epoch_id])
         rotated_rows += len(rekeyed)
 
         new_tags: dict[int, tuple[bytes, ...]] = {}
@@ -342,21 +342,18 @@ def _rotate_all_epochs(
             new_tags[label] = tuple(new_nd.encrypt(digest) for digest in chains)
 
         # Metadata vectors and tags move to the new epoch key too.
-        package.enc_cell_id_vector = new_nd.encrypt(
-            encode_int_vector(context.cell_id_vector)
-        )
-        package.enc_c_tuple_vector = new_nd.encrypt(
-            encode_int_vector(context.c_tuple)
-        )
-        package.enc_cell_counts = new_nd.encrypt(
-            encode_int_vector(context.cell_counts)
-        )
         # Pre-rotation packages derived placement from the master key;
         # pin the old derivation explicitly so placements survive.
-        package.enc_grid_key = new_nd.encrypt(
-            context.nd.decrypt(package.enc_grid_key)
-            if package.enc_grid_key
-            else derive_grid_key(old_master, epoch_id)
+        service._packages[epoch_id] = replace(
+            package,
+            enc_cell_id_vector=new_nd.encrypt(encode_int_vector(context.cell_id_vector)),
+            enc_c_tuple_vector=new_nd.encrypt(encode_int_vector(context.c_tuple)),
+            enc_cell_counts=new_nd.encrypt(encode_int_vector(context.cell_counts)),
+            enc_grid_key=new_nd.encrypt(
+                context.nd.decrypt(package.enc_grid_key)
+                if package.enc_grid_key
+                else derive_grid_key(old_master, epoch_id)
+            ),
+            enc_tags=new_tags,
         )
-        package.enc_tags = new_tags
     return rotated_rows

@@ -20,7 +20,7 @@ Query flow (Phase 3):
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from repro import telemetry
@@ -49,6 +49,7 @@ from repro.faults.quarantine import QuarantineLog
 from repro.replication.admission import AdmissionController
 from repro.replication.deadline import Deadline
 from repro.storage.engine import StorageEngine
+from repro.storage.table import TableImage
 
 RANGE_METHODS = ("multipoint", "ebpb", "winsecrange", "tree", "auto")
 
@@ -253,7 +254,10 @@ class ServiceProvider:
         # Cells with standing hash-chain violations; queries touching
         # them fail fast with a structured IntegrityViolation.
         self.quarantine = QuarantineLog()
+        # Each landed epoch: its package's metadata (the rows, bins and
+        # tree dropped) and its master image, the table as landed.
         self._packages: dict[int, EpochPackage] = {}
+        self._masters: dict[int, TableImage] = {}
         self._contexts: dict[int, EpochContext] = {}
         self._registry: Registry | None = None
         # Outstanding authentication challenges: each is single-use, so a
@@ -296,7 +300,8 @@ class ServiceProvider:
         retry resumes from the table's row count — no row lands twice —
         with a fresh backoff budget per stalled row.  The sidecars go
         in last (a row write invalidates them); any failure drops the
-        table: a half-landed epoch would silently under-count.
+        table: a half-landed epoch would silently under-count.  Kept:
+        the package's metadata and the master image of what landed.
         """
         if package.schema_name != self.schema.name:
             raise EpochError(
@@ -307,6 +312,10 @@ class ServiceProvider:
             raise EpochError(f"epoch {package.epoch_id} already ingested")
         engine = self.engine
         table = self._table_name(package.epoch_id)
+        # A package without them, or a service that does not read them
+        # (an oblivious one), lands no sidecars.
+        bins = {} if self.config.oblivious else {pb.bin_index: pb for pb in package.packed_bins or ()}
+        tree = None if self.config.oblivious else package.agg_tree
         engine.create_table(table, package.column_names)
         engine.create_index(table, "index_key")
         try:
@@ -315,19 +324,21 @@ class ServiceProvider:
                 lambda: engine.insert_many(table, rows, engine.row_count(table)),
                 progress=lambda: engine.row_count(table),
             )
-            # A package without them, or a service that does not read
-            # them, skips the install.  Landed bins hold their rows, so
-            # the service keeps the package less those rows.
-            if not self.config.oblivious:
-                if package.packed_bins:
-                    engine.store_packed_bins(table, package.packed_bins)
-                    package = package.retained()
-                if package.agg_tree is not None:
-                    engine.store_agg_tree(table, package.agg_tree)
+            if bins:
+                engine.store_packed_bins(table, package.packed_bins)
+            if tree is not None:
+                engine.store_agg_tree(table, tree)
         except BaseException:
             engine.drop_table(table)
             raise
-        self._packages[package.epoch_id] = package
+        binned = {row_id for packed in bins.values() for row_id in packed.row_ids}
+        loose = {row_id: columns for row_id, columns in enumerate(rows) if row_id not in binned}
+        self._masters[package.epoch_id] = TableImage(
+            table, tuple(package.column_names), loose, len(rows), ("index_key",), bins or None, tree
+        )
+        # A ``None`` per row keeps the package's row accounting true.
+        self._packages[package.epoch_id] = replace(
+            package, rows=[None] * len(rows), packed_bins=None, agg_tree=None)
 
     def ingested_epochs(self) -> list[int]:
         """Epoch ids landed so far, sorted."""
@@ -348,6 +359,7 @@ class ServiceProvider:
             self.engine.drop_table(table)
             evicted = True
         self._packages.pop(epoch_id, None)
+        self._masters.pop(epoch_id, None)
         self._drop_contexts(epoch_id)
         return evicted
 

@@ -139,28 +139,17 @@ class RecoveryCoordinator:
         _count_recovery("storage")
 
     def master_source(self, table: str) -> TableImage | None:
-        """One table's image from the epoch package the service retains:
-        its metadata, the sealed bins it shares with the engine and the
-        rows outside them, at their ingest row ids, with the tree the
-        service landed.  The anti-entropy repairer's last resort when no
-        healthy peer holds the table.  Declines (``None``) once a key
-        rotation has run: the retained package is pre-rotation.
+        """The table's master image, kept by the service since ingest:
+        the rows outside the sealed bins, the bins it shares with the
+        engine and the tree it landed, at their ingest row ids.  The
+        anti-entropy repairer's last resort when no healthy peer holds
+        the table.  Declines (``None``) once any rewrite has run (the
+        engine's rewrite generation moved): post-rotation master repair
+        is not wired.
         """
         if getattr(self.service.engine, "rewrite_generation", 0) > 0:
             return None
-        for epoch_id, package in self.service._packages.items():
-            if self.service._table_name(epoch_id) != table:
-                continue
-            # Ingest lands the sidecars only on a service that reads them.
-            sealed = not self.service.config.oblivious
-            return TableImage(
-                table, tuple(package.column_names), dict(enumerate(package.stored_rows())),
-                len(package.rows), ("index_key",),
-                bins={pb.bin_index: pb.row_ids for pb in package.packed_bins}
-                if sealed and package.packed_bins else None,
-                tree=package.agg_tree if sealed else None,
-            )
-        return None
+        return next((m for m in self.service._masters.values() if m.table == table), None)
 
     def repair_replicas(self, fence=None) -> list:
         """One anti-entropy pass over the service's replicated engine.

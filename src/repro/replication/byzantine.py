@@ -183,7 +183,7 @@ class ByzantineReplica:
         from a healthy peer.  Returns the number of rows corrupted.
         """
         tampered = 0
-        for row_id, stored in sorted(self.inner.image(table).rows.items()):
+        for row_id, stored in self.inner.image(table).all_rows().items():
             if row_id % every:
                 continue
             columns = list(stored)

@@ -3,9 +3,10 @@
 A service provider restarting should not need the data provider to
 re-ship every epoch, so the engine supports durable snapshots: a
 versioned pickle of every table's
-:class:`~repro.storage.table.TableImage`.  B+-trees and sealed bins
-are rebuilt on install from index definitions and slot layouts, which
-keeps snapshots compact, and a restored epoch reads sealed bins.
+:class:`~repro.storage.table.TableImage`: loose rows as tuples, each
+sealed bin whole (fixed-width column blobs), so a sealed table's size
+is a function of its public sizes.  Install holds the bins as read and
+bulk-loads B+-trees from the index definitions.
 
 Snapshots are **integrity-framed**: the pickled payload is followed by
 a footer of ``sha256(payload) || uint64(len(payload)) || magic``.  A
@@ -31,7 +32,7 @@ from repro.exceptions import StorageError, TransientStorageError
 from repro.faults.injector import FaultInjector, NULL_INJECTOR
 from repro.storage.engine import StorageEngine
 
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 _MAGIC = b"CONCEALER-CKPT\x00\x02"
 _FOOTER = struct.Struct("<32sQ16s")  # sha256, payload length, magic
 

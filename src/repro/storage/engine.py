@@ -124,10 +124,11 @@ class StorageEngine(RewriteFence):
 
     @staticmethod
     def _load_index(tbl: Table, tree: BPlusTree, position: int) -> None:
-        """Bulk-load ``tree`` from the table's column.  Row ids are sorted
-        by key (stably: equal keys keep row-id order, as after sequential
-        inserts) and streamed: no list of pairs per index."""
-        keys = {row_id: columns[position] for row_id, columns in tbl.rows().items()}
+        """Bulk-load ``tree`` from the table's column (a sealed bin's
+        as slices of its blob).  Row ids are sorted by key (stably:
+        equal keys keep row-id order, as after sequential inserts) and
+        streamed: no list of pairs per index."""
+        keys = tbl.column(position)
         tree.bulk_load((keys[row_id], row_id) for row_id in sorted(keys, key=keys.get))
 
     def has_table(self, name: str) -> bool:
@@ -141,48 +142,36 @@ class StorageEngine(RewriteFence):
     # ------------------------------------------------------- whole tables
 
     def image(self, table: str) -> TableImage:
-        """The table whole.  A maintenance-plane bulk copy (checkpoint,
-        repair source, rotation intent), not a query: unlogged."""
+        """The table whole: its loose rows and sealed bins as they are
+        held, nothing materialised.  A maintenance-plane bulk copy
+        (checkpoint, repair source, rotation intent), not a query:
+        unlogged."""
         tbl = self._table(table)
-        packed = tbl.packed_bins
         return TableImage(
-            table=table,
-            column_names=tbl.column_names,
-            rows=tbl.rows(),
-            next_row_id=tbl._next_row_id,
-            indexed=tuple(sorted(col for name, col in self._indexes if name == table)),
-            bins=None if packed is None else {b: pb.row_ids for b, pb in packed.items()},
-            tree=tbl.agg_tree,
+            table, tbl.column_names, dict(tbl._rows), tbl._next_row_id,
+            tuple(sorted(col for name, col in self._indexes if name == table)),
+            tbl._bins and dict(tbl._bins), tbl.agg_tree,
         )
 
     def install(self, image: TableImage, logged: bool = True) -> int:
         """Replace ``image.table`` wholesale by ``image``; returns its row
-        count.  The sealed bins are packed from the image's rows by its
-        slot layout and then hold those rows (:class:`Table`).
+        count.  The image's sealed bins are installed as they are (every
+        table installing one image shares them) and its indexes
+        bulk-load from the loose rows plus the bins' column slices.
         The host sees one ``ROW_WRITE`` run over the row ids, and the
         rows-written counter moves; ``logged=False`` (a restore loading
         a fresh host's disk) records neither.
         """
-        from repro.core.packed import PackedBin  # core imports storage
-
         name = image.table
         if self.has_table(name):
             self.drop_table(name)
-        self.create_table(name, image.column_names)
-        tbl = self._tables[name]
-        row_ids = sorted(image.rows)
-        tbl._rows.update((row_id, image.rows[row_id]) for row_id in row_ids)
-        tbl._next_row_id = image.next_row_id
+        self._tables[name] = tbl = Table.from_image(image)
+        self._pagers[name] = Pager(rows_per_page=self.rows_per_page)
+        row_ids = tbl.row_ids()
         if row_ids:
             self._pagers[name].note_row(row_ids[-1])
         for column in image.indexed:
             self.create_index(name, column)
-        if image.bins is not None:
-            tbl.packed_bins = {
-                b: PackedBin.pack(b, [tbl.fetch(row_id) for row_id in ids])
-                for b, ids in image.bins.items()
-            }
-        tbl.agg_tree = image.tree
         if logged:
             self.access_log.record_run(
                 name, None, (None,), (0,), row_ids, None, AccessKind.ROW_WRITE

@@ -10,8 +10,9 @@ them as the "physical addresses" an adversary observes.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from repro.exceptions import StorageError
 
@@ -37,30 +38,24 @@ class Row:
 @dataclass(frozen=True)
 class TableImage:
     """One table whole: what checkpoint, restore, repair and key
-    rotation move.  ``bins`` is each sealed bin's row ids in slot order
-    (public layout, re-packed from ``rows`` on install) or ``None``;
-    ``tree`` the aggregate-tree sidecar or ``None``.  Equal images
-    install equal tables.
-    """
+    rotation move.  ``rows`` holds the rows outside the sealed ``bins``
+    (bin_index → :class:`~repro.core.packed.PackedBin`, shared by every
+    table installing the image, which hold their rows unless ``rows``
+    holds one: bins beside the rows) or ``None``; ``tree`` the
+    aggregate-tree sidecar or ``None``.  Equal images install equal
+    tables."""
 
     table: str
     column_names: tuple[str, ...]
     rows: dict[int, tuple]
     next_row_id: int
     indexed: tuple[str, ...]
-    bins: dict[int, tuple[int, ...]] | None = None
+    bins: dict[int, object] | None = None
     tree: object | None = None
 
-
-def bin_rows(bins: Iterable) -> dict[int, tuple]:
-    """Row id → column tuple of every row the sealed ``bins`` hold."""
-    # Equal cells as one object, as DET ciphertexts land: a pickle writes each once.
-    rows: dict[int, tuple] = {}
-    cells: dict[bytes, bytes] = {}
-    for packed in bins:
-        columns = map(packed.column_cells, range(len(packed.columns)))
-        rows.update(zip(packed.row_ids, zip(*[list(map(cells.setdefault, c, c)) for c in columns])))
-    return rows
+    def all_rows(self) -> dict[int, tuple]:
+        """Row id → column tuple of every row, in row-id order (a read)."""
+        return Table.from_image(self).rows()
 
 
 class Table:
@@ -69,7 +64,8 @@ class Table:
     ``column_names`` fixes the arity; inserts with the wrong number of
     columns are rejected.  Deletion marks a row id as dead (tombstone)
     without reusing it — matching how the §6 rewrite replaces an
-    epoch's rows.
+    epoch's rows.  A table moves whole as its :class:`TableImage`
+    (:meth:`from_image`), its sealed bins as they are.
     """
 
     def __init__(self, name: str, column_names: Sequence[str]):
@@ -81,10 +77,12 @@ class Table:
         # Replicas landing the same tuple share it (``tuple(t) is t``).
         self._rows: dict[int, tuple] = {}
         self._next_row_id = 0
-        # Sealed bins (bin_index → PackedBin) or None.  They are the
-        # record of truth for the rows they hold: while they hold any,
-        # row id → ``bin_index << 32 | slot`` (-1: not in a bin), and a
-        # read slices the bin.  One array, no Python object per row.
+        # Sealed bins (bin_index → PackedBin) or None: immutable, and
+        # shared with every image of the table and every table that
+        # installs one.  They are the record of truth for the rows
+        # they hold: while they hold any, row id → ``bin_index << 32 |
+        # slot`` (-1: not in a bin), and a read slices the bin.  One
+        # array, no Python object per row.
         self._bins: dict[int, object] | None = None
         self._slots = array("q")
         # Aggregate-tree sidecar (repro.core.aggtree.AggTree), or None.
@@ -104,13 +102,29 @@ class Table:
         # the table lacks (a diverged replica) stay beside the rows.
         if self._slots:
             self._rows, self._slots = self.rows(), array("q")
-        self._bins, rows = bins, self._rows
-        if bins and all(r in rows for packed in bins.values() for r in packed.row_ids):
-            self._slots = slots = array("q", [-1]) * self._next_row_id
-            for index, packed in bins.items():
-                for position, row_id in enumerate(packed.row_ids, index << 32):
-                    slots[row_id] = position
-                    del rows[row_id]
+        self._bins = bins
+        if bins and all(r in self._rows for packed in bins.values() for r in packed.row_ids):
+            self._seal()
+
+    def _seal(self) -> None:
+        """Hold the bins' rows as ``bin << 32 | slot``, not in ``_rows``."""
+        self._slots = slots = array("q", [-1]) * self._next_row_id
+        for index, packed in self._bins.items():
+            for position, row_id in enumerate(packed.row_ids, index << 32):
+                slots[row_id] = position
+                self._rows.pop(row_id, None)
+
+    @classmethod
+    def from_image(cls, image: TableImage) -> "Table":
+        """The table ``image`` was taken of: its loose rows copied, its
+        bins and tree shared, nothing packed or unpacked."""
+        table = cls(image.table, image.column_names)
+        table._rows, table._next_row_id = dict(image.rows), image.next_row_id
+        table._bins = bins = image.bins and dict(image.bins)
+        table.agg_tree = image.tree
+        if bins and not any(r in table._rows for pb in bins.values() for r in pb.row_ids):
+            table._seal()
+        return table
 
     def column_index(self, column: str) -> int:
         """Position of a named column; raises if unknown."""
@@ -146,8 +160,23 @@ class Table:
 
     def rows(self) -> dict[int, tuple]:
         """Row id → column tuple of every live row, in row-id order."""
-        binned = bin_rows(self._bins.values()) if self._slots else {}
-        return dict(sorted({**self._rows, **binned}.items()))
+        rows = dict(self._rows)
+        for packed in self._bins.values() if self._slots else ():
+            columns = map(packed.column_cells, range(len(packed.columns)))
+            rows.update(zip(packed.row_ids, zip(*columns)))
+        return dict(sorted(rows.items()))
+
+    def row_ids(self) -> list[int]:
+        """Every live row id, ascending."""
+        binned = (row_id for row_id, slot in enumerate(self._slots) if slot >= 0)
+        return sorted(chain(self._rows, binned))
+
+    def column(self, position: int) -> dict[int, object]:
+        """Row id → cell at ``position`` of every live row, in row-id order."""
+        cells = {row_id: columns[position] for row_id, columns in self._rows.items()}
+        for packed in self._bins.values() if self._slots else ():
+            cells.update(zip(packed.row_ids, packed.column_cells(position)))
+        return dict(sorted(cells.items()))
 
     def overwrite(self, row_id: int, columns: Sequence) -> None:
         """Replace the columns of an existing row in place."""

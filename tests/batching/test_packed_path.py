@@ -18,9 +18,10 @@ from __future__ import annotations
 import pytest
 
 from repro import GridSpec
+from repro.core.packed import PackedBin
 from repro.core.queries import Aggregate, PointQuery, RangeQuery
 from repro.exceptions import IntegrityViolation
-from tests.conftest import make_stack
+from tests.conftest import make_stack, stored_rows
 
 EPOCH_DURATION = 600
 SPEC = GridSpec(
@@ -101,7 +102,7 @@ class TestPackedScalarParity:
         assert not service.engine.has_packed_bins("epoch_0")
         # ...and even one planted on the engine is passed over.
         service.engine.store_packed_bins(
-            "epoch_0", service._packages[0].packed_bins
+            "epoch_0", [PackedBin.pack(0, stored_rows(service.engine, "epoch_0"))]
         )
         service.execute_point(
             PointQuery(index_values=(records[0][0],), timestamp=records[0][1])

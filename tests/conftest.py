@@ -117,7 +117,7 @@ def stored_rows(engine, table):
     access-log entry)."""
     from repro.storage.table import Row
 
-    rows = engine.image(table).rows
+    rows = engine.image(table).all_rows()
     return [Row(row_id, rows[row_id]) for row_id in sorted(rows)]
 
 

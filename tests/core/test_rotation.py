@@ -368,7 +368,7 @@ class TestAbortedRotationRestoresWholeImages:
         _, service = make_stack(grid_spec, wifi_records, verify=True, engine=engine)
         before = _images(engine)
         primary = engine.replicas[0]
-        row_id, columns = next(iter(primary.image("epoch_0").rows.items()))
+        row_id, columns = next(iter(primary.image("epoch_0").all_rows().items()))
         rotted = columns[0][:-1] + bytes([columns[0][-1] ^ 1])
         primary.overwrite("epoch_0", row_id, [rotted, *columns[1:]])
         with pytest.raises(CryptoError):

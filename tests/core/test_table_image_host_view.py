@@ -129,7 +129,7 @@ def test_quarantine_then_repair_heals_to_sealed_bins(tmp_path, shape):
     # Replica 0's disk rots: a stored row flips a byte (which drops its
     # sidecars), and the row's cell is quarantined on it.
     victim = engine.replicas[0]
-    row_id, columns = next(iter(victim.image(table).rows.items()))
+    row_id, columns = next(iter(victim.image(table).all_rows().items()))
     victim.overwrite(table, row_id, [columns[0][:-1] + bytes([columns[0][-1] ^ 1]), *columns[1:]])
     engine.quarantine.record(0, table, None, "chain-mismatch")
     outcomes = sharded.repair_replicas()[0]

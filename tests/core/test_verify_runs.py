@@ -39,14 +39,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro import GridSpec, telemetry
+from repro import WIFI_SCHEMA, DataProvider, GridSpec, telemetry
 from repro.core.context import SlotRequest
 from repro.core.packed import PackedBin
 from repro.core.rotation import rotate_service_keys, rotation_token
 from repro.core.schema import unpad_plaintext
 from repro.exceptions import DecryptionError, IntegrityViolation
 
-from tests.conftest import MASTER_KEY, is_fake_row, make_stack
+from tests.conftest import MASTER_KEY, TIME_STEP, is_fake_row, make_stack
 from tests.crypto.hashchain import chain_digest
 
 SPEC = GridSpec(dimension_sizes=(4, 10), cell_id_count=16, epoch_duration=600)
@@ -560,7 +560,12 @@ def test_a_verified_bin_costs_one_index_key_decryption_per_kept_row(sealed):
 
 def test_epc_in_use_is_flat_over_rotations_and_evictions():
     _, service = make_stack(SPEC, RECORDS, verify=True)
-    package = service._packages[0]
+    # The service keeps only the package's metadata; the same key and
+    # seed as make_stack's provider ship the same package again.
+    package = DataProvider(
+        WIFI_SCHEMA, SPEC, 0, master_key=MASTER_KEY, time_granularity=TIME_STEP,
+        rng=random.Random(1),
+    ).encrypt_epoch(RECORDS, epoch_id=0)
 
     def touch():
         context = service.context_for(0)
@@ -574,7 +579,7 @@ def test_epc_in_use_is_flat_over_rotations_and_evictions():
     assert baseline > 0
     masters = [MASTER_KEY] + [bytes([n]) * 32 for n in range(1, 6)]
     with telemetry.scoped_registry() as registry:
-        for _ in range(5):  # first: rotation rewrites the package in place
+        for _ in range(5):
             assert service.evict_epoch(0)
             assert service.enclave.epc_used == 0
             service.ingest_epoch(package)

@@ -39,10 +39,11 @@ def _shift_physical_ids(member, table: str, offset: int) -> None:
     logical rows, so every per-bin verification keeps passing.
     """
     image = member.image(table)
-    count = len(image.rows)
+    rows = image.all_rows()
+    count = len(rows)
     member.install(dataclasses.replace(
         image,
-        rows={(row_id + offset) % count: columns for row_id, columns in image.rows.items()},
+        rows={(row_id + offset) % count: columns for row_id, columns in rows.items()},
         bins=None,
         tree=None,
     ))

@@ -83,6 +83,48 @@ class TestImages:
         assert restored.image("plain").bins is None and restored.image("plain").tree is None
 
 
+    def test_a_flipped_bin_blob_byte_fails_verification_on_read(self, tmp_path):
+        """The footer is unkeyed: a host can flip a byte of a stored
+        bin's column blob and recompute it.  The restore then succeeds,
+        and a read of that bin fails verification — never a wrong
+        answer."""
+        import pickle
+        from dataclasses import replace
+
+        from repro import GridSpec, PointQuery
+        from repro.exceptions import IntegrityViolation
+        from repro.storage.checkpoint import read_checkpoint, write_framed
+
+        from tests.conftest import ground_truth_count, is_fake_row, make_stack
+
+        records = [(f"ap{i % 4}", (i * 60) % 600, f"d{i % 5}") for i in range(60)]
+        spec = GridSpec(dimension_sizes=(4, 10), cell_id_count=16, epoch_duration=600)
+        _, service = make_stack(spec, records, verify=True)
+        context = service.context_for(0)
+        path = checkpoint_engine(service.engine, tmp_path / "c")
+        snapshot = read_checkpoint(path)
+        (image,) = snapshot["images"]
+        index, victim = next(
+            (b, pb) for b, pb in image.bins.items() if not is_fake_row(context, pb[0])
+        )
+        blob = victim.columns[0]
+        flipped = blob[:3] + bytes([blob[3] ^ 0x01]) + blob[4:]
+        image.bins[index] = replace(victim, columns=(flipped, *victim.columns[1:]))
+        write_framed(path, pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL))
+
+        service.adopt_engine(restore_engine(path))
+        caught = 0
+        for location, timestamp in sorted({(r[0], r[1]) for r in records}):
+            query = PointQuery(index_values=(location,), timestamp=timestamp)
+            try:
+                answer, _ = service.execute_point(query)
+            except IntegrityViolation:
+                caught += 1
+            else:
+                assert answer == ground_truth_count(records, location, timestamp, timestamp)
+        assert caught
+
+
 class TestErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(StorageError):
@@ -100,6 +142,18 @@ class TestErrors:
             "indexes": [],
         }))
         with pytest.raises(StorageError, match="unsupported checkpoint version 2"):
+            restore_engine(path)
+
+    def test_version_3_is_refused(self, tmp_path):
+        import pickle
+
+        from repro.storage.checkpoint import write_framed
+
+        path = tmp_path / "v3.db"
+        write_framed(path, pickle.dumps({
+            "version": 3, "btree_order": 8, "rows_per_page": 64, "images": [],
+        }))
+        with pytest.raises(StorageError, match="unsupported checkpoint version 3"):
             restore_engine(path)
 
     def test_bad_version(self, engine, tmp_path):

@@ -1,21 +1,25 @@
 """A sealed bin is the record of truth for the rows it holds: the table
 keeps each such row's (bin, slot) position and reads it as a slice of
-the bin, the service keeps no copy, and every read, image and
-whole-table round trip serves the bytes the rows landed as."""
+the bin, the service keeps no copy beyond the epoch's master image, and
+every read, image and whole-table round trip serves the bytes the rows
+landed as.  A whole-table move carries the bins whole: an image holds
+them, an install holds them as they are, so no move packs or unpacks a
+bin (key rotation, which changes the sealed bytes, aside)."""
 
 from __future__ import annotations
 
 import gc
-import pickle
 import random
-from dataclasses import replace
+import types
 
 import pytest
 
-from repro import WIFI_SCHEMA, DataProvider, FakeStrategy
+from repro import WIFI_SCHEMA, DataProvider, FakeStrategy, ServiceConfig, ServiceProvider
 from repro.core.epoch import EncryptedRow, EpochPackage
 from repro.core.packed import PackedBin
-from repro.core.rotation import abort_rotation, prepare_rotation, rotation_token
+from repro.core.rotation import (
+    abort_rotation, prepare_rotation, rotate_service_keys, rotation_token,
+)
 from repro.faults.injector import FaultInjector, FaultSpec
 from repro.faults.recovery import RecoveryCoordinator
 from repro.replication.engine import ReplicatedStorageEngine
@@ -81,7 +85,7 @@ class TestReadsAreTheLandedBytes:
             )
         assert sealed.access_log.events() == plain.access_log.events()
         assert list(sealed.scan("t")) == list(plain.scan("t"))
-        assert sealed.image("t").rows == plain.image("t").rows == {
+        assert sealed.image("t").all_rows() == plain.image("t").all_rows() == {
             i: tuple(row.as_columns()) for i, row in enumerate(package.rows)
         }
 
@@ -100,7 +104,7 @@ class TestReadsAreTheLandedBytes:
             expected = PackedBin.join_runs([(pb, half, pb.row_count)])
             assert run.to_bytes() == twin._tamper_packed(expected).to_bytes()
         # Tampering touches the returned batch only.
-        assert engine.image("t").rows == land(package, False).image("t").rows
+        assert engine.image("t").all_rows() == land(package, False).image("t").all_rows()
 
 
 class TestMutationMaterialises:
@@ -126,16 +130,31 @@ class TestMutationMaterialises:
 
     def test_dropping_the_bins_directly_keeps_every_row(self, package):
         engine = land(package, True)
-        before = engine.image("t").rows
+        before = engine.image("t").all_rows()
         engine._tables["t"].packed_bins = None
-        assert engine.image("t").rows == before
+        assert engine.image("t").all_rows() == before
+
+
+def _reachable_bins(root) -> list[PackedBin]:
+    """Every PackedBin reachable from ``root`` through instances and
+    containers (classes, modules and functions are not followed)."""
+    seen, found, stack = set(), [], [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, PackedBin):
+            found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
 
 
 class TestHeldOnce:
     def test_replicas_share_the_landed_bins(self, grid_spec, wifi_records):
         replicas = [StorageEngine() for _ in range(3)]
         _, service = make_stack(grid_spec, wifi_records, engine=ReplicatedStorageEngine(replicas))
-        retained = service._packages[0].packed_bins
+        retained = list(service._masters[0].bins.values())
         for replica in replicas:
             stored = replica._tables["epoch_0"].packed_bins
             assert [stored[pb.bin_index] for pb in retained] == retained
@@ -160,10 +179,39 @@ class TestHeldOnce:
         assert len(gc.get_objects()) - before < rows // 8
         assert service.engine._tables[service._table_name(epoch)]._rows == {}
 
-    def test_a_materialised_image_pickles_no_larger(self, package):
-        sealed, plain = land(package, True), land(package, False)
-        landed = replace(plain.image("t"), bins=sealed.image("t").bins)
-        assert len(pickle.dumps(sealed.image("t"))) <= len(pickle.dumps(landed))
+    def test_rotation_leaves_no_pre_rotation_bin_reachable(self, grid_spec, wifi_records):
+        _, service = make_stack(grid_spec, wifi_records, verify=True)
+        landed = {id(pb) for pb in _reachable_bins(service)}
+        assert landed
+        new_master = bytes(range(32, 64))
+        rotate_service_keys(service, new_master, rotation_token(MASTER_KEY, new_master))
+        rotated = _reachable_bins(service)
+        assert rotated and not landed & {id(pb) for pb in rotated}
+        assert service._masters[0] == service.engine.image("epoch_0")
+
+    def test_an_image_holds_the_bins_and_no_row_tuple(self, package, monkeypatch):
+        engine = land(package, True)
+        table = engine._tables["t"]
+
+        def unpacked(*_):
+            raise AssertionError("a sealed row was unpacked")
+
+        for name in ("column_cells", "cell", "unpack", "__getitem__"):
+            monkeypatch.setattr(PackedBin, name, unpacked)
+        image = engine.image("t")
+        assert all(image.bins[b] is pb for b, pb in table.packed_bins.items())
+        assert image.rows == table._rows
+        assert all(image.rows[r] is table._rows[r] for r in image.rows)
+
+    def test_install_packs_nothing_and_shares_the_bins(self, package, monkeypatch):
+        image = land(package, True).image("t")
+        monkeypatch.setattr(PackedBin, "pack", None)
+        other = StorageEngine()
+        assert other.install(image) == len(package.rows)
+        assert other.image("t") == image
+        held = other._tables["t"].packed_bins
+        assert all(held[b] is pb for b, pb in image.bins.items())
+        assert other._tables["t"]._rows == image.rows
 
 
 class TestRoundTrips:
@@ -173,15 +221,39 @@ class TestRoundTrips:
         coordinator = RecoveryCoordinator(provider, service)
         assert coordinator.master_source("epoch_0") == service.engine.image("epoch_0")
 
-    def test_retained_package_re_ingests_identically(self, grid_spec, wifi_records):
-        _, service = make_stack(grid_spec, wifi_records)
-        before = service.engine.image("epoch_0")
-        package = service._packages[0]
-        assert service.evict_epoch(0)
-        service.ingest_epoch(package)
-        assert service.engine.image("epoch_0") == before
-        shipped = EpochPackage.deserialize(package.serialize()).stored_rows()
-        assert dict(enumerate(shipped)) == before.rows
+    @pytest.mark.parametrize("oblivious", [False, True])
+    def test_the_master_image_is_the_shipped_package(self, package, oblivious):
+        service = ServiceProvider(WIFI_SCHEMA, ServiceConfig(oblivious=oblivious))
+        wire = package.serialize()
+        service.ingest_epoch(EpochPackage.deserialize(wire))
+        master = service._masters[0]
+        assert master == service.engine.image("epoch_0")
+        assert master.all_rows() == dict(enumerate(EpochPackage.deserialize(wire).stored_rows()))
+        assert (master.bins is None) == oblivious
+        kept = service._packages[0]
+        assert kept.packed_bins is None and kept.agg_tree is None and set(kept.rows) == {None}
+
+    def test_bins_beside_the_rows_image_and_install_back(self, package):
+        """A replica that skipped a row while landing holds the rows after
+        it at shifted ids, so the bins name a row it lacks and stay
+        beside its rows; its image installs back to that same state."""
+        skipped = package.packed_bins[0].row_ids[0]
+        engine = StorageEngine()
+        engine.create_table("t", package.column_names)
+        engine.create_index("t", "index_key")
+        rows = [tuple(row.as_columns()) for row in package.rows]
+        engine.insert_many("t", rows[:skipped] + rows[skipped + 1 :])
+        engine.store_packed_bins("t", package.packed_bins)
+        table = engine._tables["t"]
+        assert engine.has_packed_bins("t") and not table._slots
+        image = engine.image("t")
+        other = StorageEngine()
+        other.install(image)
+        assert other.image("t") == image
+        assert not other._tables["t"]._slots and other._tables["t"]._rows == table._rows
+        assert other.image("t").all_rows() == table.rows()
+        for key in _keys(package):
+            assert other.lookup("t", "index_key", key) == engine.lookup("t", "index_key", key)
 
     def test_checkpoint_restore_and_rotation_abort(self, grid_spec, wifi_records, tmp_path):
         _, service = make_stack(grid_spec, wifi_records, verify=True)
@@ -190,7 +262,7 @@ class TestRoundTrips:
         assert restored.image("epoch_0") == before
         new_master = bytes(range(32, 64))
         prepared = prepare_rotation(service, new_master, rotation_token(MASTER_KEY, new_master))
-        assert service.engine.image("epoch_0").rows != before.rows
+        assert service.engine.image("epoch_0").all_rows() != before.all_rows()
         abort_rotation(prepared)
         assert service.engine.image("epoch_0") == before
 
@@ -208,7 +280,6 @@ class TestRoundTrips:
 def test_recovery_packs_each_bin_once_per_replica(tmp_path, monkeypatch):
     provider, service, engine, members, _ = make_replicated_stack(replication_records())
     table = service._table_name(0)
-    bins = len(service._packages[0].packed_bins)
     coordinator = RecoveryCoordinator(provider, service, tmp_path / "ckpt")
     coordinator.checkpoint()
     before = members[0].image(table)
@@ -223,5 +294,25 @@ def test_recovery_packs_each_bin_once_per_replica(tmp_path, monkeypatch):
     monkeypatch.setattr(PackedBin, "pack", classmethod(counted("pack", PackedBin.pack.__func__)))
     monkeypatch.setattr(BPlusTree, "bulk_load", counted("bulk_load", BPlusTree.bulk_load))
     coordinator.recover_storage()
-    assert counts == {"pack": len(members) * bins, "bulk_load": len(members)}
+    assert counts == {"pack": 0, "bulk_load": len(members)}
     assert all(member.image(table) == before for member in members)
+    _assert_shared_bins(members, table)
+
+
+def _assert_shared_bins(members, table: str) -> None:
+    """Every replica of ``table`` holds the very same PackedBin objects."""
+    held = [member.inner._tables[table].packed_bins for member in members]
+    assert held[0]
+    for bins in held[1:]:
+        assert bins.keys() == held[0].keys()
+        assert all(bins[b] is held[0][b] for b in bins)
+
+
+def test_a_peer_repair_shares_the_peers_bins():
+    _, service, engine, members, _ = make_replicated_stack(replication_records())
+    table = service._table_name(0)
+    members[1].inner.drop_table(table)
+    engine.quarantine.record(1, table, None, "test")
+    coordinator = RecoveryCoordinator(None, service)
+    assert {o.outcome for o in coordinator.repair_replicas()} == {"repaired"}
+    _assert_shared_bins(members, table)

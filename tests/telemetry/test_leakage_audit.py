@@ -13,6 +13,7 @@ from repro import GridSpec, telemetry
 from repro.core.queries import PointQuery, Predicate, RangeQuery
 from repro.exceptions import LeakageAuditError
 from repro.faults.clock import VirtualClock
+from repro.storage.checkpoint import checkpoint_engine
 from repro.telemetry import (
     MetricsRegistry,
     PUBLIC_SIZE,
@@ -31,11 +32,12 @@ _SPEC = GridSpec(
 )
 
 
-def _records(prefix: str) -> list[tuple[str, int, str]]:
+def _records(prefix: str, devices: int = 6) -> list[tuple[str, int, str]]:
     """One tiny epoch whose (location, timestamp) multiset is independent
-    of ``prefix`` — only the device names differ between datasets."""
+    of ``prefix`` and ``devices`` — only the device names differ between
+    datasets (``devices=1``: every row has the same device)."""
     return [
-        (_LOCATIONS[(t // 60 + d) % 4], t, f"{prefix}{d}")
+        (_LOCATIONS[(t // 60 + d) % 4], t, f"{prefix}{d % devices}")
         for t in range(0, EPOCH_DURATION, 60)
         for d in range(6)
     ]
@@ -169,3 +171,29 @@ class TestAuditRun:
 
     def test_report_type(self):
         assert isinstance(audit_run(lambda: None), AuditReport)
+
+
+class TestCheckpointSize:
+    """A sealed table checkpoints as its bins whole — fixed-width column
+    blobs and row ids — so the payload size, tagged public on
+    ``concealer_checkpoint_bytes`` and on the ``storage.checkpoint``
+    span, is equal across datasets of equal public size: a one-device
+    twin, whose device ciphertexts all repeat, included."""
+
+    def test_equal_public_size_datasets_checkpoint_to_equal_bytes(self, tmp_path):
+        def checkpointed(records, name):
+            def run():
+                _, service = make_stack(_SPEC, records)
+                return checkpoint_engine(service.engine, tmp_path / name).stat().st_size
+
+            return audit_run(run)
+
+        reports = [
+            checkpointed(_records("A"), "a"),
+            checkpointed(_records("B"), "b"),
+            checkpointed(_records("A", devices=1), "one"),
+        ]
+        assert len({report.result for report in reports}) == 1
+        for other in reports[1:]:
+            assert_equal_public_view(reports[0], other)
+            assert other.trace_summary() == reports[0].trace_summary()
