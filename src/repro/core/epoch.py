@@ -133,7 +133,9 @@ class EpochPackage:
     epoch_id: int
     grid_spec: GridSpec
     time_granularity: int
-    rows: list[EncryptedRow]
+    # ``None``: metadata only — a landed epoch's kept package, whose
+    # rows live in storage (repro.core.service.ServiceProvider).
+    rows: list[EncryptedRow] | None
     enc_cell_id_vector: bytes
     enc_c_tuple_vector: bytes
     enc_cell_counts: bytes
@@ -166,7 +168,7 @@ class EpochPackage:
     agg_tree: "object | None" = None
 
     def __post_init__(self):
-        if self.real_count + self.fake_count != len(self.rows):
+        if self.rows is not None and self.real_count + self.fake_count != len(self.rows):
             raise EpochError(
                 f"row accounting broken: {self.real_count} real + "
                 f"{self.fake_count} fake != {len(self.rows)} rows"
@@ -192,12 +194,18 @@ class EpochPackage:
     @property
     def column_names(self) -> list[str]:
         """Storage column names for this package's rows."""
-        arity = len(self.rows[0].as_columns()) if self.rows else 2
+        rows = self._rows()
+        arity = len(rows[0].as_columns()) if rows else 2
         return [f"filter_{i}" for i in range(arity - 2)] + ["payload", "index_key"]
 
     def stored_rows(self) -> list[tuple]:
         """Every row's stored column tuple, in row-id (position) order."""
-        return [tuple(row.as_columns()) for row in self.rows]
+        return [tuple(row.as_columns()) for row in self._rows()]
+
+    def _rows(self) -> list[EncryptedRow]:
+        if self.rows is None:
+            raise EpochError(f"epoch {self.epoch_id}'s kept package holds no rows")
+        return self.rows
 
     def metadata_bytes(self) -> int:
         """Size of the encrypted metadata vectors (reported by §9.1)."""

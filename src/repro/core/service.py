@@ -254,8 +254,8 @@ class ServiceProvider:
         # Cells with standing hash-chain violations; queries touching
         # them fail fast with a structured IntegrityViolation.
         self.quarantine = QuarantineLog()
-        # Each landed epoch: its package's metadata (the rows, bins and
-        # tree dropped) and its master image, the table as landed.
+        # Each landed epoch: its package's metadata (``rows=None``, no
+        # bins or tree) and its master image, the table as landed.
         self._packages: dict[int, EpochPackage] = {}
         self._masters: dict[int, TableImage] = {}
         self._contexts: dict[int, EpochContext] = {}
@@ -334,11 +334,11 @@ class ServiceProvider:
         binned = {row_id for packed in bins.values() for row_id in packed.row_ids}
         loose = {row_id: columns for row_id, columns in enumerate(rows) if row_id not in binned}
         self._masters[package.epoch_id] = TableImage(
-            table, tuple(package.column_names), loose, len(rows), ("index_key",), bins or None, tree
+            table, tuple(package.column_names), loose, len(rows), ("index_key",),
+            bins or None, tree, bool(bins),
         )
-        # A ``None`` per row keeps the package's row accounting true.
         self._packages[package.epoch_id] = replace(
-            package, rows=[None] * len(rows), packed_bins=None, agg_tree=None)
+            package, rows=None, packed_bins=None, agg_tree=None)
 
     def ingested_epochs(self) -> list[int]:
         """Epoch ids landed so far, sorted."""

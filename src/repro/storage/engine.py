@@ -150,7 +150,7 @@ class StorageEngine(RewriteFence):
         return TableImage(
             table, tbl.column_names, dict(tbl._rows), tbl._next_row_id,
             tuple(sorted(col for name, col in self._indexes if name == table)),
-            tbl._bins and dict(tbl._bins), tbl.agg_tree,
+            tbl._bins and dict(tbl._bins), tbl.agg_tree, bool(tbl._slots),
         )
 
     def install(self, image: TableImage, logged: bool = True) -> int:

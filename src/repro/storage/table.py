@@ -40,10 +40,10 @@ class TableImage:
     """One table whole: what checkpoint, restore, repair and key
     rotation move.  ``rows`` holds the rows outside the sealed ``bins``
     (bin_index → :class:`~repro.core.packed.PackedBin`, shared by every
-    table installing the image, which hold their rows unless ``rows``
-    holds one: bins beside the rows) or ``None``; ``tree`` the
-    aggregate-tree sidecar or ``None``.  Equal images install equal
-    tables."""
+    table installing the image) or ``None``; ``sealed`` says whether
+    the bins hold their rows or sit beside ``rows``, as the source
+    table held them; ``tree`` the aggregate-tree sidecar or ``None``.
+    Equal images install equal tables."""
 
     table: str
     column_names: tuple[str, ...]
@@ -52,6 +52,7 @@ class TableImage:
     indexed: tuple[str, ...]
     bins: dict[int, object] | None = None
     tree: object | None = None
+    sealed: bool = False
 
     def all_rows(self) -> dict[int, tuple]:
         """Row id → column tuple of every row, in row-id order (a read)."""
@@ -117,12 +118,13 @@ class Table:
     @classmethod
     def from_image(cls, image: TableImage) -> "Table":
         """The table ``image`` was taken of: its loose rows copied, its
-        bins and tree shared, nothing packed or unpacked."""
+        bins and tree shared, sealed as the source was, nothing packed
+        or unpacked."""
         table = cls(image.table, image.column_names)
         table._rows, table._next_row_id = dict(image.rows), image.next_row_id
         table._bins = bins = image.bins and dict(image.bins)
         table.agg_tree = image.tree
-        if bins and not any(r in table._rows for pb in bins.values() for r in pb.row_ids):
+        if bins and image.sealed:
             table._seal()
         return table
 

@@ -18,10 +18,9 @@ from __future__ import annotations
 import pytest
 
 from repro import GridSpec
-from repro.core.packed import PackedBin
 from repro.core.queries import Aggregate, PointQuery, RangeQuery
 from repro.exceptions import IntegrityViolation
-from tests.conftest import make_stack, stored_rows
+from tests.conftest import make_stack
 
 EPOCH_DURATION = 600
 SPEC = GridSpec(
@@ -100,10 +99,12 @@ class TestPackedScalarParity:
         records = _records(1)
         _, service = make_stack(SPEC, records, oblivious=True)
         assert not service.engine.has_packed_bins("epoch_0")
-        # ...and even one planted on the engine is passed over.
-        service.engine.store_packed_bins(
-            "epoch_0", [PackedBin.pack(0, stored_rows(service.engine, "epoch_0"))]
-        )
+        # ...and even the shipped bins planted on the engine are passed
+        # over (make_stack's provider ignores the service config, so a
+        # sealed twin lands the same package).
+        _, twin = make_stack(SPEC, records)
+        service.engine.store_packed_bins("epoch_0", list(twin._masters[0].bins.values()))
+        assert service.engine.has_packed_bins("epoch_0")
         service.execute_point(
             PointQuery(index_values=(records[0][0],), timestamp=records[0][1])
         )

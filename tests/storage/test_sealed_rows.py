@@ -16,6 +16,7 @@ import pytest
 
 from repro import WIFI_SCHEMA, DataProvider, FakeStrategy, ServiceConfig, ServiceProvider
 from repro.core.epoch import EncryptedRow, EpochPackage
+from repro.exceptions import EpochError
 from repro.core.packed import PackedBin
 from repro.core.rotation import (
     abort_rotation, prepare_rotation, rotate_service_keys, rotation_token,
@@ -174,7 +175,7 @@ class TestHeldOnce:
         service.ingest_epoch(package)
         del package
         gc.collect()
-        assert set(service._packages[epoch].rows) == {None}  # all in bins
+        assert service._packages[epoch].rows is None  # metadata kept, rows in storage
         assert sum(1 for o in gc.get_objects() if type(o) is EncryptedRow) == 0
         assert len(gc.get_objects()) - before < rows // 8
         assert service.engine._tables[service._table_name(epoch)]._rows == {}
@@ -231,18 +232,23 @@ class TestRoundTrips:
         assert master.all_rows() == dict(enumerate(EpochPackage.deserialize(wire).stored_rows()))
         assert (master.bins is None) == oblivious
         kept = service._packages[0]
-        assert kept.packed_bins is None and kept.agg_tree is None and set(kept.rows) == {None}
+        assert kept.packed_bins is None and kept.agg_tree is None and kept.rows is None
+        with pytest.raises(EpochError):
+            kept.stored_rows()
 
-    def test_bins_beside_the_rows_image_and_install_back(self, package):
+    @pytest.mark.parametrize("landed", ["all but one", "none"])
+    def test_bins_beside_the_rows_image_and_install_back(self, package, landed):
         """A replica that skipped a row while landing holds the rows after
         it at shifted ids, so the bins name a row it lacks and stay
-        beside its rows; its image installs back to that same state."""
+        beside its rows; its image installs back to that same state —
+        also when it landed no row at all, so no loose row names a bin's."""
         skipped = package.packed_bins[0].row_ids[0]
         engine = StorageEngine()
         engine.create_table("t", package.column_names)
         engine.create_index("t", "index_key")
         rows = [tuple(row.as_columns()) for row in package.rows]
-        engine.insert_many("t", rows[:skipped] + rows[skipped + 1 :])
+        if landed == "all but one":
+            engine.insert_many("t", rows[:skipped] + rows[skipped + 1 :])
         engine.store_packed_bins("t", package.packed_bins)
         table = engine._tables["t"]
         assert engine.has_packed_bins("t") and not table._slots
