@@ -6,7 +6,7 @@ metrics dict that ``check_regression.py`` can diff against a committed
 baseline.  Two kinds of metrics come out:
 
 - **tracked** — deterministic volume accounting (storage rows read per
-  query, fake-tuple overhead, batch dedup factor).  These are pure
+  query, fake-tuple overhead, aggregate-tree rows per query).  These are pure
   functions of the dataset seed and the code, so any drift is a real
   behavioural change; CI fails the PR when one regresses past the
   threshold.
@@ -41,9 +41,6 @@ SCHEMA_VERSION = 1
 TRACKED = {
     "point_storage_rows_per_query": "lower",
     "range_multipoint_storage_rows_per_query": "lower",
-    "batch_storage_rows_per_query": "lower",
-    "batch_read_reduction": "higher",
-    "batch_dedup_factor": "higher",
     "fake_tuple_ratio": "lower",
     "sharded_range_participants": "lower",
     "longrange_tree_rows_per_query": "lower",
@@ -53,9 +50,9 @@ TRACKED = {
 # Per-scale workload sizing.  "ci" must finish in well under a minute
 # on a shared runner; "full" matches the small pytest-benchmark stack.
 SCALES = {
-    "ci": dict(access_points=12, devices=240, rows_per_hour=600, probes=6, repeats=4,
+    "ci": dict(access_points=12, devices=240, rows_per_hour=600, probes=6,
                longrange_devices=6),
-    "full": dict(access_points=48, devices=1200, rows_per_hour=1200, probes=8, repeats=6,
+    "full": dict(access_points=48, devices=1200, rows_per_hour=1200, probes=8,
                  longrange_devices=16),
 }
 
@@ -344,7 +341,6 @@ def run_bench(scale_name: str = "ci") -> dict:
         point_queries = [
             PointQuery(index_values=(loc,), timestamp=ts) for loc, ts in probes
         ]
-        batch_queries = point_queries * scale["repeats"]
         ranged = RangeQuery(
             index_values=(probes[0][0],),
             time_start=EPOCH + 600,
@@ -371,26 +367,6 @@ def run_bench(scale_name: str = "ci") -> dict:
         service.execute_range(ranged, method="multipoint")
         metrics["range_multipoint_p50_s"] = round(time.perf_counter() - start, 6)
         metrics["range_multipoint_storage_rows_per_query"] = reads() - before
-
-        # Batched execution of the overlapping workload.
-        sequential_reads = metrics["point_storage_rows_per_query"] * len(
-            batch_queries
-        )
-        before = reads()
-        start = time.perf_counter()
-        service.execute_batch(batch_queries)
-        metrics["batch_seconds"] = round(time.perf_counter() - start, 6)
-        batch_reads = reads() - before
-        metrics["batch_storage_rows_per_query"] = batch_reads / len(batch_queries)
-        metrics["batch_read_reduction"] = round(
-            sequential_reads / max(1, batch_reads), 4
-        )
-        # References per unique bin, from this batch's counters.
-        metrics["batch_dedup_factor"] = round(
-            registry.total("concealer_batch_bin_references_total")
-            / max(1, registry.total("concealer_batch_unique_bins_total")),
-            4,
-        )
 
         # Fake-tuple overhead of everything fetched above.
         real = registry.value("concealer_tuples_fetched_total", kind="real")

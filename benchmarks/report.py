@@ -353,24 +353,6 @@ linearly with data, while Concealer grows only with the bin size.
         lines.append("")
         add("\n".join(lines))
 
-    # ------------------------------------------------------------- Exp 11
-    exp11 = load("exp11_batching")
-    if exp11:
-        lines = ["## Exp 11 — batched execution (beyond the paper)", ""]
-        bvs = exp11.get("batched_vs_sequential")
-        if bvs:
-            lines.append(
-                f"- **Batched vs sequential**: {bvs['queries']} overlapping point "
-                f"queries ({bvs['bin_overlap_factor']:.1f}× bin overlap) read "
-                f"{bvs['batched_rows_read']:,} storage rows batched vs "
-                f"{bvs['sequential_rows_read']:,} sequential — a "
-                f"{bvs['read_reduction']:.1f}× reduction with byte-identical "
-                f"answers (the overlay dedups whole-bin fetches; each query "
-                f"still computes from full bins)."
-            )
-        lines.append("")
-        add("\n".join(lines))
-
     # ------------------------------------------------------------- Exp 13
     exp13 = load("exp13_service")
     if exp13:

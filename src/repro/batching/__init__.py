@@ -1,24 +1,13 @@
-"""Batched query execution over a shared, per-batch bin overlay.
+"""The shared fetch path the §5 executors read storage through.
 
 Concealer's cost model (§5, Theorem 4.1) makes the *bin fetch* the unit
 of both work and leakage: every query touching a bin pays the full
-fixed-size retrieval.  Concurrent queries over a hot spatial region
-therefore redundantly re-fetch and re-verify identical bins.  A batch
-removes the redundancy with one rule and without touching the leakage
-profile: :class:`~repro.batching.fetcher.BinFetcher` is the whole-bin
-fetch path the point and multipoint-range executors call through, and
-inside ``ServiceProvider.execute_batch`` the first member that needs a
-bin fetches it, verified, into the batch's
-:class:`~repro.batching.fetcher.BatchOverlay`; every later member reads
-it from there.
-
-Because the bin is the *public* retrieval unit (any query touching it
-fetches all of it), batch-dedup behaviour is a pure function of the
-publicly observable bin-identity sequence — the counters here are
-tagged public-size and the leakage auditor holds them to it.  Nothing
-is reused across requests.
+fixed-size retrieval.  :class:`~repro.batching.fetcher.BinFetcher` is
+that retrieval for every executor — a sealed bin read whole or as slot
+runs, or rows pulled by trapdoor — one request at a time.  Nothing is
+reused across requests.
 """
 
-from repro.batching.fetcher import BatchOverlay, BinFetcher
+from repro.batching.fetcher import BinFetcher
 
-__all__ = ["BatchOverlay", "BinFetcher"]
+__all__ = ["BinFetcher"]

@@ -138,7 +138,7 @@ class BPBExecutor:
         quarantine=None,
     ):
         # The shared whole-bin fetch path (repro.batching): STEP 3 goes
-        # through it, and through a batch's overlay when there is one.
+        # through it.
         self.fetcher = fetcher
         self.oblivious = oblivious
         self.verify = verify
@@ -151,16 +151,13 @@ class BPBExecutor:
         self.quarantine = quarantine
 
     def execute(
-        self, query: PointQuery, context: EpochContext, deadline=None, overlay=None
+        self, query: PointQuery, context: EpochContext, deadline=None
     ) -> tuple[object, QueryStats]:
         """Run Algorithm 2; returns ``(answer, stats)``.
 
         ``deadline`` (a :class:`~repro.replication.deadline.Deadline`)
         bounds the whole execution; it is checked at every fetch and at
-        every replica failover decision below.  ``overlay`` (a
-        :class:`~repro.batching.fetcher.BatchOverlay`) is the owning
-        batch's: a bin another member fetched and verified is read from
-        it, one no member has yet is fetched into it.
+        every replica failover decision below.
         """
         stats = QueryStats(oblivious=self.oblivious)
         predicate = resolve_predicate(query, context.schema)
@@ -189,9 +186,7 @@ class BPBExecutor:
             # STEP 3: trapdoor formulation and retrieval; whichever
             # fetch kind served a bin, it arrives packed.
             fetched = [
-                self.fetcher.fetch_bin_any(
-                    context, fetch_bin, stats, deadline=deadline, overlay=overlay
-                )
+                self.fetcher.fetch_bin_any(context, fetch_bin, stats, deadline=deadline)
                 for fetch_bin in bins
             ]
             return finish_query(

@@ -208,16 +208,6 @@ class QueryStats:
     # healthy-replica threshold.  Both are public-size (fault-driven).
     degraded: bool = False
     failovers: int = 0
-    # In-batch overlay accounting (repro.batching).  Hits are per
-    # *bin* — the public retrieval unit — and ``rows_from_cache`` the
-    # rows those hits served; every read through the overlay is one,
-    # since a bin's storage fetch is charged to the batch.  All
-    # public-size: reuse is a pure function of the bin-identity
-    # sequence the storage log shows.  ``cache_misses`` is always 0;
-    # it stays so the stats keep their shape.
-    cache_hits: int = 0
-    cache_misses: int = 0
-    rows_from_cache: int = 0
     extra: dict = field(default_factory=dict)
 
     def add(self, other: "QueryStats") -> None:

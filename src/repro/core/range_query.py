@@ -96,23 +96,13 @@ class RangeExecutor:
         self.fetcher = fetcher
 
     def execute(
-        self,
-        method: str,
-        query: RangeQuery,
-        context: EpochContext,
-        deadline=None,
-        overlay=None,
+        self, method: str, query: RangeQuery, context: EpochContext, deadline=None
     ) -> tuple[object, QueryStats]:
-        """Run one of the §5 methods by name (the overlay only reaches
-        the methods that fetch whole bins)."""
+        """Run one of the §5 methods by name."""
         if method == "multipoint":
-            return self.execute_multipoint(
-                query, context, deadline=deadline, overlay=overlay
-            )
+            return self.execute_multipoint(query, context, deadline=deadline)
         if method == "tree":
-            return self.execute_tree(
-                query, context, deadline=deadline, overlay=overlay
-            )
+            return self.execute_tree(query, context, deadline=deadline)
         if method == "ebpb":
             return self.execute_ebpb(query, context, deadline=deadline)
         return self.execute_winsecrange(query, context, deadline=deadline)
@@ -131,7 +121,7 @@ class RangeExecutor:
     # ----------------------------------------------------------- §5.1 trivial
 
     def execute_multipoint(
-        self, query: RangeQuery, context: EpochContext, deadline=None, overlay=None
+        self, query: RangeQuery, context: EpochContext, deadline=None
     ) -> tuple[object, QueryStats]:
         """Convert the range into point-query bins and fetch them all."""
         stats = QueryStats(oblivious=self.oblivious)
@@ -147,9 +137,7 @@ class RangeExecutor:
             bins=len(bins),
         ):
             fetched = [
-                self.fetcher.fetch_bin_any(
-                    context, chosen, stats, deadline=deadline, overlay=overlay
-                )
+                self.fetcher.fetch_bin_any(context, chosen, stats, deadline=deadline)
                 for chosen in bins
             ]
             expected = [cid for chosen in bins for cid in chosen.cell_ids]
@@ -209,7 +197,7 @@ class RangeExecutor:
             )
 
     def execute_tree(
-        self, query: RangeQuery, context: EpochContext, deadline=None, overlay=None
+        self, query: RangeQuery, context: EpochContext, deadline=None
     ) -> tuple[object, QueryStats]:
         """Answer a long-window aggregate from O(log range) tree nodes.
 
@@ -223,9 +211,7 @@ class RangeExecutor:
         self.check_tree(query, context.schema, self.oblivious)
         state = self.fetcher.tree_state(context)
         if state is None:
-            return self.execute_multipoint(
-                query, context, deadline=deadline, overlay=overlay
-            )
+            return self.execute_multipoint(query, context, deadline=deadline)
         meta, directory = state
 
         from repro.core.aggtree import cover_nodes, decompose_range
@@ -265,9 +251,7 @@ class RangeExecutor:
                     # Sidecar vanished between the meta read and the
                     # node read (mutation, sidecar-less replica): the
                     # bin path is authoritative.
-                    return self.execute_multipoint(
-                        query, context, deadline=deadline, overlay=overlay
-                    )
+                    return self.execute_multipoint(query, context, deadline=deadline)
                 try:
                     decoded = context.decode_tree_nodes(meta, coords, payload)
                 except IntegrityViolation:
@@ -275,9 +259,7 @@ class RangeExecutor:
                         raise
                     # Policy without verification: never a silent wrong
                     # answer — re-answer from the hash-chained rows.
-                    return self.execute_multipoint(
-                        query, context, deadline=deadline, overlay=overlay
-                    )
+                    return self.execute_multipoint(query, context, deadline=deadline)
                 if self.verify:
                     # Authenticated decode just succeeded over every
                     # fetched node — that *is* the verification.
@@ -308,7 +290,7 @@ class RangeExecutor:
                     query, time_start=residue_start, time_end=residue_end
                 )
                 sub_answer, sub_stats = self.execute_multipoint(
-                    sub_query, context, deadline=deadline, overlay=overlay
+                    sub_query, context, deadline=deadline
                 )
                 sub_answers.append(sub_answer)
                 stats.add(sub_stats)

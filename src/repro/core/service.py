@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 from repro import telemetry
-from repro.batching.fetcher import BatchOverlay, BinFetcher
+from repro.batching.fetcher import BinFetcher
 from repro.core.collector import collector_quiet
 from repro.core.context import EpochContext
 from repro.core.epoch import EpochPackage
@@ -64,8 +63,8 @@ def check_request(
 
     Every request runs it before any read: the sharded router before
     dispatch (a shard finds these only inside its dispatch, where the
-    failure counts as a breaker strike), :class:`ServiceProvider`'s
-    point and range entry points, and a batch for every member.
+    failure counts as a breaker strike) and :class:`ServiceProvider`'s
+    point and range entry points.
     """
     if method is not None and method not in RANGE_METHODS:
         raise QueryError(
@@ -77,7 +76,7 @@ def check_request(
 
 
 def _record_query(
-    kind: str, method: str, stats: QueryStats, seconds: float | None
+    kind: str, method: str, stats: QueryStats, seconds: float
 ) -> None:
     """Fold one finished query's stats into the ambient registry.
 
@@ -86,8 +85,6 @@ def _record_query(
     shape, and the leakage auditor holds the registry to that promise.
     Match/decrypt counts are the query's *answer* volume and stay
     data-dependent, as do wall-clock durations (timing side channel).
-    ``seconds=None`` skips the latency histogram: batch members have no
-    individual wall-clock; the batch records one duration for all.
     """
     telemetry.counter(
         "concealer_queries_total",
@@ -137,56 +134,17 @@ def _record_query(
             secrecy=telemetry.PUBLIC_SIZE,
             labels=("kind",),
         ).labels(kind=kind).inc(stats.failovers)
-    if stats.cache_hits:
-        telemetry.counter(
-            "concealer_query_cache_hits_total",
-            "whole-bin fetches served from the in-batch overlay",
-            secrecy=telemetry.PUBLIC_SIZE,
-            labels=("kind",),
-        ).labels(kind=kind).inc(stats.cache_hits)
-    if seconds is not None:
-        # The exemplar links each latency bucket to the last trace that
-        # landed in it — "what does a p99 query look like?" becomes a
-        # trace lookup.  The histogram stays data-dependent (timing),
-        # and exemplars never enter the auditor's public view.
-        telemetry.histogram(
-            "concealer_query_seconds",
-            "end-to-end query latency (timing is a side channel: never public)",
-            labels=("kind",),
-        ).labels(kind=kind).observe(
-            seconds, trace_id=telemetry.current_trace_id()
-        )
-
-
-def _record_batch(queries: int, overlay: BatchOverlay, seconds: float) -> None:
-    """Batch-level accounting: size, dedup, and the batch's own fetches.
-
-    Batch size and bin counts are part of the request *shape* (the host
-    sees how many queries arrive and which bins are fetched), so the
-    counters are public-size; the wall clock stays a side channel.
-    """
-    telemetry.counter(
-        "concealer_batches_total",
-        "query batches executed",
-        secrecy=telemetry.PUBLIC_SIZE,
-    ).inc()
-    telemetry.counter(
-        "concealer_batch_queries_total",
-        "queries executed inside batches",
-        secrecy=telemetry.PUBLIC_SIZE,
-    ).inc(queries)
-    telemetry.counter(
-        "concealer_batch_bin_references_total",
-        "whole-bin references named by batched queries (pre-dedup)",
-        secrecy=telemetry.PUBLIC_SIZE,
-    ).inc(overlay.references)
-    telemetry.counter(
-        "concealer_batch_unique_bins_total",
-        "deduplicated whole-bin fetch units executed for batches",
-        secrecy=telemetry.PUBLIC_SIZE,
-    ).inc(len(overlay))
-    # The batch's own fetches keep their established method label.
-    _record_query("batch", "prefetch", overlay.stats, seconds)
+    # The exemplar links each latency bucket to the last trace that
+    # landed in it — "what does a p99 query look like?" becomes a
+    # trace lookup.  The histogram stays data-dependent (timing),
+    # and exemplars never enter the auditor's public view.
+    telemetry.histogram(
+        "concealer_query_seconds",
+        "end-to-end query latency (timing is a side channel: never public)",
+        labels=("kind",),
+    ).labels(kind=kind).observe(
+        seconds, trace_id=telemetry.current_trace_id()
+    )
 
 
 @dataclass
@@ -497,103 +455,6 @@ class ServiceProvider:
         _record_query("range", method, stats, query_span.duration)
         return answer, stats
 
-    def execute_batch(
-        self, queries, epoch_id: int | None = None
-    ) -> list[tuple[object, QueryStats]]:
-        """Execute a batch of queries, fetching each shared bin once.
-
-        ``queries`` mixes :class:`PointQuery`, :class:`RangeQuery`
-        (default eBPB), and ``(RangeQuery, method)`` pairs.  Every
-        member is resolved and checked before anything is read, then
-        runs through its normal §5 executor.  Whole-bin members (BPB
-        points and multipoint ranges, never under oblivious execution)
-        share one :class:`BatchOverlay`: the first of them to name a bin
-        fetches and verifies it, and the others read it from there —
-        answers are byte-identical to running the queries sequentially,
-        while bins overlapping across the batch are fetched once.
-
-        Admission charges the batch as a single request; one deadline
-        budget covers every member.  Returns ``[(answer, stats), ...]``
-        in input order.
-        """
-        items = list(queries)
-        if not items:
-            return []
-        with self.admission.admit("batch"):
-            deadline = self._new_deadline()
-            members = [self._batch_member(item, epoch_id) for item in items]
-            with telemetry.span("service.batch", queries=len(members)) as batch_span:
-                self.engine.access_log.begin_query()
-                try:
-                    overlay, results = self._execute_resilient(
-                        lambda: self._run_batch(members, deadline),
-                        deadline=deadline,
-                    )
-                finally:
-                    self.engine.access_log.end_query()
-                batch_span.set(unique_bins=len(overlay), references=overlay.references)
-        _record_batch(len(members), overlay, batch_span.duration)
-        for member, (answer, stats) in zip(members, results):
-            _record_query(member.kind, member.method, stats, None)
-        return results
-
-    def _batch_member(self, item, epoch_id: int | None) -> _BatchMember:
-        """Resolve and check one batch member: the checks both front
-        doors make (:func:`check_request`), then :meth:`execute_range`'s
-        epoch and method resolution."""
-        if isinstance(item, PointQuery):
-            query, kind, method = item, "point", "bpb"
-        elif isinstance(item, RangeQuery):
-            query, kind, method = item, "range", "ebpb"
-        elif (
-            isinstance(item, tuple) and len(item) == 2
-            and isinstance(item[0], RangeQuery)
-        ):
-            (query, method), kind = item, "range"
-        else:
-            raise QueryError(
-                f"batch member {item!r} is neither a PointQuery, a RangeQuery, "
-                "nor a (RangeQuery, method) pair"
-            )
-        check_request(
-            query, self.schema, self.config.oblivious,
-            method if kind == "range" else None,
-        )
-        context = self.context_for(self._epoch_for(query, epoch_id))
-        if method == "auto":
-            method = self.choose_range_method(query, context)
-        # Only whole bins are shared; Concealer+'s identical-trace
-        # guarantee forbids history-dependent reuse.
-        shared = not self.config.oblivious and method in ("bpb", "multipoint")
-        return _BatchMember(kind, query, method, context, shared)
-
-    def _run_batch(self, members, deadline: Deadline | None):
-        """One attempt at a resolved batch (read-only, so retry-safe: a
-        retry starts from an empty overlay).
-
-        Shared members run first, then direct ones, each group in input
-        order: every storage read a shared bin costs precedes the direct
-        members' reads, and the bins are read in the order members first
-        name them.
-        """
-        overlay = BatchOverlay()
-        results: list = [None] * len(members)
-        order = sorted(range(len(members)), key=lambda i: not members[i].shared)
-        for position in order:
-            member = members[position]
-            shared = overlay if member.shared else None
-            if member.kind == "point":
-                results[position] = self._point_executor.execute(
-                    member.query, member.context, deadline=deadline, overlay=shared
-                )
-            else:
-                results[position] = self._range_executor.execute(
-                    member.method, member.query, member.context,
-                    deadline=deadline, overlay=shared,
-                )
-        overlay.stats.bins_fetched = len(overlay)
-        return overlay, results
-
     def _new_deadline(self) -> Deadline | None:
         """Mint this request's deadline budget (None = unbounded)."""
         if self.config.deadline_seconds is None:
@@ -645,23 +506,6 @@ class ServiceProvider:
 
         answer, stats = self.execute_range(query, method=method, epoch_id=epoch_id)
         return seal_answer(entry.secret, answer), stats
-
-    def execute_batch_sealed(
-        self, queries, entry: RegistryEntry, epoch_id: int | None = None
-    ) -> list[tuple[bytes, QueryStats]]:
-        """Batched execution with every answer sealed for one user.
-
-        The whole batch must belong to a single authenticated user —
-        answers are sealed under that user's registry secret, exactly
-        as :meth:`execute_point_sealed` does per query.
-        """
-        from repro.core.registry import seal_answer
-
-        results = self.execute_batch(queries, epoch_id=epoch_id)
-        return [
-            (seal_answer(entry.secret, answer), stats)
-            for answer, stats in results
-        ]
 
     def choose_range_method(self, query: RangeQuery, context) -> str:
         """Pick a §5 method from the query's *public* shape.
@@ -759,12 +603,3 @@ class ServiceProvider:
             )
         return eid
 
-
-class _BatchMember(NamedTuple):
-    """One resolved batch member."""
-
-    kind: str              # "point" | "range"
-    query: object
-    method: str            # "bpb" | a §5 range method
-    context: EpochContext
-    shared: bool           # reads whole bins through the batch's overlay

@@ -9,10 +9,10 @@ compare-exchange sequence is fixed by the input *size* alone:
   ever sorts one column (r items) at a time, so the in-EPC working set
   stays small while the full batch can be much larger.
 
-Both functions sort ``(key, payload)`` pairs by integer key.  Every
-compare-exchange emits a trace event whose public arguments are the two
-slot indices — never the data — so trace-equality tests can verify that
-the access sequence is identical for any two inputs of the same length.
+Both functions sort ``(key, payload)`` pairs by integer key.  Each sort
+emits one trace event, of its sizes only (never the data), which fix its
+compare-exchange sequence, so no exchange emits one and trace-equality
+tests verify equal traces for any two inputs of the same length.
 """
 
 from __future__ import annotations

@@ -433,13 +433,12 @@ class ChaosRun:
         return outcome
 
     def batch_query(self) -> ChaosOutcome:
-        """A shared-fetch batch with deliberate bin overlap.
+        """A burst: five point probes over two repeated cells plus one
+        multipoint range, each its own request, judged as one op.
 
-        Five point queries over two repeated probes plus one multipoint
-        range — so the overlay genuinely deduplicates — executed as one
-        ``execute_batch``.  A fault mid-batch must fail the *whole*
-        batch loudly (one answer silently skewed while the rest verify
-        would be the worst possible outcome).
+        A fault anywhere in the burst must fail it loudly (one answer
+        silently skewed while the rest verify would be the worst
+        possible outcome).
         """
         epoch_id, records = self._pick_epoch()
         if records is None:
@@ -449,31 +448,23 @@ class ChaosRun:
         for _ in range(2):
             location, timestamp, _ = records[rng.randrange(len(records))]
             probes.append((location, timestamp))
-        queries: list = []
-        expected: list = []
-        for index in range(5):
-            location, timestamp = probes[index % len(probes)]
-            queries.append(
-                PointQuery(index_values=(location,), timestamp=timestamp)
-            )
-            expected.append(_point_truth(records, location, timestamp))
+        points = [probes[index % len(probes)] for index in range(5)]
+        expected = [_point_truth(records, *probe) for probe in points]
         location = _LOCATIONS[rng.randrange(len(_LOCATIONS))]
-        t0 = epoch_id
-        t1 = t0 + TIME_STEP
-        queries.append(
-            (
-                RangeQuery(index_values=(location,), time_start=t0, time_end=t1),
-                "multipoint",
-            )
-        )
+        t0, t1 = epoch_id, epoch_id + TIME_STEP
         expected.append(_range_truth(records, location, t0, t1))
-        return self._attempt(
-            "batch",
-            lambda: [
-                answer for answer, _ in self.service.execute_batch(queries)
-            ],
-            expected,
-        )
+
+        def burst() -> list:
+            answers = [
+                self.service.execute_point(
+                    PointQuery(index_values=(loc,), timestamp=timestamp)
+                )[0]
+                for loc, timestamp in points
+            ]
+            query = RangeQuery(index_values=(location,), time_start=t0, time_end=t1)
+            return answers + [self.service.execute_range(query, method="multipoint")[0]]
+
+        return self._attempt("batch", burst, expected)
 
     def checkpoint_cycle(self) -> ChaosOutcome:
         """Checkpoint, then restore one archive into a scratch engine and

@@ -125,11 +125,10 @@ class StorageEngine(RewriteFence):
     @staticmethod
     def _load_index(tbl: Table, tree: BPlusTree, position: int) -> None:
         """Bulk-load ``tree`` from the table's column (a sealed bin's
-        as slices of its blob).  Row ids are sorted by key (stably:
-        equal keys keep row-id order, as after sequential inserts) and
-        streamed: no list of pairs per index."""
-        keys = tbl.column(position)
-        tree.bulk_load((keys[row_id], row_id) for row_id in sorted(keys, key=keys.get))
+        as slices of its blob), in one sort of its ``(key, row id)``
+        pairs: equal keys keep row-id order, as after sequential
+        inserts."""
+        tree.bulk_load(sorted(tbl.column(position)))
 
     def has_table(self, name: str) -> bool:
         """Whether a table with this name exists."""

@@ -173,12 +173,12 @@ class Table:
         binned = (row_id for row_id, slot in enumerate(self._slots) if slot >= 0)
         return sorted(chain(self._rows, binned))
 
-    def column(self, position: int) -> dict[int, object]:
-        """Row id → cell at ``position`` of every live row, in row-id order."""
-        cells = {row_id: columns[position] for row_id, columns in self._rows.items()}
+    def column(self, position: int) -> list[tuple[object, int]]:
+        """``(cell at position, row id)`` of every live row, unordered."""
+        pairs = [(columns[position], row_id) for row_id, columns in self._rows.items()]
         for packed in self._bins.values() if self._slots else ():
-            cells.update(zip(packed.row_ids, packed.column_cells(position)))
-        return dict(sorted(cells.items()))
+            pairs += zip(packed.column_cells(position), packed.row_ids)
+        return pairs
 
     def overwrite(self, row_id: int, columns: Sequence) -> None:
         """Replace the columns of an existing row in place."""

@@ -1,11 +1,12 @@
-"""Chaos coverage for the batched path: faults mid-batch, zero lies.
+"""Chaos coverage for the burst op: faults mid-burst, zero lies.
 
-The chaos workload includes a ``batch`` operation (overlapping point
-probes plus a multipoint range through ``execute_batch``), so every
-schedule exercises faults during a batch's first fetch of a bin and
-overlay reuse across enclave crashes and checkpoint restores.  The invariant is the
-corpus-wide one: oracle answer or typed error, never a silent lie —
-and every run replays byte-identically from its seed.
+The chaos workload includes a ``batch`` operation, a burst of
+overlapping point probes plus a multipoint range, each its own request
+and judged together, so every schedule exercises faults between and
+inside back-to-back reads of the same bins across enclave crashes and
+checkpoint restores.  The invariant is the corpus-wide one: oracle
+answer or typed error, never a silent lie — and every run replays
+byte-identically from its seed.
 """
 
 from __future__ import annotations

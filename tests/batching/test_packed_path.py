@@ -86,7 +86,10 @@ class TestPackedScalarParity:
         ]
         _, packed = make_stack(SPEC, records, verify=True)
         _, scalar = make_stack(SPEC, records, verify=True, sidecar=False)
-        assert packed.execute_batch(queries) == scalar.execute_batch(queries)
+        # A burst of single requests: answers and stats, request by request.
+        assert [packed.execute_point(query) for query in queries] == [
+            scalar.execute_point(query) for query in queries
+        ]
 
     def test_packed_stack_actually_serves_packed_bins(self):
         _, service = make_stack(SPEC, _records(1), verify=True)

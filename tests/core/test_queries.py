@@ -102,7 +102,7 @@ class TestStats:
             for field in dataclasses.fields(QueryStats)
             if field.type in (int, "int")
         ]
-        assert {"rows_fetched", "bins_fetched", "cache_hits"} <= set(counts)
+        assert {"rows_fetched", "bins_fetched"} <= set(counts)
         parts = [
             QueryStats(**{name: 10 * index + position + 1
                           for position, name in enumerate(counts)})

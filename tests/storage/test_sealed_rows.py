@@ -27,6 +27,7 @@ from repro.replication.engine import ReplicatedStorageEngine
 from repro.storage.btree import BPlusTree
 from repro.storage.checkpoint import checkpoint_engine, restore_engine
 from repro.storage.engine import StorageEngine
+from repro.storage.table import Row
 
 from tests.conftest import EPOCH_DURATION, MASTER_KEY, TIME_STEP, make_stack
 from tests.replication.conftest import make_replicated_stack, replication_records
@@ -235,6 +236,28 @@ class TestRoundTrips:
         assert kept.packed_bins is None and kept.agg_tree is None and kept.rows is None
         with pytest.raises(EpochError):
             kept.stored_rows()
+
+    def test_an_installed_index_is_the_one_sequential_inserts_build(self):
+        """Equal keys across loose rows and two sealed bins, the bins'
+        slots out of row-id order: the bulk-loaded index lists each
+        key's row ids as inserting the rows one by one does."""
+        keys = [b"k1", b"k0", b"k1", b"k2", b"k0", b"k1", b"k0", b"k2"]
+        rows = [(key, b"v%d" % row_id) for row_id, key in enumerate(keys)]
+        engine = StorageEngine()
+        engine.create_table("t", ("index_key", "value"))
+        engine.create_index("t", "index_key")
+        engine.insert_many("t", rows)
+        engine.store_packed_bins("t", [
+            PackedBin.pack(0, [Row(r, rows[r]) for r in (5, 1, 2)]),
+            PackedBin.pack(1, [Row(r, rows[r]) for r in (6, 4)]),
+        ])
+        assert engine._tables["t"]._slots  # sealed: the bins hold 5 rows
+        other = StorageEngine()
+        other.install(engine.image("t"))
+        sequential = BPlusTree(order=other.btree_order)
+        for row_id, key in enumerate(keys):
+            sequential.insert(key, row_id)
+        assert list(other._indexes[("t", "index_key")].items()) == list(sequential.items())
 
     @pytest.mark.parametrize("landed", ["all but one", "none"])
     def test_bins_beside_the_rows_image_and_install_back(self, package, landed):
