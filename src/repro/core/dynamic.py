@@ -230,6 +230,8 @@ class DynamicConcealer:
         fenced = getattr(engine, "begin_rewrite", None) is not None
         if fenced:
             engine.begin_rewrite()
+        # The master image holds the pre-rewrite bytes: no repair source.
+        self.service._masters.pop(context.epoch_id, None)
         written: list[int] = []
         try:
             try:

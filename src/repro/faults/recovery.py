@@ -143,12 +143,10 @@ class RecoveryCoordinator:
         the rows outside the sealed bins, the bins it shares with the
         engine and the tree it landed, at their ingest row ids.  The
         anti-entropy repairer's last resort when no healthy peer holds
-        the table.  Declines (``None``) once any rewrite has run (the
-        engine's rewrite generation moved): post-rotation master repair
-        is not wired.
+        the table.  Rotation replaces it with the re-keyed image it
+        installs; a §6 rewrite drops it, so a rewritten epoch declines
+        (``None``).
         """
-        if getattr(self.service.engine, "rewrite_generation", 0) > 0:
-            return None
         return next((m for m in self.service._masters.values() if m.table == table), None)
 
     def repair_replicas(self, fence=None) -> list:

@@ -13,6 +13,7 @@ from repro import (
 )
 from repro.core.queries import Aggregate, RangeQuery
 from repro.exceptions import QueryError
+from repro.faults.recovery import RecoveryCoordinator
 
 KEY = b"\x21" * 32
 ROUND = 600
@@ -119,6 +120,21 @@ class TestRewrites:
         }
         changed = sum(1 for rid in before if before[rid] != after[rid])
         assert changed > 0
+
+    def test_a_rewrite_retires_its_epochs_master_image(self, dynamic_setup):
+        """A rewritten epoch's master holds the pre-rewrite bytes, so it
+        is no repair source; an untouched epoch's master still is."""
+        dynamic, _ = dynamic_setup
+        service = dynamic.service
+        coordinator = RecoveryCoordinator(provider=None, service=service)
+        query = RangeQuery(index_values=("ap1",), time_start=300, time_end=900)
+        dynamic.execute_range(query)
+        for epoch_id in dynamic.rounds():
+            table = service._table_name(epoch_id)
+            if epoch_id in (0, ROUND):  # both rounds of the span were rewritten
+                assert coordinator.master_source(table) is None
+            else:
+                assert coordinator.master_source(table) == service.engine.image(table)
 
     def test_forward_privacy_old_trapdoors_dead(self, dynamic_setup):
         """After a rewrite, generation-0 trapdoors match nothing."""

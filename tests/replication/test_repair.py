@@ -219,15 +219,52 @@ class TestRotationFence:
         )
         assert stats.failovers == 0
 
-    def test_master_source_declines_after_a_rotation(self):
+    def test_master_source_is_the_rekeyed_image(self):
         records = replication_records()
         provider, service, engine, members, clock = make_replicated_stack(records)
         table = epoch_table(service)
         coordinator = RecoveryCoordinator(provider, service)
-        assert coordinator.master_source(table) is not None
+        landed = coordinator.master_source(table)
+        assert landed == members[0].image(table)
         token = rotation_token(MASTER_KEY, NEW_MASTER)
         rotate_service_keys(service, NEW_MASTER, token)
         provider.adopt_master(NEW_MASTER)
-        # The retained packages hold pre-rotation ciphertexts: shipping
-        # them now would install rows that can never verify again.
-        assert coordinator.master_source(table) is None
+        # Rotation installs the re-keyed image and keeps it as the
+        # master; the pre-rotation one would install rows that can
+        # never verify again.
+        rotated = coordinator.master_source(table)
+        assert rotated == members[0].image(table) != landed
+
+
+class TestMasterRepair:
+    """The master image repairs what no peer and no stored-state quorum
+    can, after a key rotation too."""
+
+    def test_every_copy_quarantined_after_a_rotation_repairs_from_the_master(self):
+        records = replication_records()
+        provider, service, engine, members, clock = make_replicated_stack(records)
+        table = epoch_table(service)
+        token = rotation_token(MASTER_KEY, NEW_MASTER)
+        rotate_service_keys(service, NEW_MASTER, token)
+        provider.adopt_master(NEW_MASTER)
+        # Each copy tampered differently (every row, every second, every
+        # third): no two stored images agree, so no quorum exists.
+        for every, member in enumerate(members, start=1):
+            assert member.corrupt_stored(table, every=every) > 0
+        images = [member.image(table) for member in members]
+        assert all(a != b for i, a in enumerate(images) for b in images[i + 1 :])
+        for rid in range(len(members)):
+            engine.quarantine.record(rid, table, None, "tampered-storage")
+        outcomes = RecoveryCoordinator(provider, service).repair_replicas()
+        assert {o.outcome for o in outcomes} == {"repaired"}
+        assert outcomes[0].source == "master"
+        assert engine.tables_needing_repair() == []
+        for location in LOCATIONS:
+            for timestamp in (0, 120, 300):
+                answer, stats = service.execute_point(
+                    PointQuery(index_values=(location,), timestamp=timestamp)
+                )
+                assert stats.verified and stats.failovers == 0
+                assert answer == ground_truth_count(
+                    records, location=location, t0=timestamp, t1=timestamp
+                )
