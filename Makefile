@@ -14,7 +14,7 @@ test: metrics-smoke
 
 # Every seeded fault-schedule corpus (`-m chaos`): single-stack,
 # Byzantine replicated, sharded, composed (every shard a three-replica
-# group) and batched.  CHAOS_CORPUS narrows the run to one corpus file
+# group) and request bursts.  CHAOS_CORPUS narrows the run to one corpus file
 # (CI runs them as a matrix).  The timeout is a hard ceiling, so a
 # wedged replica group or shard fails the run instead of hanging it.
 # Any failure replays with `python -m repro --chaos-seed N` plus the
@@ -35,8 +35,8 @@ bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks -q
 
 # Deterministic downscaled benchmark → machine-readable JSON
-# (p50/p95 latencies, storage reads/query, fake-tuple overhead, batch
-# dedup).  Regenerate the committed CI baseline after an intentional
+# (p50/p95 latencies, storage reads/query, fake-tuple overhead,
+# aggregate-tree rows/query).  Regenerate the committed CI baseline after an intentional
 # volume change with: make bench-json BENCH_OUT=$(BENCH_BASELINE)
 bench-json:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/report.py \

@@ -14,10 +14,10 @@ packed at the fetch boundary — and is a
 Which kind runs is decided by what the engine holds and what the
 method needs, never by an option: the sidecar when there is one (a
 landed, restored, repaired or rotated table keeps its sealed bins),
-trapdoors when there is not (a §6-rewritten table, whose row
-mutations drop the bins, or a replica whose bins stay beside its rows)
-and always under oblivious execution, whose guarantee covers the
-trapdoor schedule only.  The fetcher always asks
+trapdoors when there is not (any row mutation, a §6 rewrite's
+included, drops a table's bins; a package may ship without them) and
+always under oblivious execution, whose guarantee covers the trapdoor
+schedule only.  The fetcher always asks
 :class:`~repro.core.context.EpochContext` to verify, whose fetch shell
 reports whether the engine — a replica group — could do so on every
 replica attempt (DESIGN.md §9, *Verified read*); a bin from a plain
