@@ -204,12 +204,12 @@ class EpochContext:
             bin_size=package.bin_size,
             max_cells_per_bin=package.max_cells_per_bin,
         )
-        # SHA-256 of index keys (:meth:`_index_digest`): of each sealed
-        # bin's column and of its fakes' keys, by bin index, and of each
-        # cell-id's keys, by cell-id — a digest per public bin, padded bin
-        # and tagged cell-id when full, never per row, and nothing for a
-        # service that never verifies by position (one that does not
-        # verify, or an oblivious one).
+        # SHA-256 of the bytes a positional check accepted
+        # (:meth:`_segment_digest`): of each sealed bin, of its fakes'
+        # keys, by bin index, and of each cell-id's slots, by cell-id — a
+        # digest per public bin, padded bin and tagged cell-id when full,
+        # never per row, and nothing for a service that never verifies by
+        # position (one that does not verify, or an oblivious one).
         self._index_memo: dict[tuple[str, int], bytes] = {}
         padded = sum(chosen.fake_count > 0 for chosen in self.layout.bins)
         self.index_memo_bytes = (verifies and not oblivious) * len(CHAIN_INIT) * (
@@ -813,7 +813,9 @@ class EpochContext:
         ``requested``, the slot request each batch was fetched by (a
         :class:`Bin` in canonical slot order, a :class:`RunRequest` or a
         :class:`SlotRequest`),
-        first tries :meth:`_verify_positional`, which decrypts nothing.
+        first tries :meth:`_verify_positional`, which decrypts nothing, and
+        re-reads of a part it accepted before cost one SHA-256 there, with
+        no key derived and no chain folded (DESIGN.md §16 (f)).
 
         ``expected_cells`` binds the response to the *request*: every
         named cell-id with a non-zero population must appear in the
@@ -848,50 +850,73 @@ class EpochContext:
         real = self.verify_packed([packed], cells, requested=request and (request,))
         return replace(packed, real_rows=real)
 
-    def _index_digest(self, key: tuple[str, int] | None, cell_ids, fake_ids=()) -> bytes:
-        """SHA-256 of ``cell_ids``' then ``fake_ids``' index keys, kept under ``key``."""
-        # No trapdoor table, no volume counter, and uncounted (first
-        # touches follow the access order).
-        digest = self._index_memo.get(key)
-        if digest is None:
-            c_tuple = self.c_tuple
-            plaintexts = [index_plaintext(cid, j) for cid in cell_ids
-                          for j in range(1, c_tuple[cid] + 1)]
-            plaintexts += map(fake_index_plaintext, fake_ids)
-            keys = self.det.encrypt_many(plaintexts, counted=False)
-            digest = hashlib.sha256(b"".join(keys)).digest()
-            if key is not None:  # ``None``: part of a fake range, not kept
-                self._index_memo[key] = digest
-        return digest
+    def _index_digest(self, cell_ids, fake_ids=()) -> bytes:
+        """SHA-256 of ``cell_ids``' then ``fake_ids``' index keys, derived afresh."""
+        # No trapdoor table, no volume counter, and uncounted (cold reads
+        # follow the access order).
+        c_tuple = self.c_tuple
+        plaintexts = [index_plaintext(cid, j) for cid in cell_ids
+                      for j in range(1, c_tuple[cid] + 1)]
+        plaintexts += map(fake_index_plaintext, fake_ids)
+        return hashlib.sha256(b"".join(self.det.encrypt_many(plaintexts, counted=False))).digest()
 
-    def _index_matches(self, column: bytes, request: Bin | SlotRequest | RunRequest) -> bool:
-        """Whether ``column`` holds the index keys ``request`` expects (DESIGN.md §16)."""
-        if isinstance(request, SlotRequest):
-            return column == b"".join(request.trapdoors)
-        c_tuple, width, at = self.c_tuple, self.column_widths[-1], 0
+    def _segments(self, request: Bin | SlotRequest | RunRequest) -> list[tuple]:
+        """The parts of a batch fetched by ``request``, in slot order, as
+        ``(key, cell_ids, fake_ids, start, real, stop)``: index keys over
+        slots ``start:stop``, chained cells over ``start:real``.  ``key``
+        is the part's in the memo; ``None`` for a part it never keeps
+        (a cycling pool's partial fake range, a trapdoor fetch's fakes)."""
         if isinstance(request, Bin):
-            segments = [(("bin", request.index), request.cell_ids, request.fake_ids())]
-        else:
-            segments = [(("cell", cid), (cid,), ()) for cid in request.cell_ids if c_tuple[cid]]
-            # The fakes, run by run past the real slots: a bin's whole
-            # fake range is kept, a part of one (a cycling pool's first
-            # or last) derived afresh.
-            done = 0
-            for b, first, stop in request.runs:
-                first, done = first + max(0, request.real_tuples - done), done + stop - first
-                if first < stop:
-                    chosen = self.layout.bins[b]
-                    # Slot ``s`` of a bin holds fake id ``lo + s``.
-                    lo = chosen.fake_id_range[0] - chosen.real_tuples
-                    ids = range(lo + first, lo + stop)
-                    key = ("fakes", b) if len(ids) == chosen.fake_count else None
-                    segments.append((key, (), ids))
-        for key, cells, ids in segments:
-            stop = at + width * (sum(c_tuple[cid] for cid in cells) + len(ids))
-            if hashlib.sha256(column[at:stop]).digest() != self._index_digest(key, cells, ids):
-                return False
-            at = stop
-        return True
+            return [(
+                ("bin", request.index), request.cell_ids, request.fake_ids(),
+                0, request.real_tuples, request.total_tuples,
+            )]
+        c_tuple, segments, at = self.c_tuple, [], 0
+        for cid in request.cell_ids:
+            if c_tuple[cid]:
+                segments.append((("cell", cid), (cid,), (), at, at + c_tuple[cid], at + c_tuple[cid]))
+                at += c_tuple[cid]
+        if isinstance(request, SlotRequest):
+            if at < request.total_tuples:  # checked against the trapdoors
+                segments.append((None, (), (), at, at, request.total_tuples))
+            return segments
+        # The fakes, run by run past the real slots: a bin's whole fake
+        # range is kept, a part of one (a cycling pool's first or last)
+        # derived afresh.
+        done = 0
+        for b, first, stop in request.runs:
+            first, done = first + max(0, request.real_tuples - done), done + stop - first
+            if first < stop:
+                chosen = self.layout.bins[b]
+                # Slot ``s`` of a bin holds fake id ``lo + s``.
+                lo = chosen.fake_id_range[0] - chosen.real_tuples
+                ids = range(lo + first, lo + stop)
+                key = ("fakes", b) if len(ids) == chosen.fake_count else None
+                segments.append((key, (), ids, at, at, at + len(ids)))
+                at += len(ids)
+        return segments
+
+    @staticmethod
+    def _segment_digest(pb: PackedBin, start: int, real: int, stop: int) -> bytes:
+        """One SHA-256 over what a positional check authenticates of a
+        part: its index keys (slots ``start:stop``), then each chained
+        column's cells over ``start:real``.  Widths and bounds are fixed
+        by the request, so the encoding is unambiguous."""
+        sha = hashlib.sha256()
+        *chained, index = zip(pb.columns, pb.column_widths)
+        for (blob, width), last in ((index, stop), *((column, real) for column in chained)):
+            sha.update(memoryview(blob)[start * width : last * width])
+        return sha.digest()
+
+    def _index_matches(self, column: bytes, request, cell_ids, fake_ids, start: int, stop: int) -> bool:
+        """Whether slots ``start:stop`` of ``column`` hold ``cell_ids``'
+        then ``fake_ids``' index keys, as ``request`` expects them
+        (DESIGN.md §16): a trapdoor fetch's are the trapdoors it sent."""
+        width = self.column_widths[-1]
+        found = column[start * width : stop * width]
+        if isinstance(request, SlotRequest):
+            return found == b"".join(request.trapdoors[start:stop])
+        return hashlib.sha256(found).digest() == self._index_digest(cell_ids, fake_ids)
 
     def _verify_positional(self, packed_bins, requested, expected_cells, keep):
         """Verification by request (DESIGN.md §16): each batch is its slot
@@ -899,11 +924,14 @@ class EpochContext:
         column the enclave expects (:meth:`_index_matches`) — and each
         cell's chains fold to its tags over the slots the request gives
         it; no cell twice, unless ``keep`` is the first-occurrence mask.
-        The real-row mask, or ``None`` for the grouping path, which
-        accepts whatever this does."""
+        A part whose bytes digest to what the memo kept when the same
+        part of an earlier call was accepted is accepted without the
+        index or chain checks (warm); the memo learns a part only once
+        the whole call is.  The real-row mask, or ``None`` for the
+        grouping path, which accepts whatever this does."""
         import numpy as np
 
-        c_tuple = self.c_tuple
+        c_tuple, memo = self.c_tuple, self._index_memo
         cells = [cid for request in requested for cid in request.cell_ids]
         present = set(cells)
         if (
@@ -913,17 +941,24 @@ class EpochContext:
             or any(c_tuple[cid] and cid not in present for cid in expected_cells or ())
         ):
             return None
+        cold, learned, masks = [], {}, []
         for pb, request in zip(packed_bins, requested):
-            if (pb.row_count, pb.column_widths) != (
-                request.total_tuples, self.column_widths
-            ) or not self._index_matches(pb.columns[-1], request):
+            if (pb.row_count, pb.column_widths) != (request.total_tuples, self.column_widths):
                 return None
+            for key, cell_ids, fake_ids, start, real, stop in self._segments(request):
+                digest = key and self._segment_digest(pb, start, real, stop)
+                if digest and memo.get(key) == digest:
+                    continue
+                if not self._index_matches(pb.columns[-1], request, cell_ids, fake_ids, start, stop):
+                    return None
+                cold.append((pb, cell_ids, start))
+                if digest:
+                    learned[key] = digest
+            masks.append(np.arange(pb.row_count) < sum(c_tuple[cid] for cid in request.cell_ids))
         if keep is not None and not np.array_equal(keep, self.packed_dedup_keep(packed_bins)):
             return None
-        masks = []
-        for pb, request in zip(packed_bins, requested):
-            start = 0
-            for cid in request.cell_ids:
+        for pb, cell_ids, start in cold:
+            for cid in cell_ids:
                 stop = start + c_tuple[cid]
                 if stop > start and self._tag_digests(cid) != tuple(
                     extend_chain_slices(CHAIN_INIT, ((blob, width, start, stop),))
@@ -931,7 +966,7 @@ class EpochContext:
                 ):
                     return None
                 start = stop
-            masks.append(np.arange(pb.row_count) < start)
+        memo.update(learned)
         return np.concatenate(masks)
 
     def _group_by_cell(self, packed_bins: Sequence[PackedBin], keep) -> tuple[dict, object]:

@@ -150,11 +150,12 @@ def _flip(cell: bytes) -> bytes:
     return bytes([cell[0] ^ 0x40]) + cell[1:]
 
 
-def _perturb(rng, context, pb):
-    """One random way a host can hand a sealed bin back."""
-    move = rng.choice(
-        ["as-sealed", "permute", "drop", "duplicate", "corrupt-chained", "corrupt-key"]
-    )
+MOVES = ("as-sealed", "permute", "drop", "duplicate", "corrupt-chained", "corrupt-key")
+
+
+def _perturb(rng, context, pb, move=None):
+    """One random way a host can hand a sealed bin back (or ``move``)."""
+    move = move or rng.choice(MOVES)
     real = _real_slots(context, pb)
     if move == "permute":
         rows = pb.unpack()
@@ -614,6 +615,149 @@ def test_a_warm_honest_sealed_bin_decrypts_no_index_key(sealed, monkeypatch):
     assert real.tolist() == [j < chosen.real_tuples for j in range(pb.row_count)]
     context.verify_packed([pb], chosen.cell_ids)  # unbound: the grouping path
     assert calls == [pb.row_count]
+
+
+@pytest.fixture(scope="module")
+def warmed():
+    """(service, a context whose memo accepted an honest read of every
+    bin, cell-id and padded bin's fakes, a fresh context of the epoch)."""
+    from repro.core.context import EpochContext
+
+    _, service = make_stack(SPEC, RECORDS, verify=True)
+    context = service.context_for(0)
+    for chosen in context.layout.bins:
+        pb = service.engine.fetch_packed_bin(context.table_name, chosen.runs)
+        context.verify_packed([pb], chosen.cell_ids, requested=[chosen])
+    cells = [cid for cid, population in enumerate(context.c_tuple) if population]
+    packed, request = _run_read(service, context, cells, range(1, context.fake_pool_size + 1))
+    context.verify_packed([packed], cells, requested=[request])
+    assert sum(map(len, context._index_memo.values())) == context.index_memo_bytes
+    fresh = EpochContext(
+        service.enclave, service._packages[0], service.schema, table_name=context.table_name
+    )
+    yield service, context, fresh
+    fresh.release()
+
+
+@pytest.mark.parametrize("move", MOVES + ("split",))
+@pytest.mark.parametrize("read", ["bin", "run"])
+@pytest.mark.parametrize("seed", range(6))
+def test_a_warm_memo_decides_every_bent_read_as_a_fresh_context(warmed, move, read, seed):
+    """Once honest reads filled the memo, a bent bin or run read is
+    decided exactly as a context that never saw one decides it — the
+    same violation, or the same grouping-path outcome and mask — and
+    leaves the memo as it was."""
+    service, context, fresh = warmed
+    rng = random.Random(seed)
+    if read == "bin":
+        chosen = rng.choice([b for b in context.layout.bins if b.real_tuples > 1])
+        fetches = [(service.engine.fetch_packed_bin(context.table_name, chosen.runs), chosen)]
+    else:
+        fetches = _slot_batch(rng, service, context, rng.choice(["ebpb", "winsecrange"]), _run_read)
+    batch, requested, asked = [], [], []
+    for pb, request in fetches:
+        if pb.row_count < 2:
+            parts = [pb]
+        elif move == "split":
+            parts = _split(rng, pb)
+        else:
+            parts = _perturb(rng, context, pb, move)
+        batch += parts
+        requested += [request] * len(parts)
+        asked += request.cell_ids
+    keep = None if read == "bin" else context.packed_dedup_keep(batch)
+    memo = dict(context._index_memo)
+    fresh._tag_memo.clear()
+    fresh._index_memo.clear()
+    cold = by_position(fresh, batch, asked, keep, requested)
+    assert by_position(context, batch, asked, keep, requested) == cold
+    assert context._index_memo == memo
+    if move == "as-sealed":
+        assert cold[:2] == (None, True)
+
+
+def test_a_rejected_call_teaches_the_memo_nothing(sealed):
+    """A batch of one honest bin and one tampered bin is rejected whole,
+    so the honest bin's digest is not kept either."""
+    _, context, bins = sealed
+    honest, tampered = [b for b in context.layout.bins if b.real_tuples][:2]
+    bent = bins[tampered.index].with_corrupted_cell(0, 0, _flip)
+    for memo in ({}, {("cell", 0): b"\0" * 32}):
+        context._index_memo.clear()
+        context._index_memo.update(memo)
+        cells = [*honest.cell_ids, *tampered.cell_ids]
+        with pytest.raises(IntegrityViolation):
+            context.verify_packed([bins[honest.index], bent], cells, requested=[honest, tampered])
+        assert context._index_memo == memo
+    context.verify_packed([bins[honest.index]], honest.cell_ids, requested=[honest])
+    assert set(context._index_memo) == {("cell", 0), ("bin", honest.index)}
+
+
+@pytest.mark.parametrize("rebuild", ["rotate_keys", "adopt_enclave"])
+def test_a_rebuilt_context_starts_with_an_empty_memo(rebuild):
+    from repro.enclave.enclave import Enclave, EnclaveConfig
+
+    provider, service = make_stack(SPEC, RECORDS, verify=True)
+    context = service.context_for(0)
+    chosen = next(b for b in context.layout.bins if b.real_tuples)
+    pb = service.engine.fetch_packed_bin(context.table_name, chosen.runs)
+    context.verify_packed([pb], chosen.cell_ids, requested=[chosen])
+    assert context._index_memo
+    if rebuild == "rotate_keys":
+        new_master = bytes(range(32, 64))
+        rotate_service_keys(service, new_master, rotation_token(MASTER_KEY, new_master))
+    else:
+        enclave = Enclave(EnclaveConfig())
+        provider.provision_enclave(enclave)
+        service.adopt_enclave(enclave)
+    rebuilt = service.context_for(0)
+    assert rebuilt is not context
+    assert rebuilt._index_memo == {} and rebuilt._tag_memo == {}
+
+
+def test_a_warm_point_query_hashes_once_per_segment_and_encrypts_only_its_filter(monkeypatch):
+    """The second verified point query on a bin re-proves nothing: one
+    SHA-256 over the bytes the first accepted (its one requested bin),
+    no chain fold, and no DET encryption but the query's one filter."""
+    import hashlib
+
+    from repro.core import context as context_module
+    from repro.core.queries import PointQuery
+    from repro.crypto import kernels
+    from repro.crypto.kernels import DeterministicCipher
+    from tests.replication.conftest import SPEC as SPEC_18, replication_records
+
+    records = replication_records()
+    _, service = make_stack(SPEC_18, records, verify=True)
+    location, timestamp, _ = records[0]
+    query = PointQuery(index_values=(location,), timestamp=timestamp)
+    answer, stats = service.execute_point(query)
+    assert stats.verified
+    assert service.context_for(0).layout.bin_size == 18
+    hashes, encrypted = [], []
+
+    def counting(original):
+        def sha256(*args):
+            hashes.append(original)
+            return original(*args)
+
+        return sha256
+
+    class CountingHashlib:
+        sha256 = staticmethod(counting(hashlib.sha256))
+
+    monkeypatch.setattr(context_module, "hashlib", CountingHashlib)
+    monkeypatch.setattr(kernels, "_sha256", counting(kernels._sha256))
+    encrypt_many = DeterministicCipher.encrypt_many
+
+    def recording(cipher, plaintexts, *args, **kwargs):
+        encrypted.extend(plaintexts)
+        return encrypt_many(cipher, plaintexts, *args, **kwargs)
+
+    monkeypatch.setattr(DeterministicCipher, "encrypt_many", recording)
+    assert service.execute_point(query) == (answer, stats)
+    assert len(hashes) == 1
+    assert len(encrypted) == 1
 
 
 def test_a_forged_bin_index_changes_nothing(sealed):

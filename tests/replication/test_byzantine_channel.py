@@ -134,7 +134,7 @@ class Channel:
         request it was, by request first."""
         context = self.service.context_for(0)
         if self.warm:
-            _warm(context)
+            _warm(context, self.engine.replicas[-1].inner)
         if kind == "rows":
             context.verified_bin(context.pack_rows(answer), chosen.cell_ids, chosen)
         elif kind in SLOT_KINDS:
@@ -149,18 +149,25 @@ class Channel:
             context.decode_tree_nodes(self.meta, self.coords, answer)
 
 
-def _warm(context):
-    """Open and keep every sealed tag and every bin's and cell-id's
-    index digest of the epoch, as a context that has been serving
-    verified reads for a while has."""
+def _warm(context, source):
+    """Open and keep every sealed tag, and have the context accept an
+    honest read from ``source`` of every cell-id, bin and padded bin's
+    fake range, as a context that has been serving verified reads for a
+    while has: its memo holds each one's digest."""
+    table = context.table_name
     for cid, population in enumerate(context.c_tuple):
         if population:
             context._tag_digests(cid)
-            context._index_digest(("cell", cid), (cid,))
+            trapdoors = context.trapdoors_for_cell_ids([cid])
+            rows = source.lookup_many(table, "index_key", trapdoors)
+            context.verified_bin(context.pack_rows(rows), [cid], SlotRequest([cid], trapdoors))
     for chosen in context.layout.bins:
-        context._index_digest(("bin", chosen.index), chosen.cell_ids, chosen.fake_ids())
-        if chosen.fake_count:
-            context._index_digest(("fakes", chosen.index), (), chosen.fake_ids())
+        rows = source.lookup_many(table, "index_key", context.trapdoors_for_bin(chosen))
+        context.verified_bin(context.pack_rows(rows), chosen.cell_ids, chosen)
+        fakes = chosen.fake_count and context.slot_runs((), chosen.fake_ids())
+        packed = fakes and source.fetch_packed_bin(table, list(fakes.runs))
+        if packed:  # none without a sidecar: its fakes are read by trapdoor
+            context.verified_bin(context._admit(packed), (), fakes)
 
 
 def always(site):
@@ -349,7 +356,7 @@ class _MalformedAnswers:
             SPEC, replication_records(), verify=verify, sidecar=self.sidecar
         )
         if self.warm:
-            _warm(service.context_for(0))
+            _warm(service.context_for(0), service.engine)
         bend, kind = self.shapes[shape]
         _malform(service.engine, monkeypatch, self.method, bend)
         with pytest.raises(IntegrityViolation) as caught:
@@ -504,7 +511,7 @@ def test_a_bent_run_read_on_a_plain_engine_never_passes_a_bent_real_row(site, wa
         _, service = make_stack(SPEC, replication_records(), verify=True, engine=engine)
         context = service.context_for(0)
         if warm:
-            _warm(context)
+            _warm(context, engine)
         full = [b for b in context.layout.bins if b.real_tuples][:2]
         cells = [cid for chosen in full for cid in chosen.cell_ids]
         fakes = service._range_executor._pad_fakes(context, context.fake_pool_size + 2)
