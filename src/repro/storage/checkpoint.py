@@ -4,8 +4,9 @@ A service provider restarting should not need the data provider to
 re-ship every epoch, so the engine supports durable snapshots: a
 versioned pickle of every table's
 :class:`~repro.storage.table.TableImage`: loose rows as tuples, each
-sealed bin whole (fixed-width column blobs), so a sealed table's size
-is a function of its public sizes.  Install holds the bins as read and
+sealed bin whole (fixed-width column blobs), pickled without a memo so
+that no repeated cell is written as a back-reference: a table's size is
+a function of its public sizes.  Install holds the bins as read and
 bulk-loads B+-trees from the index definitions.
 
 Snapshots are **integrity-framed**: the pickled payload is followed by
@@ -23,6 +24,7 @@ transient observation stream, not state.
 from __future__ import annotations
 
 import hashlib
+import io
 import pickle
 import struct
 from pathlib import Path
@@ -97,7 +99,14 @@ def checkpoint_engine(
         "rows_per_page": engine.rows_per_page,
         "images": [engine.image(name) for name in engine.table_names()],
     }
-    payload = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    # No memo: an object seen before is written again, not referenced,
+    # so a loose row's size is its widths whatever its cells repeat
+    # (``concealer_checkpoint_bytes`` is public-size).
+    pickler.fast = True
+    pickler.dump(snapshot)
+    payload = buffer.getvalue()
     outcomes = telemetry.counter(
         "concealer_checkpoints_total",
         "storage checkpoints, by outcome (torn = injected mid-write crash)",

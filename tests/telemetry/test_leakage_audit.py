@@ -175,15 +175,27 @@ class TestAuditRun:
 
 class TestCheckpointSize:
     """A sealed table checkpoints as its bins whole — fixed-width column
-    blobs and row ids — so the payload size, tagged public on
-    ``concealer_checkpoint_bytes`` and on the ``storage.checkpoint``
-    span, is equal across datasets of equal public size: a one-device
-    twin, whose device ciphertexts all repeat, included."""
+    blobs and row ids — and loose rows (an oblivious service's, a
+    sidecar-less epoch's) as tuples pickled without a memo, so the
+    payload size, tagged public on ``concealer_checkpoint_bytes`` and
+    on the ``storage.checkpoint`` span, is equal across datasets of
+    equal public size: a one-device twin, whose device ciphertexts all
+    repeat, included."""
 
     def test_equal_public_size_datasets_checkpoint_to_equal_bytes(self, tmp_path):
+        self._twins_checkpoint_alike(tmp_path)
+
+    @pytest.mark.parametrize(
+        "stack", [{"oblivious": True}, {"sidecar": False}], ids=["oblivious", "sidecar-less"]
+    )
+    def test_loose_rows_checkpoint_to_equal_bytes(self, tmp_path, stack):
+        self._twins_checkpoint_alike(tmp_path, **stack)
+
+    @staticmethod
+    def _twins_checkpoint_alike(tmp_path, **stack):
         def checkpointed(records, name):
             def run():
-                _, service = make_stack(_SPEC, records)
+                _, service = make_stack(_SPEC, records, **stack)
                 return checkpoint_engine(service.engine, tmp_path / name).stat().st_size
 
             return audit_run(run)
