@@ -8,17 +8,19 @@ to stdout and ``results/profile_read.txt``:
   built in-process from public APIs, then 200 point queries at ingested
   (location, time) pairs, twice: unprofiled, with wrappers installed
   from here around the parts of STEP 4's verification — by position
-  (a whole bin), by request (an eBPB or winSecRange slot request), or by
-  decrypting and grouping the index keys — and the stages beside it, so
-  the wall-clock split sums to the run, with how many verified batches
-  took each path; then under cProfile, top-30.
+  (a whole bin; warm when the memo already holds its digest, cold on
+  its first read), by request (an eBPB or winSecRange slot request), or
+  by decrypting and grouping the index keys — and the stages beside
+  it, so the wall-clock split sums to the run, with how many verified
+  batches took each path; then under cProfile, top-30, with the
+  SHA-256 calls a query makes once every bin is warm.
 * **10-minute ranges, per method.**  The ``range_scatter`` fleet shape
   (2×3) and request shapes, 60 multipoint, 60 eBPB and 60 winSecRange
   ranges, each split into trapdoor derivation, index lookup, slot runs,
   sidecar read (whole bins, or slot runs for eBPB and winSecRange), the
   index keys derived (the index memo's digests on first use, and a run
   read's partial fake ranges), the index check, pack, verify (by
-  position, by request or by grouping), filter and decrypt, with the
+  position warm or cold, by request or by grouping), filter and decrypt, with the
   same path counts — self time, so a replica group's per-attempt
   verification counts as verify, not read.
 * **Whole-epoch ranges through the router.**  The ``longrange_tree``
@@ -57,11 +59,12 @@ from profile_ingest import TOP_N, PhaseTimer, fleet_and_records  # noqa: E402
 QUERIES = 200
 _CONTEXT = ("repro.core.context", "EpochContext")
 _ENGINE = ("repro.storage.engine", "StorageEngine")
-# The two ``_verify_positional`` rows are the aliases :class:`VerifyPaths`
-# routes it through (a whole bin, or an eBPB or winSecRange slot request), so
-# it must be entered before the timer.
+# The three ``_verify_positional`` rows are the aliases :class:`VerifyPaths`
+# routes it through (a whole bin warm or cold, or an eBPB or winSecRange slot
+# request), so it must be entered before the timer.
 VERIFY_PHASES = [
-    ("verify: by position", *_CONTEXT, "_verify_bin"),
+    ("verify: by position, warm", *_CONTEXT, "_verify_bin_warm"),
+    ("verify: by position, cold", *_CONTEXT, "_verify_bin_cold"),
     ("verify: by request", *_CONTEXT, "_verify_request"),
     ("verify: grouping (decrypt, runs)", *_CONTEXT, "_group_by_cell"),
     ("verify: grouping (chains, tags)", *_CONTEXT, "_check_cells"),
@@ -185,33 +188,43 @@ class IntervalTimer:
 
 class VerifyPaths:
     """How many verified batches took each path: accepted by position (a
-    whole bin), by request (an eBPB or winSecRange slot request), or handed
-    to the decrypt-and-group path.  Routes ``_verify_positional`` through
-    one alias per kind, so a timer entered inside can split the two."""
+    whole bin; warm when the index memo already held every requested
+    bin's digest, so an honest re-read is a memo hit), by request (an eBPB
+    or winSecRange slot request), or handed to the decrypt-and-group path.
+    Routes ``_verify_positional`` through one alias per kind, so a timer
+    entered inside can split them."""
 
     def __enter__(self):
         from repro.core.binning import Bin
         from repro.core.context import EpochContext
 
-        self.by_position = self.by_request = self.grouping = 0
+        self.by_position = self.warm = self.by_request = self.grouping = 0
         self._originals = positional, grouping = (
             EpochContext._verify_positional, EpochContext._group_by_cell,
         )
 
         def route(context, packed_bins, requested, *args):
             by_request = bool(requested) and not isinstance(requested[0], Bin)
-            verify = context._verify_request if by_request else context._verify_bin
+            warm = not by_request and all(
+                ("bin", request.index) in context._index_memo for request in requested
+            )
+            verify = (
+                context._verify_request if by_request
+                else context._verify_bin_warm if warm else context._verify_bin_cold
+            )
             real = verify(packed_bins, requested, *args)
             if real is not None:
                 self.by_request += by_request
                 self.by_position += not by_request
+                self.warm += warm
             return real
 
         def count_grouping(context, *args):
             self.grouping += 1
             return grouping(context, *args)
 
-        EpochContext._verify_bin = EpochContext._verify_request = positional
+        EpochContext._verify_bin_warm = EpochContext._verify_bin_cold = positional
+        EpochContext._verify_request = positional
         EpochContext._verify_positional = route
         EpochContext._group_by_cell = count_grouping
         return self
@@ -220,11 +233,13 @@ class VerifyPaths:
         from repro.core.context import EpochContext
 
         EpochContext._verify_positional, EpochContext._group_by_cell = self._originals
-        del EpochContext._verify_bin, EpochContext._verify_request
+        del EpochContext._verify_bin_warm, EpochContext._verify_bin_cold
+        del EpochContext._verify_request
 
     def line(self) -> str:
         return (
-            f"  verified batches: {self.by_position} by position, "
+            f"  verified batches: {self.by_position} by position "
+            f"({self.warm} warm, {self.by_position - self.warm} cold), "
             f"{self.by_request} by request, {self.grouping} by grouping\n"
         )
 
@@ -292,7 +307,13 @@ def point_section(out: io.StringIO) -> None:
     )
     write_split(out, phases, wall, QUERIES)
     out.write(paths.line())
-    pstats.Stats(profiler, stream=out).strip_dirs().sort_stats("cumulative").print_stats(TOP_N)
+    stats = pstats.Stats(profiler, stream=out)
+    sha256 = sum(
+        calls for (_, _, name), (_, calls, *_) in stats.stats.items()
+        if name == "<built-in method _hashlib.openssl_sha256>"
+    )
+    out.write(f"  SHA-256 calls, every bin warm (cProfile pass): {sha256 / QUERIES:.1f} per query\n")
+    stats.strip_dirs().sort_stats("cumulative").print_stats(TOP_N)
 
 
 def range_section(out: io.StringIO) -> None:
