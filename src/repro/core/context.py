@@ -899,13 +899,13 @@ class EpochContext:
     @staticmethod
     def _segment_digest(pb: PackedBin, start: int, real: int, stop: int) -> bytes:
         """One SHA-256 over what a positional check authenticates of a
-        part: its index keys (slots ``start:stop``), then each chained
-        column's cells over ``start:real``.  Widths and bounds are fixed
+        part: each chained column's cells over slots ``start:real``, then
+        its index keys over ``start:stop``.  Widths and bounds are fixed
         by the request, so the encoding is unambiguous."""
         sha = hashlib.sha256()
-        *chained, index = zip(pb.columns, pb.column_widths)
-        for (blob, width), last in ((index, stop), *((column, real) for column in chained)):
-            sha.update(memoryview(blob)[start * width : last * width])
+        ends = (real,) * (len(pb.columns) - 1) + (stop,)
+        for blob, width, end in zip(pb.columns, pb.column_widths, ends):
+            sha.update(memoryview(blob)[start * width : end * width])
         return sha.digest()
 
     def _index_matches(self, column: bytes, request, cell_ids, fake_ids, start: int, stop: int) -> bool:
@@ -951,7 +951,8 @@ class EpochContext:
                     continue
                 if not self._index_matches(pb.columns[-1], request, cell_ids, fake_ids, start, stop):
                     return None
-                cold.append((pb, cell_ids, start))
+                if cell_ids:
+                    cold.append((pb, cell_ids, start))
                 if digest:
                     learned[key] = digest
             masks.append(np.arange(pb.row_count) < sum(c_tuple[cid] for cid in request.cell_ids))
