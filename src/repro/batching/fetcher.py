@@ -42,9 +42,10 @@ class BinFetcher:
         self.oblivious = oblivious
         self.verify = verify
         # Engines (and their access logs / breakers) are not reentrant,
-        # and admission lets up to ``max_inflight`` callers into one
-        # service at once: the storage round-trip runs under this lock,
-        # trapdoor derivation and verification outside it.
+        # and nothing stops two threads from calling one service at
+        # once (a fleet serialises them on its shard lock, a direct
+        # caller need not): the storage round-trip runs under this
+        # lock, trapdoor derivation and verification outside it.
         self._engine_lock = threading.Lock()
 
     # ------------------------------------------------------------ query path

@@ -45,7 +45,6 @@ from repro.exceptions import (
 )
 from repro.faults.clock import RetryPolicy, SystemClock, VirtualClock
 from repro.faults.quarantine import QuarantineLog
-from repro.replication.admission import AdmissionController
 from repro.replication.deadline import Deadline
 from repro.storage.engine import StorageEngine
 from repro.storage.table import TableImage
@@ -167,10 +166,6 @@ class ServiceConfig:
     # deadline is minted at the service edge and checked at every
     # fetch, replica attempt, and retry-backoff decision.
     deadline_seconds: float | None = None
-    # Admission control: at most max_inflight requests execute at once
-    # plus admission_queue waiting; the rest shed with ServiceOverloaded.
-    max_inflight: int = 64
-    admission_queue: int = 128
 
 
 # Minimum fully-covered leaf buckets before the auto planner prefers the
@@ -204,10 +199,6 @@ class ServiceProvider:
         self.clock = clock if clock is not None else SystemClock()
         self.retry = RetryPolicy(
             clock=self.clock, jitter=self.config.retry_jitter, rng=retry_rng
-        )
-        self.admission = AdmissionController(
-            max_inflight=self.config.max_inflight,
-            max_queue=self.config.admission_queue,
         )
         # Cells with standing hash-chain violations; queries touching
         # them fail fast with a structured IntegrityViolation.
@@ -408,21 +399,20 @@ class ServiceProvider:
     ) -> tuple[object, QueryStats]:
         """Run a point query (Algorithm 2) inside the enclave."""
         check_request(query, self.schema, self.config.oblivious)
-        with self.admission.admit("point"):
-            eid = self._epoch_for(query, epoch_id)
-            context = self.context_for(eid)
-            deadline = self._new_deadline()
-            with telemetry.span("service.point_query", epoch=eid) as query_span:
-                self.engine.access_log.begin_query()
-                try:
-                    answer, stats = self._execute_resilient(
-                        lambda: self._point_executor.execute(
-                            query, context, deadline=deadline
-                        ),
-                        deadline=deadline,
-                    )
-                finally:
-                    self.engine.access_log.end_query()
+        eid = self._epoch_for(query, epoch_id)
+        context = self.context_for(eid)
+        deadline = self._new_deadline()
+        with telemetry.span("service.point_query", epoch=eid) as query_span:
+            self.engine.access_log.begin_query()
+            try:
+                answer, stats = self._execute_resilient(
+                    lambda: self._point_executor.execute(
+                        query, context, deadline=deadline
+                    ),
+                    deadline=deadline,
+                )
+            finally:
+                self.engine.access_log.end_query()
         _record_query("point", "bpb", stats, query_span.duration)
         return answer, stats
 
@@ -435,23 +425,22 @@ class ServiceProvider:
         """Run a range query with the chosen §5 method."""
         check_request(query, self.schema, self.config.oblivious, method)
         eid = self._epoch_for(query, epoch_id)
-        with self.admission.admit("range"):
-            context = self.context_for(eid)
-            if method == "auto":
-                method = self.choose_range_method(query, context)
-            deadline = self._new_deadline()
-            executor = self._range_executor
-            with telemetry.span(
-                "service.range_query", epoch=eid, method=method
-            ) as query_span:
-                self.engine.access_log.begin_query()
-                try:
-                    run = lambda: executor.execute(
-                        method, query, context, deadline=deadline
-                    )
-                    answer, stats = self._execute_resilient(run, deadline=deadline)
-                finally:
-                    self.engine.access_log.end_query()
+        context = self.context_for(eid)
+        if method == "auto":
+            method = self.choose_range_method(query, context)
+        deadline = self._new_deadline()
+        executor = self._range_executor
+        with telemetry.span(
+            "service.range_query", epoch=eid, method=method
+        ) as query_span:
+            self.engine.access_log.begin_query()
+            try:
+                run = lambda: executor.execute(
+                    method, query, context, deadline=deadline
+                )
+                answer, stats = self._execute_resilient(run, deadline=deadline)
+            finally:
+                self.engine.access_log.end_query()
         _record_query("range", method, stats, query_span.duration)
         return answer, stats
 

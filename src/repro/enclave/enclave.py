@@ -78,10 +78,10 @@ class Enclave:
         self._epc_used = 0
         self._epc_high_water = 0
         self._crashed: str | None = None
-        # The EPC ledger is shared by every query in flight (admission
-        # lets several callers in at once, and co-hosted indexes share
-        # one enclave); charge/release must be atomic or two fetches
-        # could both pass the budget check and overshoot it.
+        # The EPC ledger is shared by every query in flight (nothing
+        # stops several threads calling in at once, and co-hosted
+        # indexes share one enclave); charge/release must be atomic or
+        # two fetches could both pass the budget check and overshoot it.
         self._epc_lock = threading.RLock()
 
     # ------------------------------------------------------------ crash model

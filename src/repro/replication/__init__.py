@@ -16,15 +16,12 @@ Layer map:
 - :mod:`~repro.replication.breaker` — per-replica circuit breakers;
 - :mod:`~repro.replication.deadline` — request deadline budgets,
   threaded service → enclave → storage;
-- :mod:`~repro.replication.admission` — bounded admission with load
-  shedding at the service edge;
 - :mod:`~repro.replication.repair` — the anti-entropy repairer
   (majority-digest peer sync, DP-master fallback, rotation fencing);
 - :mod:`~repro.replication.byzantine` — the adversarial replica
   wrapper driven by the seeded fault injector (chaos harness).
 """
 
-from repro.replication.admission import AdmissionController
 from repro.replication.breaker import BreakerConfig, CircuitBreaker
 from repro.replication.byzantine import ByzantineReplica
 from repro.replication.deadline import Deadline
@@ -37,7 +34,6 @@ from repro.replication.engine import (
 from repro.replication.repair import AntiEntropyRepairer, RepairOutcome
 
 __all__ = [
-    "AdmissionController",
     "AntiEntropyRepairer",
     "BreakerConfig",
     "ByzantineReplica",

@@ -4,9 +4,8 @@ A single Concealer stack couples one enclave to one storage engine: one
 AEX or one slow bin store takes the whole deployment down.  This
 package partitions the bin store **by cell-id hash** across N shards —
 each a full enclave + storage + recovery stack with its own circuit
-breaker, admission controller, and checkpoint — behind a query router
-that scatter-gathers range queries and isolates unhealthy shards
-instead of failing closed.
+breaker and checkpoint — behind a query router that scatter-gathers
+range queries and isolates unhealthy shards instead of failing closed.
 
 Layout (host side; every shard's enclave is still the trust boundary):
 
@@ -21,8 +20,9 @@ Layout (host side; every shard's enclave is still the trust boundary):
 - :mod:`repro.sharding.coordinator` — two-phase epoch ingest and
   two-phase key rotation across shards, fenced by the router so no
   mixed-epoch or mixed-key answer is ever served;
-- :mod:`repro.sharding.router` — the asyncio front door: per-shard
-  worker threads, per-shard deadline budgets, hedged dispatch;
+- :mod:`repro.sharding.router` — the asyncio front door and the
+  fleet's one admission gate: per-shard worker threads, per-shard
+  deadline budgets, hedged dispatch;
 - :mod:`repro.sharding.server` — ``python -m repro --serve``: a
   JSON-lines TCP front end with graceful SIGTERM/SIGINT drain.
 """

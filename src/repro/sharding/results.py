@@ -82,6 +82,11 @@ class ShardedQueryStats:
     merged: QueryStats
     per_shard: dict[int, QueryStats] = field(default_factory=dict)
 
+    @classmethod
+    def single(cls, shard_id: int, stats: QueryStats) -> "ShardedQueryStats":
+        """A request one shard served whole (a point query)."""
+        return cls(merged=merged_stats({shard_id: stats}), per_shard={shard_id: stats})
+
     @property
     def verified_shards(self) -> tuple[int, ...]:
         return self.merged.extra.get("verified_shards", ())

@@ -12,11 +12,13 @@ loop only ever *tries* a shard lock, so a stalled shard — which holds
 its lock — is never waited on: its sub-query takes the hop.  On top of
 that isolation it adds:
 
-- **asyncio admission**: at most ``max_inflight`` requests execute at
-  once and at most ``admission_queue`` more may wait; everything beyond
+- **asyncio admission**, the fleet's only gate: at most
+  ``ShardedConfig.max_inflight`` requests execute at once and at most
+  ``ShardedConfig.admission_queue`` more may wait; everything beyond
   is shed with a typed :class:`~repro.exceptions.ServiceOverloaded`
   before any shard work starts (counts are public-size — functions of
-  arrival, never of plaintext).
+  arrival, never of plaintext).  Behind it a shard runs one request at
+  a time, under its lock.
 - **hedged dispatch**: when a sub-query has not returned within
   ``hedge_delay`` seconds, a duplicate attempt is launched on the same
   shard's second thread; the first success wins.  Because a shard's
@@ -44,13 +46,8 @@ from concurrent.futures import ThreadPoolExecutor
 from repro import telemetry
 from repro.telemetry import tracing
 from repro.core.queries import PointQuery, QueryStats, RangeQuery
-from repro.exceptions import (
-    ConcealerError,
-    RouterFenced,
-    ServiceOverloaded,
-    ShardUnavailable,
-)
-from repro.sharding.results import ShardedQueryStats, merged_stats
+from repro.exceptions import ConcealerError, RouterFenced, ServiceOverloaded
+from repro.sharding.results import ShardedQueryStats
 from repro.sharding.service import (
     SHARD_BUSY,
     Shard,
@@ -92,8 +89,6 @@ class AsyncShardRouter:
         self,
         sharded: ShardedService,
         hedge_delay: float | None = None,
-        max_inflight: int | None = None,
-        admission_queue: int | None = None,
         slo=None,
     ):
         self.sharded = sharded
@@ -101,16 +96,6 @@ class AsyncShardRouter:
         # Optional SLOMonitor: every admitted query's latency + outcome
         # feeds the availability and latency objectives.
         self.slo = slo
-        self.max_inflight = (
-            max_inflight
-            if max_inflight is not None
-            else sharded.config.max_inflight
-        )
-        self.admission_queue = (
-            admission_queue
-            if admission_queue is not None
-            else sharded.config.admission_queue
-        )
         # Two workers per shard: one for the primary attempt, one so a
         # hedge (or a plan probe) is never stuck behind it in the pool.
         self._executors = {
@@ -132,7 +117,7 @@ class AsyncShardRouter:
         # Created on first use so the router can be constructed outside
         # a running event loop (e.g. by the server before asyncio.run).
         if self._slots is None:
-            self._slots = asyncio.Semaphore(self.max_inflight)
+            self._slots = asyncio.Semaphore(self.sharded.config.max_inflight)
             self._idle = asyncio.Event()
             self._idle.set()
 
@@ -144,7 +129,7 @@ class AsyncShardRouter:
                 "router is draining; new queries are rejected — retry "
                 "against the restarted service"
             )
-        if self._slots.locked() and self._queued >= self.admission_queue:
+        if self._slots.locked() and self._queued >= self.sharded.config.admission_queue:
             _count_shed(kind)
             raise ServiceOverloaded(
                 f"router admission queue full ({self._inflight} inflight, "
@@ -265,25 +250,14 @@ class AsyncShardRouter:
                 eid, cell_id, owner_id = await self._plan(
                     functools.partial(self.sharded.plan_point, query, epoch_id)
                 )
-                owner = self.sharded.shards[owner_id]
-                if not owner.healthy():
-                    _count_isolated(owner.shard_id, owner.isolation_reason())
-                    raise ShardUnavailable(
-                        f"shard {owner.shard_id} owning cell-id {cell_id} is "
-                        f"isolated ({owner.isolation_reason()})",
-                        shard_ids=(owner.shard_id,),
-                    )
-                owner.assert_owns((cell_id,))
+                owner = self.sharded.point_owner(cell_id, owner_id)
                 answer, stats = await self._dispatch(
                     owner,
                     "point",
                     lambda: owner.service.execute_point(query, epoch_id=eid),
                 )
                 ok = True
-                return answer, ShardedQueryStats(
-                    merged=merged_stats({owner.shard_id: stats}),
-                    per_shard={owner.shard_id: stats},
-                )
+                return answer, ShardedQueryStats.single(owner_id, stats)
         finally:
             self._observe_slo(started, ok)
             self._release()

@@ -1,8 +1,8 @@
 """The sharded service: N fault-isolated Concealer stacks, one front door.
 
 Each :class:`Shard` is a *complete* service stack — its own enclave,
-storage engine, admission controller, circuit breaker, quarantine log,
-and :class:`~repro.faults.recovery.RecoveryCoordinator` with a private
+storage engine, circuit breaker, quarantine log, and
+:class:`~repro.faults.recovery.RecoveryCoordinator` with a private
 checkpoint path — holding only the records whose cell-ids hash to it.
 Every shard's epoch package is a full Algorithm-1 package over its
 partition: non-owned cell-ids still get their fake-only bins (the bin
@@ -138,7 +138,6 @@ class ShardedConfig:
     # all run below the router — a single tampered or crashed storage
     # node never surfaces as a degraded shard.
     replicas: int = 1
-    verify: bool = True
     oblivious: bool = False
     # Per-shard dispatch budget in seconds (None = unbounded).  Minted
     # router-side per sub-query, so one slow shard burns only its own
@@ -148,9 +147,18 @@ class ShardedConfig:
     # True; fail with ShardUnavailable when False (fail-closed mode).
     allow_partial: bool = True
     breaker_reset_seconds: float = 30.0
+    # The async router's admission gate, the fleet's only one: at most
+    # max_inflight requests execute at once and admission_queue more
+    # wait; the rest shed with ServiceOverloaded.
     max_inflight: int = 64
     admission_queue: int = 128
     retry_jitter: float = 0.0
+
+    def __post_init__(self):
+        if self.max_inflight < 1:
+            raise ValueError("max_inflight must be >= 1")
+        if self.admission_queue < 0:
+            raise ValueError("admission_queue must be >= 0")
 
 
 @dataclass
@@ -353,11 +361,9 @@ class ShardedService:
             service = ServiceProvider(
                 provider.schema,
                 ServiceConfig(
-                    verify=config.verify,
+                    verify=True,
                     oblivious=config.oblivious,
                     deadline_seconds=config.deadline_seconds,
-                    max_inflight=config.max_inflight,
-                    admission_queue=config.admission_queue,
                     retry_jitter=config.retry_jitter,
                 ),
                 engine=engine,
@@ -734,26 +740,33 @@ class ShardedService:
         self._check_fence()
         with telemetry.span("router.query", kind="point"):
             eid, cell_id, owner_id = self.plan_point(query, epoch_id)
-            owner = self.shards[owner_id]
-            if not owner.healthy():
-                _count_isolated(owner.shard_id, owner.isolation_reason())
-                raise ShardUnavailable(
-                    f"shard {owner.shard_id} owning cell-id {cell_id} is "
-                    f"isolated ({owner.isolation_reason()})",
-                    shard_ids=(owner.shard_id,),
-                )
-            owner.assert_owns((cell_id,))
-            answer = self._dispatch(
+            owner = self.point_owner(cell_id, owner_id)
+            answer, stats = self._dispatch(
                 owner,
                 "point",
                 lambda: owner.service.execute_point(query, epoch_id=eid),
             )
-            result, stats = answer
-            sharded = ShardedQueryStats(
-                merged=merged_stats({owner.shard_id: stats}),
-                per_shard={owner.shard_id: stats},
+            return answer, ShardedQueryStats.single(owner_id, stats)
+
+    def point_owner(self, cell_id: int, owner_id: int) -> Shard:
+        """The shard a planned point query dispatches to.
+
+        An isolated owner raises a typed :class:`ShardUnavailable`; a
+        healthy one re-checks the routing against its own topology
+        (:meth:`Shard.assert_owns`).  Shared by the sync path and the
+        async router.
+        """
+        owner = self.shards[owner_id]
+        if not owner.healthy():
+            reason = owner.isolation_reason()
+            _count_isolated(owner_id, reason)
+            raise ShardUnavailable(
+                f"shard {owner_id} owning cell-id {cell_id} is isolated "
+                f"({reason})",
+                shard_ids=(owner_id,),
             )
-            return result, sharded
+        owner.assert_owns((cell_id,))
+        return owner
 
     def execute_range(
         self,

@@ -9,8 +9,8 @@ offline reproduction provides an embedded engine with the same contract:
   duplicate keys, ordered range scans) used for every secondary index.
 - :mod:`repro.storage.table` — an append-only row store with stable
   row ids, and :class:`TableImage`, a table whole.
-- :mod:`repro.storage.pager` — a page model plus the :class:`AccessLog`
-  that records every page/row the engine touches.  The access log **is
+- :mod:`repro.storage.pager` — the :class:`AccessLog` that records
+  every page/row the engine touches.  The access log **is
   the adversary's view**: security tests and the leakage experiments
   read it to check what an honest-but-curious service provider observes.
 - :mod:`repro.storage.engine` — :class:`StorageEngine`, the façade that
@@ -20,14 +20,13 @@ offline reproduction provides an embedded engine with the same contract:
 from repro.storage.btree import BPlusTree
 from repro.storage.checkpoint import checkpoint_engine, restore_engine
 from repro.storage.engine import StorageEngine
-from repro.storage.pager import AccessEvent, AccessLog, Pager
+from repro.storage.pager import AccessEvent, AccessLog
 from repro.storage.table import Row, Table, TableImage
 
 __all__ = [
     "AccessEvent",
     "AccessLog",
     "BPlusTree",
-    "Pager",
     "Row",
     "StorageEngine",
     "Table",

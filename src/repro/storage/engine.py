@@ -24,7 +24,7 @@ from repro.exceptions import (
 )
 from repro.faults.injector import FaultInjector, NULL_INJECTOR
 from repro.storage.btree import BPlusTree
-from repro.storage.pager import AccessKind, AccessLog, Pager
+from repro.storage.pager import AccessKind, AccessLog
 from repro.storage.table import Row, Table, TableImage
 
 
@@ -86,8 +86,9 @@ class StorageEngine(RewriteFence):
     ):
         self._tables: dict[str, Table] = {}
         self._indexes: dict[tuple[str, str], BPlusTree] = {}
-        self._pagers: dict[str, Pager] = {}
         self.btree_order = btree_order
+        # A row read also logs its page (row id // rows_per_page), the
+        # page-granular view a buffer pool gives an OS-level observer.
         self.rows_per_page = rows_per_page
         self.access_log = AccessLog()
         # Chaos hook: reads/writes may fail transiently, and lookup
@@ -102,13 +103,11 @@ class StorageEngine(RewriteFence):
         if name in self._tables:
             raise StorageError(f"table {name!r} already exists")
         self._tables[name] = Table(name, column_names)
-        self._pagers[name] = Pager(rows_per_page=self.rows_per_page)
 
     def drop_table(self, name: str) -> None:
         """Drop a table and all its indexes."""
         self._table(name)
         del self._tables[name]
-        del self._pagers[name]
         for key in [k for k in self._indexes if k[0] == name]:
             del self._indexes[key]
 
@@ -165,10 +164,7 @@ class StorageEngine(RewriteFence):
         if self.has_table(name):
             self.drop_table(name)
         self._tables[name] = tbl = Table.from_image(image)
-        self._pagers[name] = Pager(rows_per_page=self.rows_per_page)
         row_ids = tbl.row_ids()
-        if row_ids:
-            self._pagers[name].note_row(row_ids[-1])
         for column in image.indexed:
             self.create_index(name, column)
         if logged:
@@ -192,7 +188,6 @@ class StorageEngine(RewriteFence):
             )
         tbl = self._table(table)
         row_id = tbl.insert(columns)
-        self._pagers[table].note_row(row_id)
         for (tname, column), tree in self._indexes.items():
             if tname == table:
                 tree.insert(columns[tbl.column_index(column)], row_id)
@@ -222,7 +217,6 @@ class StorageEngine(RewriteFence):
         finally:
             landed = range(first, tbl._next_row_id)
             if landed:
-                self._pagers[table].note_row(landed[-1])
                 for (tname, column), tree in self._indexes.items():
                     if tname == table:
                         self._load_index(tbl, tree, tbl.column_index(column))
@@ -317,7 +311,7 @@ class StorageEngine(RewriteFence):
                 heads,
                 starts,
                 row_ids,
-                self._pagers[table].rows_per_page,
+                self.rows_per_page,
             )
             if head_kind is AccessKind.INDEX_LOOKUP:
                 telemetry.counter(
@@ -383,7 +377,7 @@ class StorageEngine(RewriteFence):
                 heads,
                 starts,
                 chosen.row_ids,
-                self._pagers[table].rows_per_page,
+                self.rows_per_page,
             )
             _count_rows_read(chosen.row_count)
             return self._tamper_packed(chosen)

@@ -27,7 +27,7 @@ produced.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -240,33 +240,3 @@ def _rows_read(entries: Iterable[tuple]) -> int:
         else entry[0] == AccessKind.ROW_READ
         for entry in entries
     )
-
-
-@dataclass
-class Pager:
-    """A minimal fixed-fanout page model.
-
-    Rows are grouped ``rows_per_page`` at a time; translating a row id
-    to its page lets the engine log page-granular events the way a real
-    buffer pool would surface them to an OS-level observer.
-    """
-
-    rows_per_page: int = 64
-    _page_count: int = field(default=0, init=False)
-
-    def page_of(self, row_id: int) -> int:
-        """The page number holding ``row_id``."""
-        if row_id < 0:
-            raise ValueError("row id must be non-negative")
-        return row_id // self.rows_per_page
-
-    def note_row(self, row_id: int) -> None:
-        """Grow the page count to cover a newly appended row."""
-        needed = self.page_of(row_id) + 1
-        if needed > self._page_count:
-            self._page_count = needed
-
-    @property
-    def page_count(self) -> int:
-        """Number of pages allocated so far."""
-        return self._page_count

@@ -1,10 +1,10 @@
 """Every storage read on the query path holds ``BinFetcher._engine_lock``.
 
-Storage engines are not reentrant, and admission lets up to
-``max_inflight`` callers into one service at once, so each storage
-round-trip of a query — a sidecar read of whole bins or slot runs, a
-trapdoor lookup, the tree sidecar's meta or nodes — runs under the
-fetcher's engine lock, for every range method and both fetch kinds.
+Storage engines are not reentrant, and nothing stops two threads from
+calling one service at once, so each storage round-trip of a query — a
+sidecar read of whole bins or slot runs, a trapdoor lookup, the tree
+sidecar's meta or nodes — runs under the fetcher's engine lock, for
+every range method and both fetch kinds.
 The first query on a fresh service also reads what a warm one skips
 (the tree meta the epoch context caches).
 """

@@ -83,7 +83,7 @@ class TestConstruction:
         changed = {
             "oblivious": False, "verify": True, "window_subintervals": 4,
             "super_bin_count": 2, "retry_jitter": 0.25,
-            "deadline_seconds": 30.0, "max_inflight": 3, "admission_queue": 5,
+            "deadline_seconds": 30.0,
         }
         defaults = ServiceConfig()
         fields = {f.name for f in dataclasses.fields(ServiceConfig)}

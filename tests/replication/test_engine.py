@@ -1,9 +1,9 @@
 """Unit tests for the replicated read/write paths.
 
 Failover, verify-then-failover quarantine, circuit breakers, deadline
-budgets, hedged ordering, degraded-mode flagging, write-divergence
-handling, and admission control — all on raw engines with small
-adversarial wrappers, no full query stack.
+budgets, hedged ordering, degraded-mode flagging, and write-divergence
+handling — all on raw engines with small adversarial wrappers, no
+full query stack.
 """
 
 from __future__ import annotations
@@ -17,14 +17,12 @@ from repro.exceptions import (
     IntegrityViolation,
     NoHealthyReplica,
     ReplicaTimeout,
-    ServiceOverloaded,
     TransientError,
     TransientStorageError,
 )
 from repro.faults.clock import VirtualClock
 from repro.faults.injector import FaultEvent, FaultInjector
 from repro.replication import (
-    AdmissionController,
     BreakerConfig,
     CircuitBreaker,
     Deadline,
@@ -692,29 +690,6 @@ def test_a_replica_without_the_sidecar_ends_the_read_uncharged(kind, registry):
     assert engine.last_read_failovers == 0
     assert len(engine.quarantine) == 0
     assert failovers_by_reason(registry) == {}
-
-
-class TestAdmissionControl:
-    def test_sheds_beyond_capacity_with_a_typed_error(self):
-        controller = AdmissionController(max_inflight=1, max_queue=1)
-        with controller.admit("point"):
-            with controller.admit("point"):  # spills into the queue
-                with pytest.raises(ServiceOverloaded):
-                    with controller.admit("point"):
-                        pass
-        assert controller.shed == 1
-        assert controller.inflight == 0
-        assert controller.queued == 0
-
-    def test_shed_requests_are_retryable_but_touch_no_storage(self):
-        assert issubclass(ServiceOverloaded, TransientError)
-        assert not issubclass(ServiceOverloaded, TransientStorageError)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdmissionController(max_inflight=0)
-        with pytest.raises(ValueError):
-            AdmissionController(max_queue=-1)
 
 
 class TestPolicyValidation:

@@ -29,8 +29,6 @@ HEALTH_FAMILIES = (
     "concealer_degraded_reads_total",
     "concealer_queries_degraded_total",
     "concealer_query_failovers_total",
-    "concealer_requests_admitted_total",
-    "concealer_admission_inflight",
 )
 
 

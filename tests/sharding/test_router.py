@@ -16,11 +16,13 @@ from repro.exceptions import (
     RouterFenced,
     ServiceOverloaded,
     ShardUnavailable,
+    TransientError,
     TransientStorageError,
 )
 from repro.sharding.results import PartialResult
 from repro.sharding.router import AsyncShardRouter
 from repro.sharding.server import ShardServer
+from repro.sharding.service import ShardedConfig
 from tests.sharding.conftest import (
     DEVICES,
     EPOCH_DURATION,
@@ -185,8 +187,8 @@ class TestHedgedDispatch:
 
 class TestAdmission:
     def test_queue_overflow_sheds_with_a_typed_error(self, tmp_path):
-        _, sharded, _ = make_fleet(tmp_path)
-        router = AsyncShardRouter(sharded, max_inflight=1, admission_queue=0)
+        _, sharded, _ = make_fleet(tmp_path, max_inflight=1, admission_queue=0)
+        router = AsyncShardRouter(sharded)
 
         async def scenario():
             await router._admit("point")  # takes the only slot
@@ -198,8 +200,8 @@ class TestAdmission:
         router.close()
 
     def test_released_slots_readmit(self, tmp_path):
-        _, sharded, _ = make_fleet(tmp_path)
-        router = AsyncShardRouter(sharded, max_inflight=1, admission_queue=0)
+        _, sharded, _ = make_fleet(tmp_path, max_inflight=1, admission_queue=0)
+        router = AsyncShardRouter(sharded)
 
         async def scenario():
             await router._admit("range")
@@ -210,6 +212,19 @@ class TestAdmission:
         run(scenario())
         assert router.inflight == 0
         router.close()
+
+    def test_shed_requests_are_retryable_but_touch_no_storage(self):
+        assert issubclass(ServiceOverloaded, TransientError)
+        assert not issubclass(ServiceOverloaded, TransientStorageError)
+
+    @pytest.mark.parametrize(
+        "limits",
+        [{"max_inflight": 0}, {"admission_queue": -1}],
+        ids=["max_inflight", "admission_queue"],
+    )
+    def test_limits_are_validated_where_they_are_set(self, limits):
+        with pytest.raises(ValueError):
+            ShardedConfig(**limits)
 
 
 class TestDrainAndShutdown:

@@ -313,14 +313,12 @@ class TestBulkLanding:
         assert engine.row_count("t") == engine.index_size("t", "k") == 3
         assert len(engine.access_log) == 3
 
-    def test_landing_invalidates_sidecars_and_grows_the_page_count(self):
+    def test_landing_invalidates_sidecars(self):
         engine = self._engine()
         engine.store_agg_tree("t", object())
         engine.insert_many("t", self.ROWS)
         assert not engine.has_agg_tree("t")
-        assert engine._pagers["t"].page_count == 1
         engine.insert_many("t", [[b"p", b"k%02d" % i] for i in range(60)])
-        assert engine._pagers["t"].page_count == 2
         assert engine.index_size("t", "k") == engine.row_count("t") == 70
 
     def test_create_index_and_install_use_the_same_loader(self):

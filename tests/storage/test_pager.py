@@ -1,33 +1,9 @@
-"""Tests for the page model and access-log bookkeeping."""
+"""Tests for the access-log bookkeeping."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.pager import AccessEvent, AccessKind, AccessLog, Pager
-
-
-class TestPager:
-    def test_page_of(self):
-        pager = Pager(rows_per_page=10)
-        assert pager.page_of(0) == 0
-        assert pager.page_of(9) == 0
-        assert pager.page_of(10) == 1
-        assert pager.page_of(99) == 9
-
-    def test_negative_row_rejected(self):
-        with pytest.raises(ValueError):
-            Pager().page_of(-1)
-
-    def test_page_count_grows(self):
-        pager = Pager(rows_per_page=4)
-        assert pager.page_count == 0
-        pager.note_row(0)
-        assert pager.page_count == 1
-        pager.note_row(7)
-        assert pager.page_count == 2
-        pager.note_row(3)  # no shrink
-        assert pager.page_count == 2
+from repro.storage.pager import AccessEvent, AccessKind, AccessLog
 
 
 class TestAccessLog:

@@ -10,7 +10,9 @@ edits the table here, on purpose.
 
 Captured at 12713c2: from a checkout of it,
 ``PYTHONPATH=src:<this repo> python tests/telemetry/test_telemetry_volume.py``
-prints both tables.
+prints both tables.  The update counts have since dropped by three per
+shard sub-query, the shard service's own admission gate (an admitted
+counter and two in-flight gauge sets) having gone.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ RECORDS = [
 
 # request -> (spans opened, metric updates made)
 VOLUME = {
-    "point": (9, 21),
-    "multipoint": (16, 45),
-    "tree": (15, 41),
+    "point": (9, 18),
+    "multipoint": (16, 42),
+    "tree": (15, 35),
 }
 TRACE_DIGESTS = {
     "point": "044af101eca11070dbbc44990f5410fe21a69984baecf522c721d2331ebafa90",

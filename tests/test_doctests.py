@@ -13,7 +13,6 @@ import repro.crypto.kernels
 import repro.crypto.nondet
 import repro.crypto.prf
 import repro.enclave.sort
-import repro.replication.admission
 import repro.replication.breaker
 import repro.storage.btree
 import repro.storage.engine
@@ -31,7 +30,6 @@ MODULES = [
     repro.crypto.nondet,
     repro.crypto.prf,
     repro.enclave.sort,
-    repro.replication.admission,
     repro.replication.breaker,
     repro.storage.btree,
     repro.storage.engine,
